@@ -245,7 +245,7 @@ func run(cfg config, out io.Writer) error {
 		if err != nil {
 			return err
 		}
-		probe := exec.ProbeStore(st, "telemetry-probe", 16, 0, 0)
+		probe := exec.ProbeStore(st, "telemetry-probe", 16)
 		fmt.Fprintf(out, "%s\n", probe)
 		overhead = probe.Estimate
 	}

@@ -1,13 +1,13 @@
-// Degraded-store resilience: everything the executor does beyond the
-// plain "save and hope" path lives here — the retry loop driven by a
-// RetryPolicy, the StoreHealth observer, online replanning with
-// hysteresis, and the degradation ladder (healthy → degraded →
-// failover → down).
+// Degraded-store resilience and the save path: the retry loop every
+// commit runs under a RetryPolicy (commit in exec.go → persist → save),
+// the outcome accounting adaptive mode adds — StoreHealth, online
+// replanning with hysteresis, the degradation ladder (healthy →
+// degraded → failover → down) — and restoring that state on resume.
 //
 // Determinism under adaptivity is the load-bearing design: every
 // decision is a pure function of state that round-trips through the
-// checkpoint payload. Store overhead is measured from the
-// deterministic fault injector's per-run latency ledger; replans are
+// checkpoint payload. Store overhead is measured from the store
+// stack's per-run latency ledger (store.Measure); replans are
 // journaled as (frontier, overhead) pairs and reconstructed by
 // replaying them through the pure Replanner; and the save outcomes of
 // commit k — which happen AFTER payload k is encoded — are re-observed
@@ -35,7 +35,11 @@ import (
 // AdaptiveOptions enables the degraded-store resilience layer. The
 // zero value of each field picks a sane default; the executor runs
 // adaptively whenever Options.Adaptive is non-nil (which requires a
-// configured Store).
+// configured Store). Fixed constants cover what is not configurable:
+// the drift reference cost is the original plan's mean checkpoint cost,
+// the store-health EWMA weight is 0.25 over a 16-attempt failure
+// window, and failover to Secondary fires after 2 consecutive commit
+// give-ups.
 type AdaptiveOptions struct {
 	// Retry drives the save retry loop (nil = NoRetry). Only transient
 	// errors are retried; permanent errors (quota, corrupt) give up
@@ -50,22 +54,12 @@ type AdaptiveOptions struct {
 	// Cooldown is the minimum number of commits between replans
 	// (default 1).
 	Cooldown int
-	// BaseCost is the reference per-checkpoint cost C for drift ratios;
-	// 0 derives it as the mean checkpoint cost of the initial plan.
-	BaseCost float64
-	// Alpha is the health EWMA weight (default 0.25).
-	Alpha float64
-	// Window is the health failure-rate window in attempts (default 16,
-	// max 64).
-	Window int
 	// Secondary, when non-nil, is the failover store (compose it with
 	// Checked like the primary). It must persist as long as the primary:
-	// resuming a run that failed over lists and loads from both.
+	// resuming a run that failed over lists and loads from both. The
+	// executor fails over after failoverAfter consecutive commit
+	// give-ups; a permanent error fails over immediately.
 	Secondary store.Store
-	// FailoverAfter is the number of consecutive commit give-ups that
-	// trigger failover to Secondary (default 2). A permanent error
-	// fails over immediately.
-	FailoverAfter int
 	// DownAfter is the number of consecutive give-ups (on the last
 	// store in the ladder) after which persistence is switched off
 	// (default 4). A permanent error goes down immediately.
@@ -92,13 +86,6 @@ type AdaptiveOptions struct {
 	SyncEvery int
 }
 
-func (a *AdaptiveOptions) retry() RetryPolicy {
-	if a.Retry == nil {
-		return NoRetry{}
-	}
-	return a.Retry
-}
-
 func (a *AdaptiveOptions) cooldown() int {
 	if a.Cooldown <= 0 {
 		return 1
@@ -106,12 +93,9 @@ func (a *AdaptiveOptions) cooldown() int {
 	return a.Cooldown
 }
 
-func (a *AdaptiveOptions) failoverAfter() int {
-	if a.FailoverAfter <= 0 {
-		return 2
-	}
-	return a.FailoverAfter
-}
+// failoverAfter is the number of consecutive commit give-ups that
+// trigger failover to AdaptiveOptions.Secondary.
+const failoverAfter = 2
 
 func (a *AdaptiveOptions) downAfter() int {
 	if a.DownAfter <= 0 {
@@ -134,42 +118,36 @@ func encodeSaveArg(attempts, code int) int32 { return int32(attempts<<3 | code) 
 // saveOutcome is what one commit's save loop produced.
 type saveOutcome struct {
 	attempts   int
-	overhead   float64 // total injected latency + backoff delays
+	overhead   float64 // total measured latency + backoff delays
 	successLat float64 // latency of the successful attempt (0 on give-up)
 	ok         bool
 	code       int
 	err        error
 }
 
-// adaptiveSave runs the retry loop against the active store, reading
-// per-attempt injected latency from the store stack's per-run ledger
-// and serving policy backoff in virtual time. Fatal-class errors abort;
-// permanent-class errors give up without retrying; transient errors
-// retry per policy.
-func (ex *executor) adaptiveSave(seq uint64, payload []byte) (saveOutcome, error) {
-	pol := ex.ad.retry()
+// save runs the retry loop against the active store under the
+// executor's retry policy, measuring each attempt's exact virtual
+// latency (store.Measure) and adding the policy's backoff delays to the
+// overhead. Fatal-class errors abort; permanent-class errors give up
+// without retrying; transient errors retry per policy.
+func (ex *executor) save(seq uint64, payload []byte) (saveOutcome, error) {
 	run := ex.opts.runID()
 	var out saveOutcome
 	defer func() { ex.pending = 0 }()
 	for attempt := 1; ; attempt++ {
-		// Expose the overhead accrued so far through the bound clock:
-		// this attempt's network delivery happens at t + overhead, so
-		// backing off long enough walks the commit past a partition
-		// window's end.
-		ex.pending = out.overhead
-		before, _ := store.LastOp(ex.store, run)
-		err := ex.store.Save(run, seq, payload)
-		after, ok := store.LastOp(ex.store, run)
-		var lat float64
-		if ok && after.Ops > before.Ops {
-			lat = after.Latency
+		if ex.ad != nil {
+			// Expose the overhead accrued so far through the bound
+			// clock: this attempt's network delivery happens at t +
+			// overhead, so backing off long enough walks the commit
+			// past a partition window's end. Without Adaptive every
+			// attempt happens at t.
+			ex.pending = out.overhead
 		}
+		lat, _, err := store.Measure(ex.store, run, func() error { return ex.store.Save(run, seq, payload) })
 		out.overhead += lat
 		out.attempts = attempt
-		ex.health.ObserveAttempt(err != nil)
 		if err == nil {
 			out.ok = true
-			out.code = saveCodeOK
 			out.successLat = lat
 			return out, nil
 		}
@@ -181,7 +159,7 @@ func (ex *executor) adaptiveSave(seq uint64, payload []byte) (saveOutcome, error
 			out.code = saveCodePermanent
 			return out, nil
 		}
-		delay, retry := pol.Backoff(attempt, out.overhead)
+		delay, retry := ex.retry.Backoff(attempt, out.overhead)
 		if !retry {
 			out.code = saveCodeExhausted
 			return out, nil
@@ -207,28 +185,10 @@ func (ex *executor) noteExposure() {
 	}
 }
 
-// adaptiveCommit is the adaptive-mode commit: health event and replan
-// decision BEFORE the state is encoded (so both are part of the
-// persisted prefix), then the save with retries, overhead accounting,
-// outcome event and ladder update AFTER (regenerated on resume by
-// re-saving the restored payload).
-func (ex *executor) adaptiveCommit(s int) error {
-	est := ex.baseCost + ex.currentOverheadEstimate()
-	if err := ex.event(Event{Kind: EvHealth, Time: ex.t, Arg: int32(ex.level), Seq: math.Float64bits(est)}); err != nil {
-		return err
-	}
-	if err := ex.maybeReplan(s); err != nil {
-		return err
-	}
-	seq := uint64(s) + 1
-	payload := encodeState(ex.snapshot(seq, uint64(s)+1))
-	return ex.persist(seq, payload)
-}
-
 // persist is everything that happens to a checkpoint payload after it
-// is encoded: skip (persistence off), or save-with-retries plus clock,
-// health, exposure and ladder updates. The resume path calls it with
-// the restored payload to re-observe the same outcomes.
+// is encoded: skip (persistence off), or the save under the retry
+// policy followed by outcome accounting. The adaptive resume path calls
+// it with the restored payload to re-observe the same outcomes.
 func (ex *executor) persist(seq uint64, payload []byte) error {
 	if ex.level == LevelDown {
 		// Ride-out probing: at LevelDown every ProbeEvery-th commit
@@ -252,9 +212,28 @@ func (ex *executor) persist(seq uint64, payload []byte) error {
 			return nil
 		}
 	}
-	out, fatal := ex.adaptiveSave(seq, payload)
-	if fatal != nil {
-		return fatal
+	out, err := ex.save(seq, payload)
+	if err != nil {
+		return err
+	}
+	if ex.ad == nil {
+		// The store is off the modeled timeline: nothing is journaled
+		// or charged (E18 compares such runs against a store-less
+		// reference journal), and a save that gives up ends the
+		// invocation.
+		if !out.ok {
+			cause := ErrSaveExhausted
+			if out.code == saveCodePermanent {
+				cause = ErrSavePermanent
+			}
+			return fmt.Errorf("exec: saving checkpoint %d: %w: %w", seq, cause, out.err)
+		}
+		return ex.countSave()
+	}
+	// Every attempt but the last failed; the last failed unless the
+	// save went through.
+	for a := 1; a <= out.attempts; a++ {
+		ex.health.ObserveAttempt(a < out.attempts || !out.ok)
 	}
 	ex.t += out.overhead
 	ex.met.StoreOverhead += out.overhead
@@ -276,15 +255,21 @@ func (ex *executor) persist(seq uint64, payload []byte) error {
 				return err
 			}
 		}
-		ex.saves++
-		if n := ex.opts.CrashAfterSaves; n > 0 && ex.saves >= n {
-			return fmt.Errorf("exec: crash after %d checkpoint saves (t=%v): %w", ex.saves, ex.t, ErrCrashed)
-		}
-		return nil
+		return ex.countSave()
 	}
 	ex.giveups++
 	ex.consec++
 	return ex.escalate(out.code == saveCodePermanent)
+}
+
+// countSave counts a successful save and fires the save-count crash
+// point.
+func (ex *executor) countSave() error {
+	ex.saves++
+	if n := ex.opts.CrashAfterSaves; n > 0 && ex.saves >= n {
+		return fmt.Errorf("exec: crash after %d checkpoint saves (t=%v): %w", ex.saves, ex.t, ErrCrashed)
+	}
+	return nil
 }
 
 // escalate moves down the degradation ladder after a commit gave up:
@@ -293,7 +278,7 @@ func (ex *executor) persist(seq uint64, payload []byte) error {
 func (ex *executor) escalate(permanent bool) error {
 	switch {
 	case ex.level < LevelFailover && ex.ad.Secondary != nil &&
-		(permanent || ex.consec >= ex.ad.failoverAfter()):
+		(permanent || ex.consec >= failoverAfter):
 		ex.level = LevelFailover
 		ex.store = ex.ad.Secondary
 		ex.consec = 0
@@ -386,22 +371,6 @@ func (ex *executor) spliceAt(from int, segs []core.Segment) error {
 	}
 	ex.segStart, ex.segEnd, ex.segCkpt, ex.segRec = nStart, nEnd, nCkpt, nRec
 	return nil
-}
-
-// resolveBaseCost derives the drift-reference checkpoint cost from the
-// ORIGINAL plan (deterministic, independent of later splices).
-func (ex *executor) resolveBaseCost() float64 {
-	if ex.ad.BaseCost > 0 {
-		return ex.ad.BaseCost
-	}
-	if len(ex.w.segCkpt) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, c := range ex.w.segCkpt {
-		sum += c
-	}
-	return sum / float64(len(ex.w.segCkpt))
 }
 
 // restoreAdaptive rebuilds the adaptive state from a decoded

@@ -131,7 +131,7 @@ func TestRetryPolicies(t *testing.T) {
 // TestStoreHealthObserver pins the EWMA seeding/update rule and the
 // windowed failure rate.
 func TestStoreHealthObserver(t *testing.T) {
-	h := newStoreHealth(0.5, 4)
+	h := StoreHealth{alpha: 0.5, window: 4}
 	h.ObserveCommit(2, 1)
 	if h.EwmaLatency() != 2 || h.EwmaOverhead() != 1 || h.OverheadEstimate() != 3 {
 		t.Fatalf("first commit did not seed: lat %v over %v", h.EwmaLatency(), h.EwmaOverhead())
@@ -374,9 +374,8 @@ func TestAdaptiveFailover(t *testing.T) {
 	res, err := Execute(w, src, Options{
 		Downtime: 1, Store: prim,
 		Adaptive: &AdaptiveOptions{
-			Retry:         FixedRetry{Attempts: 1},
-			Secondary:     store.Checked(secInner),
-			FailoverAfter: 2,
+			Retry:     FixedRetry{Attempts: 1},
+			Secondary: store.Checked(secInner),
 		},
 	})
 	if err != nil {
@@ -406,9 +405,8 @@ func TestAdaptiveFailover(t *testing.T) {
 			Seed: 14, WriteFail: 1, LogicalKeys: true,
 		})),
 		Adaptive: &AdaptiveOptions{
-			Retry:         FixedRetry{Attempts: 1},
-			Secondary:     store.Checked(secInner),
-			FailoverAfter: 2,
+			Retry:     FixedRetry{Attempts: 1},
+			Secondary: store.Checked(secInner),
 		},
 	})
 	if err != nil {

@@ -211,10 +211,9 @@ func (a *adaptiveStack) options(crashEvents int) Options {
 		prim = store.NewQuotaStore(a.ledger, prim)
 	}
 	ad := &AdaptiveOptions{
-		Retry:         a.d.retry,
-		ReplanRatio:   1.4,
-		FailoverAfter: 2,
-		DownAfter:     3,
+		Retry:       a.d.retry,
+		ReplanRatio: 1.4,
+		DownAfter:   3,
 	}
 	if a.d.replanner != nil {
 		ad.Replanner = a.d.replanner()
@@ -368,5 +367,63 @@ func TestCrashAfterSavesKillPoint(t *testing.T) {
 	// against; a resumed run reports the same makespan as the reference.
 	if res.Makespan != ref.Makespan {
 		t.Fatalf("makespan %v != reference %v", res.Makespan, ref.Makespan)
+	}
+}
+
+// loadCounter is a pass-through store that counts Load calls per
+// sequence number.
+type loadCounter struct {
+	store.Store
+	loads map[uint64]int
+}
+
+func (c *loadCounter) Load(run string, seq uint64) ([]byte, error) {
+	c.loads[seq]++
+	return c.Store.Load(run, seq)
+}
+
+// TestLegacyResumeLoadsTornCheckpointOnce pins the classified load
+// loop: a torn frame decodes as ErrCorrupt, which no retry can fix, so
+// a resume with SaveRetries > 0 reads the newest (torn) checkpoint
+// exactly once before falling back to the one below it, and still
+// finishes on the uninterrupted journal.
+func TestLegacyResumeLoadsTornCheckpointOnce(t *testing.T) {
+	w := chainWorkload(t)
+	src := func() Source { return NewKeyedSource(failure.Exponential{Lambda: 0.08}, 55, 1) }
+	ref, err := Execute(w, src(), Options{Downtime: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mem := store.NewMemStore()
+	counter := &loadCounter{Store: mem, loads: map[uint64]int{}}
+	opts := Options{RunID: "torn", Store: store.Checked(counter), Downtime: 1, SaveRetries: 2, CrashAfterSaves: 3}
+	if _, err := Execute(w, src(), opts); !errors.Is(err, ErrCrashed) {
+		t.Fatalf("first invocation: %v, want ErrCrashed", err)
+	}
+	newest, ok, err := store.Latest(mem, "torn")
+	if err != nil || !ok || newest != 3 {
+		t.Fatalf("Latest = %d, %v, %v; want seq 3", newest, ok, err)
+	}
+	frame, err := mem.Load("torn", newest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := mem.Save("torn", newest, frame[:len(frame)/2]); err != nil {
+		t.Fatal(err)
+	}
+	clear(counter.loads)
+	opts.CrashAfterSaves = 0
+	res, err := Execute(w, src(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := counter.loads[newest]; got != 1 {
+		t.Fatalf("torn checkpoint %d loaded %d times, want 1", newest, got)
+	}
+	if !res.Resumed || res.ResumeSeq != newest-1 {
+		t.Fatalf("resumed=%v seq=%d, want fallback to seq %d", res.Resumed, res.ResumeSeq, newest-1)
+	}
+	if !res.Journal.Equal(ref.Journal) {
+		t.Fatal("journal differs after resuming past a torn checkpoint")
 	}
 }

@@ -119,10 +119,12 @@ type Options struct {
 	// MaxFailures bounds failures tolerated per invocation (0 means the
 	// default of 10 million).
 	MaxFailures int
-	// SaveRetries is how many times a failed store Save or Load is
-	// retried before giving up (0 means none). Retries matter under
-	// store.FaultStore: transient injected faults succeed on retry,
-	// exhausted retries surface the error.
+	// SaveRetries is how many times a transient store Save or Load
+	// failure is retried before giving up (0 means none) when Adaptive
+	// is nil: the retry policy is then FixedRetry{SaveRetries}. Retries
+	// matter under store.FaultStore: transient injected faults succeed
+	// on retry; permanent errors (corrupt or missing checkpoint, quota)
+	// are never retried.
 	SaveRetries int
 	// CrashAfterEvents, when positive, aborts with ErrCrashed as soon as
 	// the journal holds that many events — a deterministic kill point
@@ -136,7 +138,10 @@ type Options struct {
 	// layer (health-tracked retries with backoff, online replanning,
 	// failover and persistence-off — see AdaptiveOptions). Requires a
 	// Store. SaveRetries is ignored in adaptive mode; Adaptive.Retry
-	// governs retries instead.
+	// governs retries instead. When nil, the store stays off the
+	// modeled timeline: save outcomes are not journaled, store latency
+	// is not charged, and a save that gives up ends the invocation with
+	// ErrSaveExhausted or ErrSavePermanent.
 	Adaptive *AdaptiveOptions
 }
 
@@ -175,9 +180,11 @@ type executor struct {
 	segStart, segEnd []int
 	segCkpt, segRec  []float64
 
+	store store.Store // active store (primary, or secondary after failover)
+	retry RetryPolicy // Adaptive.Retry, or FixedRetry{SaveRetries}
+
 	// Adaptive-mode state; zero / unused when ad is nil.
 	ad           *AdaptiveOptions
-	store        store.Store // active store (primary, or secondary after failover)
 	health       StoreHealth
 	level        DegradeLevel
 	consec       int // consecutive commit give-ups on the active store
@@ -225,6 +232,8 @@ func Execute(w *Workload, src Source, opts Options) (*Result, error) {
 		opts:   opts,
 		fp:     w.Fingerprint() ^ (src.Fingerprint() * 0x9e3779b97f4a7c15),
 		budget: opts.maxFailures(),
+		store:  opts.Store,
+		retry:  FixedRetry{Attempts: opts.SaveRetries},
 
 		segStart: w.segStart,
 		segEnd:   w.segEnd,
@@ -236,10 +245,13 @@ func Execute(w *Workload, src Source, opts Options) (*Result, error) {
 			return nil, errors.New("exec: adaptive mode requires a store")
 		}
 		ex.ad = opts.Adaptive
-		ex.store = opts.Store
-		ex.health = newStoreHealth(opts.Adaptive.Alpha, opts.Adaptive.Window)
+		ex.retry = opts.Adaptive.Retry
+		if ex.retry == nil {
+			ex.retry = NoRetry{}
+		}
+		ex.health = newStoreHealth()
 		ex.lastReplanAt = -1
-		ex.baseCost = ex.resolveBaseCost()
+		ex.baseCost = w.meanCheckpointCost()
 	}
 	if opts.Store != nil {
 		// Bind the run's virtual clock into every time-dependent store
@@ -469,36 +481,23 @@ func (ex *executor) runSegment(s int) error {
 // already appended by runSegment, BEFORE the state is encoded here, so
 // the event is always inside the persisted journal prefix: a resume
 // from seq k replays from a journal that already records checkpoint k.
-// In adaptive mode the commit additionally journals health, may replan,
-// and routes the save through the retry policy and degradation ladder.
+// In adaptive mode the commit first journals health and may replan, so
+// both are part of the persisted prefix too.
 func (ex *executor) commit(s int) error {
-	if ex.ad != nil {
-		return ex.adaptiveCommit(s)
-	}
-	if ex.opts.Store == nil {
+	if ex.store == nil {
 		return nil
 	}
+	if ex.ad != nil {
+		est := ex.baseCost + ex.currentOverheadEstimate()
+		if err := ex.event(Event{Kind: EvHealth, Time: ex.t, Arg: int32(ex.level), Seq: math.Float64bits(est)}); err != nil {
+			return err
+		}
+		if err := ex.maybeReplan(s); err != nil {
+			return err
+		}
+	}
 	seq := uint64(s) + 1
-	payload := encodeState(ex.snapshot(seq, uint64(s)+1))
-	var err error
-	for try := 0; try <= ex.opts.SaveRetries; try++ {
-		if err = ex.opts.Store.Save(ex.opts.runID(), seq, payload); err == nil {
-			break
-		}
-		if ClassifyStoreError(err) != ClassTransient {
-			// Retrying a permanent error (quota, corrupt entry) burns the
-			// budget without any chance of success.
-			return fmt.Errorf("exec: saving checkpoint %d: %w: %w", seq, ErrSavePermanent, err)
-		}
-	}
-	if err != nil {
-		return fmt.Errorf("exec: saving checkpoint %d: %w: %w", seq, ErrSaveExhausted, err)
-	}
-	ex.saves++
-	if n := ex.opts.CrashAfterSaves; n > 0 && ex.saves >= n {
-		return fmt.Errorf("exec: crash after %d checkpoint saves (t=%v): %w", ex.saves, ex.t, ErrCrashed)
-	}
-	return nil
+	return ex.persist(seq, encodeState(ex.snapshot(seq, seq)))
 }
 
 // resumeCandidate is one listed checkpoint and the store holding it.
@@ -555,35 +554,22 @@ func (ex *executor) listResume() ([]resumeCandidate, error) {
 	return cands, nil
 }
 
-// loadOnce loads one checkpoint with retries: the legacy SaveRetries
-// count, or — in adaptive mode — the retry policy's attempt limit.
-// Backoff delays are NOT served: resume happens outside the modeled
-// timeline (an uninterrupted run performs no loads), so load retries
-// must not advance any clock.
+// loadOnce loads one checkpoint under the executor's retry policy:
+// transient errors are retried while the policy allows, permanent ones
+// (a corrupt frame, a missing entry) return at once so the caller falls
+// back to an older checkpoint. Backoff delays are NOT served: resume
+// happens outside the modeled timeline (an uninterrupted run performs
+// no loads), so load retries must not advance any clock.
 func (ex *executor) loadOnce(st store.Store, seq uint64) ([]byte, error) {
-	if ex.ad != nil {
-		pol := ex.ad.retry()
-		for attempt := 1; ; attempt++ {
-			data, err := st.Load(ex.opts.runID(), seq)
-			if err == nil {
-				return data, nil
-			}
-			if ClassifyStoreError(err) != ClassTransient {
-				return nil, err
-			}
-			if _, retry := pol.Backoff(attempt, 0); !retry {
-				return nil, err
-			}
+	for attempt := 1; ; attempt++ {
+		data, err := st.Load(ex.opts.runID(), seq)
+		if err == nil || ClassifyStoreError(err) != ClassTransient {
+			return data, err
+		}
+		if _, retry := ex.retry.Backoff(attempt, 0); !retry {
+			return nil, err
 		}
 	}
-	var data []byte
-	var err error
-	for try := 0; try <= ex.opts.SaveRetries; try++ {
-		if data, err = st.Load(ex.opts.runID(), seq); err == nil {
-			break
-		}
-	}
-	return data, err
 }
 
 // loadResume finds the newest loadable, decodable checkpoint of this

@@ -65,19 +65,16 @@ type StoreHealth struct {
 	failures uint64
 }
 
-// newStoreHealth builds an observer; alpha ≤ 0 defaults to 0.25,
-// window ≤ 0 to 16 (capped at 64, the width of the bit window).
-func newStoreHealth(alpha float64, window int) StoreHealth {
-	if alpha <= 0 || alpha > 1 {
-		alpha = 0.25
-	}
-	if window <= 0 {
-		window = 16
-	}
-	if window > 64 {
-		window = 64
-	}
-	return StoreHealth{alpha: alpha, window: window}
+// Store-health constants: the EWMA weight, and the failure-rate window
+// in attempts (at most 64, the width of the bit window).
+const (
+	healthAlpha  = 0.25
+	healthWindow = 16
+)
+
+// newStoreHealth builds an observer with the default constants.
+func newStoreHealth() StoreHealth {
+	return StoreHealth{alpha: healthAlpha, window: healthWindow}
 }
 
 // ObserveAttempt records one save attempt's outcome in the failure

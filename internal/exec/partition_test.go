@@ -300,7 +300,7 @@ func TestProbeStore(t *testing.T) {
 	netCfg := netsim.Config{Seed: 23, Latency: 0.3}
 	st := store.Checked(store.NewRemoteStore(store.NewMemStore(), netsim.New(netCfg), netCfg,
 		store.RemoteConfig{Remote: "s0", Timeout: 2}))
-	res := ProbeStore(st, "probe", 16, 1024, 0)
+	res := ProbeStore(st, "probe", 16)
 	if !res.Tracked || res.Failures != 0 {
 		t.Fatalf("probe = %+v, want tracked, no failures", res)
 	}
@@ -312,7 +312,7 @@ func TestProbeStore(t *testing.T) {
 	cut.Partitions = []netsim.Window{{Start: 0, End: 1e9, Isolated: []string{"s0"}}}
 	down := store.Checked(store.NewRemoteStore(store.NewMemStore(), netsim.New(cut), cut,
 		store.RemoteConfig{Remote: "s0", Timeout: 2}))
-	res = ProbeStore(down, "probe", 8, 1024, 0)
+	res = ProbeStore(down, "probe", 8)
 	if res.Failures != 8 {
 		t.Fatalf("partitioned probe failures = %d, want all 8", res.Failures)
 	}
@@ -320,7 +320,7 @@ func TestProbeStore(t *testing.T) {
 		t.Fatalf("partitioned estimate %v, want the 2.0 timeout", res.Estimate)
 	}
 
-	plain := ProbeStore(store.NewMemStore(), "probe", 8, 1024, 0)
+	plain := ProbeStore(store.NewMemStore(), "probe", 8)
 	if plain.Tracked || plain.Estimate != 0 {
 		t.Fatalf("mem-store probe = %+v, want untracked zero estimate", plain)
 	}

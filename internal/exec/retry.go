@@ -103,8 +103,9 @@ func (NoRetry) Name() string { return "none" }
 // Backoff never retries.
 func (NoRetry) Backoff(int, float64) (float64, bool) { return 0, false }
 
-// FixedRetry retries up to Attempts times with no backoff — the legacy
-// SaveRetries behavior as a policy.
+// FixedRetry retries up to Attempts times with no backoff. Without
+// Options.Adaptive the executor runs FixedRetry{SaveRetries} for both
+// checkpoint saves and resume loads.
 type FixedRetry struct {
 	// Attempts is the number of RETRIES after the first failure.
 	Attempts int

@@ -28,40 +28,33 @@ type ProbeResult struct {
 	Samples  int
 	Failures int
 	// Tracked reports whether the stack exposes per-op virtual latency
-	// (store.LastOp). When false the estimate is necessarily zero and
+	// (store.Measure). When false the estimate is necessarily zero and
 	// telemetry-fed planning degenerates to the naive plan.
 	Tracked bool
 }
 
+// probePayloadSize is the size of each ProbeStore payload in bytes.
+const probePayloadSize = 4096
+
 // ProbeStore measures the effective per-operation overhead of a store
-// stack by issuing samples probe saves of a payloadSize-byte payload
-// under the given run ID and folding each probe's exact virtual
-// latency into a fresh StoreHealth EWMA (weight alpha, 0 for the
-// default). Probe checkpoints are deleted afterwards (best effort).
-// Use a dedicated run ID: probes share the stack's logically-keyed
-// fault and network streams, so a run ID disjoint from real runs
-// leaves their outcomes untouched.
-func ProbeStore(st store.Store, run string, samples, payloadSize int, alpha float64) ProbeResult {
+// stack by issuing samples probe saves (32 when samples ≤ 0) of a
+// 4 KiB payload under the given run ID and folding each probe's exact
+// virtual latency (store.Measure) into a fresh StoreHealth EWMA with
+// the executor's default weight. Probe checkpoints are deleted
+// afterwards (best effort). Use a dedicated run ID: probes share the
+// stack's logically-keyed fault and network streams, so a run ID
+// disjoint from real runs leaves their outcomes untouched.
+func ProbeStore(st store.Store, run string, samples int) ProbeResult {
 	if samples <= 0 {
 		samples = 32
 	}
-	if payloadSize <= 0 {
-		payloadSize = 4096
-	}
-	payload := make([]byte, payloadSize)
-	health := newStoreHealth(alpha, 0)
+	payload := make([]byte, probePayloadSize)
+	health := newStoreHealth()
 	res := ProbeResult{Samples: samples}
 	for i := 1; i <= samples; i++ {
 		seq := uint64(i)
-		before, tracked := store.LastOp(st, run)
-		err := st.Save(run, seq, payload)
+		lat, tracked, err := store.Measure(st, run, func() error { return st.Save(run, seq, payload) })
 		res.Tracked = tracked
-		var lat float64
-		if tracked {
-			if after, _ := store.LastOp(st, run); after.Ops > before.Ops {
-				lat = after.Latency
-			}
-		}
 		health.ObserveAttempt(err != nil)
 		if err == nil {
 			health.ObserveCommit(lat, 0)

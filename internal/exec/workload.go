@@ -141,6 +141,17 @@ func (w *Workload) Planned(m expectation.Model) float64 {
 	return total
 }
 
+// meanCheckpointCost is the plan's mean per-segment checkpoint cost:
+// the adaptive executor's reference C for drift ratios, taken from the
+// original plan so later splices never move it.
+func (w *Workload) meanCheckpointCost() float64 {
+	var sum float64
+	for _, c := range w.segCkpt {
+		sum += c
+	}
+	return sum / float64(len(w.segCkpt))
+}
+
 // Fingerprint identifies the workload (order, weights, checkpoint
 // vector, segment costs). The executor mixes it with the source
 // fingerprint into every checkpoint and refuses to resume a mismatch.

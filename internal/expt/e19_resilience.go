@@ -207,10 +207,9 @@ func planE19(cfg Config) (*Plan, error) {
 			st = store.NewQuotaStore(a.ledger, st)
 		}
 		ao := &exec.AdaptiveOptions{
-			Retry:         d.retry,
-			ReplanRatio:   1.4,
-			FailoverAfter: 2,
-			DownAfter:     3,
+			Retry:       d.retry,
+			ReplanRatio: 1.4,
+			DownAfter:   3,
 		}
 		if d.replan {
 			ao.Replanner = exec.ChainReplanner{CP: cp}
@@ -283,11 +282,10 @@ func planE19(cfg Config) (*Plan, error) {
 			return exec.Options{
 				Store: st, Downtime: down, CrashAfterEvents: crash,
 				Adaptive: &exec.AdaptiveOptions{
-					Retry:         exec.ExpBackoff{Base: 0.5, Cap: 2, MaxAttempts: 3},
-					ReplanRatio:   1.4,
-					Replanner:     exec.ChainReplanner{CP: cp},
-					FailoverAfter: 2,
-					DownAfter:     3,
+					Retry:       exec.ExpBackoff{Base: 0.5, Cap: 2, MaxAttempts: 3},
+					ReplanRatio: 1.4,
+					Replanner:   exec.ChainReplanner{CP: cp},
+					DownAfter:   3,
 				},
 			}
 		}

@@ -73,6 +73,7 @@ func e20Workload(cp *core.ChainProblem) (*exec.Workload, error) {
 // survive invocations while the network and every wrapper are rebuilt
 // per invocation — process-restart semantics, resetting the network's
 // logical attempt counters exactly as the replay contract requires.
+// E21 reuses its three-replica form under a lease layer.
 type e20Stack struct {
 	netCfg netsim.Config
 	quorum bool
@@ -91,17 +92,25 @@ func newE20Stack(netCfg netsim.Config, quorum bool) *e20Stack {
 	return &e20Stack{netCfg: netCfg, quorum: quorum, mems: mems}
 }
 
+// e20Timeout is every remote layer's per-operation deadline.
+const e20Timeout = 1.5
+
 func (p *e20Stack) build() (store.Store, error) {
-	net := netsim.New(p.netCfg)
-	const timeout = 1.5
 	if !p.quorum {
-		return store.Checked(store.NewRemoteStore(p.mems[0], net, p.netCfg,
-			store.RemoteConfig{Remote: "s0", Timeout: timeout})), nil
+		return store.Checked(store.NewRemoteStore(p.mems[0], netsim.New(p.netCfg), p.netCfg,
+			store.RemoteConfig{Remote: "s0", Timeout: e20Timeout})), nil
 	}
+	return p.quorumStore()
+}
+
+// quorumStore builds the W=2, R=2 quorum over the replica mem stores,
+// each behind Checked(Remote) on one fresh network instance.
+func (p *e20Stack) quorumStore() (*store.QuorumStore, error) {
+	net := netsim.New(p.netCfg)
 	reps := make([]store.Store, len(p.mems))
 	for i := range p.mems {
 		reps[i] = store.Checked(store.NewRemoteStore(p.mems[i], net, p.netCfg,
-			store.RemoteConfig{Remote: fmt.Sprintf("s%d", i), Timeout: timeout}))
+			store.RemoteConfig{Remote: fmt.Sprintf("s%d", i), Timeout: e20Timeout}))
 	}
 	return store.NewQuorumStore(reps, store.QuorumConfig{W: 2, R: 2})
 }
@@ -359,7 +368,7 @@ func planE20(cfg Config) (*Plan, error) {
 			netCfg := netsim.Config{Seed: s.Uint64(), Latency: lat, Jitter: jitter}
 			st := store.Checked(store.NewRemoteStore(store.NewMemStore(), netsim.New(netCfg), netCfg,
 				store.RemoteConfig{Remote: "s0", Timeout: 8 * (lat + jitter)}))
-			probe := exec.ProbeStore(st, "e20-telemetry", 32, 0, 0)
+			probe := exec.ProbeStore(st, "e20-telemetry", 32)
 			if !probe.Tracked || probe.Failures != 0 {
 				return RowOut{}, fmt.Errorf("E20: probe = %+v, want tracked with no failures", probe)
 			}

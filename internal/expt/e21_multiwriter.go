@@ -20,38 +20,12 @@ func init() {
 	}, planE21)
 }
 
-// e21Stack is one drill's persistent storage: three replica mem stores
-// survive invocations while the network, remotes, codec, quorum, and
-// lease wrapper are rebuilt per invocation — process-restart semantics.
-// The LeaseStore is returned concretely so the zombie drill can re-enter
-// on the ORIGINAL instance, whose stale lease session is exactly what a
-// woken zombie process holds.
-type e21Stack struct {
-	netCfg netsim.Config
-	mems   []*store.MemStore
-}
-
-func newE21Stack(netCfg netsim.Config) *e21Stack {
-	mems := make([]*store.MemStore, 3)
-	for i := range mems {
-		mems[i] = store.NewMemStore()
-	}
-	return &e21Stack{netCfg: netCfg, mems: mems}
-}
-
-func (p *e21Stack) quorum() (*store.QuorumStore, error) {
-	net := netsim.New(p.netCfg)
-	const timeout = 1.5
-	reps := make([]store.Store, len(p.mems))
-	for i := range p.mems {
-		reps[i] = store.Checked(store.NewRemoteStore(p.mems[i], net, p.netCfg,
-			store.RemoteConfig{Remote: fmt.Sprintf("s%d", i), Timeout: timeout}))
-	}
-	return store.NewQuorumStore(reps, store.QuorumConfig{W: 2, R: 2})
-}
-
-func (p *e21Stack) leased(holder string, takeover bool) (*store.LeaseStore, error) {
-	q, err := p.quorum()
+// leased wraps a fresh instance of the three-replica quorum stack in a
+// lease layer. The LeaseStore is returned concretely so the zombie
+// drill can re-enter on the ORIGINAL instance, whose stale lease
+// session is exactly what a woken zombie process holds.
+func (p *e20Stack) leased(holder string, takeover bool) (*store.LeaseStore, error) {
+	q, err := p.quorumStore()
 	if err != nil {
 		return nil, err
 	}
@@ -147,7 +121,7 @@ func planE21(cfg Config) (*Plan, error) {
 
 		// Uncontended leased reference, plus a lease-free control proving
 		// the lease protocol never reaches the journal.
-		refStore, err := newE21Stack(netCfg).leased("ref", false)
+		refStore, err := newE20Stack(netCfg, true).leased("ref", false)
 		if err != nil {
 			return RowOut{}, err
 		}
@@ -158,7 +132,7 @@ func planE21(cfg Config) (*Plan, error) {
 		if ref.Epoch != 1 {
 			return RowOut{}, fmt.Errorf("E21: reference epoch = %d, want 1", ref.Epoch)
 		}
-		bareStore, err := newE21Stack(netCfg).quorum()
+		bareStore, err := newE20Stack(netCfg, true).quorumStore()
 		if err != nil {
 			return RowOut{}, err
 		}
@@ -175,7 +149,7 @@ func planE21(cfg Config) (*Plan, error) {
 		politeBlocked, epochsOK, identical := false, true, true
 		for kill := 1; kill <= ne; kill += killStride {
 			kills++
-			stack := newE21Stack(netCfg)
+			stack := newE20Stack(netCfg, true)
 			aStore, err := stack.leased("a", false)
 			if err != nil {
 				return RowOut{}, err
@@ -277,8 +251,8 @@ func planE21(cfg Config) (*Plan, error) {
 				if err != nil {
 					return nil, nil, err
 				}
-				stack := newE21Stack(netCfg)
-				q, err := stack.quorum()
+				stack := newE20Stack(netCfg, true)
+				q, err := stack.quorumStore()
 				if err != nil {
 					return nil, nil, err
 				}

@@ -1,7 +1,12 @@
 package expt_test
 
 import (
+	"bufio"
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"os"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -135,15 +140,47 @@ func TestAssembleValidation(t *testing.T) {
 	}
 }
 
+// fingerprintFile pins the sha256 of render.Fingerprint for every
+// experiment at seed 7 in quick mode: one "<ID> <hex>" line each. These
+// hashes are the behavioural spec a refactor must reproduce.
+const fingerprintFile = "testdata/fingerprints.txt"
+
+// loadFingerprints reads fingerprintFile into an ID → hex-hash map.
+func loadFingerprints(t *testing.T) map[string]string {
+	t.Helper()
+	f, err := os.Open(fingerprintFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	want := map[string]string{}
+	sc := bufio.NewScanner(f)
+	for sc.Scan() {
+		fields := strings.Fields(sc.Text())
+		if len(fields) == 2 {
+			want[fields[0]] = fields[1]
+		}
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return want
+}
+
 // TestEveryExperimentRunsQuick executes the entire suite in quick mode
 // through the serial reference executor: every experiment must complete
 // without error and produce at least one table with consistent shape,
-// and no pass/fail note may report "NO".
+// no pass/fail note may report "NO", and each experiment's fingerprint
+// hash must match the pinned one. The hash comparison runs on amd64
+// only: gc may fuse multiply-adds on arm64, ppc64 and s390x, which
+// moves the last bits of floating-point results.
 func TestEveryExperimentRunsQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full suite run skipped with -short")
 	}
 	cfg := expt.Config{Seed: 7, Quick: true}
+	want := loadFingerprints(t)
+	pin := runtime.GOARCH == "amd64"
 	for _, s := range expt.All() {
 		s := s
 		t.Run(s.Info().ID, func(t *testing.T) {
@@ -170,6 +207,10 @@ func TestEveryExperimentRunsQuick(t *testing.T) {
 						t.Errorf("%s table %q reports failed criterion: %s", id, tb.Title, n.Text)
 					}
 				}
+			}
+			sum := sha256.Sum256([]byte(render.Fingerprint(tables)))
+			if got := hex.EncodeToString(sum[:]); pin && got != want[id] {
+				t.Errorf("%s fingerprint changed; %s has %q, actual line:\n%s %s", id, fingerprintFile, want[id], id, got)
 			}
 		})
 	}

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"sync"
 
 	"repro/internal/rng"
 )
@@ -68,10 +67,10 @@ type FaultPlan struct {
 	ReadFail float64
 	// MeanLatency, when positive, adds an Exp-distributed virtual
 	// latency to EVERY operation — Save, Load, List and Delete —
-	// accumulated in Stats.Latency and attributable per run through
-	// RunLatency. Nothing sleeps: the executor folds the total into its
-	// virtual clock accounting if it cares, and tests read it to pin
-	// determinism.
+	// accumulated in Stats.Latency and readable per operation through
+	// LastOp. Nothing sleeps: the executor folds each operation's
+	// latency into its virtual clock accounting if it cares, and tests
+	// read it to pin determinism.
 	MeanLatency float64
 	// LogicalKeys selects logical (per-operation identity) keying over
 	// sequential (lifetime op index) keying; see the type comment.
@@ -105,26 +104,10 @@ type FaultStore struct {
 	inner Store
 	plan  FaultPlan
 
-	mu       sync.Mutex
+	opLedger // its mutex guards the fields below too
 	ops      uint64
 	stats    FaultStats
-	runLat   map[string]float64
-	runOps   map[string]uint64
-	lastLat  map[string]float64
 	attempts map[faultOpKey]uint64
-}
-
-// RunOp is a per-run operation observation: Ops counts the run's
-// operations that reached this injector, Latency is the injected
-// latency of the most recent one — the EXACT drawn value, not a
-// difference of accumulated sums. Executors that fold injected latency
-// into a replayable virtual clock must consume these exact values:
-// differencing a cumulative float total loses ulps depending on what
-// the accumulator held before, which is invisible to the eye and fatal
-// to bit-identical replay.
-type RunOp struct {
-	Ops     uint64
-	Latency float64
 }
 
 // faultOpKey identifies a logical operation for attempt counting.
@@ -139,9 +122,6 @@ func NewFaultStore(inner Store, plan FaultPlan) *FaultStore {
 	return &FaultStore{
 		inner:    inner,
 		plan:     plan,
-		runLat:   make(map[string]float64),
-		runOps:   make(map[string]uint64),
-		lastLat:  make(map[string]float64),
 		attempts: make(map[faultOpKey]uint64),
 	}
 }
@@ -151,24 +131,6 @@ func (f *FaultStore) Stats() FaultStats {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return f.stats
-}
-
-// RunLatency returns the total injected virtual latency attributed to
-// one run (informational; concurrent tenants on a shared injector never
-// see each other's stalls here).
-func (f *FaultStore) RunLatency(run string) float64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.runLat[run]
-}
-
-// LastOp returns the run's operation count and the exact injected
-// latency of its most recent operation; see RunOp for why executors
-// must read this rather than differencing RunLatency.
-func (f *FaultStore) LastOp(run string) RunOp {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return RunOp{Ops: f.runOps[run], Latency: f.lastLat[run]}
 }
 
 // Unwrap exposes the inner store for capability discovery.
@@ -182,41 +144,35 @@ func hashRun(run string) uint64 {
 }
 
 // opStream returns the keyed stream for an operation, advancing the
-// relevant counter (lifetime index or per-operation attempt count).
+// relevant counter (lifetime index or per-operation attempt count), and
+// draws and books the operation's injected latency. Draw order within
+// an operation is fixed (latency first, then the fault decision), which
+// is part of the determinism contract.
 func (f *FaultStore) opStream(kind uint64, run string, seq uint64) *rng.Stream {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.ops++
 	f.stats.Ops++
-	f.runOps[run]++
-	f.lastLat[run] = 0
-	if !f.plan.LogicalKeys {
-		return rng.New(f.plan.Seed).Keyed(f.ops)
+	var s *rng.Stream
+	if f.plan.LogicalKeys {
+		k := faultOpKey{kind: kind, run: run, seq: seq}
+		f.attempts[k]++
+		s = rng.New(f.plan.Seed).Keyed(kind).Keyed(hashRun(run)).Keyed(seq).Keyed(f.attempts[k])
+	} else {
+		s = rng.New(f.plan.Seed).Keyed(f.ops)
 	}
-	k := faultOpKey{kind: kind, run: run, seq: seq}
-	f.attempts[k]++
-	return rng.New(f.plan.Seed).Keyed(kind).Keyed(hashRun(run)).Keyed(seq).Keyed(f.attempts[k])
-}
-
-// lat draws and accumulates injected latency for run. Draw order within
-// an operation is fixed (latency first, then the fault decision), which
-// is part of the determinism contract.
-func (f *FaultStore) lat(s *rng.Stream, run string) {
-	if f.plan.MeanLatency <= 0 {
-		return
+	var lat float64
+	if f.plan.MeanLatency > 0 {
+		lat = s.ExpFloat64() * f.plan.MeanLatency
+		f.stats.Latency += lat
 	}
-	d := s.ExpFloat64() * f.plan.MeanLatency
-	f.mu.Lock()
-	f.stats.Latency += d
-	f.runLat[run] += d
-	f.lastLat[run] = d
-	f.mu.Unlock()
+	f.recordLocked(run, lat)
+	return s
 }
 
 // Save injects write faults around the inner Save.
 func (f *FaultStore) Save(run string, seq uint64, payload []byte) error {
 	s := f.opStream(opSave, run, seq)
-	f.lat(s, run)
 	u := s.Float64()
 	switch {
 	case u < f.plan.WriteFail:
@@ -269,7 +225,6 @@ func (f *FaultStore) loseOld(run string, seq uint64, s *rng.Stream) {
 // Load injects read faults around the inner Load.
 func (f *FaultStore) Load(run string, seq uint64) ([]byte, error) {
 	s := f.opStream(opLoad, run, seq)
-	f.lat(s, run)
 	if s.Float64() < f.plan.ReadFail {
 		f.count(func(st *FaultStats) { st.ReadFails++ })
 		return nil, fmt.Errorf("load %s/%d: %w", run, seq, ErrInjectedRead)
@@ -282,16 +237,14 @@ func (f *FaultStore) Load(run string, seq uint64) ([]byte, error) {
 // or corrupt entries) are injected through Save/Load already. List
 // operations key with seq 0.
 func (f *FaultStore) List(run string) ([]uint64, error) {
-	s := f.opStream(opList, run, 0)
-	f.lat(s, run)
+	f.opStream(opList, run, 0)
 	return f.inner.List(run)
 }
 
 // Delete pays injected latency; no faults are injected (deletion
 // failure modes are covered by LoseOld on the save path).
 func (f *FaultStore) Delete(run string, seq uint64) error {
-	s := f.opStream(opDelete, run, seq)
-	f.lat(s, run)
+	f.opStream(opDelete, run, seq)
 	return f.inner.Delete(run, seq)
 }
 

@@ -452,18 +452,12 @@ func (l *LeaseStore) Delete(run string, seq uint64) error {
 // the stack carries no lease layer — the caller runs unfenced, which is
 // the pre-lease behavior.
 func AcquireLease(s Store, run string) (st LeaseState, found bool, err error) {
-	for s != nil {
-		if ls, isLease := s.(*LeaseStore); isLease {
-			st, err := ls.Acquire(run)
-			return st, true, err
-		}
-		u, isWrapper := s.(Unwrapper)
-		if !isWrapper {
-			break
-		}
-		s = u.Unwrap()
+	ls, found := find[*LeaseStore](s)
+	if !found {
+		return LeaseState{}, false, nil
 	}
-	return LeaseState{}, false, nil
+	st, err = ls.Acquire(run)
+	return st, true, err
 }
 
 var (

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync"
 )
 
 // ErrQuorum reports an operation that could not assemble its quorum:
@@ -62,21 +61,17 @@ type QuorumStats struct {
 // Compose each replica as Checked(NewRemoteStore(...)) so torn frames
 // below the network surface as ErrCorrupt negative responses the
 // quorum can out-vote and repair — detected, not decoded. QuorumStore
-// is itself a latency-tracking layer (LastOp/RunLatency) and forwards
+// is itself a latency-tracking layer (LastOp) and forwards
 // clock bindings to every replica.
 type QuorumStore struct {
 	replicas []Store
 	w, r     int
 	hedge    float64
 
-	// bookkeeping shares the FaultStore/RemoteStore mutex-and-maps
-	// idiom; one executor drives a run, but runs share the store.
-	mu      sync.Mutex
-	clocks  map[string]func() float64
-	runOps  map[string]uint64
-	runLat  map[string]float64
-	lastLat map[string]float64
-	stats   QuorumStats
+	// One executor drives a run, but runs share the store; the
+	// ledger's mutex guards stats too.
+	opLedger
+	stats QuorumStats
 }
 
 // NewQuorumStore builds a quorum store over the given replicas. W and
@@ -102,10 +97,6 @@ func NewQuorumStore(replicas []Store, cfg QuorumConfig) (*QuorumStore, error) {
 		w:        w,
 		r:        r,
 		hedge:    cfg.Hedge,
-		clocks:   make(map[string]func() float64),
-		runOps:   make(map[string]uint64),
-		runLat:   make(map[string]float64),
-		lastLat:  make(map[string]float64),
 	}
 	return q, nil
 }
@@ -120,58 +111,22 @@ func (q *QuorumStore) Stats() QuorumStats {
 	return q.stats
 }
 
-// BindClock forwards the binding to every replica stack and keeps it
-// for the quorum's own bookkeeping.
+// BindClock forwards the binding to every replica stack.
 func (q *QuorumStore) BindClock(run string, now func() float64) {
-	q.mu.Lock()
-	q.clocks[run] = now
-	q.mu.Unlock()
 	for _, rep := range q.replicas {
 		BindClock(rep, run, now)
 	}
 }
 
-// LastOp returns the run's quorum-operation count and the exact
-// quorum-assembly latency of its most recent operation. Each
-// Save/Load/List/Delete counts as ONE operation regardless of replica
-// fan-out, so executors that difference Ops around a save observe
-// exactly one increment.
-func (q *QuorumStore) LastOp(run string) RunOp {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return RunOp{Ops: q.runOps[run], Latency: q.lastLat[run]}
-}
-
-// RunLatency returns the run's accumulated quorum-assembly latency.
-func (q *QuorumStore) RunLatency(run string) float64 {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.runLat[run]
-}
-
-// record books one quorum operation's latency for run.
-func (q *QuorumStore) record(run string, lat float64) {
-	q.mu.Lock()
-	q.runOps[run]++
-	q.runLat[run] += lat
-	q.lastLat[run] = lat
-	q.mu.Unlock()
-}
-
 // replicaOp runs op against replica i and returns the virtual latency
 // the replica stack charged for it (zero when the stack tracks none).
+// Each quorum Save/Load/List/Delete books ONE ledger entry regardless
+// of replica fan-out, so a caller measuring a save observes exactly one
+// operation.
 func (q *QuorumStore) replicaOp(i int, run string, op func(Store) error) (float64, error) {
 	rep := q.replicas[i]
-	before, tracked := LastOp(rep, run)
-	err := op(rep)
-	if !tracked {
-		return 0, err
-	}
-	after, _ := LastOp(rep, run)
-	if after.Ops > before.Ops {
-		return after.Latency, err
-	}
-	return 0, err
+	lat, _, err := Measure(rep, run, func() error { return op(rep) })
+	return lat, err
 }
 
 // permanentErr classifies a replica failure: quota, corruption and

@@ -3,7 +3,6 @@ package store
 import (
 	"errors"
 	"fmt"
-	"sync"
 
 	"repro/internal/netsim"
 )
@@ -64,11 +63,8 @@ type RemoteStore struct {
 	cfg   RemoteConfig
 	ttl   float64
 
-	mu       sync.Mutex
+	opLedger // its mutex guards the fields below too
 	clocks   map[string]func() float64
-	runOps   map[string]uint64
-	runLat   map[string]float64
-	lastLat  map[string]float64
 	timeouts uint64
 }
 
@@ -81,14 +77,11 @@ func NewRemoteStore(inner Store, net *netsim.Network, netCfg netsim.Config, cfg 
 		cfg.Remote = "store"
 	}
 	return &RemoteStore{
-		inner:   inner,
-		net:     net,
-		cfg:     cfg,
-		ttl:     cfg.timeout(netCfg),
-		clocks:  make(map[string]func() float64),
-		runOps:  make(map[string]uint64),
-		runLat:  make(map[string]float64),
-		lastLat: make(map[string]float64),
+		inner:  inner,
+		net:    net,
+		cfg:    cfg,
+		ttl:    cfg.timeout(netCfg),
+		clocks: make(map[string]func() float64),
 	}
 }
 
@@ -108,22 +101,6 @@ func (r *RemoteStore) Timeouts() uint64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.timeouts
-}
-
-// LastOp returns the run's operation count and the exact virtual
-// latency of its most recent operation (network transit plus any inner
-// virtual latency, or the full timeout on failure).
-func (r *RemoteStore) LastOp(run string) RunOp {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return RunOp{Ops: r.runOps[run], Latency: r.lastLat[run]}
-}
-
-// RunLatency returns the total virtual latency attributed to one run.
-func (r *RemoteStore) RunLatency(run string) float64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.runLat[run]
 }
 
 // Unwrap exposes the inner store for capability discovery.
@@ -158,78 +135,50 @@ func (r *RemoteStore) transit(kind uint64, opName, run string, seq uint64) (floa
 	return out.Latency, nil
 }
 
-// record books an operation's exact latency for run.
-func (r *RemoteStore) record(run string, lat float64) {
-	r.mu.Lock()
-	r.runOps[run]++
-	r.runLat[run] += lat
-	r.lastLat[run] = lat
-	r.mu.Unlock()
-}
-
-// innerLat runs op against the inner store and folds any virtual
-// latency the inner stack charged for it into the returned total, so a
-// composed Remote(Fault(...)) stack reports one coherent per-op cost.
-func (r *RemoteStore) innerLat(run string, netLat float64, op func() error) (float64, error) {
-	before, tracked := LastOp(r.inner, run)
-	err := op()
-	if tracked {
-		if after, _ := LastOp(r.inner, run); after.Ops > before.Ops {
-			netLat += after.Latency
-		}
-	}
-	return netLat, err
-}
-
-// Save routes the save through the network, then the inner store.
-func (r *RemoteStore) Save(run string, seq uint64, payload []byte) error {
-	lat, err := r.transit(opSave, "save", run, seq)
+// do sends the operation's message and, on delivery, runs op against
+// the inner store. It books one ledger entry whose latency is the
+// network transit plus any virtual latency the inner stack charged, so
+// LastOp reports one coherent per-op cost for a composed
+// Remote(Fault(...)) stack — or the full timeout when the message never
+// arrived.
+func (r *RemoteStore) do(kind uint64, opName, run string, seq uint64, op func() error) error {
+	lat, err := r.transit(kind, opName, run, seq)
 	if err == nil {
-		lat, err = r.innerLat(run, lat, func() error { return r.inner.Save(run, seq, payload) })
+		var inner float64
+		inner, _, err = Measure(r.inner, run, op)
+		lat += inner
 	}
 	r.record(run, lat)
 	return err
 }
 
+// Save routes the save through the network, then the inner store.
+func (r *RemoteStore) Save(run string, seq uint64, payload []byte) error {
+	return r.do(opSave, "save", run, seq, func() error { return r.inner.Save(run, seq, payload) })
+}
+
 // Load routes the load through the network, then the inner store.
-func (r *RemoteStore) Load(run string, seq uint64) ([]byte, error) {
-	lat, err := r.transit(opLoad, "load", run, seq)
-	var payload []byte
-	if err == nil {
-		lat, err = r.innerLat(run, lat, func() error {
-			var ierr error
-			payload, ierr = r.inner.Load(run, seq)
-			return ierr
-		})
-	}
-	r.record(run, lat)
+func (r *RemoteStore) Load(run string, seq uint64) (payload []byte, err error) {
+	err = r.do(opLoad, "load", run, seq, func() (ierr error) {
+		payload, ierr = r.inner.Load(run, seq)
+		return ierr
+	})
 	return payload, err
 }
 
 // List routes the enumeration through the network (seq 0, like the
 // fault layer), then the inner store.
-func (r *RemoteStore) List(run string) ([]uint64, error) {
-	lat, err := r.transit(opList, "list", run, 0)
-	var seqs []uint64
-	if err == nil {
-		lat, err = r.innerLat(run, lat, func() error {
-			var ierr error
-			seqs, ierr = r.inner.List(run)
-			return ierr
-		})
-	}
-	r.record(run, lat)
+func (r *RemoteStore) List(run string) (seqs []uint64, err error) {
+	err = r.do(opList, "list", run, 0, func() (ierr error) {
+		seqs, ierr = r.inner.List(run)
+		return ierr
+	})
 	return seqs, err
 }
 
 // Delete routes the delete through the network, then the inner store.
 func (r *RemoteStore) Delete(run string, seq uint64) error {
-	lat, err := r.transit(opDelete, "delete", run, seq)
-	if err == nil {
-		lat, err = r.innerLat(run, lat, func() error { return r.inner.Delete(run, seq) })
-	}
-	r.record(run, lat)
-	return err
+	return r.do(opDelete, "delete", run, seq, func() error { return r.inner.Delete(run, seq) })
 }
 
 var (

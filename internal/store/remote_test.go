@@ -43,8 +43,8 @@ func TestRemoteStoreRoundTrip(t *testing.T) {
 	if op.Latency < 0.1 {
 		t.Fatalf("last op latency %v below base latency", op.Latency)
 	}
-	if lat, ok := RunLatency(st, "r"); !ok || lat <= 0 {
-		t.Fatalf("RunLatency = %v, %v", lat, ok)
+	if got, ok := LastOp(st, "r"); !ok || got != op {
+		t.Fatalf("LastOp through the codec = %+v, %v; want %+v", got, ok, op)
 	}
 }
 

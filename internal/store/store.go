@@ -22,6 +22,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
 )
 
 // ErrNotFound reports a missing checkpoint (unknown run or sequence).
@@ -51,10 +52,29 @@ type Store interface {
 }
 
 // Unwrapper is implemented by decorator stores that expose their inner
-// store, so capability discovery (RunLatency) can walk a composed
-// stack.
+// store. Every capability lookup (LastOp, Measure, FindSyncer,
+// FindScrubber, AcquireLease, BindClock) walks a composed stack through
+// it, so a decorator that implements Unwrap is transparent to all of
+// them.
 type Unwrapper interface {
 	Unwrap() Store
+}
+
+// find walks the decorator stack of s from the top and returns the
+// first layer that implements T.
+func find[T any](s Store) (T, bool) {
+	for s != nil {
+		if t, ok := s.(T); ok {
+			return t, true
+		}
+		u, ok := s.(Unwrapper)
+		if !ok {
+			break
+		}
+		s = u.Unwrap()
+	}
+	var zero T
+	return zero, false
 }
 
 // ClockBinder is implemented by layers whose outcomes depend on virtual
@@ -88,58 +108,88 @@ func BindClock(s Store, run string, now func() float64) int {
 	return bound
 }
 
-// runLatencyReader is the capability behind RunLatency; FaultStore
-// implements it.
-type runLatencyReader interface {
-	RunLatency(run string) float64
-}
-
-// lastOpReader is the capability behind LastOp; FaultStore implements
-// it.
+// lastOpReader is the capability behind LastOp and Measure; the
+// latency-tracking layers (FaultStore, RemoteStore, QuorumStore)
+// implement it through their embedded opLedger.
 type lastOpReader interface {
 	LastOp(run string) RunOp
 }
 
-// LastOp walks the decorator stack of s looking for a layer that tracks
-// per-run operations (FaultStore) and returns the run's operation count
-// and the EXACT injected latency of its most recent operation. ok is
-// false when no layer tracks operations. Replay-deterministic callers
-// must use this — comparing Ops before and after an operation tells
-// them whether the injector was reached (a quota layer may reject
-// first), and Latency is the drawn value itself, free of the
-// accumulation rounding that differencing RunLatency would pick up.
+// LastOp walks the decorator stack of s to the topmost layer that
+// tracks per-run operations and returns the run's operation count and
+// the EXACT virtual latency of its most recent operation. ok is false
+// when no layer tracks operations — a real store whose latency is
+// wall-clock, not virtual — in which case callers should treat latency
+// as unobservable rather than zero-cost.
 func LastOp(s Store, run string) (op RunOp, ok bool) {
-	for s != nil {
-		if r, isReader := s.(lastOpReader); isReader {
-			return r.LastOp(run), true
-		}
-		u, isWrapper := s.(Unwrapper)
-		if !isWrapper {
-			return RunOp{}, false
-		}
-		s = u.Unwrap()
+	r, ok := find[lastOpReader](s)
+	if !ok {
+		return RunOp{}, false
 	}
-	return RunOp{}, false
+	return r.LastOp(run), true
 }
 
-// RunLatency walks the decorator stack of s looking for a layer that
-// attributes injected virtual latency per run (FaultStore), and returns
-// that run's accumulated latency. ok is false when no layer in the
-// stack tracks latency — a real store whose latency is wall-clock, not
-// virtual — in which case callers should treat latency as unobservable
-// rather than zero-cost.
-func RunLatency(s Store, run string) (latency float64, ok bool) {
-	for s != nil {
-		if r, isReader := s.(runLatencyReader); isReader {
-			return r.RunLatency(run), true
-		}
-		u, isWrapper := s.(Unwrapper)
-		if !isWrapper {
-			return 0, false
-		}
-		s = u.Unwrap()
+// Measure runs op (an operation on run issued to s) and returns the
+// exact virtual latency the stack charged for it, read from the topmost
+// latency-tracking layer. tracked is false when no layer tracks
+// operations. The latency is 0 when op never reached the tracking layer
+// — a quota layer above it rejected first — even though that layer's
+// ledger still holds the previous operation's latency: Measure compares
+// operation counts before and after, never differences of sums.
+func Measure(s Store, run string, op func() error) (lat float64, tracked bool, err error) {
+	r, tracked := find[lastOpReader](s)
+	if !tracked {
+		return 0, false, op()
 	}
-	return 0, false
+	before := r.LastOp(run)
+	err = op()
+	if after := r.LastOp(run); after.Ops > before.Ops {
+		lat = after.Latency
+	}
+	return lat, true, err
+}
+
+// RunOp is a per-run operation observation: Ops counts the run's
+// operations that reached a latency-tracking layer, Latency is the
+// virtual latency of the most recent one — the EXACT charged value.
+// Executors that fold latency into a replayable virtual clock must
+// consume these exact values: differencing a cumulative float total
+// loses ulps depending on what the accumulator held before, which is
+// invisible to the eye and fatal to bit-identical replay.
+type RunOp struct {
+	Ops     uint64
+	Latency float64
+}
+
+// opLedger is the per-run operation ledger a latency-tracking layer
+// embeds. Its mutex also guards the embedding layer's own bookkeeping.
+type opLedger struct {
+	mu   sync.Mutex
+	runs map[string]RunOp
+}
+
+// recordLocked books one operation of run and its exact latency; the
+// caller holds mu.
+func (l *opLedger) recordLocked(run string, lat float64) {
+	if l.runs == nil {
+		l.runs = make(map[string]RunOp)
+	}
+	l.runs[run] = RunOp{Ops: l.runs[run].Ops + 1, Latency: lat}
+}
+
+// record books one operation of run and its exact latency.
+func (l *opLedger) record(run string, lat float64) {
+	l.mu.Lock()
+	l.recordLocked(run, lat)
+	l.mu.Unlock()
+}
+
+// LastOp returns the run's operation count and the exact latency of its
+// most recent operation.
+func (l *opLedger) LastOp(run string) RunOp {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.runs[run]
 }
 
 // Latest returns the highest sequence number persisted for run, with

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/netsim"
 	"repro/internal/store"
 )
 
@@ -258,7 +259,7 @@ func TestFaultStoreLoseOldFallback(t *testing.T) {
 // across injector instances.
 func TestFaultStoreLatencyAllOps(t *testing.T) {
 	plan := store.FaultPlan{Seed: 21, MeanLatency: 2}
-	script := func() ([]float64, float64, float64, store.FaultStats) {
+	script := func() ([]float64, float64, store.FaultStats) {
 		fs := store.NewFaultStore(store.NewMemStore(), plan)
 		var lats []float64
 		step := func(op func()) {
@@ -270,22 +271,19 @@ func TestFaultStoreLatencyAllOps(t *testing.T) {
 		step(func() { fs.List("a") })
 		step(func() { fs.Delete("a", 1) })
 		fs.Save("b", 1, []byte("other tenant"))
-		return lats, fs.RunLatency("a"), fs.RunLatency("b"), fs.Stats()
+		return lats, fs.LastOp("b").Latency, fs.Stats()
 	}
-	lats1, a1, b1, st1 := script()
-	lats2, a2, b2, st2 := script()
-	if !reflect.DeepEqual(lats1, lats2) || a1 != a2 || b1 != b2 || st1 != st2 {
-		t.Fatalf("latency trace not deterministic: %v/%v vs %v/%v", lats1, a1, lats2, a2)
+	lats1, b1, st1 := script()
+	lats2, b2, st2 := script()
+	if !reflect.DeepEqual(lats1, lats2) || b1 != b2 || st1 != st2 {
+		t.Fatalf("latency trace not deterministic: %v/%v vs %v/%v", lats1, b1, lats2, b2)
 	}
-	var sum float64
+	var a1 float64
 	for i, l := range lats1 {
 		if l <= 0 {
 			t.Fatalf("operation %d paid no latency: %v", i, lats1)
 		}
-		sum += l
-	}
-	if sum != a1 {
-		t.Fatalf("RunLatency(a) = %v, sum of per-op values %v", a1, sum)
+		a1 += l
 	}
 	if b1 <= 0 {
 		t.Fatal("run b paid no latency")
@@ -425,6 +423,53 @@ func TestQuotaStore(t *testing.T) {
 		}
 		if b, _ := ledger.Used("acme"); b != 5 {
 			t.Fatalf("Used(acme) = %d, want 5", b)
+		}
+	})
+}
+
+// TestMeasure pins the measurement helper every latency consumer uses:
+// an untracked stack reports tracked=false, an operation a quota layer
+// rejects above the fault injector charges 0 even though the injector's
+// ledger still holds the previous operation's latency, and a composed
+// Remote(Fault(Mem)) stack charges network plus inner latency — exactly
+// the remote layer's LastOp.
+func TestMeasure(t *testing.T) {
+	t.Run("untracked", func(t *testing.T) {
+		st := store.Checked(store.NewMemStore())
+		lat, tracked, err := store.Measure(st, "r", func() error { return st.Save("r", 1, []byte("x")) })
+		if err != nil || tracked || lat != 0 {
+			t.Fatalf("Measure = %v, %v, %v; want 0, false, nil", lat, tracked, err)
+		}
+	})
+	t.Run("quota rejects above fault", func(t *testing.T) {
+		fs := store.NewFaultStore(store.NewMemStore(), store.FaultPlan{Seed: 3, MeanLatency: 2})
+		st := store.NewQuotaStore(store.NewQuotaLedger(store.Quota{MaxBytes: 64}, nil), store.Checked(fs))
+		lat, tracked, err := store.Measure(st, "r", func() error { return st.Save("r", 1, []byte("small")) })
+		if err != nil || !tracked || lat <= 0 || lat != fs.LastOp("r").Latency {
+			t.Fatalf("admitted save: Measure = %v, %v, %v; injector LastOp %+v", lat, tracked, err, fs.LastOp("r"))
+		}
+		lat, tracked, err = store.Measure(st, "r", func() error { return st.Save("r", 2, make([]byte, 128)) })
+		if !errors.Is(err, store.ErrQuota) || !tracked || lat != 0 {
+			t.Fatalf("rejected save: Measure = %v, %v, %v; want 0, true, ErrQuota", lat, tracked, err)
+		}
+		if prev := fs.LastOp("r"); prev.Ops != 1 || prev.Latency <= 0 {
+			t.Fatalf("injector ledger = %+v, want the admitted save's op still on record", prev)
+		}
+	})
+	t.Run("remote over fault", func(t *testing.T) {
+		netCfg := netsim.Config{Seed: 5, Latency: 0.1, Jitter: 0.05}
+		fs := store.NewFaultStore(store.NewMemStore(), store.FaultPlan{Seed: 6, MeanLatency: 2, LogicalKeys: true})
+		rs := store.NewRemoteStore(fs, netsim.New(netCfg), netCfg, store.RemoteConfig{Timeout: 100})
+		st := store.Checked(rs)
+		lat, tracked, err := store.Measure(st, "r", func() error { return st.Save("r", 1, []byte("x")) })
+		if err != nil || !tracked {
+			t.Fatalf("Measure = %v, %v, %v", lat, tracked, err)
+		}
+		if inner := fs.LastOp("r").Latency; inner <= 0 || lat <= inner {
+			t.Fatalf("charged %v, want network latency on top of the injector's %v", lat, inner)
+		}
+		if op := rs.LastOp("r"); lat != op.Latency {
+			t.Fatalf("charged %v, remote LastOp %+v", lat, op)
 		}
 	})
 }

@@ -346,7 +346,7 @@ func OptimalChainPlanTelemetry(g *Graph, m Model, initialRecovery float64, st st
 	if err != nil {
 		return TelemetryPlan{}, err
 	}
-	probe := exec.ProbeStore(st, "telemetry-probe", probeSamples, 0, 0)
+	probe := exec.ProbeStore(st, "telemetry-probe", probeSamples)
 	segs, err := exec.ChainReplanner{CP: cp}.Replan(0, probe.Estimate)
 	if err != nil {
 		return TelemetryPlan{}, err
