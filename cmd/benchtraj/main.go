@@ -689,13 +689,37 @@ func measureSim(procSizes []int) (*Report, error) {
 	return report, nil
 }
 
+// execChain plans the runtime trajectory's workload: an n-task chain
+// (λ = 0.05, DP placement); n = 64 is the sim steady-state workload.
+func execChain(n int) (*core.ChainProblem, *exec.Workload, error) {
+	g, err := dag.Chain(n, dag.DefaultWeights(), rng.New(5))
+	if err != nil {
+		return nil, nil, err
+	}
+	m, err := expectation.NewModel(0.05, 0.5)
+	if err != nil {
+		return nil, nil, err
+	}
+	cp, _, err := core.NewChainProblem(g, m, 0)
+	if err != nil {
+		return nil, nil, err
+	}
+	dp, err := core.SolveChainDP(cp)
+	if err != nil {
+		return nil, nil, err
+	}
+	w, err := exec.NewChainWorkload(cp, dp.CheckpointAfter)
+	return cp, w, err
+}
+
 // measureExec builds the crash-safe runtime trajectory
-// (BENCH_exec.json): one full plan execution on the sim steady-state
-// workload (64-task chain, λ = 0.05, DP placement) bare and through
-// each checkpoint store, so the store columns read directly as the
-// runtime's persistence overhead; plus raw store Save throughput on a
-// state-sized payload, where the file row's extra ns/op is the fsync'd
-// atomic rename the crash-durability contract pays for.
+// (BENCH_exec.json): one full plan execution on the 64-task execChain
+// bare and through each checkpoint store, so the store columns read
+// directly as the runtime's persistence overhead, plus the mem row at
+// n = 4096 and 65536, whose bytes/op must grow linearly in n; plus raw
+// store Save throughput on a state-sized payload, where the file row's
+// extra ns/op is the fsync'd atomic rename the crash-durability
+// contract pays for.
 func measureExec() (*Report, error) {
 	report := &Report{
 		GoVersion: runtime.Version(),
@@ -712,23 +736,7 @@ func measureExec() (*Report, error) {
 			BytesPerOp:  r.AllocedBytesPerOp(),
 		})
 	}
-	g, err := dag.Chain(64, dag.DefaultWeights(), rng.New(5))
-	if err != nil {
-		return nil, err
-	}
-	m, err := expectation.NewModel(0.05, 0.5)
-	if err != nil {
-		return nil, err
-	}
-	cp, _, err := core.NewChainProblem(g, m, 0)
-	if err != nil {
-		return nil, err
-	}
-	dp, err := core.SolveChainDP(cp)
-	if err != nil {
-		return nil, err
-	}
-	w, err := exec.NewChainWorkload(cp, dp.CheckpointAfter)
+	cp, w, err := execChain(64)
 	if err != nil {
 		return nil, err
 	}
@@ -744,7 +752,7 @@ func measureExec() (*Report, error) {
 	src := exec.NewKeyedSource(failure.Exponential{Lambda: 0.05}, 6, 1)
 	// One op = one complete execution (plus, for the stored variants,
 	// purging the run so the next op starts cold rather than resuming).
-	benchExec := func(st store.Store) testing.BenchmarkResult {
+	benchExec := func(w *exec.Workload, st store.Store) testing.BenchmarkResult {
 		return testing.Benchmark(func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -770,9 +778,18 @@ func measureExec() (*Report, error) {
 			}
 		})
 	}
-	record("exec_run/store=none", 64, benchExec(nil))
-	record("exec_run/store=mem", 64, benchExec(store.Checked(store.NewMemStore())))
-	record("exec_run/store=file", 64, benchExec(store.Checked(fileStore)))
+	record("exec_run/store=none", 64, benchExec(w, nil))
+	record("exec_run/store=mem", 64, benchExec(w, store.Checked(store.NewMemStore())))
+	record("exec_run/store=file", 64, benchExec(w, store.Checked(fileStore)))
+	// Scaling rows: a checkpoint carries only the journal delta since
+	// the previous one, so the mem row's bytes/op grows linearly in n.
+	for _, n := range []int{4096, 65536} {
+		_, wn, err := execChain(n)
+		if err != nil {
+			return nil, err
+		}
+		record(fmt.Sprintf("exec_run/store=mem n=%d", n), n, benchExec(wn, store.Checked(store.NewMemStore())))
+	}
 
 	// Raw store Save on a checkpoint-state-sized payload (4 KiB): the
 	// codec seal plus the store's write path; the file store's cost is

@@ -136,12 +136,13 @@ func TestBenchtrajWritesReport(t *testing.T) {
 		}
 		execByName[m.Name] = m
 	}
-	// Three executor rows (bare + two stores), six raw Save rows (the
-	// networked remote/quorum stacks and the lease guard included),
-	// three degraded-store resilience rows, two partition-tolerance
-	// rows, and the anti-entropy row.
+	// Three executor rows (bare + two stores), two mem-store scaling
+	// rows, six raw Save rows (the networked remote/quorum stacks and the
+	// lease guard included), three degraded-store resilience rows, two
+	// partition-tolerance rows, and the anti-entropy row.
 	for _, name := range []string{
 		"exec_run/store=none", "exec_run/store=mem", "exec_run/store=file",
+		"exec_run/store=mem n=4096", "exec_run/store=mem n=65536",
 		"store_save/kind=mem", "store_save/kind=file", "store_save/kind=quota",
 		"store_save/kind=remote", "store_save/kind=quorum", "store_save/kind=lease",
 		"exec_adaptive/replan", "exec_adaptive/run mode=static", "exec_adaptive/run mode=adaptive",
@@ -152,8 +153,18 @@ func TestBenchtrajWritesReport(t *testing.T) {
 			t.Errorf("missing %s (have %v)", name, execRep.Results)
 		}
 	}
-	if len(execRep.Results) != 15 {
-		t.Errorf("got %d exec results, want 15", len(execRep.Results))
+	if len(execRep.Results) != 17 {
+		t.Errorf("got %d exec results, want 17", len(execRep.Results))
+	}
+	// Linear checkpoint size: allocated bytes per task at n = 65536 stay
+	// within 2× of n = 4096 (payloads carrying the journal prefix would
+	// grow them about 16×).
+	perTask := func(name string) float64 {
+		m := execByName[name]
+		return float64(m.BytesPerOp) / float64(m.N)
+	}
+	if small, large := perTask("exec_run/store=mem n=4096"), perTask("exec_run/store=mem n=65536"); large > 2*small {
+		t.Errorf("exec_run/store=mem allocates %.0f B/task at n=65536 vs %.0f at n=4096: not linear", large, small)
 	}
 }
 

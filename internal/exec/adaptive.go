@@ -188,8 +188,11 @@ func (ex *executor) noteExposure() {
 // persist is everything that happens to a checkpoint payload after it
 // is encoded: skip (persistence off), or the save under the retry
 // policy followed by outcome accounting. The adaptive resume path calls
-// it with the restored payload to re-observe the same outcomes.
+// it with the restored payload to re-observe the same outcomes. Either
+// way the payload encodes the journal as it stands on entry, and a
+// successful save makes it the base of the next payload's chain.
 func (ex *executor) persist(seq uint64, payload []byte) error {
+	encoded := uint64(len(ex.j))
 	if ex.level == LevelDown {
 		// Ride-out probing: at LevelDown every ProbeEvery-th commit
 		// attempts its save anyway; the others skip as before. The
@@ -228,6 +231,7 @@ func (ex *executor) persist(seq uint64, payload []byte) error {
 			}
 			return fmt.Errorf("exec: saving checkpoint %d: %w: %w", seq, cause, out.err)
 		}
+		ex.base, ex.baseLen = seq, encoded
 		return ex.countSave()
 	}
 	// Every attempt but the last failed; the last failed unless the
@@ -243,6 +247,7 @@ func (ex *executor) persist(seq uint64, payload []byte) error {
 	ex.health.ObserveCommit(out.successLat, out.overhead-out.successLat)
 	ex.noteExposure()
 	if out.ok {
+		ex.base, ex.baseLen = seq, encoded
 		ex.lastPersistT = ex.t
 		ex.consec = 0
 		if ex.level == LevelDown {
@@ -282,6 +287,9 @@ func (ex *executor) escalate(permanent bool) error {
 		ex.level = LevelFailover
 		ex.store = ex.ad.Secondary
 		ex.consec = 0
+		// Chains never span stores: the first save on the secondary
+		// carries the whole journal.
+		ex.base, ex.baseLen = 0, 0
 		return ex.event(Event{Kind: EvDegrade, Time: ex.t, Arg: int32(ex.level)})
 	case ex.level < LevelDown && (ex.ad.Secondary == nil || ex.level >= LevelFailover) &&
 		(permanent || ex.consec >= ex.ad.downAfter()):
@@ -442,7 +450,10 @@ func (ex *executor) snapshot(seq, nextSeg uint64) *execState {
 		t:       ex.t,
 		met:     ex.met,
 		src:     ex.src.State(),
-		journal: ex.j,
+		base:    ex.base,
+		baseLen: ex.baseLen,
+		hash:    ex.jhash,
+		delta:   ex.j[ex.baseLen:],
 
 		healthCommits:  ex.health.commits,
 		healthEwmaLat:  ex.health.ewmaLat,

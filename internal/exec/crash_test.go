@@ -427,3 +427,277 @@ func TestLegacyResumeLoadsTornCheckpointOnce(t *testing.T) {
 		t.Fatal("journal differs after resuming past a torn checkpoint")
 	}
 }
+
+// segmentChain is an n-task chain checkpointed after every task: its
+// workload has n segments, so a run persists n chained checkpoints.
+func segmentChain(t testing.TB, n int) *Workload {
+	t.Helper()
+	m, err := expectation.NewModel(0.02, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp := &core.ChainProblem{
+		Weights:         make([]float64, n),
+		Ckpt:            make([]float64, n),
+		Rec:             make([]float64, n),
+		InitialRecovery: 0.3,
+		Model:           m,
+	}
+	ck := make([]bool, n)
+	for i := range n {
+		cp.Weights[i] = 1 + float64(i%7)/2
+		cp.Ckpt[i] = 0.25
+		cp.Rec[i] = 0.2
+		ck[i] = true
+	}
+	w, err := NewChainWorkload(cp, ck)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return w
+}
+
+// rewrite replaces checkpoint seq's payload in mem with edit's result.
+func rewrite(t *testing.T, mem *store.MemStore, run string, seq uint64, edit func(st *execState)) {
+	t.Helper()
+	data, err := store.Checked(mem).Load(run, seq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := decodeState(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	edit(st)
+	if err := store.Checked(mem).Save(run, seq, encodeState(st)); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestResumeFallsBackPastBrokenChain damages one link of a persisted
+// checkpoint chain. Every checkpoint chained through the link is then
+// unresumable, so the resume must fall back to the newest checkpoint
+// below it (or start fresh when the root is gone) and still finish on
+// the uninterrupted journal and metrics.
+func TestResumeFallsBackPastBrokenChain(t *testing.T) {
+	const run, persisted, link = "chain", 8, 4
+	w := segmentChain(t, 12)
+	src := func() Source { return NewKeyedSource(failure.Exponential{Lambda: 0.05}, 9, 1) }
+	ref, err := Execute(w, src(), Options{Downtime: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name   string
+		damage func(t *testing.T, mem *store.MemStore)
+		want   uint64 // resume seq; 0 = fresh start
+	}{
+		{"missing link", func(t *testing.T, mem *store.MemStore) {
+			if err := mem.Delete(run, link); err != nil {
+				t.Fatal(err)
+			}
+		}, link - 1},
+		{"missing root", func(t *testing.T, mem *store.MemStore) {
+			if err := mem.Delete(run, 1); err != nil {
+				t.Fatal(err)
+			}
+		}, 0},
+		{"another seq's payload", func(t *testing.T, mem *store.MemStore) {
+			// An intact chain of its own: only the key check rejects it.
+			frame, err := mem.Load(run, link-2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := mem.Save(run, link, frame); err != nil {
+				t.Fatal(err)
+			}
+		}, link - 1},
+		{"length mismatch", func(t *testing.T, mem *store.MemStore) {
+			// The successor claims one more event of history than the
+			// link encodes; every hash still matches.
+			rewrite(t, mem, run, link+1, func(st *execState) { st.baseLen++ })
+		}, link},
+		{"hash mismatch", func(t *testing.T, mem *store.MemStore) {
+			rewrite(t, mem, run, link, func(st *execState) {
+				st.delta[0].Time += 0.5
+			})
+		}, link - 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			mem := store.NewMemStore()
+			opts := Options{RunID: run, Store: store.Checked(mem), Downtime: 1, CrashAfterSaves: persisted}
+			if _, err := Execute(w, src(), opts); !errors.Is(err, ErrCrashed) {
+				t.Fatalf("first invocation: %v, want ErrCrashed", err)
+			}
+			tc.damage(t, mem)
+			opts.CrashAfterSaves = 0
+			res, err := Execute(w, src(), opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Resumed != (tc.want > 0) || res.ResumeSeq != tc.want {
+				t.Fatalf("resumed=%v seq=%d, want seq %d (0 = fresh start)", res.Resumed, res.ResumeSeq, tc.want)
+			}
+			if !res.Journal.Equal(ref.Journal) {
+				t.Fatal("journal differs after falling back past a broken chain")
+			}
+			if res.Metrics != ref.Metrics {
+				t.Fatalf("metrics differ: %+v vs %+v", res.Metrics, ref.Metrics)
+			}
+		})
+	}
+}
+
+// TestFailoverResumeReadsChainFromSecondary kills an adaptive run after
+// it failed over and has persisted a few checkpoints on the secondary.
+// A failover restarts the chain, so the resume must resolve the newest
+// secondary checkpoint from the secondary alone, loading each of its
+// links exactly once and never touching the primary.
+func TestFailoverResumeReadsChainFromSecondary(t *testing.T) {
+	const run = "failover"
+	w := segmentChain(t, 12)
+	src := func() Source { return NewKeyedSource(failure.Exponential{Lambda: 0.05}, 9, 1) }
+	type stack struct {
+		prim, sec *loadCounter
+		opts      func(kill int) Options
+	}
+	newStack := func() *stack {
+		s := &stack{
+			prim: &loadCounter{Store: store.NewMemStore(), loads: map[uint64]int{}},
+			sec:  &loadCounter{Store: store.NewMemStore(), loads: map[uint64]int{}},
+		}
+		// The quota admits three checkpoints; the fourth save is a
+		// permanent error, which fails over at once.
+		ledger := store.NewQuotaLedger(store.Quota{MaxCheckpoints: 3}, nil)
+		s.opts = func(kill int) Options {
+			return Options{
+				RunID: run, Store: store.NewQuotaStore(ledger, store.Checked(s.prim)), Downtime: 1,
+				CrashAfterEvents: kill,
+				Adaptive:         &AdaptiveOptions{Retry: NoRetry{}, Secondary: store.Checked(s.sec)},
+			}
+		}
+		return s
+	}
+	ref, err := Execute(w, src(), newStack().opts(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Kill right after the third save on the secondary.
+	kill, secSaves := 0, -1
+	for i, e := range ref.Journal {
+		switch {
+		case e.Kind == EvDegrade && DegradeLevel(e.Arg) == LevelFailover:
+			secSaves = 0
+		case e.Kind == EvSaveResult && secSaves >= 0:
+			if secSaves++; secSaves == 3 {
+				kill = i + 1
+			}
+		}
+		if kill > 0 {
+			break
+		}
+	}
+	if kill == 0 {
+		t.Fatal("reference run never saved three checkpoints after failing over")
+	}
+	s := newStack()
+	killed, err := Execute(w, src(), s.opts(kill))
+	if !errors.Is(err, ErrCrashed) || killed.Level != LevelFailover {
+		t.Fatalf("killed invocation: level %v, err %v; want LevelFailover, ErrCrashed", killed.Level, err)
+	}
+	onSec, err := s.sec.List(run)
+	if err != nil || len(onSec) != 3 {
+		t.Fatalf("secondary holds %v (err %v), want 3 checkpoints", onSec, err)
+	}
+	clear(s.prim.loads)
+	res, err := Execute(w, src(), s.opts(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(s.prim.loads) != 0 {
+		t.Fatalf("resume loaded %v from the primary, want nothing", s.prim.loads)
+	}
+	for _, seq := range onSec {
+		if s.sec.loads[seq] != 1 {
+			t.Fatalf("secondary loads %v, want each of %v once", s.sec.loads, onSec)
+		}
+	}
+	if !res.Resumed || res.ResumeSeq != onSec[len(onSec)-1] {
+		t.Fatalf("resumed=%v seq=%d, want seq %d", res.Resumed, res.ResumeSeq, onSec[len(onSec)-1])
+	}
+	if !res.Journal.Equal(ref.Journal) {
+		t.Fatal("journal differs after resuming a failed-over run")
+	}
+	if res.Metrics != ref.Metrics {
+		t.Fatalf("metrics differ: %+v vs %+v", res.Metrics, ref.Metrics)
+	}
+}
+
+// TestLongRunKillResumeLinearStorage is kill/resume identity at
+// production length: a 10k-segment chain, killed at eight event points
+// spread over the run and resumed after each, ends on the uninterrupted
+// journal. It also asserts the storage bound: every retained payload is
+// a fixed header plus the journal delta since its base, so what the run
+// leaves in the store is linear in its journal, not quadratic.
+func TestLongRunKillResumeLinearStorage(t *testing.T) {
+	const run, n = "long", 10_000
+	w := segmentChain(t, n)
+	src := func() Source { return NewKeyedSource(failure.Exponential{Lambda: 0.02}, 31, 1) }
+	ref, err := Execute(w, src(), Options{Downtime: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mem := store.NewMemStore()
+	opts := Options{RunID: run, Store: store.Checked(mem), Downtime: 1}
+	for i := 1; i <= 8; i++ {
+		opts.CrashAfterEvents = len(ref.Journal) * i / 9
+		if _, err := Execute(w, src(), opts); !errors.Is(err, ErrCrashed) {
+			t.Fatalf("kill %d@%d: %v, want ErrCrashed", i, opts.CrashAfterEvents, err)
+		}
+	}
+	opts.CrashAfterEvents = 0
+	res, err := Execute(w, src(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Resumed {
+		t.Fatal("final invocation did not resume")
+	}
+	if !res.Journal.Equal(ref.Journal) {
+		t.Fatalf("resumed journal differs from reference (%d vs %d events)", len(res.Journal), len(ref.Journal))
+	}
+	if res.Metrics != ref.Metrics {
+		t.Fatalf("metrics differ: %+v vs %+v", res.Metrics, ref.Metrics)
+	}
+
+	probe := store.NewMemStore()
+	if err := store.Checked(probe).Save(run, 1, nil); err != nil {
+		t.Fatal(err)
+	}
+	empty, err := probe.Load(run, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seqs, err := mem.List(run)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(seqs) != n {
+		t.Fatalf("store holds %d checkpoints, want %d", len(seqs), n)
+	}
+	stored := 0
+	for _, seq := range seqs {
+		frame, err := mem.Load(run, seq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stored += len(frame)
+	}
+	// Per checkpoint: the state header, the delta's event count and the
+	// store frame; per journal event: its encoding, once.
+	bound := len(seqs)*(stateHeaderSize+8+len(empty)) + eventSize*len(res.Journal)
+	if stored > bound {
+		t.Fatalf("store holds %d bytes for %d checkpoints and %d events, above the linear bound %d",
+			stored, len(seqs), len(res.Journal), bound)
+	}
+}

@@ -76,7 +76,7 @@ type Result struct {
 	Saves int
 	// Resumed reports whether state was restored from the store,
 	// ResumeSeq which checkpoint sequence it was restored from, and
-	// RestoredEvents how many journal events that checkpoint carried.
+	// RestoredEvents how many journal events its resolved chain held.
 	Resumed        bool
 	ResumeSeq      uint64
 	RestoredEvents int
@@ -183,6 +183,14 @@ type executor struct {
 	store store.Store // active store (primary, or secondary after failover)
 	retry RetryPolicy // Adaptive.Retry, or FixedRetry{SaveRetries}
 
+	// Checkpoint chain: a payload carries only the journal events since
+	// base, the last checkpoint this invocation persisted on the active
+	// store (0 = none), whose payload encoded the first baseLen events.
+	// jhash is the running FNV-1a of the journal (hashEvent), recorded in
+	// every payload so a resume can verify the chain it concatenates.
+	base, baseLen uint64
+	jhash         uint64
+
 	// Adaptive-mode state; zero / unused when ad is nil.
 	ad           *AdaptiveOptions
 	health       StoreHealth
@@ -234,6 +242,7 @@ func Execute(w *Workload, src Source, opts Options) (*Result, error) {
 		budget: opts.maxFailures(),
 		store:  opts.Store,
 		retry:  FixedRetry{Attempts: opts.SaveRetries},
+		jhash:  fnvOffset64,
 
 		segStart: w.segStart,
 		segEnd:   w.segEnd,
@@ -288,12 +297,19 @@ func Execute(w *Workload, src Source, opts Options) (*Result, error) {
 		ex.t = st.t
 		ex.met = st.met
 		ex.j = st.journal
+		ex.jhash = st.hash
 		ex.src.Restore(st.src)
 		startSeg = int(st.nextSeg)
 		res.Resumed = true
 		res.ResumeSeq = st.seq
 		res.RestoredEvents = len(st.journal)
+		// A legacy resume chains its next payload onto the restored one.
+		// An adaptive resume starts from the restored payload's own base:
+		// its re-save below advances it exactly as the uninterrupted
+		// run's save of that payload did.
+		ex.base, ex.baseLen = st.seq, uint64(len(st.journal))
 		if ex.ad != nil {
+			ex.base, ex.baseLen = st.base, st.baseLen
 			if err := ex.restoreAdaptive(st); err != nil {
 				return res, err
 			}
@@ -374,9 +390,11 @@ func (ex *executor) syncPass() {
 	}
 }
 
-// event appends to the journal and fires the event-count crash point.
+// event appends to the journal, folds it into the running journal
+// hash, and fires the event-count crash point.
 func (ex *executor) event(e Event) error {
 	ex.j = append(ex.j, e)
+	ex.jhash = hashEvent(ex.jhash, e)
 	if n := ex.opts.CrashAfterEvents; n > 0 && len(ex.j) >= n {
 		return fmt.Errorf("exec: crash after %d journal events (t=%v): %w", len(ex.j), ex.t, ErrCrashed)
 	}
@@ -573,13 +591,14 @@ func (ex *executor) loadOnce(st store.Store, seq uint64) ([]byte, error) {
 }
 
 // loadResume finds the newest loadable, decodable checkpoint of this
-// run, skipping past corrupt frames, injected read failures (after
-// retries) and lost entries to older checkpoints, consulting the
-// secondary store too when one is configured. It returns the decoded
-// state together with the raw payload (the adaptive resume re-saves it)
-// or nil with no error when the run has no usable checkpoint (fresh
-// start). A fingerprint mismatch is a loud error: the store holds a
-// different workload's state and silently restarting would mask it.
+// run whose chain resolves, skipping past corrupt frames, injected read
+// failures (after retries), lost entries and broken chains to older
+// checkpoints, consulting the secondary store too when one is
+// configured. It returns the decoded state, with its full journal,
+// together with the raw payload (the adaptive resume re-saves it) or nil
+// with no error when the run has no usable checkpoint (fresh start). A
+// fingerprint mismatch is a loud error: the store holds a different
+// workload's state and silently restarting would mask it.
 func (ex *executor) loadResume() (*execState, []byte, error) {
 	if ex.opts.Store == nil {
 		return nil, nil, nil
@@ -593,37 +612,101 @@ func (ex *executor) loadResume() (*execState, []byte, error) {
 		if c.secondary {
 			from = ex.ad.Secondary
 		}
-		data, err := ex.loadOnce(from, c.seq)
-		if errors.Is(err, store.ErrCorrupt) || errors.Is(err, store.ErrNotFound) ||
-			errors.Is(err, store.ErrInjected) || errors.Is(err, store.ErrTimeout) {
-			// Fall back to an older checkpoint. Timeouts included: a
-			// partition active at resume time makes the newest entry
-			// unreachable, not the run unresumable — replaying more is
-			// always safe.
+		st, data, err := ex.loadState(from, c.seq)
+		if err == nil {
+			err = ex.resolveChain(from, st)
+		}
+		if errors.Is(err, errChainBroken) {
 			continue
 		}
 		if err != nil {
-			return nil, nil, fmt.Errorf("exec: loading checkpoint %d: %w", c.seq, err)
-		}
-		st, err := decodeState(data)
-		if err != nil {
 			return nil, nil, err
-		}
-		if st.fp != ex.fp {
-			return nil, nil, fmt.Errorf("%w: checkpoint %d has %016x, want %016x",
-				ErrFingerprint, c.seq, st.fp, ex.fp)
 		}
 		return st, data, nil
 	}
 	return nil, nil, nil
 }
 
+// loadState loads and decodes checkpoint seq from the given store. A
+// corrupt frame, a missing entry, an injected read failure that outlived
+// its retries, a timeout (a partition active at resume time makes an
+// entry unreachable, not the run unresumable — replaying more is always
+// safe), or a payload stored under another seq's key returns
+// errChainBroken, which the resume falls back past. A load error of any
+// other kind, a payload that fails to decode, or one belonging to
+// another workload is a loud error.
+func (ex *executor) loadState(from store.Store, seq uint64) (*execState, []byte, error) {
+	data, err := ex.loadOnce(from, seq)
+	if errors.Is(err, store.ErrCorrupt) || errors.Is(err, store.ErrNotFound) ||
+		errors.Is(err, store.ErrInjected) || errors.Is(err, store.ErrTimeout) {
+		return nil, nil, fmt.Errorf("%w: loading checkpoint %d: %w", errChainBroken, seq, err)
+	}
+	if err != nil {
+		return nil, nil, fmt.Errorf("exec: loading checkpoint %d: %w", seq, err)
+	}
+	st, err := decodeState(data)
+	if err != nil {
+		return nil, nil, fmt.Errorf("exec: checkpoint %d: %w", seq, err)
+	}
+	if st.fp != ex.fp {
+		return nil, nil, fmt.Errorf("%w: checkpoint %d has %016x, want %016x",
+			ErrFingerprint, seq, st.fp, ex.fp)
+	}
+	if st.seq != seq {
+		return nil, nil, fmt.Errorf("%w: checkpoint %d holds seq %d", errChainBroken, seq, st.seq)
+	}
+	return st, data, nil
+}
+
+// errChainBroken reports a checkpoint that cannot be resumed from
+// because it, or a link of its chain of bases, is missing, corrupt,
+// unreachable, or is not the state its successor was encoded against.
+// The resume falls back to an older checkpoint.
+var errChainBroken = errors.New("exec: broken checkpoint chain")
+
+// resolveChain rebuilds st's full journal. It walks the base links on
+// the store that holds st (every chain lives on one store: failover
+// restarts it), then concatenates the deltas oldest first. Each link
+// must be stored under the sequence its successor names, must encode
+// exactly the journal length its successor was based on, and the
+// running hash at its end must equal the hash it recorded, so the
+// resolved journal is the one every payload in the chain was encoded
+// from.
+func (ex *executor) resolveChain(from store.Store, st *execState) error {
+	links := []*execState{st}
+	for cur := st; cur.base != 0; {
+		link, _, err := ex.loadState(from, cur.base)
+		if err != nil {
+			return err
+		}
+		if link.journalLen() != cur.baseLen {
+			return fmt.Errorf("%w: checkpoint %d: link %d encodes %d events, want %d",
+				errChainBroken, st.seq, cur.base, link.journalLen(), cur.baseLen)
+		}
+		links = append(links, link)
+		cur = link
+	}
+	j := make(Journal, 0, st.journalLen())
+	h := uint64(fnvOffset64)
+	for i := len(links) - 1; i >= 0; i-- {
+		for _, e := range links[i].delta {
+			h = hashEvent(h, e)
+		}
+		if h != links[i].hash {
+			return fmt.Errorf("%w: checkpoint %d: journal hash mismatch at link %d", errChainBroken, st.seq, links[i].seq)
+		}
+		j = append(j, links[i].delta...)
+	}
+	st.journal = j
+	return nil
+}
+
 // execState is the decoded checkpoint payload: every accumulator the
 // executor owns, bit-exact, plus the source position and the journal
-// prefix. Bit-exact float round-tripping is what makes resumed
-// accumulations identical to uninterrupted ones. The adaptive block
-// (health, ladder, hysteresis anchors, exposure accounting) rides along
-// as zeros for legacy runs.
+// delta since the chain base. Bit-exact float round-tripping is what
+// makes resumed accumulations identical to uninterrupted ones. The
+// adaptive block (health, ladder, hysteresis anchors, exposure
+// accounting) rides along as zeros for legacy runs.
 type execState struct {
 	fp      uint64
 	seq     uint64
@@ -631,6 +714,16 @@ type execState struct {
 	t       float64
 	met     Metrics
 	src     SourceState
+
+	// Chain slots: the payload extends checkpoint base (0 = none), whose
+	// journal ran to baseLen events, with delta = journal[baseLen:];
+	// hash is the running journal hash at its end.
+	base    uint64
+	baseLen uint64
+	hash    uint64
+	delta   Journal
+	// journal is the full journal, resolved from the chain on resume
+	// (resolveChain); never encoded.
 	journal Journal
 
 	healthCommits  uint64
@@ -651,19 +744,24 @@ type execState struct {
 	sinceDown      uint64
 }
 
+// journalLen is the journal length the payload was encoded at.
+func (st *execState) journalLen() uint64 { return st.baseLen + uint64(len(st.delta)) }
+
 // stateSchema versions the checkpoint payload (inside the store codec's
 // frame, which versions the framing itself). Schema 2 appended the
 // adaptive block to schema 1's twelve slots, reusing slot 11 (reserved)
 // for StoreOverhead; schema 3 appended the ride-out probe counter
-// (sinceDown).
-const stateSchema = 3
+// (sinceDown); schema 4 appended the chain slots (base, baseLen, hash)
+// and replaced the full journal prefix with the delta since base.
+const stateSchema = 4
 
-// stateHeaderSize is the fixed part of the payload before the journal.
-const stateHeaderSize = 4 + 8*28
+// stateHeaderSize is the fixed part of the payload before the journal
+// delta.
+const stateHeaderSize = 4 + 8*31
 
 // encodeState serializes the checkpoint payload.
 func encodeState(st *execState) []byte {
-	out := make([]byte, stateHeaderSize, stateHeaderSize+8+len(st.journal)*eventSize)
+	out := make([]byte, stateHeaderSize, stateHeaderSize+8+len(st.delta)*eventSize)
 	putU32(out, stateSchema)
 	fields := [...]uint64{
 		st.fp,
@@ -694,11 +792,14 @@ func encodeState(st *execState) []byte {
 		math.Float64bits(st.lastPersistT),
 		math.Float64bits(st.maxRewind),
 		st.sinceDown,
+		st.base,
+		st.baseLen,
+		st.hash,
 	}
 	for i, v := range fields {
 		putU64(out[4+8*i:], v)
 	}
-	return append(out, st.journal.Marshal()...)
+	return append(out, st.delta.Marshal()...)
 }
 
 // errState reports a malformed checkpoint payload — a schema mismatch
@@ -747,11 +848,19 @@ func decodeState(data []byte) (*execState, error) {
 		lastPersistT:   math.Float64frombits(f(25)),
 		maxRewind:      math.Float64frombits(f(26)),
 		sinceDown:      f(27),
+		base:           f(28),
+		baseLen:        f(29),
+		hash:           f(30),
 	}
-	j, err := UnmarshalJournal(data[stateHeaderSize:])
+	// A chain link precedes its successor, and a chain root extends
+	// nothing.
+	if st.base >= st.seq && st.base != 0 || st.base == 0 && st.baseLen != 0 {
+		return nil, fmt.Errorf("%w: checkpoint %d based on %d at %d events", errState, st.seq, st.base, st.baseLen)
+	}
+	d, err := UnmarshalJournal(data[stateHeaderSize:])
 	if err != nil {
 		return nil, err
 	}
-	st.journal = j
+	st.delta = d
 	return st, nil
 }

@@ -113,13 +113,38 @@ func (j Journal) Marshal() []byte {
 	putU64(out, uint64(len(j)))
 	off := 8
 	for _, e := range j {
-		out[off] = byte(e.Kind)
-		putU64(out[off+1:], math.Float64bits(e.Time))
-		putU32(out[off+9:], uint32(e.Arg))
-		putU64(out[off+13:], e.Seq)
+		putEvent(out[off:], e)
 		off += eventSize
 	}
 	return out
+}
+
+// putEvent writes e's canonical encoding into b[:eventSize].
+func putEvent(b []byte, e Event) {
+	b[0] = byte(e.Kind)
+	putU64(b[1:], math.Float64bits(e.Time))
+	putU32(b[9:], uint32(e.Arg))
+	putU64(b[13:], e.Seq)
+}
+
+// FNV-1a 64-bit parameters (hash/fnv's New64a).
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+// hashEvent folds e's canonical encoding into the running FNV-1a hash h
+// without allocating: hashing a journal event by event from fnvOffset64
+// gives the FNV-1a of its events' encodings (the Marshal body without
+// the count prefix), so the executor keeps it current in O(1) per event.
+func hashEvent(h uint64, e Event) uint64 {
+	var b [eventSize]byte
+	putEvent(b[:], e)
+	for _, c := range b {
+		h ^= uint64(c)
+		h *= fnvPrime64
+	}
+	return h
 }
 
 // errJournal reports a malformed journal encoding.
