@@ -236,6 +236,23 @@ func TestSegments(t *testing.T) {
 	}
 }
 
+// TestSegmentsAllocs: Segments sizes its result once from the
+// checkpoint count instead of growing it by append.
+func TestSegmentsAllocs(t *testing.T) {
+	cp := randomChainProblem(t, 64, 3, 0.01, 0)
+	ck := make([]bool, 64)
+	for i := 3; i < 64; i += 4 {
+		ck[i] = true
+	}
+	var err error
+	if n := testing.AllocsPerRun(100, func() { _, err = cp.Segments(ck) }); n != 1 {
+		t.Errorf("Segments over 16 checkpoints: %v allocs, want 1", n)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestFailureFreeMakespan(t *testing.T) {
 	cp := randomChainProblem(t, 6, 3, 0.01, 0)
 	ck := make([]bool, 6)

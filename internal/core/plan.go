@@ -262,7 +262,13 @@ func (cp *ChainProblem) Segments(checkpointAfter []bool) ([]Segment, error) {
 	if !checkpointAfter[n-1] {
 		return nil, fmt.Errorf("%w: final position must carry a checkpoint", ErrBadPlan)
 	}
-	var segs []Segment
+	count := 0
+	for _, c := range checkpointAfter {
+		if c {
+			count++
+		}
+	}
+	segs := make([]Segment, 0, count)
 	start := 0
 	for i := 0; i < n; i++ {
 		if !checkpointAfter[i] {

@@ -190,6 +190,15 @@ func TestKeyedSourceRestoreRewinds(t *testing.T) {
 	}
 }
 
+// TestKeyedSourceDrawAllocs: drawing the next gap derives one keyed
+// stream and allocates nothing else.
+func TestKeyedSourceDrawAllocs(t *testing.T) {
+	src := NewKeyedSource(failure.Exponential{Lambda: 0.5}, 11, 3)
+	if n := testing.AllocsPerRun(100, src.ObserveFailure); n != 1 {
+		t.Errorf("KeyedSource draw: %v allocs, budget 1", n)
+	}
+}
+
 // TestStoreDoesNotPerturbExecution pins that attaching a store changes
 // nothing about the trajectory: journals with and without persistence
 // are byte-identical.

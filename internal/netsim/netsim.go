@@ -16,7 +16,6 @@
 package netsim
 
 import (
-	"hash/fnv"
 	"sync"
 
 	"repro/internal/rng"
@@ -140,13 +139,6 @@ func New(cfg Config) *Network {
 	return &Network{cfg: cfg, attempts: make(map[linkKey]uint64)}
 }
 
-// hashName folds an endpoint name into key material.
-func hashName(name string) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(name))
-	return h.Sum64()
-}
-
 // Deliver attempts to carry msg from one endpoint to another at
 // virtual time now. The draw order within an attempt is fixed — jitter
 // first, then the loss decision — and both draws always happen, so a
@@ -154,16 +146,15 @@ func hashName(name string) uint64 {
 // positions of later draws; killing a window cannot perturb any other
 // delivery.
 func (n *Network) Deliver(now float64, from, to string, msg Message) Outcome {
-	k := linkKey{from: hashName(from), to: hashName(to), kind: msg.Kind, run: msg.Run, seq: msg.Seq}
+	k := linkKey{from: rng.HashString(from), to: rng.HashString(to), kind: msg.Kind, run: msg.Run, seq: msg.Seq}
 	n.mu.Lock()
 	n.attempts[k]++
 	attempt := n.attempts[k]
 	n.mu.Unlock()
 
-	s := rng.New(n.cfg.Seed).
-		Keyed(k.from).Keyed(k.to).
-		Keyed(msg.Kind).Keyed(hashRun(msg.Run)).Keyed(msg.Seq).
-		Keyed(attempt)
+	// The run key uses the same hash as the store layer's keying, so
+	// composed stacks stay coherent.
+	s := rng.Derive(n.cfg.Seed, k.from, k.to, msg.Kind, rng.HashString(msg.Run), msg.Seq, attempt)
 	out := Outcome{Latency: n.cfg.Latency}
 	if n.cfg.Jitter > 0 {
 		out.Latency += s.ExpFloat64() * n.cfg.Jitter
@@ -185,14 +176,6 @@ func (n *Network) Deliver(now float64, from, to string, msg Message) Outcome {
 	}
 	n.mu.Unlock()
 	return out
-}
-
-// hashRun folds a run ID into key material; identical to the store
-// layer's keying so composed stacks stay coherent.
-func hashRun(run string) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(run))
-	return h.Sum64()
 }
 
 // Partitioned reports whether a scheduled window separates the two

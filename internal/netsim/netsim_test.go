@@ -165,3 +165,15 @@ func TestConcurrentDeliveriesDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// TestDeliverAllocs: a delivery derives one keyed stream and allocates
+// nothing else once its attempt counter exists.
+func TestDeliverAllocs(t *testing.T) {
+	n := New(Config{Seed: 3, Latency: 0.1, Jitter: 0.5, Loss: 0.2,
+		Partitions: []Window{{Start: 5, End: 6, Isolated: []string{"s1"}}}})
+	msg := Message{Kind: 1, Run: "run-7", Seq: 9}
+	n.Deliver(0, "exec", "s1", msg)
+	if got := testing.AllocsPerRun(100, func() { n.Deliver(0, "exec", "s1", msg) }); got != 1 {
+		t.Errorf("Deliver: %v allocs/op, budget 1", got)
+	}
+}

@@ -11,21 +11,33 @@ import (
 // Stream is a deterministic pseudo-random stream (PCG) with convenience
 // samplers. It is not safe for concurrent use; use Split to derive
 // independent per-goroutine streams.
+//
+// A Stream holds its generator by value and points into itself, so one
+// stream is one heap object. Always use it through the *Stream the
+// constructors return: a copy made by value would keep drawing from the
+// original's generator.
 type Stream struct {
-	r *rand.Rand
+	pcg rand.PCG
+	r   rand.Rand // sources pcg
 	// seed material kept for Split derivation
 	hi, lo uint64
 	splits uint64
 }
 
+// newLo is the low seed word of New; Derive starts from the same pair.
+const newLo = 0x9e3779b97f4a7c15
+
 // New returns a stream seeded from seed. Two streams with the same seed
 // produce identical sequences.
 func New(seed uint64) *Stream {
-	return newFrom(seed, 0x9e3779b97f4a7c15)
+	return newFrom(seed, newLo)
 }
 
 func newFrom(hi, lo uint64) *Stream {
-	return &Stream{r: rand.New(rand.NewPCG(hi, lo)), hi: hi, lo: lo}
+	s := &Stream{hi: hi, lo: lo}
+	s.pcg.Seed(hi, lo)
+	s.r = *rand.New(&s.pcg)
+	return s
 }
 
 // Split derives a new stream that is statistically independent of s and of
@@ -48,7 +60,42 @@ func (s *Stream) Split() *Stream {
 // sequenced. Keyed children use salt constants disjoint from Split's, so
 // Keyed(k) never collides with the k-th Split child.
 func (s *Stream) Keyed(key uint64) *Stream {
-	return newFrom(mix(s.hi, key^0xd6e8feb86659fd93), mix(s.lo, key+0x8a91a6d40bf42040))
+	return newFrom(keyed(s.hi, s.lo, key))
+}
+
+// Derive returns the stream New(seed).Keyed(keys[0])…Keyed(keys[n-1]),
+// bit for bit, without building the intermediate streams: it folds the
+// key chain through Keyed's seed arithmetic and allocates only the
+// final stream. Hot paths that key a draw by several coordinates (a
+// message's endpoints and identity, a store operation's run, seq and
+// attempt) use it instead of chaining Keyed.
+func Derive(seed uint64, keys ...uint64) *Stream {
+	hi, lo := seed, uint64(newLo)
+	for _, k := range keys {
+		hi, lo = keyed(hi, lo, k)
+	}
+	return newFrom(hi, lo)
+}
+
+// keyed maps seed material (hi, lo) to that of its child under key.
+func keyed(hi, lo, key uint64) (uint64, uint64) {
+	return mix(hi, key^0xd6e8feb86659fd93), mix(lo, key+0x8a91a6d40bf42040)
+}
+
+// HashString returns the 64-bit FNV-1a hash of s, equal to hash/fnv's
+// New64a over []byte(s) but without allocating. It folds names and run
+// IDs into key material for Derive and Keyed.
+func HashString(s string) uint64 {
+	const (
+		offset64 = 14695981039346656037
+		prime64  = 1099511628211
+	)
+	h := uint64(offset64)
+	for i := 0; i < len(s); i++ {
+		h ^= uint64(s[i])
+		h *= prime64
+	}
+	return h
 }
 
 // mix is the SplitMix64 finalizer, a strong 64-bit mixer.

@@ -1,7 +1,10 @@
 package rng
 
 import (
+	"fmt"
+	"hash/fnv"
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -202,5 +205,100 @@ func TestIntN(t *testing.T) {
 		if c < 9000 || c > 11000 {
 			t.Errorf("IntN bucket %d count %d far from uniform", i, c)
 		}
+	}
+}
+
+// TestDeriveEqualsKeyedChain: Derive(seed, ks...) is the chained
+// New(seed).Keyed(k1)…Keyed(kn), draw for draw, under every sampler and
+// for its Split children too.
+func TestDeriveEqualsKeyedChain(t *testing.T) {
+	gen := New(2024)
+	for trial := 0; trial < 200; trial++ {
+		seed := gen.Uint64()
+		keys := make([]uint64, trial%9)
+		for i := range keys {
+			keys[i] = gen.Uint64() >> uint(gen.IntN(64))
+		}
+		want := New(seed)
+		for _, k := range keys {
+			want = want.Keyed(k)
+		}
+		got := Derive(seed, keys...)
+		for i := 0; i < 8; i++ {
+			if w, g := want.Uint64(), got.Uint64(); w != g {
+				t.Fatalf("seed %#x keys %v: Uint64 #%d = %#x, chained Keyed gives %#x", seed, keys, i, g, w)
+			}
+			if w, g := want.Float64(), got.Float64(); w != g {
+				t.Fatalf("seed %#x keys %v: Float64 #%d = %v, want %v", seed, keys, i, g, w)
+			}
+			if w, g := want.ExpFloat64(), got.ExpFloat64(); w != g {
+				t.Fatalf("seed %#x keys %v: ExpFloat64 #%d = %v, want %v", seed, keys, i, g, w)
+			}
+			if w, g := want.NormFloat64(), got.NormFloat64(); w != g {
+				t.Fatalf("seed %#x keys %v: NormFloat64 #%d = %v, want %v", seed, keys, i, g, w)
+			}
+			if w, g := want.IntN(1+i*97), got.IntN(1+i*97); w != g {
+				t.Fatalf("seed %#x keys %v: IntN #%d = %d, want %d", seed, keys, i, g, w)
+			}
+		}
+		if w, g := fmt.Sprint(want.Perm(12)), fmt.Sprint(got.Perm(12)); w != g {
+			t.Fatalf("seed %#x keys %v: Perm = %s, want %s", seed, keys, g, w)
+		}
+		if w, g := want.Split().Uint64(), got.Split().Uint64(); w != g {
+			t.Fatalf("seed %#x keys %v: Split child draws %#x, want %#x", seed, keys, g, w)
+		}
+	}
+}
+
+// TestGoldenDraws pins the first draws of the three stream
+// constructors, so a change to Stream's internals that moves a draw
+// fails here before it moves any experiment fingerprint.
+func TestGoldenDraws(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		s    *Stream
+		want [3]uint64
+	}{
+		{"New(1)", New(1), [3]uint64{0xee4200f3880a19eb, 0xbaadcc279ed76e43, 0xe6e217b961fee78d}},
+		{"New(1).Keyed(7)", New(1).Keyed(7), [3]uint64{0x72a2aba6c8258725, 0x8b6098fd9599385f, 0x2c8118e55eda71b8}},
+		{"New(1).Split()", New(1).Split(), [3]uint64{0xbfd41ab5e12b49b0, 0xb227d44f4f12f69b, 0x785e23bbf81ac23d}},
+	} {
+		for i, w := range c.want {
+			if g := c.s.Uint64(); g != w {
+				t.Errorf("%s: Uint64 #%d = %#x, want %#x", c.name, i, g, w)
+			}
+		}
+	}
+	s := New(1).Keyed(7)
+	got := fmt.Sprintf("%v %v %v %d %v", s.Float64(), s.ExpFloat64(), s.NormFloat64(), s.IntN(1000), s.Perm(5))
+	if want := "0.08345355120784304 3.7857647725560675 1.5733535894703419 299 [1 0 3 2 4]"; got != want {
+		t.Errorf("New(1).Keyed(7) samplers = %q, want %q", got, want)
+	}
+}
+
+func TestHashStringMatchesFNV(t *testing.T) {
+	for _, s := range []string{"", "a", "exec", "run-0042", "s2", "héllo\x00wörld", strings.Repeat("xyz", 100)} {
+		h := fnv.New64a()
+		h.Write([]byte(s))
+		if got, want := HashString(s), h.Sum64(); got != want {
+			t.Errorf("HashString(%q) = %#x, fnv.New64a gives %#x", s, got, want)
+		}
+	}
+}
+
+// TestDeriveAllocs: a derived stream is one heap object however long
+// its key chain, and hashing a key allocates nothing.
+func TestDeriveAllocs(t *testing.T) {
+	var sink *Stream
+	if n := testing.AllocsPerRun(100, func() { sink = Derive(1, 2, 3, 4, 5, 6, 7) }); n != 1 {
+		t.Errorf("Derive with 6 keys: %v allocs, want 1", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { sink = New(1) }); n != 1 {
+		t.Errorf("New: %v allocs, want 1", n)
+	}
+	_ = sink
+	var h uint64
+	if n := testing.AllocsPerRun(100, func() { h += HashString("run-0042") }); n != 0 {
+		t.Errorf("HashString: %v allocs, want 0", n)
 	}
 }

@@ -37,7 +37,9 @@ func seal(payload []byte) []byte {
 
 // open verifies a sealed frame and returns its payload. Every failure
 // mode wraps ErrCorrupt: the caller's contract is "good payload or
-// ErrCorrupt", nothing finer.
+// ErrCorrupt", nothing finer. The payload is a sub-slice of sealed, not
+// a copy: Load hands the caller a buffer it owns (see Store), so the
+// frame is the caller's to keep.
 func open(sealed []byte) ([]byte, error) {
 	if len(sealed) < frameOverhead {
 		return nil, fmt.Errorf("%w: frame truncated to %d bytes", ErrCorrupt, len(sealed))
@@ -60,9 +62,7 @@ func open(sealed []byte) ([]byte, error) {
 	if crc32.ChecksumIEEE(body) != sum {
 		return nil, fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
 	}
-	out := make([]byte, n)
-	copy(out, sealed[p:])
-	return out, nil
+	return sealed[p : p+int(n) : p+int(n)], nil
 }
 
 // checked layers the codec over an inner store.

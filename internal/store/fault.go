@@ -3,7 +3,6 @@ package store
 import (
 	"errors"
 	"fmt"
-	"hash/fnv"
 
 	"repro/internal/rng"
 )
@@ -136,13 +135,6 @@ func (f *FaultStore) Stats() FaultStats {
 // Unwrap exposes the inner store for capability discovery.
 func (f *FaultStore) Unwrap() Store { return f.inner }
 
-// hashRun folds a run ID into key material for logical streams.
-func hashRun(run string) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(run))
-	return h.Sum64()
-}
-
 // opStream returns the keyed stream for an operation, advancing the
 // relevant counter (lifetime index or per-operation attempt count), and
 // draws and books the operation's injected latency. Draw order within
@@ -157,9 +149,9 @@ func (f *FaultStore) opStream(kind uint64, run string, seq uint64) *rng.Stream {
 	if f.plan.LogicalKeys {
 		k := faultOpKey{kind: kind, run: run, seq: seq}
 		f.attempts[k]++
-		s = rng.New(f.plan.Seed).Keyed(kind).Keyed(hashRun(run)).Keyed(seq).Keyed(f.attempts[k])
+		s = rng.Derive(f.plan.Seed, kind, rng.HashString(run), seq, f.attempts[k])
 	} else {
-		s = rng.New(f.plan.Seed).Keyed(f.ops)
+		s = rng.Derive(f.plan.Seed, f.ops)
 	}
 	var lat float64
 	if f.plan.MeanLatency > 0 {

@@ -2,8 +2,10 @@ package store
 
 import (
 	"bytes"
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -168,13 +170,27 @@ func quorumErr(op, run string, seq uint64, got, need int, failures []error) erro
 	return fmt.Errorf("store: %s %s/%d: %d/%d replicas: %w: %w", op, run, seq, got, need, ErrQuorum, rep)
 }
 
-// kthSmallest returns the k-th smallest value (1-based) of xs by
-// sorting a copy: O(n log n) on quorum-sized inputs, duplicate values
-// occupy adjacent ranks, and xs is never mutated.
+// kthSmallest returns the k-th smallest value (1-based) of xs, with
+// duplicate values occupying adjacent ranks, as if xs were sorted. It
+// neither copies nor mutates xs: x is the answer when fewer than k
+// values lie below it and at least k lie at or below it. Quadratic, so
+// meant for quorum-sized inputs.
 func kthSmallest(xs []float64, k int) float64 {
-	ys := append([]float64(nil), xs...)
-	sort.Float64s(ys)
-	return ys[k-1]
+	for _, x := range xs {
+		below, atMost := 0, 0
+		for _, y := range xs {
+			if y < x {
+				below++
+			}
+			if y <= x {
+				atMost++
+			}
+		}
+		if below < k && k <= atMost {
+			return x
+		}
+	}
+	panic(fmt.Sprintf("store: kthSmallest(%d) of %d values", k, len(xs)))
 }
 
 func maxOf(xs []float64) float64 {
@@ -187,25 +203,34 @@ func maxOf(xs []float64) float64 {
 	return m
 }
 
+// scratchReplicas is the replica count up to which Save and Load keep
+// their per-replica bookkeeping in fixed-size arrays on the stack;
+// larger quorums spill onto the heap through append.
+const scratchReplicas = 8
+
 // Save fans the write out to every replica and succeeds once W
 // acknowledge. Charged latency is the W-th fastest acknowledgment;
 // a failed save charges the slowest terminal event.
 func (q *QuorumStore) Save(run string, seq uint64, payload []byte) error {
-	n := len(q.replicas)
-	lats := make([]float64, n)
-	errs := make([]error, n)
-	var acks []float64
-	for i := 0; i < n; i++ {
-		lats[i], errs[i] = q.replicaOp(i, run, func(s Store) error { return s.Save(run, seq, payload) })
-		if errs[i] == nil {
-			acks = append(acks, lats[i])
+	var ackBuf [scratchReplicas]float64
+	var errBuf [scratchReplicas]error
+	acks, errs := ackBuf[:0], errBuf[:0]
+	slowest := 0.0
+	for i := range q.replicas {
+		lat, err := q.replicaOp(i, run, func(s Store) error { return s.Save(run, seq, payload) })
+		errs = append(errs, err)
+		if lat > slowest {
+			slowest = lat
+		}
+		if err == nil {
+			acks = append(acks, lat)
 		}
 	}
 	if len(acks) >= q.w {
 		q.record(run, kthSmallest(acks, q.w))
 		return nil
 	}
-	q.record(run, maxOf(lats))
+	q.record(run, slowest)
 	q.mu.Lock()
 	q.stats.QuorumFailures++
 	q.mu.Unlock()
@@ -235,7 +260,9 @@ type reply struct {
 // definitively does not exist at this quorum: ErrNotFound.
 func (q *QuorumStore) Load(run string, seq uint64) ([]byte, error) {
 	n := len(q.replicas)
-	contact := func(i int, offset float64) reply {
+	var respBuf, failBuf [scratchReplicas]reply
+	responses, failures := respBuf[:0], failBuf[:0]
+	contact := func(i int, offset float64) {
 		var payload []byte
 		lat, err := q.replicaOp(i, run, func(s Store) error {
 			var ierr error
@@ -248,22 +275,16 @@ func (q *QuorumStore) Load(run string, seq uint64) ([]byte, error) {
 			rp.payload = payload
 		case permanentErr(err):
 			rp.negative = true
+		default:
+			failures = append(failures, rp)
+			return
 		}
-		return rp
+		responses = append(responses, rp)
 	}
 
-	first := q.r
-	if first > n {
-		first = n
-	}
-	var responses, failures []reply
+	first := min(q.r, n)
 	for i := 0; i < first; i++ {
-		rp := contact(i, 0)
-		if rp.err == nil || rp.negative {
-			responses = append(responses, rp)
-		} else {
-			failures = append(failures, rp)
-		}
+		contact(i, 0)
 	}
 
 	// Hedge: contact the spares when the first wave cannot assemble R
@@ -271,50 +292,33 @@ func (q *QuorumStore) Load(run string, seq uint64) ([]byte, error) {
 	if len(responses) < q.r && first < n {
 		start := q.hedge
 		if start <= 0 {
-			var terminals []float64
-			for _, rp := range responses {
-				terminals = append(terminals, rp.at)
-			}
-			for _, rp := range failures {
-				terminals = append(terminals, rp.at)
-			}
-			start = maxOf(terminals)
+			start = lastArrival(responses, failures)
 		}
 		q.mu.Lock()
 		q.stats.Hedged++
 		q.mu.Unlock()
 		for i := first; i < n; i++ {
-			rp := contact(i, start)
-			if rp.err == nil || rp.negative {
-				responses = append(responses, rp)
-			} else {
-				failures = append(failures, rp)
-			}
+			contact(i, start)
 		}
 	}
 
 	// Completion order: by virtual arrival time, ties on replica index.
-	sort.SliceStable(responses, func(a, b int) bool {
-		if responses[a].at != responses[b].at {
-			return responses[a].at < responses[b].at
+	slices.SortStableFunc(responses, func(a, b reply) int {
+		if c := cmp.Compare(a.at, b.at); c != 0 {
+			return c
 		}
-		return responses[a].idx < responses[b].idx
+		return cmp.Compare(a.idx, b.idx)
 	})
 
 	if len(responses) < q.r {
-		var terminals []float64
-		errs := make([]error, 0, len(failures))
-		for _, rp := range responses {
-			terminals = append(terminals, rp.at)
-		}
-		for _, rp := range failures {
-			terminals = append(terminals, rp.at)
-			errs = append(errs, rp.err)
-		}
-		q.record(run, maxOf(terminals))
+		q.record(run, lastArrival(responses, failures))
 		q.mu.Lock()
 		q.stats.QuorumFailures++
 		q.mu.Unlock()
+		errs := make([]error, 0, len(failures))
+		for _, rp := range failures {
+			errs = append(errs, rp.err)
+		}
 		return nil, quorumErr("load", run, seq, len(responses), q.r, errs)
 	}
 
@@ -348,13 +352,14 @@ func (q *QuorumStore) Load(run string, seq uint64) ([]byte, error) {
 	// or with payload bytes that diverge from the chosen one — gets the
 	// good payload re-written. Repair failures are ignored — the next
 	// read (or an anti-entropy pass) retries.
-	var stale []int
+	var staleBuf [scratchReplicas]int
+	stale := staleBuf[:0]
 	for _, rp := range responses {
 		if rp.negative || (rp.err == nil && !bytes.Equal(rp.payload, payload)) {
 			stale = append(stale, rp.idx)
 		}
 	}
-	sort.Ints(stale)
+	slices.Sort(stale)
 	for _, i := range stale {
 		if _, err := q.replicaOp(i, run, func(s Store) error { return s.Save(run, seq, payload) }); err == nil {
 			q.mu.Lock()
@@ -363,6 +368,19 @@ func (q *QuorumStore) Load(run string, seq uint64) ([]byte, error) {
 		}
 	}
 	return payload, nil
+}
+
+// lastArrival returns the slowest terminal event among the replies.
+func lastArrival(responses, failures []reply) float64 {
+	m := 0.0
+	for _, rps := range [2][]reply{responses, failures} {
+		for _, rp := range rps {
+			if rp.at > m {
+				m = rp.at
+			}
+		}
+	}
+	return m
 }
 
 // List contacts every replica and merges the sequence sets of all

@@ -3,7 +3,9 @@ package store
 import (
 	"errors"
 	"fmt"
+	"math/rand/v2"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -63,6 +65,21 @@ func TestKthSmallest(t *testing.T) {
 	_ = kthSmallest(xs, 2)
 	if !reflect.DeepEqual(xs, []float64{9, 7, 8}) {
 		t.Fatalf("kthSmallest mutated its input: %v", xs)
+	}
+	// Every rank of random quorum-sized inputs with ties matches the
+	// sorted order.
+	r := rand.New(rand.NewPCG(1, 2))
+	for trial := 0; trial < 2000; trial++ {
+		xs := make([]float64, 1+r.IntN(9))
+		for i := range xs {
+			xs[i] = float64(r.IntN(5)) / 4
+		}
+		sorted := slices.Sorted(slices.Values(xs))
+		for k := 1; k <= len(xs); k++ {
+			if got, want := kthSmallest(xs, k), sorted[k-1]; got != want {
+				t.Fatalf("kthSmallest(%v, %d) = %g, sorted rank gives %g", xs, k, got, want)
+			}
+		}
 	}
 }
 

@@ -38,10 +38,18 @@ var ErrCorrupt = errors.New("store: corrupt checkpoint")
 // same sequence, and the latest write wins. Implementations must be safe
 // for concurrent use by multiple goroutines operating on distinct runs;
 // a single run is always driven by one executor at a time.
+//
+// Buffer ownership: Save neither modifies payload nor keeps a reference
+// to it after returning, and every Load returns a buffer the caller
+// owns, one that no other Load result and nothing inside the store
+// shares. Decorators
+// may therefore hand an inner store's Load result, or a sub-slice of
+// it, straight to their caller without copying.
 type Store interface {
 	// Save persists payload as checkpoint seq of run.
 	Save(run string, seq uint64, payload []byte) error
-	// Load returns checkpoint seq of run, or ErrNotFound.
+	// Load returns checkpoint seq of run, or ErrNotFound. The returned
+	// buffer belongs to the caller.
 	Load(run string, seq uint64) ([]byte, error)
 	// List returns the sequence numbers persisted for run, ascending.
 	// A run with no checkpoints yields an empty list and no error.

@@ -90,6 +90,47 @@ func TestStoreContract(t *testing.T) {
 	}
 }
 
+// TestLoadReturnsOwnedBuffer pins the buffer-ownership rule of the
+// Store contract on every implementation and on composed stacks: Save
+// keeps no reference to its payload, and a Load result shares no
+// memory with the store or with another Load, so callers may scribble
+// on either without changing what the store holds.
+func TestLoadReturnsOwnedBuffer(t *testing.T) {
+	stacks := stores(t)
+	plan := store.FaultPlan{Seed: 3, MeanLatency: 0.1, LogicalKeys: true}
+	stacks["checked(fault(mem))"] = store.Checked(store.NewFaultStore(store.NewMemStore(), plan))
+	netCfg := netsim.Config{Seed: 4, Latency: 0.1}
+	stacks["checked(remote(mem))"] = store.Checked(store.NewRemoteStore(store.NewMemStore(), netsim.New(netCfg), netCfg, store.RemoteConfig{}))
+	replicas := make([]store.Store, 3)
+	for i := range replicas {
+		replicas[i] = store.Checked(store.NewFaultStore(store.NewMemStore(), plan))
+	}
+	q, err := store.NewQuorumStore(replicas, store.QuorumConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stacks["quorum(checked(fault(mem)))"] = q
+	for name, s := range stacks {
+		t.Run(name, func(t *testing.T) {
+			payload := []byte("payload")
+			if err := s.Save("run", 1, payload); err != nil {
+				t.Fatal(err)
+			}
+			copy(payload, "XXXXXXX")
+			first, err := s.Load("run", 1)
+			if err != nil || string(first) != "payload" {
+				t.Fatalf("Load after the caller reused its Save buffer = %q, %v", first, err)
+			}
+			copy(first, "YYYYYYY")
+			_ = append(first, "ZZZZZZZZ"...) // spare capacity is the caller's too
+			second, err := s.Load("run", 1)
+			if err != nil || string(second) != "payload" {
+				t.Fatalf("Load after the caller wrote into an earlier result = %q, %v", second, err)
+			}
+		})
+	}
+}
+
 func TestCheckedDetectsCorruption(t *testing.T) {
 	mem := store.NewMemStore()
 	s := store.Checked(mem)
