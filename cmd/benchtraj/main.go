@@ -564,6 +564,19 @@ func measureSim(procSizes []int) (*Report, error) {
 		}
 		record(fmt.Sprintf("superposed_campaign_heap/p=%d", p), p, benchProcess(heap))
 	}
+	// The heap on E14's Weibull law, whose per-clock transform (a Pow) is
+	// what the lazy clocks defer: fixed sizes, independent of -simprocs.
+	for _, p := range []int{1000, 65536} {
+		weib, err := expt.E14WeibullLaw(platformMTBF * float64(p))
+		if err != nil {
+			return nil, err
+		}
+		heap, err := failure.NewSuperposedProcess(weib, p, failure.RejuvenateFailedOnly, rng.New(7))
+		if err != nil {
+			return nil, err
+		}
+		record(fmt.Sprintf("superposed_campaign_heap/law=weibull,p=%d", p), p, benchProcess(heap))
+	}
 
 	// CRN vs independent comparator campaigns: one op = comparing two
 	// placements over 200 replications on a 1000-processor Weibull

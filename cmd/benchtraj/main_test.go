@@ -58,10 +58,10 @@ func TestBenchtrajWritesReport(t *testing.T) {
 	if err := json.Unmarshal(simData, &simRep); err != nil {
 		t.Fatalf("sim output is not valid JSON: %v", err)
 	}
-	// Scan+heap × two platform sizes + CRN/independent + three sharded
-	// splits + adaptive on/off + sort/P².
-	if len(simRep.Results) != 13 {
-		t.Fatalf("got %d sim results, want 13: %+v", len(simRep.Results), simRep.Results)
+	// Scan+heap × two platform sizes + two Weibull heap sizes +
+	// CRN/independent + three sharded splits + adaptive on/off + sort/P².
+	if len(simRep.Results) != 15 {
+		t.Fatalf("got %d sim results, want 15: %+v", len(simRep.Results), simRep.Results)
 	}
 	simByName := map[string]Measurement{}
 	for _, m := range simRep.Results {
@@ -72,6 +72,7 @@ func TestBenchtrajWritesReport(t *testing.T) {
 	}
 	for _, name := range []string{
 		"superposed_campaign_scan/p=64", "superposed_campaign_heap/p=64",
+		"superposed_campaign_heap/law=weibull,p=1000", "superposed_campaign_heap/law=weibull,p=65536",
 		"campaign_crn/s=2", "campaign_independent/s=2",
 		"campaign_sharded/shards=1", "campaign_sharded/shards=4", "campaign_sharded/shards=16",
 		"campaign_adaptive/mode=off", "campaign_adaptive/mode=on",
@@ -83,7 +84,10 @@ func TestBenchtrajWritesReport(t *testing.T) {
 	}
 	// The superposed campaign loops reuse one process: 0 allocs/op, like
 	// the steady-state loop.
-	for _, name := range []string{"superposed_campaign_scan/p=64", "superposed_campaign_heap/p=64"} {
+	for _, name := range []string{
+		"superposed_campaign_scan/p=64", "superposed_campaign_heap/p=64",
+		"superposed_campaign_heap/law=weibull,p=1000", "superposed_campaign_heap/law=weibull,p=65536",
+	} {
 		if m := simByName[name]; m.AllocsPerOp != 0 {
 			t.Errorf("%s allocates %d/op, want 0", name, m.AllocsPerOp)
 		}

@@ -54,7 +54,13 @@ func NewExponential(lambda float64) (Exponential, error) {
 }
 
 // Sample draws an Exp(λ) variate.
-func (e Exponential) Sample(r *rng.Stream) float64 { return r.ExpFloat64() / e.Lambda }
+func (e Exponential) Sample(r *rng.Stream) float64 { return e.transform(e.base(r)) }
+
+func (Exponential) base(r *rng.Stream) float64 { return r.ExpFloat64() }
+
+func (e Exponential) transform(b float64) float64 { return b / e.Lambda }
+
+func (e Exponential) monotone() bool { return e.Lambda > 0 }
 
 // CDF returns 1 − e^{−λx}.
 func (e Exponential) CDF(x float64) float64 {
@@ -98,9 +104,13 @@ func NewWeibull(shape, scale float64) (Weibull, error) {
 }
 
 // Sample draws by inversion: η·(−ln U)^{1/k}.
-func (w Weibull) Sample(r *rng.Stream) float64 {
-	return w.Scale * math.Pow(r.ExpFloat64(), 1/w.Shape)
-}
+func (w Weibull) Sample(r *rng.Stream) float64 { return w.transform(w.base(r)) }
+
+func (Weibull) base(r *rng.Stream) float64 { return r.ExpFloat64() }
+
+func (w Weibull) transform(b float64) float64 { return w.Scale * math.Pow(b, 1/w.Shape) }
+
+func (w Weibull) monotone() bool { return w.Shape > 0 && w.Scale > 0 }
 
 // CDF returns 1 − exp(−(x/η)^k).
 func (w Weibull) CDF(x float64) float64 {
@@ -152,9 +162,13 @@ func NewLogNormal(mu, sigma float64) (LogNormal, error) {
 }
 
 // Sample draws exp(μ + σZ).
-func (l LogNormal) Sample(r *rng.Stream) float64 {
-	return math.Exp(l.Mu + l.Sigma*r.NormFloat64())
-}
+func (l LogNormal) Sample(r *rng.Stream) float64 { return l.transform(l.base(r)) }
+
+func (LogNormal) base(r *rng.Stream) float64 { return r.NormFloat64() }
+
+func (l LogNormal) transform(b float64) float64 { return math.Exp(l.Mu + l.Sigma*b) }
+
+func (l LogNormal) monotone() bool { return l.Sigma >= 0 }
 
 // CDF returns Φ((ln x − μ)/σ).
 func (l LogNormal) CDF(x float64) float64 {
@@ -249,6 +263,38 @@ var (
 	_ Survivaler   = Uniform{}
 	_ Survivaler   = Deterministic{}
 )
+
+// splitLaw is a law whose Sample(r) is transform(base(r)): base makes
+// every stream draw and is cheap, transform is the deterministic
+// remainder (the transcendental part). SuperposedProcess draws bases
+// eagerly, in processor-index order, and transforms only the clocks a
+// simulation reads; it relies on transform being non-decreasing, which
+// monotone reports for the law's parameters (fields can be set without
+// the validating constructors).
+type splitLaw interface {
+	base(r *rng.Stream) float64
+	transform(b float64) float64
+	monotone() bool
+}
+
+// identitySplit is the split of every other law: base is the whole Sample
+// and transform is the identity.
+type identitySplit struct{ Distribution }
+
+func (d identitySplit) base(r *rng.Stream) float64 { return d.Sample(r) }
+
+func (identitySplit) transform(b float64) float64 { return b }
+
+func (identitySplit) monotone() bool { return true }
+
+// splitOf returns dist's own split when its transform is non-decreasing,
+// else the identity split.
+func splitOf(dist Distribution) splitLaw {
+	if s, ok := dist.(splitLaw); ok && s.monotone() {
+		return s
+	}
+	return identitySplit{dist}
+}
 
 // ErrEmptySample is returned by fitters invoked on empty data.
 var ErrEmptySample = errors.New("failure: empty sample")
