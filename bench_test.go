@@ -12,21 +12,19 @@ package repro_test
 // budget and prints the tables recorded in EXPERIMENTS.md. The
 // BenchmarkSuite* and BenchmarkE11WeibullWorkers* benchmarks measure the
 // engine itself: serial vs worker-pool execution of the same scenarios
-// (see EXPERIMENTS.md for the recorded comparison).
+// (see EXPERIMENTS.md for the recorded comparison). Micro-benchmarks
+// of the solvers, the simulation loop and the runtime are the rows of
+// cmd/benchtraj's table:
+//
+//	go test -run '^$' -bench 'Trajectory/' ./cmd/benchtraj
 
 import (
 	"io"
 	"testing"
 
-	"repro/internal/core"
-	"repro/internal/dag"
-	"repro/internal/expectation"
 	"repro/internal/expt"
 	"repro/internal/expt/engine"
 	"repro/internal/expt/render"
-	"repro/internal/failure"
-	"repro/internal/rng"
-	"repro/internal/sim"
 )
 
 func runExperiment(b *testing.B, id string) {
@@ -109,274 +107,3 @@ func benchE11Workers(b *testing.B, workers int) {
 
 func BenchmarkE11WeibullWorkers1(b *testing.B) { benchE11Workers(b, 1) }
 func BenchmarkE11WeibullWorkers4(b *testing.B) { benchE11Workers(b, 4) }
-
-// Micro-benchmarks of the core algorithms themselves, independent of the
-// experiment harness: these measure the library's hot paths.
-
-func benchChain(b *testing.B, n int) {
-	b.Helper()
-	g, err := dag.Chain(n, dag.DefaultWeights(), rng.New(1))
-	if err != nil {
-		b.Fatal(err)
-	}
-	m, err := expectation.NewModel(0.01, 0.5)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cp, _, err := core.NewChainProblem(g, m, 0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := core.SolveChainDP(cp); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkChainDP* measures the dispatching portfolio, which takes
-// the monotone-matrix arm on this certified workload; the pinned
-// kernel-arm and dense benchmarks below isolate the other arms.
-func BenchmarkChainDP64(b *testing.B)   { benchChain(b, 64) }
-func BenchmarkChainDP256(b *testing.B)  { benchChain(b, 256) }
-func BenchmarkChainDP1024(b *testing.B) { benchChain(b, 1024) }
-func BenchmarkChainDP4096(b *testing.B) { benchChain(b, 4096) }
-
-// Pinned kernel arm: comparing against BenchmarkChainDP* at the same
-// size measures the monotone arm's win over the pruned scan;
-// experiment E16 records the same comparison as a table.
-func benchChainKernel(b *testing.B, n int) {
-	b.Helper()
-	g, err := dag.Chain(n, dag.DefaultWeights(), rng.New(1))
-	if err != nil {
-		b.Fatal(err)
-	}
-	m, err := expectation.NewModel(0.01, 0.5)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cp, _, err := core.NewChainProblem(g, m, 0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := core.SolveChainDPKernel(cp); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkChainDPKernel1024(b *testing.B) { benchChainKernel(b, 1024) }
-func BenchmarkChainDPKernel4096(b *testing.B) { benchChainKernel(b, 4096) }
-
-// Kernel-off ablation: the dense Algorithm 1 scan (one exp + one expm1
-// per transition, all n(n+1)/2 transitions). Comparing against
-// BenchmarkChainDPKernel* at the same size measures the segment-kernel
-// + exact-pruning speedup; experiment E13 records the same comparison
-// as a table.
-func benchChainDense(b *testing.B, n int) {
-	b.Helper()
-	g, err := dag.Chain(n, dag.DefaultWeights(), rng.New(1))
-	if err != nil {
-		b.Fatal(err)
-	}
-	m, err := expectation.NewModel(0.01, 0.5)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cp, _, err := core.NewChainProblem(g, m, 0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := core.SolveChainDPDense(cp); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkChainDPDense1024(b *testing.B) { benchChainDense(b, 1024) }
-func BenchmarkChainDPDense4096(b *testing.B) { benchChainDense(b, 4096) }
-
-// Exact DAG solver: the downset-lattice DP vs factorial order
-// enumeration on the same in-tree (13 tasks, 34,650 linearizations) —
-// the microbenchmark behind experiment E15 and BENCH_dag.json.
-func benchDAGExact(b *testing.B, lattice bool) {
-	b.Helper()
-	g, err := dag.IntreeFromChains(3, 4, dag.DefaultWeights(), rng.New(21))
-	if err != nil {
-		b.Fatal(err)
-	}
-	m, err := expectation.NewModel(0.02, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if lattice {
-			_, err = core.SolveDAGLattice(g, m, core.LastTaskCosts{}, core.Options{Workers: 1})
-		} else {
-			_, err = core.SolveDAGExhaustive(g, m, core.LastTaskCosts{}, 0)
-		}
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkDAGLattice13(b *testing.B)   { benchDAGExact(b, true) }
-func BenchmarkDAGFactorial13(b *testing.B) { benchDAGExact(b, false) }
-
-// BenchmarkSimRunSteadyState measures one simulated execution in the
-// regime MonteCarlo's worker loop runs in — a reused resettable process
-// and a caller-owned segments slice. The acceptance bar is 0 allocs/op
-// (pinned by TestRunSteadyStateAllocs in internal/sim).
-func BenchmarkSimRunSteadyState(b *testing.B) {
-	g, err := dag.Chain(64, dag.DefaultWeights(), rng.New(5))
-	if err != nil {
-		b.Fatal(err)
-	}
-	m, err := expectation.NewModel(0.05, 0.5)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cp, _, err := core.NewChainProblem(g, m, 0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	res, err := core.SolveChainDP(cp)
-	if err != nil {
-		b.Fatal(err)
-	}
-	segs, err := cp.Segments(res.CheckpointAfter)
-	if err != nil {
-		b.Fatal(err)
-	}
-	proc := failure.NewExponentialProcess(0.05, rng.New(6))
-	opts := sim.Options{Downtime: 0.5}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		proc.Reset()
-		if _, err := sim.Run(segs, proc, opts); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkExpectedTime(b *testing.B) {
-	m, err := expectation.NewModel(0.01, 0.5)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var sink float64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sink += m.ExpectedTime(10, 1, 1)
-	}
-	_ = sink
-}
-
-func BenchmarkIndependentExact12(b *testing.B) {
-	r := rng.New(3)
-	weights := make([]float64, 12)
-	for i := range weights {
-		weights[i] = r.Range(1, 10)
-	}
-	m, err := expectation.NewModel(0.02, 0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	ip := &core.IndependentProblem{Weights: weights, Checkpoint: 0.5, Recovery: 0.5, Model: m}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := core.SolveIndependentExact(ip); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// Ablation: the Monge-pruned homogeneous solver vs the general O(n²) DP
-// on the same constant-cost instances — the speedup the paper's general
-// cost model gives up.
-
-func benchHomogeneous(b *testing.B, n int, pruned bool) {
-	b.Helper()
-	r := rng.New(2)
-	m, err := expectation.NewModel(0.02, 0.5)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cp := &core.ChainProblem{
-		Weights:         make([]float64, n),
-		Ckpt:            make([]float64, n),
-		Rec:             make([]float64, n),
-		InitialRecovery: 0.3,
-		Model:           m,
-	}
-	for i := 0; i < n; i++ {
-		cp.Weights[i] = r.Range(0.5, 8)
-		cp.Ckpt[i] = 0.3
-		cp.Rec[i] = 0.3
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var err error
-		if pruned {
-			_, err = core.SolveChainDPHomogeneous(cp)
-		} else {
-			_, err = core.SolveChainDP(cp)
-		}
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkHomogeneousGeneral1024(b *testing.B) { benchHomogeneous(b, 1024, false) }
-func BenchmarkHomogeneousPruned1024(b *testing.B)  { benchHomogeneous(b, 1024, true) }
-func BenchmarkHomogeneousGeneral4096(b *testing.B) { benchHomogeneous(b, 4096, false) }
-func BenchmarkHomogeneousPruned4096(b *testing.B)  { benchHomogeneous(b, 4096, true) }
-
-func BenchmarkBoundedDP256Budget8(b *testing.B) {
-	g, err := dag.Chain(256, dag.DefaultWeights(), rng.New(3))
-	if err != nil {
-		b.Fatal(err)
-	}
-	m, err := expectation.NewModel(0.01, 0.5)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cp, _, err := core.NewChainProblem(g, m, 0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := core.SolveChainDPBounded(cp, 8); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkIndependentLPT100(b *testing.B) {
-	r := rng.New(4)
-	weights := make([]float64, 100)
-	for i := range weights {
-		weights[i] = r.Range(1, 10)
-	}
-	m, err := expectation.NewModel(0.02, 0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	ip := &core.IndependentProblem{Weights: weights, Checkpoint: 0.5, Recovery: 0.5, Model: m}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := core.SolveIndependentLPT(ip); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

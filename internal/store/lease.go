@@ -319,6 +319,11 @@ func (l *LeaseStore) Acquire(run string) (LeaseState, error) {
 	if isLeaseRun(run) {
 		return LeaseState{}, fmt.Errorf("store: acquire %s: lease runs cannot themselves be leased", run)
 	}
+	// The record's holder length is a u16: a longer holder would persist
+	// a record no decoder accepts, wedging every later Acquire of run.
+	if h := l.cfg.holder(); len(h) > math.MaxUint16 {
+		return LeaseState{}, fmt.Errorf("store: acquire %s: holder is %d bytes, the lease record holds at most %d", run, len(h), math.MaxUint16)
+	}
 	l.mu.Lock()
 	if s := l.sessions[run]; s != nil {
 		held := LeaseState{Epoch: s.epoch, Holder: l.cfg.holder(), Expiry: s.expiry}

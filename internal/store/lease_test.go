@@ -2,6 +2,8 @@ package store
 
 import (
 	"errors"
+	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/netsim"
@@ -196,6 +198,23 @@ func TestLeaseMalformedRecordDoesNotResetEpoch(t *testing.T) {
 	}
 	if _, err := l.Acquire("r"); err == nil || errors.Is(err, ErrNotFound) {
 		t.Fatalf("Acquire over malformed record = %v, want a loud decode failure", err)
+	}
+}
+
+// TestLeaseRejectsOversizedHolder pins that a holder too long for the
+// record's u16 length field is refused before anything is written, so
+// it cannot leave a malformed record that wedges later acquirers.
+func TestLeaseRejectsOversizedHolder(t *testing.T) {
+	l, mem, _ := leaseOverMem(LeaseConfig{Holder: strings.Repeat("h", math.MaxUint16+1), TTL: 10})
+	if _, err := l.Acquire("r"); err == nil {
+		t.Fatal("Acquire with an oversized holder succeeded")
+	}
+	if seqs, _ := mem.List(LeaseRun("r")); len(seqs) != 0 {
+		t.Fatalf("oversized holder left lease records %v", seqs)
+	}
+	next := NewLeaseStore(mem, LeaseConfig{TTL: 10})
+	if st, err := next.Acquire("r"); err != nil || st.Epoch != 1 || st.Holder != "exec" {
+		t.Fatalf("later Acquire = %+v, %v; want epoch 1 for holder exec", st, err)
 	}
 }
 
