@@ -344,16 +344,18 @@ func table() []row {
 	}{
 		{"mem", memStore},
 		{"file", fileStore},
-		{"quota", func(*testing.B) store.Store {
-			return store.NewQuotaStore(store.NewQuotaLedger(store.Quota{}, nil), store.Checked(store.NewMemStore()))
+		{"quota", func(b *testing.B) store.Store {
+			return fresh(b, store.Spec{Backends: make([]store.Store, 1), Quota: store.NewQuotaLedger(store.Quota{}, nil)})
 		}},
-		{"remote", func(*testing.B) store.Store {
-			return store.Checked(store.NewRemoteStore(store.NewMemStore(), netsim.New(netCfg), netCfg, store.RemoteConfig{Remote: "s0"}))
+		{"remote", func(b *testing.B) store.Store {
+			return fresh(b, store.Spec{Backends: make([]store.Store, 1), Net: &netCfg})
 		}},
-		{"quorum", func(b *testing.B) store.Store { return quorum(b, netsim.New(netCfg), netCfg, 0) }},
+		{"quorum", func(b *testing.B) store.Store {
+			return fresh(b, store.Spec{Backends: make([]store.Store, 3), Net: &netCfg})
+		}},
 		{"lease", func(b *testing.B) store.Store {
-			l := store.NewLeaseStore(store.Checked(store.NewMemStore()), store.LeaseConfig{Holder: "bench", TTL: 1e12})
-			_, err := l.Acquire("save")
+			l := fresh(b, store.Spec{Backends: make([]store.Store, 1), Lease: &store.LeaseConfig{Holder: "bench", TTL: 1e12}})
+			_, _, err := store.AcquireLease(l, "save")
 			check(b, err)
 			return l
 		}},
@@ -390,11 +392,13 @@ func table() []row {
 				rp = exec.ChainReplanner{CP: cp}
 			}
 			src := keyedSource()
+			spec := store.Spec{
+				Backends: make([]store.Store, 1),
+				Faults:   &store.FaultPlan{Seed: 23, WriteFail: 0.1, ReadFail: 0.05, MeanLatency: 0.5, LogicalKeys: true},
+			}
 			loop(b, func() error {
 				src.Reset()
-				st := store.Checked(store.NewFaultStore(store.NewMemStore(), store.FaultPlan{
-					Seed: 23, WriteFail: 0.1, ReadFail: 0.05, MeanLatency: 0.5, LogicalKeys: true,
-				}))
+				st := fresh(b, spec)
 				_, err := exec.Execute(w, src, exec.Options{
 					RunID: "bench", Store: st, Downtime: 0.5,
 					Adaptive: &exec.AdaptiveOptions{
@@ -415,14 +419,12 @@ func table() []row {
 	// convergence of the partitioned replica during the run.
 	for _, arm := range []struct {
 		name      string
+		replicas  int
 		syncEvery int
-		open      func(b *testing.B, net *netsim.Network, cfg netsim.Config) store.Store
 	}{
-		{"exec_partition/store=remote", 0, func(_ *testing.B, net *netsim.Network, cfg netsim.Config) store.Store {
-			return store.Checked(store.NewRemoteStore(store.NewMemStore(), net, cfg, store.RemoteConfig{Remote: "s0", Timeout: 0.25}))
-		}},
-		{"exec_partition/store=quorum", 0, partitionQuorum},
-		{"exec_sync/store=quorum sync-every=3", 3, partitionQuorum},
+		{"exec_partition/store=remote", 1, 0},
+		{"exec_partition/store=quorum", 3, 0},
+		{"exec_sync/store=quorum sync-every=3", 3, 3},
 	} {
 		add("exec", arm.name, 64, func(b *testing.B) {
 			_, w := execChain(b, 64)
@@ -432,10 +434,12 @@ func table() []row {
 			cfg := netsim.Config{Seed: 31, Latency: 0.01, Partitions: []netsim.Window{
 				{Start: 0.3 * bare.Makespan, End: 0.7 * bare.Makespan, Isolated: []string{"s0"}},
 			}}
+			spec := store.Spec{Backends: make([]store.Store, arm.replicas), Net: &cfg, Timeout: 0.25}
 			loop(b, func() error {
 				src.Reset()
+				st := fresh(b, spec)
 				_, err := exec.Execute(w, src, exec.Options{
-					RunID: "bench", Store: arm.open(b, netsim.New(cfg), cfg), Downtime: 0.5,
+					RunID: "bench", Store: st, Downtime: 0.5,
 					Adaptive: &exec.AdaptiveOptions{
 						Retry:      exec.ExpBackoff{Base: 0.1, Cap: 0.5, MaxAttempts: 3},
 						DownAfter:  2,
@@ -566,7 +570,9 @@ func keyedSource() *exec.KeyedSource {
 	return exec.NewKeyedSource(failure.Exponential{Lambda: 0.05}, 6, 1)
 }
 
-func memStore(*testing.B) store.Store { return store.Checked(store.NewMemStore()) }
+func memStore(b *testing.B) store.Store {
+	return fresh(b, store.Spec{Backends: make([]store.Store, 1)})
+}
 
 // fileStore opens a file store in a fresh fixed-pattern temp dir rather
 // than b.TempDir, whose path embeds the benchmark's name: path length
@@ -578,22 +584,19 @@ func fileStore(b *testing.B) store.Store {
 	b.Cleanup(func() { os.RemoveAll(dir) })
 	fs, err := store.NewFileStore(dir)
 	check(b, err)
-	return store.Checked(fs)
-}
-
-// quorum is a 3-replica write quorum (W = R = 2) of remote mem stores
-// s0, s1, s2 on one simulated network.
-func quorum(b *testing.B, net *netsim.Network, cfg netsim.Config, timeout float64) store.Store {
-	reps := make([]store.Store, 3)
-	for i := range reps {
-		reps[i] = store.Checked(store.NewRemoteStore(store.NewMemStore(), net, cfg,
-			store.RemoteConfig{Remote: fmt.Sprintf("s%d", i), Timeout: timeout}))
-	}
-	q, err := store.NewQuorumStore(reps, store.QuorumConfig{W: 2, R: 2})
+	st, err := store.Spec{Backends: []store.Store{fs}}.Build()
 	check(b, err)
-	return q
+	return st
 }
 
-func partitionQuorum(b *testing.B, net *netsim.Network, cfg netsim.Config) store.Store {
-	return quorum(b, net, cfg, 0.25)
+// fresh builds spec's stack over new mem stores written into its
+// Backends slice, so a timed loop reuses the slice: Build keeps no
+// reference to it, only to its elements.
+func fresh(b *testing.B, spec store.Spec) store.Store {
+	for i := range spec.Backends {
+		spec.Backends[i] = store.NewMemStore()
+	}
+	st, err := spec.Build()
+	check(b, err)
+	return st
 }

@@ -139,10 +139,11 @@ type config struct {
 }
 
 // networked reports whether any network flag routes the store through
-// the simulated network.
+// the simulated network. Any nonzero value counts, so store.Spec
+// rejects a negative or NaN one instead of ignoring it.
 func (c config) networked() bool {
-	return c.netLatency > 0 || c.netJitter > 0 || c.netLoss > 0 ||
-		c.partition != "" || c.replicas > 1
+	return c.netLatency != 0 || c.netJitter != 0 || c.netLoss != 0 ||
+		c.partition != "" || c.replicas > 1 || c.writeQuorum != 0
 }
 
 // adaptive reports whether any resilience flag asks for the adaptive
@@ -209,6 +210,9 @@ func main() {
 }
 
 func run(cfg config, out io.Writer) error {
+	if cfg.replicas < 1 {
+		return fmt.Errorf("-replicas %d: want at least 1", cfg.replicas)
+	}
 	if cfg.maintenance() {
 		return runMaintenance(cfg, out)
 	}
@@ -230,7 +234,7 @@ func run(cfg config, out io.Writer) error {
 		case cfg.adaptive():
 			return fmt.Errorf("resilience flags (-retry-policy, -replan-threshold, -quota, -tenants, -secondary-dir) require a persisted run: set -dir")
 		case cfg.networked():
-			return fmt.Errorf("network flags (-net-latency, -net-jitter, -net-loss, -partition, -replicas) require a persisted run: set -dir")
+			return fmt.Errorf("network flags (-net-latency, -net-jitter, -net-loss, -partition, -replicas, -write-quorum) require a persisted run: set -dir")
 		case cfg.tracePath != "":
 			return fmt.Errorf("-trace replays one recorded platform log through one run: set -dir")
 		case cfg.planFromTelemetry:
@@ -507,7 +511,7 @@ func parsePartitions(spec string) ([]netsim.Window, error) {
 		}
 		start, err1 := strconv.ParseFloat(lo, 64)
 		end, err2 := strconv.ParseFloat(hi, 64)
-		if err1 != nil || err2 != nil || start < 0 || end <= start {
+		if err1 != nil || err2 != nil || math.IsNaN(start) || math.IsNaN(end) || start < 0 || end <= start {
 			return nil, fmt.Errorf("bad partition window %q (want 0 <= start < end)", part)
 		}
 		wins = append(wins, netsim.Window{Start: start, End: end, Isolated: []string{"s0"}})
@@ -515,100 +519,52 @@ func parsePartitions(spec string) ([]netsim.Window, error) {
 	return wins, nil
 }
 
-// buildStore assembles the persisted store stack: file store, optional
-// fault injector, codec sealing, optional quota layer. The quota ledger
-// is passed in so concurrent tenants share one accounting.
-//
-// Network flags route every replica through one simulated network
-// (endpoint s<i>, directory <dir>/r<i> when replicated), with the codec
-// seal OUTSIDE the remote hop so torn and lost messages are detected,
-// not decoded; -replicas > 1 composes the sealed remotes under a write
-// quorum. The quota layer stays outermost — it meters what the tenant
-// retains, however it is replicated.
+// buildStore declares the persisted store stack as a store.Spec: one
+// file store per replica (directory <dir>/r<i> when replicated) plus
+// the layers the flags ask for. The quota ledger is passed in so
+// concurrent tenants share one accounting.
 func buildStore(cfg config, ledger *store.QuotaLedger) (store.Store, error) {
-	inner := func(dir string, salt uint64) (store.Store, error) {
+	spec := store.Spec{Timeout: cfg.netTimeout, W: cfg.writeQuorum, Quota: ledger}
+	for i := 0; i < cfg.replicas; i++ {
+		dir := cfg.dir
+		if cfg.replicas > 1 {
+			dir = filepath.Join(cfg.dir, fmt.Sprintf("r%d", i))
+		}
 		fs, err := store.NewFileStore(dir)
 		if err != nil {
 			return nil, err
 		}
-		var st store.Store = fs
-		if cfg.faults {
-			plan := store.FaultPlan{
-				Seed: cfg.faultSeed + salt, WriteFail: 0.1, TornWrite: 0.1, LoseOld: 0.2, ReadFail: 0.1,
-				MeanLatency: cfg.faultLatency,
-				// The adaptive executor's replay identity requires fault
-				// outcomes to be a pure function of the logical operation,
-				// not of the injector's lifetime op index.
-				LogicalKeys: cfg.adaptive() || cfg.networked(),
-			}
-			if ledger != nil {
-				// Silent old-checkpoint loss would desync the quota
-				// ledger's retained accounting from the store.
-				plan.LoseOld = 0
-			}
-			st = store.NewFaultStore(st, plan)
-		}
-		return st, nil
+		spec.Backends = append(spec.Backends, fs)
 	}
-
-	var st store.Store
-	if !cfg.networked() {
-		s, err := inner(cfg.dir, 0)
-		if err != nil {
-			return nil, err
+	if cfg.faults {
+		spec.Faults = &store.FaultPlan{
+			Seed: cfg.faultSeed, WriteFail: 0.1, TornWrite: 0.1, LoseOld: 0.2, ReadFail: 0.1,
+			MeanLatency: cfg.faultLatency,
+			// The adaptive executor's replay identity requires fault
+			// outcomes to be a pure function of the logical operation,
+			// not of the injector's lifetime op index.
+			LogicalKeys: cfg.adaptive() || cfg.networked(),
 		}
-		st = store.Checked(s)
-	} else {
+		if ledger != nil {
+			// Silent old-checkpoint loss would desync the quota
+			// ledger's retained accounting from the store.
+			spec.Faults.LoseOld = 0
+		}
+	}
+	if cfg.networked() {
 		wins, err := parsePartitions(cfg.partition)
 		if err != nil {
 			return nil, err
 		}
-		netCfg := netsim.Config{
+		spec.Net = &netsim.Config{
 			Seed: cfg.netSeed, Latency: cfg.netLatency, Jitter: cfg.netJitter,
 			Loss: cfg.netLoss, Partitions: wins,
 		}
-		net := netsim.New(netCfg)
-		n := cfg.replicas
-		if n < 1 {
-			n = 1
-		}
-		reps := make([]store.Store, n)
-		for i := range reps {
-			dir := cfg.dir
-			if n > 1 {
-				dir = filepath.Join(cfg.dir, fmt.Sprintf("r%d", i))
-			}
-			s, err := inner(dir, uint64(i))
-			if err != nil {
-				return nil, err
-			}
-			reps[i] = store.Checked(store.NewRemoteStore(s, net, netCfg, store.RemoteConfig{
-				Remote: fmt.Sprintf("s%d", i), Timeout: cfg.netTimeout,
-			}))
-		}
-		if n > 1 {
-			q, err := store.NewQuorumStore(reps, store.QuorumConfig{W: cfg.writeQuorum})
-			if err != nil {
-				return nil, err
-			}
-			st = q
-		} else {
-			st = reps[0]
-		}
 	}
 	if cfg.lease > 0 {
-		// Epoch-fenced leases ride INSIDE the quota wrapper: the lease
-		// record persists through the same codec/quorum machinery as the
-		// checkpoints it guards, but lease traffic is protocol overhead,
-		// not tenant data, so it stays off the quota ledger.
-		st = store.NewLeaseStore(st, store.LeaseConfig{
-			Holder: cfg.holder, TTL: cfg.lease, Takeover: cfg.takeover,
-		})
+		spec.Lease = &store.LeaseConfig{Holder: cfg.holder, TTL: cfg.lease, Takeover: cfg.takeover}
 	}
-	if ledger != nil {
-		st = store.NewQuotaStore(ledger, st)
-	}
-	return st, nil
+	return spec.Build()
 }
 
 // buildAdaptive assembles the AdaptiveOptions the resilience flags ask
@@ -630,7 +586,9 @@ func buildAdaptive(cfg config, replanner exec.Replanner) (*exec.AdaptiveOptions,
 		if err != nil {
 			return nil, nil, err
 		}
-		ao.Secondary = store.Checked(sfs)
+		if ao.Secondary, err = (store.Spec{Backends: []store.Store{sfs}}).Build(); err != nil {
+			return nil, nil, err
+		}
 	}
 	return ao, pol, nil
 }
@@ -799,11 +757,9 @@ func runMaintenance(cfg config, out io.Writer) error {
 	if err != nil {
 		return err
 	}
+	// Two or more replicas build a quorum, which scrubs and syncs.
 	if cfg.scrub {
-		sc, ok := store.FindScrubber(st)
-		if !ok {
-			return fmt.Errorf("store stack has no scrubber (need -replicas >= 2)")
-		}
+		sc, _ := store.FindScrubber(st)
 		rep, err := sc.ScrubRun(cfg.runID)
 		fmt.Fprintf(out, "scrub %s: %d seqs, %d replica copies checked, %d corrupt, %d repaired, %d unrepairable, %d repair writes failed\n",
 			cfg.runID, rep.Seqs, rep.Checked, rep.Corrupt, rep.Repaired, rep.Unrepairable, rep.CopyFailures)
@@ -812,10 +768,7 @@ func runMaintenance(cfg config, out io.Writer) error {
 		}
 	}
 	if cfg.syncMode {
-		sy, ok := store.FindSyncer(st)
-		if !ok {
-			return fmt.Errorf("store stack has no syncer (need -replicas >= 2)")
-		}
+		sy, _ := store.FindSyncer(st)
 		rep, err := sy.SyncRun(cfg.runID)
 		fmt.Fprintf(out, "sync %s: %d seqs, %d replica copies written, %d verified in sync, %d load failures, %d copy failures, %d replicas unlisted — converged %v\n",
 			cfg.runID, rep.Seqs, rep.Copied, rep.InSync, rep.LoadFailures, rep.CopyFailures, rep.Unlisted, rep.Converged())

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -45,7 +46,7 @@ func chainWorkflow(t *testing.T, dir string, n int) string {
 func baseConfig(wf string) config {
 	return config{
 		wfPath: wf, lambda: 0.05, downtime: 1, seed: 3,
-		runs: 500, strategy: "dp", costmodel: "last-task", runID: "run",
+		runs: 500, strategy: "dp", costmodel: "last-task", runID: "run", replicas: 1,
 	}
 }
 
@@ -450,6 +451,40 @@ func TestNetworkedFlagsRequireDir(t *testing.T) {
 	}
 }
 
+// TestStoreFlagValidation pins that out-of-range store flags fail the
+// persisted run instead of being ignored or clamped.
+func TestStoreFlagValidation(t *testing.T) {
+	wf := chainWorkflow(t, t.TempDir(), 8)
+	for name, set := range map[string]func(*config){
+		"negative latency":        func(c *config) { c.netLatency = -3 },
+		"NaN jitter":              func(c *config) { c.netJitter = math.NaN() },
+		"loss above 1":            func(c *config) { c.netLoss = 2 },
+		"negative timeout":        func(c *config) { c.netLatency, c.netTimeout = 0.5, -1 },
+		"zero replicas":           func(c *config) { c.replicas = 0 },
+		"negative fault latency":  func(c *config) { c.faults, c.faultLatency = true, -1 },
+		"write quorum, 1 replica": func(c *config) { c.writeQuorum = 5 },
+	} {
+		cfg := baseConfig(wf)
+		cfg.dir = t.TempDir()
+		set(&cfg)
+		if err := run(cfg, &bytes.Buffer{}); err == nil {
+			t.Errorf("%s accepted", name)
+		}
+	}
+	// Without -dir no store is built, so the flags are checked up front.
+	for name, set := range map[string]func(*config){
+		"zero replicas":           func(c *config) { c.replicas = 0 },
+		"negative replicas":       func(c *config) { c.replicas = -5 },
+		"write quorum, 1 replica": func(c *config) { c.writeQuorum = 5 },
+	} {
+		cfg := baseConfig(wf)
+		set(&cfg)
+		if err := run(cfg, &bytes.Buffer{}); err == nil {
+			t.Errorf("%s without -dir accepted", name)
+		}
+	}
+}
+
 // TestParsePartitions covers the window grammar.
 func TestParsePartitions(t *testing.T) {
 	wins, err := parsePartitions("10:25,40:50.5")
@@ -459,7 +494,7 @@ func TestParsePartitions(t *testing.T) {
 	if wins, err := parsePartitions(""); err != nil || wins != nil {
 		t.Errorf("empty spec: %+v, %v", wins, err)
 	}
-	for _, bad := range []string{"10", "10:5", "x:5", "10:y", "-1:5"} {
+	for _, bad := range []string{"10", "10:5", "x:5", "10:y", "-1:5", "1:NaN", "NaN:5"} {
 		if _, err := parsePartitions(bad); err == nil {
 			t.Errorf("parsePartitions(%q) accepted", bad)
 		}

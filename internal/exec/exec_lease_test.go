@@ -25,13 +25,21 @@ func TestExecuteFencesZombie(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// leased builds a fresh stack over the one shared mem store: each
+	// call is a new executor process.
 	mem := store.NewMemStore()
-	shared := func() store.Store { return store.Checked(mem) }
+	leased := func(lease store.LeaseConfig) store.Store {
+		st, err := store.Spec{Backends: []store.Store{mem}, Lease: &lease}.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
 
 	// Executor A acquires epoch 1 and crashes after two saves, leaving
 	// segments for B and (crucially) one more beyond B's kill point so
 	// the zombie still has a write to attempt.
-	a := store.NewLeaseStore(shared(), store.LeaseConfig{Holder: "a", TTL: 1e9})
+	a := leased(store.LeaseConfig{Holder: "a", TTL: 1e9})
 	resA, err := Execute(w, src(), Options{Store: a, Downtime: 1, CrashAfterSaves: 2})
 	if !errors.Is(err, ErrCrashed) {
 		t.Fatalf("A = %v, want ErrCrashed", err)
@@ -41,13 +49,13 @@ func TestExecuteFencesZombie(t *testing.T) {
 	}
 
 	// A polite B (no takeover) is blocked while A's lease is live.
-	polite := store.NewLeaseStore(shared(), store.LeaseConfig{Holder: "b", TTL: 1e9})
+	polite := leased(store.LeaseConfig{Holder: "b", TTL: 1e9})
 	if _, err := Execute(w, src(), Options{Store: polite, Downtime: 1}); !errors.Is(err, store.ErrLeaseHeld) {
 		t.Fatalf("polite B = %v, want ErrLeaseHeld", err)
 	}
 
 	// B's failure detector declares A dead: takeover bumps to epoch 2.
-	b := store.NewLeaseStore(shared(), store.LeaseConfig{Holder: "b", TTL: 1e9, Takeover: true})
+	b := leased(store.LeaseConfig{Holder: "b", TTL: 1e9, Takeover: true})
 	resB, err := Execute(w, src(), Options{Store: b, Downtime: 1, CrashAfterSaves: 1})
 	if !errors.Is(err, ErrCrashed) {
 		t.Fatalf("B = %v, want ErrCrashed", err)
@@ -65,7 +73,7 @@ func TestExecuteFencesZombie(t *testing.T) {
 
 	// The survivor (a fresh process, same holder) resumes to completion
 	// with a higher epoch and the uncontended journal.
-	b2 := store.NewLeaseStore(shared(), store.LeaseConfig{Holder: "b", TTL: 1e9, Takeover: true})
+	b2 := leased(store.LeaseConfig{Holder: "b", TTL: 1e9, Takeover: true})
 	res, err := Execute(w, src(), Options{Store: b2, Downtime: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -92,15 +100,10 @@ func TestExecuteSyncEvery(t *testing.T) {
 		if partitionEnd > 0 {
 			netCfg.Partitions = []netsim.Window{{Start: 0, End: partitionEnd, Isolated: []string{"s0"}}}
 		}
-		net := netsim.New(netCfg)
-		mems := make([]*store.MemStore, 3)
-		replicas := make([]store.Store, 3)
-		for i := range mems {
-			mems[i] = store.NewMemStore()
-			rs := store.NewRemoteStore(mems[i], net, netCfg, store.RemoteConfig{Remote: fmt.Sprintf("s%d", i), Timeout: 1.5})
-			replicas[i] = store.Checked(rs)
-		}
-		q, err := store.NewQuorumStore(replicas, store.QuorumConfig{W: 2, R: 2})
+		mems := []*store.MemStore{store.NewMemStore(), store.NewMemStore(), store.NewMemStore()}
+		q, err := store.Spec{
+			Backends: []store.Store{mems[0], mems[1], mems[2]}, Net: &netCfg, Timeout: 1.5,
+		}.Build()
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -13,14 +13,13 @@ import (
 )
 
 // partitionStack is one partition drill's persistent storage: replica
-// mem stores survive invocations while the network and every wrapper
-// are rebuilt per invocation — process-restart semantics, resetting
-// the network's logical attempt counters exactly as the replay
-// contract requires.
+// mem stores survive invocations while every spec.Build rebuilds the
+// network and every wrapper over them — process-restart semantics,
+// resetting the network's logical attempt counters exactly as the
+// replay contract requires.
 type partitionStack struct {
-	netCfg netsim.Config
-	quorum bool
-	mems   []*store.MemStore
+	mems []*store.MemStore
+	spec store.Spec
 }
 
 func newPartitionStack(netCfg netsim.Config, quorum bool) *partitionStack {
@@ -28,29 +27,13 @@ func newPartitionStack(netCfg netsim.Config, quorum bool) *partitionStack {
 	if quorum {
 		n = 3
 	}
-	mems := make([]*store.MemStore, n)
-	for i := range mems {
-		mems[i] = store.NewMemStore()
+	p := &partitionStack{spec: store.Spec{Net: &netCfg, Timeout: 1.5}}
+	for i := 0; i < n; i++ {
+		mem := store.NewMemStore()
+		p.mems = append(p.mems, mem)
+		p.spec.Backends = append(p.spec.Backends, mem)
 	}
-	return &partitionStack{netCfg: netCfg, quorum: quorum, mems: mems}
-}
-
-func (p *partitionStack) build() store.Store {
-	net := netsim.New(p.netCfg)
-	if !p.quorum {
-		return store.Checked(store.NewRemoteStore(p.mems[0], net, p.netCfg,
-			store.RemoteConfig{Remote: "s0", Timeout: 1.5}))
-	}
-	reps := make([]store.Store, len(p.mems))
-	for i := range p.mems {
-		reps[i] = store.Checked(store.NewRemoteStore(p.mems[i], net, p.netCfg,
-			store.RemoteConfig{Remote: fmt.Sprintf("s%d", i), Timeout: 1.5}))
-	}
-	q, err := store.NewQuorumStore(reps, store.QuorumConfig{W: 2, R: 2})
-	if err != nil {
-		panic(err)
-	}
-	return q
+	return p
 }
 
 // partitionProblem is a chain dense in checkpoints: partition drills
@@ -96,8 +79,12 @@ func partitionWorkload(t *testing.T) *Workload {
 }
 
 func (p *partitionStack) options(t *testing.T, crashEvents int) Options {
+	st, err := p.spec.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
 	return Options{
-		RunID: "acceptance", Store: p.build(), Downtime: 1,
+		RunID: "acceptance", Store: st, Downtime: 1,
 		CrashAfterEvents: crashEvents,
 		Adaptive: &AdaptiveOptions{
 			Retry:       ExpBackoff{Base: 0.25, Cap: 0.5, MaxAttempts: 3},

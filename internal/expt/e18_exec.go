@@ -191,7 +191,8 @@ func planE18(cfg Config) (*Plan, error) {
 		storeTag string
 		workload func() (*exec.Workload, error)
 		source   func() exec.Source
-		mkStore  func() (store.Store, func(), error)
+		file     bool             // file backend in a temp dir, else mem
+		faults   *store.FaultPlan // nil: no injector
 	}
 	chainDP := func() (*exec.Workload, error) { return exec.NewChainWorkload(cp, dp.CheckpointAfter) }
 	dagLive := func() (*exec.Workload, error) {
@@ -206,49 +207,20 @@ func planE18(cfg Config) (*Plan, error) {
 			plan: "chain/dp", storeTag: "file+crc",
 			workload: chainDP,
 			source:   func() exec.Source { return exec.NewKeyedSource(failure.Exponential{Lambda: lambda}, 1234, 1) },
-			mkStore: func() (store.Store, func(), error) {
-				dir, err := os.MkdirTemp("", "e18-store-*")
-				if err != nil {
-					return nil, nil, err
-				}
-				fs, err := store.NewFileStore(dir)
-				if err != nil {
-					os.RemoveAll(dir)
-					return nil, nil, err
-				}
-				return store.Checked(fs), func() { os.RemoveAll(dir) }, nil
-			},
+			file:     true,
 		},
 		{
 			plan: "chain/dp", storeTag: "file+crc+faults",
 			workload: chainDP,
 			source:   func() exec.Source { return exec.NewKeyedSource(failure.Exponential{Lambda: lambda}, 1234, 1) },
-			mkStore: func() (store.Store, func(), error) {
-				dir, err := os.MkdirTemp("", "e18-store-*")
-				if err != nil {
-					return nil, nil, err
-				}
-				fs, err := store.NewFileStore(dir)
-				if err != nil {
-					os.RemoveAll(dir)
-					return nil, nil, err
-				}
-				faulty := store.NewFaultStore(fs, store.FaultPlan{
-					Seed: 99, WriteFail: 0.1, TornWrite: 0.1, LoseOld: 0.3, ReadFail: 0.1,
-				})
-				return store.Checked(faulty), func() { os.RemoveAll(dir) }, nil
-			},
+			file:     true,
+			faults:   &store.FaultPlan{Seed: 99, WriteFail: 0.1, TornWrite: 0.1, LoseOld: 0.3, ReadFail: 0.1},
 		},
 		{
 			plan: "dag/live-set", storeTag: "mem+crc+faults",
 			workload: dagLive,
 			source:   func() exec.Source { return exec.NewKeyedSource(failure.Exponential{Lambda: lambda}, 1234, 2) },
-			mkStore: func() (store.Store, func(), error) {
-				faulty := store.NewFaultStore(store.NewMemStore(), store.FaultPlan{
-					Seed: 7, WriteFail: 0.15, TornWrite: 0.15, LoseOld: 0.4, ReadFail: 0.15,
-				})
-				return store.Checked(faulty), func() {}, nil
-			},
+			faults:   &store.FaultPlan{Seed: 7, WriteFail: 0.15, TornWrite: 0.15, LoseOld: 0.4, ReadFail: 0.15},
 		},
 	}
 	for _, d := range drills {
@@ -262,7 +234,7 @@ func planE18(cfg Config) (*Plan, error) {
 			if err != nil {
 				return RowOut{}, err
 			}
-			st, cleanup, err := d.mkStore()
+			st, cleanup, err := e18Store(d.file, d.faults)
 			if err != nil {
 				return RowOut{}, err
 			}
@@ -318,6 +290,29 @@ func planE18(cfg Config) (*Plan, error) {
 		return nil
 	}
 	return p, nil
+}
+
+// e18Store builds a crash drill's stack over a fresh file backend (in
+// a temp dir that cleanup removes) or mem backend.
+func e18Store(file bool, faults *store.FaultPlan) (st store.Store, cleanup func(), err error) {
+	var backend store.Store = store.NewMemStore()
+	cleanup = func() {}
+	if file {
+		dir, err := os.MkdirTemp("", "e18-store-*")
+		if err != nil {
+			return nil, nil, err
+		}
+		cleanup = func() { os.RemoveAll(dir) }
+		if backend, err = store.NewFileStore(dir); err != nil {
+			cleanup()
+			return nil, nil, err
+		}
+	}
+	if st, err = (store.Spec{Backends: []store.Store{backend}, Faults: faults}).Build(); err != nil {
+		cleanup()
+		return nil, nil, err
+	}
+	return st, cleanup, nil
 }
 
 // checkpointCount returns the checkpointed positions of a vector (it

@@ -94,11 +94,15 @@ func planE19(cfg Config) (*Plan, error) {
 					if err != nil {
 						return nil, err
 					}
+					st, err := store.Spec{Backends: []store.Store{store.NewMemStore()}, Faults: &fp}.Build()
+					if err != nil {
+						return nil, err
+					}
 					return exec.Execute(w,
 						exec.NewKeyedSource(failure.Exponential{Lambda: lambda}, srcSeed, 1),
 						exec.Options{
 							RunID:    "camp",
-							Store:    store.Checked(store.NewFaultStore(store.NewMemStore(), fp)),
+							Store:    st,
 							Downtime: down,
 							Adaptive: &exec.AdaptiveOptions{
 								Retry:       pol,
@@ -201,10 +205,11 @@ func planE19(cfg Config) (*Plan, error) {
 		}
 		return a
 	}
-	options := func(d drill, a *stack, crash int) exec.Options {
-		var st store.Store = store.Checked(store.NewFaultStore(a.mem, d.plan))
-		if a.ledger != nil {
-			st = store.NewQuotaStore(a.ledger, st)
+	// execute runs w once on a fresh wrapper stack over a's bottom layer.
+	execute := func(d drill, a *stack, w *exec.Workload, src exec.Source, crash int) (*exec.Result, error) {
+		st, err := store.Spec{Backends: []store.Store{a.mem}, Faults: &d.plan, Quota: a.ledger}.Build()
+		if err != nil {
+			return nil, err
 		}
 		ao := &exec.AdaptiveOptions{
 			Retry:       d.retry,
@@ -215,12 +220,14 @@ func planE19(cfg Config) (*Plan, error) {
 			ao.Replanner = exec.ChainReplanner{CP: cp}
 		}
 		if a.sec != nil {
-			ao.Secondary = store.Checked(a.sec)
+			if ao.Secondary, err = (store.Spec{Backends: []store.Store{a.sec}}).Build(); err != nil {
+				return nil, err
+			}
 		}
-		return exec.Options{
+		return exec.Execute(w, src, exec.Options{
 			RunID: "e19", Store: st, Downtime: down,
 			CrashAfterEvents: crash, Adaptive: ao,
-		}
+		})
 	}
 	for i, d := range scenarios {
 		d, salt := d, uint64(i+1)
@@ -232,7 +239,7 @@ func planE19(cfg Config) (*Plan, error) {
 			if err != nil {
 				return RowOut{}, err
 			}
-			ref, err := exec.Execute(w, src(), options(d, newStack(d), 0))
+			ref, err := execute(d, newStack(d), w, src(), 0)
 			if err != nil {
 				return RowOut{}, err
 			}
@@ -241,11 +248,11 @@ func planE19(cfg Config) (*Plan, error) {
 			identical, metricsOK := true, true
 			for _, kill := range kills {
 				a := newStack(d)
-				_, err := exec.Execute(w, src(), options(d, a, kill))
+				_, err := execute(d, a, w, src(), kill)
 				if !errors.Is(err, exec.ErrCrashed) {
 					return RowOut{}, fmt.Errorf("E19: %s kill point %d: want ErrCrashed, got %v", d.name, kill, err)
 				}
-				res, err := exec.Execute(w, src(), options(d, a, 0))
+				res, err := execute(d, a, w, src(), 0)
 				if err != nil {
 					return RowOut{}, fmt.Errorf("E19: %s resume after kill %d: %w", d.name, kill, err)
 				}
@@ -301,8 +308,12 @@ func planE19(cfg Config) (*Plan, error) {
 			if err != nil {
 				return RowOut{}, err
 			}
-			st := store.NewQuotaStore(store.NewQuotaLedger(quota, nil),
-				store.Checked(store.NewFaultStore(store.NewMemStore(), fp)))
+			st, err := store.Spec{
+				Backends: []store.Store{store.NewMemStore()}, Faults: &fp, Quota: store.NewQuotaLedger(quota, nil),
+			}.Build()
+			if err != nil {
+				return RowOut{}, err
+			}
 			o := opts(st, 0)
 			o.RunID = fmt.Sprintf("camp-t%d", i)
 			refs[i], err = exec.Execute(w, src(i), o)
@@ -312,14 +323,15 @@ func planE19(cfg Config) (*Plan, error) {
 		}
 		// Contention run: shared bottom layer, one wrapper stack per
 		// invocation, all four tenants concurrent; tenant 0 is killed.
-		mem := store.NewMemStore()
-		ledger := store.NewQuotaLedger(quota, nil)
-		shared := func() store.Store {
-			return store.NewQuotaStore(ledger, store.Checked(store.NewFaultStore(mem, fp)))
+		shared := store.Spec{
+			Backends: []store.Store{store.NewMemStore()}, Faults: &fp, Quota: store.NewQuotaLedger(quota, nil),
 		}
 		results := make([]*exec.Result, tenants)
 		errs := make([]error, tenants)
-		st := shared()
+		st, err := shared.Build()
+		if err != nil {
+			return RowOut{}, err
+		}
 		var wg sync.WaitGroup
 		for i := 0; i < tenants; i++ {
 			i := i
@@ -355,7 +367,11 @@ func planE19(cfg Config) (*Plan, error) {
 		if err != nil {
 			return RowOut{}, err
 		}
-		o := opts(shared(), 0)
+		st, err = shared.Build()
+		if err != nil {
+			return RowOut{}, err
+		}
+		o := opts(st, 0)
 		o.RunID = "camp-t0"
 		results[0], err = exec.Execute(w, src(0), o)
 		if err != nil {
@@ -448,9 +464,8 @@ func planE19(cfg Config) (*Plan, error) {
 			if err != nil {
 				return RowOut{}, err
 			}
-			res, err := exec.Execute(w,
-				exec.NewKeyedSource(failure.Exponential{Lambda: lambda}, 701, salt),
-				options(ld.d, newStack(ld.d), 0))
+			res, err := execute(ld.d, newStack(ld.d), w,
+				exec.NewKeyedSource(failure.Exponential{Lambda: lambda}, 701, salt), 0)
 			if err != nil {
 				return RowOut{}, err
 			}

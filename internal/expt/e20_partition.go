@@ -69,58 +69,36 @@ func e20Workload(cp *core.ChainProblem) (*exec.Workload, error) {
 	return exec.NewChainWorkload(cp, ck)
 }
 
-// e20Stack is one drill's persistent storage: replica mem stores
-// survive invocations while the network and every wrapper are rebuilt
-// per invocation — process-restart semantics, resetting the network's
-// logical attempt counters exactly as the replay contract requires.
-// E21 reuses its three-replica form under a lease layer.
-type e20Stack struct {
-	netCfg netsim.Config
-	quorum bool
-	mems   []*store.MemStore
-}
-
-func newE20Stack(netCfg netsim.Config, quorum bool) *e20Stack {
-	n := 1
-	if quorum {
-		n = 3
-	}
-	mems := make([]*store.MemStore, n)
-	for i := range mems {
-		mems[i] = store.NewMemStore()
-	}
-	return &e20Stack{netCfg: netCfg, quorum: quorum, mems: mems}
-}
-
 // e20Timeout is every remote layer's per-operation deadline.
 const e20Timeout = 1.5
 
-func (p *e20Stack) build() (store.Store, error) {
-	if !p.quorum {
-		return store.Checked(store.NewRemoteStore(p.mems[0], netsim.New(p.netCfg), p.netCfg,
-			store.RemoteConfig{Remote: "s0", Timeout: e20Timeout})), nil
+// e20Spec declares one drill's stack: replica mem stores that survive
+// invocations, which every Build wraps in a fresh network and fresh
+// wrappers — process-restart semantics, resetting the network's
+// logical attempt counters exactly as the replay contract requires.
+// The quorum form is three replicas at the majority W=2, R=2, which
+// E21 reuses under a lease layer.
+func e20Spec(netCfg netsim.Config, quorum bool) store.Spec {
+	spec := store.Spec{Backends: []store.Store{store.NewMemStore()}, Net: &netCfg, Timeout: e20Timeout}
+	if quorum {
+		spec.Backends = append(spec.Backends, store.NewMemStore(), store.NewMemStore())
 	}
-	return p.quorumStore()
+	return spec
 }
 
-// quorumStore builds the W=2, R=2 quorum over the replica mem stores,
-// each behind Checked(Remote) on one fresh network instance.
-func (p *e20Stack) quorumStore() (*store.QuorumStore, error) {
-	net := netsim.New(p.netCfg)
-	reps := make([]store.Store, len(p.mems))
-	for i := range p.mems {
-		reps[i] = store.Checked(store.NewRemoteStore(p.mems[i], net, p.netCfg,
-			store.RemoteConfig{Remote: fmt.Sprintf("s%d", i), Timeout: e20Timeout}))
-	}
-	return store.NewQuorumStore(reps, store.QuorumConfig{W: 2, R: 2})
-}
-
-func (p *e20Stack) options(cp *core.ChainProblem, crashEvents int) (exec.Options, error) {
-	st, err := p.build()
+// e20Execute runs the checkpoint-everywhere workload once, from src,
+// on a fresh build of spec under the adaptive configuration every E20
+// drill shares.
+func e20Execute(spec store.Spec, cp *core.ChainProblem, src exec.Source, crashEvents int) (*exec.Result, error) {
+	w, err := e20Workload(cp)
 	if err != nil {
-		return exec.Options{}, err
+		return nil, err
 	}
-	return exec.Options{
+	st, err := spec.Build()
+	if err != nil {
+		return nil, err
+	}
+	return exec.Execute(w, src, exec.Options{
 		RunID: "e20", Store: st, Downtime: e20Downtime,
 		CrashAfterEvents: crashEvents,
 		Adaptive: &exec.AdaptiveOptions{
@@ -130,7 +108,7 @@ func (p *e20Stack) options(cp *core.ChainProblem, crashEvents int) (exec.Options
 			DownAfter:   2,
 			ProbeEvery:  2,
 		},
-	}, nil
+	})
 }
 
 // e20NetCfg schedules one partition window isolating endpoint s0. For
@@ -197,18 +175,7 @@ func planE20(cfg Config) (*Plan, error) {
 			}
 			netCfg := e20NetCfg(netSeed, 0.2*base.Makespan, 1.2*base.Makespan)
 
-			run := func(stack *e20Stack, crash int) (*exec.Result, error) {
-				w, err := e20Workload(cp)
-				if err != nil {
-					return nil, err
-				}
-				o, err := stack.options(cp, crash)
-				if err != nil {
-					return nil, err
-				}
-				return exec.Execute(w, src(), o)
-			}
-			ref, err := run(newE20Stack(netCfg, quorum), 0)
+			ref, err := e20Execute(e20Spec(netCfg, quorum), cp, src(), 0)
 			if err != nil {
 				return RowOut{}, err
 			}
@@ -230,12 +197,12 @@ func planE20(cfg Config) (*Plan, error) {
 			identical, metricsOK := true, true
 			for kill := 1; kill <= ne; kill += killStride {
 				kills++
-				stack := newE20Stack(netCfg, quorum)
-				_, err := run(stack, kill)
+				spec := e20Spec(netCfg, quorum)
+				_, err := e20Execute(spec, cp, src(), kill)
 				if !errors.Is(err, exec.ErrCrashed) {
 					return RowOut{}, fmt.Errorf("E20: %s kill@%d: want ErrCrashed, got %v", name, kill, err)
 				}
-				res, err := run(stack, 0)
+				res, err := e20Execute(spec, cp, src(), 0)
 				if err != nil {
 					return RowOut{}, fmt.Errorf("E20: %s resume after kill@%d: %w", name, kill, err)
 				}
@@ -300,22 +267,11 @@ func planE20(cfg Config) (*Plan, error) {
 					return RowOut{}, err
 				}
 				netCfg := e20NetCfg(netSeed, 0.2*base.Makespan, windowEnd*base.Makespan)
-				arm := func(isQuorum bool) (*exec.Result, error) {
-					w, err := e20Workload(cp)
-					if err != nil {
-						return nil, err
-					}
-					o, err := newE20Stack(netCfg, isQuorum).options(cp, 0)
-					if err != nil {
-						return nil, err
-					}
-					return exec.Execute(w, src(), o)
-				}
-				sg, err := arm(false)
+				sg, err := e20Execute(e20Spec(netCfg, false), cp, src(), 0)
 				if err != nil {
 					return RowOut{}, err
 				}
-				qr, err := arm(true)
+				qr, err := e20Execute(e20Spec(netCfg, true), cp, src(), 0)
 				if err != nil {
 					return RowOut{}, err
 				}
@@ -366,8 +322,12 @@ func planE20(cfg Config) (*Plan, error) {
 		p.Job(tele, func(s *rng.Stream) (RowOut, error) {
 			jitter := lat / 2
 			netCfg := netsim.Config{Seed: s.Uint64(), Latency: lat, Jitter: jitter}
-			st := store.Checked(store.NewRemoteStore(store.NewMemStore(), netsim.New(netCfg), netCfg,
-				store.RemoteConfig{Remote: "s0", Timeout: 8 * (lat + jitter)}))
+			st, err := store.Spec{
+				Backends: []store.Store{store.NewMemStore()}, Net: &netCfg, Timeout: 8 * (lat + jitter),
+			}.Build()
+			if err != nil {
+				return RowOut{}, err
+			}
 			probe := exec.ProbeStore(st, "e20-telemetry", 32)
 			if !probe.Tracked || probe.Failures != 0 {
 				return RowOut{}, fmt.Errorf("E20: probe = %+v, want tracked with no failures", probe)

@@ -20,16 +20,13 @@ func init() {
 	}, planE21)
 }
 
-// leased wraps a fresh instance of the three-replica quorum stack in a
-// lease layer. The LeaseStore is returned concretely so the zombie
-// drill can re-enter on the ORIGINAL instance, whose stale lease
-// session is exactly what a woken zombie process holds.
-func (p *e20Stack) leased(holder string, takeover bool) (*store.LeaseStore, error) {
-	q, err := p.quorumStore()
-	if err != nil {
-		return nil, err
-	}
-	return store.NewLeaseStore(q, store.LeaseConfig{Holder: holder, TTL: 1e9, Takeover: takeover}), nil
+// e21Leased builds a fresh instance of spec's stack under a lease
+// held by holder. The zombie drill re-enters on the ORIGINAL instance,
+// whose stale lease session is exactly what a woken zombie process
+// holds.
+func e21Leased(spec store.Spec, holder string, takeover bool) (store.Store, error) {
+	spec.Lease = &store.LeaseConfig{Holder: holder, TTL: 1e9, Takeover: takeover}
+	return spec.Build()
 }
 
 // e21Options mirrors the adaptive configuration E20 proved replay-exact
@@ -48,7 +45,7 @@ func e21Options(st store.Store, crashEvents, crashSaves, syncEvery int) exec.Opt
 
 // e21Converged reports whether every replica holds bit-identical
 // contents for the data run: same seq lists, same raw frames.
-func e21Converged(mems []*store.MemStore) (bool, error) {
+func e21Converged(mems []store.Store) (bool, error) {
 	refSeqs, err := mems[0].List("e21")
 	if err != nil {
 		return false, err
@@ -121,7 +118,7 @@ func planE21(cfg Config) (*Plan, error) {
 
 		// Uncontended leased reference, plus a lease-free control proving
 		// the lease protocol never reaches the journal.
-		refStore, err := newE20Stack(netCfg, true).leased("ref", false)
+		refStore, err := e21Leased(e20Spec(netCfg, true), "ref", false)
 		if err != nil {
 			return RowOut{}, err
 		}
@@ -132,7 +129,7 @@ func planE21(cfg Config) (*Plan, error) {
 		if ref.Epoch != 1 {
 			return RowOut{}, fmt.Errorf("E21: reference epoch = %d, want 1", ref.Epoch)
 		}
-		bareStore, err := newE20Stack(netCfg, true).quorumStore()
+		bareStore, err := e20Spec(netCfg, true).Build()
 		if err != nil {
 			return RowOut{}, err
 		}
@@ -149,8 +146,8 @@ func planE21(cfg Config) (*Plan, error) {
 		politeBlocked, epochsOK, identical := false, true, true
 		for kill := 1; kill <= ne; kill += killStride {
 			kills++
-			stack := newE20Stack(netCfg, true)
-			aStore, err := stack.leased("a", false)
+			spec := e20Spec(netCfg, true)
+			aStore, err := e21Leased(spec, "a", false)
 			if err != nil {
 				return RowOut{}, err
 			}
@@ -162,7 +159,7 @@ func planE21(cfg Config) (*Plan, error) {
 
 			if kill == 1 {
 				// A polite b (no takeover) is blocked while a's lease lives.
-				polite, err := stack.leased("b", false)
+				polite, err := e21Leased(spec, "b", false)
 				if err != nil {
 					return RowOut{}, err
 				}
@@ -170,7 +167,7 @@ func planE21(cfg Config) (*Plan, error) {
 				politeBlocked = errors.Is(perr, store.ErrLeaseHeld)
 			}
 
-			bStore, err := stack.leased("b", true)
+			bStore, err := e21Leased(spec, "b", true)
 			if err != nil {
 				return RowOut{}, err
 			}
@@ -190,7 +187,7 @@ func planE21(cfg Config) (*Plan, error) {
 				return RowOut{}, fmt.Errorf("E21: kill@%d: zombie = %v, want ErrFenced or write-free completion", kill, zErr)
 			}
 
-			survStore, err := stack.leased("b", true)
+			survStore, err := e21Leased(spec, "b", true)
 			if err != nil {
 				return RowOut{}, err
 			}
@@ -246,18 +243,18 @@ func planE21(cfg Config) (*Plan, error) {
 				return RowOut{}, err
 			}
 			netCfg := e20NetCfg(netSeed, 0.1*base.Makespan, windowEnd*base.Makespan)
-			arm := func(syncEvery int) (*exec.Result, []*store.MemStore, error) {
+			arm := func(syncEvery int) (*exec.Result, []store.Store, error) {
 				w, err := e20Workload(cp)
 				if err != nil {
 					return nil, nil, err
 				}
-				stack := newE20Stack(netCfg, true)
-				q, err := stack.quorumStore()
+				spec := e20Spec(netCfg, true)
+				q, err := spec.Build()
 				if err != nil {
 					return nil, nil, err
 				}
 				res, err := exec.Execute(w, src(), e21Options(q, 0, 0, syncEvery))
-				return res, stack.mems, err
+				return res, spec.Backends, err
 			}
 			res, mems, err := arm(3)
 			if err != nil {
@@ -310,13 +307,8 @@ func planE21(cfg Config) (*Plan, error) {
 		p.Job(scrub, func(s *rng.Stream) (RowOut, error) {
 			srcSeed := s.Uint64()
 			src := exec.NewKeyedSource(failure.Exponential{Lambda: e20Lambda}, srcSeed, 1)
-			mems := make([]*store.MemStore, 3)
-			reps := make([]store.Store, 3)
-			for i := range mems {
-				mems[i] = store.NewMemStore()
-				reps[i] = store.Checked(mems[i])
-			}
-			q, err := store.NewQuorumStore(reps, store.QuorumConfig{W: 2, R: 2})
+			mems := []store.Store{store.NewMemStore(), store.NewMemStore(), store.NewMemStore()}
+			q, err := store.Spec{Backends: mems}.Build()
 			if err != nil {
 				return RowOut{}, err
 			}
@@ -340,7 +332,8 @@ func planE21(cfg Config) (*Plan, error) {
 					return RowOut{}, err
 				}
 			}
-			rep, err := q.ScrubRun("e21")
+			scrubber, _ := store.FindScrubber(q)
+			rep, err := scrubber.ScrubRun("e21")
 			typed := errors.Is(err, store.ErrUnrepairable)
 			if corrupt <= 1 && err != nil {
 				return RowOut{}, fmt.Errorf("E21: scrub with %d corrupt = %v, want repair", corrupt, err)

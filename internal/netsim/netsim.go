@@ -8,11 +8,12 @@
 // to, message identity, attempt), independent of how deliveries from
 // different runs interleave and of process restarts.
 //
-// The intended composition is store.NewRemoteStore(inner, net, cfg):
-// the remote layer translates checkpoint operations into messages,
-// charges the drawn latency against its per-op deadline, and turns
-// lost or partitioned messages into timeouts the executor's
-// degradation ladder can classify and ride out.
+// Stores reach the network through store.Spec: a spec with Net set
+// puts every replica behind a remote layer on one Network, which
+// translates checkpoint operations into messages, charges the drawn
+// latency against its per-op deadline, and turns lost or partitioned
+// messages into timeouts the executor's degradation ladder can
+// classify and ride out.
 package netsim
 
 import (

@@ -1,6 +1,11 @@
 package store
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+
+	"repro/internal/netsim"
+)
 
 // allocPlan draws latency for every operation but injects no fault, so
 // each op walks the keyed-draw path and no error path.
@@ -55,4 +60,21 @@ func TestQuorumStoreAllocs(t *testing.T) {
 	}
 	pinAllocs(t, "QuorumStore.Save", 9, func() error { return q.Save("r", 1, payload) })
 	pinAllocs(t, "QuorumStore.Load", 4, func() error { _, err := q.Load("r", 1); return err })
+}
+
+// TestSpecBuildAllocs: Build allocates its layers and nothing else —
+// validation and the optional-layer branches are free. A replica is a
+// fault injector (struct, attempt map), a remote hop (struct, clock
+// map) and the codec; the stack adds one network (struct, attempt map).
+// A quorum adds its replica slice, itself, and the names s1 and s2 (s0
+// is a constant).
+func TestSpecBuildAllocs(t *testing.T) {
+	netCfg := netsim.Config{Seed: 2, Latency: 0.1}
+	for n, want := range map[int]float64{1: 2 + 5, 3: 2 + 3*5 + 2 + 2} {
+		spec := Spec{Backends: make([]Store, n), Faults: &allocPlan, Net: &netCfg}
+		for i := range spec.Backends {
+			spec.Backends[i] = NewMemStore()
+		}
+		pinAllocs(t, fmt.Sprintf("Spec.Build, %d replicas", n), want, func() error { _, err := spec.Build(); return err })
+	}
 }

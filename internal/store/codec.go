@@ -71,10 +71,8 @@ type checked struct {
 }
 
 // Checked wraps a store so that every Save seals its payload and every
-// Load verifies the frame, returning ErrCorrupt on damage. Place it
-// OUTSIDE any fault-injecting decorator: faults then tear the sealed
-// bytes, and Checked is what detects the tear — the same layering as
-// production, where the filesystem is the fault injector.
+// Load verifies the frame, returning ErrCorrupt on damage. Spec places
+// it above the fault and remote layers, which tear sealed bytes.
 func Checked(inner Store) Store {
 	return checked{inner: inner}
 }

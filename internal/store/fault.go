@@ -97,8 +97,7 @@ const (
 )
 
 // FaultStore wraps an inner store with deterministic, seeded fault
-// injection. Compose as Checked(NewFaultStore(inner, plan)): the fault
-// layer tears sealed frames, the codec layer detects the tears.
+// injection; the codec layer Spec puts above it detects the tears.
 type FaultStore struct {
 	inner Store
 	plan  FaultPlan

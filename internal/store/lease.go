@@ -60,13 +60,10 @@ type LeaseConfig struct {
 	Holder string
 	// TTL is the lease duration in virtual time (default 10). A holder
 	// that performs no guarded write for a full TTL loses its claim: the
-	// next acquirer may take the run without a takeover.
+	// next acquirer may take the run without a takeover. A guarded write
+	// renews the lease once less than TTL/2 remains: one piggy-backed
+	// store write, never a background timer.
 	TTL float64
-	// RenewWithin renews the lease during a guarded write once the
-	// remaining TTL drops below this (default TTL/2). Renewal is
-	// piggy-backed: it costs one extra store write on a save that was
-	// happening anyway, never a background timer.
-	RenewWithin float64
 	// Takeover lets Acquire bump the epoch even while another holder's
 	// lease is unexpired — the "my failure detector says the owner is
 	// dead" path. Safety never depends on the detector being right:
@@ -86,13 +83,6 @@ func (c LeaseConfig) ttl() float64 {
 		return 10
 	}
 	return c.TTL
-}
-
-func (c LeaseConfig) renewWithin() float64 {
-	if c.RenewWithin <= 0 {
-		return c.ttl() / 2
-	}
-	return c.RenewWithin
 }
 
 // LeaseState is a decoded lease record: the fencing epoch, who holds it,
@@ -173,21 +163,6 @@ func (l *LeaseStore) Stats() LeaseStats {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.stats
-}
-
-// Holder returns this instance's holder identity.
-func (l *LeaseStore) Holder() string { return l.cfg.holder() }
-
-// Epoch returns the epoch this instance holds for run, ok=false before
-// Acquire.
-func (l *LeaseStore) Epoch(run string) (uint64, bool) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	s := l.sessions[run]
-	if s == nil {
-		return 0, false
-	}
-	return s.epoch, true
 }
 
 // BindClock keeps the run's virtual-time source for expiry arithmetic
@@ -398,7 +373,7 @@ func (l *LeaseStore) guard(op, run string, seq uint64) error {
 	// Our epoch stands. Renew when the record is gone (self-heal), the
 	// persisted expiry has passed (nobody claimed the gap), or the
 	// remaining TTL is inside the renewal window.
-	if !found || now >= cur.Expiry-l.cfg.renewWithin() {
+	if !found || now >= cur.Expiry-l.cfg.ttl()/2 {
 		renewed := LeaseState{Epoch: s.epoch, Holder: holder, Expiry: now + l.cfg.ttl()}
 		if werr := l.writeLease(run, renewed); werr != nil {
 			if found && now < cur.Expiry {

@@ -41,8 +41,8 @@ func TestLeaseAcquireIdempotentPerInstance(t *testing.T) {
 	if seqs, _ := mem.List(LeaseRun("r")); len(seqs) != 1 || seqs[0] != leaseSeq {
 		t.Fatalf("lease run listing = %v, want [%d]", seqs, leaseSeq)
 	}
-	if ep, ok := l.Epoch("r"); !ok || ep != 1 {
-		t.Fatalf("Epoch = %d, %v", ep, ok)
+	if s := l.sessions["r"]; s == nil || s.epoch != 1 {
+		t.Fatalf("session = %+v, want epoch 1", s)
 	}
 }
 

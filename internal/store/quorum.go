@@ -25,12 +25,6 @@ type QuorumConfig struct {
 	// respond. Zero defaults to the majority N/2+1. Choose W+R > N so
 	// every read quorum intersects every write quorum.
 	R int
-	// Hedge, when positive, is the virtual-time delay after which a
-	// read that has not yet assembled R responses from its first wave
-	// proactively contacts the spare replicas, instead of waiting for
-	// the stragglers' timeouts. Zero hedges only after the first wave's
-	// slowest terminal event.
-	Hedge float64
 }
 
 // QuorumStats counts quorum-level activity.
@@ -60,15 +54,12 @@ type QuorumStats struct {
 // path. A failed operation charges the slowest terminal event among
 // everything it waited on.
 //
-// Compose each replica as Checked(NewRemoteStore(...)) so torn frames
-// below the network surface as ErrCorrupt negative responses the
-// quorum can out-vote and repair — detected, not decoded. QuorumStore
-// is itself a latency-tracking layer (LastOp) and forwards
-// clock bindings to every replica.
+// Torn replica frames reach the quorum as ErrCorrupt negative responses
+// it out-votes and repairs. QuorumStore is itself a latency-tracking
+// layer (LastOp) and forwards clock bindings to every replica.
 type QuorumStore struct {
 	replicas []Store
 	w, r     int
-	hedge    float64
 
 	// One executor drives a run, but runs share the store; the
 	// ledger's mutex guards stats too.
@@ -77,8 +68,8 @@ type QuorumStore struct {
 }
 
 // NewQuorumStore builds a quorum store over the given replicas. W and
-// R default to the majority when zero; both are clamped no higher than
-// the replica count.
+// R default to the majority when zero; a value outside [1, replicas]
+// is an error.
 func NewQuorumStore(replicas []Store, cfg QuorumConfig) (*QuorumStore, error) {
 	n := len(replicas)
 	if n == 0 {
@@ -98,13 +89,9 @@ func NewQuorumStore(replicas []Store, cfg QuorumConfig) (*QuorumStore, error) {
 		replicas: replicas,
 		w:        w,
 		r:        r,
-		hedge:    cfg.Hedge,
 	}
 	return q, nil
 }
-
-// Replicas returns the replica count.
-func (q *QuorumStore) Replicas() int { return len(q.replicas) }
 
 // Stats returns a snapshot of quorum-level counters.
 func (q *QuorumStore) Stats() QuorumStats {
@@ -252,8 +239,7 @@ type reply struct {
 
 // Load assembles a read quorum with hedging: the first R replicas are
 // contacted immediately; if they do not yield R responses, the spare
-// replicas are contacted at the hedge delay (or, without one, after
-// the first wave's slowest terminal event). The returned payload is
+// replicas are contacted after the first wave's slowest terminal event. The returned payload is
 // the first positive response in completion order (ties on replica
 // index); replicas that responded negatively are then repaired off the
 // critical path. All R responses negative means the checkpoint
@@ -287,13 +273,10 @@ func (q *QuorumStore) Load(run string, seq uint64) ([]byte, error) {
 		contact(i, 0)
 	}
 
-	// Hedge: contact the spares when the first wave cannot assemble R
-	// responses on its own.
+	// Hedge: contact the spares, at the first wave's last arrival, when
+	// that wave cannot assemble R responses on its own.
 	if len(responses) < q.r && first < n {
-		start := q.hedge
-		if start <= 0 {
-			start = lastArrival(responses, failures)
-		}
+		start := lastArrival(responses, failures)
 		q.mu.Lock()
 		q.stats.Hedged++
 		q.mu.Unlock()

@@ -125,8 +125,8 @@ func (l *QuotaLedger) release(run string, seq uint64) {
 }
 
 // QuotaStore enforces a ledger's budgets in front of an inner store.
-// Compose it OUTERMOST — NewQuotaStore(ledger, Checked(FaultStore(…)))
-// — so budgets are charged on the caller's payload bytes and rejections
+// Spec composes it OUTERMOST — Quota(Lease(…(Checked(Fault(…))))) —
+// so budgets are charged on the caller's payload bytes and rejections
 // happen before any inner layer is touched.
 //
 // Accounting is billing-level: a save is charged only when the inner
@@ -144,9 +144,6 @@ type QuotaStore struct {
 func NewQuotaStore(ledger *QuotaLedger, inner Store) *QuotaStore {
 	return &QuotaStore{ledger: ledger, inner: inner}
 }
-
-// Ledger returns the bound ledger.
-func (q *QuotaStore) Ledger() *QuotaLedger { return q.ledger }
 
 // Unwrap exposes the inner store for capability discovery.
 func (q *QuotaStore) Unwrap() Store { return q.inner }

@@ -13,12 +13,15 @@ import (
 // as transient — retry, back off, degrade, ride out the window.
 var ErrTimeout = errors.New("store: remote operation timed out")
 
+// localEndpoint names the executor side of every remote hop.
+const localEndpoint = "exec"
+
 // RemoteConfig parameterizes a RemoteStore.
 type RemoteConfig struct {
-	// Local and Remote name the network endpoints of the executor side
-	// and the store side; partition windows isolate endpoints by these
-	// names. Defaults are "exec" and "store".
-	Local, Remote string
+	// Remote names the store side's network endpoint ("store" when
+	// empty); the executor side is always "exec". Partition windows
+	// isolate endpoints by these names.
+	Remote string
 	// Timeout is the per-operation deadline in virtual time. A message
 	// that is lost, partitioned, or slower than this charges exactly
 	// Timeout and fails with ErrTimeout. When zero or negative, a
@@ -53,10 +56,6 @@ func (c RemoteConfig) timeout(net netsim.Config) float64 {
 // operation identity and its attempt ordinal, so concurrent runs never
 // perturb each other and kill/resume replays re-observe identical
 // outcomes.
-//
-// Compose Checked ABOVE the remote layer — Checked(NewRemoteStore(...))
-// — so payloads that do land torn (an inner FaultStore below the
-// network) surface as ErrCorrupt: detected, not decoded.
 type RemoteStore struct {
 	inner Store
 	net   *netsim.Network
@@ -70,9 +69,6 @@ type RemoteStore struct {
 
 // NewRemoteStore wraps inner behind the simulated network.
 func NewRemoteStore(inner Store, net *netsim.Network, netCfg netsim.Config, cfg RemoteConfig) *RemoteStore {
-	if cfg.Local == "" {
-		cfg.Local = "exec"
-	}
 	if cfg.Remote == "" {
 		cfg.Remote = "store"
 	}
@@ -118,7 +114,7 @@ func (r *RemoteStore) transit(kind uint64, opName, run string, seq uint64) (floa
 	if clock != nil {
 		now = clock()
 	}
-	out := r.net.Deliver(now, r.cfg.Local, r.cfg.Remote, netsim.Message{Kind: kind, Run: run, Seq: seq})
+	out := r.net.Deliver(now, localEndpoint, r.cfg.Remote, netsim.Message{Kind: kind, Run: run, Seq: seq})
 	if !out.OK() || out.Latency > r.ttl {
 		r.mu.Lock()
 		r.timeouts++

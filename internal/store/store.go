@@ -2,20 +2,24 @@
 // runtime (internal/exec): a small Store interface, an in-memory
 // implementation, a crash-durable file implementation built on the
 // repo's temp+fsync+rename discipline (internal/fsx), a checksummed
-// schema-versioned codec layer, and a deterministic fault-injecting
-// decorator for robustness testing.
+// schema-versioned codec layer, and decorators for deterministic fault
+// injection, a simulated network hop, quorum replication, epoch-fenced
+// leases and tenant quotas.
 //
-// The intended composition is
+// A Spec declares a stack and Build composes it in the one supported
+// layer order:
 //
-//	store.Checked(store.NewFileStore(dir))                  // production
-//	store.Checked(store.NewFaultStore(inner, plan))         // fault drills
+//	store.Spec{Backends: []store.Store{fs}}.Build()                // production
+//	store.Spec{Backends: []store.Store{mem}, Faults: &plan}.Build() // fault drills
+//	store.Spec{Backends: reps, Net: &netCfg,
+//		Lease: &lease, Quota: ledger}.Build()                  // replicated, fenced, metered
 //
-// Checked applies the codec: every payload is sealed (magic, schema
-// version, length, CRC-32) on Save and verified on Load, so a torn or
-// bit-rotted checkpoint surfaces as ErrCorrupt instead of being handed
-// to the executor as good state. The executor treats ErrCorrupt as
-// "fall back to the previous checkpoint", which is what makes torn
-// writes survivable rather than fatal.
+// Every stack carries the codec (Checked): every payload is sealed
+// (magic, schema version, length, CRC-32) on Save and verified on
+// Load, so a torn or bit-rotted checkpoint surfaces as ErrCorrupt
+// instead of being handed to the executor as good state. The executor
+// treats ErrCorrupt as "fall back to the previous checkpoint", which is
+// what makes torn writes survivable rather than fatal.
 package store
 
 import (

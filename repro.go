@@ -278,9 +278,11 @@ func ExecutePlanResilient(g *Graph, m Model, checkpointAfter []bool, meanLatency
 		meanC += c
 	}
 	meanC /= float64(len(cp.Ckpt))
-	st := store.Checked(store.NewFaultStore(store.NewMemStore(), store.FaultPlan{
-		Seed: seed, WriteFail: writeFail, MeanLatency: meanLatency, LogicalKeys: true,
-	}))
+	plan := store.FaultPlan{Seed: seed, WriteFail: writeFail, MeanLatency: meanLatency, LogicalKeys: true}
+	st, err := store.Spec{Backends: []store.Store{store.NewMemStore()}, Faults: &plan}.Build()
+	if err != nil {
+		return ResilienceReport{}, err
+	}
 	res, err := exec.Execute(w,
 		exec.NewKeyedSource(failure.Exponential{Lambda: m.Lambda}, seed, 1),
 		exec.Options{
