@@ -1,6 +1,7 @@
 package main
 
 import (
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -62,6 +63,24 @@ func TestRunErrors(t *testing.T) {
 	}
 	if err := run("", 0, 0, 0, 0, 0, filepath.Join(t.TempDir(), "missing.csv"), ""); err == nil {
 		t.Error("missing fit file should fail")
+	}
+	// Non-finite parameters once generated events until memory ran out.
+	nan, inf := math.NaN(), math.Inf(1)
+	out := filepath.Join(t.TempDir(), "t.csv")
+	for _, c := range []struct {
+		law                  string
+		mtbf, shape, horizon float64
+	}{
+		{"weibull", 50, nan, 1000},
+		{"weibull", inf, 0.7, 1000},
+		{"lognormal", nan, 0.7, 1000},
+		{"lognormal", 50, inf, 1000},
+		{"exponential", 50, 0.7, nan},
+		{"exponential", 50, 0.7, inf},
+	} {
+		if err := run(c.law, c.mtbf, c.shape, 4, c.horizon, 1, "", out); err == nil {
+			t.Errorf("%s mtbf=%v shape=%v horizon=%v accepted", c.law, c.mtbf, c.shape, c.horizon)
+		}
 	}
 }
 

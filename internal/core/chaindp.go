@@ -236,65 +236,6 @@ func SolveChainDPDense(cp *ChainProblem) (ChainResult, error) {
 	return ChainResult{Expected: best[0], CheckpointAfter: ck}, nil
 }
 
-// SolveChainDPRecursive computes the same optimum with the memoized
-// recursion written exactly as Algorithm 1 in the paper (DPMakespan(x, n)
-// returning the pair ⟨best expectation, index of the task preceding the
-// first checkpoint⟩). It exists so tests can confirm the transcription of
-// the published pseudo-code agrees with the iterative solver.
-func SolveChainDPRecursive(cp *ChainProblem) (ChainResult, error) {
-	if err := cp.Validate(); err != nil {
-		return ChainResult{}, err
-	}
-	n := cp.Len()
-	prefix := make([]float64, n+1)
-	for i, w := range cp.Weights {
-		prefix[i+1] = prefix[i] + w
-	}
-	type entry struct {
-		exp     float64
-		numTask int
-		done    bool
-	}
-	memo := make([]entry, n)
-
-	// dpMakespan mirrors Algorithm 1 with x 0-based: it computes the
-	// optimal expectation for executing positions x..n−1.
-	var dpMakespan func(x int) (float64, int)
-	dpMakespan = func(x int) (float64, int) {
-		if memo[x].done {
-			return memo[x].exp, memo[x].numTask
-		}
-		rec := cp.recoveryBefore(x)
-		if x == n-1 {
-			e := cp.Model.ExpectedTime(cp.Weights[n-1], cp.Ckpt[n-1], rec)
-			memo[x] = entry{exp: e, numTask: n - 1, done: true}
-			return e, n - 1
-		}
-		// "best ← execute everything to the end, checkpoint after T_n."
-		best := cp.Model.ExpectedTime(prefix[n]-prefix[x], cp.Ckpt[n-1], rec)
-		numTask := n - 1
-		for j := x; j <= n-2; j++ {
-			expSucc, _ := dpMakespan(j + 1)
-			cur := expSucc + cp.Model.ExpectedTime(prefix[j+1]-prefix[x], cp.Ckpt[j], rec)
-			if cur < best {
-				best = cur
-				numTask = j
-			}
-		}
-		memo[x] = entry{exp: best, numTask: numTask, done: true}
-		return best, numTask
-	}
-
-	exp, _ := dpMakespan(0)
-	ck := make([]bool, n)
-	for x := 0; x < n; {
-		_, j := dpMakespan(x)
-		ck[j] = true
-		x = j + 1
-	}
-	return ChainResult{Expected: exp, CheckpointAfter: ck}, nil
-}
-
 // BruteForceChain enumerates all 2^{n−1} checkpoint placements (the final
 // position is always checkpointed) and returns the best. It validates the
 // DP on small chains; n is capped to keep the enumeration tractable.

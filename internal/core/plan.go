@@ -344,16 +344,5 @@ func EvaluatePlan(m expectation.Model, g *dag.Graph, plan Plan, initialRecovery 
 	return cp.Makespan(plan.CheckpointAfter)
 }
 
-// boolsFromPositions converts checkpoint positions to a vector of length n
-// with the final position forced true.
-func boolsFromPositions(n int, positions []int) []bool {
-	out := make([]bool, n)
-	for _, p := range positions {
-		out[p] = true
-	}
-	out[n-1] = true
-	return out
-}
-
 // infinity is a shared +Inf for solver initializations.
 var infinity = math.Inf(1)

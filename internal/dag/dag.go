@@ -5,14 +5,13 @@
 // so the package also provides topological machinery (orders, enumeration,
 // chain detection) and generators for the workflow shapes cited in the
 // paper's motivation (linear chains, fork–join pipelines, layered random
-// DAGs, elimination fronts, Montage-like shapes).
+// DAGs, Montage-like shapes).
 package dag
 
 import (
 	"errors"
 	"fmt"
 	"sort"
-	"strings"
 )
 
 // Task is a node of the application graph.
@@ -367,72 +366,6 @@ func (g *Graph) CriticalPath() (float64, []int, error) {
 	return dist[best], path, nil
 }
 
-// TransitiveClosure returns reach[i][j] = true iff there is a directed
-// path from i to j.
-func (g *Graph) TransitiveClosure() ([][]bool, error) {
-	order, err := g.TopologicalOrder()
-	if err != nil {
-		return nil, err
-	}
-	n := len(g.tasks)
-	reach := make([][]bool, n)
-	for i := range reach {
-		reach[i] = make([]bool, n)
-	}
-	for i := len(order) - 1; i >= 0; i-- {
-		v := order[i]
-		for _, s := range g.succ[v] {
-			reach[v][s] = true
-			for j := 0; j < n; j++ {
-				if reach[s][j] {
-					reach[v][j] = true
-				}
-			}
-		}
-	}
-	return reach, nil
-}
-
-// TransitiveReduction returns a new graph with the same tasks and the
-// minimal edge set preserving reachability.
-func (g *Graph) TransitiveReduction() (*Graph, error) {
-	reach, err := g.TransitiveClosure()
-	if err != nil {
-		return nil, err
-	}
-	out := New()
-	for _, t := range g.tasks {
-		out.MustAddTask(Task{Name: t.Name, Weight: t.Weight, Checkpoint: t.Checkpoint, Recovery: t.Recovery})
-	}
-	for v := range g.succ {
-		for _, s := range g.succ[v] {
-			// Edge v→s is redundant iff some other successor of v reaches s.
-			redundant := false
-			for _, mid := range g.succ[v] {
-				if mid != s && reach[mid][s] {
-					redundant = true
-					break
-				}
-			}
-			if !redundant {
-				out.MustAddEdge(v, s)
-			}
-		}
-	}
-	return out, nil
-}
-
-// Sources returns the IDs with no predecessors.
-func (g *Graph) Sources() []int {
-	var out []int
-	for i := range g.pred {
-		if len(g.pred[i]) == 0 {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
 // Sinks returns the IDs with no successors.
 func (g *Graph) Sinks() []int {
 	var out []int
@@ -442,22 +375,6 @@ func (g *Graph) Sinks() []int {
 		}
 	}
 	return out
-}
-
-// DOT renders the graph in Graphviz DOT format, with weights as labels.
-func (g *Graph) DOT(name string) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "digraph %q {\n", name)
-	for _, t := range g.tasks {
-		fmt.Fprintf(&b, "  t%d [label=\"%s\\nw=%.3g C=%.3g\"];\n", t.ID, t.Name, t.Weight, t.Checkpoint)
-	}
-	for v, ss := range g.succ {
-		for _, s := range ss {
-			fmt.Fprintf(&b, "  t%d -> t%d;\n", v, s)
-		}
-	}
-	b.WriteString("}\n")
-	return b.String()
 }
 
 // Clone returns a deep copy of the graph.

@@ -2,7 +2,6 @@ package dag
 
 import (
 	"bytes"
-	"strings"
 	"testing"
 
 	"repro/internal/rng"
@@ -163,39 +162,8 @@ func TestCriticalPath(t *testing.T) {
 	}
 }
 
-func TestTransitiveClosureAndReduction(t *testing.T) {
-	g := buildDiamond(t)
-	// Add the redundant edge a→d.
-	g.MustAddEdge(0, 3)
-	reach, err := g.TransitiveClosure()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reach[0][3] || !reach[0][1] || reach[3][0] {
-		t.Error("closure wrong")
-	}
-	red, err := g.TransitiveReduction()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if red.EdgeCount() != 4 {
-		t.Errorf("reduction kept %d edges, want 4", red.EdgeCount())
-	}
-	redReach, _ := red.TransitiveClosure()
-	for i := range reach {
-		for j := range reach[i] {
-			if reach[i][j] != redReach[i][j] {
-				t.Errorf("reduction changed reachability at (%d,%d)", i, j)
-			}
-		}
-	}
-}
-
 func TestSourcesSinks(t *testing.T) {
 	g := buildDiamond(t)
-	if s := g.Sources(); len(s) != 1 || s[0] != 0 {
-		t.Errorf("Sources = %v", s)
-	}
 	if s := g.Sinks(); len(s) != 1 || s[0] != 3 {
 		t.Errorf("Sinks = %v", s)
 	}
@@ -223,14 +191,6 @@ func TestClone(t *testing.T) {
 	c.SetCosts(9, 9)
 	if g.Task(0).Checkpoint == 9 {
 		t.Error("clone shares state with original")
-	}
-}
-
-func TestDOT(t *testing.T) {
-	g := buildDiamond(t)
-	dot := g.DOT("d")
-	if !strings.Contains(dot, "digraph") || !strings.Contains(dot, "t0 -> t1") {
-		t.Errorf("DOT output malformed:\n%s", dot)
 	}
 }
 
@@ -266,17 +226,6 @@ func TestGenerators(t *testing.T) {
 		}
 	}
 
-	elim, err := EliminationFront(4, 10, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := elim.Validate(); err != nil {
-		t.Errorf("elimination front invalid: %v", err)
-	}
-	if elim.Len() != 4+3+2+1 {
-		t.Errorf("elimination front size = %d, want 10", elim.Len())
-	}
-
 	mon, err := MontageLike(4, ws, r)
 	if err != nil {
 		t.Fatal(err)
@@ -306,9 +255,6 @@ func TestGeneratorValidation(t *testing.T) {
 	}
 	if _, err := MontageLike(1, ws, r); err == nil {
 		t.Error("MontageLike(1) should fail")
-	}
-	if _, err := EliminationFront(0, 1, 1); err == nil {
-		t.Error("EliminationFront(0) should fail")
 	}
 	bad := ws
 	bad.MinWeight = -2

@@ -176,47 +176,6 @@ func Layered(layers, width int, density float64, ws WeightSpec, r *rng.Stream) (
 	return g, nil
 }
 
-// EliminationFront generates the task graph of a right-looking dense
-// factorization front (the LU/QR workload of Section 3's numerical-kernel
-// model): step k has one panel task followed by (steps − k − 1) update
-// tasks; updates of step k precede the panel of step k+1. Task weights
-// shrink with the trailing matrix as in an N³-type factorization.
-func EliminationFront(steps int, baseWeight, checkpointCost float64) (*Graph, error) {
-	if steps <= 0 {
-		return nil, fmt.Errorf("dag: steps must be positive, got %d", steps)
-	}
-	if baseWeight < 0 || checkpointCost < 0 {
-		return nil, fmt.Errorf("dag: negative base weight or checkpoint cost")
-	}
-	g := New()
-	prevUpdates := []int(nil)
-	for k := 0; k < steps; k++ {
-		frac := float64(steps-k) / float64(steps)
-		panel := g.MustAddTask(Task{
-			Name:       fmt.Sprintf("panel%d", k+1),
-			Weight:     baseWeight * frac * frac,
-			Checkpoint: checkpointCost * frac,
-			Recovery:   checkpointCost * frac,
-		})
-		for _, u := range prevUpdates {
-			g.MustAddEdge(u, panel)
-		}
-		updates := make([]int, 0, steps-k-1)
-		for j := k + 1; j < steps; j++ {
-			u := g.MustAddTask(Task{
-				Name:       fmt.Sprintf("upd%d.%d", k+1, j+1),
-				Weight:     baseWeight * frac * frac / 2,
-				Checkpoint: checkpointCost * frac,
-				Recovery:   checkpointCost * frac,
-			})
-			g.MustAddEdge(panel, u)
-			updates = append(updates, u)
-		}
-		prevUpdates = updates
-	}
-	return g, nil
-}
-
 // MontageLike generates a synthetic workflow shaped like the Montage
 // astronomy pipeline that motivates workflow checkpointing studies: a wide
 // projection stage, a pairwise-overlap stage, a fan-in fitting stage, then

@@ -105,19 +105,6 @@ func (m Model) ExpectedTimeRecursion(w, c, r float64) float64 {
 	return w + c + math.Expm1(x)*(m.ExpectedLost(w, c)+m.ExpectedRecovery(r))
 }
 
-// FailureFreeTime returns the failure-free execution time W + C, the
-// baseline against which Waste is measured.
-func (m Model) FailureFreeTime(w, c float64) float64 { return w + c }
-
-// Waste returns the waste ratio E[T]/(W) − 1: the relative overhead paid
-// for checkpointing plus failures, compared to pure work.
-func (m Model) Waste(w, c, r float64) float64 {
-	if w == 0 {
-		return math.Inf(1)
-	}
-	return m.ExpectedTime(w, c, r)/w - 1
-}
-
 // ExpectedTimeAlwaysRecover is the comparator formula of Bouguerra et
 // al. [12], in which every execution attempt — including the first — is
 // preceded by a recovery. Folding R into the work of Proposition 1 gives

@@ -293,17 +293,6 @@ func TestReductionRiggedStationarity(t *testing.T) {
 	}
 }
 
-func TestWaste(t *testing.T) {
-	m := mustModel(t, 1e-4, 0)
-	w := m.Waste(100, 1, 1)
-	if w <= 0 {
-		t.Errorf("waste must be positive, got %v", w)
-	}
-	if !math.IsInf(m.Waste(0, 1, 1), 1) {
-		t.Error("waste of zero work should be +Inf")
-	}
-}
-
 func TestExpectedTimePositiveProperty(t *testing.T) {
 	f := func(lRaw, wRaw, cRaw, rRaw, dRaw float64) bool {
 		lambda := math.Abs(math.Mod(lRaw, 1)) + 1e-6

@@ -27,12 +27,6 @@ type Distribution interface {
 	String() string
 }
 
-// HazardRater is implemented by distributions with a tractable hazard rate
-// h(t) = f(t)/S(t); general-law scheduling heuristics use it.
-type HazardRater interface {
-	Hazard(t float64) float64
-}
-
 // Survivaler is implemented by distributions with a tractable survival
 // function S(t) = 1 − CDF(t). All distributions in this package implement
 // it; it is split out so algorithms can state the capability they need.
@@ -45,9 +39,12 @@ type Exponential struct {
 	Lambda float64 // failure rate; MTBF = 1/Lambda
 }
 
+// positiveFinite reports whether x lies in (0, +Inf); NaN does not.
+func positiveFinite(x float64) bool { return x > 0 && !math.IsInf(x, 1) }
+
 // NewExponential returns an Exponential law with rate lambda (> 0).
 func NewExponential(lambda float64) (Exponential, error) {
-	if lambda <= 0 || math.IsNaN(lambda) || math.IsInf(lambda, 0) {
+	if !positiveFinite(lambda) {
 		return Exponential{}, fmt.Errorf("failure: exponential rate must be positive and finite, got %v", lambda)
 	}
 	return Exponential{Lambda: lambda}, nil
@@ -78,9 +75,6 @@ func (e Exponential) Survival(x float64) float64 {
 	return math.Exp(-e.Lambda * x)
 }
 
-// Hazard returns the constant hazard rate λ.
-func (e Exponential) Hazard(float64) float64 { return e.Lambda }
-
 // Mean returns 1/λ.
 func (e Exponential) Mean() float64 { return 1 / e.Lambda }
 
@@ -97,8 +91,8 @@ type Weibull struct {
 
 // NewWeibull validates and returns a Weibull law.
 func NewWeibull(shape, scale float64) (Weibull, error) {
-	if shape <= 0 || scale <= 0 {
-		return Weibull{}, fmt.Errorf("failure: weibull shape and scale must be positive, got k=%v η=%v", shape, scale)
+	if !positiveFinite(shape) || !positiveFinite(scale) {
+		return Weibull{}, fmt.Errorf("failure: weibull shape and scale must be positive and finite, got k=%v η=%v", shape, scale)
 	}
 	return Weibull{Shape: shape, Scale: scale}, nil
 }
@@ -128,20 +122,6 @@ func (w Weibull) Survival(x float64) float64 {
 	return math.Exp(-math.Pow(x/w.Scale, w.Shape))
 }
 
-// Hazard returns (k/η)·(t/η)^{k−1}.
-func (w Weibull) Hazard(t float64) float64 {
-	if t <= 0 {
-		if w.Shape < 1 {
-			return math.Inf(1)
-		}
-		if w.Shape == 1 {
-			return 1 / w.Scale
-		}
-		return 0
-	}
-	return w.Shape / w.Scale * math.Pow(t/w.Scale, w.Shape-1)
-}
-
 // Mean returns η·Γ(1 + 1/k).
 func (w Weibull) Mean() float64 { return w.Scale * math.Gamma(1+1/w.Shape) }
 
@@ -155,8 +135,8 @@ type LogNormal struct {
 
 // NewLogNormal validates and returns a log-normal law.
 func NewLogNormal(mu, sigma float64) (LogNormal, error) {
-	if sigma <= 0 {
-		return LogNormal{}, fmt.Errorf("failure: log-normal sigma must be positive, got %v", sigma)
+	if math.IsNaN(mu) || math.IsInf(mu, 0) || !positiveFinite(sigma) {
+		return LogNormal{}, fmt.Errorf("failure: log-normal needs a finite mu and a positive, finite sigma, got μ=%v σ=%v", mu, sigma)
 	}
 	return LogNormal{Mu: mu, Sigma: sigma}, nil
 }
@@ -186,82 +166,14 @@ func (l LogNormal) Mean() float64 { return math.Exp(l.Mu + l.Sigma*l.Sigma/2) }
 
 func (l LogNormal) String() string { return fmt.Sprintf("LogN(μ=%g, σ=%g)", l.Mu, l.Sigma) }
 
-// Uniform is the law on [Lo, Hi] used by Bouguerra–Trystram–Wagner in
-// their weak NP-completeness result, provided here for the extension
-// experiments.
-type Uniform struct {
-	Lo, Hi float64
-}
-
-// NewUniform validates and returns a uniform law on [lo, hi].
-func NewUniform(lo, hi float64) (Uniform, error) {
-	if lo < 0 || hi <= lo {
-		return Uniform{}, fmt.Errorf("failure: uniform requires 0 ≤ lo < hi, got [%v, %v]", lo, hi)
-	}
-	return Uniform{Lo: lo, Hi: hi}, nil
-}
-
-// Sample draws uniformly on [Lo, Hi).
-func (u Uniform) Sample(r *rng.Stream) float64 { return r.Range(u.Lo, u.Hi) }
-
-// CDF returns the linear CDF clamped to [0, 1].
-func (u Uniform) CDF(x float64) float64 {
-	switch {
-	case x <= u.Lo:
-		return 0
-	case x >= u.Hi:
-		return 1
-	default:
-		return (x - u.Lo) / (u.Hi - u.Lo)
-	}
-}
-
-// Survival returns 1 − CDF(x).
-func (u Uniform) Survival(x float64) float64 { return 1 - u.CDF(x) }
-
-// Mean returns (Lo+Hi)/2.
-func (u Uniform) Mean() float64 { return (u.Lo + u.Hi) / 2 }
-
-func (u Uniform) String() string { return fmt.Sprintf("U[%g, %g]", u.Lo, u.Hi) }
-
-// Deterministic always returns Value. Useful in tests to script failures.
-type Deterministic struct {
-	Value float64
-}
-
-// Sample returns Value.
-func (d Deterministic) Sample(*rng.Stream) float64 { return d.Value }
-
-// CDF is the step function at Value.
-func (d Deterministic) CDF(x float64) float64 {
-	if x < d.Value {
-		return 0
-	}
-	return 1
-}
-
-// Survival returns 1 − CDF(x).
-func (d Deterministic) Survival(x float64) float64 { return 1 - d.CDF(x) }
-
-// Mean returns Value.
-func (d Deterministic) Mean() float64 { return d.Value }
-
-func (d Deterministic) String() string { return fmt.Sprintf("Det(%g)", d.Value) }
-
 // Compile-time interface checks.
 var (
 	_ Distribution = Exponential{}
 	_ Distribution = Weibull{}
 	_ Distribution = LogNormal{}
-	_ Distribution = Uniform{}
-	_ Distribution = Deterministic{}
-	_ HazardRater  = Exponential{}
-	_ HazardRater  = Weibull{}
 	_ Survivaler   = Exponential{}
 	_ Survivaler   = Weibull{}
 	_ Survivaler   = LogNormal{}
-	_ Survivaler   = Uniform{}
-	_ Survivaler   = Deterministic{}
 )
 
 // splitLaw is a law whose Sample(r) is transform(base(r)): base makes

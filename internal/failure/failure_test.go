@@ -1,6 +1,7 @@
 package failure
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -57,9 +58,6 @@ func TestExponentialCDFSurvival(t *testing.T) {
 			t.Errorf("CDF + Survival ≠ 1 at %v", x)
 		}
 	}
-	if e.Hazard(3) != 1 {
-		t.Error("exponential hazard should be constant λ")
-	}
 }
 
 func TestWeibullMoments(t *testing.T) {
@@ -87,26 +85,30 @@ func TestWeibullShape1IsExponential(t *testing.T) {
 	}
 }
 
-func TestWeibullHazardMonotone(t *testing.T) {
-	dec, _ := NewWeibull(0.7, 1)
-	inc, _ := NewWeibull(1.5, 1)
-	if dec.Hazard(0.5) <= dec.Hazard(2) {
-		t.Error("shape < 1 should have decreasing hazard")
-	}
-	if inc.Hazard(0.5) >= inc.Hazard(2) {
-		t.Error("shape > 1 should have increasing hazard")
-	}
-	if !math.IsInf(dec.Hazard(0), 1) {
-		t.Error("shape < 1 hazard at 0 should be +Inf")
-	}
-}
-
 func TestWeibullValidation(t *testing.T) {
 	if _, err := NewWeibull(0, 1); err == nil {
 		t.Error("zero shape should be rejected")
 	}
 	if _, err := NewWeibull(1, -2); err == nil {
 		t.Error("negative scale should be rejected")
+	}
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, c := range [][2]float64{{nan, 1}, {1, nan}, {inf, 1}, {1, inf}} {
+		if _, err := NewWeibull(c[0], c[1]); err == nil {
+			t.Errorf("NewWeibull(%v, %v) should be rejected", c[0], c[1])
+		}
+	}
+}
+
+func TestLogNormalValidation(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, c := range [][2]float64{{0, 0}, {0, -1}, {nan, 1}, {inf, 1}, {-inf, 1}, {0, nan}, {0, inf}} {
+		if _, err := NewLogNormal(c[0], c[1]); err == nil {
+			t.Errorf("NewLogNormal(%v, %v) should be rejected", c[0], c[1])
+		}
+	}
+	if _, err := NewLogNormal(-3, 0.5); err != nil {
+		t.Errorf("valid parameters rejected: %v", err)
 	}
 }
 
@@ -128,21 +130,34 @@ func TestLogNormalMoments(t *testing.T) {
 	}
 }
 
-func TestUniform(t *testing.T) {
-	u, err := NewUniform(1, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if u.Mean() != 2 {
-		t.Errorf("Mean = %v", u.Mean())
-	}
-	if u.CDF(0) != 0 || u.CDF(4) != 1 || u.CDF(2) != 0.5 {
-		t.Error("uniform CDF wrong")
-	}
-	if _, err := NewUniform(3, 1); err == nil {
-		t.Error("inverted bounds should be rejected")
-	}
+// Deterministic always returns Value: a test law that scripts failures.
+type Deterministic struct {
+	Value float64
 }
+
+// Sample returns Value.
+func (d Deterministic) Sample(*rng.Stream) float64 { return d.Value }
+
+// CDF is the step function at Value.
+func (d Deterministic) CDF(x float64) float64 {
+	if x < d.Value {
+		return 0
+	}
+	return 1
+}
+
+// Survival returns 1 − CDF(x).
+func (d Deterministic) Survival(x float64) float64 { return 1 - d.CDF(x) }
+
+// Mean returns Value.
+func (d Deterministic) Mean() float64 { return d.Value }
+
+func (d Deterministic) String() string { return fmt.Sprintf("Det(%g)", d.Value) }
+
+var (
+	_ Distribution = Deterministic{}
+	_ Survivaler   = Deterministic{}
+)
 
 func TestDeterministic(t *testing.T) {
 	d := Deterministic{Value: 5}
@@ -159,7 +174,6 @@ func TestCDFMonotoneProperty(t *testing.T) {
 		Exponential{Lambda: 0.3},
 		Weibull{Shape: 0.7, Scale: 2},
 		LogNormal{Mu: 0.5, Sigma: 1},
-		Uniform{Lo: 0, Hi: 4},
 	}
 	f := func(a, b float64) bool {
 		x := math.Abs(math.Mod(a, 100))
@@ -238,7 +252,6 @@ func TestSamplersMatchCDFs(t *testing.T) {
 		Weibull{Shape: 0.7, Scale: 5},
 		Weibull{Shape: 2, Scale: 1},
 		LogNormal{Mu: 1, Sigma: 0.8},
-		Uniform{Lo: 2, Hi: 9},
 	}
 	r := rng.New(99)
 	for _, d := range dists {
@@ -259,7 +272,7 @@ func TestSamplersMatchCDFs(t *testing.T) {
 func TestStringers(t *testing.T) {
 	for _, d := range []Distribution{
 		Exponential{Lambda: 1}, Weibull{Shape: 1, Scale: 1},
-		LogNormal{Mu: 0, Sigma: 1}, Uniform{Lo: 0, Hi: 1}, Deterministic{Value: 1},
+		LogNormal{Mu: 0, Sigma: 1}, Deterministic{Value: 1},
 	} {
 		if d.String() == "" {
 			t.Errorf("%T has empty String()", d)

@@ -74,34 +74,6 @@ type Placement struct {
 	SavedWork float64
 }
 
-// EvaluateSavedWork computes E[saved] for an explicit placement: work is
-// credited at each checkpoint completion time, weighted by survival.
-// checkpointCosts[i] is the cost of the checkpoint after position i.
-func EvaluateSavedWork(weights, checkpointCosts []float64, checkpointAfter []bool, s Survival) (float64, error) {
-	n := len(weights)
-	if len(checkpointCosts) != n || len(checkpointAfter) != n {
-		return 0, fmt.Errorf("heuristic: inconsistent lengths (%d weights, %d costs, %d decisions)",
-			n, len(checkpointCosts), len(checkpointAfter))
-	}
-	if n == 0 {
-		return 0, fmt.Errorf("heuristic: empty chain")
-	}
-	if !checkpointAfter[n-1] {
-		return 0, fmt.Errorf("heuristic: final position must carry a checkpoint")
-	}
-	var total, t, securedW, lastSecured float64
-	for i := 0; i < n; i++ {
-		t += weights[i]
-		securedW += weights[i]
-		if checkpointAfter[i] {
-			t += checkpointCosts[i]
-			total += (securedW - lastSecured) * s(t)
-			lastSecured = securedW
-		}
-	}
-	return total, nil
-}
-
 // MaxSavedWorkDP computes the placement maximizing E[saved] for a chain
 // with a constant checkpoint cost, exactly, in O(n³): the DP state is
 // (last checkpointed position, number of checkpoints used), which pins the
@@ -163,116 +135,4 @@ func MaxSavedWorkDP(weights []float64, checkpointCost float64, s Survival) (Plac
 		j, k = prev, k-1
 	}
 	return Placement{CheckpointAfter: ck, SavedWork: bestV}, nil
-}
-
-// MaxSavedWorkDPVariableCost handles per-position checkpoint costs with a
-// pseudo-polynomial DP, echoing the weak NP-completeness (and
-// pseudo-polynomial algorithm) of Bouguerra–Trystram–Wagner for variable
-// costs: costs are discretized to a grid of the given resolution and the
-// DP state tracks (position, total discretized checkpoint cost so far).
-func MaxSavedWorkDPVariableCost(weights, checkpointCosts []float64, resolution float64, s Survival) (Placement, error) {
-	n := len(weights)
-	if n == 0 {
-		return Placement{}, fmt.Errorf("heuristic: empty chain")
-	}
-	if len(checkpointCosts) != n {
-		return Placement{}, fmt.Errorf("heuristic: %d costs for %d positions", len(checkpointCosts), n)
-	}
-	if resolution <= 0 {
-		return Placement{}, fmt.Errorf("heuristic: resolution must be positive, got %v", resolution)
-	}
-	units := make([]int, n)
-	maxUnits := 0
-	for i, c := range checkpointCosts {
-		if c < 0 {
-			return Placement{}, fmt.Errorf("heuristic: negative checkpoint cost at %d", i)
-		}
-		units[i] = int(math.Round(c / resolution))
-		maxUnits += units[i]
-	}
-	prefW := make([]float64, n+1)
-	for i, w := range weights {
-		prefW[i+1] = prefW[i] + w
-	}
-	const negInf = math.MaxFloat64
-	// best[j][u]: max saved work with last checkpoint at j and total
-	// discretized cost u.
-	best := make([][]float64, n)
-	from := make([][]int, n)
-	for j := 0; j < n; j++ {
-		best[j] = make([]float64, maxUnits+1)
-		from[j] = make([]int, maxUnits+1)
-		for u := range best[j] {
-			best[j][u] = -negInf
-			from[j][u] = -1
-		}
-		u := units[j]
-		best[j][u] = prefW[j+1] * s(prefW[j+1]+float64(u)*resolution)
-	}
-	for j := 1; j < n; j++ {
-		for i := 0; i < j; i++ {
-			for u := 0; u+units[j] <= maxUnits; u++ {
-				if best[i][u] == -negInf {
-					continue
-				}
-				nu := u + units[j]
-				tj := prefW[j+1] + float64(nu)*resolution
-				v := best[i][u] + (prefW[j+1]-prefW[i+1])*s(tj)
-				if v > best[j][nu] {
-					best[j][nu] = v
-					from[j][nu] = i
-				}
-			}
-		}
-	}
-	bestU, bestV := -1, -negInf
-	for u, v := range best[n-1] {
-		if v > bestV {
-			bestU, bestV = u, v
-		}
-	}
-	if bestU < 0 {
-		return Placement{}, fmt.Errorf("heuristic: no feasible placement")
-	}
-	ck := make([]bool, n)
-	for j, u := n-1, bestU; j >= 0; {
-		ck[j] = true
-		prev := from[j][u]
-		u -= units[j]
-		j = prev
-	}
-	return Placement{CheckpointAfter: ck, SavedWork: bestV}, nil
-}
-
-// GreedyHazard places a checkpoint whenever the accumulated unsecured work
-// times the current platform hazard exceeds the checkpoint cost — a local
-// rule that needs only the hazard rate, usable online. It is the
-// "greedy" family the paper sketches for general laws.
-func GreedyHazard(weights, checkpointCosts []float64, hazard func(t float64) float64) (Placement, error) {
-	n := len(weights)
-	if n == 0 {
-		return Placement{}, fmt.Errorf("heuristic: empty chain")
-	}
-	if len(checkpointCosts) != n {
-		return Placement{}, fmt.Errorf("heuristic: %d costs for %d positions", len(checkpointCosts), n)
-	}
-	ck := make([]bool, n)
-	var t, unsecured float64
-	for i := 0; i < n; i++ {
-		t += weights[i]
-		unsecured += weights[i]
-		if i == n-1 {
-			break
-		}
-		// Expected work lost to a failure in the next task ≈ unsecured ×
-		// hazard × (next task's span). Checkpoint when that exceeds C.
-		risk := unsecured * hazard(t) * weights[i+1]
-		if risk > checkpointCosts[i] {
-			ck[i] = true
-			t += checkpointCosts[i]
-			unsecured = 0
-		}
-	}
-	ck[n-1] = true
-	return Placement{CheckpointAfter: ck}, nil
 }

@@ -1,6 +1,7 @@
 package heuristic
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -55,6 +56,35 @@ func TestAgedPlatformSurvival(t *testing.T) {
 	if _, err := AgedPlatformSurvival(w, []float64{-1}); err == nil {
 		t.Error("negative age should fail")
 	}
+}
+
+// EvaluateSavedWork is the test oracle for the DP: it computes E[saved]
+// for an explicit placement, crediting work at each checkpoint completion
+// time, weighted by survival.
+// checkpointCosts[i] is the cost of the checkpoint after position i.
+func EvaluateSavedWork(weights, checkpointCosts []float64, checkpointAfter []bool, s Survival) (float64, error) {
+	n := len(weights)
+	if len(checkpointCosts) != n || len(checkpointAfter) != n {
+		return 0, fmt.Errorf("heuristic: inconsistent lengths (%d weights, %d costs, %d decisions)",
+			n, len(checkpointCosts), len(checkpointAfter))
+	}
+	if n == 0 {
+		return 0, fmt.Errorf("heuristic: empty chain")
+	}
+	if !checkpointAfter[n-1] {
+		return 0, fmt.Errorf("heuristic: final position must carry a checkpoint")
+	}
+	var total, t, securedW, lastSecured float64
+	for i := 0; i < n; i++ {
+		t += weights[i]
+		securedW += weights[i]
+		if checkpointAfter[i] {
+			t += checkpointCosts[i]
+			total += (securedW - lastSecured) * s(t)
+			lastSecured = securedW
+		}
+	}
+	return total, nil
 }
 
 func TestEvaluateSavedWork(t *testing.T) {
@@ -131,61 +161,6 @@ func TestMaxSavedWorkDPMatchesBruteForce(t *testing.T) {
 	}
 }
 
-func TestMaxSavedWorkDPVariableCostMatchesConstant(t *testing.T) {
-	// With uniform costs the variable-cost DP (fine resolution) must
-	// match the constant-cost DP.
-	weights := []float64{2, 3, 5, 2, 4}
-	const c = 0.5
-	s := expSurvival(0.05)
-	dp, err := MaxSavedWorkDP(weights, c, s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	costs := []float64{c, c, c, c, c}
-	vdp, err := MaxSavedWorkDPVariableCost(weights, costs, 0.5, s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(dp.SavedWork-vdp.SavedWork) > 1e-9 {
-		t.Errorf("constant %v ≠ variable %v", dp.SavedWork, vdp.SavedWork)
-	}
-}
-
-func TestMaxSavedWorkDPVariableCostHeterogeneous(t *testing.T) {
-	weights := []float64{5, 5, 5, 5}
-	costs := []float64{0.1, 3, 0.1, 0.2}
-	s := expSurvival(0.08)
-	vdp, err := MaxSavedWorkDPVariableCost(weights, costs, 0.1, s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Claimed value must match evaluation of its own placement.
-	v, err := EvaluateSavedWork(weights, costs, vdp.CheckpointAfter, s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(v-vdp.SavedWork) > 1e-9 {
-		t.Errorf("placement evaluates to %v, DP claims %v", v, vdp.SavedWork)
-	}
-	// Brute force comparison.
-	n := len(weights)
-	best := -1.0
-	ck := make([]bool, n)
-	ck[n-1] = true
-	for mask := 0; mask < 1<<(n-1); mask++ {
-		for i := 0; i < n-1; i++ {
-			ck[i] = mask&(1<<i) != 0
-		}
-		v, _ := EvaluateSavedWork(weights, costs, ck, s)
-		if v > best {
-			best = v
-		}
-	}
-	if math.Abs(vdp.SavedWork-best) > 1e-9 {
-		t.Errorf("variable DP %v ≠ brute force %v", vdp.SavedWork, best)
-	}
-}
-
 func TestMaxSavedWorkMoreCheckpointsWhenCheap(t *testing.T) {
 	weights := make([]float64, 10)
 	for i := range weights {
@@ -234,44 +209,6 @@ func TestMaxSavedWorkMoreCheckpointsWhenCheap(t *testing.T) {
 	}
 }
 
-func TestGreedyHazard(t *testing.T) {
-	weights := []float64{5, 5, 5, 5}
-	costs := []float64{0.5, 0.5, 0.5, 0.5}
-	e, _ := failure.NewExponential(0.2)
-	p, err := GreedyHazard(weights, costs, e.Hazard)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !p.CheckpointAfter[len(weights)-1] {
-		t.Error("final checkpoint missing")
-	}
-	// High hazard should trigger intermediate checkpoints.
-	n := 0
-	for _, ck := range p.CheckpointAfter {
-		if ck {
-			n++
-		}
-	}
-	if n < 2 {
-		t.Errorf("high-hazard greedy placed only %d checkpoints", n)
-	}
-	// Near-zero hazard: only the final checkpoint.
-	e2, _ := failure.NewExponential(1e-9)
-	p2, err := GreedyHazard(weights, costs, e2.Hazard)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n2 := 0
-	for _, ck := range p2.CheckpointAfter {
-		if ck {
-			n2++
-		}
-	}
-	if n2 != 1 {
-		t.Errorf("zero-hazard greedy placed %d checkpoints, want 1", n2)
-	}
-}
-
 func TestInputValidation(t *testing.T) {
 	s := expSurvival(0.1)
 	if _, err := MaxSavedWorkDP(nil, 1, s); err == nil {
@@ -279,17 +216,5 @@ func TestInputValidation(t *testing.T) {
 	}
 	if _, err := MaxSavedWorkDP([]float64{1}, -1, s); err == nil {
 		t.Error("negative cost should fail")
-	}
-	if _, err := MaxSavedWorkDPVariableCost([]float64{1}, []float64{1}, 0, s); err == nil {
-		t.Error("zero resolution should fail")
-	}
-	if _, err := MaxSavedWorkDPVariableCost([]float64{1, 2}, []float64{1}, 0.1, s); err == nil {
-		t.Error("length mismatch should fail")
-	}
-	if _, err := GreedyHazard([]float64{1}, []float64{1, 2}, func(float64) float64 { return 1 }); err == nil {
-		t.Error("length mismatch should fail")
-	}
-	if _, err := GreedyHazard(nil, nil, func(float64) float64 { return 1 }); err == nil {
-		t.Error("empty chain should fail")
 	}
 }

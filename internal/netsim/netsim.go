@@ -190,13 +190,6 @@ func (n *Network) partitioned(now float64, a, b string) bool {
 	return false
 }
 
-// PartitionedAt reports whether endpoints a and b are separated at
-// virtual time now. Exposed for tests and planners that want to reason
-// about the schedule without spending delivery attempts.
-func (n *Network) PartitionedAt(now float64, a, b string) bool {
-	return n.partitioned(now, a, b)
-}
-
 // Stats returns a snapshot of the delivery counters.
 func (n *Network) Stats() Stats {
 	n.mu.Lock()

@@ -83,9 +83,6 @@ func TestPartitionWindows(t *testing.T) {
 		if got := n.Deliver(c.now, c.from, c.to, msg).Partitioned; got != c.want {
 			t.Errorf("Deliver(now=%v, %s->%s): Partitioned=%v, want %v", c.now, c.from, c.to, got, c.want)
 		}
-		if got := n.PartitionedAt(c.now, c.from, c.to); got != c.want {
-			t.Errorf("PartitionedAt(now=%v, %s, %s)=%v, want %v", c.now, c.from, c.to, got, c.want)
-		}
 	}
 }
 

@@ -1,11 +1,10 @@
 // Package numeric provides the numerical building blocks shared by the
 // checkpoint-scheduling library: numerically stable exponential helpers,
-// the Lambert W function, root finding, adaptive quadrature, and
-// compensated summation.
+// the Lambert W function and adaptive quadrature.
 //
 // All expectation formulas in the paper are built from terms of the form
-// e^{λx} − 1; evaluating them through Expm1 keeps full precision for the
-// practically important regime λx ≪ 1 (failures much rarer than tasks).
+// e^{λx} − 1; evaluating them through math.Expm1 keeps full precision for
+// the practically important regime λx ≪ 1 (failures much rarer than tasks).
 package numeric
 
 import (
@@ -19,25 +18,9 @@ import (
 // large expected makespans and are reported as infinite.
 const MaxExpArg = 709.0
 
-// ErrNoBracket is returned by root finders when the supplied interval does
-// not bracket a sign change.
-var ErrNoBracket = errors.New("numeric: interval does not bracket a root")
-
 // ErrNoConverge is returned when an iterative method exhausts its iteration
 // budget without meeting its tolerance.
 var ErrNoConverge = errors.New("numeric: iteration did not converge")
-
-// Expm1 returns e^x − 1 computed without cancellation for small x.
-func Expm1(x float64) float64 { return math.Expm1(x) }
-
-// ExpRatio returns (e^a − 1)/(e^b − 1) computed stably. For small a and b
-// the ratio tends to a/b; computing it naively loses all precision.
-func ExpRatio(a, b float64) float64 {
-	if b == 0 {
-		return math.Inf(1)
-	}
-	return math.Expm1(a) / math.Expm1(b)
-}
 
 // XOverExpm1 returns x / (e^x − 1), extended by continuity to 1 at x = 0.
 // This is the shape of the E[Tlost] correction term in Equation 4.
@@ -46,14 +29,6 @@ func XOverExpm1(x float64) float64 {
 		return 1
 	}
 	return x / math.Expm1(x)
-}
-
-// SafeExp returns e^x, or +Inf when x exceeds MaxExpArg. It never panics.
-func SafeExp(x float64) float64 {
-	if x > MaxExpArg {
-		return math.Inf(1)
-	}
-	return math.Exp(x)
 }
 
 // LambertW0 returns the principal branch W₀(x) of the Lambert W function,
@@ -118,88 +93,6 @@ func LambertW0(x float64) (float64, error) {
 	return w, ErrNoConverge
 }
 
-// Bisect finds a root of f in [a, b] to within tol using bisection.
-// f(a) and f(b) must have opposite signs.
-func Bisect(f func(float64) float64, a, b, tol float64) (float64, error) {
-	fa, fb := f(a), f(b)
-	if fa == 0 {
-		return a, nil
-	}
-	if fb == 0 {
-		return b, nil
-	}
-	if (fa > 0) == (fb > 0) {
-		return 0, ErrNoBracket
-	}
-	for i := 0; i < 200; i++ {
-		m := a + (b-a)/2
-		fm := f(m)
-		if fm == 0 || (b-a)/2 < tol {
-			return m, nil
-		}
-		if (fm > 0) == (fa > 0) {
-			a, fa = m, fm
-		} else {
-			b = m
-		}
-	}
-	return a + (b-a)/2, ErrNoConverge
-}
-
-// Newton finds a root of f starting from x0 using Newton's method with the
-// supplied derivative. It falls back to returning ErrNoConverge after 100
-// iterations.
-func Newton(f, fprime func(float64) float64, x0, tol float64) (float64, error) {
-	x := x0
-	for i := 0; i < 100; i++ {
-		fx := f(x)
-		d := fprime(x)
-		if d == 0 {
-			return x, ErrNoConverge
-		}
-		step := fx / d
-		x -= step
-		if math.Abs(step) <= tol*(1+math.Abs(x)) {
-			return x, nil
-		}
-	}
-	return x, ErrNoConverge
-}
-
-// MinimizeUnimodal performs golden-section search for the minimum of a
-// unimodal function on [a, b], returning the argmin.
-func MinimizeUnimodal(f func(float64) float64, a, b, tol float64) float64 {
-	const invPhi = 0.6180339887498949
-	x1 := b - invPhi*(b-a)
-	x2 := a + invPhi*(b-a)
-	f1, f2 := f(x1), f(x2)
-	for b-a > tol {
-		if f1 < f2 {
-			b, x2, f2 = x2, x1, f1
-			x1 = b - invPhi*(b-a)
-			f1 = f(x1)
-		} else {
-			a, x1, f1 = x1, x2, f2
-			x2 = a + invPhi*(b-a)
-			f2 = f(x2)
-		}
-	}
-	return a + (b-a)/2
-}
-
-// ArgminInt scans f over the integer range [lo, hi] (inclusive) and returns
-// the argmin and the minimum value. It is used for integer checkpoint-count
-// and processor-count optimization where the objective is cheap.
-func ArgminInt(f func(int) float64, lo, hi int) (int, float64) {
-	best, bestV := lo, f(lo)
-	for i := lo + 1; i <= hi; i++ {
-		if v := f(i); v < bestV {
-			best, bestV = i, v
-		}
-	}
-	return best, bestV
-}
-
 // Integrate approximates ∫_a^b f using adaptive Simpson quadrature with
 // absolute tolerance tol.
 func Integrate(f func(float64) float64, a, b, tol float64) float64 {
@@ -222,38 +115,6 @@ func adaptiveSimpson(f func(float64) float64, a, b, fa, fb, fc, whole, tol float
 		adaptiveSimpson(f, c, b, fc, fb, fr, right, tol/2, depth-1)
 }
 
-// KahanSum accumulates float64 values with compensated (Kahan) summation,
-// keeping Monte-Carlo averages over millions of samples accurate.
-// The zero value is ready to use.
-type KahanSum struct {
-	sum float64
-	c   float64
-	n   int64
-}
-
-// Add accumulates v.
-func (k *KahanSum) Add(v float64) {
-	y := v - k.c
-	t := k.sum + y
-	k.c = (t - k.sum) - y
-	k.sum = t
-	k.n++
-}
-
-// Sum returns the compensated total.
-func (k *KahanSum) Sum() float64 { return k.sum }
-
-// Count returns the number of accumulated values.
-func (k *KahanSum) Count() int64 { return k.n }
-
-// Mean returns the compensated mean, or 0 when empty.
-func (k *KahanSum) Mean() float64 {
-	if k.n == 0 {
-		return 0
-	}
-	return k.sum / float64(k.n)
-}
-
 // Linspace returns n evenly spaced points from lo to hi inclusive.
 func Linspace(lo, hi float64, n int) []float64 {
 	if n <= 0 {
@@ -269,22 +130,6 @@ func Linspace(lo, hi float64, n int) []float64 {
 	}
 	out[n-1] = hi
 	return out
-}
-
-// Logspace returns n logarithmically spaced points from lo to hi inclusive.
-// lo and hi must be positive.
-func Logspace(lo, hi float64, n int) []float64 {
-	pts := Linspace(math.Log(lo), math.Log(hi), n)
-	for i, p := range pts {
-		pts[i] = math.Exp(p)
-	}
-	if n >= 1 {
-		pts[0] = lo
-	}
-	if n >= 2 {
-		pts[n-1] = hi
-	}
-	return pts
 }
 
 // AlmostEqual reports whether a and b agree to within relative tolerance

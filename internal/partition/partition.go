@@ -160,38 +160,6 @@ func Solve(in Instance) (Solution, bool, error) {
 	return nil, false, nil
 }
 
-// GreedySolve attempts the instance with first-fit-decreasing triples. It
-// is a baseline: it can fail on yes-instances.
-func GreedySolve(in Instance) (Solution, bool) {
-	n3 := len(in.Items)
-	idx := make([]int, n3)
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool { return in.Items[idx[a]] > in.Items[idx[b]] })
-	used := make([]bool, n3)
-	var sol Solution
-	for g := 0; g < in.Groups(); g++ {
-		group := make([]int, 0, 3)
-		sum := 0
-		for _, i := range idx {
-			if used[i] || len(group) == 3 {
-				continue
-			}
-			if sum+in.Items[i] <= in.Target {
-				used[i] = true
-				group = append(group, i)
-				sum += in.Items[i]
-			}
-		}
-		if len(group) != 3 || sum != in.Target {
-			return nil, false
-		}
-		sol = append(sol, group)
-	}
-	return sol, true
-}
-
 // GenerateYes plants a satisfiable instance with n triples and target
 // around target (must allow T/4 < a < T/2). Each triple is built as
 // (T/3 − d, T/3, T/3 + d) with a random jitter d keeping the shape

@@ -120,38 +120,6 @@ func TestGenerateNo(t *testing.T) {
 	}
 }
 
-func TestGreedySolveNeverLies(t *testing.T) {
-	// Greedy is an incomplete baseline: it may fail on yes-instances,
-	// but any witness it returns must be valid.
-	r := rng.New(4)
-	for i := 0; i < 20; i++ {
-		in, err := GenerateYes(3, 240, r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if sol, ok := GreedySolve(in); ok {
-			if err := in.Check(sol); err != nil {
-				t.Errorf("greedy returned invalid solution: %v", err)
-			}
-		}
-	}
-}
-
-func TestGreedySolveUniformInstance(t *testing.T) {
-	// With all items equal to T/3 greedy must succeed.
-	in := Instance{Items: []int{40, 40, 40, 40, 40, 40}, Target: 120}
-	if err := in.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	sol, ok := GreedySolve(in)
-	if !ok {
-		t.Fatal("greedy failed on the uniform instance")
-	}
-	if err := in.Check(sol); err != nil {
-		t.Errorf("greedy witness invalid: %v", err)
-	}
-}
-
 func TestCheckRejectsBadSolutions(t *testing.T) {
 	in := Instance{Items: []int{20, 20, 20, 19, 20, 21}, Target: 60}
 	bad := []Solution{

@@ -6,17 +6,14 @@
 // fails before completing does the attempt restart (after downtime and
 // recovery).
 //
-// Under Exponential failures the per-attempt success probability has a
-// closed form, which yields exact attempt counts and analytic bounds on
-// the expected time; the exact expectation (which depends on the partial
-// overlap of group failures within an attempt) comes from simulation.
+// The expected time depends on the partial overlap of group failures
+// within an attempt, so it comes from simulation.
 package replication
 
 import (
 	"fmt"
 	"math"
 
-	"repro/internal/numeric"
 	"repro/internal/rng"
 	"repro/internal/stats"
 )
@@ -47,80 +44,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("replication: negative downtime (%v) or recovery (%v)", c.Downtime, c.Recovery)
 	}
 	return nil
-}
-
-// SuccessProbability returns the probability that one attempt at a
-// segment of duration L succeeds: at least one of the g groups survives
-// the whole attempt, 1 − (1 − e^{−λL})^g.
-func (c Config) SuccessProbability(l float64) float64 {
-	if l <= 0 {
-		return 1
-	}
-	x := c.LambdaGroup * l
-	if x > numeric.MaxExpArg {
-		return 0
-	}
-	q := -math.Expm1(-x) // 1 − e^{−λL}, per-group failure probability
-	return 1 - math.Pow(q, float64(c.Groups))
-}
-
-// ExpectedAttempts returns the expected number of attempts, 1/p_success
-// (geometric), or +Inf when success is impossible at double precision.
-func (c Config) ExpectedAttempts(l float64) float64 {
-	p := c.SuccessProbability(l)
-	if p <= 0 {
-		return math.Inf(1)
-	}
-	return 1 / p
-}
-
-// ExpectedTimeBounds returns analytic lower and upper bounds on the
-// expected time to complete work L followed by a checkpoint C with
-// replication. Both count the (exact) geometric number of failed
-// attempts; they differ in how much time a failed attempt wastes:
-//
-//	lower — a failed attempt wastes the expected maximum over g
-//	        truncated-exponential group-failure times (all groups die
-//	        before L+C), but at least the expectation of one truncated
-//	        exponential; we use the single-group truncated mean.
-//	upper — a failed attempt wastes the full L+C.
-//
-// Each failed attempt additionally pays D plus an expected recovery
-// (failures during recovery handled as in Eq. 5 at the platform rate
-// g·λ_group, since all groups recover together).
-func (c Config) ExpectedTimeBounds(l, ckpt float64) (lo, hi float64, err error) {
-	if err := c.Validate(); err != nil {
-		return 0, 0, err
-	}
-	if l < 0 || ckpt < 0 {
-		return 0, 0, fmt.Errorf("replication: negative work (%v) or checkpoint (%v)", l, ckpt)
-	}
-	dur := l + ckpt
-	attempts := c.ExpectedAttempts(dur)
-	if math.IsInf(attempts, 1) {
-		return math.Inf(1), math.Inf(1), nil
-	}
-	failures := attempts - 1
-	// Recovery expectation at the whole-platform rate (all groups
-	// recover simultaneously; any group failure interrupts recovery).
-	lambdaAll := c.LambdaGroup * float64(c.Groups)
-	lrec := lambdaAll * c.Recovery
-	var erec float64
-	if lrec > numeric.MaxExpArg {
-		return math.Inf(1), math.Inf(1), nil
-	}
-	erec = c.Downtime*math.Exp(lrec) + math.Expm1(lrec)/lambdaAll
-
-	// Truncated-exponential mean of one group's failure time given it
-	// fails within dur.
-	x := c.LambdaGroup * dur
-	var truncMean float64
-	if x > 0 {
-		truncMean = (1 - numeric.XOverExpm1(x)) / c.LambdaGroup
-	}
-	lo = dur + failures*(truncMean+erec)
-	hi = dur + failures*(dur+erec)
-	return lo, hi, nil
 }
 
 // SimResult summarizes simulated replicated executions.

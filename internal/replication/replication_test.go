@@ -1,7 +1,6 @@
 package replication
 
 import (
-	"math"
 	"testing"
 
 	"repro/internal/expectation"
@@ -27,33 +26,6 @@ func TestValidate(t *testing.T) {
 	}
 }
 
-func TestSuccessProbability(t *testing.T) {
-	c := Config{Groups: 3, LambdaGroup: 0.1}
-	// P = 1 − (1−e^{−0.1·10})³.
-	q := 1 - math.Exp(-1)
-	want := 1 - q*q*q
-	if got := c.SuccessProbability(10); math.Abs(got-want) > 1e-12 {
-		t.Errorf("P = %v, want %v", got, want)
-	}
-	if c.SuccessProbability(0) != 1 {
-		t.Error("zero-length attempt must always succeed")
-	}
-	// More groups, higher success.
-	c2 := Config{Groups: 6, LambdaGroup: 0.1}
-	if c2.SuccessProbability(10) <= c.SuccessProbability(10) {
-		t.Error("more groups must not lower success probability")
-	}
-}
-
-func TestExpectedAttempts(t *testing.T) {
-	c := Config{Groups: 1, LambdaGroup: 0.1}
-	// Single group: attempts = e^{λL}.
-	want := math.Exp(1)
-	if got := c.ExpectedAttempts(10); math.Abs(got-want) > 1e-9 {
-		t.Errorf("attempts = %v, want %v", got, want)
-	}
-}
-
 func TestSingleGroupMatchesProposition1(t *testing.T) {
 	// With g = 1, replication degenerates to the core model: the
 	// simulated mean must match the Prop. 1 closed form.
@@ -70,26 +42,6 @@ func TestSingleGroupMatchesProposition1(t *testing.T) {
 	if !res.Makespan.Contains(want, 0.999) {
 		t.Errorf("simulated %v ± %v vs Prop.1 %v",
 			res.Makespan.Mean(), res.Makespan.CI(0.999), want)
-	}
-}
-
-func TestBoundsBracketSimulation(t *testing.T) {
-	c := Config{Groups: 3, LambdaGroup: 0.05, Downtime: 0.5, Recovery: 1}
-	lo, hi, err := c.ExpectedTimeBounds(20, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lo > hi {
-		t.Fatalf("bounds inverted: %v > %v", lo, hi)
-	}
-	res, err := c.Simulate(20, 1, 80000, rng.New(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	mean := res.Makespan.Mean()
-	slack := 3 * res.Makespan.CI(0.999)
-	if mean < lo-slack || mean > hi+slack {
-		t.Errorf("simulated %v outside bounds [%v, %v]", mean, lo, hi)
 	}
 }
 

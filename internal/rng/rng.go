@@ -115,9 +115,6 @@ func (s *Stream) Uint64() uint64 { return s.r.Uint64() }
 // IntN returns a uniform value in [0, n). n must be positive.
 func (s *Stream) IntN(n int) int { return s.r.IntN(n) }
 
-// Int64N returns a uniform value in [0, n). n must be positive.
-func (s *Stream) Int64N(n int64) int64 { return s.r.Int64N(n) }
-
 // NormFloat64 returns a standard-normal variate.
 func (s *Stream) NormFloat64() float64 { return s.r.NormFloat64() }
 

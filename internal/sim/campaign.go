@@ -63,19 +63,6 @@ func CampaignPlans(plans [][]core.Segment, factory ProcessFactory, opts Options,
 	}, factory, opts, runs, seed)
 }
 
-// CampaignPolicies runs a CRN comparator campaign over online policies:
-// the same recorded environments replayed through RunOnline for every
-// policy, so policy deltas are paired. opts.Downtime applies to every
-// candidate, as in MonteCarloOnline.
-func CampaignPolicies(cp *core.ChainProblem, policies []Policy, factory ProcessFactory, opts Options, runs int, seed *rng.Stream) (CampaignResult, error) {
-	if len(policies) == 0 {
-		return CampaignResult{}, fmt.Errorf("sim: campaign needs at least one candidate policy")
-	}
-	return campaign(len(policies), func(cand int, proc failure.Process) (RunStats, error) {
-		return RunOnline(cp, policies[cand], proc, opts)
-	}, factory, opts, runs, seed)
-}
-
 // campaign is the shared CRN engine: worker partitioning as in
 // MonteCarlo, one RecordedTrace per worker reused across replications
 // (allocation-free in steady state when the factory's process is

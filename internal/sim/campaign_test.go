@@ -255,47 +255,12 @@ func TestCampaignNonResettableFactory(t *testing.T) {
 	}
 }
 
-// TestCampaignPolicies runs the online-policy variant: a static policy
-// and a work-threshold policy over one recorded environment set.
-func TestCampaignPolicies(t *testing.T) {
-	cp := onlineChain(t, 12, 0.05, 0.25)
-	res, err := core.SolveChainDP(cp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pol := []Policy{
-		StaticPolicy{CheckpointAfter: res.CheckpointAfter, Label: "dp"},
-		WorkThresholdPolicy{Threshold: 8},
-	}
-	out, err := CampaignPolicies(cp, pol, ExponentialFactory(cp.Model.Lambda),
-		Options{Downtime: 0.25, Workers: 2}, 2000, rng.New(71))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Runs != 2000 {
-		t.Errorf("runs = %d", out.Runs)
-	}
-	// The DP policy's mean must match its analytic expectation.
-	if !out.Results[0].Makespan.Contains(res.Expected, 0.999) {
-		t.Errorf("campaign DP mean %v ± %v vs analytic %v",
-			out.Results[0].Makespan.Mean(), out.Results[0].Makespan.CI(0.999), res.Expected)
-	}
-	// Paired identity: Results means differ by exactly the delta mean.
-	gap := out.Results[1].Makespan.Mean() - out.Results[0].Makespan.Mean()
-	if math.Abs(gap-out.Delta[1].Mean()) > 1e-9*math.Abs(gap)+1e-12 {
-		t.Errorf("delta mean %v inconsistent with aggregate gap %v", out.Delta[1].Mean(), gap)
-	}
-}
-
 func TestCampaignValidation(t *testing.T) {
 	if _, err := CampaignPlans(nil, ExponentialFactory(1), Options{}, 10, rng.New(1)); err == nil {
 		t.Error("no candidates should fail")
 	}
 	if _, err := CampaignPlans(campaignPlans(), ExponentialFactory(1), Options{}, 0, rng.New(1)); err == nil {
 		t.Error("zero runs should fail")
-	}
-	if _, err := CampaignPolicies(onlineChain(t, 3, 0.05, 0), nil, ExponentialFactory(1), Options{}, 10, rng.New(1)); err == nil {
-		t.Error("no policies should fail")
 	}
 }
 

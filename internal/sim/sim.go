@@ -53,7 +53,7 @@ type Options struct {
 	// default of 10 million).
 	MaxFailures int
 	// Workers is the goroutine count Monte-Carlo campaigns fan out over
-	// (MonteCarlo, MonteCarloOnline, Campaign*); ≤ 0 means
+	// (MonteCarlo, MonteCarloPlan, Campaign*); ≤ 0 means
 	// runtime.GOMAXPROCS(0). Callers already running on a saturated
 	// worker pool — the experiment engine's row jobs — pass 1, so nested
 	// campaigns stop oversubscribing the host by GOMAXPROCS². Note the
@@ -61,12 +61,6 @@ type Options struct {
 	// deterministic for a given (seed, Workers) pair, and changing
 	// Workers repartitions runs over per-worker streams.
 	Workers int
-	// QuantileRetention caps the samples EstimateMakespanDistribution
-	// retains for exact sort-based quantiles; campaigns beyond the cap
-	// switch to streaming P² estimates with O(1) memory. 0 means
-	// DefaultQuantileRetention; negative forces streaming regardless of
-	// the run count.
-	QuantileRetention int
 }
 
 func (o Options) maxFailures() int {

@@ -299,3 +299,44 @@ func TestRunStatsDecompositionAddsUp(t *testing.T) {
 		}
 	}
 }
+
+// testChain builds an n-task random chain problem under rate lambda and
+// downtime d.
+func testChain(t *testing.T, n int, lambda, d float64) *core.ChainProblem {
+	t.Helper()
+	g, err := dag.Chain(n, dag.DefaultWeights(), rng.New(101))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := expectation.NewModel(lambda, d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp, _, err := core.NewChainProblem(g, m, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cp
+}
+
+func TestVarianceMatchesSimulation(t *testing.T) {
+	// The analytic makespan variance (second-moment extension of
+	// Proposition 1's recursion) must match the Monte-Carlo variance.
+	cp := testChain(t, 6, 0.1, 0.5)
+	res, err := core.SolveChainDP(cp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantVar, err := cp.MakespanVariance(res.CheckpointAfter)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mc, err := MonteCarloPlan(cp, res.CheckpointAfter, ExponentialFactory(cp.Model.Lambda), Options{}, 120000, rng.New(9))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := mc.Makespan.Variance()
+	if math.Abs(got-wantVar)/wantVar > 0.05 {
+		t.Errorf("simulated variance %v vs analytic %v (>5%% apart)", got, wantVar)
+	}
+}

@@ -12,12 +12,9 @@ import (
 // whose heights are nudged toward their ideal order-statistic positions
 // with a parabolic (falling back to linear) interpolation step.
 //
-// It exists for the million-run Monte-Carlo campaigns: exact quantiles
-// need every sample retained and sorted (O(runs) memory, O(runs·log runs)
-// time), which sim.EstimateMakespanDistribution keeps for small campaigns
-// and cross-checks against this estimator in tests; above the retention
-// threshold the distribution switches to P², making memory independent of
-// the run count.
+// Exact quantiles need every sample retained and sorted (O(runs) memory,
+// O(runs·log runs) time); P² keeps memory independent of the run count,
+// which is what million-run Monte-Carlo campaigns need.
 type P2Quantile struct {
 	q       float64
 	n       int64
@@ -38,9 +35,6 @@ func NewP2Quantile(q float64) *P2Quantile {
 	p.dwant = [5]float64{0, q / 2, q, (1 + q) / 2, 1}
 	return p
 }
-
-// Q returns the target quantile.
-func (p *P2Quantile) Q() float64 { return p.q }
 
 // N returns the number of observations seen.
 func (p *P2Quantile) N() int64 { return p.n }

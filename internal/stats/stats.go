@@ -238,65 +238,8 @@ func quantileSorted(sorted []float64, q float64) float64 {
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
 
-// Histogram is a fixed-bin histogram over [Lo, Hi); values outside the
-// range are counted in Under/Over.
-type Histogram struct {
-	Lo, Hi float64
-	Bins   []int64
-	Under  int64
-	Over   int64
-}
-
-// NewHistogram creates a histogram with n bins over [lo, hi).
-func NewHistogram(lo, hi float64, n int) *Histogram {
-	if n <= 0 || hi <= lo {
-		panic("stats: invalid histogram configuration")
-	}
-	return &Histogram{Lo: lo, Hi: hi, Bins: make([]int64, n)}
-}
-
-// Add counts one observation.
-func (h *Histogram) Add(x float64) {
-	switch {
-	case x < h.Lo:
-		h.Under++
-	case x >= h.Hi:
-		h.Over++
-	default:
-		i := int(float64(len(h.Bins)) * (x - h.Lo) / (h.Hi - h.Lo))
-		if i >= len(h.Bins) {
-			i = len(h.Bins) - 1
-		}
-		h.Bins[i]++
-	}
-}
-
-// Total returns the number of observations including out-of-range ones.
-func (h *Histogram) Total() int64 {
-	t := h.Under + h.Over
-	for _, b := range h.Bins {
-		t += b
-	}
-	return t
-}
-
-// IsConvex reports whether the sequence ys is (discretely) convex:
-// ys[i+1] − ys[i] is nondecreasing, allowing the absolute tolerance tol
-// for noise. The absolute slack makes the verdict scale-sensitive —
-// a curve in the millions needs a different tol than one near 1 — so
-// probes over instances of varying magnitude should use IsConvexRel.
-func IsConvex(ys []float64, tol float64) bool {
-	for i := 0; i+2 < len(ys); i++ {
-		d1 := ys[i+1] - ys[i]
-		d2 := ys[i+2] - ys[i+1]
-		if d2 < d1-tol {
-			return false
-		}
-	}
-	return true
-}
-
-// IsConvexRel is IsConvex with a relative tolerance: each second
+// IsConvexRel reports whether the sequence ys is (discretely) convex:
+// ys[i+1] − ys[i] is nondecreasing, up to a relative tolerance. Each second
 // difference may undershoot by relTol times the local magnitude
 // max(|ys[i]|, |ys[i+1]|, |ys[i+2]|, 1). The floor of 1 keeps the probe
 // meaningful for curves that pass near zero; relTol a few orders above
@@ -326,14 +269,4 @@ func ArgminSlice(ys []float64) int {
 		}
 	}
 	return best
-}
-
-// MeanOf returns the arithmetic mean of xs (0 when empty).
-func MeanOf(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var s Summary
-	s.AddAll(xs)
-	return s.Mean()
 }

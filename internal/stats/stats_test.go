@@ -168,49 +168,6 @@ func TestQuantiles(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
-	for _, x := range []float64{-1, 0, 1.9, 2, 5, 9.99, 10, 42} {
-		h.Add(x)
-	}
-	if h.Under != 1 || h.Over != 2 {
-		t.Errorf("Under/Over = %d/%d", h.Under, h.Over)
-	}
-	if h.Bins[0] != 2 { // 0, 1.9
-		t.Errorf("bin0 = %d, want 2", h.Bins[0])
-	}
-	if h.Bins[1] != 1 { // 2
-		t.Errorf("bin1 = %d, want 1", h.Bins[1])
-	}
-	if h.Total() != 8 {
-		t.Errorf("Total = %d, want 8", h.Total())
-	}
-}
-
-func TestHistogramPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("NewHistogram with bad config should panic")
-		}
-	}()
-	NewHistogram(5, 1, 3)
-}
-
-func TestIsConvex(t *testing.T) {
-	if !IsConvex([]float64{4, 1, 0, 1, 4}, 0) {
-		t.Error("parabola samples should be convex")
-	}
-	if IsConvex([]float64{0, 3, 1}, 0) {
-		t.Error("non-convex sequence accepted")
-	}
-	if !IsConvex([]float64{0, 3, 1}, 5.1) {
-		t.Error("tolerance should forgive small violations")
-	}
-	if !IsConvex([]float64{1, 2}, 0) || !IsConvex(nil, 0) {
-		t.Error("short sequences are trivially convex")
-	}
-}
-
 func TestIsConvexRel(t *testing.T) {
 	if !IsConvexRel([]float64{4, 1, 0, 1, 4}, 0) {
 		t.Error("parabola samples should be convex")
@@ -225,9 +182,6 @@ func TestIsConvexRel(t *testing.T) {
 	big := []float64{1e6, 1e6 + 0.500000001, 1e6 + 1}
 	if !IsConvexRel(big, 1e-12) {
 		t.Error("ulp-scale dip on a large curve should pass the relative probe")
-	}
-	if IsConvex(big, 1e-14) {
-		t.Error("the absolute probe at a small tol is scale-sensitive by design (sanity check)")
 	}
 	// A genuine violation scales with the curve, so it still fails.
 	if IsConvexRel([]float64{1e6, 2e6, 1e6}, 1e-12) {
@@ -244,15 +198,6 @@ func TestArgminSlice(t *testing.T) {
 	}
 	if got := ArgminSlice(nil); got != -1 {
 		t.Errorf("ArgminSlice(nil) = %d, want -1", got)
-	}
-}
-
-func TestMeanOf(t *testing.T) {
-	if got := MeanOf([]float64{1, 2, 3}); got != 2 {
-		t.Errorf("MeanOf = %v", got)
-	}
-	if got := MeanOf(nil); got != 0 {
-		t.Errorf("MeanOf(nil) = %v", got)
 	}
 }
 

@@ -36,9 +36,6 @@ func NewFileStore(dir string) (*FileStore, error) {
 	return &FileStore{root: dir}, nil
 }
 
-// Root returns the store's root directory.
-func (f *FileStore) Root() string { return f.root }
-
 func (f *FileStore) path(run string, seq uint64) string {
 	return filepath.Join(f.root, run, fmt.Sprintf("ckpt-%020d%s", seq, ckptExt))
 }

@@ -42,8 +42,8 @@ func Generate(dist failure.Distribution, nodes int, horizon float64, r *rng.Stre
 	if nodes <= 0 {
 		return nil, fmt.Errorf("trace: node count must be positive, got %d", nodes)
 	}
-	if horizon <= 0 {
-		return nil, fmt.Errorf("trace: horizon must be positive, got %v", horizon)
+	if !(horizon > 0) || math.IsInf(horizon, 1) {
+		return nil, fmt.Errorf("trace: horizon must be positive and finite, got %v", horizon)
 	}
 	var events []Event
 	for node := 0; node < nodes; node++ {
@@ -70,20 +70,6 @@ func (t *Trace) PlatformGaps() []float64 {
 	gaps := make([]float64, 0, len(t.Events))
 	prev := 0.0
 	for _, e := range t.Events {
-		gaps = append(gaps, e.Time-prev)
-		prev = e.Time
-	}
-	return gaps
-}
-
-// NodeGaps returns the inter-failure times of one node.
-func (t *Trace) NodeGaps(node int) []float64 {
-	var gaps []float64
-	prev := 0.0
-	for _, e := range t.Events {
-		if e.Node != node {
-			continue
-		}
 		gaps = append(gaps, e.Time-prev)
 		prev = e.Time
 	}
@@ -118,7 +104,8 @@ func (t *Trace) WriteCSV(w io.Writer) error {
 }
 
 // ReadCSV parses a trace written by WriteCSV (comments and blank lines are
-// skipped; the nodes count is recovered from the header or from the data).
+// skipped; the nodes count is recovered from the header or from the data,
+// and an event on a node at or above the header's count is an error).
 func ReadCSV(r io.Reader) (*Trace, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1024*1024), 16*1024*1024)
@@ -171,6 +158,9 @@ func ReadCSV(r io.Reader) (*Trace, error) {
 	}
 	if out.Nodes == 0 {
 		out.Nodes = maxNode + 1
+	}
+	if maxNode >= out.Nodes {
+		return nil, fmt.Errorf("trace: event on node %d, but the header declares nodes=%d", maxNode, out.Nodes)
 	}
 	if len(out.Events) == 0 {
 		return nil, errors.New("trace: no events")
