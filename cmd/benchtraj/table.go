@@ -14,7 +14,6 @@ import (
 	"repro/internal/netsim"
 	"repro/internal/rng"
 	"repro/internal/sim"
-	"repro/internal/stats"
 	"repro/internal/store"
 )
 
@@ -219,34 +218,6 @@ func table() []row {
 		ao := sim.AdaptiveOptions{TargetWidth: 1e-9, InitialRuns: crnRuns / 4, MaxRuns: crnRuns}
 		loop(b, func() error { _, err := sim.CampaignPlansAdaptive(plans, factory, so, ao); return err })
 	})
-	// Streaming vs sort quantiles: one op = four quantiles over a
-	// million samples; the P² story is its O(1) memory.
-	add("sim", fmt.Sprintf("quantiles_sort/n=%d", quantileN), quantileN, func(b *testing.B) {
-		xs := quantileSamples()
-		loop(b, func() error {
-			if qs := stats.Quantiles(xs, 0.5, 0.9, 0.99, 0.999); qs[0] <= 0 {
-				return fmt.Errorf("degenerate quantile")
-			}
-			return nil
-		})
-	})
-	add("sim", fmt.Sprintf("quantiles_p2/n=%d", quantileN), quantileN, func(b *testing.B) {
-		xs := quantileSamples()
-		loop(b, func() error {
-			p50, p90 := stats.NewP2Quantile(0.5), stats.NewP2Quantile(0.9)
-			p99, p999 := stats.NewP2Quantile(0.99), stats.NewP2Quantile(0.999)
-			for _, x := range xs {
-				p50.Add(x)
-				p90.Add(x)
-				p99.Add(x)
-				p999.Add(x)
-			}
-			if p50.Value() <= 0 {
-				return fmt.Errorf("degenerate quantile")
-			}
-			return nil
-		})
-	})
 
 	// BENCH_dag.json: the downset-lattice DP vs factorial order
 	// enumeration on E15's in-trees (3 chains of (n−1)/3 tasks under a
@@ -394,7 +365,7 @@ func table() []row {
 			src := keyedSource()
 			spec := store.Spec{
 				Backends: make([]store.Store, 1),
-				Faults:   &store.FaultPlan{Seed: 23, WriteFail: 0.1, ReadFail: 0.05, MeanLatency: 0.5, LogicalKeys: true},
+				Faults:   &store.FaultPlan{Seed: 23, WriteFail: 0.1, ReadFail: 0.05, MeanLatency: 0.5},
 			}
 			loop(b, func() error {
 				src.Reset()
@@ -541,17 +512,6 @@ func comparator(b *testing.B) ([][]core.Segment, sim.ProcessFactory) {
 	weib, err := expt.E14WeibullLaw(expt.E14PlatformMTBF / 20 * crnProcs)
 	check(b, err)
 	return expt.E14ComparatorPlans(), sim.SuperposedFactory(weib, crnProcs, failure.RejuvenateFailedOnly)
-}
-
-const quantileN = 1_000_000
-
-func quantileSamples() []float64 {
-	xs := make([]float64, quantileN)
-	r := rng.New(11)
-	for i := range xs {
-		xs[i] = r.ExpFloat64()
-	}
-	return xs
 }
 
 // e15Intree is E15's n-task in-tree and failure model.

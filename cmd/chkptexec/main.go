@@ -174,7 +174,7 @@ func main() {
 	flag.IntVar(&cfg.crashEvents, "crash-events", 0, "kill the run once the journal holds this many events (demo crash point)")
 	flag.IntVar(&cfg.crashSaves, "crash-saves", 0, "kill the run after this many checkpoint saves")
 	flag.BoolVar(&cfg.faults, "faults", false, "wrap the store in the deterministic fault injector")
-	flag.Uint64Var(&cfg.faultSeed, "fault-seed", 42, "fault injector seed")
+	flag.Uint64Var(&cfg.faultSeed, "fault-seed", 42, "fault injector seed; a re-invocation redraws the same faults, so change the seed or raise -retries to get past one")
 	flag.StringVar(&cfg.retryPolicy, "retry-policy", "", "adaptive save retry policy: none | fixed:<n> | exp[:base[:factor[:cap[:max]]]] (enables the adaptive executor)")
 	flag.Float64Var(&cfg.replanThreshold, "replan-threshold", 0, "hysteresis ratio of effective vs planned checkpoint cost that triggers online replanning (> 1 enables; adaptive)")
 	flag.StringVar(&cfg.quota, "quota", "", "per-tenant retained-checkpoint quota, e.g. ckpts:4, bytes:8192 or ckpts:4,bytes:8192 (adaptive; per-process accounting)")
@@ -540,10 +540,6 @@ func buildStore(cfg config, ledger *store.QuotaLedger) (store.Store, error) {
 		spec.Faults = &store.FaultPlan{
 			Seed: cfg.faultSeed, WriteFail: 0.1, TornWrite: 0.1, LoseOld: 0.2, ReadFail: 0.1,
 			MeanLatency: cfg.faultLatency,
-			// The adaptive executor's replay identity requires fault
-			// outcomes to be a pure function of the logical operation,
-			// not of the injector's lifetime op index.
-			LogicalKeys: cfg.adaptive() || cfg.networked(),
 		}
 		if ledger != nil {
 			// Silent old-checkpoint loss would desync the quota

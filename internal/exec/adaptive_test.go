@@ -330,7 +330,7 @@ func TestAdaptiveReplanUnderDrift(t *testing.T) {
 	w := chainWorkload(t)
 	src := NewKeyedSource(failure.Exponential{Lambda: 0.08}, 5, 1)
 	st := store.Checked(store.NewFaultStore(store.NewMemStore(), store.FaultPlan{
-		Seed: 9, MeanLatency: 3, LogicalKeys: true,
+		Seed: 9, MeanLatency: 3,
 	}))
 	res, err := Execute(w, src, Options{
 		Downtime: 1, Store: st,
@@ -369,7 +369,7 @@ func TestAdaptiveFailover(t *testing.T) {
 	src := NewKeyedSource(failure.Exponential{Lambda: 0.08}, 5, 1)
 	primInner, secInner := store.NewMemStore(), store.NewMemStore()
 	prim := store.Checked(store.NewFaultStore(primInner, store.FaultPlan{
-		Seed: 14, WriteFail: 1, LogicalKeys: true,
+		Seed: 14, WriteFail: 1,
 	}))
 	res, err := Execute(w, src, Options{
 		Downtime: 1, Store: prim,
@@ -402,7 +402,7 @@ func TestAdaptiveFailover(t *testing.T) {
 	again, err := Execute(w, NewKeyedSource(failure.Exponential{Lambda: 0.08}, 5, 1), Options{
 		Downtime: 1,
 		Store: store.Checked(store.NewFaultStore(primInner, store.FaultPlan{
-			Seed: 14, WriteFail: 1, LogicalKeys: true,
+			Seed: 14, WriteFail: 1,
 		})),
 		Adaptive: &AdaptiveOptions{
 			Retry:     FixedRetry{Attempts: 1},
@@ -426,7 +426,7 @@ func TestAdaptiveDownAndRewind(t *testing.T) {
 	w := chainWorkload(t)
 	src := NewKeyedSource(failure.Exponential{Lambda: 0.08}, 5, 1)
 	st := store.Checked(store.NewFaultStore(store.NewMemStore(), store.FaultPlan{
-		Seed: 3, WriteFail: 1, LogicalKeys: true,
+		Seed: 3, WriteFail: 1,
 	}))
 	res, err := Execute(w, src, Options{
 		Downtime: 1, Store: st,

@@ -254,34 +254,34 @@ func adaptiveDrills(t *testing.T) []adaptiveDrill {
 	return []adaptiveDrill{
 		{
 			name: "chain/drift-exp-backoff", w: chainWorkload(t), src: chainSrc,
-			plan:  store.FaultPlan{Seed: 11, MeanLatency: 2.5, WriteFail: 0.2, ReadFail: 0.1, LogicalKeys: true},
+			plan:  store.FaultPlan{Seed: 11, MeanLatency: 2.5, WriteFail: 0.2, ReadFail: 0.1},
 			retry: ExpBackoff{Base: 0.5, Cap: 4, MaxAttempts: 5}, replanner: chainRP,
 		},
 		{
 			name: "chain/torn-fixed-retry", w: chainWorkload(t), src: chainSrc,
-			plan:  store.FaultPlan{Seed: 12, MeanLatency: 1.5, WriteFail: 0.3, TornWrite: 0.2, LogicalKeys: true},
+			plan:  store.FaultPlan{Seed: 12, MeanLatency: 1.5, WriteFail: 0.3, TornWrite: 0.2},
 			retry: FixedRetry{Attempts: 3}, replanner: chainRP,
 		},
 		{
 			name: "chain/quota-down", w: chainWorkload(t), src: chainSrc,
-			plan:  store.FaultPlan{Seed: 13, MeanLatency: 1, LogicalKeys: true},
+			plan:  store.FaultPlan{Seed: 13, MeanLatency: 1},
 			quota: &store.Quota{MaxCheckpoints: 2},
 			retry: ExpBackoff{Base: 0.5, MaxAttempts: 3}, replanner: chainRP,
 		},
 		{
 			name: "chain/failover", w: chainWorkload(t), src: chainSrc,
-			plan:      store.FaultPlan{Seed: 14, WriteFail: 1, LogicalKeys: true},
+			plan:      store.FaultPlan{Seed: 14, WriteFail: 1},
 			secondary: true, retry: FixedRetry{Attempts: 1}, replanner: chainRP,
 		},
 		{
 			name: "chain/no-retry", w: chainWorkload(t), src: chainSrc,
-			plan:  store.FaultPlan{Seed: 15, MeanLatency: 1, WriteFail: 0.25, LogicalKeys: true},
+			plan:  store.FaultPlan{Seed: 15, MeanLatency: 1, WriteFail: 0.25},
 			retry: NoRetry{},
 		},
 		{
 			name: "dag/live-set-drift", w: dagW,
 			src:   func() Source { return NewKeyedSource(failure.Exponential{Lambda: 0.05}, 101, 2) },
-			plan:  store.FaultPlan{Seed: 16, MeanLatency: 2, WriteFail: 0.2, LogicalKeys: true},
+			plan:  store.FaultPlan{Seed: 16, MeanLatency: 2, WriteFail: 0.2},
 			retry: ExpBackoff{Base: 0.5, Cap: 4, MaxAttempts: 4},
 			replanner: func() Replanner {
 				return OrderReplanner{G: g, Order: order, M: m, CM: cm}

@@ -87,7 +87,6 @@ func planE19(cfg Config) (*Plan, error) {
 					WriteFail:   0.1,
 					ReadFail:    0.05,
 					MeanLatency: mult * meanC,
-					LogicalKeys: true,
 				}
 				arm := func(replanner exec.Replanner) (*exec.Result, error) {
 					w, err := exec.NewChainWorkload(cp, dp.CheckpointAfter)
@@ -169,24 +168,24 @@ func planE19(cfg Config) (*Plan, error) {
 	scenarios := []drill{
 		{
 			name: "chain/drift-replan", storeTag: "mem+crc+faults",
-			plan:   store.FaultPlan{Seed: 31, MeanLatency: 2.5, WriteFail: 0.2, ReadFail: 0.1, LogicalKeys: true},
+			plan:   store.FaultPlan{Seed: 31, MeanLatency: 2.5, WriteFail: 0.2, ReadFail: 0.1},
 			retry:  exec.ExpBackoff{Base: 0.5, Cap: 4, MaxAttempts: 5},
 			replan: true,
 		},
 		{
 			name: "chain/torn-writes", storeTag: "mem+crc+faults",
-			plan:  store.FaultPlan{Seed: 32, MeanLatency: 1.5, WriteFail: 0.3, TornWrite: 0.2, LogicalKeys: true},
+			plan:  store.FaultPlan{Seed: 32, MeanLatency: 1.5, WriteFail: 0.3, TornWrite: 0.2},
 			retry: exec.FixedRetry{Attempts: 3},
 		},
 		{
 			name: "chain/quota-down", storeTag: "mem+crc+faults+quota",
-			plan:  store.FaultPlan{Seed: 33, MeanLatency: 1, LogicalKeys: true},
+			plan:  store.FaultPlan{Seed: 33, MeanLatency: 1},
 			quota: &store.Quota{MaxCheckpoints: 2},
 			retry: exec.ExpBackoff{Base: 0.5, MaxAttempts: 3},
 		},
 		{
 			name: "chain/failover", storeTag: "mem+crc+faults+secondary",
-			plan:      store.FaultPlan{Seed: 34, WriteFail: 1, LogicalKeys: true},
+			plan:      store.FaultPlan{Seed: 34, WriteFail: 1},
 			secondary: true,
 			retry:     exec.FixedRetry{Attempts: 1},
 		},
@@ -283,7 +282,7 @@ func planE19(cfg Config) (*Plan, error) {
 	// the same tenant run ALONE on a private stack.
 	p.Job(drills, func(s *rng.Stream) (RowOut, error) {
 		const tenants = 4
-		fp := store.FaultPlan{Seed: 35, MeanLatency: 1.5, WriteFail: 0.15, LogicalKeys: true}
+		fp := store.FaultPlan{Seed: 35, MeanLatency: 1.5, WriteFail: 0.15}
 		quota := store.Quota{MaxCheckpoints: 3}
 		opts := func(st store.Store, crash int) exec.Options {
 			return exec.Options{
@@ -416,7 +415,7 @@ func planE19(cfg Config) (*Plan, error) {
 		{
 			name: "clean store",
 			d: drill{
-				plan:  store.FaultPlan{Seed: 41, LogicalKeys: true},
+				plan:  store.FaultPlan{Seed: 41},
 				retry: exec.ExpBackoff{Base: 0.5, MaxAttempts: 4},
 			},
 			expect: exec.LevelHealthy,
@@ -424,7 +423,7 @@ func planE19(cfg Config) (*Plan, error) {
 		{
 			name: "latency drift",
 			d: drill{
-				plan:   store.FaultPlan{Seed: 42, MeanLatency: 3, WriteFail: 0.2, LogicalKeys: true},
+				plan:   store.FaultPlan{Seed: 42, MeanLatency: 3, WriteFail: 0.2},
 				retry:  exec.ExpBackoff{Base: 0.5, Cap: 4, MaxAttempts: 5},
 				replan: true,
 			},
@@ -433,7 +432,7 @@ func planE19(cfg Config) (*Plan, error) {
 		{
 			name: "primary dead, secondary alive",
 			d: drill{
-				plan:      store.FaultPlan{Seed: 43, WriteFail: 1, LogicalKeys: true},
+				plan:      store.FaultPlan{Seed: 43, WriteFail: 1},
 				secondary: true,
 				retry:     exec.FixedRetry{Attempts: 1},
 			},
@@ -442,7 +441,7 @@ func planE19(cfg Config) (*Plan, error) {
 		{
 			name: "primary dead, no secondary",
 			d: drill{
-				plan:  store.FaultPlan{Seed: 44, WriteFail: 1, LogicalKeys: true},
+				plan:  store.FaultPlan{Seed: 44, WriteFail: 1},
 				retry: exec.FixedRetry{Attempts: 1},
 			},
 			expect: exec.LevelDown,
@@ -450,7 +449,7 @@ func planE19(cfg Config) (*Plan, error) {
 		{
 			name: "quota exhausted",
 			d: drill{
-				plan:  store.FaultPlan{Seed: 45, LogicalKeys: true},
+				plan:  store.FaultPlan{Seed: 45},
 				quota: &store.Quota{MaxBytes: 16},
 				retry: exec.ExpBackoff{Base: 0.5, MaxAttempts: 4},
 			},

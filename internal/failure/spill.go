@@ -177,12 +177,18 @@ type TraceSpillReader struct {
 	meta   string
 	rate   float64
 	offset int64 // end of the last successfully decoded record
+	size   int64 // file size at open: no record may claim more
 }
 
 // OpenTraceSpill opens path and decodes the header.
 func OpenTraceSpill(path string) (*TraceSpillReader, error) {
 	f, err := os.Open(path)
 	if err != nil {
+		return nil, err
+	}
+	info, err := f.Stat()
+	if err != nil {
+		f.Close()
 		return nil, err
 	}
 	r := bufio.NewReaderSize(f, 1<<16)
@@ -219,6 +225,7 @@ func OpenTraceSpill(path string) (*TraceSpillReader, error) {
 		meta:   string(meta),
 		rate:   rate,
 		offset: int64(len(head)) + int64(metaLen),
+		size:   info.Size(),
 	}, nil
 }
 
@@ -239,7 +246,9 @@ var ErrSpillTail = errors.New("failure: truncated or corrupt spill tail")
 
 // Next decodes the next block record. io.EOF signals a clean end;
 // ErrSpillTail a truncated or corrupt tail (resume by truncating to
-// Offset and re-running the lost blocks).
+// Offset and re-running the lost blocks). A record whose declared
+// counts need more bytes than remain in the file is a tail too, and is
+// rejected before anything is allocated for it.
 func (s *TraceSpillReader) Next() (SpilledBlock, error) {
 	var fixed [12]byte
 	if _, err := io.ReadFull(s.r, fixed[:]); err != nil {
@@ -250,9 +259,11 @@ func (s *TraceSpillReader) Next() (SpilledBlock, error) {
 	}
 	index := binary.LittleEndian.Uint64(fixed[:8])
 	reps := binary.LittleEndian.Uint32(fixed[8:])
-	if index > 1<<40 || reps > spillMaxReps {
+	left := uint64(max(s.size-s.offset-int64(len(fixed)), 0))
+	if index > 1<<40 || reps > spillMaxReps || 4*uint64(reps) > left {
 		return SpilledBlock{}, ErrSpillTail
 	}
+	left -= 4 * uint64(reps)
 	counts := make([]byte, 4*reps)
 	if _, err := io.ReadFull(s.r, counts); err != nil {
 		return SpilledBlock{}, ErrSpillTail
@@ -265,7 +276,7 @@ func (s *TraceSpillReader) Next() (SpilledBlock, error) {
 		}
 		total += uint64(c)
 	}
-	if total > spillMaxGaps {
+	if total > spillMaxGaps || 8*total+4 > left {
 		return SpilledBlock{}, ErrSpillTail
 	}
 	gaps := make([]byte, 8*total)

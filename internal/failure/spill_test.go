@@ -1,11 +1,13 @@
 package failure
 
 import (
+	"encoding/binary"
 	"errors"
 	"io"
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"repro/internal/rng"
@@ -271,5 +273,44 @@ func TestSpillReaderNextEOF(t *testing.T) {
 	}
 	if _, err := r.Next(); !errors.Is(err, io.EOF) && err != io.EOF {
 		t.Errorf("repeated read past end gave %v", err)
+	}
+}
+
+// TestSpillOverclaimedRecordAllocatesNothing pins the reader's
+// allocation bound: a 41-byte spill whose one record claims 2^28 gaps
+// (2 GiB) is a tail, rejected before the gap buffer is allocated.
+func TestSpillOverclaimedRecordAllocatesNothing(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "overclaim.trace")
+	writeSpill(t, path, "m", 1, nil)
+	rec := binary.LittleEndian.AppendUint64(nil, 0)           // index
+	rec = binary.LittleEndian.AppendUint32(rec, 1)            // reps
+	rec = binary.LittleEndian.AppendUint32(rec, spillMaxGaps) // gap count
+	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(rec); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if info, err := os.Stat(path); err != nil || info.Size() != 41 {
+		t.Fatalf("spill is %v bytes (%v), want 41", info.Size(), err)
+	}
+	r, err := OpenTraceSpill(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err = r.Next()
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrSpillTail) {
+		t.Fatalf("overclaimed record gave %v, want ErrSpillTail", err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+		t.Fatalf("rejecting the record allocated %d bytes", grew)
 	}
 }

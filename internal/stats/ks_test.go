@@ -3,6 +3,8 @@ package stats
 import (
 	"math"
 	"testing"
+
+	"repro/internal/rng"
 )
 
 func uniformCDF(x float64) float64 {
@@ -94,5 +96,52 @@ func TestKSCriticalValueShrinks(t *testing.T) {
 	// Known value: c(0.05) ≈ 1.358.
 	if math.Abs(c100*10-1.3581) > 0.001 {
 		t.Errorf("c(0.05)/√100 = %v, want ≈ 0.13581", c100)
+	}
+}
+
+func TestKSTwoSample(t *testing.T) {
+	r := rng.New(17)
+	a := make([]float64, 4000)
+	b := make([]float64, 5000)
+	c := make([]float64, 5000)
+	for i := range a {
+		a[i] = r.ExpFloat64()
+	}
+	for i := range b {
+		b[i] = r.ExpFloat64()
+	}
+	for i := range c {
+		c[i] = r.ExpFloat64() * 1.2 // different scale: should be rejected
+	}
+	ok, d, err := KSTwoSampleTest(a, b, 0.01)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !ok {
+		t.Errorf("same-law samples rejected (D=%v)", d)
+	}
+	ok, d, err = KSTwoSampleTest(a, c, 0.01)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ok {
+		t.Errorf("different-scale samples not rejected (D=%v)", d)
+	}
+	if _, err := KolmogorovSmirnovTwoSample(nil, a); err == nil {
+		t.Error("empty sample should fail")
+	}
+	if _, err := KSTwoSampleCriticalValue(0, 1, 0.05); err == nil {
+		t.Error("bad sizes should fail")
+	}
+	if _, err := KSTwoSampleCriticalValue(1, 1, 2); err == nil {
+		t.Error("bad alpha should fail")
+	}
+	// The two-sample statistic against a sample of itself is zero.
+	d, err = KolmogorovSmirnovTwoSample(a, a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d != 0 {
+		t.Errorf("self-KS = %v, want 0", d)
 	}
 }

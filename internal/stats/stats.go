@@ -1,13 +1,13 @@
 // Package stats provides the summary statistics used by the Monte-Carlo
 // experiments: streaming moments (Welford), normal-approximation
-// confidence intervals, quantiles, histograms and convexity probes.
+// confidence intervals, the mergeable t-digest quantile sketch,
+// Kolmogorov–Smirnov tests and convexity probes.
 package stats
 
 import (
 	"encoding/json"
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Summary accumulates streaming moments of a sample using Welford's
@@ -188,54 +188,6 @@ func zQuantile(p float64) float64 {
 		return (((((a[0]*r+a[1])*r+a[2])*r+a[3])*r+a[4])*r + a[5]) * q /
 			(((((b[0]*r+b[1])*r+b[2])*r+b[3])*r+b[4])*r + 1)
 	}
-}
-
-// Quantile returns the q-quantile (0 ≤ q ≤ 1) of xs using linear
-// interpolation between order statistics. xs is not modified.
-func Quantile(xs []float64, q float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	sorted := make([]float64, len(xs))
-	copy(sorted, xs)
-	sort.Float64s(sorted)
-	return quantileSorted(sorted, q)
-}
-
-// Quantiles returns multiple quantiles with a single sort.
-func Quantiles(xs []float64, qs ...float64) []float64 {
-	if len(xs) == 0 {
-		out := make([]float64, len(qs))
-		for i := range out {
-			out[i] = math.NaN()
-		}
-		return out
-	}
-	sorted := make([]float64, len(xs))
-	copy(sorted, xs)
-	sort.Float64s(sorted)
-	out := make([]float64, len(qs))
-	for i, q := range qs {
-		out[i] = quantileSorted(sorted, q)
-	}
-	return out
-}
-
-func quantileSorted(sorted []float64, q float64) float64 {
-	if q <= 0 {
-		return sorted[0]
-	}
-	if q >= 1 {
-		return sorted[len(sorted)-1]
-	}
-	pos := q * float64(len(sorted)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return sorted[lo]
-	}
-	frac := pos - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
 
 // IsConvexRel reports whether the sequence ys is (discretely) convex:

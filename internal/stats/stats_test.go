@@ -3,6 +3,7 @@ package stats
 import (
 	"encoding/json"
 	"math"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -157,17 +158,6 @@ func TestQuantile(t *testing.T) {
 	}
 }
 
-func TestQuantiles(t *testing.T) {
-	xs := []float64{1, 2, 3, 4}
-	qs := Quantiles(xs, 0, 0.5, 1)
-	if qs[0] != 1 || qs[2] != 4 {
-		t.Errorf("Quantiles = %v", qs)
-	}
-	if math.Abs(qs[1]-2.5) > 1e-12 {
-		t.Errorf("median = %v, want 2.5", qs[1])
-	}
-}
-
 func TestIsConvexRel(t *testing.T) {
 	if !IsConvexRel([]float64{4, 1, 0, 1, 4}, 0) {
 		t.Error("parabola samples should be convex")
@@ -237,4 +227,34 @@ func TestSummaryJSONRoundTrip(t *testing.T) {
 			t.Errorf("corrupt summary %s accepted", bad)
 		}
 	}
+}
+
+// Quantile returns the exact q-quantile (0 ≤ q ≤ 1) of xs using linear
+// interpolation between order statistics; xs is not modified. It is
+// the sort-based oracle the t-digest tests measure rank error against.
+func Quantile(xs []float64, q float64) float64 {
+	if len(xs) == 0 {
+		return math.NaN()
+	}
+	sorted := make([]float64, len(xs))
+	copy(sorted, xs)
+	sort.Float64s(sorted)
+	return quantileSorted(sorted, q)
+}
+
+func quantileSorted(sorted []float64, q float64) float64 {
+	if q <= 0 {
+		return sorted[0]
+	}
+	if q >= 1 {
+		return sorted[len(sorted)-1]
+	}
+	pos := q * float64(len(sorted)-1)
+	lo := int(math.Floor(pos))
+	hi := int(math.Ceil(pos))
+	if lo == hi {
+		return sorted[lo]
+	}
+	frac := pos - float64(lo)
+	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }

@@ -1,14 +1,13 @@
 package stats
 
 // TDigest is a mergeable streaming quantile sketch (Dunning & Ertl's
-// t-digest, merging variant). It complements P2Quantile in the
-// Monte-Carlo pipeline: P² tracks one pre-declared quantile of one
-// stream in O(1) memory, while a t-digest summarizes the *whole*
-// distribution in O(δ) centroids and — the property the sharded
-// campaigns need — two digests built on disjoint shards Merge into a
-// digest of the union. Million-run makespan distributions therefore
-// aggregate across shards (and across separate processes, via the JSON
-// serialization) in O(centroids) memory per shard.
+// t-digest, merging variant), the Monte-Carlo pipeline's one quantile
+// estimator. It summarizes the *whole* distribution in O(δ) centroids
+// and — the property the sharded campaigns need — two digests built on
+// disjoint shards Merge into a digest of the union. Million-run
+// makespan distributions therefore aggregate across shards (and across
+// separate processes, via the JSON serialization) in O(centroids)
+// memory per shard.
 //
 // Accuracy: centroids are size-bounded by the scale function
 // k(q) = δ/(2π)·asin(2q−1), which keeps a centroid's rank width below

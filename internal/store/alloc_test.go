@@ -9,7 +9,7 @@ import (
 
 // allocPlan draws latency for every operation but injects no fault, so
 // each op walks the keyed-draw path and no error path.
-var allocPlan = FaultPlan{Seed: 5, MeanLatency: 0.01, LogicalKeys: true}
+var allocPlan = FaultPlan{Seed: 5, MeanLatency: 0.01}
 
 // pinAllocs fails when op's average heap allocation count differs from
 // want. The counts are budgets: a rise is a regression, and a drop

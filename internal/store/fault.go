@@ -27,23 +27,15 @@ var (
 // the operation's key, never from shared mutable stream state. The
 // draw order within an operation is fixed: latency first, then the
 // fault decision, then any fault-shaping draws (torn-write cut point,
-// lose-old victim). Two keying modes exist:
-//
-//   - Sequential (LogicalKeys = false, the default): operation i of the
-//     injector's lifetime draws from Keyed(i). The same operation
-//     SEQUENCE always injects the same faults, which is what the
-//     kill/resume drills of a single executor need.
-//
-//   - Logical (LogicalKeys = true): an operation draws from a stream
-//     keyed by (op kind, run, seq, attempt), where attempt counts how
-//     many times this exact (kind, run, seq) operation has been issued
-//     to this injector instance. The injected outcome is then a pure
-//     function of the logical operation, independent of how operations
-//     from different runs interleave — the mode required when several
-//     tenants share one injector concurrently, and when a resumed run
-//     must re-observe the same outcomes a fresh injector dealt the
-//     uninterrupted run (process restarts reset the attempt counters,
-//     exactly like the uninterrupted run's first encounter).
+// lose-old victim). The key is (op kind, run, seq, attempt), where
+// attempt counts how many times this exact (kind, run, seq) operation
+// has been issued to this injector instance. The injected outcome is
+// therefore a pure function of the logical operation: it does not
+// depend on how operations from different runs interleave, and an
+// extra operation on one key never shifts another key's draws. A
+// resumed run re-observes the outcomes a fresh injector dealt the
+// uninterrupted run, because process restarts reset the attempt
+// counters exactly like the uninterrupted run's first encounter.
 type FaultPlan struct {
 	// Seed drives every injection decision.
 	Seed uint64
@@ -55,6 +47,8 @@ type FaultPlan struct {
 	// payload AND reports failure. Models a crash mid-write on a store
 	// without atomic rename: a corrupt artifact now occupies the slot.
 	// Detection is the codec layer's job — compose Checked(FaultStore).
+	// WriteFail and TornWrite split one uniform draw, so their sum must
+	// not exceed 1.
 	TornWrite float64
 	// LoseOld is the probability that a successful Save is followed by
 	// the silent loss of one previously persisted checkpoint of the same
@@ -71,8 +65,8 @@ type FaultPlan struct {
 	// latency into its virtual clock accounting if it cares, and tests
 	// read it to pin determinism.
 	MeanLatency float64
-	// LogicalKeys selects logical (per-operation identity) keying over
-	// sequential (lifetime op index) keying; see the type comment.
+	// Deprecated: LogicalKeys is ignored. Every plan keys its draws by
+	// logical operation; see the type comment.
 	LogicalKeys bool
 }
 
@@ -86,7 +80,7 @@ type FaultStats struct {
 	Latency float64
 }
 
-// Fault-stream op kinds, part of the logical keying contract: each kind
+// Fault-stream op kinds, part of the keying contract: each kind
 // keys a disjoint stream family so loads can never perturb save
 // outcomes.
 const (
@@ -103,7 +97,6 @@ type FaultStore struct {
 	plan  FaultPlan
 
 	opLedger // its mutex guards the fields below too
-	ops      uint64
 	stats    FaultStats
 	attempts map[faultOpKey]uint64
 }
@@ -134,24 +127,17 @@ func (f *FaultStore) Stats() FaultStats {
 // Unwrap exposes the inner store for capability discovery.
 func (f *FaultStore) Unwrap() Store { return f.inner }
 
-// opStream returns the keyed stream for an operation, advancing the
-// relevant counter (lifetime index or per-operation attempt count), and
-// draws and books the operation's injected latency. Draw order within
-// an operation is fixed (latency first, then the fault decision), which
-// is part of the determinism contract.
+// opStream returns the keyed stream for an operation, advancing its
+// attempt count, and draws and books the operation's injected latency.
+// Draw order within an operation is fixed (latency first, then the
+// fault decision), which is part of the determinism contract.
 func (f *FaultStore) opStream(kind uint64, run string, seq uint64) *rng.Stream {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	f.ops++
 	f.stats.Ops++
-	var s *rng.Stream
-	if f.plan.LogicalKeys {
-		k := faultOpKey{kind: kind, run: run, seq: seq}
-		f.attempts[k]++
-		s = rng.Derive(f.plan.Seed, kind, rng.HashString(run), seq, f.attempts[k])
-	} else {
-		s = rng.Derive(f.plan.Seed, f.ops)
-	}
+	k := faultOpKey{kind: kind, run: run, seq: seq}
+	f.attempts[k]++
+	s := rng.Derive(f.plan.Seed, kind, rng.HashString(run), seq, f.attempts[k])
 	var lat float64
 	if f.plan.MeanLatency > 0 {
 		lat = s.ExpFloat64() * f.plan.MeanLatency

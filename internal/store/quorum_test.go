@@ -308,7 +308,7 @@ func runScript(q *QuorumStore, run string) (oks []bool, lats []float64, loads []
 // observations on a private stack, and the aggregate repair counters
 // must equal the sum of the solo runs'.
 func TestQuorumDeterministicRepair(t *testing.T) {
-	faults := FaultPlan{Seed: 90, TornWrite: 0.25, LoseOld: 0.1, MeanLatency: 0.2, LogicalKeys: true}
+	faults := FaultPlan{Seed: 90, TornWrite: 0.25, LoseOld: 0.1, MeanLatency: 0.2}
 	netCfg := netsim.Config{Seed: 91, Latency: 0.05, Jitter: 0.3, Loss: 0.1}
 	runs := []string{"alpha", "beta", "gamma", "delta", "epsilon", "zeta"}
 

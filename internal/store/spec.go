@@ -80,7 +80,8 @@ func (s *Spec) replica(i int, net *netsim.Network) Store {
 }
 
 // validate rejects values no layer can honour: negative or NaN
-// durations, probabilities outside [0, 1], malformed partition windows,
+// durations, probabilities outside [0, 1] (WriteFail+TornWrite too: a
+// save's fail and tear bands split one draw), malformed partition windows,
 // a write quorum without a quorum, and silent loss under a quota (the
 // ledger would bill for saves the injector ate).
 func (s *Spec) validate() error {
@@ -104,6 +105,7 @@ func (s *Spec) validate() error {
 		v, max float64
 	}{
 		{"timeout", s.Timeout, inf}, {"fault WriteFail", f.WriteFail, 1}, {"fault TornWrite", f.TornWrite, 1},
+		{"fault WriteFail+TornWrite", f.WriteFail + f.TornWrite, 1},
 		{"fault LoseOld", f.LoseOld, 1}, {"fault ReadFail", f.ReadFail, 1}, {"fault MeanLatency", f.MeanLatency, inf},
 		{"network latency", n.Latency, inf}, {"network jitter", n.Jitter, inf}, {"network loss", n.Loss, 1},
 	} {

@@ -64,7 +64,7 @@ func TestSpecLayerOrder(t *testing.T) {
 			spec.Backends = append(spec.Backends, NewMemStore())
 		}
 		if faults {
-			spec.Faults = &FaultPlan{Seed: 40, WriteFail: 0.1, LogicalKeys: true}
+			spec.Faults = &FaultPlan{Seed: 40, WriteFail: 0.1}
 		}
 		if net {
 			spec.Net = &netsim.Config{Seed: 3, Latency: 0.1}
@@ -126,7 +126,7 @@ func TestSpecLayerOrder(t *testing.T) {
 func TestSpecRebuildIsRestart(t *testing.T) {
 	spec := Spec{
 		Backends: []Store{NewMemStore(), NewMemStore(), NewMemStore()},
-		Faults:   &FaultPlan{Seed: 11, WriteFail: 0.2, ReadFail: 0.2, MeanLatency: 0.3, LogicalKeys: true},
+		Faults:   &FaultPlan{Seed: 11, WriteFail: 0.2, ReadFail: 0.2, MeanLatency: 0.3},
 		Net:      &netsim.Config{Seed: 12, Latency: 0.05, Jitter: 0.2, Loss: 0.1},
 		Timeout:  1.5,
 		Lease:    &LeaseConfig{Holder: "h", TTL: 1e9},
@@ -205,6 +205,7 @@ func TestSpecRejects(t *testing.T) {
 		"NaN timeout":           {Backends: one, Timeout: nan},
 		"WriteFail above 1":     {Backends: one, Faults: &FaultPlan{WriteFail: 1.5}},
 		"TornWrite negative":    {Backends: one, Faults: &FaultPlan{TornWrite: -0.1}},
+		"write bands above 1":   {Backends: one, Faults: &FaultPlan{WriteFail: 0.9, TornWrite: 0.5}},
 		"LoseOld NaN":           {Backends: one, Faults: &FaultPlan{LoseOld: nan}},
 		"ReadFail above 1":      {Backends: one, Faults: &FaultPlan{ReadFail: 2}},
 		"negative MeanLatency":  {Backends: one, Faults: &FaultPlan{MeanLatency: -1}},

@@ -97,7 +97,7 @@ func TestStoreContract(t *testing.T) {
 // on either without changing what the store holds.
 func TestLoadReturnsOwnedBuffer(t *testing.T) {
 	stacks := stores(t)
-	plan := store.FaultPlan{Seed: 3, MeanLatency: 0.1, LogicalKeys: true}
+	plan := store.FaultPlan{Seed: 3, MeanLatency: 0.1}
 	stacks["checked(fault(mem))"] = store.Checked(store.NewFaultStore(store.NewMemStore(), plan))
 	netCfg := netsim.Config{Seed: 4, Latency: 0.1}
 	stacks["checked(remote(mem))"] = store.Checked(store.NewRemoteStore(store.NewMemStore(), netsim.New(netCfg), netCfg, store.RemoteConfig{}))
@@ -209,11 +209,11 @@ func TestFaultStoreDeterminism(t *testing.T) {
 	script := func() (string, store.FaultStats) {
 		fs := store.NewFaultStore(store.NewMemStore(), plan)
 		var log strings.Builder
-		for seq := uint64(1); seq <= 20; seq++ {
+		for seq := uint64(1); seq <= 32; seq++ {
 			err := fs.Save("r", seq, []byte(strings.Repeat("x", 64)))
 			log.WriteString(errSig(err))
 		}
-		for seq := uint64(1); seq <= 20; seq++ {
+		for seq := uint64(1); seq <= 32; seq++ {
 			_, err := fs.Load("r", seq)
 			log.WriteString(errSig(err))
 		}
@@ -347,13 +347,13 @@ func fsLastOp(t *testing.T, plan store.FaultPlan) store.RunOp {
 	return op
 }
 
-// TestFaultStoreLogicalKeysInvariance pins the logical keying mode: an
+// TestFaultStoreLogicalKeysInvariance pins logical keying: an
 // operation's injected outcome is a pure function of (kind, run, seq,
 // attempt), so it is invariant under interleaved traffic from other
 // runs and resets with a fresh injector instance — the property
 // adaptive kill/resume identity and multi-tenant drills rest on.
 func TestFaultStoreLogicalKeysInvariance(t *testing.T) {
-	plan := store.FaultPlan{Seed: 33, WriteFail: 0.4, ReadFail: 0.4, MeanLatency: 1, LogicalKeys: true}
+	plan := store.FaultPlan{Seed: 33, WriteFail: 0.4, ReadFail: 0.4, MeanLatency: 1}
 	payload := []byte(strings.Repeat("x", 32))
 	// Trace of (err signature, latency) for attempts 1..6 of save r/7.
 	trace := func(noise bool) []string {
@@ -361,8 +361,8 @@ func TestFaultStoreLogicalKeysInvariance(t *testing.T) {
 		var out []string
 		for i := 0; i < 6; i++ {
 			if noise {
-				// Interleave unrelated traffic that sequential keying would
-				// be perturbed by.
+				// Interleave unrelated traffic: it must not shift r/7's
+				// draws.
 				fs.Save("other", uint64(i), payload)
 				fs.Load("r", 3)
 				fs.List("r")
@@ -499,7 +499,7 @@ func TestMeasure(t *testing.T) {
 	})
 	t.Run("remote over fault", func(t *testing.T) {
 		netCfg := netsim.Config{Seed: 5, Latency: 0.1, Jitter: 0.05}
-		fs := store.NewFaultStore(store.NewMemStore(), store.FaultPlan{Seed: 6, MeanLatency: 2, LogicalKeys: true})
+		fs := store.NewFaultStore(store.NewMemStore(), store.FaultPlan{Seed: 6, MeanLatency: 2})
 		rs := store.NewRemoteStore(fs, netsim.New(netCfg), netCfg, store.RemoteConfig{Timeout: 100})
 		st := store.Checked(rs)
 		lat, tracked, err := store.Measure(st, "r", func() error { return st.Save("r", 1, []byte("x")) })

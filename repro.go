@@ -278,7 +278,7 @@ func ExecutePlanResilient(g *Graph, m Model, checkpointAfter []bool, meanLatency
 		meanC += c
 	}
 	meanC /= float64(len(cp.Ckpt))
-	plan := store.FaultPlan{Seed: seed, WriteFail: writeFail, MeanLatency: meanLatency, LogicalKeys: true}
+	plan := store.FaultPlan{Seed: seed, WriteFail: writeFail, MeanLatency: meanLatency}
 	st, err := store.Spec{Backends: []store.Store{store.NewMemStore()}, Faults: &plan}.Build()
 	if err != nil {
 		return ResilienceReport{}, err
