@@ -49,6 +49,9 @@ type Measurement struct {
 	// States records the lattice solver's peak stored DP states for the
 	// BENCH_dag points (0 elsewhere).
 	States int64 `json:"states,omitempty"`
+	// EvalsPerTask records the monotone chain arm's oracle evaluations
+	// per task for the chain_dp frontier points (0 elsewhere).
+	EvalsPerTask float64 `json:"evals_per_task,omitempty"`
 }
 
 // Report is the JSON document benchtraj emits.
@@ -139,13 +142,14 @@ func measure(r row) (Measurement, error) {
 			r.name, benchPattern(r.name))
 	}
 	return Measurement{
-		Name:        r.name,
-		N:           r.n,
-		Iterations:  res.N,
-		NsPerOp:     float64(res.T.Nanoseconds()) / float64(res.N),
-		AllocsPerOp: res.AllocsPerOp(),
-		BytesPerOp:  res.AllocedBytesPerOp(),
-		States:      int64(res.Extra["states"]),
+		Name:         r.name,
+		N:            r.n,
+		Iterations:   res.N,
+		NsPerOp:      float64(res.T.Nanoseconds()) / float64(res.N),
+		AllocsPerOp:  res.AllocsPerOp(),
+		BytesPerOp:   res.AllocedBytesPerOp(),
+		States:       int64(res.Extra["states"]),
+		EvalsPerTask: res.Extra["evals/n"],
 	}, nil
 }
 

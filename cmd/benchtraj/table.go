@@ -19,7 +19,8 @@ import (
 
 // row is one named benchmark of the trajectory. bench does its own
 // setup, then times b.N operations; it reports through b.Fatal and, for
-// the lattice rows, b.ReportMetric(…, "states").
+// the lattice rows, b.ReportMetric(…, "states") (the monotone frontier
+// rows: "evals/n").
 type row struct {
 	file  string // snapshot the row belongs to: BENCH_<file>.json
 	name  string
@@ -61,19 +62,27 @@ func table() []row {
 	// Frontier points: the workload class E16 sweeps, at platform MTBF
 	// 1000 where the kernel scan's pruned look-ahead is longest — the
 	// monotone arm's ≥20× win at n = 200,000 and its sub-second exact
-	// million-task solve.
+	// million-task solve — plus MTBF 10⁶, whose long segments hand the
+	// monotone arm's window scan over to its candidate deque. The
+	// monotone rows report their oracle evaluations per task.
 	for _, f := range []struct {
-		name  string
-		n     int
-		solve func(*core.ChainProblem) (core.ChainResult, error)
+		name, mtbf string
+		n          int
+		lambda     float64
+		solve      func(*core.ChainProblem) (core.ChainResult, core.DPStats, error)
 	}{
-		{"monotone", 200000, core.SolveChainDPMonotone},
-		{"kernel", 200000, core.SolveChainDPKernel},
-		{"monotone", 1000000, core.SolveChainDPMonotone},
+		{"monotone", "", 200000, 0.001, core.SolveChainDPMonotoneStats},
+		{"kernel", "", 200000, 0.001, core.SolveChainDPKernelStats},
+		{"monotone", "", 1000000, 0.001, core.SolveChainDPMonotoneStats},
+		{"monotone", ",mtbf=1e6", 200000, 1e-6, core.SolveChainDPMonotoneStats},
 	} {
-		add("chain_dp", fmt.Sprintf("chain_dp_%s_frontier/n=%d", f.name, f.n), f.n, func(b *testing.B) {
-			cp := chainProblem(b, f.n, 1, 0.001)
-			loop(b, func() error { _, err := f.solve(cp); return err })
+		add("chain_dp", fmt.Sprintf("chain_dp_%s_frontier/n=%d%s", f.name, f.n, f.mtbf), f.n, func(b *testing.B) {
+			cp := chainProblem(b, f.n, 1, f.lambda)
+			var stats core.DPStats
+			loop(b, func() error { _, st, err := f.solve(cp); stats = st; return err })
+			if stats.Arm == core.ArmMonotone {
+				b.ReportMetric(float64(stats.Transitions)/float64(f.n), "evals/n")
+			}
 		})
 	}
 	// Steady-state simulation loop, the regime MonteCarlo's workers run

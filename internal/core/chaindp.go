@@ -86,13 +86,13 @@ func SolveChainDPStats(cp *ChainProblem) (ChainResult, DPStats, error) {
 	}
 	cert := kern.CertifyQuadrangle()
 	if cert.Certified {
-		next, evals := solveChainMonotoneRows(kern)
+		next, evals, _ := windowRows(kern)
 		stats := DPStats{Transitions: evals, Arm: ArmMonotone, Certified: true}
-		return chainResultFromNext(cp, next), stats, nil
+		return chainResultFromNext(cp, kern, next), stats, nil
 	}
 	next, evals := solveChainKernelRows(kern)
 	stats := DPStats{Transitions: evals, Arm: ArmKernel}
-	return chainResultFromNext(cp, next), stats, nil
+	return chainResultFromNext(cp, kern, next), stats, nil
 }
 
 // SolveChainDPKernel pins the kernel-scan arm: it never consults the
@@ -114,19 +114,19 @@ func SolveChainDPKernelStats(cp *ChainProblem) (ChainResult, DPStats, error) {
 		return ChainResult{}, DPStats{}, err
 	}
 	next, evals := solveChainKernelRows(kern)
-	return chainResultFromNext(cp, next), DPStats{Transitions: evals, Arm: ArmKernel}, nil
+	return chainResultFromNext(cp, kern, next), DPStats{Transitions: evals, Arm: ArmKernel}, nil
 }
 
 // solveChainKernelRows runs the pruned kernel scan over every row,
 // returning the per-row decisions and the evaluated transition count.
-func solveChainKernelRows(kern *expectation.SegmentKernel) ([]int, int64) {
+func solveChainKernelRows(kern *expectation.SegmentKernel) ([]int32, int64) {
 	n := kern.Len()
 	best := make([]float64, n+1)
-	next := make([]int, n) // next[x] = end position j of the first segment of the optimal suffix plan from x
+	next := make([]int32, n) // next[x] = end position j of the first segment of the optimal suffix plan from x
 	var evals int64
 	for x := n - 1; x >= 0; x-- {
-		var scanned int64
-		best[x], next[x], scanned = prunedRow(kern, x, best)
+		e, j, scanned := prunedRow(kern, x, best)
+		best[x], next[x] = e, int32(j)
 		evals += scanned
 	}
 	return next, evals
@@ -167,32 +167,22 @@ func prunedRow(kern *expectation.SegmentKernel, x int, tail []float64) (float64,
 
 // kernel builds the segment-expectation kernel for the problem.
 func (cp *ChainProblem) kernel() (*expectation.SegmentKernel, error) {
-	n := cp.Len()
-	rec := make([]float64, n)
-	for x := 0; x < n; x++ {
-		rec[x] = cp.recoveryBefore(x)
-	}
-	return expectation.NewSegmentKernel(cp.Model, cp.Weights, cp.Ckpt, rec)
+	return expectation.NewSegmentKernel(cp.Model, cp.Weights, cp.Ckpt, cp.InitialRecovery, cp.Rec)
 }
 
-// expectedAlong re-accumulates the expectation of the plan encoded by the
-// next[] vector using the reference arithmetic, associating exactly like
-// the Algorithm 1 recursion (segment + suffix, right to left).
-func (cp *ChainProblem) expectedAlong(next []int) float64 {
-	n := cp.Len()
-	prefix := make([]float64, n+1)
-	for i, w := range cp.Weights {
-		prefix[i+1] = prefix[i] + w
-	}
-	var segs []float64
-	for x := 0; x < n; {
-		j := next[x]
-		segs = append(segs, cp.Model.ExpectedTime(prefix[j+1]-prefix[x], cp.Ckpt[j], cp.recoveryBefore(x)))
-		x = j + 1
-	}
+// expectedAlong re-accumulates the expectation of the placement ck with
+// the reference arithmetic over the kernel's prefix table, associating
+// exactly like the Algorithm 1 recursion (segment + suffix, right to
+// left): it walks the segments back from the final checkpoint.
+func (cp *ChainProblem) expectedAlong(kern *expectation.SegmentKernel, ck []bool) float64 {
 	total := 0.0
-	for i := len(segs) - 1; i >= 0; i-- {
-		total = segs[i] + total
+	for j := cp.Len() - 1; j >= 0; {
+		x := j
+		for x > 0 && !ck[x-1] {
+			x--
+		}
+		total = cp.Model.ExpectedTime(kern.Work(x, j), cp.Ckpt[j], cp.recoveryBefore(x)) + total
+		j = x - 1
 	}
 	return total
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/dag"
@@ -387,5 +388,25 @@ func TestInitialRecoveryMatters(t *testing.T) {
 	e1, _ := SolveChainDP(withR0)
 	if e1.Expected <= e0.Expected {
 		t.Errorf("positive R₀ must increase the optimum: %v vs %v", e1.Expected, e0.Expected)
+	}
+}
+
+// TestChainDPBytesPerTask pins SolveChainDP's heap bytes per task on a
+// 10⁵-task DefaultWeights chain: the kernel tables, the row values and
+// decisions, and the result. The figure is a budget: a rise is a
+// regression, and a drop should re-pin the lower figure.
+func TestChainDPBytesPerTask(t *testing.T) {
+	const n, runs, want = 100000, 4, 66
+	cp := defaultWeightsChain(t, n, 0.001)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		if _, err := SolveChainDP(cp); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if got := math.Round(float64(after.TotalAlloc-before.TotalAlloc) / (runs * n)); got != want {
+		t.Errorf("SolveChainDP: %v bytes/task, budget %v", got, want)
 	}
 }

@@ -95,22 +95,41 @@ func positionsOf(g *dag.Graph, order []int) []int {
 
 // CheckpointCost sums C_i over the live tasks of the segment [start, end].
 func (lv LiveSetCosts) CheckpointCost(g *dag.Graph, order []int, start, end int) float64 {
-	pos := positionsOf(g, order)
+	return lv.on(g, order).CheckpointCost(g, order, start, end)
+}
+
+// RecoveryCost sums R_i over every live task of the prefix [0, end].
+func (lv LiveSetCosts) RecoveryCost(g *dag.Graph, order []int, end int) float64 {
+	return lv.on(g, order).RecoveryCost(g, order, end)
+}
+
+// on binds the model to one order, computing its task positions once
+// for callers that evaluate many costs on that order.
+func (lv LiveSetCosts) on(g *dag.Graph, order []int) liveSetOnOrder {
+	return liveSetOnOrder{lv, positionsOf(g, order)}
+}
+
+// liveSetOnOrder is LiveSetCosts with the task positions of the order
+// its methods are called with.
+type liveSetOnOrder struct {
+	LiveSetCosts
+	pos []int
+}
+
+func (lo liveSetOnOrder) CheckpointCost(g *dag.Graph, order []int, start, end int) float64 {
 	var sum float64
 	for i := start; i <= end; i++ {
-		if liveAt(g, order, pos, i, end) {
+		if liveAt(g, order, lo.pos, i, end) {
 			sum += g.Task(order[i]).Checkpoint
 		}
 	}
 	return sum
 }
 
-// RecoveryCost sums R_i over every live task of the prefix [0, end].
-func (lv LiveSetCosts) RecoveryCost(g *dag.Graph, order []int, end int) float64 {
-	pos := positionsOf(g, order)
+func (lo liveSetOnOrder) RecoveryCost(g *dag.Graph, order []int, end int) float64 {
 	var sum float64
 	for i := 0; i <= end; i++ {
-		if liveAt(g, order, pos, i, end) {
+		if liveAt(g, order, lo.pos, i, end) {
 			sum += g.Task(order[i]).Recovery
 		}
 	}
@@ -203,11 +222,11 @@ func grow[T any](s []T, n int) []T {
 }
 
 // reinitKernel rebuilds the scratch's kernel for the given tables.
-func (sc *orderScratch) reinitKernel(m expectation.Model, weights, ckpt, rec []float64) (*expectation.SegmentKernel, error) {
+func (sc *orderScratch) reinitKernel(m expectation.Model, weights, ckpt []float64, r0 float64, recAfter []float64) (*expectation.SegmentKernel, error) {
 	if sc.kern == nil {
 		sc.kern = &expectation.SegmentKernel{}
 	}
-	if err := sc.kern.Reinit(m, weights, ckpt, rec); err != nil {
+	if err := sc.kern.Reinit(m, weights, ckpt, r0, recAfter); err != nil {
 		return nil, err
 	}
 	return sc.kern, nil
@@ -261,13 +280,15 @@ func solveOrderDPKernel(g *dag.Graph, order []int, m expectation.Model, cm CostM
 	n := len(order)
 	sc.weights = grow(sc.weights, n)
 	sc.ckpt = grow(sc.ckpt, n)
-	sc.rec = grow(sc.rec, n)
+	sc.rec = grow(sc.rec, n-1)
 	for i, id := range order {
 		sc.weights[i] = g.Task(id).Weight
 		sc.ckpt[i] = cm.CheckpointCost(g, order, i, i)
-		sc.rec[i] = recBeforeAt(g, order, cm, i)
+		if i < n-1 {
+			sc.rec[i] = cm.RecoveryCost(g, order, i)
+		}
 	}
-	kern, err := sc.reinitKernel(m, sc.weights, sc.ckpt, sc.rec)
+	kern, err := sc.reinitKernel(m, sc.weights, sc.ckpt, cm.InitialRecovery(), sc.rec)
 	if err != nil {
 		return DAGResult{}, err
 	}
@@ -315,19 +336,23 @@ func orderResult(g *dag.Graph, order []int, m expectation.Model, cm CostModel, n
 	n := len(order)
 	prefix := orderPrefix(g, order)
 	ckv := make([]bool, n)
-	var starts, ends []int
 	for x := 0; x < n; {
 		j := next[x]
 		ckv[j] = true
-		starts = append(starts, x)
-		ends = append(ends, j)
 		x = j + 1
 	}
+	if lv, ok := cm.(LiveSetCosts); ok {
+		cm = lv.on(g, order) // positions once per order, not per cost call
+	}
 	total := 0.0
-	for i := len(starts) - 1; i >= 0; i-- {
-		x, j := starts[i], ends[i]
+	for j := n - 1; j >= 0; {
+		x := j
+		for x > 0 && !ckv[x-1] {
+			x--
+		}
 		rec := recBeforeAt(g, order, cm, x)
 		total = m.ExpectedTime(prefix[j+1]-prefix[x], cm.CheckpointCost(g, order, x, j), rec) + total
+		j = x - 1
 	}
 	return DAGResult{Order: append([]int(nil), order...), CheckpointAfter: ckv, Expected: total}
 }
@@ -397,16 +422,15 @@ func solveOrderDPLiveSet(g *dag.Graph, order []int, m expectation.Model, lv Live
 	// All recovery costs in one incremental sweep: rec(end) adds the
 	// task that just ran (its output is always live at its own position)
 	// and retires outputs last used at end.
-	sc.rec = grow(sc.rec, n)
-	recBefore := sc.rec
-	recBefore[0] = lv.InitialRecovery()
+	sc.rec = grow(sc.rec, n-1)
+	recAfter := sc.rec
 	acc := 0.0
 	for end := 0; end < n-1; end++ {
 		acc += rPos[end]
 		for _, p := range retireAt[end] {
 			acc -= rPos[p]
 		}
-		recBefore[end+1] = acc
+		recAfter[end] = acc
 	}
 	// Work-only kernel: zero checkpoint costs make its Segment a lower
 	// bound on every live-set segment expectation, which drives pruning;
@@ -415,7 +439,7 @@ func solveOrderDPLiveSet(g *dag.Graph, order []int, m expectation.Model, lv Live
 	for i := range sc.ckpt {
 		sc.ckpt[i] = 0
 	}
-	kern, err := sc.reinitKernel(m, weights, sc.ckpt, recBefore)
+	kern, err := sc.reinitKernel(m, weights, sc.ckpt, lv.InitialRecovery(), recAfter)
 	if err != nil {
 		return DAGResult{}, err
 	}

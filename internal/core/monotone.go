@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/expectation"
 )
@@ -13,14 +14,20 @@ import (
 // auto-dispatch onto them; SolveChainDPMonotone exposes the arm
 // directly and refuses uncertified instances.
 //
-//   - solveChainMonotoneRows: the self-referential suffix recurrence
-//     E(x) = min_j cost(x, j) + E(j+1) solved with the concave
-//     least-weight-subsequence candidate algorithm (Hirschberg–Larmore /
-//     Galil–Giancarlo family): a stack of candidates, each owning the
-//     interval of future rows where it is the incumbent minimum, with
-//     binary search for the single crossover the quadrangle inequality
-//     guarantees. O(n log n) cost-oracle evaluations worst case, O(n)
-//     when checkpoints are frequent.
+//   - windowRows: the self-referential suffix recurrence
+//     E(x) = min_j cost(x, j) + E(j+1), rows right to left. The
+//     quadrangle inequality makes the leftmost argmin monotone,
+//     next[x] ≤ next[x+1], so row x scans only the argmin window
+//     [x, next[x+1]]: one oracle evaluation per candidate, O(1) per row
+//     when checkpoints are frequent. The first window wider than
+//     2⌈log₂(n+1)⌉ hands the remaining rows over, once, to
+//     monotoneDeque: the concave least-weight-subsequence candidate
+//     algorithm (Hirschberg–Larmore / Galil–Giancarlo family), built
+//     from that window's candidates alone — each candidate owns the
+//     interval of future rows where it is the incumbent minimum, a
+//     gallop plus binary search finds the single crossover the
+//     inequality guarantees, and spans leave the deque's bottom as
+//     their rows are visited. O(n log n) oracle evaluations worst case.
 //   - boundedMonotoneLayers: the budgeted recurrence
 //     E_k(x) = min_j cost(x, j) + E_{k−1}(j+1) — each layer's tails come
 //     from the previous layer, so rows form an offline totally monotone
@@ -87,143 +94,173 @@ func SolveChainDPMonotoneStats(cp *ChainProblem) (ChainResult, DPStats, error) {
 	if !cert.Certified {
 		return ChainResult{}, DPStats{}, fmt.Errorf("core: instance not certified totally monotone (%s); use SolveChainDP", cert.Reason)
 	}
-	next, evals := solveChainMonotoneRows(kern)
+	next, evals, _ := windowRows(kern)
 	stats := DPStats{Transitions: evals, Arm: ArmMonotone, Certified: true}
-	return chainResultFromNext(cp, next), stats, nil
+	return chainResultFromNext(cp, kern, next), stats, nil
 }
 
-// span is one candidate's claim in the concave-LWS stack: end position
-// j is the incumbent minimum for every row in [lo, hi]. The stack keeps
-// lo strictly decreasing toward the top; the top span always starts at
-// row 0, and together the live spans cover every row the scan has yet
-// to visit.
-type span struct {
-	j, lo, hi int
-}
-
-// solveChainMonotoneRows runs the candidate algorithm over the kernel
-// oracle, returning the per-row decisions and the number of oracle
-// evaluations. Rows are processed right to left; the candidate ending
-// at j becomes available at row j and, by total monotonicity, beats an
-// older (larger-j) candidate on a down-set of rows — the single
-// crossover the binary search locates. Exact value ties resolve toward
-// the smaller end position, matching the dense scan's earliest-j rule.
-func solveChainMonotoneRows(kern *expectation.SegmentKernel) ([]int, int64) {
+// windowRows solves the rows of a certified instance right to left by
+// the exact argmin-window scan: with the quadrangle inequality, the
+// leftmost argmin never decreases as the start moves right,
+// next[x] ≤ next[x+1], so row x scans only j ∈ [x, next[x+1]] — one
+// oracle evaluation per candidate, ties to the earliest j like the
+// dense scan. The first window wider than 2⌈log₂(n+1)⌉ candidates hands
+// the remaining rows over to the candidate deque (monotoneDeque), which
+// keeps the O(n log n) worst case when segments are long. It returns
+// the per-row decisions, the oracle-evaluation count, and the row at
+// which the deque took over (−1 when every row was a window scan).
+func windowRows(kern *expectation.SegmentKernel) (next []int32, evals int64, handover int) {
 	n := kern.Len()
 	best := make([]float64, n+1)
-	next := make([]int, n)
+	next = make([]int32, n)
+	limit := 2 * bits.Len(uint(n)) // 2⌈log₂(n+1)⌉
+	hi := n - 1                    // next[x+1]; the last row's only candidate is n−1
+	for x := n - 1; x >= 0; x-- {
+		if hi-x+1 > limit {
+			return next, evals + monotoneDeque(kern, best, next, x, hi), x
+		}
+		bestE, bestJ := infinity, x
+		for j := x; j <= hi; j++ {
+			if v := kern.Segment(x, j) + best[j+1]; v < bestE {
+				bestE, bestJ = v, j
+			}
+		}
+		evals += int64(hi - x + 1)
+		best[x], next[x] = bestE, int32(bestJ)
+		hi = bestJ
+	}
+	return next, evals, -1
+}
+
+// span is one candidate's claim in the concave-LWS deque: end position
+// j is the incumbent minimum for every row in [lo, hi], and vhi is its
+// value at row hi, which the next insertion's first comparison reuses.
+// lo strictly decreases from the bottom (front) of the deque to the top
+// (back); the top span always starts at row 0, and together the spans
+// cover every row the scan has yet to visit.
+type span struct {
+	j, lo, hi int32
+	vhi       float64
+}
+
+// monotoneDeque solves rows x0, x0−1, …, 0 with the concave
+// least-weight-subsequence candidate algorithm (Hirschberg–Larmore /
+// Galil–Giancarlo family), given best[j+1] for every j > x0 and
+// jmax = next[x0+1]. By the same monotonicity the window scan relies
+// on, no row ≤ x0 ends its first segment past jmax, so the deque starts
+// from the candidates (x0, jmax] alone. Each candidate owns the interval
+// of future rows where it is the incumbent minimum; a new, smaller
+// candidate beats an older one on a down-set of rows, and the single
+// crossover the quadrangle inequality guarantees is found by galloping
+// and binary search. Spans whose rows have all been visited leave from
+// the bottom, so the owner of the current row is always the bottom span.
+// Ties resolve toward the smaller end position, matching the dense
+// scan's earliest-j rule. Returns the oracle-evaluation count.
+func monotoneDeque(kern *expectation.SegmentKernel, best []float64, next []int32, x0, jmax int) int64 {
 	var evals int64
 	val := func(x, j int) float64 {
 		evals++
 		return kern.Segment(x, j) + best[j+1]
 	}
-	// wins reports whether the new candidate jn beats the incumbent jo
-	// at row x (ties to jn: jn < jo always holds here).
-	wins := func(x, jn, jo int) bool {
-		return val(x, jn) <= val(x, jo)
-	}
-	// maxWin returns the largest row in [lo, hi] where candidate jn
-	// still beats jo, or lo−1 when it never does. The win rows form a
+	// maxWin returns the largest row t in [lo, hi] where candidate jn
+	// still beats jo (ties to jn: jn < jo always holds here) and jn's
+	// value there, or lo−1 when it never wins. The win rows form a
 	// down-set (single crossover), and the crossover typically sits just
-	// below hi — segments are short when checkpoints are frequent — so
-	// it gallops down from hi with doubling steps before binary-searching
-	// the bracket: O(log(hi − t)) oracle calls instead of O(log(hi − lo)).
-	maxWin := func(lo, hi, jn, jo int) int {
-		if lo > hi {
-			return lo - 1
-		}
+	// below hi, so it gallops down from hi with doubling steps before
+	// binary-searching the bracket: O(log(hi − t)) oracle calls instead
+	// of O(log(hi − lo)).
+	maxWin := func(lo, hi, jn, jo int) (int, float64) {
+		t, vt := lo-1, 0.0
 		probe, step, lastLose := hi, 1, hi+1
-		for probe >= lo && !wins(probe, jn, jo) {
+		for probe >= lo {
+			if v := val(probe, jn); v <= val(probe, jo) {
+				t, vt = probe, v
+				break
+			}
 			lastLose = probe
 			probe -= step
 			step <<= 1
 		}
-		t := probe // won there, or < lo when no win found yet
-		blo := max(probe+1, lo)
-		if probe < lo {
-			t = lo - 1
-		}
-		for bhi := lastLose - 1; blo <= bhi; {
+		for blo, bhi := max(probe+1, lo), lastLose-1; blo <= bhi; {
 			mid := int(uint(blo+bhi) >> 1)
-			if wins(mid, jn, jo) {
-				t, blo = mid, mid+1
+			if v := val(mid, jn); v <= val(mid, jo) {
+				t, vt, blo = mid, v, mid+1
 			} else {
 				bhi = mid - 1
 			}
 		}
-		return t
+		return t, vt
 	}
-	st := make([]span, 0, 16)
-	for x := n - 1; x >= 0; x-- {
-		// rowVal/rowJ carry row x's minimum when the insertion already
-		// compared candidates at row x itself, saving the re-evaluation.
-		rowJ := -1
-		var rowVal float64
-		// Insert candidate j = x, the smallest end position so far: it
-		// can only win a down-set [0, t] of rows, so it competes upward
-		// from the stack top (the lowest-row span).
-		if len(st) == 0 {
-			st = append(st, span{j: x, lo: 0, hi: x})
-		} else {
-			wonUpTo := -1
-			for len(st) > 0 {
-				top := st[len(st)-1]
-				hiEff := min(top.hi, x)
-				vn, vo := val(hiEff, x), val(hiEff, top.j)
-				if vn <= vo {
-					wonUpTo = hiEff
-					if hiEff == x {
-						// Wins at the current row → wins every future row;
-						// retire every span a future row could still see.
-						rowJ, rowVal = x, vn
-						for len(st) > 0 && st[len(st)-1].lo <= x {
-							st = st[:len(st)-1]
-						}
-						break
-					}
-					st = st[:len(st)-1]
-					continue
-				}
-				if hiEff == x {
-					// Loses at the current row → the incumbent still owns it.
-					rowJ, rowVal = top.j, vo
-				}
-				// Loses at hiEff: the crossover sits inside [top.lo, hiEff).
-				if t := maxWin(top.lo, hiEff-1, x, top.j); t >= top.lo {
-					st[len(st)-1].lo = t + 1
-					if t > wonUpTo {
-						wonUpTo = t
-					}
-				}
-				break
+	dq := make([]span, 0, 16)
+	head := 0 // dq[head] is the bottom span; dq[:head] are dead
+	// insert makes candidate jn (smaller than every candidate in the
+	// deque) available to rows [0, xr]. It competes upward from the top
+	// (the lowest-row span). When the comparison reached row xr itself
+	// it returns that row's minimum and its end position; otherwise
+	// rowJ is −1.
+	insert := func(jn, xr int) (rowJ int, rowVal float64) {
+		rowJ = -1
+		wonUpTo, vWon := -1, 0.0
+		for len(dq) > head {
+			top := dq[len(dq)-1]
+			hiEff := min(int(top.hi), xr)
+			vo := top.vhi
+			if hiEff < int(top.hi) {
+				vo = val(hiEff, int(top.j))
 			}
-			if len(st) == 0 {
-				wonUpTo = x
+			vn := val(hiEff, jn)
+			if vn <= vo {
+				wonUpTo, vWon = hiEff, vn
+				if hiEff == xr {
+					// Wins at row xr → wins every row below it; every
+					// span left holds only rows ≤ xr, so all retire.
+					rowJ, rowVal = jn, vn
+					dq = dq[:head]
+					break
+				}
+				dq = dq[:len(dq)-1]
+				continue
 			}
-			if wonUpTo >= 0 {
-				st = append(st, span{j: x, lo: 0, hi: wonUpTo})
+			if hiEff == xr {
+				// Loses at row xr → the incumbent still owns it.
+				rowJ, rowVal = int(top.j), vo
 			}
+			// Loses at hiEff: the crossover sits inside [top.lo, hiEff).
+			if t, vt := maxWin(int(top.lo), hiEff-1, jn, int(top.j)); t >= int(top.lo) {
+				dq[len(dq)-1].lo = int32(t + 1)
+				if t > wonUpTo {
+					wonUpTo, vWon = t, vt
+				}
+			}
+			break
 		}
+		if wonUpTo >= 0 {
+			dq = append(dq, span{j: int32(jn), lo: 0, hi: int32(wonUpTo), vhi: vWon})
+		}
+		return rowJ, rowVal
+	}
+	dq = append(dq, span{j: int32(jmax), lo: 0, hi: int32(x0), vhi: val(x0, jmax)})
+	for j := jmax - 1; j > x0; j-- {
+		insert(j, x0)
+	}
+	for x := x0; x >= 0; x-- {
+		// Retire the spans whose rows are all visited, compacting once
+		// the dead prefix outgrows the live spans.
+		for int(dq[head].lo) > x {
+			head++
+		}
+		if head > len(dq)-head {
+			dq = dq[:copy(dq, dq[head:])]
+			head = 0
+		}
+		rowJ, rowVal := insert(x, x)
 		if rowJ < 0 {
-			// The owner of row x is the unique live span containing it:
-			// the stack's lo values decrease toward the top, so
-			// binary-search for the first (deepest) span with lo ≤ x.
-			lo, hi, owner := 0, len(st)-1, len(st)-1
-			for lo <= hi {
-				mid := int(uint(lo+hi) >> 1)
-				if st[mid].lo <= x {
-					owner, hi = mid, mid-1
-				} else {
-					lo = mid + 1
-				}
-			}
-			rowJ = st[owner].j
+			rowJ = int(dq[head].j)
 			rowVal = val(x, rowJ)
 		}
-		best[x] = rowVal
-		next[x] = rowJ
+		best[x], next[x] = rowVal, int32(rowJ)
 	}
-	return next, evals
+	return evals
 }
 
 // boundedMonotoneLayers runs the budgeted DP on a certified instance:
@@ -295,12 +332,13 @@ func boundedMonotoneLayers(kern *expectation.SegmentKernel, maxCheckpoints int) 
 
 // chainResultFromNext reconstructs the checkpoint vector from per-row
 // decisions and re-derives the value through the reference arithmetic.
-func chainResultFromNext(cp *ChainProblem, next []int) ChainResult {
+func chainResultFromNext(cp *ChainProblem, kern *expectation.SegmentKernel, next []int32) ChainResult {
 	n := cp.Len()
 	ck := make([]bool, n)
 	for x := 0; x < n; {
-		ck[next[x]] = true
-		x = next[x] + 1
+		j := int(next[x])
+		ck[j] = true
+		x = j + 1
 	}
-	return ChainResult{Expected: cp.expectedAlong(next), CheckpointAfter: ck}
+	return ChainResult{Expected: cp.expectedAlong(kern, ck), CheckpointAfter: ck}
 }

@@ -2,8 +2,10 @@ package core
 
 import (
 	"math"
+	"math/bits"
 	"testing"
 
+	"repro/internal/dag"
 	"repro/internal/expectation"
 	"repro/internal/numeric"
 	"repro/internal/rng"
@@ -305,6 +307,97 @@ func TestMonotoneMatchesKernelMedium(t *testing.T) {
 	}
 }
 
+// defaultWeightsChain is the E16 workload family: an n-task chain with
+// dag.DefaultWeights under failure rate lambda and downtime 0.5.
+func defaultWeightsChain(t testing.TB, n int, lambda float64) *ChainProblem {
+	t.Helper()
+	g, err := dag.Chain(n, dag.DefaultWeights(), rng.New(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := expectation.NewModel(lambda, 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp, _, err := NewChainProblem(g, m, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cp
+}
+
+// TestWindowRowsPaths pins the monotone arm's rows to the kernel scan's
+// placements and values on the three shapes its two phases produce, and
+// asserts which phase ran: short segments never leave the argmin-window
+// scan; a chain whose head tasks are tiny hands over to the candidate
+// deque mid-chain; and at λ = 1e-9, where one segment spans the chain,
+// the windows grow by one row at a time until the first oversized one.
+func TestWindowRowsPaths(t *testing.T) {
+	const n = 3000
+	limit := 2 * bits.Len(uint(n))
+	// Constant C and R keep the mixed chain certified.
+	mixed := defaultWeightsChain(t, n, 0.01)
+	mixed.InitialRecovery = 0.5
+	for i := range mixed.Weights {
+		mixed.Ckpt[i], mixed.Rec[i] = 0.5, 0.5
+		if i < n/2 {
+			mixed.Weights[i] = 0.01
+		}
+	}
+	for _, c := range []struct {
+		name     string
+		cp       *ChainProblem
+		handover func(int) bool
+	}{
+		{"window scan only", defaultWeightsChain(t, n, 0.001), func(h int) bool { return h == -1 }},
+		{"handover mid-chain", mixed, func(h int) bool { return h > 0 && h < n/2 }},
+		{"handover at once", defaultWeightsChain(t, n, 1e-9), func(h int) bool { return h == n-1-limit }},
+	} {
+		kern, err := c.cp.kernel()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cert := kern.CertifyQuadrangle(); !cert.Certified {
+			t.Fatalf("%s: not certified: %s", c.name, cert.Reason)
+		}
+		next, evals, handover := windowRows(kern)
+		if !c.handover(handover) {
+			t.Fatalf("%s: handover at row %d", c.name, handover)
+		}
+		got := chainResultFromNext(c.cp, kern, next)
+		want, wstats, err := SolveChainDPKernelStats(c.cp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Expected != want.Expected {
+			t.Fatalf("%s: Expected %v, kernel arm %v", c.name, got.Expected, want.Expected)
+		}
+		for i := range got.CheckpointAfter {
+			if got.CheckpointAfter[i] != want.CheckpointAfter[i] {
+				t.Fatalf("%s: placement differs from the kernel arm at %d", c.name, i)
+			}
+		}
+		t.Logf("%s: handover %d, %.2f evals/task (kernel arm %.2f), %d checkpoints",
+			c.name, handover, float64(evals)/n, float64(wstats.Transitions)/n, len(got.Positions()))
+	}
+}
+
+// TestMonotoneWorstCaseEvals pins the O(n log n) worst case: at λ = 1e-9
+// one segment spans the 10⁵-task chain, every window outgrows the scan,
+// and the candidate deque must stay within c·n·⌈log₂ n⌉ evaluations.
+func TestMonotoneWorstCaseEvals(t *testing.T) {
+	const n, c = 100000, 4
+	cp := defaultWeightsChain(t, n, 1e-9)
+	_, stats, err := SolveChainDPMonotoneStats(cp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	logN := int64(bits.Len(uint(n - 1))) // ⌈log₂ n⌉
+	if bound := c * n * logN; stats.Transitions > bound {
+		t.Fatalf("%d evaluations, bound %d·n·⌈log₂ n⌉ = %d", stats.Transitions, c, bound)
+	}
+}
+
 // TestBoundedMonotoneEquivalence pins the budgeted monotone arm to the
 // kernel-scan arm and to brute force under every budget.
 func TestBoundedMonotoneEquivalence(t *testing.T) {
@@ -363,6 +456,10 @@ func FuzzChainDPMonotone(f *testing.F) {
 	// arithmetic by several ulps of λ·P(n).
 	f.Add(uint64(52), uint(129), 0.5555555555555556, 506.22222222222223, uint8(0x1a))
 	f.Add(uint64(121), uint(7), 0.051666666666666666, 3477.0, uint8(0xe2))
+	// Long segments over 13 tasks: the deque takes over after a few rows,
+	// and an optimum ends at one of the handover window's smallest
+	// candidates.
+	f.Add(uint64(4), uint(76), 0.6, 0.016, uint8('j'))
 	f.Fuzz(func(t *testing.T, seed uint64, n uint, lambda, scale float64, law uint8) {
 		size := 1 + int(n%64)
 		if !(lambda > 0) || math.IsInf(lambda, 0) || math.IsNaN(lambda) {

@@ -219,6 +219,9 @@ func (cp *ChainProblem) Validate() error {
 	if n == 0 {
 		return errors.New("core: empty chain problem")
 	}
+	if n > math.MaxInt32 {
+		return fmt.Errorf("core: chain of %d positions exceeds the solvers' %d", n, math.MaxInt32)
+	}
 	if len(cp.Ckpt) != n || len(cp.Rec) != n {
 		return fmt.Errorf("core: inconsistent array lengths (%d, %d, %d)", n, len(cp.Ckpt), len(cp.Rec))
 	}

@@ -125,18 +125,20 @@ func (g *Graph) Tasks() []Task {
 	return out
 }
 
-// Successors returns a copy of the direct successors of id.
+// Successors returns the direct successors of id. The slice is the
+// graph's own, not a copy, so hot loops read adjacency without
+// allocating: callers must not modify its elements. Its capacity is
+// clipped, so an append copies instead of writing into the graph.
 func (g *Graph) Successors(id int) []int {
-	out := make([]int, len(g.succ[id]))
-	copy(out, g.succ[id])
-	return out
+	s := g.succ[id]
+	return s[:len(s):len(s)]
 }
 
-// Predecessors returns a copy of the direct predecessors of id.
+// Predecessors returns the direct predecessors of id, read-only like
+// Successors.
 func (g *Graph) Predecessors(id int) []int {
-	out := make([]int, len(g.pred[id]))
-	copy(out, g.pred[id])
-	return out
+	s := g.pred[id]
+	return s[:len(s):len(s)]
 }
 
 // TotalWeight returns Σ w_i.

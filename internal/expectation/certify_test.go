@@ -11,7 +11,7 @@ import (
 // buildKernel is a test helper constructing a kernel or failing.
 func buildKernel(t testing.TB, m Model, w, c, rec []float64) *SegmentKernel {
 	t.Helper()
-	k, err := NewSegmentKernel(m, w, c, rec)
+	k, err := NewSegmentKernel(m, w, c, rec[0], rec[1:])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestCertifyDeterministic(t *testing.T) {
 	if again := k.CertifyQuadrangle(); again != first {
 		t.Fatalf("certificate changed between runs: %+v vs %+v", first, again)
 	}
-	if err := k.Reinit(m, w, c, rec); err != nil {
+	if err := k.Reinit(m, w, c, rec[0], rec[1:]); err != nil {
 		t.Fatal(err)
 	}
 	if again := k.CertifyQuadrangle(); again != first {
@@ -172,7 +172,7 @@ func FuzzQICertifier(f *testing.F) {
 			c[i] = r.Range(0, scale/3)
 			rec[i] = r.Range(0, scale/3)
 		}
-		k, err := NewSegmentKernel(m, w, c, rec)
+		k, err := NewSegmentKernel(m, w, c, rec[0], rec[1:])
 		if err != nil {
 			t.Skip()
 		}

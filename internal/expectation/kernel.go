@@ -57,19 +57,21 @@ type SegmentKernel struct {
 	model  Model
 	prefix []float64 // prefix[i] = Σ_{k<i} weights[k], len n+1
 	ckpt   []float64
-	t      []float64 // t[j] = λ·(prefix[j+1] + C_j)
-	u      []float64 // u[x] = λ·prefix[x]
+	t      []float64 // t[j] = λ·(prefix[j+1] + C_j); u(x) = λ·prefix[x]
 
 	endFrac   []float64 // e^{t[j]} scaled: frac ∈ [1,2)
 	endExp    []int32
-	startFrac []float64 // e^{−u[x]} scaled
+	startFrac []float64 // e^{−u(x)} scaled
 	startExp  []int32
 
 	amp    []float64 // amp[x] = e^{λ·rec(x)}·(1/λ + D); see recInf
-	lrec   []float64 // lrec[x] = λ·rec(x); the certifier compares these
 	recInf []bool    // λ·rec(x) > numeric.MaxExpArg → Segment is +Inf
 	sufMin []int32   // sufMin[j] = argmin_{k ≥ j} t[k]
 	slack  float64
+	// startBreak is the first x whose start-factor margin fails,
+	// λ·rec(x+1) − u(x+1) > λ·rec(x) − u(x) (−1 when none): the
+	// certifier's start-factor boundary check, made in the build loop.
+	startBreak int
 }
 
 // StableArgThreshold is the segment argument λ(W+C) below which Segment
@@ -83,12 +85,15 @@ const StableArgThreshold = 1.0 / 1024
 const kernelBaseSlack = 1e-9
 
 // NewSegmentKernel builds the kernel for a positional problem: weights,
-// per-position checkpoint costs, and recBefore[x] — the recovery cost in
-// force when a segment starts at position x (R₀ for x = 0 in the chain
-// problem). All three slices must have equal, positive length.
-func NewSegmentKernel(m Model, weights, ckpt, recBefore []float64) (*SegmentKernel, error) {
+// per-position checkpoint costs, and the recovery costs in the chain
+// problem's layout — a segment starting at x = 0 recovers with r0, one
+// starting at x > 0 with recAfter[x−1], the cost of restoring the
+// checkpoint taken after position x−1. weights and ckpt must have equal,
+// positive length n; recAfter needs at least n−1 entries (recAfter[n−1],
+// when present, is never read).
+func NewSegmentKernel(m Model, weights, ckpt []float64, r0 float64, recAfter []float64) (*SegmentKernel, error) {
 	k := &SegmentKernel{}
-	if err := k.Reinit(m, weights, ckpt, recBefore); err != nil {
+	if err := k.Reinit(m, weights, ckpt, r0, recAfter); err != nil {
 		return nil, err
 	}
 	return k, nil
@@ -99,7 +104,7 @@ func NewSegmentKernel(m Model, weights, ckpt, recBefore []float64) (*SegmentKern
 // per-order DP per linearization strategy and reinitialize one kernel
 // across them instead of allocating ~10 tables per order. A reused
 // kernel is indistinguishable from a fresh NewSegmentKernel build.
-func (k *SegmentKernel) Reinit(m Model, weights, ckpt, recBefore []float64) error {
+func (k *SegmentKernel) Reinit(m Model, weights, ckpt []float64, r0 float64, recAfter []float64) error {
 	if err := m.Validate(); err != nil {
 		return err
 	}
@@ -107,20 +112,18 @@ func (k *SegmentKernel) Reinit(m Model, weights, ckpt, recBefore []float64) erro
 	if n == 0 {
 		return fmt.Errorf("expectation: kernel needs at least one position")
 	}
-	if len(ckpt) != n || len(recBefore) != n {
-		return fmt.Errorf("expectation: kernel slice lengths differ (%d, %d, %d)", n, len(ckpt), len(recBefore))
+	if len(ckpt) != n || len(recAfter) < n-1 {
+		return fmt.Errorf("expectation: kernel slice lengths differ (%d weights, %d checkpoint costs, %d recovery costs)", n, len(ckpt), len(recAfter))
 	}
 	k.model = m
 	k.prefix = grow(k.prefix, n+1)
 	k.ckpt = ckpt
 	k.t = grow(k.t, n)
-	k.u = grow(k.u, n)
 	k.endFrac = grow(k.endFrac, n)
 	k.endExp = grow(k.endExp, n)
 	k.startFrac = grow(k.startFrac, n)
 	k.startExp = grow(k.startExp, n)
 	k.amp = grow(k.amp, n)
-	k.lrec = grow(k.lrec, n)
 	k.recInf = grow(k.recInf, n)
 	k.sufMin = grow(k.sufMin, n)
 	k.prefix[0] = 0
@@ -128,15 +131,25 @@ func (k *SegmentKernel) Reinit(m Model, weights, ckpt, recBefore []float64) erro
 		k.prefix[i+1] = k.prefix[i] + w
 	}
 	scale := 1/m.Lambda + m.Downtime
+	k.startBreak = -1
+	var lrPrev, uPrev float64
 	for i := 0; i < n; i++ {
 		k.t[i] = m.Lambda * (k.prefix[i+1] + ckpt[i])
-		k.u[i] = m.Lambda * k.prefix[i]
+		u := k.u(i)
 		f, e := numeric.ExpScaled(k.t[i])
 		k.endFrac[i], k.endExp[i] = f, int32(e)
-		f, e = numeric.ExpScaled(-k.u[i])
+		f, e = numeric.ExpScaled(-u)
 		k.startFrac[i], k.startExp[i] = f, int32(e)
-		lr := m.Lambda * recBefore[i]
-		k.lrec[i] = lr
+		rec := r0
+		if i > 0 {
+			rec = recAfter[i-1]
+		}
+		lr := m.Lambda * rec
+		// Start factor λ·rec − u nonincreasing (see CertifyQuadrangle).
+		if i > 0 && k.startBreak < 0 && !(lr-u <= lrPrev-uPrev) {
+			k.startBreak = i - 1
+		}
+		lrPrev, uPrev = lr, u
 		if lr > numeric.MaxExpArg {
 			k.recInf[i] = true
 			k.amp[i] = math.Inf(1)
@@ -178,6 +191,15 @@ func grow[T any](s []T, n int) []T {
 // Len returns the number of positions.
 func (k *SegmentKernel) Len() int { return len(k.t) }
 
+// u returns the start exponent λ·P(x). It is recomputed rather than
+// tabulated; the conversion rounds the product, so no platform fuses it
+// into a caller's subtraction and every use sees the same value.
+func (k *SegmentKernel) u(x int) float64 { return float64(k.model.Lambda * k.prefix[x]) }
+
+// Work returns the total weight of positions [x, j], P(j+1) − P(x), from
+// the kernel's prefix table.
+func (k *SegmentKernel) Work(x, j int) float64 { return k.prefix[j+1] - k.prefix[x] }
+
 // Segment returns the Proposition 1 expectation of executing positions
 // [x, j] and checkpointing after j, with the recovery cost in force at x.
 // It agrees with Model.ExpectedTime(P(j+1)−P(x), C_j, rec(x)) to the
@@ -187,7 +209,7 @@ func (k *SegmentKernel) Segment(x, j int) float64 {
 	if k.recInf[x] {
 		return math.Inf(1)
 	}
-	arg := k.t[j] - k.u[x]
+	arg := k.t[j] - k.u(x)
 	if arg > numeric.MaxExpArg {
 		return math.Inf(1)
 	}

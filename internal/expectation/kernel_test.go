@@ -26,7 +26,7 @@ func TestSegmentMatchesExpectedTime(t *testing.T) {
 	r := rng.New(11)
 	for _, lambda := range []float64{1e-9, 1e-4, 0.02, 0.5, 5} {
 		m, weights, ckpt, rec := randomKernelInstance(r, 40, lambda)
-		k, err := NewSegmentKernel(m, weights, ckpt, rec)
+		k, err := NewSegmentKernel(m, weights, ckpt, rec[0], rec[1:])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -64,7 +64,7 @@ func TestSegmentOverflowSemantics(t *testing.T) {
 	weights := []float64{300, 300, 300}
 	ckpt := []float64{1, 1, 1}
 	rec := []float64{0, 0, 0}
-	k, err := NewSegmentKernel(m, weights, ckpt, rec)
+	k, err := NewSegmentKernel(m, weights, ckpt, rec[0], rec[1:])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestSegmentOverflowSemantics(t *testing.T) {
 	}
 
 	recBig := []float64{800, 0, 0}
-	k2, err := NewSegmentKernel(m, weights, ckpt, recBig)
+	k2, err := NewSegmentKernel(m, weights, ckpt, recBig[0], recBig[1:])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestBoundIsLowerBound(t *testing.T) {
 	for _, lambda := range []float64{1e-6, 0.02, 1} {
 		for trial := 0; trial < 20; trial++ {
 			m, weights, ckpt, rec := randomKernelInstance(r, 30, lambda)
-			k, err := NewSegmentKernel(m, weights, ckpt, rec)
+			k, err := NewSegmentKernel(m, weights, ckpt, rec[0], rec[1:])
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -127,7 +127,7 @@ func TestSegmentSaturatedPrefix(t *testing.T) {
 	weights := []float64{4e8, 1, 2}
 	ckpt := []float64{0, 0, 0.5}
 	rec := []float64{0, 0, 0}
-	k, err := NewSegmentKernel(m, weights, ckpt, rec)
+	k, err := NewSegmentKernel(m, weights, ckpt, rec[0], rec[1:])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,13 +151,13 @@ func TestSegmentSaturatedPrefix(t *testing.T) {
 
 func TestKernelValidation(t *testing.T) {
 	m := Model{Lambda: 0.1, Downtime: 0}
-	if _, err := NewSegmentKernel(m, nil, nil, nil); err == nil {
+	if _, err := NewSegmentKernel(m, nil, nil, 0, nil); err == nil {
 		t.Error("empty kernel should fail")
 	}
-	if _, err := NewSegmentKernel(m, []float64{1, 2}, []float64{1}, []float64{0, 0}); err == nil {
+	if _, err := NewSegmentKernel(m, []float64{1, 2}, []float64{1}, 0, []float64{0}); err == nil {
 		t.Error("mismatched slice lengths should fail")
 	}
-	if _, err := NewSegmentKernel(Model{Lambda: -1}, []float64{1}, []float64{1}, []float64{0}); err == nil {
+	if _, err := NewSegmentKernel(Model{Lambda: -1}, []float64{1}, []float64{1}, 0, nil); err == nil {
 		t.Error("invalid model should fail")
 	}
 }

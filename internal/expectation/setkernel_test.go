@@ -137,7 +137,7 @@ func TestSetKernelPushOrderInvariance(t *testing.T) {
 func TestSegmentKernelReinitMatchesFresh(t *testing.T) {
 	mBig := Model{Lambda: 1, Downtime: 0}
 	big := []float64{100, 900, 3} // λ·rec = 900 sets recInf on position 1
-	kb, err := NewSegmentKernel(mBig, big, big, big)
+	kb, err := NewSegmentKernel(mBig, big, big, big[0], big[1:])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,10 +147,10 @@ func TestSegmentKernelReinitMatchesFresh(t *testing.T) {
 	weights := []float64{4, 7, 2}
 	ckpt := []float64{0.3, 0.1, 0.2}
 	rec := []float64{0.5, 0.3, 0.1}
-	if err := kb.Reinit(m, weights, ckpt, rec); err != nil {
+	if err := kb.Reinit(m, weights, ckpt, rec[0], rec[1:]); err != nil {
 		t.Fatal(err)
 	}
-	fresh, err := NewSegmentKernel(m, weights, ckpt, rec)
+	fresh, err := NewSegmentKernel(m, weights, ckpt, rec[0], rec[1:])
 	if err != nil {
 		t.Fatal(err)
 	}

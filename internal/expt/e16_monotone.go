@@ -188,7 +188,7 @@ func planE16(cfg Config) (*Plan, error) {
 		}
 		tables[arms].AddNote("monotone optimum and placement identical to the kernel arm on every row → %s", yn(allIdentical))
 		tables[arms].AddNote("evals and eval_ratio are deterministic: both arms' scan shapes depend only on the instance, and the certificate is instance-only")
-		tables[arms].AddNote("the kernel row scan must look ~log(n·λ·w̄)/λw̄ candidates ahead before its exact bound fires, so its advantage shrinks as failures get rarer; the monotone arm pays O(log) per row regardless")
+		tables[arms].AddNote("the kernel row scan must look ~log(n·λ·w̄)/λw̄ candidates ahead before its exact bound fires, so its advantage shrinks as failures get rarer; the monotone arm scans only the argmin window [x, next(x+1)] (a few candidates per row while segments are short) and hands over to an O(log n)-per-row candidate deque once a window outgrows 2⌈log₂(n+1)⌉")
 		tables[million].AddNote("the pruned kernel scan would evaluate two to three orders of magnitude more transitions here (extrapolating the evals_kernel column above); the monotone arm keeps the frontier solve interactive")
 		return nil
 	}

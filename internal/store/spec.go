@@ -3,6 +3,7 @@ package store
 import (
 	"fmt"
 	"math"
+	"strconv"
 
 	"repro/internal/netsim"
 )
@@ -72,7 +73,7 @@ func (s *Spec) replica(i int, net *netsim.Network) Store {
 	if net != nil {
 		name := "s0" // a constant: a single remote allocates no name
 		if i > 0 {
-			name = fmt.Sprintf("s%d", i)
+			name = "s" + strconv.Itoa(i)
 		}
 		st = NewRemoteStore(st, net, *s.Net, RemoteConfig{Remote: name, Timeout: s.Timeout})
 	}
