@@ -311,7 +311,7 @@ func (ex *executor) maybeReplan(s int) error {
 	if from >= len(ex.w.Order) {
 		return nil
 	}
-	if ex.lastReplanAt >= 0 && int64(s)-ex.lastReplanAt < int64(ad.cooldown()) {
+	if ex.lastReplanAt1 > 0 && s+1-ex.lastReplanAt1 < ad.cooldown() {
 		return nil
 	}
 	overhead := ex.currentOverheadEstimate()
@@ -328,7 +328,7 @@ func (ex *executor) maybeReplan(s int) error {
 	}
 	ex.replans++
 	ex.lastOverhead = overhead
-	ex.lastReplanAt = int64(s)
+	ex.lastReplanAt1 = s + 1
 	if ex.level == LevelHealthy {
 		ex.level = LevelDegraded
 	}
@@ -381,96 +381,44 @@ func (ex *executor) spliceAt(from int, segs []core.Segment) error {
 	return nil
 }
 
-// restoreAdaptive rebuilds the adaptive state from a decoded
-// checkpoint: health, ladder position, hysteresis anchors, exposure
-// accounting, the active store, and the spliced segment layout
-// (reconstructed by replaying the journal's EvReplan events through the
-// configured replanner).
+// restoreAdaptive finishes an adaptive resume once the adaptive record
+// is assigned back, from the resolved journal (which records every
+// ladder move and replan up to the encode point): it re-selects the
+// active store and rebuilds the spliced segment layout by replaying the
+// EvReplan events through the configured replanner.
 func (ex *executor) restoreAdaptive(st *execState) error {
-	ex.health.commits = st.healthCommits
-	ex.health.ewmaLat = st.healthEwmaLat
-	ex.health.ewmaOver = st.healthEwmaOver
-	ex.health.bits = st.healthBits
-	ex.health.nbits = int(st.healthNbits)
-	ex.health.attempts = st.healthAttempts
-	ex.health.failures = st.healthFailures
-	ex.level = DegradeLevel(st.level)
-	ex.consec = int(st.consec)
-	ex.giveups = int(st.giveups)
-	ex.sinceDown = int(st.sinceDown)
-	ex.replans = int(st.replans)
-	ex.lastOverhead = st.lastOverhead
-	ex.lastReplanAt = int64(st.lastReplanAt1) - 1
-	ex.lastPersistT = st.lastPersistT
-	ex.maxRewind = st.maxRewind
-	// A restored LevelFailover means saves were going to the secondary.
-	// LevelDown alone does not: a ride-out probe can persist a
-	// down-level state through the PRIMARY when no failover ever
-	// happened — the journal prefix is the arbiter (it records every
-	// ladder move up to the encode point).
-	failedOver := ex.level == LevelFailover
-	if !failedOver && ex.level == LevelDown {
-		for _, e := range st.journal {
-			if e.Kind == EvDegrade && DegradeLevel(e.Arg) == LevelFailover {
-				failedOver = true
-				break
-			}
-		}
-	}
-	if failedOver {
-		if ex.ad.Secondary == nil {
-			return fmt.Errorf("exec: checkpoint was saved after failover but no secondary store is configured")
-		}
-		ex.store = ex.ad.Secondary
-	}
 	for _, e := range st.journal {
-		if e.Kind != EvReplan {
-			continue
-		}
-		if ex.ad.Replanner == nil {
-			return fmt.Errorf("exec: journal records a replan at %d but no replanner is configured", e.Arg)
-		}
-		segs, err := ex.ad.Replanner.Replan(int(e.Arg), math.Float64frombits(e.Seq))
-		if err != nil {
-			return fmt.Errorf("exec: replaying replan at %d: %w", e.Arg, err)
-		}
-		if err := ex.spliceAt(int(e.Arg), segs); err != nil {
-			return err
+		switch {
+		case e.Kind == EvDegrade && DegradeLevel(e.Arg) == LevelFailover:
+			// Saves go to the secondary once the run has failed over,
+			// whatever the ladder did since: a ride-out probe re-admits
+			// the active store, which after a failover is the secondary.
+			if ex.ad.Secondary == nil {
+				return fmt.Errorf("exec: checkpoint was saved after failover but no secondary store is configured")
+			}
+			ex.store = ex.ad.Secondary
+		case e.Kind == EvReplan:
+			if ex.ad.Replanner == nil {
+				return fmt.Errorf("exec: journal records a replan at %d but no replanner is configured", e.Arg)
+			}
+			segs, err := ex.ad.Replanner.Replan(int(e.Arg), math.Float64frombits(e.Seq))
+			if err != nil {
+				return fmt.Errorf("exec: replaying replan at %d: %w", e.Arg, err)
+			}
+			if err := ex.spliceAt(int(e.Arg), segs); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
 }
 
-// snapshot captures the executor's full state for encoding.
-func (ex *executor) snapshot(seq, nextSeg uint64) *execState {
-	st := &execState{
-		fp:      ex.fp,
-		seq:     seq,
-		nextSeg: nextSeg,
-		t:       ex.t,
-		met:     ex.met,
-		src:     ex.src.State(),
-		base:    ex.base,
-		baseLen: ex.baseLen,
-		hash:    ex.jhash,
-		delta:   ex.j[ex.baseLen:],
-
-		healthCommits:  ex.health.commits,
-		healthEwmaLat:  ex.health.ewmaLat,
-		healthEwmaOver: ex.health.ewmaOver,
-		healthBits:     ex.health.bits,
-		healthNbits:    uint64(ex.health.nbits),
-		healthAttempts: ex.health.attempts,
-		healthFailures: ex.health.failures,
-		level:          uint64(ex.level),
-		consec:         uint64(ex.consec),
-		giveups:        uint64(ex.giveups),
-		sinceDown:      uint64(ex.sinceDown),
-		replans:        uint64(ex.replans),
-		lastOverhead:   ex.lastOverhead,
-		lastReplanAt1:  uint64(ex.lastReplanAt + 1),
-		lastPersistT:   ex.lastPersistT,
-		maxRewind:      ex.maxRewind,
+// snapshot captures the executor's durable records for encoding as
+// checkpoint seq.
+func (ex *executor) snapshot(seq uint64) execState {
+	return execState{
+		fp: ex.fp, seq: seq, nextSeg: seq, src: ex.src.State(),
+		coreRecord: ex.coreRecord, adaptiveRecord: ex.adaptiveRecord,
+		delta: ex.j[ex.baseLen:],
 	}
-	return st
 }

@@ -128,17 +128,17 @@ func TestRetryPolicies(t *testing.T) {
 	}
 }
 
-// TestStoreHealthObserver pins the EWMA seeding/update rule and the
-// windowed failure rate.
+// TestStoreHealthObserver pins the EWMA seeding/update rule (weight
+// 0.25) and the windowed failure rate (16 attempts).
 func TestStoreHealthObserver(t *testing.T) {
-	h := StoreHealth{alpha: 0.5, window: 4}
+	var h StoreHealth
 	h.ObserveCommit(2, 1)
 	if h.EwmaLatency() != 2 || h.EwmaOverhead() != 1 || h.OverheadEstimate() != 3 {
 		t.Fatalf("first commit did not seed: lat %v over %v", h.EwmaLatency(), h.EwmaOverhead())
 	}
 	h.ObserveCommit(4, 0)
-	if h.EwmaLatency() != 3 || h.EwmaOverhead() != 0.5 {
-		t.Fatalf("alpha=0.5 update wrong: lat %v over %v", h.EwmaLatency(), h.EwmaOverhead())
+	if h.EwmaLatency() != 2.5 || h.EwmaOverhead() != 0.75 {
+		t.Fatalf("alpha=0.25 update wrong: lat %v over %v", h.EwmaLatency(), h.EwmaOverhead())
 	}
 	for _, failed := range []bool{true, false, true, true} {
 		h.ObserveAttempt(failed)
@@ -149,10 +149,16 @@ func TestStoreHealthObserver(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		h.ObserveAttempt(false)
 	}
-	if got := h.FailureRate(); got != 0 {
-		t.Fatalf("FailureRate after window rolled = %v, want 0 (window=4)", got)
+	if got := h.FailureRate(); got != 0.375 {
+		t.Fatalf("FailureRate over 8 attempts = %v, want 0.375", got)
 	}
-	if h.Attempts() != 8 || h.Failures() != 3 || h.Commits() != 2 {
+	for i := 0; i < 12; i++ {
+		h.ObserveAttempt(false)
+	}
+	if got := h.FailureRate(); got != 0 {
+		t.Fatalf("FailureRate after window rolled = %v, want 0 (window=16)", got)
+	}
+	if h.Attempts() != 20 || h.Failures() != 3 || h.Commits() != 2 {
 		t.Fatalf("lifetime counters wrong: %d/%d/%d", h.Attempts(), h.Failures(), h.Commits())
 	}
 }

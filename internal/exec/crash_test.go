@@ -428,9 +428,9 @@ func TestLegacyResumeLoadsTornCheckpointOnce(t *testing.T) {
 	}
 }
 
-// segmentChain is an n-task chain checkpointed after every task: its
-// workload has n segments, so a run persists n chained checkpoints.
-func segmentChain(t testing.TB, n int) *Workload {
+// segmentProblem is an n-task chain with uniform checkpoint and
+// recovery costs.
+func segmentProblem(t testing.TB, n int) *core.ChainProblem {
 	t.Helper()
 	m, err := expectation.NewModel(0.02, 1)
 	if err != nil {
@@ -443,11 +443,21 @@ func segmentChain(t testing.TB, n int) *Workload {
 		InitialRecovery: 0.3,
 		Model:           m,
 	}
-	ck := make([]bool, n)
 	for i := range n {
 		cp.Weights[i] = 1 + float64(i%7)/2
 		cp.Ckpt[i] = 0.25
 		cp.Rec[i] = 0.2
+	}
+	return cp
+}
+
+// segmentChain is segmentProblem checkpointed after every task: its
+// workload has n segments, so a run persists n chained checkpoints.
+func segmentChain(t testing.TB, n int) *Workload {
+	t.Helper()
+	cp := segmentProblem(t, n)
+	ck := make([]bool, n)
+	for i := range ck {
 		ck[i] = true
 	}
 	w, err := NewChainWorkload(cp, ck)
@@ -633,71 +643,257 @@ func TestFailoverResumeReadsChainFromSecondary(t *testing.T) {
 	}
 }
 
-// TestLongRunKillResumeLinearStorage is kill/resume identity at
-// production length: a 10k-segment chain, killed at eight event points
-// spread over the run and resumed after each, ends on the uninterrupted
-// journal. It also asserts the storage bound: every retained payload is
-// a fixed header plus the journal delta since its base, so what the run
-// leaves in the store is linear in its journal, not quadratic.
-func TestLongRunKillResumeLinearStorage(t *testing.T) {
-	const run, n = "long", 10_000
-	w := segmentChain(t, n)
-	src := func() Source { return NewKeyedSource(failure.Exponential{Lambda: 0.02}, 31, 1) }
-	ref, err := Execute(w, src(), Options{Downtime: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mem := store.NewMemStore()
-	opts := Options{RunID: run, Store: store.Checked(mem), Downtime: 1}
-	for i := 1; i <= 8; i++ {
-		opts.CrashAfterEvents = len(ref.Journal) * i / 9
-		if _, err := Execute(w, src(), opts); !errors.Is(err, ErrCrashed) {
-			t.Fatalf("kill %d@%d: %v, want ErrCrashed", i, opts.CrashAfterEvents, err)
+// TestReadmitAfterFailoverResume kills a run at every event point of
+// a ladder that fails over, goes down on the secondary too, and is
+// re-admitted by a ride-out probe — more than once. A re-admitted run
+// keeps saving to the secondary, so a resume from a payload persisted
+// at LevelDegraded after a failover must select the secondary too, and
+// every resume ends on the uninterrupted journal.
+func TestReadmitAfterFailoverResume(t *testing.T) {
+	w := segmentChain(t, 40)
+	src := func() Source { return NewKeyedSource(failure.Exponential{Lambda: 0.05}, 7, 1) }
+	opts := func(prim, sec *store.MemStore, kill int) Options {
+		return Options{
+			RunID: "readmit", Downtime: 1, CrashAfterEvents: kill,
+			Store: store.Checked(store.NewFaultStore(prim, store.FaultPlan{Seed: 1, WriteFail: 1})),
+			Adaptive: &AdaptiveOptions{
+				Retry: NoRetry{}, DownAfter: 2, ProbeEvery: 2,
+				Secondary: store.Checked(store.NewFaultStore(sec, store.FaultPlan{Seed: 4, WriteFail: 0.5})),
+			},
 		}
 	}
-	opts.CrashAfterEvents = 0
-	res, err := Execute(w, src(), opts)
+	ref, err := Execute(w, src(), opts(store.NewMemStore(), store.NewMemStore(), 0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Resumed {
-		t.Fatal("final invocation did not resume")
+	var moves []DegradeLevel
+	for _, e := range ref.Journal {
+		if e.Kind == EvDegrade {
+			moves = append(moves, DegradeLevel(e.Arg))
+		}
 	}
-	if !res.Journal.Equal(ref.Journal) {
-		t.Fatalf("resumed journal differs from reference (%d vs %d events)", len(res.Journal), len(ref.Journal))
+	if len(moves) < 4 || moves[0] != LevelFailover || moves[1] != LevelDown || moves[2] != LevelDegraded {
+		t.Fatalf("ladder moves %v, want failover, down, re-admission and more", moves)
 	}
-	if res.Metrics != ref.Metrics {
-		t.Fatalf("metrics differ: %+v vs %+v", res.Metrics, ref.Metrics)
+	for kill := 1; kill < len(ref.Journal); kill++ {
+		prim, sec := store.NewMemStore(), store.NewMemStore()
+		if _, err := Execute(w, src(), opts(prim, sec, kill)); !errors.Is(err, ErrCrashed) {
+			t.Fatalf("kill@%d: %v, want ErrCrashed", kill, err)
+		}
+		res, err := Execute(w, src(), opts(prim, sec, 0))
+		if err != nil {
+			t.Fatalf("resume after kill@%d: %v", kill, err)
+		}
+		if !res.Journal.Equal(ref.Journal) || res.Metrics != ref.Metrics {
+			t.Fatalf("resume after kill@%d (from seq %d) differs from the uninterrupted run", kill, res.ResumeSeq)
+		}
 	}
+}
 
-	probe := store.NewMemStore()
-	if err := store.Checked(probe).Save(run, 1, nil); err != nil {
-		t.Fatal(err)
+// TestLegacyResumeOfDownLevelPayload resumes, without Adaptive, a
+// checkpoint an adaptive run persisted at LevelDown through a ride-out
+// probe. A legacy resume ignores the adaptive record: it completes on
+// the legacy chaining rule (the next payload extends the restored one)
+// instead of acting on a ladder it has no options for.
+func TestLegacyResumeOfDownLevelPayload(t *testing.T) {
+	const run = "mixed"
+	w := segmentChain(t, 30)
+	src := func() Source { return NewKeyedSource(failure.Exponential{Lambda: 0.05}, 3, 1) }
+	adaptive := func(mem *store.MemStore, kill int) Options {
+		return Options{
+			RunID: run, Downtime: 1, CrashAfterEvents: kill,
+			Store:    store.Checked(store.NewFaultStore(mem, store.FaultPlan{Seed: 2, WriteFail: 0.6})),
+			Adaptive: &AdaptiveOptions{Retry: NoRetry{}, DownAfter: 2, ProbeEvery: 2},
+		}
 	}
-	empty, err := probe.Load(run, 1)
+	ref, err := Execute(w, src(), adaptive(store.NewMemStore(), 0))
 	if err != nil {
 		t.Fatal(err)
+	}
+	// Kill right after the first successful probe: its payload, encoded
+	// at LevelDown, is then the newest checkpoint.
+	kill, down := 0, false
+	for i, e := range ref.Journal {
+		if e.Kind == EvDegrade {
+			down = DegradeLevel(e.Arg) == LevelDown
+		}
+		if down && e.Kind == EvSaveResult && int(e.Arg)&7 == saveCodeOK {
+			kill = i + 1
+			break
+		}
+	}
+	if kill == 0 {
+		t.Fatal("reference run never persisted a checkpoint at LevelDown")
+	}
+	mem := store.NewMemStore()
+	if _, err := Execute(w, src(), adaptive(mem, kill)); !errors.Is(err, ErrCrashed) {
+		t.Fatalf("killed invocation: %v, want ErrCrashed", err)
 	}
 	seqs, err := mem.List(run)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(seqs) != n {
-		t.Fatalf("store holds %d checkpoints, want %d", len(seqs), n)
+	last := seqs[len(seqs)-1]
+	data, err := store.Checked(mem).Load(run, last)
+	if err != nil {
+		t.Fatal(err)
 	}
-	stored := 0
-	for _, seq := range seqs {
-		frame, err := mem.Load(run, seq)
-		if err != nil {
-			t.Fatal(err)
-		}
-		stored += len(frame)
+	restored, err := decodeState(data)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Per checkpoint: the state header, the delta's event count and the
-	// store frame; per journal event: its encoding, once.
-	bound := len(seqs)*(stateHeaderSize+8+len(empty)) + eventSize*len(res.Journal)
-	if stored > bound {
-		t.Fatalf("store holds %d bytes for %d checkpoints and %d events, above the linear bound %d",
-			stored, len(seqs), len(res.Journal), bound)
+	if restored.level != LevelDown || restored.sinceDown == 0 {
+		t.Fatalf("newest checkpoint %d at level %v, sinceDown %d; want a LevelDown probe", last, restored.level, restored.sinceDown)
+	}
+	legacy := Options{RunID: run, Store: store.Checked(mem), Downtime: 1}
+	res, err := Execute(w, src(), legacy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Resumed || res.ResumeSeq != last || res.Journal.Count(EvComplete) != 1 {
+		t.Fatalf("resumed=%v from %d, %d completions; want a completed resume from %d",
+			res.Resumed, res.ResumeSeq, res.Journal.Count(EvComplete), last)
+	}
+	if res.Level != LevelHealthy || res.GiveUps != 0 || res.Replans != 0 {
+		t.Fatalf("legacy resume reports adaptive state: level %v, give-ups %d, replans %d", res.Level, res.GiveUps, res.Replans)
+	}
+	data, err = store.Checked(mem).Load(run, last+1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	next, err := decodeState(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if next.base != last || next.baseLen != uint64(res.RestoredEvents) {
+		t.Fatalf("checkpoint %d extends %d at %d events, want %d at %d", last+1, next.base, next.baseLen, last, res.RestoredEvents)
+	}
+}
+
+// TestLongRunKillResumeLinearStorage is kill/resume identity at
+// production length: a 10k-segment chain, killed at eight event points
+// spread over the run and resumed after each, ends on the uninterrupted
+// journal and metrics — legacy, and adaptive under write faults,
+// injected latency, replans, a ladder that goes down and ride-out
+// probes, so that every durable field is non-zero in some payload. It
+// also asserts the storage bound: every retained payload is a fixed
+// header plus the journal delta since its base, so what the run leaves
+// in the store is linear in its journal, not quadratic.
+func TestLongRunKillResumeLinearStorage(t *testing.T) {
+	const run, n = "long", 10_000
+	cp, w := segmentProblem(t, n), segmentChain(t, n)
+	src := func() Source { return NewKeyedSource(failure.Exponential{Lambda: 0.02}, 31, 1) }
+	for _, tc := range []struct {
+		name string
+		// opts builds one invocation's options over the run's store.
+		opts func(mem *store.MemStore) Options
+	}{
+		{"legacy", func(mem *store.MemStore) Options {
+			return Options{Store: store.Checked(mem)}
+		}},
+		{"adaptive", func(mem *store.MemStore) Options {
+			return Options{
+				Store: store.Checked(store.NewFaultStore(mem, store.FaultPlan{Seed: 8, WriteFail: 0.3, MeanLatency: 0.05})),
+				Adaptive: &AdaptiveOptions{
+					Retry:       ExpBackoff{Base: 0.5, MaxAttempts: 2},
+					Replanner:   ChainReplanner{CP: cp},
+					ReplanRatio: 1.25,
+					Cooldown:    400,
+					DownAfter:   2,
+					ProbeEvery:  3,
+				},
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			invoke := func(mem *store.MemStore, kill int) (*Result, error) {
+				o := tc.opts(mem)
+				o.RunID, o.Downtime, o.CrashAfterEvents = run, 1, kill
+				return Execute(w, src(), o)
+			}
+			ref, err := invoke(store.NewMemStore(), 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mem := store.NewMemStore()
+			for i := 1; i <= 8; i++ {
+				kill := len(ref.Journal) * i / 9
+				if _, err := invoke(mem, kill); !errors.Is(err, ErrCrashed) {
+					t.Fatalf("kill %d@%d: %v, want ErrCrashed", i, kill, err)
+				}
+			}
+			res, err := invoke(mem, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !res.Resumed {
+				t.Fatal("final invocation did not resume")
+			}
+			if !res.Journal.Equal(ref.Journal) {
+				t.Fatalf("resumed journal differs from reference (%d vs %d events)", len(res.Journal), len(ref.Journal))
+			}
+			if res.Metrics != ref.Metrics {
+				t.Fatalf("metrics differ: %+v vs %+v", res.Metrics, ref.Metrics)
+			}
+			if res.Replans != ref.Replans || res.GiveUps != ref.GiveUps || res.Level != ref.Level ||
+				res.MaxRewind != ref.MaxRewind || res.OverheadEstimate != ref.OverheadEstimate {
+				t.Fatalf("adaptive results differ: replans %d/%d, give-ups %d/%d, level %v/%v, max rewind %v/%v, overhead %v/%v",
+					res.Replans, ref.Replans, res.GiveUps, ref.GiveUps, res.Level, ref.Level,
+					res.MaxRewind, ref.MaxRewind, res.OverheadEstimate, ref.OverheadEstimate)
+			}
+
+			probe := store.NewMemStore()
+			if err := store.Checked(probe).Save(run, 1, nil); err != nil {
+				t.Fatal(err)
+			}
+			empty, err := probe.Load(run, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			seqs, err := mem.List(run)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(seqs) != ref.Saves {
+				t.Fatalf("store holds %d checkpoints, want the %d the uninterrupted run saved", len(seqs), ref.Saves)
+			}
+			stored := 0
+			var words [stateSlots]uint64 // each slot's OR over the payloads
+			for _, seq := range seqs {
+				frame, err := mem.Load(run, seq)
+				if err != nil {
+					t.Fatal(err)
+				}
+				stored += len(frame)
+				payload, err := store.Checked(mem).Load(run, seq)
+				if err != nil {
+					t.Fatal(err)
+				}
+				st, err := decodeState(payload)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i, p := range st.slots() {
+					words[i] |= slotWord(p)
+				}
+				if tc.name == "legacy" && st.adaptiveRecord != (adaptiveRecord{}) {
+					t.Fatalf("legacy checkpoint %d carries adaptive state %+v", seq, st.adaptiveRecord)
+				}
+			}
+			if tc.name == "adaptive" {
+				for i, v := range words {
+					if v == 0 {
+						t.Errorf("slot %d is zero in every payload", i)
+					}
+				}
+			}
+			// Per checkpoint: the state header, the delta's event count and
+			// the store frame; per journal event: its encoding, once.
+			bound := len(seqs)*(stateHeaderSize+8+len(empty)) + eventSize*len(res.Journal)
+			if stored > bound {
+				t.Fatalf("store holds %d bytes for %d checkpoints and %d events, above the linear bound %d",
+					stored, len(seqs), len(res.Journal), bound)
+			}
+		})
 	}
 }

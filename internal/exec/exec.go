@@ -166,8 +166,10 @@ type executor struct {
 	opts Options
 	fp   uint64 // workload fingerprint mixed with source fingerprint
 
-	t       float64 // virtual clock
-	met     Metrics
+	// The durable state: what every checkpoint carries.
+	coreRecord
+	adaptiveRecord // zero / unused when ad is nil
+
 	j       Journal
 	attempt float64 // elapsed time of the in-flight attempt
 	curSeg  int
@@ -183,27 +185,8 @@ type executor struct {
 	store store.Store // active store (primary, or secondary after failover)
 	retry RetryPolicy // Adaptive.Retry, or FixedRetry{SaveRetries}
 
-	// Checkpoint chain: a payload carries only the journal events since
-	// base, the last checkpoint this invocation persisted on the active
-	// store (0 = none), whose payload encoded the first baseLen events.
-	// jhash is the running FNV-1a of the journal (hashEvent), recorded in
-	// every payload so a resume can verify the chain it concatenates.
-	base, baseLen uint64
-	jhash         uint64
-
-	// Adaptive-mode state; zero / unused when ad is nil.
-	ad           *AdaptiveOptions
-	health       StoreHealth
-	level        DegradeLevel
-	consec       int // consecutive commit give-ups on the active store
-	giveups      int // lifetime commit give-ups
-	sinceDown    int // commits skipped since the last ride-out probe
-	replans      int // replans applied (including replayed ones)
-	lastOverhead float64
-	lastReplanAt int64 // commit index of the last replan; −1 = never
-	lastPersistT float64
-	maxRewind    float64
-	baseCost     float64
+	ad       *AdaptiveOptions
+	baseCost float64 // the drift reference: the plan's mean checkpoint cost
 
 	// Anti-entropy pass counters (SyncEvery > 0); never journaled.
 	syncs        int
@@ -242,7 +225,8 @@ func Execute(w *Workload, src Source, opts Options) (*Result, error) {
 		budget: opts.maxFailures(),
 		store:  opts.Store,
 		retry:  FixedRetry{Attempts: opts.SaveRetries},
-		jhash:  fnvOffset64,
+
+		coreRecord: coreRecord{jhash: fnvOffset64},
 
 		segStart: w.segStart,
 		segEnd:   w.segEnd,
@@ -258,8 +242,6 @@ func Execute(w *Workload, src Source, opts Options) (*Result, error) {
 		if ex.retry == nil {
 			ex.retry = NoRetry{}
 		}
-		ex.health = newStoreHealth()
-		ex.lastReplanAt = -1
 		ex.baseCost = w.meanCheckpointCost()
 	}
 	if opts.Store != nil {
@@ -294,22 +276,22 @@ func Execute(w *Workload, src Source, opts Options) (*Result, error) {
 		return res, err
 	}
 	if st != nil {
-		ex.t = st.t
-		ex.met = st.met
+		ex.coreRecord = st.coreRecord
 		ex.j = st.journal
-		ex.jhash = st.hash
 		ex.src.Restore(st.src)
 		startSeg = int(st.nextSeg)
 		res.Resumed = true
 		res.ResumeSeq = st.seq
 		res.RestoredEvents = len(st.journal)
-		// A legacy resume chains its next payload onto the restored one.
-		// An adaptive resume starts from the restored payload's own base:
-		// its re-save below advances it exactly as the uninterrupted
-		// run's save of that payload did.
-		ex.base, ex.baseLen = st.seq, uint64(len(st.journal))
-		if ex.ad != nil {
-			ex.base, ex.baseLen = st.base, st.baseLen
+		if ex.ad == nil {
+			// A legacy resume ignores the adaptive record and chains its
+			// next payload onto the restored one.
+			ex.base, ex.baseLen = st.seq, uint64(len(st.journal))
+		} else {
+			// An adaptive resume starts from the restored payload's own
+			// base: its re-save below advances it exactly as the
+			// uninterrupted run's save of that payload did.
+			ex.adaptiveRecord = st.adaptiveRecord
 			if err := ex.restoreAdaptive(st); err != nil {
 				return res, err
 			}
@@ -515,7 +497,8 @@ func (ex *executor) commit(s int) error {
 		}
 	}
 	seq := uint64(s) + 1
-	return ex.persist(seq, encodeState(ex.snapshot(seq, seq)))
+	st := ex.snapshot(seq)
+	return ex.persist(seq, encodeState(&st))
 }
 
 // resumeCandidate is one listed checkpoint and the store holding it.
@@ -692,175 +675,11 @@ func (ex *executor) resolveChain(from store.Store, st *execState) error {
 		for _, e := range links[i].delta {
 			h = hashEvent(h, e)
 		}
-		if h != links[i].hash {
+		if h != links[i].jhash {
 			return fmt.Errorf("%w: checkpoint %d: journal hash mismatch at link %d", errChainBroken, st.seq, links[i].seq)
 		}
 		j = append(j, links[i].delta...)
 	}
 	st.journal = j
 	return nil
-}
-
-// execState is the decoded checkpoint payload: every accumulator the
-// executor owns, bit-exact, plus the source position and the journal
-// delta since the chain base. Bit-exact float round-tripping is what
-// makes resumed accumulations identical to uninterrupted ones. The
-// adaptive block (health, ladder, hysteresis anchors, exposure
-// accounting) rides along as zeros for legacy runs.
-type execState struct {
-	fp      uint64
-	seq     uint64
-	nextSeg uint64
-	t       float64
-	met     Metrics
-	src     SourceState
-
-	// Chain slots: the payload extends checkpoint base (0 = none), whose
-	// journal ran to baseLen events, with delta = journal[baseLen:];
-	// hash is the running journal hash at its end.
-	base    uint64
-	baseLen uint64
-	hash    uint64
-	delta   Journal
-	// journal is the full journal, resolved from the chain on resume
-	// (resolveChain); never encoded.
-	journal Journal
-
-	healthCommits  uint64
-	healthEwmaLat  float64
-	healthEwmaOver float64
-	healthBits     uint64
-	healthNbits    uint64
-	healthAttempts uint64
-	healthFailures uint64
-	level          uint64
-	consec         uint64
-	giveups        uint64
-	replans        uint64
-	lastOverhead   float64
-	lastReplanAt1  uint64 // commit index of last replan + 1; 0 = never
-	lastPersistT   float64
-	maxRewind      float64
-	sinceDown      uint64
-}
-
-// journalLen is the journal length the payload was encoded at.
-func (st *execState) journalLen() uint64 { return st.baseLen + uint64(len(st.delta)) }
-
-// stateSchema versions the checkpoint payload (inside the store codec's
-// frame, which versions the framing itself). Schema 2 appended the
-// adaptive block to schema 1's twelve slots, reusing slot 11 (reserved)
-// for StoreOverhead; schema 3 appended the ride-out probe counter
-// (sinceDown); schema 4 appended the chain slots (base, baseLen, hash)
-// and replaced the full journal prefix with the delta since base.
-const stateSchema = 4
-
-// stateHeaderSize is the fixed part of the payload before the journal
-// delta.
-const stateHeaderSize = 4 + 8*31
-
-// encodeState serializes the checkpoint payload.
-func encodeState(st *execState) []byte {
-	out := make([]byte, stateHeaderSize, stateHeaderSize+8+len(st.delta)*eventSize)
-	putU32(out, stateSchema)
-	fields := [...]uint64{
-		st.fp,
-		st.seq,
-		st.nextSeg,
-		math.Float64bits(st.t),
-		uint64(st.met.Failures),
-		math.Float64bits(st.met.Lost),
-		math.Float64bits(st.met.Downtime),
-		math.Float64bits(st.met.RecoveryTime),
-		math.Float64bits(st.met.Useful),
-		st.src.Draws,
-		math.Float64bits(st.src.Consumed),
-		math.Float64bits(st.met.StoreOverhead),
-		st.healthCommits,
-		math.Float64bits(st.healthEwmaLat),
-		math.Float64bits(st.healthEwmaOver),
-		st.healthBits,
-		st.healthNbits,
-		st.healthAttempts,
-		st.healthFailures,
-		st.level,
-		st.consec,
-		st.giveups,
-		st.replans,
-		math.Float64bits(st.lastOverhead),
-		st.lastReplanAt1,
-		math.Float64bits(st.lastPersistT),
-		math.Float64bits(st.maxRewind),
-		st.sinceDown,
-		st.base,
-		st.baseLen,
-		st.hash,
-	}
-	for i, v := range fields {
-		putU64(out[4+8*i:], v)
-	}
-	return append(out, st.delta.Marshal()...)
-}
-
-// errState reports a malformed checkpoint payload — a schema mismatch
-// or truncation that survived the store codec's CRC, i.e. a version
-// skew rather than bit rot. It is loud, not skipped: resuming past it
-// would silently discard real state.
-var errState = errors.New("exec: malformed checkpoint payload")
-
-// decodeState parses a checkpoint payload.
-func decodeState(data []byte) (*execState, error) {
-	if len(data) < stateHeaderSize {
-		return nil, errState
-	}
-	if getU32(data) != stateSchema {
-		return nil, fmt.Errorf("%w: schema %d, want %d", errState, getU32(data), stateSchema)
-	}
-	f := func(i int) uint64 { return getU64(data[4+8*i:]) }
-	st := &execState{
-		fp:      f(0),
-		seq:     f(1),
-		nextSeg: f(2),
-		t:       math.Float64frombits(f(3)),
-		met: Metrics{
-			Failures:      int(f(4)),
-			Lost:          math.Float64frombits(f(5)),
-			Downtime:      math.Float64frombits(f(6)),
-			RecoveryTime:  math.Float64frombits(f(7)),
-			Useful:        math.Float64frombits(f(8)),
-			StoreOverhead: math.Float64frombits(f(11)),
-		},
-		src: SourceState{Draws: f(9), Consumed: math.Float64frombits(f(10))},
-
-		healthCommits:  f(12),
-		healthEwmaLat:  math.Float64frombits(f(13)),
-		healthEwmaOver: math.Float64frombits(f(14)),
-		healthBits:     f(15),
-		healthNbits:    f(16),
-		healthAttempts: f(17),
-		healthFailures: f(18),
-		level:          f(19),
-		consec:         f(20),
-		giveups:        f(21),
-		replans:        f(22),
-		lastOverhead:   math.Float64frombits(f(23)),
-		lastReplanAt1:  f(24),
-		lastPersistT:   math.Float64frombits(f(25)),
-		maxRewind:      math.Float64frombits(f(26)),
-		sinceDown:      f(27),
-		base:           f(28),
-		baseLen:        f(29),
-		hash:           f(30),
-	}
-	// A chain link precedes its successor, and a chain root extends
-	// nothing.
-	if st.base >= st.seq && st.base != 0 || st.base == 0 && st.baseLen != 0 {
-		return nil, fmt.Errorf("%w: checkpoint %d based on %d at %d events", errState, st.seq, st.base, st.baseLen)
-	}
-	d, err := UnmarshalJournal(data[stateHeaderSize:])
-	if err != nil {
-		return nil, err
-	}
-	st.delta = d
-	return st, nil
 }

@@ -53,9 +53,6 @@ func (l DegradeLevel) String() string {
 // payload, so a resumed run's health — and therefore its replan
 // decisions — is identical to the uninterrupted run's.
 type StoreHealth struct {
-	alpha  float64
-	window int
-
 	commits  uint64 // commits observed (first one seeds the EWMAs)
 	ewmaLat  float64
 	ewmaOver float64
@@ -72,11 +69,6 @@ const (
 	healthWindow = 16
 )
 
-// newStoreHealth builds an observer with the default constants.
-func newStoreHealth() StoreHealth {
-	return StoreHealth{alpha: healthAlpha, window: healthWindow}
-}
-
 // ObserveAttempt records one save attempt's outcome in the failure
 // window.
 func (h *StoreHealth) ObserveAttempt(failed bool) {
@@ -86,17 +78,10 @@ func (h *StoreHealth) ObserveAttempt(failed bool) {
 		h.failures++
 		h.bits |= 1
 	}
-	if h.nbits < h.window {
+	if h.nbits < healthWindow {
 		h.nbits++
 	}
-	h.bits &= windowMask(h.window)
-}
-
-func windowMask(w int) uint64 {
-	if w >= 64 {
-		return ^uint64(0)
-	}
-	return (uint64(1) << w) - 1
+	h.bits &= 1<<healthWindow - 1
 }
 
 // ObserveCommit folds one commit's outcome into the EWMAs: successLat
@@ -108,8 +93,8 @@ func (h *StoreHealth) ObserveCommit(successLat, retryOverhead float64) {
 		h.ewmaLat = successLat
 		h.ewmaOver = retryOverhead
 	} else {
-		h.ewmaLat += h.alpha * (successLat - h.ewmaLat)
-		h.ewmaOver += h.alpha * (retryOverhead - h.ewmaOver)
+		h.ewmaLat += healthAlpha * (successLat - h.ewmaLat)
+		h.ewmaOver += healthAlpha * (retryOverhead - h.ewmaOver)
 	}
 	h.commits++
 }

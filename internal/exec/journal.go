@@ -110,13 +110,16 @@ const eventSize = 1 + 8 + 4 + 8
 // little-endian events.
 func (j Journal) Marshal() []byte {
 	out := make([]byte, 8+len(j)*eventSize)
-	putU64(out, uint64(len(j)))
-	off := 8
-	for _, e := range j {
-		putEvent(out[off:], e)
-		off += eventSize
-	}
+	putJournal(out, j)
 	return out
+}
+
+// putJournal writes j's canonical encoding into b[:8+len(j)*eventSize].
+func putJournal(b []byte, j Journal) {
+	putU64(b, uint64(len(j)))
+	for i, e := range j {
+		putEvent(b[8+i*eventSize:], e)
+	}
 }
 
 // putEvent writes e's canonical encoding into b[:eventSize].

@@ -49,7 +49,7 @@ func ProbeStore(st store.Store, run string, samples int) ProbeResult {
 		samples = 32
 	}
 	payload := make([]byte, probePayloadSize)
-	health := newStoreHealth()
+	var health StoreHealth
 	res := ProbeResult{Samples: samples}
 	for i := 1; i <= samples; i++ {
 		seq := uint64(i)

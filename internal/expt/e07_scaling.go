@@ -34,19 +34,14 @@ func planE7(cfg Config) (*Plan, error) {
 	if cfg.Quick {
 		sizes = []int{128, 256, 512}
 	}
-	// Best of 5 in quick mode too: the doubling-ratio verdict compares
-	// tens-of-µs solves there, and a best of 2 can catch a scheduler
-	// stall on a loaded host.
-	const reps = 5
 	p := &Plan{}
 	t := p.AddTable(&result.Table{
 		ID:      "E7",
 		Title:   "DP wall-clock scaling (median of repetitions)",
 		Columns: []string{"n", "time", "t(n)/t(n/2)", "E_opt", "checkpoints"},
 	})
-	type timing struct {
-		best time.Duration
-	}
+	// The jobs build and solve each size; Finish times them all, once
+	// every job is done (timeDense).
 	for _, n := range sizes {
 		n := n
 		p.Job(t, func(s *rng.Stream) (RowOut, error) {
@@ -62,25 +57,16 @@ func planE7(cfg Config) (*Plan, error) {
 			if err != nil {
 				return RowOut{}, err
 			}
-			var best time.Duration
-			var res core.ChainResult
-			for rep := 0; rep < reps; rep++ {
-				start := time.Now()
-				res, err = core.SolveChainDPDense(cp)
-				el := time.Since(start)
-				if err != nil {
-					return RowOut{}, err
-				}
-				if rep == 0 || el < best {
-					best = el
-				}
+			res, err := core.SolveChainDPDense(cp)
+			if err != nil {
+				return RowOut{}, err
 			}
 			return RowOut{
 				Cells: []result.Cell{
-					result.Int(n), result.Dur(best), result.Str("-").AsVolatile(),
+					result.Int(n), result.Dur(0), result.Str("-").AsVolatile(),
 					result.Float(res.Expected), result.Int(len(res.Positions())),
 				},
-				Value: timing{best: best},
+				Value: cp,
 			}, nil
 		})
 	}
@@ -138,27 +124,32 @@ func planE7(cfg Config) (*Plan, error) {
 	}
 
 	p.Finish = func(tables []*result.Table, outs []RowOut) error {
-		var prev time.Duration
-		quadraticish := true
-		row := 0
+		var cps []*core.ChainProblem
 		allEqual := true
 		for j, job := range p.Jobs {
 			switch job.Table {
 			case t:
-				best := outs[j].Value.(timing).best
-				if row > 0 && prev > 0 {
-					rv := float64(best) / float64(prev)
-					tables[t].Rows[row].Cells[2] = result.FixedUnit(rv, 2, "").AsVolatile()
-					// O(n²) doubling ratio is 4; allow a generous band since
-					// small sizes are cache/startup dominated.
-					if rv > 8 {
-						quadraticish = false
-					}
-				}
-				prev = best
-				row++
+				cps = append(cps, outs[j].Value.(*core.ChainProblem))
 			case abl:
 				allEqual = allEqual && outs[j].Value.(bool)
+			}
+		}
+		times, err := timeDense(cps)
+		if err != nil {
+			return err
+		}
+		quadraticish := true
+		for row, best := range times {
+			tables[t].Rows[row].Cells[1] = result.Dur(best)
+			if row == 0 {
+				continue
+			}
+			rv := float64(best) / float64(times[row-1])
+			tables[t].Rows[row].Cells[2] = result.FixedUnit(rv, 2, "").AsVolatile()
+			// O(n²) doubling ratio is 4; allow a generous band since
+			// small sizes are cache/startup dominated.
+			if rv > 8 {
+				quadraticish = false
 			}
 		}
 		tables[t].AddVolatileNote("doubling ratios stay near 4 (quadratic), never explode → %s", yn(quadraticish))
@@ -168,4 +159,35 @@ func planE7(cfg Config) (*Plan, error) {
 		return nil
 	}
 	return p, nil
+}
+
+// timeDense times SolveChainDPDense on each problem as the best of 5
+// batches. Each batch repeats the solve until it spans at least 10 ms,
+// and a solve's time is batch time / count, so every size is timed
+// over batches of about the same length: a single quick-mode solve
+// (0.2–3 ms) is short enough to dodge a loaded host's scheduler in
+// some batches and not in others, which skews a doubling ratio. The
+// sizes are interleaved batch by batch, after every job is done, so
+// each ratio compares sizes timed under the same host load rather than
+// against the experiment's own concurrent jobs.
+func timeDense(cps []*core.ChainProblem) ([]time.Duration, error) {
+	const reps, minBatch = 5, 10 * time.Millisecond
+	best := make([]time.Duration, len(cps))
+	for rep := 0; rep < reps; rep++ {
+		for i, cp := range cps {
+			count, start := 0, time.Now()
+			var el time.Duration
+			for el < minBatch {
+				if _, err := core.SolveChainDPDense(cp); err != nil {
+					return nil, err
+				}
+				count++
+				el = time.Since(start)
+			}
+			if per := el / time.Duration(count); rep == 0 || per < best[i] {
+				best[i] = per
+			}
+		}
+	}
+	return best, nil
 }

@@ -39,18 +39,21 @@ const (
 	DecisionBudget = "budget"
 )
 
+// The stopping rule's fixed constants: the paired-delta CI level, and
+// the factor each round's replication count grows by.
+const (
+	adaptiveConfidence = 0.99
+	adaptiveGrowth     = 2
+)
+
 // AdaptiveOptions tunes the stopping rule.
 type AdaptiveOptions struct {
-	// TargetWidth is the half-width of the paired-delta CI below which
-	// a pair counts as converged. Must be positive.
+	// TargetWidth is the half-width of the paired-delta CI (at the 0.99
+	// level) below which a pair counts as converged. Must be positive.
 	TargetWidth float64
-	// Confidence is the CI level (default 0.99).
-	Confidence float64
 	// InitialRuns is the first round's replication count (default 4096,
-	// clamped to MaxRuns).
+	// clamped to MaxRuns); each later round doubles it.
 	InitialRuns int
-	// Growth multiplies the round size each round (default 2).
-	Growth float64
 	// MaxRuns bounds the replications spent per candidate. Must be
 	// positive.
 	MaxRuns int
@@ -63,23 +66,11 @@ func (ao AdaptiveOptions) resolve() (AdaptiveOptions, error) {
 	if ao.MaxRuns <= 0 {
 		return ao, fmt.Errorf("sim: adaptive MaxRuns must be positive, got %d", ao.MaxRuns)
 	}
-	if ao.Confidence == 0 {
-		ao.Confidence = 0.99
-	}
-	if !(ao.Confidence > 0 && ao.Confidence < 1) {
-		return ao, fmt.Errorf("sim: adaptive confidence must be in (0, 1), got %v", ao.Confidence)
-	}
 	if ao.InitialRuns <= 0 {
 		ao.InitialRuns = 4096
 	}
 	if ao.InitialRuns > ao.MaxRuns {
 		ao.InitialRuns = ao.MaxRuns
-	}
-	if ao.Growth == 0 {
-		ao.Growth = 2
-	}
-	if ao.Growth < 1 {
-		return ao, fmt.Errorf("sim: adaptive growth must be ≥ 1, got %v", ao.Growth)
 	}
 	return ao, nil
 }
@@ -193,7 +184,7 @@ func CampaignPlansAdaptive(plans [][]core.Segment, factory ProcessFactory, so Sh
 		still := active[:0]
 		for _, i := range active {
 			d := &out.Delta[i]
-			width := d.CI(ao.Confidence)
+			width := d.CI(adaptiveConfidence)
 			out.Widths[i] = width
 			mean := d.Mean()
 			switch {
@@ -208,11 +199,7 @@ func CampaignPlansAdaptive(plans [][]core.Segment, factory ProcessFactory, so Sh
 			}
 		}
 		active = still
-		next := int(float64(roundRuns) * ao.Growth)
-		if next <= roundRuns {
-			next = roundRuns + 1
-		}
-		roundRuns = next
+		roundRuns *= adaptiveGrowth
 		if len(active) > 0 {
 			if spent := out.RunsPerCandidate[active[0]]; spent+roundRuns > ao.MaxRuns {
 				roundRuns = ao.MaxRuns - spent

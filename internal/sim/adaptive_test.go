@@ -120,8 +120,6 @@ func TestAdaptiveValidation(t *testing.T) {
 	}{
 		"no width":    {plans, so, AdaptiveOptions{MaxRuns: 1000}, "target width"},
 		"no budget":   {plans, so, AdaptiveOptions{TargetWidth: 0.1}, "MaxRuns"},
-		"bad conf":    {plans, so, AdaptiveOptions{TargetWidth: 0.1, MaxRuns: 1000, Confidence: 1.5}, "confidence"},
-		"bad growth":  {plans, so, AdaptiveOptions{TargetWidth: 0.1, MaxRuns: 1000, Growth: 0.5}, "growth"},
 		"one plan":    {plans[:1], so, good, "baseline"},
 		"spill set":   {plans, ShardOptions{Options: Options{Workers: 1}, Seed: 1, Shards: 1, SpillDir: t.TempDir()}, good, "not spillable"},
 		"round taken": {plans, ShardOptions{Options: Options{Workers: 1}, Seed: 1, Shards: 1, Round: 3}, good, "round salt"},
