@@ -85,6 +85,18 @@ func table() []row {
 			}
 		})
 	}
+	// The segment kernel's table build alone, on the million-task
+	// frontier chain: Reinit on a reused kernel, so the row reads the
+	// batched exponentials and the build loop without the allocation.
+	add("chain_dp", "chain_kernel_build/n=1000000", 1000000, func(b *testing.B) {
+		cp := chainProblem(b, 1000000, 1, 0.001)
+		kern := &expectation.SegmentKernel{}
+		reinit := func() error {
+			return kern.Reinit(cp.Model, cp.Weights, cp.Ckpt, cp.InitialRecovery, cp.Rec)
+		}
+		check(b, reinit())
+		loop(b, reinit)
+	})
 	// Steady-state simulation loop, the regime MonteCarlo's workers run
 	// in: a reused resettable process, 0 allocs/op.
 	add("chain_dp", "sim_run_steady_state", 0, func(b *testing.B) {

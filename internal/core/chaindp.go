@@ -120,6 +120,7 @@ func SolveChainDPKernelStats(cp *ChainProblem) (ChainResult, DPStats, error) {
 // solveChainKernelRows runs the pruned kernel scan over every row,
 // returning the per-row decisions and the evaluated transition count.
 func solveChainKernelRows(kern *expectation.SegmentKernel) ([]int32, int64) {
+	kern.PrepareBound()
 	n := kern.Len()
 	best := make([]float64, n+1)
 	next := make([]int32, n) // next[x] = end position j of the first segment of the optimal suffix plan from x
@@ -141,8 +142,9 @@ func solveChainKernelRows(kern *expectation.SegmentKernel) ([]int32, int64) {
 // the dense scan. Returns the row optimum, its argmin, and the number
 // of transitions evaluated.
 //
-// It is shared by SolveChainDP and solveOrderDPKernel; the bounded and
-// live-set DPs keep specialized loops (per-layer initialization and
+// It is shared by SolveChainDP and solveOrderDPKernel, which call
+// kern.PrepareBound before their first row; the bounded and live-set
+// DPs keep specialized loops (per-layer initialization and
 // tie-breaking, incremental per-transition costs) but reuse the same
 // Bound/Slack stopping rule.
 func prunedRow(kern *expectation.SegmentKernel, x int, tail []float64) (float64, int, int64) {
@@ -173,7 +175,9 @@ func (cp *ChainProblem) kernel() (*expectation.SegmentKernel, error) {
 // expectedAlong re-accumulates the expectation of the placement ck with
 // the reference arithmetic over the kernel's prefix table, associating
 // exactly like the Algorithm 1 recursion (segment + suffix, right to
-// left): it walks the segments back from the final checkpoint.
+// left): it walks the segments back from the final checkpoint. Each
+// segment term is SegmentWithCost, bit-identical to Model.ExpectedTime
+// with the amplitude's exponential taken from the kernel table.
 func (cp *ChainProblem) expectedAlong(kern *expectation.SegmentKernel, ck []bool) float64 {
 	total := 0.0
 	for j := cp.Len() - 1; j >= 0; {
@@ -181,7 +185,7 @@ func (cp *ChainProblem) expectedAlong(kern *expectation.SegmentKernel, ck []bool
 		for x > 0 && !ck[x-1] {
 			x--
 		}
-		total = cp.Model.ExpectedTime(kern.Work(x, j), cp.Ckpt[j], cp.recoveryBefore(x)) + total
+		total = kern.SegmentWithCost(x, j, cp.Ckpt[j]) + total
 		j = x - 1
 	}
 	return total

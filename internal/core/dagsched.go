@@ -292,6 +292,7 @@ func solveOrderDPKernel(g *dag.Graph, order []int, m expectation.Model, cm CostM
 	if err != nil {
 		return DAGResult{}, err
 	}
+	kern.PrepareBound()
 	best := grow(sc.best, n+1)
 	sc.best = best
 	next := grow(sc.next, n)
@@ -443,6 +444,7 @@ func solveOrderDPLiveSet(g *dag.Graph, order []int, m expectation.Model, lv Live
 	if err != nil {
 		return DAGResult{}, err
 	}
+	kern.PrepareBound()
 	slack := kern.Slack()
 	sc.best = grow(sc.best, n+1)
 	sc.next = grow(sc.next, n)

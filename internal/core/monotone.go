@@ -104,25 +104,28 @@ func SolveChainDPMonotoneStats(cp *ChainProblem) (ChainResult, DPStats, error) {
 // leftmost argmin never decreases as the start moves right,
 // next[x] ≤ next[x+1], so row x scans only j ∈ [x, next[x+1]] — one
 // oracle evaluation per candidate, ties to the earliest j like the
-// dense scan. The first window wider than 2⌈log₂(n+1)⌉ candidates hands
-// the remaining rows over to the candidate deque (monotoneDeque), which
-// keeps the O(n log n) worst case when segments are long. It returns
-// the per-row decisions, the oracle-evaluation count, and the row at
-// which the deque took over (−1 when every row was a window scan).
+// dense scan; one kernel row call (RowValues) evaluates the whole window
+// before the argmin scan. The first window wider than 2⌈log₂(n+1)⌉
+// candidates hands the remaining rows over to the candidate deque
+// (monotoneDeque), which keeps the O(n log n) worst case when segments
+// are long. It returns the per-row decisions, the oracle-evaluation
+// count, and the row at which the deque took over (−1 when every row
+// was a window scan).
 func windowRows(kern *expectation.SegmentKernel) (next []int32, evals int64, handover int) {
 	n := kern.Len()
 	best := make([]float64, n+1)
 	next = make([]int32, n)
 	limit := 2 * bits.Len(uint(n)) // 2⌈log₂(n+1)⌉
-	hi := n - 1                    // next[x+1]; the last row's only candidate is n−1
+	vals := make([]float64, limit)
+	hi := n - 1 // next[x+1]; the last row's only candidate is n−1
 	for x := n - 1; x >= 0; x-- {
 		if hi-x+1 > limit {
 			return next, evals + monotoneDeque(kern, best, next, x, hi), x
 		}
 		bestE, bestJ := infinity, x
-		for j := x; j <= hi; j++ {
-			if v := kern.Segment(x, j) + best[j+1]; v < bestE {
-				bestE, bestJ = v, j
+		for i, v := range kern.RowValues(x, hi, best, vals) {
+			if v < bestE {
+				bestE, bestJ = v, x+i
 			}
 		}
 		evals += int64(hi - x + 1)
@@ -273,6 +276,7 @@ func monotoneDeque(kern *expectation.SegmentKernel, best []float64, next []int32
 // (the kernel arm's layered scan keeps the single-segment option on
 // ties instead — another ulp-scale-tie-only divergence).
 func boundedMonotoneLayers(kern *expectation.SegmentKernel, maxCheckpoints int) ([][]float64, [][]int, int64) {
+	kern.PrepareBound()
 	n := kern.Len()
 	best := make([][]float64, maxCheckpoints+1)
 	next := make([][]int, maxCheckpoints+1)

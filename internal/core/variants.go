@@ -69,6 +69,7 @@ func SolveChainDPBoundedStats(cp *ChainProblem, maxCheckpoints int) (ChainResult
 // boundedKernelLayers runs the kernel-scan arm of the budgeted DP: each
 // layer's inner scan is pruned with the kernel's exact monotone bound.
 func boundedKernelLayers(kern *expectation.SegmentKernel, maxCheckpoints int) ([][]int, int64) {
+	kern.PrepareBound()
 	n := kern.Len()
 	slack := kern.Slack()
 	var evals int64

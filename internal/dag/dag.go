@@ -209,28 +209,29 @@ func (g *Graph) TopologicalOrder() ([]int, error) {
 
 // IsLinearChain reports whether the graph is a single linear chain
 // T_{π(1)} → … → T_{π(n)}, and if so returns the chain order.
+//
+// It decides in one walk from the first source, checking degrees as it
+// goes. A walk that meets only tasks of in- and out-degree ≤ 1 never
+// revisits a task (the first revisited one would have two
+// predecessors), so a walk of exactly n tasks ending at a sink covers
+// the whole graph, which is then a chain; anything else is not.
 func (g *Graph) IsLinearChain() ([]int, bool) {
 	n := len(g.tasks)
 	if n == 0 {
 		return nil, true
 	}
-	start := -1
-	for i := 0; i < n; i++ {
-		if len(g.succ[i]) > 1 || len(g.pred[i]) > 1 {
-			return nil, false
-		}
-		if len(g.pred[i]) == 0 {
-			if start != -1 {
-				return nil, false
-			}
-			start = i
-		}
+	start := 0
+	for start < n && len(g.pred[start]) != 0 {
+		start++
 	}
-	if start == -1 {
-		return nil, false // cyclic
+	if start == n {
+		return nil, false // no source: cyclic
 	}
 	order := make([]int, 0, n)
 	for v := start; ; {
+		if len(g.succ[v]) > 1 || len(g.pred[v]) > 1 {
+			return nil, false
+		}
 		order = append(order, v)
 		if len(g.succ[v]) == 0 {
 			break

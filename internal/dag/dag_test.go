@@ -2,6 +2,7 @@ package dag
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"repro/internal/rng"
@@ -86,6 +87,42 @@ func TestCycleDetection(t *testing.T) {
 	}
 	if err := g.Validate(); err == nil {
 		t.Error("Validate should fail on a cycle")
+	}
+}
+
+// TestIsLinearChainShapes checks the one-walk decision on the shapes
+// that are not chains (a cycle behind the source, a second component, a
+// branch off the walk, no source at all) and on a chain listed out of
+// order.
+func TestIsLinearChainShapes(t *testing.T) {
+	build := func(n int, edges ...[2]int) *Graph {
+		g := New()
+		for i := 0; i < n; i++ {
+			g.MustAddTask(Task{Name: fmt.Sprint(i), Weight: 1})
+		}
+		for _, e := range edges {
+			g.MustAddEdge(e[0], e[1])
+		}
+		return g
+	}
+	for _, tc := range []struct {
+		name  string
+		g     *Graph
+		order []int
+	}{
+		{"single", build(1), []int{0}},
+		{"reversed", build(3, [2]int{2, 1}, [2]int{1, 0}), []int{2, 1, 0}},
+		{"cycle behind source", build(3, [2]int{0, 1}, [2]int{1, 2}, [2]int{2, 1}), nil},
+		{"cycle only", build(2, [2]int{0, 1}, [2]int{1, 0}), nil},
+		{"two chains", build(4, [2]int{0, 1}, [2]int{2, 3}), nil},
+		{"isolated task", build(3, [2]int{0, 1}), nil},
+		{"branch off the walk", build(4, [2]int{0, 1}, [2]int{1, 2}, [2]int{3, 2}), nil},
+		{"branch after the walk", build(4, [2]int{0, 1}, [2]int{2, 3}, [2]int{2, 1}), nil},
+	} {
+		order, ok := tc.g.IsLinearChain()
+		if ok != (tc.order != nil) || fmt.Sprint(order) != fmt.Sprint(tc.order) {
+			t.Errorf("%s: IsLinearChain = %v, %v; want %v", tc.name, order, ok, tc.order)
+		}
 	}
 }
 

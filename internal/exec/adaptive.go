@@ -278,20 +278,24 @@ func (ex *executor) countSave() error {
 }
 
 // escalate moves down the degradation ladder after a commit gave up:
-// failover to the secondary while one is available, persistence-off
-// past that. Permanent errors skip the consecutive-give-up thresholds.
+// failover to the secondary while the run is not on it yet,
+// persistence-off past that. Both cases key on the store in use, not
+// the level: a run a ride-out probe re-admitted on the secondary sits
+// at LevelDegraded, and its next give-ups lead to LevelDown, never to
+// a second failover onto the store it already uses. Permanent errors
+// skip the consecutive-give-up thresholds.
 func (ex *executor) escalate(permanent bool) error {
 	switch {
-	case ex.level < LevelFailover && ex.ad.Secondary != nil &&
+	case ex.ad.Secondary != nil && !ex.onSecondary &&
 		(permanent || ex.consec >= failoverAfter):
 		ex.level = LevelFailover
-		ex.store = ex.ad.Secondary
+		ex.store, ex.onSecondary = ex.ad.Secondary, true
 		ex.consec = 0
 		// Chains never span stores: the first save on the secondary
 		// carries the whole journal.
 		ex.base, ex.baseLen = 0, 0
 		return ex.event(Event{Kind: EvDegrade, Time: ex.t, Arg: int32(ex.level)})
-	case ex.level < LevelDown && (ex.ad.Secondary == nil || ex.level >= LevelFailover) &&
+	case ex.level < LevelDown && (ex.ad.Secondary == nil || ex.onSecondary) &&
 		(permanent || ex.consec >= ex.ad.downAfter()):
 		ex.level = LevelDown
 		return ex.event(Event{Kind: EvDegrade, Time: ex.t, Arg: int32(ex.level)})
@@ -396,7 +400,7 @@ func (ex *executor) restoreAdaptive(st *execState) error {
 			if ex.ad.Secondary == nil {
 				return fmt.Errorf("exec: checkpoint was saved after failover but no secondary store is configured")
 			}
-			ex.store = ex.ad.Secondary
+			ex.store, ex.onSecondary = ex.ad.Secondary, true
 		case e.Kind == EvReplan:
 			if ex.ad.Replanner == nil {
 				return fmt.Errorf("exec: journal records a replan at %d but no replanner is configured", e.Arg)

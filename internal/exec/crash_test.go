@@ -897,3 +897,37 @@ func TestLongRunKillResumeLinearStorage(t *testing.T) {
 		})
 	}
 }
+
+// TestReadmittedSecondaryNeverFailsOverAgain pins the ladder after a
+// ride-out probe re-admits the secondary: the run is already on the
+// failover store, so its next give-ups lead to LevelDown. A second
+// failover would journal another EvDegrade(failover) and reset the
+// chain base, so the next payload would carry the whole journal again.
+func TestReadmittedSecondaryNeverFailsOverAgain(t *testing.T) {
+	w := segmentChain(t, 40)
+	res, err := Execute(w, NewKeyedSource(failure.Exponential{Lambda: 0.05}, 7, 1), Options{
+		RunID: "readmit", Downtime: 1,
+		Store: store.Checked(store.NewFaultStore(store.NewMemStore(), store.FaultPlan{Seed: 1, WriteFail: 1})),
+		Adaptive: &AdaptiveOptions{
+			Retry: NoRetry{}, DownAfter: 2, ProbeEvery: 2,
+			Secondary: store.Checked(store.NewFaultStore(store.NewMemStore(), store.FaultPlan{Seed: 4, WriteFail: 0.5})),
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var moves []DegradeLevel
+	for _, e := range res.Journal {
+		if e.Kind == EvDegrade {
+			moves = append(moves, DegradeLevel(e.Arg))
+		}
+	}
+	if len(moves) < 5 || moves[0] != LevelFailover {
+		t.Fatalf("ladder moves %v, want a failover and at least two re-admissions", moves)
+	}
+	for i, lv := range moves[1:] {
+		if want := []DegradeLevel{LevelDown, LevelDegraded}[i%2]; lv != want {
+			t.Fatalf("ladder moves %v: move %d is %v, want %v (down and re-admission alternate on the secondary)", moves, i+1, lv, want)
+		}
+	}
+}

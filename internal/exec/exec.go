@@ -184,6 +184,10 @@ type executor struct {
 
 	store store.Store // active store (primary, or secondary after failover)
 	retry RetryPolicy // Adaptive.Retry, or FixedRetry{SaveRetries}
+	// onSecondary reports that saves go to ad.Secondary: set by the
+	// failover, and on a resume whose journal records one. A ride-out
+	// probe re-admits the secondary without clearing it.
+	onSecondary bool
 
 	ad       *AdaptiveOptions
 	baseCost float64 // the drift reference: the plan's mean checkpoint cost

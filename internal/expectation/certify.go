@@ -85,23 +85,20 @@ const qiSampleBudget = 128
 func (k *SegmentKernel) CertifyQuadrangle() QICertificate {
 	n := k.Len()
 	cert := QICertificate{}
-	for x := 0; x < n; x++ {
-		if k.recInf[x] {
-			cert.Reason = "recovery amplitude overflows (λ·rec past exp range)"
-			return cert
-		}
+	if k.anyRecInf {
+		cert.Reason = "recovery amplitude overflows (λ·rec past exp range)"
+		return cert
 	}
 	// Boundary checks: t nondecreasing (end factor) and λ·rec − u
-	// nonincreasing (log of the amplitude-weighted start factor).
-	for j := 0; j+1 < n; j++ {
-		cert.BoundaryChecks++
-		if !(k.t[j+1] >= k.t[j]) {
-			cert.Reason = "end table not monotone (checkpoint-cost drop outweighs a task weight)"
-			return cert
-		}
+	// nonincreasing (log of the amplitude-weighted start factor). Both
+	// ran in the kernel's build loop, which recorded the first failing
+	// position of each.
+	if k.endBreak >= 0 {
+		cert.BoundaryChecks = k.endBreak + 1
+		cert.Reason = "end table not monotone (checkpoint-cost drop outweighs a task weight)"
+		return cert
 	}
-	// The start-factor comparisons ran in the kernel's build loop, which
-	// recorded the first failing x.
+	cert.BoundaryChecks = n - 1
 	if k.startBreak >= 0 {
 		cert.BoundaryChecks += k.startBreak + 1
 		cert.Reason = "start factor not monotone (recovery-cost jump outweighs a task weight)"

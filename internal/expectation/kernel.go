@@ -22,7 +22,11 @@ import (
 //	amp[x]                = e^{λ·rec(x)} (1/λ + D)
 //
 // so each transition becomes two multiplies and a table-backed power-of-
-// two scaling — zero transcendental calls in the inner loop.
+// two scaling — zero transcendental calls in the inner loop. The build
+// takes the exponentials in batches (numeric.ExpScaled over a whole
+// table, the amplitudes in a loop of their own), and the exponents
+// t_j = λ(P(j+1) + C_j) and u_x = λ·P(x) are recomputed from the prefix
+// table instead of stored.
 //
 // # Numerical-stability contract
 //
@@ -45,7 +49,8 @@ import (
 //
 // Bound(x, j) returns a value that is — up to the Slack factor — a lower
 // bound on Segment(x, k) for every k ≥ j: it evaluates the suffix
-// minimum of the end table, and scaling by the common positive factors
+// minimum of the end table (built by PrepareBound, which only the
+// pruning scans call), and scaling by the common positive factors
 // e^{−λP(x)} and amp[x] is monotone in floating point (rounding is
 // monotone, power-of-two scaling is exact). A DP scanning j upward may
 // therefore stop as soon as Bound(x, j+1) ≥ best·Slack(): every skipped
@@ -57,21 +62,25 @@ type SegmentKernel struct {
 	model  Model
 	prefix []float64 // prefix[i] = Σ_{k<i} weights[k], len n+1
 	ckpt   []float64
-	t      []float64 // t[j] = λ·(prefix[j+1] + C_j); u(x) = λ·prefix[x]
 
-	endFrac   []float64 // e^{t[j]} scaled: frac ∈ [1,2)
+	endFrac   []float64 // e^{t(j)} scaled: frac ∈ [1,2); t(j) = λ·(prefix[j+1] + C_j)
 	endExp    []int32
-	startFrac []float64 // e^{−u(x)} scaled
+	startFrac []float64 // e^{−u(x)} scaled; u(x) = λ·prefix[x]
 	startExp  []int32
 
 	amp    []float64 // amp[x] = e^{λ·rec(x)}·(1/λ + D); see recInf
 	recInf []bool    // λ·rec(x) > numeric.MaxExpArg → Segment is +Inf
-	sufMin []int32   // sufMin[j] = argmin_{k ≥ j} t[k]
+	// sufMin[j] = argmin_{k ≥ j} t(k), built by PrepareBound and empty
+	// until then: only the pruning scans read it.
+	sufMin []int32
 	slack  float64
-	// startBreak is the first x whose start-factor margin fails,
-	// λ·rec(x+1) − u(x+1) > λ·rec(x) − u(x) (−1 when none): the
-	// certifier's start-factor boundary check, made in the build loop.
-	startBreak int
+	// The certifier's boundary checks, made in the build loop: endBreak
+	// is the first j whose end-factor margin fails, t(j+1) < t(j), and
+	// startBreak the first x whose start-factor margin fails,
+	// λ·rec(x+1) − u(x+1) > λ·rec(x) − u(x) (−1 when none); anyRecInf
+	// reports a recovery amplitude past the exp range.
+	endBreak, startBreak int
+	anyRecInf            bool
 }
 
 // StableArgThreshold is the segment argument λ(W+C) below which Segment
@@ -118,65 +127,85 @@ func (k *SegmentKernel) Reinit(m Model, weights, ckpt []float64, r0 float64, rec
 	k.model = m
 	k.prefix = grow(k.prefix, n+1)
 	k.ckpt = ckpt
-	k.t = grow(k.t, n)
 	k.endFrac = grow(k.endFrac, n)
 	k.endExp = grow(k.endExp, n)
 	k.startFrac = grow(k.startFrac, n)
 	k.startExp = grow(k.startExp, n)
 	k.amp = grow(k.amp, n)
 	k.recInf = grow(k.recInf, n)
-	k.sufMin = grow(k.sufMin, n)
+	k.sufMin = k.sufMin[:0] // a previous build's bound is stale
 	k.prefix[0] = 0
 	for i, w := range weights {
 		k.prefix[i+1] = k.prefix[i] + w
 	}
-	scale := 1/m.Lambda + m.Downtime
-	k.startBreak = -1
-	var lrPrev, uPrev float64
+	// The build loop writes each table's exponent argument in place
+	// (λ·rec into amp); the batched exponentials then overwrite them.
+	k.endBreak, k.startBreak, k.anyRecInf = -1, -1, false
+	var tPrev, lrPrev, uPrev float64
 	for i := 0; i < n; i++ {
-		k.t[i] = m.Lambda * (k.prefix[i+1] + ckpt[i])
-		u := k.u(i)
-		f, e := numeric.ExpScaled(k.t[i])
-		k.endFrac[i], k.endExp[i] = f, int32(e)
-		f, e = numeric.ExpScaled(-u)
-		k.startFrac[i], k.startExp[i] = f, int32(e)
+		t, u := k.t(i), k.u(i)
+		k.endFrac[i], k.startFrac[i] = t, -u
 		rec := r0
 		if i > 0 {
 			rec = recAfter[i-1]
 		}
 		lr := m.Lambda * rec
-		// Start factor λ·rec − u nonincreasing (see CertifyQuadrangle).
+		// End factor t nondecreasing and start factor λ·rec − u
+		// nonincreasing (see CertifyQuadrangle).
+		if i > 0 && k.endBreak < 0 && !(t >= tPrev) {
+			k.endBreak = i - 1
+		}
 		if i > 0 && k.startBreak < 0 && !(lr-u <= lrPrev-uPrev) {
 			k.startBreak = i - 1
 		}
-		lrPrev, uPrev = lr, u
-		if lr > numeric.MaxExpArg {
-			k.recInf[i] = true
+		tPrev, lrPrev, uPrev = t, lr, u
+		k.amp[i] = lr
+		k.recInf[i] = lr > numeric.MaxExpArg
+		k.anyRecInf = k.anyRecInf || k.recInf[i]
+	}
+	numeric.ExpScaled(k.endFrac, k.endExp)
+	numeric.ExpScaled(k.startFrac, k.startExp)
+	scale := 1/m.Lambda + m.Downtime
+	for i, lr := range k.amp {
+		if k.recInf[i] {
 			k.amp[i] = math.Inf(1)
 		} else {
-			k.recInf[i] = false // may be stale from a reused build
 			k.amp[i] = math.Exp(lr) * scale
 		}
 	}
-	// Suffix argmin of the end table, compared by the full-precision
-	// exponents t[j] rather than the scaled pairs: the pairs lose the
-	// magnitude of saturated entries (they all collapse to the sentinel),
-	// while t keeps the true order everywhere. Candidates whose t are
-	// within an ulp of each other can rank either way against their
-	// scaled values; Slack absorbs that, as it does the cross-path
-	// comparisons.
-	best := int32(n - 1)
-	k.sufMin[n-1] = best
-	for j := n - 2; j >= 0; j-- {
-		if k.t[j] < k.t[best] {
-			best = int32(j)
-		}
-		k.sufMin[j] = best
-	}
 	// Pruning slack: fast-path error plus the large-prefix degradation of
 	// the scaled tables (λ·P(n)·2⁻⁵², with headroom).
-	k.slack = 1 + kernelBaseSlack + 8e-16*math.Max(1, k.t[n-1])
+	k.slack = 1 + kernelBaseSlack + 8e-16*math.Max(1, k.t(n-1))
 	return nil
+}
+
+// PrepareBound builds the suffix argmin of the end table that Bound
+// reads. Every scan that prunes with Bound calls it once before its
+// first row; the monotone window arm never does and so never pays for
+// the table. It is idempotent until the next Reinit, but not safe to
+// run concurrently with Bound: a kernel shared across goroutines must
+// be prepared before it is shared.
+//
+// The argmin compares the full-precision exponents t(j) rather than the
+// scaled pairs: the pairs lose the magnitude of saturated entries (they
+// all collapse to the sentinel), while t keeps the true order
+// everywhere. Candidates whose t are within an ulp of each other can
+// rank either way against their scaled values; Slack absorbs that, as
+// it does the cross-path comparisons.
+func (k *SegmentKernel) PrepareBound() {
+	n := k.Len()
+	if len(k.sufMin) == n {
+		return
+	}
+	k.sufMin = grow(k.sufMin, n)
+	best, tBest := n-1, k.t(n-1)
+	k.sufMin[n-1] = int32(best)
+	for j := n - 2; j >= 0; j-- {
+		if t := k.t(j); t < tBest {
+			best, tBest = j, t
+		}
+		k.sufMin[j] = int32(best)
+	}
 }
 
 // grow returns s resized to n, reusing capacity when possible; grown
@@ -189,11 +218,15 @@ func grow[T any](s []T, n int) []T {
 }
 
 // Len returns the number of positions.
-func (k *SegmentKernel) Len() int { return len(k.t) }
+func (k *SegmentKernel) Len() int { return len(k.amp) }
 
-// u returns the start exponent λ·P(x). It is recomputed rather than
-// tabulated; the conversion rounds the product, so no platform fuses it
-// into a caller's subtraction and every use sees the same value.
+// t returns the end exponent λ·(P(j+1) + C_j), and u the start exponent
+// λ·P(x). Both are recomputed rather than tabulated. The conversions
+// round the products, so no platform fuses them into a caller's
+// subtraction and every use sees the same value.
+func (k *SegmentKernel) t(j int) float64 {
+	return float64(k.model.Lambda * (k.prefix[j+1] + k.ckpt[j]))
+}
 func (k *SegmentKernel) u(x int) float64 { return float64(k.model.Lambda * k.prefix[x]) }
 
 // Work returns the total weight of positions [x, j], P(j+1) − P(x), from
@@ -209,7 +242,38 @@ func (k *SegmentKernel) Segment(x, j int) float64 {
 	if k.recInf[x] {
 		return math.Inf(1)
 	}
-	arg := k.t[j] - k.u(x)
+	if v, ok := k.term(k.t(j)-k.u(x), j, k.amp[x], k.startFrac[x], k.startExp[x]); ok {
+		return v
+	}
+	return k.segmentSlow(x, j)
+}
+
+// term is the fused fast path of Segment(x, j), given the segment
+// argument arg = t(j) − u(x) and row x's hoisted factors: amp = amp[x]
+// (finite) and the scaled start pair (sf, se). ok is false whenever
+// segmentSlow must evaluate the segment instead: an argument past
+// numeric.MaxExpArg or below StableArgThreshold, a saturated pair, or a
+// combined exponent outside LdexpProduct's table. A saturated start
+// pair needs no test of its own: against an unsaturated end pair its
+// sentinel puts the combined exponent far outside the table, and
+// against a saturated one the end pair's test catches it. The product
+// is LdexpProduct's in-range arithmetic; the conversions keep it from
+// fusing with the −1 or with a caller's tail addition, as a call
+// boundary would. term stays within the inlining budget, so a row scan
+// pays no call per candidate.
+func (k *SegmentKernel) term(arg float64, j int, amp, sf float64, se int32) (float64, bool) {
+	ee := k.endExp[j]
+	p2, inRange := numeric.Pow2(int(ee) + int(se))
+	if !inRange || ee >= numeric.ExpScaledSatExp || !(arg >= StableArgThreshold && arg <= numeric.MaxExpArg) {
+		return 0, false
+	}
+	return float64(amp * (float64(k.endFrac[j]*sf*p2) - 1)), true
+}
+
+// segmentSlow evaluates Segment(x, j) for a finite amplitude on every
+// path, the cases term declines included.
+func (k *SegmentKernel) segmentSlow(x, j int) float64 {
+	arg := k.t(j) - k.u(x)
 	if arg > numeric.MaxExpArg {
 		return math.Inf(1)
 	}
@@ -226,6 +290,33 @@ func (k *SegmentKernel) Segment(x, j int) float64 {
 	}
 	frac := k.endFrac[j] * k.startFrac[x]
 	return k.amp[x] * (numeric.LdexpProduct(frac, int(k.endExp[j])+int(k.startExp[x])) - 1)
+}
+
+// RowValues writes the DP values Segment(x, j) + tail[j+1] of row x for
+// every j ∈ [x, hi] into vals[:hi−x+1] and returns that slice; tail needs
+// at least hi+2 entries and vals at least hi−x+1. Each value is
+// bit-identical to the Segment call it stands for: the row's factors are
+// loaded once and every candidate runs the same term as Segment. A
+// caller scanning a window computes all its values first and then takes
+// the argmin, which keeps the evaluations free of the comparison chain.
+func (k *SegmentKernel) RowValues(x, hi int, tail, vals []float64) []float64 {
+	vals = vals[:hi-x+1]
+	if k.recInf[x] {
+		for i := range vals {
+			vals[i] = math.Inf(1) + tail[x+i+1]
+		}
+		return vals
+	}
+	amp, u, sf, se := k.amp[x], k.u(x), k.startFrac[x], k.startExp[x]
+	for i := range vals {
+		j := x + i
+		v, ok := k.term(k.t(j)-u, j, amp, sf, se)
+		if !ok {
+			v = k.segmentSlow(x, j)
+		}
+		vals[i] = v + tail[j+1]
+	}
+	return vals
 }
 
 // SegmentWithCost returns the Proposition 1 expectation of executing
@@ -249,7 +340,8 @@ func (k *SegmentKernel) SegmentWithCost(x, j int, c float64) float64 {
 
 // Bound returns a lower bound (up to Slack) on Segment(x, k) for every
 // k ≥ j: the segment term evaluated at the suffix minimum of the end
-// table. See the pruning notes on SegmentKernel.
+// table. PrepareBound must have run since the last build. See the
+// pruning notes on SegmentKernel.
 func (k *SegmentKernel) Bound(x, j int) float64 {
 	return k.Segment(x, int(k.sufMin[j]))
 }

@@ -103,6 +103,7 @@ func TestBoundIsLowerBound(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			k.PrepareBound()
 			for x := 0; x < len(weights); x++ {
 				for j := x; j < len(weights); j++ {
 					b := k.Bound(x, j)
@@ -144,6 +145,7 @@ func TestSegmentSaturatedPrefix(t *testing.T) {
 		t.Errorf("Segment(0,1) = %v, want +Inf", got)
 	}
 	// Bound stays a valid lower bound in the saturated regime.
+	k.PrepareBound()
 	if b := k.Bound(1, 1); b > k.Segment(1, 1)*k.Slack() || b > k.Segment(1, 2)*k.Slack() {
 		t.Errorf("Bound(1,1) = %v exceeds later segments", b)
 	}
@@ -160,4 +162,26 @@ func TestKernelValidation(t *testing.T) {
 	if _, err := NewSegmentKernel(Model{Lambda: -1}, []float64{1}, []float64{1}, 0, nil); err == nil {
 		t.Error("invalid model should fail")
 	}
+}
+
+// TestBoundNeedsPrepare pins that the suffix argmin is never built
+// lazily: Bound on a kernel no PrepareBound has run on since its build
+// fails loudly instead of reading a previous build's table.
+func TestBoundNeedsPrepare(t *testing.T) {
+	m := Model{Lambda: 0.1, Downtime: 0}
+	k, err := NewSegmentKernel(m, []float64{1, 2, 3}, []float64{1, 1, 1}, 0, []float64{0, 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	k.PrepareBound()
+	_ = k.Bound(0, 1)
+	if err := k.Reinit(m, []float64{3, 2, 1}, []float64{1, 1, 1}, 0, []float64{0, 0}); err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("Bound after Reinit without PrepareBound did not panic")
+		}
+	}()
+	_ = k.Bound(0, 1)
 }

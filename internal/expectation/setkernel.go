@@ -84,16 +84,16 @@ func NewSetKernel(m Model, weights, ckpt []float64) (*SetKernel, error) {
 	var maxArg float64
 	for i := 0; i < n; i++ {
 		k.wArg[i] = m.Lambda * weights[i]
-		f, e := numeric.ExpScaled(k.wArg[i])
-		k.wFrac[i], k.wExp[i] = f, int32(e)
 		k.cArg[i] = m.Lambda * ckpt[i]
-		f, e = numeric.ExpScaled(k.cArg[i])
-		k.cFrac[i], k.cExp[i] = f, int32(e)
 		maxArg += k.wArg[i]
 		if k.cArg[i] > maxArg {
 			maxArg = k.cArg[i]
 		}
 	}
+	copy(k.wFrac, k.wArg)
+	numeric.ExpScaled(k.wFrac, k.wExp)
+	copy(k.cFrac, k.cArg)
+	numeric.ExpScaled(k.cFrac, k.cExp)
 	// Same structure as the positional kernel's slack: base error plus
 	// the large-argument degradation of the scaled tables, with the
 	// accumulator's per-push rounding (≤ 64·ε) far below the base term.

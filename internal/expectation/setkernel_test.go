@@ -132,8 +132,8 @@ func TestSetKernelPushOrderInvariance(t *testing.T) {
 
 // TestSegmentKernelReinitMatchesFresh pins buffer reuse: a kernel
 // reinitialized from a larger problem to a smaller one must reproduce a
-// fresh build bit-for-bit, including the recInf flags that only a
-// stale-buffer bug would leave set.
+// fresh build bit-for-bit, including the recInf flags and the suffix
+// argmin that only a stale-buffer bug would leave set.
 func TestSegmentKernelReinitMatchesFresh(t *testing.T) {
 	mBig := Model{Lambda: 1, Downtime: 0}
 	big := []float64{100, 900, 3} // λ·rec = 900 sets recInf on position 1
@@ -142,6 +142,7 @@ func TestSegmentKernelReinitMatchesFresh(t *testing.T) {
 		t.Fatal(err)
 	}
 	_ = kb.Segment(0, 2)
+	kb.PrepareBound() // its suffix argmin differs from the fresh build's at j = 1
 
 	m := Model{Lambda: 0.02, Downtime: 0.5}
 	weights := []float64{4, 7, 2}
@@ -154,6 +155,8 @@ func TestSegmentKernelReinitMatchesFresh(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	kb.PrepareBound()
+	fresh.PrepareBound()
 	if kb.Len() != fresh.Len() {
 		t.Fatalf("reused Len = %d, fresh = %d", kb.Len(), fresh.Len())
 	}

@@ -37,7 +37,7 @@ func planE7(cfg Config) (*Plan, error) {
 	p := &Plan{}
 	t := p.AddTable(&result.Table{
 		ID:      "E7",
-		Title:   "DP wall-clock scaling (median of repetitions)",
+		Title:   "DP wall-clock scaling (best of 5 batches)",
 		Columns: []string{"n", "time", "t(n)/t(n/2)", "E_opt", "checkpoints"},
 	})
 	// The jobs build and solve each size; Finish times them all, once

@@ -1,6 +1,9 @@
 package numeric
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // This file implements the scaled-exponential representation used by the
 // segment-expectation kernel (internal/expectation): e^x is carried as a
@@ -8,6 +11,17 @@ import "math"
 // exponentials reduce to one float multiply plus integer exponent
 // addition — no overflow, no underflow, and no transcendental call at
 // combination time.
+//
+// The pairs are built in batches (ExpScaled over a slice): a kernel
+// build needs two per position, and math.Exp runs markedly faster when
+// its calls are issued back to back than when each sits between the
+// reduction and the normalization of its own element. ExpScaled
+// therefore works in chunks and runs each of its three steps over a
+// whole chunk before the next: the Cody–Waite reduction, the math.Exp
+// calls, and a normalization that reads the binary exponent straight
+// from the result's bits instead of calling math.Frexp. The arithmetic
+// per element is exactly that of the one-element form, so every pair is
+// bit-identical to it (expscale_test.go keeps that form as the oracle).
 
 // Cody–Waite split of ln 2, as used by the libm exp reduction: Ln2Hi
 // carries the high bits with enough trailing zeros that k·Ln2Hi is exact
@@ -21,7 +35,8 @@ const (
 // expScaledCap bounds the argument reduction: beyond |x| ≥ expScaledCap
 // the exact exponent no longer matters (e^x is beyond ±2^(2^29), i.e.
 // astronomically past every float64), so ExpScaled clamps to a sentinel
-// pair with exponent ±ExpScaledSatExp.
+// pair with exponent ±ExpScaledSatExp. The reduction's k stays below
+// 2^29 in magnitude, so it fits the int32 exponent slots.
 const expScaledCap = float64(1<<29) * 0.6931471805599453
 
 // ExpScaledSatExp is the sentinel exponent of a saturated ExpScaled
@@ -37,9 +52,15 @@ const expScaledCap = float64(1<<29) * 0.6931471805599453
 // directly (see expectation.SegmentKernel).
 const ExpScaledSatExp = 1 << 30
 
-// ExpScaled returns (frac, exp) with e^x = frac·2^exp and frac ∈ [1, 2),
-// for any finite x — the pair never overflows or underflows. Combine
-// pairs with LdexpProduct.
+// expChunk is the number of elements ExpScaled reduces, exponentiates
+// and normalizes per step; the chunk's arguments and exponents stay in
+// L1 across the three steps, and one uint64 marks its special cases.
+const expChunk = 64
+
+// ExpScaled replaces each xs[i] by frac and sets exps[i] to exp such
+// that e^{xs[i]} = frac·2^exp with frac ∈ [1, 2), for any finite
+// argument — the pair never overflows or underflows. exps must be at
+// least as long as xs. Combine pairs with LdexpProduct.
 //
 // Accuracy: the reduction r = x − k·ln2 uses the Cody–Waite split, so the
 // result is within ~2 ulps of e^x for |x| ≤ 2^20·ln2 ≈ 7.3e5; beyond
@@ -47,9 +68,52 @@ const ExpScaledSatExp = 1 << 30
 // (about |x|·2^-52). Callers that prune on compared pairs must widen
 // their slack accordingly (see expectation.SegmentKernel).
 //
-// Special cases: ExpScaled(NaN) = (NaN, 0), ExpScaled(+Inf) = (+Inf, 0),
-// ExpScaled(−Inf) = (0, 0).
-func ExpScaled(x float64) (float64, int) {
+// Special cases: NaN → (NaN, 0), +Inf → (+Inf, 0), −Inf → (0, 0), and
+// |x| > expScaledCap → (1, ±ExpScaledSatExp).
+func ExpScaled(xs []float64, exps []int32) {
+	exps = exps[:len(xs)]
+	var specFrac [expChunk]float64
+	var specExp [expChunk]int32
+	for lo := 0; lo < len(xs); lo += expChunk {
+		xc := xs[lo:min(lo+expChunk, len(xs))]
+		ec := exps[lo : lo+len(xc)]
+		// Reduction: r = x − k·ln2 in place of x, k in place of exp.
+		// Special arguments reduce to r = 0 and are overwritten below.
+		var special uint64
+		for i, x := range xc {
+			if !(x >= -expScaledCap && x <= expScaledCap) {
+				special |= 1 << i
+				specFrac[i], specExp[i] = expScaledSpecial(x)
+				xc[i], ec[i] = 0, 0
+				continue
+			}
+			k := math.Round(x * invLn2)
+			xc[i] = (x - k*ln2Hi) - k*ln2Lo
+			ec[i] = int32(k)
+		}
+		// r ∈ [−ln2/2, ln2/2] (plus reduction slop) → e^r near 1.
+		for i, r := range xc {
+			xc[i] = math.Exp(r)
+		}
+		// Normalization: e^r is a positive normal number, so its
+		// unbiased binary exponent is its exponent field minus the bias,
+		// and frac is its mantissa under exponent 0 — what math.Frexp
+		// followed by frac·2, exp−1 computes.
+		for i, m := range xc {
+			b := math.Float64bits(m)
+			ec[i] += int32(b>>52&0x7ff) - 1023
+			xc[i] = math.Float64frombits(b&^(0x7ff<<52) | 1023<<52)
+		}
+		for ; special != 0; special &= special - 1 {
+			i := bits.TrailingZeros64(special)
+			xc[i], ec[i] = specFrac[i], specExp[i]
+		}
+	}
+}
+
+// expScaledSpecial returns the pair of an argument outside the reduced
+// range: NaN, ±Inf, or beyond ±expScaledCap.
+func expScaledSpecial(x float64) (float64, int32) {
 	switch {
 	case math.IsNaN(x):
 		return math.NaN(), 0
@@ -57,16 +121,10 @@ func ExpScaled(x float64) (float64, int) {
 		return math.Inf(1), 0
 	case math.IsInf(x, -1):
 		return 0, 0
-	case x > expScaledCap:
+	case x > 0:
 		return 1, ExpScaledSatExp
-	case x < -expScaledCap:
-		return 1, -ExpScaledSatExp
 	}
-	k := math.Round(x * invLn2)
-	r := (x - k*ln2Hi) - k*ln2Lo
-	m := math.Exp(r) // r ∈ [−ln2/2, ln2/2] (plus reduction slop) → m near 1
-	frac, e := math.Frexp(m)
-	return frac * 2, int(k) + e - 1
+	return 1, -ExpScaledSatExp
 }
 
 // ldexpMax is the largest combined exponent a finite float64 product of
@@ -86,6 +144,18 @@ func init() {
 	}
 }
 
+// Pow2 returns 2^e from the table behind LdexpProduct, and false when e
+// lies outside the table's range [−1080, 1023] — there LdexpProduct
+// saturates. A caller that has checked the range itself computes
+// LdexpProduct(frac, e) as frac·Pow2(e), without a call.
+func Pow2(e int) (float64, bool) {
+	i := uint(e - ldexpMin)
+	if i >= uint(len(pow2)) {
+		return 0, false
+	}
+	return pow2[i], true
+}
+
 // LdexpProduct returns frac·2^exp, where frac is the product of two
 // ExpScaled fractions (so frac ∈ [1, 4), or a special value) and exp the
 // sum of their exponents. Out-of-range exponents saturate to +Inf / 0,
@@ -93,17 +163,17 @@ func init() {
 // an in-range power of two is exact (no rounding), so ordering of
 // represented values is preserved bit-for-bit.
 func LdexpProduct(frac float64, exp int) float64 {
+	if p, ok := Pow2(exp); ok {
+		return frac * p
+	}
 	if exp > ldexpMax {
 		if frac == 0 || math.IsNaN(frac) {
 			return frac * math.Inf(1)
 		}
 		return math.Inf(1)
 	}
-	if exp < ldexpMin {
-		if math.IsInf(frac, 1) || math.IsNaN(frac) {
-			return frac * 0
-		}
-		return 0
+	if math.IsInf(frac, 1) || math.IsNaN(frac) {
+		return frac * 0
 	}
-	return frac * pow2[exp-ldexpMin]
+	return 0
 }
