@@ -3,12 +3,10 @@ package core
 import (
 	"container/heap"
 	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/dag"
 	"repro/internal/expectation"
+	"repro/internal/par"
 )
 
 // CostModel abstracts what a checkpoint and a recovery cost on a
@@ -196,6 +194,43 @@ func SolveOrderDP(g *dag.Graph, order []int, m expectation.Model, cm CostModel) 
 	return solveOrderDPWith(g, order, m, cm, &orderScratch{})
 }
 
+// SolveOrderSuffix re-decides the checkpoints of positions [from, n−1]
+// of a linearization whose prefix has already run: the SolveOrderDP
+// recurrence and arms restricted to the rows x ≥ from, with overhead
+// added to every checkpoint cost inside the decision only (an estimate
+// of what the store adds to each checkpoint). Every cost-model call is
+// made against the full order at absolute positions — a suffix
+// sub-order would distort live sets — and the returned segments carry
+// the model's true costs at those positions. SolveOrderDP is the
+// from = 0, overhead = 0 case.
+func SolveOrderSuffix(g *dag.Graph, order []int, m expectation.Model, cm CostModel, from int, overhead float64) ([]Segment, error) {
+	n := len(order)
+	if from < 0 || from >= n {
+		return nil, fmt.Errorf("core: suffix start %d out of range [0, %d)", from, n)
+	}
+	if !(overhead >= 0) {
+		return nil, fmt.Errorf("core: checkpoint overhead %v, want ≥ 0", overhead)
+	}
+	next, err := solveOrderNext(g, order, m, cm, &orderScratch{}, from, overhead)
+	if err != nil {
+		return nil, err
+	}
+	if lv, ok := cm.(LiveSetCosts); ok {
+		cm = lv.on(g, order) // positions once per order, not per cost call
+	}
+	var segs []Segment
+	for x := from; x < n; {
+		j := next[x]
+		sg := Segment{Start: x, End: j, Checkpoint: cm.CheckpointCost(g, order, x, j), Recovery: recBeforeAt(g, order, cm, x)}
+		for i := x; i <= j; i++ {
+			sg.Work += g.Task(order[i]).Weight
+		}
+		segs = append(segs, sg)
+		x = j + 1
+	}
+	return segs, nil
+}
+
 // orderScratch holds the reusable buffers of the per-order DPs. The
 // portfolio and exhaustive solvers run many per-order DPs back to back
 // and keep one scratch per worker, so each order costs zero table
@@ -234,23 +269,36 @@ func (sc *orderScratch) reinitKernel(m expectation.Model, weights, ckpt []float6
 
 // solveOrderDPWith is SolveOrderDP over caller-owned scratch buffers.
 func solveOrderDPWith(g *dag.Graph, order []int, m expectation.Model, cm CostModel, sc *orderScratch) (DAGResult, error) {
-	if err := m.Validate(); err != nil {
+	next, err := solveOrderNext(g, order, m, cm, sc, 0, 0)
+	if err != nil {
 		return DAGResult{}, err
+	}
+	return orderResult(g, order, m, cm, next), nil
+}
+
+// solveOrderNext runs the per-order DP over the rows x ∈ [from, n) with
+// overhead added to each checkpoint cost, dispatching to the arm the
+// cost model allows. It returns next, where next[x] is the end of the
+// first segment of the optimal plan from x; entries below from are
+// unspecified.
+func solveOrderNext(g *dag.Graph, order []int, m expectation.Model, cm CostModel, sc *orderScratch, from int, overhead float64) ([]int, error) {
+	if err := m.Validate(); err != nil {
+		return nil, err
 	}
 	n := len(order)
 	if n == 0 {
-		return DAGResult{}, fmt.Errorf("core: empty order")
+		return nil, fmt.Errorf("core: empty order")
 	}
 	if n != g.Len() {
-		return DAGResult{}, fmt.Errorf("core: order covers %d of %d tasks", n, g.Len())
+		return nil, fmt.Errorf("core: order covers %d of %d tasks", n, g.Len())
 	}
 	if lv, ok := cm.(LiveSetCosts); ok {
-		return solveOrderDPLiveSet(g, order, m, lv, sc)
+		return solveOrderDPLiveSet(g, order, m, lv, sc, from, overhead)
 	}
 	if si, ok := cm.(StartIndependentCosts); ok && si.CheckpointCostStartIndependent() {
-		return solveOrderDPKernel(g, order, m, cm, sc)
+		return solveOrderDPKernel(g, order, m, cm, sc, from, overhead)
 	}
-	return solveOrderDPGeneric(g, order, m, cm)
+	return solveOrderDPGeneric(g, order, m, cm, from, overhead), nil
 }
 
 // recBeforeAt returns the recovery cost in force for a segment starting
@@ -276,21 +324,21 @@ func orderPrefix(g *dag.Graph, order []int) []float64 {
 // solveOrderDPKernel is the fast path for start-independent checkpoint
 // costs: per-position cost tables feed the segment-expectation kernel,
 // and the pruned scan mirrors SolveChainDP.
-func solveOrderDPKernel(g *dag.Graph, order []int, m expectation.Model, cm CostModel, sc *orderScratch) (DAGResult, error) {
+func solveOrderDPKernel(g *dag.Graph, order []int, m expectation.Model, cm CostModel, sc *orderScratch, from int, overhead float64) ([]int, error) {
 	n := len(order)
 	sc.weights = grow(sc.weights, n)
 	sc.ckpt = grow(sc.ckpt, n)
 	sc.rec = grow(sc.rec, n-1)
 	for i, id := range order {
 		sc.weights[i] = g.Task(id).Weight
-		sc.ckpt[i] = cm.CheckpointCost(g, order, i, i)
+		sc.ckpt[i] = cm.CheckpointCost(g, order, i, i) + overhead
 		if i < n-1 {
 			sc.rec[i] = cm.RecoveryCost(g, order, i)
 		}
 	}
 	kern, err := sc.reinitKernel(m, sc.weights, sc.ckpt, cm.InitialRecovery(), sc.rec)
 	if err != nil {
-		return DAGResult{}, err
+		return nil, err
 	}
 	kern.PrepareBound()
 	best := grow(sc.best, n+1)
@@ -298,26 +346,26 @@ func solveOrderDPKernel(g *dag.Graph, order []int, m expectation.Model, cm CostM
 	next := grow(sc.next, n)
 	sc.next = next
 	best[n] = 0 // reused buffers may hold a previous order's row
-	for x := n - 1; x >= 0; x-- {
+	for x := n - 1; x >= from; x-- {
 		best[x], next[x], _ = prunedRow(kern, x, best)
 	}
-	return orderResult(g, order, m, cm, next), nil
+	return next, nil
 }
 
 // solveOrderDPGeneric is the unaccelerated DP over an arbitrary cost
 // model, paying one CheckpointCost call per transition.
-func solveOrderDPGeneric(g *dag.Graph, order []int, m expectation.Model, cm CostModel) (DAGResult, error) {
+func solveOrderDPGeneric(g *dag.Graph, order []int, m expectation.Model, cm CostModel, from int, overhead float64) []int {
 	n := len(order)
 	prefix := orderPrefix(g, order)
 	best := make([]float64, n+1)
 	next := make([]int, n)
-	for x := n - 1; x >= 0; x-- {
+	for x := n - 1; x >= from; x-- {
 		rec := recBeforeAt(g, order, cm, x)
 		best[x] = infinity
 		next[x] = n - 1
 		for j := x; j < n; j++ {
 			w := prefix[j+1] - prefix[x]
-			ck := cm.CheckpointCost(g, order, x, j)
+			ck := cm.CheckpointCost(g, order, x, j) + overhead
 			cur := m.ExpectedTime(w, ck, rec) + best[j+1]
 			if cur < best[x] {
 				best[x] = cur
@@ -325,7 +373,7 @@ func solveOrderDPGeneric(g *dag.Graph, order []int, m expectation.Model, cm Cost
 			}
 		}
 	}
-	return orderResult(g, order, m, cm, next), nil
+	return next
 }
 
 // orderResult reconstructs the checkpoint vector from a next[] table and
@@ -367,9 +415,10 @@ func orderResult(g *dag.Graph, order []int, m expectation.Model, cm CostModel, n
 // whose last use is the new end), and computes all recovery costs in one
 // incremental sweep. Per row the cost work is O(scan length + retired
 // positions), i.e. O(total out-degree) amortized. The scan is pruned
-// with a work-only kernel bound: checkpoint costs are nonnegative, so a
-// zero-cost segment expectation bounds the true one from below.
-func solveOrderDPLiveSet(g *dag.Graph, order []int, m expectation.Model, lv LiveSetCosts, sc *orderScratch) (DAGResult, error) {
+// with a work-only kernel bound: checkpoint costs and the suffix
+// re-solve's overhead are nonnegative, so a zero-cost segment
+// expectation bounds the true one from below.
+func solveOrderDPLiveSet(g *dag.Graph, order []int, m expectation.Model, lv LiveSetCosts, sc *orderScratch, from int, overhead float64) ([]int, error) {
 	n := len(order)
 	sc.pos = grow(sc.pos, g.Len())
 	pos := sc.pos
@@ -442,7 +491,7 @@ func solveOrderDPLiveSet(g *dag.Graph, order []int, m expectation.Model, lv Live
 	}
 	kern, err := sc.reinitKernel(m, weights, sc.ckpt, lv.InitialRecovery(), recAfter)
 	if err != nil {
-		return DAGResult{}, err
+		return nil, err
 	}
 	kern.PrepareBound()
 	slack := kern.Slack()
@@ -450,7 +499,7 @@ func solveOrderDPLiveSet(g *dag.Graph, order []int, m expectation.Model, lv Live
 	sc.next = grow(sc.next, n)
 	best, next := sc.best, sc.next
 	best[n] = 0 // reused buffers may hold a previous order's row
-	for x := n - 1; x >= 0; x-- {
+	for x := n - 1; x >= from; x-- {
 		bestE := infinity
 		bestJ := n - 1
 		ckCost := 0.0
@@ -463,7 +512,7 @@ func solveOrderDPLiveSet(g *dag.Graph, order []int, m expectation.Model, lv Live
 					ckCost -= cPos[p]
 				}
 			}
-			cur := kern.SegmentWithCost(x, j, ckCost) + best[j+1]
+			cur := kern.SegmentWithCost(x, j, ckCost+overhead) + best[j+1]
 			if cur < bestE {
 				bestE = cur
 				bestJ = j
@@ -475,7 +524,7 @@ func solveOrderDPLiveSet(g *dag.Graph, order []int, m expectation.Model, lv Live
 		best[x] = bestE
 		next[x] = bestJ
 	}
-	return orderResult(g, order, m, lv, next), nil
+	return next, nil
 }
 
 // LinearizationStrategy produces a topological order of g.
@@ -665,62 +714,14 @@ type Options struct {
 	// overestimate of distinct states) during a level's expansion, so a
 	// run near the cap may abort slightly early rather than overshoot.
 	MaxStates int64
-	// NoIncumbent skips seeding the lattice branch-and-bound with the
-	// portfolio incumbent, forcing the full unpruned state space (used
-	// by tests and by benchmarks of the bare DP).
-	NoIncumbent bool
 	// IncumbentUB, when positive, seeds the lattice branch-and-bound
 	// with a caller-supplied upper bound instead of running the
 	// portfolio internally (callers that already solved the portfolio
 	// avoid solving it twice). It MUST be the expected makespan of a
 	// valid schedule of the same instance — an underestimate below the
-	// true optimum would unsoundly prune it. Takes precedence over
-	// NoIncumbent; ignored by SolveDAGWith.
+	// true optimum would unsoundly prune it. +Inf disables pruning and
+	// explores the full state space. Ignored by SolveDAGWith.
 	IncumbentUB float64
-}
-
-// workerCount resolves the configured parallelism.
-func (o Options) workerCount() int {
-	if o.Workers > 0 {
-		return o.Workers
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
-// runWorkers executes fn(worker, i) for i ∈ [0, n) on up to `workers`
-// goroutines — the engine worker-pool idiom (internal/expt/engine),
-// restated locally because core sits below the experiment packages.
-// The worker index lets callers keep per-goroutine scratch. With one
-// worker it degenerates to a serial loop on the caller's goroutine.
-func runWorkers(workers, n int, fn func(worker, i int)) {
-	if n == 0 {
-		return
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(0, i)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func(w int) {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				fn(w, i)
-			}
-		}(w)
-	}
-	wg.Wait()
 }
 
 // SolveDAG schedules a general DAG heuristically: it tries every supplied
@@ -750,11 +751,9 @@ func SolveDAGWith(g *dag.Graph, m expectation.Model, cm CostModel, opts Options)
 	if strategies == nil {
 		strategies = DefaultStrategies()
 	}
-	workers := opts.workerCount()
 	results := make([]DAGResult, len(strategies))
-	errs := make([]error, len(strategies))
-	scratches := make([]*orderScratch, workers)
-	runWorkers(workers, len(strategies), func(w, i int) {
+	scratches := make([]*orderScratch, par.Workers(opts.Workers, len(strategies)))
+	err := par.Each(opts.Workers, len(strategies), func(w, i int) error {
 		sc := scratches[w]
 		if sc == nil {
 			sc = &orderScratch{}
@@ -763,24 +762,23 @@ func SolveDAGWith(g *dag.Graph, m expectation.Model, cm CostModel, opts Options)
 		s := strategies[i]
 		order, err := s.Order(g)
 		if err != nil {
-			errs[i] = fmt.Errorf("core: strategy %s: %w", s.Name, err)
-			return
+			return fmt.Errorf("core: strategy %s: %w", s.Name, err)
 		}
 		res, err := solveOrderDPWith(g, order, m, cm, sc)
 		if err != nil {
-			errs[i] = fmt.Errorf("core: strategy %s: %w", s.Name, err)
-			return
+			return fmt.Errorf("core: strategy %s: %w", s.Name, err)
 		}
 		res.Strategy = s.Name
 		results[i] = res
+		return nil
 	})
+	if err != nil {
+		return DAGResult{}, err
+	}
 	best := DAGResult{Expected: infinity}
-	for i := range strategies {
-		if errs[i] != nil {
-			return DAGResult{}, errs[i]
-		}
-		if results[i].Expected < best.Expected {
-			best = results[i]
+	for _, res := range results {
+		if res.Expected < best.Expected {
+			best = res
 		}
 	}
 	return best, nil

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/dag"
 	"repro/internal/expectation"
+	"repro/internal/par"
 )
 
 // This file implements the exact DAG checkpoint scheduler over the
@@ -109,8 +110,9 @@ type LatticeStats struct {
 	PrunedSubtrees int64
 	// Transitions counts segment candidates evaluated.
 	Transitions int64
-	// Incumbent is the portfolio upper bound that seeded the
-	// branch-and-bound (0 when Options.NoIncumbent).
+	// Incumbent is the upper bound that seeded the branch-and-bound:
+	// Options.IncumbentUB when positive (+Inf runs unpruned), the
+	// portfolio's expected makespan otherwise.
 	Incumbent float64
 }
 
@@ -192,19 +194,15 @@ func SolveDAGLatticeStats(g *dag.Graph, m expectation.Model, cm CostModel, opts 
 		}
 	}
 
-	ub := math.Inf(1)
-	switch {
-	case opts.IncumbentUB > 0:
-		ub = opts.IncumbentUB
-		stats.Incumbent = opts.IncumbentUB
-	case !opts.NoIncumbent:
+	ub := opts.IncumbentUB
+	if ub <= 0 {
 		inc, err := SolveDAGWith(g, m, cm, Options{Workers: opts.Workers, Strategies: opts.Strategies})
 		if err != nil {
 			return DAGResult{}, stats, err
 		}
 		ub = inc.Expected
-		stats.Incumbent = inc.Expected
 	}
+	stats.Incumbent = ub
 
 	ls := &latticeSolver{
 		kern:      kern,
@@ -407,7 +405,6 @@ func (ls *latticeSolver) expand(key latKey, val latVal, out map[latKey]latVal, c
 func (ls *latticeSolver) run(opts Options, stats *LatticeStats) (latKey, [][]latRecord, map[latKey]latVal, error) {
 	n := len(ls.topo)
 	ls.budget = opts.MaxStates
-	workers := opts.workerCount()
 	full := ls.lat.Full()
 	root := latKey{d: 0, last: -1}
 	levels := make([]map[latKey]latVal, n+1)
@@ -431,13 +428,7 @@ func (ls *latticeSolver) run(opts Options, stats *LatticeStats) (latKey, [][]lat
 		// private tables so no relaxation races, then the tables merge
 		// serially — min with a total-order tie-break is independent of
 		// both the partition and the merge order.
-		w := workers
-		if w > len(keys) {
-			w = len(keys)
-		}
-		if w < 1 {
-			w = 1
-		}
+		w := par.Workers(opts.Workers, len(keys))
 		if ls.budget > 0 {
 			rem := ls.budget - stored
 			if rem < 0 {
@@ -452,12 +443,13 @@ func (ls *latticeSolver) run(opts Options, stats *LatticeStats) (latKey, [][]lat
 		}
 		locals := make([]map[latKey]latVal, w)
 		counters := make([]latCounters, w)
-		runWorkers(w, len(keys), func(worker, i int) {
+		par.Each(w, len(keys), func(worker, i int) error {
 			if locals[worker] == nil {
 				locals[worker] = make(map[latKey]latVal)
 			}
 			k := keys[i]
 			ls.expand(k, cur[k], locals[worker], &counters[worker])
+			return nil
 		})
 		if ls.aborted.Load() {
 			stats.States = stored

@@ -142,13 +142,14 @@ func TestLatticeWorkerInvariance(t *testing.T) {
 	}
 	m := mustModelT(t, 0.02, 0.5)
 	for _, cm := range []CostModel{LastTaskCosts{}, LiveSetCosts{}} {
-		for _, noInc := range []bool{false, true} {
-			base, baseStats, err := SolveDAGLatticeStats(g, m, cm, Options{Workers: 1, NoIncumbent: noInc})
+		for _, ub := range []float64{0, math.Inf(1)} {
+			noInc := ub != 0
+			base, baseStats, err := SolveDAGLatticeStats(g, m, cm, Options{Workers: 1, IncumbentUB: ub})
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, workers := range []int{2, 5} {
-				res, stats, err := SolveDAGLatticeStats(g, m, cm, Options{Workers: workers, NoIncumbent: noInc})
+				res, stats, err := SolveDAGLatticeStats(g, m, cm, Options{Workers: workers, IncumbentUB: ub})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -189,7 +190,7 @@ func TestLatticePruningEffectiveAndSound(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := mustModelT(t, 0.01, 0.3)
-	full, fullStats, err := SolveDAGLatticeStats(g, m, LastTaskCosts{}, Options{NoIncumbent: true})
+	full, fullStats, err := SolveDAGLatticeStats(g, m, LastTaskCosts{}, Options{IncumbentUB: math.Inf(1)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +223,7 @@ func TestLatticeStateSpaceVsFactorial(t *testing.T) {
 		t.Fatal(err)
 	}
 	orders := lat.CountLinearExtensions()
-	_, stats, err := SolveDAGLatticeStats(g, mustModelT(t, 0.02, 0.5), LastTaskCosts{}, Options{NoIncumbent: true})
+	_, stats, err := SolveDAGLatticeStats(g, mustModelT(t, 0.02, 0.5), LastTaskCosts{}, Options{IncumbentUB: math.Inf(1)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,8 +251,9 @@ func TestLatticeInfiniteOptimum(t *testing.T) {
 		if !math.IsInf(exact.Expected, 1) {
 			t.Fatalf("%s: exhaustive optimum = %v, want +Inf", cm.Name(), exact.Expected)
 		}
-		for _, noInc := range []bool{false, true} {
-			lattice, err := SolveDAGLattice(g, m, cm, Options{NoIncumbent: noInc})
+		for _, ub := range []float64{0, math.Inf(1)} {
+			noInc := ub != 0
+			lattice, err := SolveDAGLattice(g, m, cm, Options{IncumbentUB: ub})
 			if err != nil {
 				t.Fatalf("%s noInc=%v: lattice: %v", cm.Name(), noInc, err)
 			}
@@ -290,7 +292,7 @@ func TestLatticeGuards(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := SolveDAGLattice(wide, m, LastTaskCosts{}, Options{MaxStates: 50, NoIncumbent: true}); err == nil {
+	if _, err := SolveDAGLattice(wide, m, LastTaskCosts{}, Options{MaxStates: 50, IncumbentUB: math.Inf(1)}); err == nil {
 		t.Error("state budget not enforced")
 	}
 }

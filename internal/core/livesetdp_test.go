@@ -35,14 +35,12 @@ func TestLiveSetDPMatchesGeneric(t *testing.T) {
 				t.Fatal(err)
 			}
 			lv := LiveSetCosts{R0: r.Range(0, 1)}
-			fast, err := solveOrderDPLiveSet(g, order, m, lv, &orderScratch{})
+			next, err := solveOrderDPLiveSet(g, order, m, lv, &orderScratch{}, 0, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
-			slow, err := solveOrderDPGeneric(g, order, m, lv)
-			if err != nil {
-				t.Fatal(err)
-			}
+			fast := orderResult(g, order, m, lv, next)
+			slow := genericOrderResult(g, order, m, lv)
 			if numeric.RelErr(fast.Expected, slow.Expected) > 1e-11 {
 				t.Fatalf("builder %d λ=%v: live-set %v vs generic %v", bi, m.Lambda, fast.Expected, slow.Expected)
 			}
@@ -57,6 +55,11 @@ func TestLiveSetDPMatchesGeneric(t *testing.T) {
 			}
 		}
 	}
+}
+
+// genericOrderResult is the whole-order generic DP's result.
+func genericOrderResult(g *dag.Graph, order []int, m expectation.Model, cm CostModel) DAGResult {
+	return orderResult(g, order, m, cm, solveOrderDPGeneric(g, order, m, cm, 0, 0))
 }
 
 // TestSolveOrderDPDispatch ensures the public entry point routes each
@@ -78,10 +81,7 @@ func TestSolveOrderDPDispatch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := solveOrderDPGeneric(g, order, m, cm)
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := genericOrderResult(g, order, m, cm)
 		if numeric.RelErr(got.Expected, want.Expected) > 1e-11 {
 			t.Errorf("%s: dispatched %v vs generic %v", cm.Name(), got.Expected, want.Expected)
 		}

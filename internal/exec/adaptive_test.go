@@ -6,8 +6,10 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/dag"
 	"repro/internal/expectation"
 	"repro/internal/failure"
+	"repro/internal/rng"
 	"repro/internal/store"
 )
 
@@ -208,13 +210,6 @@ func TestChainReplannerSuffixes(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkCover(t, segs, 4, cp.Len()-1)
-	bounded, err := ChainReplanner{CP: cp, MaxCheckpoints: 2}.Replan(4, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(bounded) > 2 {
-		t.Fatalf("bounded replan produced %d segments, cap 2", len(bounded))
-	}
 }
 
 // checkCover asserts segments cover [from, last] contiguously.
@@ -233,9 +228,9 @@ func checkCover(t *testing.T, segs []core.Segment, from, last int) {
 }
 
 // TestOrderReplannerBothModels pins the DAG suffix replanner under a
-// start-independent model (routed through the chain portfolio) and the
-// general live-set model (suffix recurrence with full-order cost-model
-// calls): contiguous cover and true absolute-position costs.
+// start-independent model (the kernel arm) and the general live-set
+// model (incremental live sets over the full order): contiguous cover
+// and true absolute-position costs.
 func TestOrderReplannerBothModels(t *testing.T) {
 	g, _ := diamondDAG(t)
 	order, err := g.TopologicalOrder()
@@ -270,6 +265,42 @@ func TestOrderReplannerBothModels(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestOrderReplannerAllocs guards the live-set suffix replan against a
+// return to per-transition cost-model calls, which rebuild the order's
+// positions and rescan the segment each time (tens of thousands of
+// allocations at 400 tasks): a replan from the start allocates at most
+// twice what SolveOrderDP does on the same order.
+func TestOrderReplannerAllocs(t *testing.T) {
+	g, err := dag.Layered(40, 10, 0.3, dag.DefaultWeights(), rng.New(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	order, err := g.TopologicalOrder()
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := expectation.NewModel(0.01, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cm := core.LiveSetCosts{R0: 0.5}
+	r := OrderReplanner{G: g, Order: order, M: m, CM: cm}
+	replan := testing.AllocsPerRun(5, func() {
+		if _, err := r.Replan(0, 0.5); err != nil {
+			t.Fatal(err)
+		}
+	})
+	solve := testing.AllocsPerRun(5, func() {
+		if _, err := core.SolveOrderDP(g, order, m, cm); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("allocations per call: replan %v, SolveOrderDP %v", replan, solve)
+	if replan > 2*solve {
+		t.Fatalf("live-set replan allocates %v per call, SolveOrderDP %v: want at most 2×", replan, solve)
 	}
 }
 

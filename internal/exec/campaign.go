@@ -2,10 +2,9 @@ package exec
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 
 	"repro/internal/failure"
+	"repro/internal/par"
 	"repro/internal/stats"
 )
 
@@ -46,54 +45,37 @@ func Campaign(w *Workload, dist failure.Distribution, opts CampaignOptions) (Cam
 	if opts.Runs <= 0 {
 		return CampaignResult{}, fmt.Errorf("exec: campaign needs a positive run count, got %d", opts.Runs)
 	}
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > opts.Runs {
-		workers = opts.Runs
-	}
-	type partial struct {
-		makespan, failures stats.Summary
-		err                error
-	}
+	// A static partition: worker wk runs a contiguous range of runs,
+	// the first Runs%workers ranges one run longer.
+	workers := par.Workers(opts.Workers, opts.Runs)
+	type partial struct{ makespan, failures stats.Summary }
 	parts := make([]partial, workers)
-	per := opts.Runs / workers
-	extra := opts.Runs % workers
-	var wg sync.WaitGroup
-	next := 0
-	for wk := 0; wk < workers; wk++ {
-		count := per
+	err := par.Each(workers, workers, func(_, wk int) error {
+		per, extra := opts.Runs/workers, opts.Runs%workers
+		first, count := wk*per+min(wk, extra), per
 		if wk < extra {
 			count++
 		}
-		first := next
-		next += count
-		wg.Add(1)
-		go func(wk, first, count int) {
-			defer wg.Done()
-			p := &parts[wk]
-			for r := first; r < first+count; r++ {
-				src := NewKeyedSource(dist, opts.Seed, uint64(r)+1)
-				res, err := Execute(w, src, Options{
-					Downtime:    opts.Downtime,
-					MaxFailures: opts.MaxFailures,
-				})
-				if err != nil {
-					p.err = fmt.Errorf("exec: campaign run %d: %w", r, err)
-					return
-				}
-				p.makespan.Add(res.Makespan)
-				p.failures.Add(float64(res.Failures))
+		p := &parts[wk]
+		for r := first; r < first+count; r++ {
+			src := NewKeyedSource(dist, opts.Seed, uint64(r)+1)
+			res, err := Execute(w, src, Options{
+				Downtime:    opts.Downtime,
+				MaxFailures: opts.MaxFailures,
+			})
+			if err != nil {
+				return fmt.Errorf("exec: campaign run %d: %w", r, err)
 			}
-		}(wk, first, count)
+			p.makespan.Add(res.Makespan)
+			p.failures.Add(float64(res.Failures))
+		}
+		return nil
+	})
+	if err != nil {
+		return CampaignResult{}, err
 	}
-	wg.Wait()
 	out := CampaignResult{Runs: opts.Runs}
 	for i := range parts {
-		if parts[i].err != nil {
-			return CampaignResult{}, parts[i].err
-		}
 		// Merge in worker order: deterministic for a (Seed, Workers) pair.
 		out.Makespan.Merge(parts[i].makespan)
 		out.Failures.Merge(parts[i].failures)

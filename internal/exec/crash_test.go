@@ -873,8 +873,8 @@ func TestLongRunKillResumeLinearStorage(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				for i, p := range st.slots() {
-					words[i] |= slotWord(p)
+				for i := range words {
+					words[i] |= getU64(payload[4+8*i:])
 				}
 				if tc.name == "legacy" && st.adaptiveRecord != (adaptiveRecord{}) {
 					t.Fatalf("legacy checkpoint %d carries adaptive state %+v", seq, st.adaptiveRecord)

@@ -2,7 +2,6 @@ package exec
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/core"
 	"repro/internal/dag"
@@ -30,15 +29,11 @@ type Replanner interface {
 }
 
 // ChainReplanner re-solves chain suffixes through the chain-DP solver
-// portfolio (SolveChainDP / SolveChainDPBounded — kernel, monotone and
-// bounded arms included, exactly the solvers the initial plan came
-// from).
+// portfolio (SolveChainDP — kernel and monotone arms included, exactly
+// the solvers the initial plan came from).
 type ChainReplanner struct {
 	// CP is the full original chain problem.
 	CP *core.ChainProblem
-	// MaxCheckpoints, when positive, bounds the checkpoints of each
-	// re-solved suffix (SolveChainDPBounded).
-	MaxCheckpoints int
 }
 
 // Name identifies the replanner.
@@ -70,15 +65,7 @@ func (r ChainReplanner) Replan(from int, overhead float64) ([]core.Segment, erro
 		InitialRecovery: initRec,
 		Model:           r.CP.Model,
 	}
-	var (
-		res core.ChainResult
-		err error
-	)
-	if r.MaxCheckpoints > 0 {
-		res, err = core.SolveChainDPBounded(decide, r.MaxCheckpoints)
-	} else {
-		res, err = core.SolveChainDP(decide)
-	}
+	res, err := core.SolveChainDP(decide)
 	if err != nil {
 		return nil, fmt.Errorf("exec: replanning chain suffix [%d:]: %w", from, err)
 	}
@@ -103,11 +90,7 @@ func (r ChainReplanner) Replan(from int, overhead float64) ([]core.Segment, erro
 // OrderReplanner re-solves DAG-plan suffixes along the FIXED original
 // linearization: the order is never re-linearized (executed prefixes
 // pin it), only the checkpoint placement over the remaining positions
-// is re-decided. Start-independent cost models route through the chain
-// solver portfolio on a positional suffix problem; general models
-// (LiveSetCosts) run the same Proposition-3 recurrence restricted to
-// the suffix, with every cost-model call made against the FULL order at
-// absolute positions — a suffix sub-order would distort live sets.
+// is re-decided, by core.SolveOrderSuffix under the plan's cost model.
 type OrderReplanner struct {
 	// G and Order are the graph and the plan's linearization.
 	G     *dag.Graph
@@ -120,95 +103,11 @@ type OrderReplanner struct {
 // Name identifies the replanner.
 func (r OrderReplanner) Name() string { return "order-dp/" + r.CM.Name() }
 
-// recoveryAt returns the recovery cost of the checkpoint preceding
-// position x under the cost model.
-func (r OrderReplanner) recoveryAt(x int) float64 {
-	if x == 0 {
-		return r.CM.InitialRecovery()
-	}
-	return r.CM.RecoveryCost(r.G, r.Order, x-1)
-}
-
 // Replan re-decides checkpoints over positions [from, n−1].
 func (r OrderReplanner) Replan(from int, overhead float64) ([]core.Segment, error) {
-	n := len(r.Order)
-	if from < 0 || from >= n {
-		return nil, fmt.Errorf("exec: replan frontier %d out of range [0, %d)", from, n)
-	}
-	if overhead < 0 {
-		return nil, fmt.Errorf("exec: negative replan overhead %v", overhead)
-	}
-	if si, ok := r.CM.(core.StartIndependentCosts); ok && si.CheckpointCostStartIndependent() {
-		return r.replanPositional(from, overhead)
-	}
-	return r.replanGeneral(from, overhead)
-}
-
-// replanPositional builds the positional suffix problem (valid because
-// checkpoint cost ignores the segment start) and reuses the chain
-// solver portfolio.
-func (r OrderReplanner) replanPositional(from int, overhead float64) ([]core.Segment, error) {
-	n := len(r.Order)
-	cp := &core.ChainProblem{
-		Weights:         make([]float64, n),
-		Ckpt:            make([]float64, n),
-		Rec:             make([]float64, n),
-		InitialRecovery: r.CM.InitialRecovery(),
-		Model:           r.M,
-	}
-	for i, id := range r.Order {
-		cp.Weights[i] = r.G.Task(id).Weight
-		cp.Ckpt[i] = r.CM.CheckpointCost(r.G, r.Order, i, i)
-		cp.Rec[i] = r.CM.RecoveryCost(r.G, r.Order, i)
-	}
-	return ChainReplanner{CP: cp}.Replan(from, overhead)
-}
-
-// replanGeneral runs the suffix DP with full-order cost-model calls:
-// E[x] = min over j ≥ x of ExpectedTime(w(x..j), C(x, j)+overhead,
-// R(x)) + E[j+1], reconstructing the argmin segmentation and rebuilding
-// it with the true costs.
-func (r OrderReplanner) replanGeneral(from int, overhead float64) ([]core.Segment, error) {
-	n := len(r.Order)
-	weights := make([]float64, n)
-	for i, id := range r.Order {
-		weights[i] = r.G.Task(id).Weight
-	}
-	best := make([]float64, n-from+1)
-	choice := make([]int, n-from)
-	best[n-from] = 0
-	for x := n - 1; x >= from; x-- {
-		rec := r.recoveryAt(x)
-		bx := math.Inf(1)
-		var w float64
-		cx := -1
-		for j := x; j < n; j++ {
-			w += weights[j]
-			c := r.CM.CheckpointCost(r.G, r.Order, x, j) + overhead
-			v := r.M.ExpectedTime(w, c, rec) + best[j+1-from]
-			if v < bx {
-				bx = v
-				cx = j
-			}
-		}
-		best[x-from] = bx
-		choice[x-from] = cx
-	}
-	var segs []core.Segment
-	for x := from; x < n; {
-		j := choice[x-from]
-		var w float64
-		for i := x; i <= j; i++ {
-			w += weights[i]
-		}
-		segs = append(segs, core.Segment{
-			Start:      x,
-			End:        j,
-			Work:       w,
-			Checkpoint: r.CM.CheckpointCost(r.G, r.Order, x, j),
-			Recovery:   r.recoveryAt(x),
-		})
-		x = j + 1
+	segs, err := core.SolveOrderSuffix(r.G, r.Order, r.M, r.CM, from, overhead)
+	if err != nil {
+		return nil, fmt.Errorf("exec: replanning order suffix [%d:]: %w", from, err)
 	}
 	return segs, nil
 }

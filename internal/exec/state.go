@@ -3,7 +3,8 @@ package exec
 import (
 	"errors"
 	"fmt"
-	"math"
+	"reflect"
+	"unsafe"
 )
 
 // coreRecord is the executor state every checkpoint carries: the
@@ -76,8 +77,8 @@ const stateSlots = 31
 const stateHeaderSize = 4 + 8*stateSlots
 
 // slots lists every durable field in wire order, one pointer per
-// 8-byte word. encodeState reads through it and decodeState writes
-// through it, so the payload layout is declared here and nowhere else.
+// 8-byte word. stateLayout resolves it once for encodeState and
+// decodeState, so the payload layout is declared here and nowhere else.
 // Metrics.Makespan is not a slot: it is only set once the run ends.
 func (st *execState) slots() [stateSlots]any {
 	m, h := &st.met, &st.health
@@ -93,49 +94,58 @@ func (st *execState) slots() [stateSlots]any {
 	}
 }
 
-// slotWord is the wire word of the field p points to.
-func slotWord(p any) uint64 {
-	switch v := p.(type) {
-	case *uint64:
-		return *v
-	case *float64:
-		return math.Float64bits(*v)
-	case *int:
-		return uint64(*v)
-	case *DegradeLevel:
-		return uint64(*v)
-	}
-	panic("exec: payload slot of unsupported type")
-}
+// slotKind is how a slot's field maps to its wire word.
+type slotKind uint8
 
-// setSlot stores wire word w into the field p points to. It reports
-// false for a degradation level past LevelDown, which no run persists.
-func setSlot(p any, w uint64) bool {
-	switch v := p.(type) {
-	case *uint64:
-		*v = w
-	case *float64:
-		*v = math.Float64frombits(w)
-	case *int:
-		*v = int(w)
-	case *DegradeLevel:
-		if w > uint64(LevelDown) {
-			return false
+const (
+	kindWord  slotKind = iota // uint64, or float64 as its IEEE bits
+	kindInt                   // int, as uint64(v)
+	kindLevel                 // DegradeLevel, at most LevelDown
+)
+
+// stateLayout is slots() resolved once to each field's offset in
+// execState and its kind, so the codec moves words straight between
+// the payload and the fields instead of boxing and type-switching every
+// slot of every payload.
+var stateLayout = func() (layout [stateSlots]struct {
+	off  uintptr
+	kind slotKind
+}) {
+	var st execState
+	base := uintptr(unsafe.Pointer(&st))
+	for i, p := range st.slots() {
+		layout[i].off = reflect.ValueOf(p).Pointer() - base
+		switch p.(type) {
+		case *uint64, *float64:
+			layout[i].kind = kindWord
+		case *int:
+			layout[i].kind = kindInt
+		case *DegradeLevel:
+			layout[i].kind = kindLevel
+		default:
+			panic("exec: payload slot of unsupported type")
 		}
-		*v = DegradeLevel(w)
-	default:
-		panic("exec: payload slot of unsupported type")
 	}
-	return true
-}
+	return layout
+}()
 
 // encodeState serializes the checkpoint payload: the schema, the slots,
 // then the journal delta in its canonical encoding.
 func encodeState(st *execState) []byte {
 	out := make([]byte, stateHeaderSize+8+len(st.delta)*eventSize)
 	putU32(out, stateSchema)
-	for i, p := range st.slots() {
-		putU64(out[4+8*i:], slotWord(p))
+	for i, f := range &stateLayout {
+		p := unsafe.Add(unsafe.Pointer(st), f.off)
+		var w uint64
+		switch f.kind {
+		case kindWord:
+			w = *(*uint64)(p)
+		case kindInt:
+			w = uint64(*(*int)(p))
+		case kindLevel:
+			w = uint64(*(*DegradeLevel)(p))
+		}
+		putU64(out[4+8*i:], w)
 	}
 	putJournal(out[stateHeaderSize:], st.delta)
 	return out
@@ -156,9 +166,18 @@ func decodeState(data []byte) (*execState, error) {
 		return nil, fmt.Errorf("%w: schema %d, want %d", errState, getU32(data), stateSchema)
 	}
 	st := &execState{}
-	for i, p := range st.slots() {
-		if w := getU64(data[4+8*i:]); !setSlot(p, w) {
-			return nil, fmt.Errorf("%w: slot %d holds %d", errState, i, w)
+	for i, f := range &stateLayout {
+		p, w := unsafe.Add(unsafe.Pointer(st), f.off), getU64(data[4+8*i:])
+		switch f.kind {
+		case kindWord:
+			*(*uint64)(p) = w
+		case kindInt:
+			*(*int)(p) = int(w)
+		case kindLevel:
+			if w > uint64(LevelDown) {
+				return nil, fmt.Errorf("%w: slot %d holds %d", errState, i, w)
+			}
+			*(*DegradeLevel)(p) = DegradeLevel(w)
 		}
 	}
 	// A chain link precedes its successor, and a chain root extends

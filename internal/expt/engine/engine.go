@@ -15,13 +15,13 @@ package engine
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/expt"
 	"repro/internal/expt/result"
+	"repro/internal/par"
 )
 
 // Runner executes scenarios on a worker pool.
@@ -42,14 +42,6 @@ type Result struct {
 	// its assembly end. Under a shared pool spans overlap across
 	// scenarios, so these do not sum to the run's wall-clock.
 	Elapsed time.Duration
-}
-
-// workerCount resolves the configured pool size.
-func (r Runner) workerCount() int {
-	if r.Workers > 0 {
-		return r.Workers
-	}
-	return runtime.GOMAXPROCS(0)
 }
 
 // task is one unit for the pool: a row job of one scenario.
@@ -84,7 +76,6 @@ func (r Runner) Run(cfg expt.Config, scens []expt.Scenario) []Result {
 // harness streamed its output. emit runs on a single goroutine; the
 // emitted Result is identical to the corresponding Run return value.
 func (r Runner) RunStream(cfg expt.Config, scens []expt.Scenario, emit func(Result)) []Result {
-	workers := r.workerCount()
 	states := make([]*state, len(scens))
 	results := make([]Result, len(scens))
 	completed := make([]chan struct{}, len(scens))
@@ -131,7 +122,7 @@ func (r Runner) RunStream(cfg expt.Config, scens []expt.Scenario, emit func(Resu
 	}
 
 	// Phase 1: plan every scenario (bounded fan-out across experiments).
-	runBounded(workers, len(scens), func(i int) {
+	par.Each(r.Workers, len(scens), func(_, i int) error {
 		st := &state{info: scens[i].Info(), start: time.Now()}
 		plan, err := scens[i].Plan(cfg)
 		if err != nil {
@@ -143,6 +134,7 @@ func (r Runner) RunStream(cfg expt.Config, scens []expt.Scenario, emit func(Resu
 			st.pending.Store(int64(len(plan.Jobs)))
 		}
 		states[i] = st
+		return nil
 	})
 
 	// Phase 2: one shared pool over every row job of every scenario. A
@@ -158,7 +150,7 @@ func (r Runner) RunStream(cfg expt.Config, scens []expt.Scenario, emit func(Resu
 			tasks = append(tasks, task{scen: i, job: j})
 		}
 	}
-	runBounded(workers, len(tasks), func(k int) {
+	par.Each(r.Workers, len(tasks), func(_, k int) error {
 		tk := tasks[k]
 		st := states[tk.scen]
 		s := expt.JobStream(cfg, st.info.ID, tk.job)
@@ -171,6 +163,7 @@ func (r Runner) RunStream(cfg expt.Config, scens []expt.Scenario, emit func(Resu
 		if st.pending.Add(-1) == 0 {
 			finish(tk.scen)
 		}
+		return nil
 	})
 
 	emitted.Wait()
@@ -190,38 +183,4 @@ func FirstError(results []Result) error {
 		}
 	}
 	return nil
-}
-
-// runBounded executes fn(0..n-1) on up to `workers` goroutines, blocking
-// until all complete. With workers == 1 it degenerates to a plain serial
-// loop on the caller's goroutine.
-func runBounded(workers, n int, fn func(i int)) {
-	if n == 0 {
-		return
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				fn(i)
-			}
-		}()
-	}
-	wg.Wait()
 }

@@ -205,12 +205,3 @@ func TestRunStreamEmitsInOrder(t *testing.T) {
 		}
 	}
 }
-
-func TestWorkerCountDefault(t *testing.T) {
-	if got := (Runner{}).workerCount(); got < 1 {
-		t.Errorf("default worker count %d", got)
-	}
-	if got := (Runner{Workers: 3}).workerCount(); got != 3 {
-		t.Errorf("explicit worker count %d", got)
-	}
-}

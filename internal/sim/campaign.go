@@ -22,6 +22,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/failure"
+	"repro/internal/par"
 	"repro/internal/rng"
 	"repro/internal/stats"
 )
@@ -73,13 +74,14 @@ func campaign(cands int, exec func(cand int, proc failure.Process) (RunStats, er
 	if runs <= 0 {
 		return CampaignResult{}, fmt.Errorf("sim: run count must be positive, got %d", runs)
 	}
-	workers := opts.workerCount(runs)
+	shares := opts.shareRuns(runs, seed)
 	type partial struct {
 		res   []MCResult
 		delta []stats.Summary
 	}
-	parts := make([]partial, workers)
-	err := forWorkers(workers, runs, seed, func(w, count int, r *rng.Stream) error {
+	parts := make([]partial, len(shares))
+	err := par.Each(len(shares), len(shares), func(_, w int) error {
+		count, r := shares[w].count, shares[w].r
 		res := make([]MCResult, cands)
 		delta := make([]stats.Summary, cands)
 		makespans := make([]float64, cands)

@@ -38,12 +38,11 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/failure"
 	"repro/internal/fsx"
+	"repro/internal/par"
 	"repro/internal/rng"
 	"repro/internal/stats"
 )
@@ -349,34 +348,13 @@ func shardInMemory(plans [][]core.Segment, factory ProcessFactory, so ShardOptio
 	n := hi - lo
 	out := &ShardResult{Fingerprint: fp, Shard: shard, Blocks: make([]BlockAggregate, n)}
 	digests := make([][]*stats.TDigest, n)
-	workers := so.workerCount(n)
-	var next atomic.Int64
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				agg, dig, err := runBlock(plans, factory, so.Options, fp, lo+i, nil, nil)
-				if err != nil {
-					errs[w] = err
-					return
-				}
-				out.Blocks[i] = agg
-				digests[i] = dig
-			}
-		}(w)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	err := par.Each(so.Workers, n, func(_, i int) error {
+		agg, dig, err := runBlock(plans, factory, so.Options, fp, lo+i, nil, nil)
+		out.Blocks[i], digests[i] = agg, dig
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 	for _, dig := range digests {
 		out.Digests = foldBlockDigests(out.Digests, dig)
@@ -478,18 +456,10 @@ func shardWithSpill(plans [][]core.Segment, factory ProcessFactory, so ShardOpti
 	if err != nil {
 		return nil, err
 	}
-	if err := atomicWriteFile(resPath, data); err != nil {
+	if err := fsx.AtomicWriteFile(resPath, data); err != nil {
 		return nil, err
 	}
 	return out, nil
-}
-
-// atomicWriteFile writes data to path via fsx.AtomicWriteFile: temp file,
-// fsync, rename, directory fsync. A kill mid-write never leaves a
-// half-written result to be mistaken for a finished shard, and a host
-// crash after it returns cannot roll the file back to empty.
-func atomicWriteFile(path string, data []byte) error {
-	return fsx.AtomicWriteFile(path, data)
 }
 
 // MergeShards folds shard results into the campaign aggregate. Every
@@ -587,42 +557,17 @@ func CampaignPlansSharded(plans [][]core.Segment, factory ProcessFactory, so Sha
 		return CampaignResult{}, err
 	}
 	parts := make([]*ShardResult, fp.Shards)
+	workers := so.Workers
 	if so.SpillDir == "" {
-		for s := 0; s < fp.Shards; s++ {
-			parts[s], err = CampaignPlansShard(plans, factory, so, s)
-			if err != nil {
-				return CampaignResult{}, err
-			}
-		}
-		return MergeShards(parts)
+		workers = 1 // each shard spreads its blocks over the pool instead
 	}
-	workers := so.workerCount(fp.Shards)
-	errs := make([]error, workers)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for {
-				s := int(next.Add(1)) - 1
-				if s >= fp.Shards {
-					return
-				}
-				res, err := CampaignPlansShard(plans, factory, so, s)
-				if err != nil {
-					errs[w] = err
-					return
-				}
-				parts[s] = res
-			}
-		}(w)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return CampaignResult{}, err
-		}
+	err = par.Each(workers, fp.Shards, func(_, s int) error {
+		res, err := CampaignPlansShard(plans, factory, so, s)
+		parts[s] = res
+		return err
+	})
+	if err != nil {
+		return CampaignResult{}, err
 	}
 	return MergeShards(parts)
 }
@@ -655,7 +600,7 @@ func WriteCampaignManifest(dir string, fp CampaignFingerprint) error {
 	if err != nil {
 		return err
 	}
-	return atomicWriteFile(path, data)
+	return fsx.AtomicWriteFile(path, data)
 }
 
 // ReadCampaignManifest loads the fingerprint recorded in dir.

@@ -14,11 +14,10 @@ package sim
 import (
 	"errors"
 	"fmt"
-	"runtime"
-	"sync"
 
 	"repro/internal/core"
 	"repro/internal/failure"
+	"repro/internal/par"
 	"repro/internal/rng"
 	"repro/internal/stats"
 )
@@ -70,50 +69,27 @@ func (o Options) maxFailures() int {
 	return o.MaxFailures
 }
 
-// workerCount resolves the campaign fan-out for a given run count.
-func (o Options) workerCount(runs int) int {
-	w := o.Workers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if w > runs {
-		w = runs
-	}
-	return w
+// runShare is one worker's part of a campaign's static partition: its
+// run count and its own split of the seed stream.
+type runShare struct {
+	count int
+	r     *rng.Stream
 }
 
-// forWorkers partitions runs over the workers (first runs%workers workers
-// take one extra), derives one split stream per worker before any
-// goroutine starts (so the split order is deterministic), runs body on
-// each worker's goroutine, and returns the lowest-indexed worker error —
-// a deterministic choice, independent of completion order.
-func forWorkers(workers, runs int, seed *rng.Stream, body func(w, count int, r *rng.Stream) error) error {
-	streams := make([]*rng.Stream, workers)
-	for i := range streams {
-		streams[i] = seed.Split()
-	}
-	errs := make([]error, workers)
-	per := runs / workers
-	extra := runs % workers
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		count := per
-		if w < extra {
-			count++
-		}
-		wg.Add(1)
-		go func(w, count int) {
-			defer wg.Done()
-			errs[w] = body(w, count, streams[w])
-		}(w, count)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
+// shareRuns partitions runs over par.Workers(o.Workers, runs) workers
+// (the first runs%workers take one extra) and gives each one split of
+// seed, derived in worker order before any run starts, so the sampling
+// schedule depends only on the (seed, Workers) pair.
+func (o Options) shareRuns(runs int, seed *rng.Stream) []runShare {
+	workers := par.Workers(o.Workers, runs)
+	shares := make([]runShare, workers)
+	for w := range shares {
+		shares[w] = runShare{count: runs / workers, r: seed.Split()}
+		if w < runs%workers {
+			shares[w].count++
 		}
 	}
-	return nil
+	return shares
 }
 
 // Run executes the segments in sequence against proc. Each segment is
@@ -275,12 +251,13 @@ func MonteCarlo(segments []core.Segment, factory ProcessFactory, opts Options, r
 	if runs <= 0 {
 		return MCResult{}, fmt.Errorf("sim: run count must be positive, got %d", runs)
 	}
-	workers := opts.workerCount(runs)
-	parts := make([]MCResult, workers)
-	err := forWorkers(workers, runs, seed, func(w, count int, r *rng.Stream) error {
+	shares := opts.shareRuns(runs, seed)
+	parts := make([]MCResult, len(shares))
+	err := par.Each(len(shares), len(shares), func(_, w int) error {
 		var acc MCResult
 		var proc failure.Process
-		for i := 0; i < count; i++ {
+		r := shares[w].r
+		for i := 0; i < shares[w].count; i++ {
 			if res, ok := proc.(failure.Resettable); ok {
 				res.Reset()
 			} else {
