@@ -285,6 +285,39 @@ func table() []row {
 		})
 	}
 
+	// The live-set cost model on dag.Layered(n/10, 10, 0.3) at λ = 10⁻³:
+	// the per-order DP on the topological order, compiling a plan into a
+	// workload (the DP's plan up to n = 10⁴; at 10⁵ a checkpoint after
+	// every 4th position, so setup runs no DP), and the serial portfolio.
+	for _, n := range []int{1000, 10000} {
+		add("dag", fmt.Sprintf("dag_order_dp/model=live-set,n=%d", n), n, func(b *testing.B) {
+			g, m, order := layeredDAG(b, n)
+			loop(b, func() error { _, err := core.SolveOrderDP(g, order, m, core.LiveSetCosts{}); return err })
+		})
+	}
+	for _, n := range []int{1000, 10000, 100000} {
+		add("dag", fmt.Sprintf("dag_workload/n=%d", n), n, func(b *testing.B) {
+			g, m, order := layeredDAG(b, n)
+			plan := core.Plan{Order: order, CheckpointAfter: make([]bool, n)}
+			if n <= 10000 {
+				res, err := core.SolveOrderDP(g, order, m, core.LiveSetCosts{})
+				check(b, err)
+				plan = res.Plan()
+			} else {
+				for i := 3; i < n; i += 4 {
+					plan.CheckpointAfter[i] = true
+				}
+				plan.CheckpointAfter[n-1] = true
+			}
+			loop(b, func() error { _, err := exec.NewDAGWorkload(g, plan, core.LiveSetCosts{}); return err })
+		})
+	}
+	add("dag", "dag_portfolio/workers=1,n=2000", 2000, func(b *testing.B) {
+		g, m, _ := layeredDAG(b, 2000)
+		opts := core.Options{Workers: 1}
+		loop(b, func() error { _, err := core.SolveDAGWith(g, m, core.LiveSetCosts{}, opts); return err })
+	})
+
 	// BENCH_exec.json: the crash-safe runtime. One op = one complete
 	// execution of execChain, bare and through each checkpoint store (so
 	// the store rows read as persistence overhead), with the mem row
@@ -545,6 +578,18 @@ func e15Intree(b *testing.B, n int) (*dag.Graph, expectation.Model) {
 	m, err := expt.E15Model()
 	check(b, err)
 	return g, m
+}
+
+// layeredDAG is the live-set rows' workload: dag.Layered(n/10, 10, 0.3)
+// under failure rate 10⁻³ and downtime 0.5, with its topological order.
+func layeredDAG(b *testing.B, n int) (*dag.Graph, expectation.Model, []int) {
+	g, err := dag.Layered(n/10, 10, 0.3, dag.DefaultWeights(), rng.New(15))
+	check(b, err)
+	m, err := expectation.NewModel(1e-3, 0.5)
+	check(b, err)
+	order, err := g.TopologicalOrder()
+	check(b, err)
+	return g, m, order
 }
 
 func keyedSource() *exec.KeyedSource {

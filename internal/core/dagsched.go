@@ -2,6 +2,7 @@ package core
 
 import (
 	"container/heap"
+	"errors"
 	"fmt"
 
 	"repro/internal/dag"
@@ -10,22 +11,24 @@ import (
 )
 
 // CostModel abstracts what a checkpoint and a recovery cost on a
-// linearized DAG. The paper's base model (Section 2) charges the C_i/R_i
-// of the task right before the checkpoint; the Section 6 extension charges
-// a function of every live task — tasks executed in the segment whose
-// outputs are still needed.
+// linearized DAG. The set is closed: only LastTaskCosts and LiveSetCosts
+// satisfy it, and every solver dispatches on the two with one type
+// switch. The paper's base model (Section 2) charges the C_i/R_i of the
+// task right before the checkpoint; the Section 6 extension charges a
+// function of every live task — tasks executed in the segment whose
+// outputs are still needed. PlanSegments resolves either model's costs
+// for a checkpointed linearization.
 type CostModel interface {
-	// CheckpointCost returns the cost of a checkpoint taken after
-	// position end, when the current segment began at position start.
-	CheckpointCost(g *dag.Graph, order []int, start, end int) float64
-	// RecoveryCost returns the cost of recovering to the state
-	// checkpointed after position end.
-	RecoveryCost(g *dag.Graph, order []int, end int) float64
 	// InitialRecovery returns R₀, the restart cost before any checkpoint.
 	InitialRecovery() float64
 	// Name identifies the model in experiment tables.
 	Name() string
+	// costModel seals the set.
+	costModel()
 }
+
+// errNoCostModel rejects a nil CostModel.
+var errNoCostModel = errors.New("core: nil cost model")
 
 // LastTaskCosts is the paper's base cost model: C_j and R_j of the last
 // executed task j. For linear chains it is fully general (Section 6 notes
@@ -35,25 +38,13 @@ type LastTaskCosts struct {
 	R0 float64
 }
 
-// CheckpointCost returns C of the task at position end.
-func (lc LastTaskCosts) CheckpointCost(g *dag.Graph, order []int, _, end int) float64 {
-	return g.Task(order[end]).Checkpoint
-}
-
-// CheckpointCostStartIndependent reports that CheckpointCost ignores the
-// segment start, enabling the kernel fast path of SolveOrderDP.
-func (lc LastTaskCosts) CheckpointCostStartIndependent() bool { return true }
-
-// RecoveryCost returns R of the task at position end.
-func (lc LastTaskCosts) RecoveryCost(g *dag.Graph, order []int, end int) float64 {
-	return g.Task(order[end]).Recovery
-}
-
 // InitialRecovery returns R₀.
 func (lc LastTaskCosts) InitialRecovery() float64 { return lc.R0 }
 
 // Name implements CostModel.
 func (lc LastTaskCosts) Name() string { return "last-task" }
+
+func (LastTaskCosts) costModel() {}
 
 // LiveSetCosts is the Section 6 extension model: a checkpoint after
 // position end saves every task of the current segment whose output is
@@ -61,77 +52,10 @@ func (lc LastTaskCosts) Name() string { return "last-task" }
 // sinks (their outputs are final results). Checkpoint cost is the sum of
 // those tasks' C_i (the natural additive choice of f); recovery restores
 // the full live state, summing R_i over all live tasks of the prefix.
+// Both sums run in position order.
 type LiveSetCosts struct {
 	// R0 is the initial-recovery cost.
 	R0 float64
-}
-
-// liveAt reports whether the task at position i still has a live output
-// when the prefix [0, end] has executed.
-func liveAt(g *dag.Graph, order []int, executedBy []int, i, end int) bool {
-	id := order[i]
-	succ := g.Successors(id)
-	if len(succ) == 0 {
-		return true // sink: output is a final result
-	}
-	for _, s := range succ {
-		if executedBy[s] > end {
-			return true
-		}
-	}
-	return false
-}
-
-// positionsOf returns, for each task id, its position in order.
-func positionsOf(g *dag.Graph, order []int) []int {
-	pos := make([]int, g.Len())
-	for i, id := range order {
-		pos[id] = i
-	}
-	return pos
-}
-
-// CheckpointCost sums C_i over the live tasks of the segment [start, end].
-func (lv LiveSetCosts) CheckpointCost(g *dag.Graph, order []int, start, end int) float64 {
-	return lv.on(g, order).CheckpointCost(g, order, start, end)
-}
-
-// RecoveryCost sums R_i over every live task of the prefix [0, end].
-func (lv LiveSetCosts) RecoveryCost(g *dag.Graph, order []int, end int) float64 {
-	return lv.on(g, order).RecoveryCost(g, order, end)
-}
-
-// on binds the model to one order, computing its task positions once
-// for callers that evaluate many costs on that order.
-func (lv LiveSetCosts) on(g *dag.Graph, order []int) liveSetOnOrder {
-	return liveSetOnOrder{lv, positionsOf(g, order)}
-}
-
-// liveSetOnOrder is LiveSetCosts with the task positions of the order
-// its methods are called with.
-type liveSetOnOrder struct {
-	LiveSetCosts
-	pos []int
-}
-
-func (lo liveSetOnOrder) CheckpointCost(g *dag.Graph, order []int, start, end int) float64 {
-	var sum float64
-	for i := start; i <= end; i++ {
-		if liveAt(g, order, lo.pos, i, end) {
-			sum += g.Task(order[i]).Checkpoint
-		}
-	}
-	return sum
-}
-
-func (lo liveSetOnOrder) RecoveryCost(g *dag.Graph, order []int, end int) float64 {
-	var sum float64
-	for i := 0; i <= end; i++ {
-		if liveAt(g, order, lo.pos, i, end) {
-			sum += g.Task(order[i]).Recovery
-		}
-	}
-	return sum
 }
 
 // InitialRecovery returns R₀.
@@ -140,10 +64,66 @@ func (lv LiveSetCosts) InitialRecovery() float64 { return lv.R0 }
 // Name implements CostModel.
 func (lv LiveSetCosts) Name() string { return "live-set" }
 
-var (
-	_ CostModel = LastTaskCosts{}
-	_ CostModel = LiveSetCosts{}
-)
+func (LiveSetCosts) costModel() {}
+
+// liveIndex is the live-output bookkeeping of one linearization under
+// LiveSetCosts, shared by the live-set DP arm and PlanSegments: where
+// each task sits, when each position's output dies, and which outputs
+// die once a position has run. Its buffers are reused across orders.
+type liveIndex struct {
+	// pos[id] is the position of task id.
+	pos []int
+	// lastUse[i] is the position after which the output of position i
+	// is dead — its latest-scheduled successor — or n for sinks, whose
+	// outputs are final results and stay live.
+	lastUse []int
+	// The positions whose outputs die once position j has run are
+	// retired[retireOff[j]:retireOff[j+1]], in increasing order.
+	retireOff, retired []int
+}
+
+// build fills the index for order.
+func (li *liveIndex) build(g *dag.Graph, order []int) {
+	n := len(order)
+	li.pos = grow(li.pos, g.Len())
+	for i, id := range order {
+		li.pos[id] = i
+	}
+	li.lastUse = grow(li.lastUse, n)
+	li.retireOff = grow(li.retireOff, n+1)
+	clear(li.retireOff)
+	for i, id := range order {
+		last := n
+		if succ := g.Successors(id); len(succ) > 0 {
+			last = 0
+			for _, s := range succ {
+				last = max(last, li.pos[s])
+			}
+			li.retireOff[last+1]++
+		}
+		li.lastUse[i] = last
+	}
+	for j := 0; j < n; j++ {
+		li.retireOff[j+1] += li.retireOff[j]
+	}
+	// Counting sort by last use: retireOff[j] serves as the cursor of
+	// list j, so after the fill it holds the start of list j+1.
+	li.retired = grow(li.retired, li.retireOff[n])
+	for i, last := range li.lastUse {
+		if last < n {
+			li.retired[li.retireOff[last]] = i
+			li.retireOff[last]++
+		}
+	}
+	copy(li.retireOff[1:], li.retireOff[:n])
+	li.retireOff[0] = 0
+}
+
+// retiredAt returns the positions whose outputs die once position j has
+// run.
+func (li *liveIndex) retiredAt(j int) []int {
+	return li.retired[li.retireOff[j]:li.retireOff[j+1]]
+}
 
 // DAGResult is a full schedule for a DAG: the chosen linearization, the
 // optimal checkpoint placement for it, and the expected makespan.
@@ -163,33 +143,20 @@ func (r DAGResult) Plan() Plan {
 	return Plan{Order: append([]int(nil), r.Order...), CheckpointAfter: append([]bool(nil), r.CheckpointAfter...)}
 }
 
-// StartIndependentCosts is implemented by cost models whose
-// CheckpointCost ignores the segment start (it depends only on the end
-// position). For such models SolveOrderDP evaluates transitions through
-// the segment-expectation kernel — no transcendental calls in the inner
-// loop, plus exact monotone pruning.
-type StartIndependentCosts interface {
-	CostModel
-	// CheckpointCostStartIndependent reports whether CheckpointCost(g,
-	// order, start, end) is the same for every start.
-	CheckpointCostStartIndependent() bool
-}
-
 // SolveOrderDP computes the optimal checkpoint placement for a fixed
-// linearization of g under an arbitrary cost model: the Proposition 3
-// dynamic program generalized to segment-dependent checkpoint costs. The
+// linearization of g under either cost model: the Proposition 3 dynamic
+// program generalized to segment-dependent checkpoint costs. The
 // recovery cost of a segment depends only on where the previous checkpoint
 // sits, so optimal substructure is preserved and the DP stays exact for
 // the given order.
 //
-// Cost is O(n²) segment evaluations in general, accelerated per model:
-// start-independent models (StartIndependentCosts, e.g. LastTaskCosts)
-// run on the segment-expectation kernel with exact pruning, like
-// SolveChainDP; LiveSetCosts maintains live sets incrementally (O(total
-// out-degree) amortized per row instead of per-pair rescans) and prunes
-// with a work-only kernel bound. Either way the reported Expected is
-// re-accumulated over the chosen placement with the cost model's own
-// arithmetic, so accelerated and generic paths report comparable values.
+// Each model has its own arm: LastTaskCosts, whose checkpoint cost
+// ignores the segment start, runs on the segment-expectation kernel with
+// exact pruning, like SolveChainDP; LiveSetCosts maintains live sets
+// incrementally (O(total out-degree) amortized per row instead of
+// per-pair rescans) and prunes with a work-only kernel bound. Either way
+// the reported Expected is re-accumulated over the chosen placement from
+// PlanSegments' costs, segment + suffix association.
 func SolveOrderDP(g *dag.Graph, order []int, m expectation.Model, cm CostModel) (DAGResult, error) {
 	return solveOrderDPWith(g, order, m, cm, &orderScratch{})
 }
@@ -198,11 +165,11 @@ func SolveOrderDP(g *dag.Graph, order []int, m expectation.Model, cm CostModel) 
 // of a linearization whose prefix has already run: the SolveOrderDP
 // recurrence and arms restricted to the rows x ≥ from, with overhead
 // added to every checkpoint cost inside the decision only (an estimate
-// of what the store adds to each checkpoint). Every cost-model call is
-// made against the full order at absolute positions — a suffix
-// sub-order would distort live sets — and the returned segments carry
-// the model's true costs at those positions. SolveOrderDP is the
-// from = 0, overhead = 0 case.
+// of what the store adds to each checkpoint). Costs are taken against
+// the full order at absolute positions — a suffix sub-order would
+// distort live sets — and the returned segments carry PlanSegments'
+// true costs at those positions. SolveOrderDP is the from = 0,
+// overhead = 0 case.
 func SolveOrderSuffix(g *dag.Graph, order []int, m expectation.Model, cm CostModel, from int, overhead float64) ([]Segment, error) {
 	n := len(order)
 	if from < 0 || from >= n {
@@ -211,24 +178,132 @@ func SolveOrderSuffix(g *dag.Graph, order []int, m expectation.Model, cm CostMod
 	if !(overhead >= 0) {
 		return nil, fmt.Errorf("core: checkpoint overhead %v, want ≥ 0", overhead)
 	}
-	next, err := solveOrderNext(g, order, m, cm, &orderScratch{}, from, overhead)
+	sc := &orderScratch{}
+	next, err := solveOrderNext(g, order, m, cm, sc, from, overhead)
 	if err != nil {
 		return nil, err
 	}
-	if lv, ok := cm.(LiveSetCosts); ok {
-		cm = lv.on(g, order) // positions once per order, not per cost call
+	ckv := make([]bool, n)
+	for x := from; x < n; x = next[x] + 1 {
+		ckv[next[x]] = true
 	}
-	var segs []Segment
-	for x := from; x < n; {
-		j := next[x]
-		sg := Segment{Start: x, End: j, Checkpoint: cm.CheckpointCost(g, order, x, j), Recovery: recBeforeAt(g, order, cm, x)}
-		for i := x; i <= j; i++ {
+	return sc.segments(g, order, ckv, cm, from), nil
+}
+
+// PlanSegments costs the segments of a checkpointed linearization of g
+// under cm in one pass. Segments start at position from and after every
+// checkpoint at or past it, and end at the next checkpoint (positions
+// past the last checkpoint form no segment). Work sums the segment's
+// weights in position order; Checkpoint and Recovery are the model's
+// costs at absolute positions of the full order, Recovery being R₀ at
+// position 0, so a suffix is costed against the prefix that ran before
+// it. Under LiveSetCosts both are in-order sums over the live outputs,
+// the same terms in the same order as a per-segment rescan, in
+// O(n + e + Σ live outputs walked) time.
+func PlanSegments(g *dag.Graph, order []int, checkpointAfter []bool, cm CostModel, from int) ([]Segment, error) {
+	n := len(order)
+	switch {
+	case cm == nil:
+		return nil, errNoCostModel
+	case n != g.Len() || len(checkpointAfter) != n:
+		return nil, fmt.Errorf("%w: %d positions and %d checkpoint flags for %d tasks", ErrBadPlan, n, len(checkpointAfter), g.Len())
+	case from < 0 || from >= n:
+		return nil, fmt.Errorf("%w: segment start %d out of range [0, %d)", ErrBadPlan, from, n)
+	}
+	return (&orderScratch{}).segments(g, order, checkpointAfter, cm, from), nil
+}
+
+// segments is PlanSegments over the scratch's buffers; the result is
+// valid until the scratch's next use.
+func (sc *orderScratch) segments(g *dag.Graph, order []int, checkpointAfter []bool, cm CostModel, from int) []Segment {
+	count := 0
+	for _, ck := range checkpointAfter[from:] {
+		if ck {
+			count++
+		}
+	}
+	segs := grow(sc.segs, count)[:0]
+	start := from
+	for end := from; end < len(order); end++ {
+		if !checkpointAfter[end] {
+			continue
+		}
+		sg := Segment{Start: start, End: end}
+		for i := start; i <= end; i++ {
 			sg.Work += g.Task(order[i]).Weight
 		}
 		segs = append(segs, sg)
-		x = j + 1
+		start = end + 1
 	}
-	return segs, nil
+	switch cm := cm.(type) {
+	case LastTaskCosts:
+		for k := range segs {
+			sg := &segs[k]
+			sg.Checkpoint = g.Task(order[sg.End]).Checkpoint
+			sg.Recovery = cm.R0
+			if sg.Start > 0 {
+				sg.Recovery = g.Task(order[sg.Start-1]).Recovery
+			}
+		}
+	case LiveSetCosts:
+		sc.liveSetSegmentCosts(g, order, cm.R0, segs)
+	}
+	sc.segs = segs
+	return segs
+}
+
+// liveSetSegmentCosts fills the LiveSetCosts checkpoint and recovery
+// costs of segs (increasing, disjoint) in one pass over the order. The
+// checkpoint closing [x, j] sums C over the positions of [x, j] still
+// live once j has run. The recovery before x sums R over the live list:
+// the position-ordered outputs still live once x−1 has run, built by
+// appending each executed position and unlinking its retirements. The
+// list's leading run of sinks is frozen — sinks never retire and every
+// append lands at the tail — so its partial sum is carried from one
+// segment to the next and only the rest of the list is walked.
+func (sc *orderScratch) liveSetSegmentCosts(g *dag.Graph, order []int, r0 float64, segs []Segment) {
+	n := len(order)
+	li := &sc.live
+	li.build(g, order)
+	lastUse := li.lastUse
+	// Doubly linked over positions; n is the head sentinel.
+	sc.link = grow(sc.link, 2*(n+1))
+	prev, next := sc.link[:n+1], sc.link[n+1:]
+	prev[n], next[n] = n, n
+	// frozen is the last member of the sink run (n while it is empty).
+	frozen, frozenSum := n, 0.0
+	ran := 0 // positions [0, ran) have been appended
+	for k := range segs {
+		sg := &segs[k]
+		sg.Recovery = r0
+		if sg.Start > 0 {
+			for ; ran < sg.Start; ran++ {
+				prev[ran], next[ran] = prev[n], n
+				next[prev[n]] = ran
+				prev[n] = ran
+				for _, p := range li.retiredAt(ran) {
+					next[prev[p]] = next[p]
+					prev[next[p]] = prev[p]
+				}
+			}
+			for q := next[frozen]; q != n && lastUse[q] == n; q = next[q] {
+				frozenSum += g.Task(order[q]).Recovery
+				frozen = q
+			}
+			sum := frozenSum
+			for q := next[frozen]; q != n; q = next[q] {
+				sum += g.Task(order[q]).Recovery
+			}
+			sg.Recovery = sum
+		}
+		var ck float64
+		for i := sg.Start; i <= sg.End; i++ {
+			if lastUse[i] > sg.End {
+				ck += g.Task(order[i]).Checkpoint
+			}
+		}
+		sg.Checkpoint = ck
+	}
 }
 
 // orderScratch holds the reusable buffers of the per-order DPs. The
@@ -242,9 +317,11 @@ type orderScratch struct {
 	next                     []int
 	kern                     *expectation.SegmentKernel
 	// live-set path extras
-	pos, lastUse []int
-	cPos, rPos   []float64
-	retireAt     [][]int
+	live       liveIndex
+	cPos, rPos []float64
+	// segment ledger
+	segs []Segment
+	link []int
 }
 
 // grow returns s resized to n, reusing capacity when possible; grown
@@ -273,13 +350,13 @@ func solveOrderDPWith(g *dag.Graph, order []int, m expectation.Model, cm CostMod
 	if err != nil {
 		return DAGResult{}, err
 	}
-	return orderResult(g, order, m, cm, next), nil
+	return orderResult(g, order, m, cm, next, sc), nil
 }
 
 // solveOrderNext runs the per-order DP over the rows x ∈ [from, n) with
-// overhead added to each checkpoint cost, dispatching to the arm the
-// cost model allows. It returns next, where next[x] is the end of the
-// first segment of the optimal plan from x; entries below from are
+// overhead added to each checkpoint cost, dispatching to the cost
+// model's arm. It returns next, where next[x] is the end of the first
+// segment of the optimal plan from x; entries below from are
 // unspecified.
 func solveOrderNext(g *dag.Graph, order []int, m expectation.Model, cm CostModel, sc *orderScratch, from int, overhead float64) ([]int, error) {
 	if err := m.Validate(); err != nil {
@@ -292,24 +369,13 @@ func solveOrderNext(g *dag.Graph, order []int, m expectation.Model, cm CostModel
 	if n != g.Len() {
 		return nil, fmt.Errorf("core: order covers %d of %d tasks", n, g.Len())
 	}
-	if lv, ok := cm.(LiveSetCosts); ok {
-		return solveOrderDPLiveSet(g, order, m, lv, sc, from, overhead)
-	}
-	if si, ok := cm.(StartIndependentCosts); ok && si.CheckpointCostStartIndependent() {
+	switch cm := cm.(type) {
+	case LastTaskCosts:
 		return solveOrderDPKernel(g, order, m, cm, sc, from, overhead)
+	case LiveSetCosts:
+		return solveOrderDPLiveSet(g, order, m, cm, sc, from, overhead)
 	}
-	return solveOrderDPGeneric(g, order, m, cm, from, overhead), nil
-}
-
-// recBeforeAt returns the recovery cost in force for a segment starting
-// at position x: R₀ for x = 0, otherwise the cost model's recovery to
-// the checkpoint after x−1. Single source of truth for every
-// SolveOrderDP path.
-func recBeforeAt(g *dag.Graph, order []int, cm CostModel, x int) float64 {
-	if x == 0 {
-		return cm.InitialRecovery()
-	}
-	return cm.RecoveryCost(g, order, x-1)
+	return nil, errNoCostModel
 }
 
 // orderPrefix returns the weight prefix sums of a linearization.
@@ -321,22 +387,23 @@ func orderPrefix(g *dag.Graph, order []int) []float64 {
 	return prefix
 }
 
-// solveOrderDPKernel is the fast path for start-independent checkpoint
-// costs: per-position cost tables feed the segment-expectation kernel,
-// and the pruned scan mirrors SolveChainDP.
-func solveOrderDPKernel(g *dag.Graph, order []int, m expectation.Model, cm CostModel, sc *orderScratch, from int, overhead float64) ([]int, error) {
+// solveOrderDPKernel is the LastTaskCosts arm: per-position cost tables
+// feed the segment-expectation kernel, and the pruned scan mirrors
+// SolveChainDP.
+func solveOrderDPKernel(g *dag.Graph, order []int, m expectation.Model, lc LastTaskCosts, sc *orderScratch, from int, overhead float64) ([]int, error) {
 	n := len(order)
 	sc.weights = grow(sc.weights, n)
 	sc.ckpt = grow(sc.ckpt, n)
 	sc.rec = grow(sc.rec, n-1)
 	for i, id := range order {
-		sc.weights[i] = g.Task(id).Weight
-		sc.ckpt[i] = cm.CheckpointCost(g, order, i, i) + overhead
+		t := g.Task(id)
+		sc.weights[i] = t.Weight
+		sc.ckpt[i] = t.Checkpoint + overhead
 		if i < n-1 {
-			sc.rec[i] = cm.RecoveryCost(g, order, i)
+			sc.rec[i] = t.Recovery
 		}
 	}
-	kern, err := sc.reinitKernel(m, sc.weights, sc.ckpt, cm.InitialRecovery(), sc.rec)
+	kern, err := sc.reinitKernel(m, sc.weights, sc.ckpt, lc.R0, sc.rec)
 	if err != nil {
 		return nil, err
 	}
@@ -352,79 +419,42 @@ func solveOrderDPKernel(g *dag.Graph, order []int, m expectation.Model, cm CostM
 	return next, nil
 }
 
-// solveOrderDPGeneric is the unaccelerated DP over an arbitrary cost
-// model, paying one CheckpointCost call per transition.
-func solveOrderDPGeneric(g *dag.Graph, order []int, m expectation.Model, cm CostModel, from int, overhead float64) []int {
-	n := len(order)
-	prefix := orderPrefix(g, order)
-	best := make([]float64, n+1)
-	next := make([]int, n)
-	for x := n - 1; x >= from; x-- {
-		rec := recBeforeAt(g, order, cm, x)
-		best[x] = infinity
-		next[x] = n - 1
-		for j := x; j < n; j++ {
-			w := prefix[j+1] - prefix[x]
-			ck := cm.CheckpointCost(g, order, x, j) + overhead
-			cur := m.ExpectedTime(w, ck, rec) + best[j+1]
-			if cur < best[x] {
-				best[x] = cur
-				next[x] = j
-			}
-		}
-	}
-	return next
-}
-
 // orderResult reconstructs the checkpoint vector from a next[] table and
-// re-accumulates the expectation with the cost model's own arithmetic
-// (CheckpointCost/RecoveryCost per chosen segment, segment + suffix
-// association), so every SolveOrderDP path reports the value the generic
-// DP would.
-func orderResult(g *dag.Graph, order []int, m expectation.Model, cm CostModel, next []int) DAGResult {
+// re-accumulates the expectation over its PlanSegments costs (work as a
+// prefix difference, segment + suffix association), so both arms report
+// through the same arithmetic.
+func orderResult(g *dag.Graph, order []int, m expectation.Model, cm CostModel, next []int, sc *orderScratch) DAGResult {
 	n := len(order)
 	prefix := orderPrefix(g, order)
 	ckv := make([]bool, n)
-	for x := 0; x < n; {
-		j := next[x]
-		ckv[j] = true
-		x = j + 1
+	for x := 0; x < n; x = next[x] + 1 {
+		ckv[next[x]] = true
 	}
-	if lv, ok := cm.(LiveSetCosts); ok {
-		cm = lv.on(g, order) // positions once per order, not per cost call
-	}
+	segs := sc.segments(g, order, ckv, cm, 0)
 	total := 0.0
-	for j := n - 1; j >= 0; {
-		x := j
-		for x > 0 && !ckv[x-1] {
-			x--
-		}
-		rec := recBeforeAt(g, order, cm, x)
-		total = m.ExpectedTime(prefix[j+1]-prefix[x], cm.CheckpointCost(g, order, x, j), rec) + total
-		j = x - 1
+	for k := len(segs) - 1; k >= 0; k-- {
+		sg := segs[k]
+		total = m.ExpectedTime(prefix[sg.End+1]-prefix[sg.Start], sg.Checkpoint, sg.Recovery) + total
 	}
 	return DAGResult{Order: append([]int(nil), order...), CheckpointAfter: ckv, Expected: total}
 }
 
 // solveOrderDPLiveSet is the accelerated DP for the Section 6 live-set
 // cost model. Instead of recomputing live sets from scratch for every
-// (start, end) pair — which makes the generic DP effectively cubic — it
-// precomputes each position's last use (the latest-scheduled successor)
-// once, maintains the segment checkpoint cost incrementally while the
-// inner scan extends the segment (add the new task's C, retire tasks
-// whose last use is the new end), and computes all recovery costs in one
-// incremental sweep. Per row the cost work is O(scan length + retired
-// positions), i.e. O(total out-degree) amortized. The scan is pruned
-// with a work-only kernel bound: checkpoint costs and the suffix
+// (start, end) pair — which makes a plain DP effectively cubic — it
+// takes each position's last use (the latest-scheduled successor) from
+// the live index, maintains the segment checkpoint cost incrementally
+// while the inner scan extends the segment (add the new task's C, retire
+// tasks whose last use is the new end), and computes all recovery costs
+// in one incremental sweep. Per row the cost work is O(scan length +
+// retired positions), i.e. O(total out-degree) amortized. The scan is
+// pruned with a work-only kernel bound: checkpoint costs and the suffix
 // re-solve's overhead are nonnegative, so a zero-cost segment
 // expectation bounds the true one from below.
 func solveOrderDPLiveSet(g *dag.Graph, order []int, m expectation.Model, lv LiveSetCosts, sc *orderScratch, from int, overhead float64) ([]int, error) {
 	n := len(order)
-	sc.pos = grow(sc.pos, g.Len())
-	pos := sc.pos
-	for i, id := range order {
-		pos[id] = i
-	}
+	li := &sc.live
+	li.build(g, order)
 	sc.weights = grow(sc.weights, n)
 	sc.cPos = grow(sc.cPos, n)
 	sc.rPos = grow(sc.rPos, n)
@@ -435,40 +465,6 @@ func solveOrderDPLiveSet(g *dag.Graph, order []int, m expectation.Model, lv Live
 		cPos[i] = t.Checkpoint
 		rPos[i] = t.Recovery
 	}
-	// lastUse[i]: the position after which the output of the task at
-	// position i is dead — the maximum position of its successors, or n
-	// for sinks (final results stay live forever).
-	sc.lastUse = grow(sc.lastUse, n)
-	lastUse := sc.lastUse
-	for i, id := range order {
-		succ := g.Successors(id)
-		if len(succ) == 0 {
-			lastUse[i] = n
-			continue
-		}
-		last := 0
-		for _, s := range succ {
-			if pos[s] > last {
-				last = pos[s]
-			}
-		}
-		lastUse[i] = last
-	}
-	// retireAt[j]: positions whose output dies once position j has run.
-	if cap(sc.retireAt) >= n {
-		sc.retireAt = sc.retireAt[:n]
-		for i := range sc.retireAt {
-			sc.retireAt[i] = sc.retireAt[i][:0]
-		}
-	} else {
-		sc.retireAt = make([][]int, n)
-	}
-	retireAt := sc.retireAt
-	for i, last := range lastUse {
-		if last < n {
-			retireAt[last] = append(retireAt[last], i)
-		}
-	}
 	// All recovery costs in one incremental sweep: rec(end) adds the
 	// task that just ran (its output is always live at its own position)
 	// and retires outputs last used at end.
@@ -477,7 +473,7 @@ func solveOrderDPLiveSet(g *dag.Graph, order []int, m expectation.Model, lv Live
 	acc := 0.0
 	for end := 0; end < n-1; end++ {
 		acc += rPos[end]
-		for _, p := range retireAt[end] {
+		for _, p := range li.retiredAt(end) {
 			acc -= rPos[p]
 		}
 		recAfter[end] = acc
@@ -486,10 +482,8 @@ func solveOrderDPLiveSet(g *dag.Graph, order []int, m expectation.Model, lv Live
 	// bound on every live-set segment expectation, which drives pruning;
 	// SegmentWithCost supplies the exact per-transition value.
 	sc.ckpt = grow(sc.ckpt, n)
-	for i := range sc.ckpt {
-		sc.ckpt[i] = 0
-	}
-	kern, err := sc.reinitKernel(m, weights, sc.ckpt, lv.InitialRecovery(), recAfter)
+	clear(sc.ckpt)
+	kern, err := sc.reinitKernel(m, weights, sc.ckpt, lv.R0, recAfter)
 	if err != nil {
 		return nil, err
 	}
@@ -507,7 +501,7 @@ func solveOrderDPLiveSet(g *dag.Graph, order []int, m expectation.Model, lv Live
 			// Extend the segment to j: the new task's output is live, and
 			// outputs last used at j retire (if they joined at ≥ x).
 			ckCost += cPos[j]
-			for _, p := range retireAt[j] {
+			for _, p := range li.retiredAt(j) {
 				if p >= x {
 					ckCost -= cPos[p]
 				}
@@ -591,7 +585,6 @@ func MinLiveSetStrategy() LinearizationStrategy {
 			for i := 0; i < n; i++ {
 				indeg[i] = len(g.Predecessors(i))
 			}
-			live := 0
 			order := make([]int, 0, n)
 			for len(order) < n {
 				bestID, bestDelta := -1, 0
@@ -617,7 +610,6 @@ func MinLiveSetStrategy() LinearizationStrategy {
 				}
 				executed[bestID] = true
 				order = append(order, bestID)
-				live += bestDelta
 				for _, p := range g.Predecessors(bestID) {
 					doneSucc[p]++
 				}
@@ -792,11 +784,11 @@ func SolveDAGWith(g *dag.Graph, m expectation.Model, cm CostModel, opts Options)
 // instead of materialized, and the per-order DP reuses one scratch
 // across all orders.
 //
-// For the order-free cost models (LastTaskCosts, LiveSetCosts) the
-// reported Expected is re-accumulated through the canonical
-// downset-chain arithmetic (see downsetChainValue), making it
-// bit-comparable to SolveDAGLattice: both solvers evaluate the same
-// mathematical optimum through the same expression tree.
+// Both cost models are order-free, so the reported Expected is
+// re-accumulated through the canonical downset-chain arithmetic (see
+// downsetChainValue), making it bit-comparable to SolveDAGLattice: both
+// solvers evaluate the same mathematical optimum through the same
+// expression tree.
 func SolveDAGExhaustive(g *dag.Graph, m expectation.Model, cm CostModel, limit int) (DAGResult, error) {
 	if g.Len() == 0 {
 		return DAGResult{}, fmt.Errorf("core: empty graph")

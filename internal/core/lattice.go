@@ -126,13 +126,12 @@ type chainSegment struct {
 }
 
 // SolveDAGLattice computes the globally optimal linearization-plus-
-// placement schedule of a DAG under an order-free cost model
-// (LastTaskCosts or LiveSetCosts) by dynamic programming over the
-// downset lattice. It returns the same optimum as SolveDAGExhaustive —
-// bit-identical, both report through downsetChainValue — at a cost of
-// O(states · segments) instead of O(n! · n²). Graphs beyond
-// dag.MaxLatticeTasks tasks or cost models with order-dependent costs
-// are rejected.
+// placement schedule of a DAG under either cost model (both are
+// order-free) by dynamic programming over the downset lattice. It
+// returns the same optimum as SolveDAGExhaustive — bit-identical, both
+// report through downsetChainValue — at a cost of O(states · segments)
+// instead of O(n! · n²). Graphs beyond dag.MaxLatticeTasks tasks are
+// rejected.
 func SolveDAGLattice(g *dag.Graph, m expectation.Model, cm CostModel, opts Options) (DAGResult, error) {
 	res, _, err := SolveDAGLatticeStats(g, m, cm, opts)
 	return res, err
@@ -157,7 +156,7 @@ func SolveDAGLatticeStats(g *dag.Graph, m expectation.Model, cm CostModel, opts 
 		liveSet = true
 		r0 = model.R0
 	default:
-		return DAGResult{}, stats, fmt.Errorf("core: lattice solver needs an order-free cost model (last-task or live-set), got %s", cm.Name())
+		return DAGResult{}, stats, errNoCostModel
 	}
 	lat, err := g.Lattice()
 	if err != nil {
@@ -619,15 +618,9 @@ func liveMaskSum(g *dag.Graph, succ []uint64, members, exec uint64, recovery boo
 
 // canonicalValue maps a per-order DAG result onto its downset chain and
 // re-reports its value through downsetChainValue. It returns ok=false
-// for cost models without set semantics and for graphs beyond the
-// lattice's task cap, in which case the caller keeps the positional
-// value.
+// for graphs beyond the lattice's task cap, in which case the caller
+// keeps the positional value.
 func canonicalValue(g *dag.Graph, m expectation.Model, cm CostModel, res DAGResult) (float64, bool) {
-	switch cm.(type) {
-	case LastTaskCosts, LiveSetCosts:
-	default:
-		return 0, false
-	}
 	lat, err := g.Lattice()
 	if err != nil {
 		return 0, false

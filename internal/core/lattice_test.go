@@ -267,7 +267,7 @@ func TestLatticeInfiniteOptimum(t *testing.T) {
 	}
 }
 
-// TestLatticeGuards covers the error surface: unsupported cost models,
+// TestLatticeGuards covers the error surface: a nil cost model,
 // empty and oversized graphs, and the state budget.
 func TestLatticeGuards(t *testing.T) {
 	m := mustModelT(t, 0.05, 0)
@@ -278,8 +278,8 @@ func TestLatticeGuards(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := SolveDAGLattice(g, m, fixedCosts{}, Options{}); err == nil {
-		t.Error("order-dependent cost model accepted")
+	if _, err := SolveDAGLattice(g, m, nil, Options{}); err == nil {
+		t.Error("nil cost model accepted")
 	}
 	big, err := dag.Independent(65, dag.DefaultWeights(), rng.New(77))
 	if err != nil {
@@ -296,15 +296,6 @@ func TestLatticeGuards(t *testing.T) {
 		t.Error("state budget not enforced")
 	}
 }
-
-// fixedCosts is a deliberately order-dependent cost model for the guard
-// test.
-type fixedCosts struct{}
-
-func (fixedCosts) CheckpointCost(g *dag.Graph, order []int, start, end int) float64 { return 1 }
-func (fixedCosts) RecoveryCost(g *dag.Graph, order []int, end int) float64          { return 1 }
-func (fixedCosts) InitialRecovery() float64                                         { return 0 }
-func (fixedCosts) Name() string                                                     { return "fixed" }
 
 // TestSolveDAGWithParallelMatchesSerial pins the parallel portfolio
 // against the serial one bit-for-bit, including the strategy label.

@@ -39,7 +39,7 @@ func TestLiveSetDPMatchesGeneric(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			fast := orderResult(g, order, m, lv, next)
+			fast := orderResult(g, order, m, lv, next, &orderScratch{})
 			slow := genericOrderResult(g, order, m, lv)
 			if numeric.RelErr(fast.Expected, slow.Expected) > 1e-11 {
 				t.Fatalf("builder %d λ=%v: live-set %v vs generic %v", bi, m.Lambda, fast.Expected, slow.Expected)
@@ -57,9 +57,14 @@ func TestLiveSetDPMatchesGeneric(t *testing.T) {
 	}
 }
 
-// genericOrderResult is the whole-order generic DP's result.
+// genericOrderResult is the result of the whole-order reference
+// recurrence's plan.
 func genericOrderResult(g *dag.Graph, order []int, m expectation.Model, cm CostModel) DAGResult {
-	return orderResult(g, order, m, cm, solveOrderDPGeneric(g, order, m, cm, 0, 0))
+	next := make([]int, len(order))
+	for _, sg := range referenceSuffix(g, order, m, cm, 0, 0) {
+		next[sg.Start] = sg.End
+	}
+	return orderResult(g, order, m, cm, next, &orderScratch{})
 }
 
 // TestSolveOrderDPDispatch ensures the public entry point routes each

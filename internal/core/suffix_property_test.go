@@ -11,18 +11,16 @@ import (
 	"repro/internal/rng"
 )
 
-// referenceSuffix is the plain suffix recurrence SolveOrderSuffix must
-// reproduce: E[x] = min over j ≥ x of ExpectedTime(w(x..j), C(x, j) +
-// overhead, R(x)) + E[j+1] for x ≥ from, every cost-model call against
-// the full order at absolute positions, no pruning and no kernel; the
-// argmin segmentation is rebuilt with the true costs.
+// referenceSuffix is the plain recurrence every per-order DP arm must
+// reproduce, the whole-order DP being the from = 0, overhead = 0 case:
+// E[x] = min over j ≥ x of ExpectedTime(w(x..j), C(x, j) + overhead,
+// R(x)) + E[j+1] for x ≥ from, every cost a per-segment rescan against
+// the full order at absolute positions, no pruning and no kernel. The
+// argmin segmentation is rebuilt with the rescans' true costs.
 func referenceSuffix(g *dag.Graph, order []int, m expectation.Model, cm CostModel, from int, overhead float64) []Segment {
 	n := len(order)
-	weights := make([]float64, n)
-	for i, id := range order {
-		weights[i] = g.Task(id).Weight
-	}
 	best := make([]float64, n-from+1)
+	ckv := make([]bool, n)
 	choice := make([]int, n-from)
 	for x := n - 1; x >= from; x-- {
 		rec := recBeforeAt(g, order, cm, x)
@@ -30,8 +28,8 @@ func referenceSuffix(g *dag.Graph, order []int, m expectation.Model, cm CostMode
 		var w float64
 		cx := n - 1
 		for j := x; j < n; j++ {
-			w += weights[j]
-			c := cm.CheckpointCost(g, order, x, j) + overhead
+			w += g.Task(order[j]).Weight
+			c := rescan(cm).CheckpointCost(g, order, x, j) + overhead
 			v := m.ExpectedTime(w, c, rec) + best[j+1-from]
 			if v < bx {
 				bx = v
@@ -41,21 +39,10 @@ func referenceSuffix(g *dag.Graph, order []int, m expectation.Model, cm CostMode
 		best[x-from] = bx
 		choice[x-from] = cx
 	}
-	var segs []Segment
-	for x := from; x < n; {
-		j := choice[x-from]
-		var w float64
-		for i := x; i <= j; i++ {
-			w += weights[i]
-		}
-		segs = append(segs, Segment{
-			Start: x, End: j, Work: w,
-			Checkpoint: cm.CheckpointCost(g, order, x, j),
-			Recovery:   recBeforeAt(g, order, cm, x),
-		})
-		x = j + 1
+	for x := from; x < n; x = choice[x-from] + 1 {
+		ckv[choice[x-from]] = true
 	}
-	return segs
+	return rescanSegments(g, order, ckv, cm, from)
 }
 
 // decisionValue evaluates a suffix plan the way the DP decides it:
@@ -154,7 +141,7 @@ func checkSuffix(t *testing.T, tag string, g *dag.Graph, order []int, m expectat
 		if sg.Start != next || sg.End < sg.Start {
 			t.Fatalf("%s: segments do not cover [%d, %d]: %+v", tag, from, len(order)-1, got)
 		}
-		if c := cm.CheckpointCost(g, order, sg.Start, sg.End); sg.Checkpoint != c {
+		if c := rescan(cm).CheckpointCost(g, order, sg.Start, sg.End); sg.Checkpoint != c {
 			t.Fatalf("%s: [%d,%d] checkpoint %v, want true cost %v", tag, sg.Start, sg.End, sg.Checkpoint, c)
 		}
 		if rec := recBeforeAt(g, order, cm, sg.Start); sg.Recovery != rec {

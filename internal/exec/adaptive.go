@@ -311,7 +311,7 @@ func (ex *executor) maybeReplan(s int) error {
 	if ad.Replanner == nil || ad.ReplanRatio <= 1 || ex.baseCost <= 0 {
 		return nil
 	}
-	from := ex.segEnd[s] + 1
+	from := ex.segs[s].End + 1
 	if from >= len(ex.w.Order) {
 		return nil
 	}
@@ -341,14 +341,14 @@ func (ex *executor) maybeReplan(s int) error {
 
 // spliceAt replaces every segment at or past position from with segs,
 // validating that the splice covers [from, n−1] contiguously. The
-// executor's segment arrays are private copies, so splicing never
-// mutates the (possibly shared) Workload.
+// executor's segment slice is a private copy after a splice, so
+// splicing never mutates the (possibly shared) Workload.
 func (ex *executor) spliceAt(from int, segs []core.Segment) error {
 	cut := 0
 	if from > 0 {
 		cut = -1
-		for i := range ex.segEnd {
-			if ex.segEnd[i] == from-1 {
+		for i, sg := range ex.segs {
+			if sg.End == from-1 {
 				cut = i + 1
 				break
 			}
@@ -371,17 +371,7 @@ func (ex *executor) spliceAt(from int, segs []core.Segment) error {
 	if want != len(ex.w.Order) {
 		return fmt.Errorf("exec: splice at frontier %d ends at %d, want %d", from, want-1, len(ex.w.Order)-1)
 	}
-	nStart := append(make([]int, 0, cut+len(segs)), ex.segStart[:cut]...)
-	nEnd := append(make([]int, 0, cut+len(segs)), ex.segEnd[:cut]...)
-	nCkpt := append(make([]float64, 0, cut+len(segs)), ex.segCkpt[:cut]...)
-	nRec := append(make([]float64, 0, cut+len(segs)), ex.segRec[:cut]...)
-	for _, sg := range segs {
-		nStart = append(nStart, sg.Start)
-		nEnd = append(nEnd, sg.End)
-		nCkpt = append(nCkpt, sg.Checkpoint)
-		nRec = append(nRec, sg.Recovery)
-	}
-	ex.segStart, ex.segEnd, ex.segCkpt, ex.segRec = nStart, nEnd, nCkpt, nRec
+	ex.segs = append(append(make([]core.Segment, 0, cut+len(segs)), ex.segs[:cut]...), segs...)
 	return nil
 }
 

@@ -227,10 +227,10 @@ func checkCover(t *testing.T, segs []core.Segment, from, last int) {
 	}
 }
 
-// TestOrderReplannerBothModels pins the DAG suffix replanner under a
-// start-independent model (the kernel arm) and the general live-set
-// model (incremental live sets over the full order): contiguous cover
-// and true absolute-position costs.
+// TestOrderReplannerBothModels pins the DAG suffix replanner under the
+// last-task model (the kernel arm) and the live-set model (incremental
+// live sets over the full order): contiguous cover and the segment
+// ledger's absolute-position costs.
 func TestOrderReplannerBothModels(t *testing.T) {
 	g, _ := diamondDAG(t)
 	order, err := g.TopologicalOrder()
@@ -250,17 +250,17 @@ func TestOrderReplannerBothModels(t *testing.T) {
 					t.Fatal(err)
 				}
 				checkCover(t, segs, from, len(order)-1)
+				ckv := make([]bool, len(order))
 				for _, sg := range segs {
-					if want := cm.CheckpointCost(g, order, sg.Start, sg.End); sg.Checkpoint != want {
-						t.Fatalf("[%d,%d]: checkpoint %v, want %v (absolute-position cost)",
-							sg.Start, sg.End, sg.Checkpoint, want)
-					}
-					wantRec := cm.InitialRecovery()
-					if sg.Start > 0 {
-						wantRec = cm.RecoveryCost(g, order, sg.Start-1)
-					}
-					if sg.Recovery != wantRec {
-						t.Fatalf("[%d,%d]: recovery %v, want %v", sg.Start, sg.End, sg.Recovery, wantRec)
+					ckv[sg.End] = true
+				}
+				want, err := core.PlanSegments(g, order, ckv, cm, from)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i, sg := range segs {
+					if sg != want[i] {
+						t.Fatalf("segment %d is %+v, want %+v (absolute-position costs)", i, sg, want[i])
 					}
 				}
 			}
@@ -528,4 +528,37 @@ func TestAdaptiveQuotaPermanent(t *testing.T) {
 		}
 	}
 	t.Fatal("no permanent save-result event in journal")
+}
+
+// TestDAGWorkloadAllocs guards NewDAGWorkload against a return to
+// per-segment cost calls: compiling a 10,000-task live-set plan costs a
+// bounded number of allocations, not a few per segment.
+func TestDAGWorkloadAllocs(t *testing.T) {
+	g, err := dag.Layered(1000, 10, 0.3, dag.DefaultWeights(), rng.New(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := expectation.NewModel(1e-3, 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cm := core.LiveSetCosts{R0: 0.5}
+	order, err := g.TopologicalOrder()
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := core.SolveOrderDP(g, order, m, cm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := res.Plan()
+	allocs := testing.AllocsPerRun(3, func() {
+		if _, err := NewDAGWorkload(g, plan, cm); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("NewDAGWorkload: %v allocations for %d segments", allocs, plan.NumCheckpoints())
+	if allocs > 64 {
+		t.Fatalf("NewDAGWorkload makes %v allocations, want ≤ 64", allocs)
+	}
 }

@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/core"
 	"repro/internal/store"
 )
 
@@ -177,10 +178,9 @@ type executor struct {
 	budget  int
 
 	// Executor-local segment layout. Initially aliases the Workload's
-	// arrays; online replans replace the slices wholesale (spliceAt), so
-	// the shared Workload is never mutated.
-	segStart, segEnd []int
-	segCkpt, segRec  []float64
+	// segments; online replans replace the slice wholesale (spliceAt),
+	// so the shared Workload is never mutated.
+	segs []core.Segment
 
 	store store.Store // active store (primary, or secondary after failover)
 	retry RetryPolicy // Adaptive.Retry, or FixedRetry{SaveRetries}
@@ -231,11 +231,7 @@ func Execute(w *Workload, src Source, opts Options) (*Result, error) {
 		retry:  FixedRetry{Attempts: opts.SaveRetries},
 
 		coreRecord: coreRecord{jhash: fnvOffset64},
-
-		segStart: w.segStart,
-		segEnd:   w.segEnd,
-		segCkpt:  w.segCkpt,
-		segRec:   w.segRec,
+		segs:       w.segs,
 	}
 	if opts.Adaptive != nil {
 		if opts.Store == nil {
@@ -313,7 +309,7 @@ func Execute(w *Workload, src Source, opts Options) (*Result, error) {
 				return err
 			}
 		}
-		for s := startSeg; s < len(ex.segStart); s++ {
+		for s := startSeg; s < len(ex.segs); s++ {
 			if err := ex.runSegment(s); err != nil {
 				return err
 			}
@@ -412,7 +408,7 @@ func (ex *executor) piece(d float64) (done bool, err error) {
 	ex.t += ex.opts.Downtime
 	ex.met.Downtime += ex.opts.Downtime
 	// Recovery: failures possible; repeat until one completes.
-	rec := ex.segRec[ex.curSeg]
+	rec := ex.segs[ex.curSeg].Recovery
 	for {
 		if next := ex.src.NextFailure(); next >= rec {
 			ex.src.Advance(rec)
@@ -446,7 +442,7 @@ func (ex *executor) strike() error {
 // restarting the attempt from the segment start after every failure.
 func (ex *executor) runSegment(s int) error {
 	ex.curSeg = s
-	start, end := ex.segStart[s], ex.segEnd[s]
+	start, end := ex.segs[s].Start, ex.segs[s].End
 	for {
 		ex.attempt = 0
 		if err := ex.event(Event{Kind: EvSegmentStart, Time: ex.t, Arg: int32(start)}); err != nil {
@@ -469,7 +465,7 @@ func (ex *executor) runSegment(s int) error {
 		if failed {
 			continue
 		}
-		done, err := ex.piece(ex.segCkpt[s])
+		done, err := ex.piece(ex.segs[s].Checkpoint)
 		if err != nil {
 			return err
 		}

@@ -24,10 +24,8 @@ type Workload struct {
 	// Weights[i] is the work of the task at position i.
 	Weights []float64
 
-	// Per-segment views, segment s covering positions
-	// [segStart[s], segEnd[s]].
-	segStart, segEnd []int
-	segCkpt, segRec  []float64
+	// segs are the segments in position order, costs resolved.
+	segs []core.Segment
 
 	fp uint64
 }
@@ -53,90 +51,54 @@ func NewChainWorkload(cp *core.ChainProblem, checkpointAfter []bool) (*Workload,
 	for i := range w.Order {
 		w.Order[i] = i
 	}
-	w.setSegments(segs)
+	w.segs = segs
 	w.fp = w.fingerprint()
 	return w, nil
 }
 
 // NewDAGWorkload compiles a DAG plan into a workload under the given
-// cost model: segment [x, j] pays cm.CheckpointCost(g, order, x, j) and
-// recovers at cm.InitialRecovery() for x = 0, cm.RecoveryCost(g, order,
-// x−1) otherwise — the same costs the DAG schedulers optimize, so
-// Planned matches the solver's Expected for the same plan.
+// cost model: core.PlanSegments resolves every segment's checkpoint and
+// recovery cost in one pass, the costs the DAG schedulers optimize, so
+// Planned agrees with the solver's Expected for the same plan up to
+// rounding (see Planned).
 func NewDAGWorkload(g *dag.Graph, plan core.Plan, cm core.CostModel) (*Workload, error) {
 	if err := plan.Validate(g); err != nil {
 		return nil, err
 	}
-	n := len(plan.Order)
+	segs, err := core.PlanSegments(g, plan.Order, plan.CheckpointAfter, cm, 0)
+	if err != nil {
+		return nil, err
+	}
 	w := &Workload{
 		Order:           append([]int(nil), plan.Order...),
 		CheckpointAfter: append([]bool(nil), plan.CheckpointAfter...),
-		Weights:         make([]float64, n),
+		Weights:         make([]float64, len(plan.Order)),
+		segs:            segs,
 	}
 	for i, id := range plan.Order {
 		w.Weights[i] = g.Task(id).Weight
 	}
-	var segs []core.Segment
-	start := 0
-	for i := 0; i < n; i++ {
-		if !plan.CheckpointAfter[i] {
-			continue
-		}
-		seg := core.Segment{
-			Start:      start,
-			End:        i,
-			Checkpoint: cm.CheckpointCost(g, plan.Order, start, i),
-		}
-		if start == 0 {
-			seg.Recovery = cm.InitialRecovery()
-		} else {
-			seg.Recovery = cm.RecoveryCost(g, plan.Order, start-1)
-		}
-		segs = append(segs, seg)
-		start = i + 1
-	}
-	w.setSegments(segs)
 	w.fp = w.fingerprint()
 	return w, nil
-}
-
-// setSegments fills the per-segment arrays from core segments.
-func (w *Workload) setSegments(segs []core.Segment) {
-	w.segStart = make([]int, len(segs))
-	w.segEnd = make([]int, len(segs))
-	w.segCkpt = make([]float64, len(segs))
-	w.segRec = make([]float64, len(segs))
-	for s, seg := range segs {
-		w.segStart[s] = seg.Start
-		w.segEnd[s] = seg.End
-		w.segCkpt[s] = seg.Checkpoint
-		w.segRec[s] = seg.Recovery
-	}
 }
 
 // Len returns the number of positions.
 func (w *Workload) Len() int { return len(w.Order) }
 
 // Segments returns the number of segments (= checkpoints in the plan).
-func (w *Workload) Segments() int { return len(w.segStart) }
+func (w *Workload) Segments() int { return len(w.segs) }
 
-// SegmentWork returns Σ weights over segment s.
-func (w *Workload) SegmentWork(s int) float64 {
-	var sum float64
-	for i := w.segStart[s]; i <= w.segEnd[s]; i++ {
-		sum += w.Weights[i]
-	}
-	return sum
-}
-
-// Planned returns the plan's exact expected makespan under m: the sum
-// of Proposition 1 over segments, identical term-for-term to
-// core.ChainProblem.Makespan (chains) and to the DAG solvers' Expected
-// (DAG plans compiled with the same cost model).
+// Planned returns the plan's exact expected makespan under m: the
+// forward sum of Proposition 1 over segments, identical term-for-term
+// to core.ChainProblem.Makespan (chains). For DAG plans it agrees with
+// the solvers' Expected to rounding only, because the solvers sum
+// segment work as prefix differences and associate right to left: the
+// relative gap is ~1e-15 at 10³ tasks and ~1e-14 at 10⁴ on layered
+// graphs (E18 checks agreement to 1e-9).
 func (w *Workload) Planned(m expectation.Model) float64 {
 	var total float64
-	for s := range w.segStart {
-		total += m.ExpectedTime(w.SegmentWork(s), w.segCkpt[s], w.segRec[s])
+	for _, sg := range w.segs {
+		total += m.ExpectedTime(sg.Work, sg.Checkpoint, sg.Recovery)
 	}
 	return total
 }
@@ -146,10 +108,10 @@ func (w *Workload) Planned(m expectation.Model) float64 {
 // original plan so later splices never move it.
 func (w *Workload) meanCheckpointCost() float64 {
 	var sum float64
-	for _, c := range w.segCkpt {
-		sum += c
+	for _, sg := range w.segs {
+		sum += sg.Checkpoint
 	}
-	return sum / float64(len(w.segCkpt))
+	return sum / float64(len(w.segs))
 }
 
 // Fingerprint identifies the workload (order, weights, checkpoint
@@ -178,28 +140,18 @@ func (w *Workload) fingerprint() uint64 {
 	for _, wt := range w.Weights {
 		wr(math.Float64bits(wt))
 	}
-	wr(uint64(len(w.segStart)))
-	for s := range w.segStart {
-		wr(math.Float64bits(w.segCkpt[s]))
-		wr(math.Float64bits(w.segRec[s]))
+	wr(uint64(len(w.segs)))
+	for _, sg := range w.segs {
+		wr(math.Float64bits(sg.Checkpoint))
+		wr(math.Float64bits(sg.Recovery))
 	}
 	return h.Sum64()
 }
 
-// CoreSegments returns the workload's segments in core form, for
-// callers that want to drive sim.Run on the identical segmentation.
+// CoreSegments returns a copy of the workload's segments, for callers
+// that want to drive sim.Run on the identical segmentation.
 func (w *Workload) CoreSegments() []core.Segment {
-	segs := make([]core.Segment, w.Segments())
-	for s := range segs {
-		segs[s] = core.Segment{
-			Start:      w.segStart[s],
-			End:        w.segEnd[s],
-			Work:       w.SegmentWork(s),
-			Checkpoint: w.segCkpt[s],
-			Recovery:   w.segRec[s],
-		}
-	}
-	return segs
+	return append([]core.Segment(nil), w.segs...)
 }
 
 // String summarizes the workload.
