@@ -312,6 +312,21 @@ func table() []row {
 			loop(b, func() error { _, err := exec.NewDAGWorkload(g, plan, core.LiveSetCosts{}); return err })
 		})
 	}
+	// Building the graph every planning path reads first: a
+	// DefaultWeights chain at 10⁴–10⁶ tasks (E13/E16's and perfbench
+	// plan's workflow) and layeredDAG's 10⁵-task shape, each op one
+	// complete generator call.
+	for _, n := range []int{10000, 100000, 1000000} {
+		add("dag", fmt.Sprintf("dag_build/kind=chain,n=%d", n), n, func(b *testing.B) {
+			loop(b, func() error { _, err := dag.Chain(n, dag.DefaultWeights(), rng.New(15)); return err })
+		})
+	}
+	add("dag", "dag_build/kind=layered,n=100000", 100000, func(b *testing.B) {
+		loop(b, func() error {
+			_, err := dag.Layered(10000, 10, 0.3, dag.DefaultWeights(), rng.New(15))
+			return err
+		})
+	})
 	add("dag", "dag_portfolio/workers=1,n=2000", 2000, func(b *testing.B) {
 		g, m, _ := layeredDAG(b, 2000)
 		opts := core.Options{Workers: 1}

@@ -153,15 +153,26 @@ func prunedRow(kern *expectation.SegmentKernel, x int, tail []float64) (float64,
 	bestE := infinity
 	bestJ := n - 1
 	var scanned int64
+	seg := kern.Segment(x, x)
 	for j := x; j < n; j++ {
 		scanned++
-		cur := kern.Segment(x, j) + tail[j+1]
+		cur := seg + tail[j+1]
 		if cur < bestE {
 			bestE = cur
 			bestJ = j
 		}
-		if j+1 < n && kern.Bound(x, j+1) >= bestE*slack {
+		if j+1 == n {
 			break
+		}
+		// The bound is Segment(x, end); when end is the next candidate,
+		// as it is wherever the end table increases, it is that
+		// candidate's segment term too.
+		end := kern.BoundEnd(j + 1)
+		if seg = kern.Segment(x, end); seg >= bestE*slack {
+			break
+		}
+		if end != j+1 {
+			seg = kern.Segment(x, j+1)
 		}
 	}
 	return bestE, bestJ, scanned

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
 
@@ -624,24 +623,66 @@ func MinLiveSetStrategy() LinearizationStrategy {
 
 // readyQueue is a min-heap of ready task IDs ordered by a strategy's
 // comparison function (each strategy's less is a total order thanks to
-// its ID tie-break, so the pop sequence is deterministic).
+// its ID tie-break, so the pop sequence is deterministic). Its init,
+// push and pop are container/heap's Init, Push and Pop, step for step,
+// on a typed slice, so no ID is boxed into an interface.
 type readyQueue struct {
 	g    *dag.Graph
 	less func(a, b dag.Task) bool
 	ids  []int
 }
 
-func (q *readyQueue) Len() int { return len(q.ids) }
-func (q *readyQueue) Less(i, j int) bool {
+func (q *readyQueue) lessAt(i, j int) bool {
 	return q.less(q.g.Task(q.ids[i]), q.g.Task(q.ids[j]))
 }
-func (q *readyQueue) Swap(i, j int) { q.ids[i], q.ids[j] = q.ids[j], q.ids[i] }
-func (q *readyQueue) Push(x any)    { q.ids = append(q.ids, x.(int)) }
-func (q *readyQueue) Pop() any {
-	last := len(q.ids) - 1
-	v := q.ids[last]
-	q.ids = q.ids[:last]
+
+func (q *readyQueue) init() {
+	n := len(q.ids)
+	for i := n/2 - 1; i >= 0; i-- {
+		q.down(i, n)
+	}
+}
+
+func (q *readyQueue) push(v int) {
+	q.ids = append(q.ids, v)
+	q.up(len(q.ids) - 1)
+}
+
+func (q *readyQueue) pop() int {
+	n := len(q.ids) - 1
+	q.ids[0], q.ids[n] = q.ids[n], q.ids[0]
+	q.down(0, n)
+	v := q.ids[n]
+	q.ids = q.ids[:n]
 	return v
+}
+
+func (q *readyQueue) up(j int) {
+	for {
+		i := (j - 1) / 2 // parent
+		if i == j || !q.lessAt(j, i) {
+			break
+		}
+		q.ids[i], q.ids[j] = q.ids[j], q.ids[i]
+		j = i
+	}
+}
+
+func (q *readyQueue) down(i, n int) {
+	for {
+		j := 2*i + 1 // left child
+		if j >= n {
+			break
+		}
+		if j2 := j + 1; j2 < n && q.lessAt(j2, j) {
+			j = j2 // right child
+		}
+		if !q.lessAt(j, i) {
+			break
+		}
+		q.ids[i], q.ids[j] = q.ids[j], q.ids[i]
+		i = j
+	}
 }
 
 // readyListOrder linearizes g by repeatedly scheduling the least ready
@@ -660,15 +701,15 @@ func readyListOrder(g *dag.Graph, less func(a, b dag.Task) bool) ([]int, error) 
 			q.ids = append(q.ids, i)
 		}
 	}
-	heap.Init(q)
+	q.init()
 	order := make([]int, 0, n)
-	for q.Len() > 0 {
-		v := heap.Pop(q).(int)
+	for len(q.ids) > 0 {
+		v := q.pop()
 		order = append(order, v)
 		for _, s := range g.Successors(v) {
 			indeg[s]--
 			if indeg[s] == 0 {
-				heap.Push(q, s)
+				q.push(s)
 			}
 		}
 	}

@@ -118,12 +118,15 @@ func (p Plan) Validate(g *dag.Graph) error {
 	if len(p.Order) != g.Len() {
 		return fmt.Errorf("%w: order has %d tasks, graph has %d", ErrBadPlan, len(p.Order), g.Len())
 	}
-	pos := make(map[int]int, len(p.Order))
+	pos := make([]int, g.Len()) // pos[id] = id's position, −1 until seen
+	for i := range pos {
+		pos[i] = -1
+	}
 	for i, id := range p.Order {
 		if id < 0 || id >= g.Len() {
 			return fmt.Errorf("%w: task id %d out of range", ErrBadPlan, id)
 		}
-		if _, dup := pos[id]; dup {
+		if pos[id] >= 0 {
 			return fmt.Errorf("%w: task %d appears twice", ErrBadPlan, id)
 		}
 		pos[id] = i

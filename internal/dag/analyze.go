@@ -18,7 +18,7 @@ func (g *Graph) Levels() ([][]int, error) {
 	depth := make([]int, g.Len())
 	maxDepth := 0
 	for _, v := range order {
-		for _, p := range g.pred[v] {
+		for _, p := range g.pred.list(v) {
 			if depth[p]+1 > depth[v] {
 				depth[v] = depth[p] + 1
 			}
@@ -77,8 +77,8 @@ func (g *Graph) Analyze() (Stats, error) {
 		s.SequentialFraction = cpw / s.TotalWeight
 	}
 	var sumC float64
-	for _, t := range g.tasks {
-		sumC += t.Checkpoint
+	for _, c := range g.ckpt {
+		sumC += c
 	}
 	if g.Len() > 0 {
 		s.MeanCheckpointCost = sumC / float64(g.Len())
@@ -105,14 +105,14 @@ func GNP(n int, p float64, ws WeightSpec, r *rng.Stream) (*Graph, error) {
 	if err := ws.validate(); err != nil {
 		return nil, err
 	}
-	g := New()
+	g := sized(n, int(p*float64(n)*float64(n-1)/2), n*labelLen("T", n))
 	for i := 0; i < n; i++ {
-		g.MustAddTask(ws.sample(r, fmt.Sprintf("T%d", i+1)))
+		g.add(ws.sample(r, "T"), i+1)
 	}
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
 			if r.Float64() < p {
-				g.MustAddEdge(i, j)
+				g.link(i, j)
 			}
 		}
 	}
@@ -129,22 +129,19 @@ func IntreeFromChains(branches, depth int, ws WeightSpec, r *rng.Stream) (*Graph
 	if err := ws.validate(); err != nil {
 		return nil, err
 	}
-	g := New()
-	var tails []int
+	tasks := branches*depth + 1
+	g := sized(tasks, branches*depth, tasks*labelLen("c", branches, depth)) // ≥ len("root")
 	for b := 0; b < branches; b++ {
-		prev := -1
 		for d := 0; d < depth; d++ {
-			id := g.MustAddTask(ws.sample(r, fmt.Sprintf("c%d.%d", b+1, d+1)))
-			if prev >= 0 {
-				g.MustAddEdge(prev, id)
+			id := g.add(ws.sample(r, "c"), b+1, d+1)
+			if d > 0 {
+				g.link(id-1, id)
 			}
-			prev = id
 		}
-		tails = append(tails, prev)
 	}
-	root := g.MustAddTask(ws.sample(r, "root"))
-	for _, t := range tails {
-		g.MustAddEdge(t, root)
+	root := g.add(ws.sample(r, "root"))
+	for b := 1; b <= branches; b++ {
+		g.link(b*depth-1, root) // branch b's tail
 	}
 	return g, nil
 }

@@ -11,7 +11,10 @@ package dag
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
+	"strconv"
+	"unsafe"
 )
 
 // Task is a node of the application graph.
@@ -31,11 +34,66 @@ type Task struct {
 
 // Graph is a directed acyclic application graph. The zero value is an
 // empty graph ready for use.
+//
+// Storage is a few flat arrays that hold no pointers, so a 10⁶-task
+// graph is a handful of heap objects the garbage collector never scans.
+// Task fields are stored as a struct of arrays; names sit back to back
+// in one byte buffer, the name of task id ending at nameEnd[id]; each
+// direction of adjacency is one arena of task IDs (see adjacency). The
+// generators, the JSON reader and Clone size every array once.
+//
+// Successors and Predecessors return views into an arena: O(1), no copy,
+// read-only and capacity-clipped. AddEdge writes only arena slots that
+// no view covers, so a view taken before an AddEdge keeps reading the
+// list as it was. Names returned by Task share the name buffer, whose
+// written bytes are never rewritten. A Graph must not be copied by
+// value while both copies are still added to.
 type Graph struct {
-	tasks []Task
-	succ  [][]int
-	pred  [][]int
-	edges int
+	weight, ckpt, rec []float64
+	names             []byte
+	nameEnd           []int
+	succ, pred        adjacency
+	edges             int
+}
+
+// adjacency is one direction of a graph's edges. Task v's list is
+// arena[runs[v].off : runs[v].off+runs[v].n], and its run has room for
+// the smallest power of two ≥ n entries (none while n = 0). A push
+// writes into the room; a full run that ends the arena doubles its room
+// in place, and any other full run moves to the end of the arena with
+// room for twice its entries, leaving the old slots to the views that
+// may still read them. Lists built one after another, as a chain's are,
+// fill the arena densely.
+type adjacency struct {
+	arena []int
+	runs  []run
+}
+
+type run struct{ off, n int }
+
+// list returns v's list as a read-only, capacity-clipped view.
+func (a *adjacency) list(v int) []int {
+	r := a.runs[v]
+	return a.arena[r.off : r.off+r.n : r.off+r.n]
+}
+
+// push appends u to v's list.
+func (a *adjacency) push(v, u int) {
+	r := &a.runs[v]
+	if r.n&(r.n-1) == 0 { // n is 0 or a power of two: the room is full
+		end := len(a.arena)
+		if r.off+r.n == end { // the run ends the arena: double its room in place
+			grow := max(r.n, 1)
+			a.arena = slices.Grow(a.arena, grow)[:end+grow]
+		} else { // move it to the end with room for 2n
+			grow := max(2*r.n, 1)
+			a.arena = slices.Grow(a.arena, grow)[:end+grow]
+			copy(a.arena[end:], a.arena[r.off:r.off+r.n])
+			r.off = end
+		}
+	}
+	a.arena[r.off+r.n] = u
+	r.n++
 }
 
 // ErrCycle is returned when an operation requires acyclicity and the graph
@@ -45,20 +103,69 @@ var ErrCycle = errors.New("dag: graph contains a cycle")
 // New returns an empty graph.
 func New() *Graph { return &Graph{} }
 
-// AddTask appends a task and returns its ID.
+// sized returns an empty graph whose arrays have room for tasks tasks,
+// edges edges and nameBytes bytes of names, so a constructor that knows
+// its size allocates each array once.
+func sized(tasks, edges, nameBytes int) *Graph {
+	return &Graph{
+		weight:  make([]float64, 0, tasks),
+		ckpt:    make([]float64, 0, tasks),
+		rec:     make([]float64, 0, tasks),
+		names:   make([]byte, 0, nameBytes),
+		nameEnd: make([]int, 0, tasks),
+		succ:    adjacency{arena: make([]int, 0, edges), runs: make([]run, 0, tasks)},
+		pred:    adjacency{arena: make([]int, 0, edges), runs: make([]run, 0, tasks)},
+	}
+}
+
+// labelLen is the length of the name add writes for prefix and nums;
+// with each num at its largest value it bounds a generator's names.
+func labelLen(prefix string, nums ...int) int {
+	n := len(prefix)
+	for i, x := range nums {
+		if i > 0 {
+			n++ // the '.' separator
+		}
+		for n++; x >= 10; x /= 10 {
+			n++
+		}
+	}
+	return n
+}
+
+// AddTask appends a task and returns its ID. A task without a name is
+// named T<ID+1>.
 func (g *Graph) AddTask(t Task) (int, error) {
 	if t.Weight < 0 || t.Checkpoint < 0 || t.Recovery < 0 {
 		return 0, fmt.Errorf("dag: task %q has negative weight/checkpoint/recovery (%v, %v, %v)",
 			t.Name, t.Weight, t.Checkpoint, t.Recovery)
 	}
-	t.ID = len(g.tasks)
 	if t.Name == "" {
-		t.Name = fmt.Sprintf("T%d", t.ID+1)
+		t.Name = "T"
+		return g.add(t, g.Len()+1), nil
 	}
-	g.tasks = append(g.tasks, t)
-	g.succ = append(g.succ, nil)
-	g.pred = append(g.pred, nil)
-	return t.ID, nil
+	return g.add(t), nil
+}
+
+// add appends t unchecked and returns its ID. The task's name is t.Name
+// followed by nums in decimal, joined by dots: "L" with 3, 4 names the
+// task "L3.4". Generators name their tasks this way, with no formatting
+// and no allocation per task.
+func (g *Graph) add(t Task, nums ...int) int {
+	g.names = append(g.names, t.Name...)
+	for i, x := range nums {
+		if i > 0 {
+			g.names = append(g.names, '.')
+		}
+		g.names = strconv.AppendInt(g.names, int64(x), 10)
+	}
+	g.nameEnd = append(g.nameEnd, len(g.names))
+	g.weight = append(g.weight, t.Weight)
+	g.ckpt = append(g.ckpt, t.Checkpoint)
+	g.rec = append(g.rec, t.Recovery)
+	g.succ.runs = append(g.succ.runs, run{})
+	g.pred.runs = append(g.pred.runs, run{})
+	return len(g.weight) - 1
 }
 
 // MustAddTask is AddTask for callers with statically valid tasks
@@ -84,15 +191,19 @@ func (g *Graph) AddEdge(from, to int) error {
 	if from == to {
 		return fmt.Errorf("dag: self-loop on task %d", from)
 	}
-	for _, s := range g.succ[from] {
-		if s == to {
-			return fmt.Errorf("dag: duplicate edge %d → %d", from, to)
-		}
+	if slices.Contains(g.succ.list(from), to) {
+		return fmt.Errorf("dag: duplicate edge %d → %d", from, to)
 	}
-	g.succ[from] = append(g.succ[from], to)
-	g.pred[to] = append(g.pred[to], from)
-	g.edges++
+	g.link(from, to)
 	return nil
+}
+
+// link adds the edge from → to unchecked, for generators whose edges
+// are distinct by construction.
+func (g *Graph) link(from, to int) {
+	g.succ.push(from, to)
+	g.pred.push(to, from)
+	g.edges++
 }
 
 // MustAddEdge is AddEdge that panics on error, for generators and tests.
@@ -103,49 +214,58 @@ func (g *Graph) MustAddEdge(from, to int) {
 }
 
 func (g *Graph) checkID(id int) error {
-	if id < 0 || id >= len(g.tasks) {
-		return fmt.Errorf("dag: task id %d out of range [0, %d)", id, len(g.tasks))
+	if id < 0 || id >= g.Len() {
+		return fmt.Errorf("dag: task id %d out of range [0, %d)", id, g.Len())
 	}
 	return nil
 }
 
 // Len returns the number of tasks.
-func (g *Graph) Len() int { return len(g.tasks) }
+func (g *Graph) Len() int { return len(g.weight) }
 
 // EdgeCount returns the number of dependence edges.
 func (g *Graph) EdgeCount() int { return g.edges }
 
-// Task returns the task with the given ID.
-func (g *Graph) Task(id int) Task { return g.tasks[id] }
+// Task returns the task with the given ID. It does not allocate: the
+// name is a view of the graph's name buffer.
+func (g *Graph) Task(id int) Task {
+	return Task{ID: id, Name: g.name(id), Weight: g.weight[id], Checkpoint: g.ckpt[id], Recovery: g.rec[id]}
+}
+
+func (g *Graph) name(id int) string {
+	start := 0
+	if id > 0 {
+		start = g.nameEnd[id-1]
+	}
+	b := g.names[start:g.nameEnd[id]]
+	return unsafe.String(unsafe.SliceData(b), len(b))
+}
 
 // Tasks returns a copy of the task list in ID order.
 func (g *Graph) Tasks() []Task {
-	out := make([]Task, len(g.tasks))
-	copy(out, g.tasks)
+	out := make([]Task, g.Len())
+	for id := range out {
+		out[id] = g.Task(id)
+	}
 	return out
 }
 
-// Successors returns the direct successors of id. The slice is the
-// graph's own, not a copy, so hot loops read adjacency without
-// allocating: callers must not modify its elements. Its capacity is
-// clipped, so an append copies instead of writing into the graph.
-func (g *Graph) Successors(id int) []int {
-	s := g.succ[id]
-	return s[:len(s):len(s)]
-}
+// Successors returns the direct successors of id. The slice is a view of
+// the graph's own storage, not a copy, so hot loops read adjacency
+// without allocating: callers must not modify its elements. Its capacity
+// is clipped, so an append copies instead of writing into the graph, and
+// a later AddEdge leaves it unchanged.
+func (g *Graph) Successors(id int) []int { return g.succ.list(id) }
 
-// Predecessors returns the direct predecessors of id, read-only like
-// Successors.
-func (g *Graph) Predecessors(id int) []int {
-	s := g.pred[id]
-	return s[:len(s):len(s)]
-}
+// Predecessors returns the direct predecessors of id, a read-only view
+// like Successors.
+func (g *Graph) Predecessors(id int) []int { return g.pred.list(id) }
 
 // TotalWeight returns Σ w_i.
 func (g *Graph) TotalWeight() float64 {
 	var sum float64
-	for _, t := range g.tasks {
-		sum += t.Weight
+	for _, w := range g.weight {
+		sum += w
 	}
 	return sum
 }
@@ -153,9 +273,9 @@ func (g *Graph) TotalWeight() float64 {
 // SetCosts overwrites every task's checkpoint and recovery cost with the
 // given constants, the homogeneous cost model of Proposition 2.
 func (g *Graph) SetCosts(checkpoint, recovery float64) {
-	for i := range g.tasks {
-		g.tasks[i].Checkpoint = checkpoint
-		g.tasks[i].Recovery = recovery
+	for i := range g.ckpt {
+		g.ckpt[i] = checkpoint
+		g.rec[i] = recovery
 	}
 }
 
@@ -164,9 +284,9 @@ func (g *Graph) Validate() error {
 	if _, err := g.TopologicalOrder(); err != nil {
 		return err
 	}
-	for _, t := range g.tasks {
-		if t.Weight < 0 || t.Checkpoint < 0 || t.Recovery < 0 {
-			return fmt.Errorf("dag: task %d has negative parameters", t.ID)
+	for id := range g.weight {
+		if g.weight[id] < 0 || g.ckpt[id] < 0 || g.rec[id] < 0 {
+			return fmt.Errorf("dag: task %d has negative parameters", id)
 		}
 	}
 	return nil
@@ -175,10 +295,10 @@ func (g *Graph) Validate() error {
 // TopologicalOrder returns task IDs in a deterministic (smallest-ID-first)
 // topological order, or ErrCycle.
 func (g *Graph) TopologicalOrder() ([]int, error) {
-	n := len(g.tasks)
+	n := g.Len()
 	indeg := make([]int, n)
-	for i := range g.pred {
-		indeg[i] = len(g.pred[i])
+	for i, r := range g.pred.runs {
+		indeg[i] = r.n
 	}
 	// Min-heap on IDs for determinism; n is small enough that a sorted
 	// slice is fine and allocation-free enough.
@@ -194,7 +314,7 @@ func (g *Graph) TopologicalOrder() ([]int, error) {
 		v := ready[0]
 		ready = ready[1:]
 		order = append(order, v)
-		for _, s := range g.succ[v] {
+		for _, s := range g.succ.list(v) {
 			indeg[s]--
 			if indeg[s] == 0 {
 				ready = append(ready, s)
@@ -216,12 +336,12 @@ func (g *Graph) TopologicalOrder() ([]int, error) {
 // predecessors), so a walk of exactly n tasks ending at a sink covers
 // the whole graph, which is then a chain; anything else is not.
 func (g *Graph) IsLinearChain() ([]int, bool) {
-	n := len(g.tasks)
+	n := g.Len()
 	if n == 0 {
 		return nil, true
 	}
 	start := 0
-	for start < n && len(g.pred[start]) != 0 {
+	for start < n && g.pred.runs[start].n != 0 {
 		start++
 	}
 	if start == n {
@@ -229,14 +349,15 @@ func (g *Graph) IsLinearChain() ([]int, bool) {
 	}
 	order := make([]int, 0, n)
 	for v := start; ; {
-		if len(g.succ[v]) > 1 || len(g.pred[v]) > 1 {
+		s := g.succ.runs[v]
+		if s.n > 1 || g.pred.runs[v].n > 1 {
 			return nil, false
 		}
 		order = append(order, v)
-		if len(g.succ[v]) == 0 {
+		if s.n == 0 {
 			break
 		}
-		v = g.succ[v][0]
+		v = g.succ.arena[s.off]
 	}
 	if len(order) != n {
 		return nil, false
@@ -257,7 +378,7 @@ func (g *Graph) IsIndependent() bool { return g.edges == 0 }
 // exhaustive DAG solver act as a validation oracle without the O(n!·n)
 // materialization the previous AllTopologicalOrders paid.
 func (g *Graph) EachTopologicalOrder(limit int, fn func(order []int) bool) {
-	n := len(g.tasks)
+	n := g.Len()
 	if n == 0 {
 		// The empty poset has exactly one (empty) linear extension,
 		// matching what the materializing enumeration always produced.
@@ -265,8 +386,8 @@ func (g *Graph) EachTopologicalOrder(limit int, fn func(order []int) bool) {
 		return
 	}
 	indeg := make([]int, n)
-	for i := range g.pred {
-		indeg[i] = len(g.pred[i])
+	for i, r := range g.pred.runs {
+		indeg[i] = r.n
 	}
 	cur := make([]int, 0, n)
 	used := make([]bool, n)
@@ -286,11 +407,11 @@ func (g *Graph) EachTopologicalOrder(limit int, fn func(order []int) bool) {
 			}
 			used[v] = true
 			cur = append(cur, v)
-			for _, s := range g.succ[v] {
+			for _, s := range g.succ.list(v) {
 				indeg[s]--
 			}
 			stop := rec()
-			for _, s := range g.succ[v] {
+			for _, s := range g.succ.list(v) {
 				indeg[s]++
 			}
 			cur = cur[:len(cur)-1]
@@ -337,7 +458,7 @@ func (g *Graph) CriticalPath() (float64, []int, error) {
 	if err != nil {
 		return 0, nil, err
 	}
-	n := len(g.tasks)
+	n := g.Len()
 	dist := make([]float64, n)
 	from := make([]int, n)
 	for i := range from {
@@ -345,11 +466,11 @@ func (g *Graph) CriticalPath() (float64, []int, error) {
 	}
 	var best int = -1
 	for _, v := range order {
-		dist[v] += g.tasks[v].Weight
+		dist[v] += g.weight[v]
 		if best == -1 || dist[v] > dist[best] {
 			best = v
 		}
-		for _, s := range g.succ[v] {
+		for _, s := range g.succ.list(v) {
 			if dist[v] > dist[s] {
 				dist[s] = dist[v]
 				from[s] = v
@@ -372,24 +493,30 @@ func (g *Graph) CriticalPath() (float64, []int, error) {
 // Sinks returns the IDs with no successors.
 func (g *Graph) Sinks() []int {
 	var out []int
-	for i := range g.succ {
-		if len(g.succ[i]) == 0 {
+	for i, r := range g.succ.runs {
+		if r.n == 0 {
 			out = append(out, i)
 		}
 	}
 	return out
 }
 
-// Clone returns a deep copy of the graph.
+// Clone returns a deep copy of the graph: every array copied once, so
+// the copy's tasks, names and adjacency lists, predecessor order
+// included, are the source's.
 func (g *Graph) Clone() *Graph {
-	out := New()
-	for _, t := range g.tasks {
-		out.MustAddTask(Task{Name: t.Name, Weight: t.Weight, Checkpoint: t.Checkpoint, Recovery: t.Recovery})
+	return &Graph{
+		weight:  slices.Clone(g.weight),
+		ckpt:    slices.Clone(g.ckpt),
+		rec:     slices.Clone(g.rec),
+		names:   slices.Clone(g.names),
+		nameEnd: slices.Clone(g.nameEnd),
+		succ:    g.succ.clone(),
+		pred:    g.pred.clone(),
+		edges:   g.edges,
 	}
-	for v, ss := range g.succ {
-		for _, s := range ss {
-			out.MustAddEdge(v, s)
-		}
-	}
-	return out
+}
+
+func (a *adjacency) clone() adjacency {
+	return adjacency{arena: slices.Clone(a.arena), runs: slices.Clone(a.runs)}
 }

@@ -2,7 +2,12 @@ package dag
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
+	"io"
+	"runtime"
+	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/rng"
@@ -389,4 +394,138 @@ func TestJSONRejectsBadEdge(t *testing.T) {
 	if err := g.UnmarshalJSON(data); err == nil {
 		t.Error("out-of-range edge should be rejected")
 	}
+}
+
+// TestCloneKeepsPredecessorOrder clones a graph whose edges arrive out
+// of source order: the copy's predecessor lists keep the source's order.
+func TestCloneKeepsPredecessorOrder(t *testing.T) {
+	g := goldenGraphs(t)["hand"]
+	if got, want := graphDigest(t, g.Clone()), graphDigest(t, g); got != want {
+		t.Errorf("clone digest %q, source %q", got, want)
+	}
+}
+
+// TestSuccessorsViewSurvivesAddEdge pins the view contract: a list taken
+// before an AddEdge keeps reading the list as it was, whether the edge
+// grows the run in place at the arena's end, moves it past another
+// task's run, or fills room the move left; and appending to a view never
+// writes into the graph.
+func TestSuccessorsViewSurvivesAddEdge(t *testing.T) {
+	g := New()
+	for i := 0; i < 6; i++ {
+		g.MustAddTask(Task{Weight: 1})
+	}
+	var views, wants [][]int
+	for _, e := range [][2]int{{0, 1}, {0, 2}, {1, 2}, {0, 3}, {0, 4}, {1, 5}, {0, 5}} {
+		for _, v := range []int{0, 1} {
+			views = append(views, g.Successors(v))
+			wants = append(wants, slices.Clone(g.Successors(v)))
+		}
+		views = append(views, g.Predecessors(e[1]))
+		wants = append(wants, slices.Clone(g.Predecessors(e[1])))
+		g.MustAddEdge(e[0], e[1])
+	}
+	for i := range views {
+		if !slices.Equal(views[i], wants[i]) {
+			t.Errorf("view %d reads %v after later edges, want %v", i, views[i], wants[i])
+		}
+	}
+	s := g.Successors(0)
+	_ = append(s, 99)
+	if got, want := g.Successors(0), []int{1, 2, 3, 4, 5}; !slices.Equal(got, want) {
+		t.Errorf("Successors(0) = %v after appending to a view, want %v", got, want)
+	}
+	if got, want := g.Predecessors(5), []int{1, 0}; !slices.Equal(got, want) {
+		t.Errorf("Predecessors(5) = %v, want %v", got, want)
+	}
+}
+
+var sinkTask Task
+
+// TestGraphBuildAllocs is the build's allocation budget: a generator
+// sizes its arrays once, so Chain's count does not grow with n and
+// Layered's grows only with the doublings of an edge estimate it
+// misses; Read adds a few dozen at most to decoding the file itself
+// (its arenas may outgrow the edge count, as runs round their room up
+// to a power of two); Task
+// allocates nothing. Chain also allocates little more than it retains.
+func TestGraphBuildAllocs(t *testing.T) {
+	ws := DefaultWeights()
+	for _, n := range []int{1000, 100000} {
+		if got := testing.AllocsPerRun(3, func() { _, _ = Chain(n, ws, rng.New(1)) }); got > 12 {
+			t.Errorf("Chain(%d): %v allocations, want ≤ 12", n, got)
+		}
+		if got := testing.AllocsPerRun(3, func() { _, _ = Layered(n/10, 10, 0.3, ws, rng.New(1)) }); got > 24 {
+			t.Errorf("Layered(%d, 10): %v allocations, want ≤ 24", n/10, got)
+		}
+	}
+
+	lay, err := Layered(300, 10, 0.3, ws, rng.New(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	js, err := lay.MarshalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	decode := testing.AllocsPerRun(3, func() {
+		data, _ := io.ReadAll(bytes.NewReader(js))
+		var ff fileFormat
+		_ = json.Unmarshal(data, &ff)
+	})
+	read := testing.AllocsPerRun(3, func() { _, _ = Read(bytes.NewReader(js)) })
+	if read > decode+24 {
+		t.Errorf("Read: %v allocations, reading and decoding the file alone %v; want ≤ 24 more", read, decode)
+	}
+
+	if got := testing.AllocsPerRun(100, func() { sinkTask = lay.Task(lay.Len() / 2) }); got != 0 {
+		t.Errorf("Task: %v allocations, want 0", got)
+	}
+
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	g, err := Chain(100000, ws, rng.New(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	allocated, retained := after.TotalAlloc-before.TotalAlloc, after.HeapAlloc-before.HeapAlloc
+	runtime.KeepAlive(g)
+	if float64(allocated) > 1.25*float64(retained) {
+		t.Errorf("Chain(100000) allocated %d bytes to retain %d, want ≤ 1.25×", allocated, retained)
+	}
+}
+
+// TestConcurrentReaders has goroutines read one graph at once, as the
+// DAG portfolio's workers do; run it under -race.
+func TestConcurrentReaders(t *testing.T) {
+	g, err := Layered(50, 8, 0.3, DefaultWeights(), rng.New(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := g.TopologicalOrder()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			order, err := g.TopologicalOrder()
+			if err != nil || !slices.Equal(order, want) {
+				t.Errorf("concurrent TopologicalOrder = %v, %v", order, err)
+			}
+			var sum float64
+			for v := 0; v < g.Len(); v++ {
+				sum += g.Task(v).Weight + float64(len(g.Successors(v))+len(g.Predecessors(v))+len(g.Task(v).Name))
+			}
+			if sum <= 0 {
+				t.Error("concurrent reads saw an empty graph")
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -44,7 +44,7 @@ func (g *Graph) Lattice() (*Lattice, error) {
 	}
 	l := &Lattice{n: n, pred: make([]uint64, n), succ: make([]uint64, n), topo: topo}
 	for v := 0; v < n; v++ {
-		for _, s := range g.succ[v] {
+		for _, s := range g.succ.list(v) {
 			l.succ[v] |= 1 << uint(s)
 			l.pred[s] |= 1 << uint(v)
 		}

@@ -42,6 +42,7 @@ func (ws WeightSpec) validate() error {
 	return nil
 }
 
+// sample draws a task's parameters; name is the prefix add completes.
 func (ws WeightSpec) sample(r *rng.Stream, name string) Task {
 	w := ws.MinWeight
 	if ws.MaxWeight > ws.MinWeight {
@@ -64,11 +65,11 @@ func Chain(n int, ws WeightSpec, r *rng.Stream) (*Graph, error) {
 	if err := ws.validate(); err != nil {
 		return nil, err
 	}
-	g := New()
+	g := sized(n, n-1, n*labelLen("T", n))
 	for i := 0; i < n; i++ {
-		g.MustAddTask(ws.sample(r, fmt.Sprintf("T%d", i+1)))
+		g.add(ws.sample(r, "T"), i+1)
 		if i > 0 {
-			g.MustAddEdge(i-1, i)
+			g.link(i-1, i)
 		}
 	}
 	return g, nil
@@ -83,9 +84,9 @@ func Independent(n int, ws WeightSpec, r *rng.Stream) (*Graph, error) {
 	if err := ws.validate(); err != nil {
 		return nil, err
 	}
-	g := New()
+	g := sized(n, 0, n*labelLen("T", n))
 	for i := 0; i < n; i++ {
-		g.MustAddTask(ws.sample(r, fmt.Sprintf("T%d", i+1)))
+		g.add(ws.sample(r, "T"), i+1)
 	}
 	return g, nil
 }
@@ -97,12 +98,10 @@ func IndependentWithWeights(weights []float64, checkpoint, recovery float64) (*G
 	if len(weights) == 0 {
 		return nil, fmt.Errorf("dag: empty weight list")
 	}
-	g := New()
-	for i, w := range weights {
-		if _, err := g.AddTask(Task{
-			Name: fmt.Sprintf("T%d", i+1), Weight: w,
-			Checkpoint: checkpoint, Recovery: recovery,
-		}); err != nil {
+	n := len(weights)
+	g := sized(n, 0, n*labelLen("T", n))
+	for _, w := range weights {
+		if _, err := g.AddTask(Task{Weight: w, Checkpoint: checkpoint, Recovery: recovery}); err != nil {
 			return nil, err
 		}
 	}
@@ -118,21 +117,22 @@ func ForkJoin(width, depth int, ws WeightSpec, r *rng.Stream) (*Graph, error) {
 	if err := ws.validate(); err != nil {
 		return nil, err
 	}
-	g := New()
-	src := g.MustAddTask(ws.sample(r, "fork"))
-	var lasts []int
+	tasks := width*depth + 2
+	g := sized(tasks, width*(depth+1), tasks*labelLen("b", width, depth)) // ≥ len("fork")
+	src := g.add(ws.sample(r, "fork"))
+	lasts := make([]int, 0, width)
 	for b := 0; b < width; b++ {
 		prev := src
 		for d := 0; d < depth; d++ {
-			id := g.MustAddTask(ws.sample(r, fmt.Sprintf("b%d.%d", b+1, d+1)))
-			g.MustAddEdge(prev, id)
+			id := g.add(ws.sample(r, "b"), b+1, d+1)
+			g.link(prev, id)
 			prev = id
 		}
 		lasts = append(lasts, prev)
 	}
-	sink := g.MustAddTask(ws.sample(r, "join"))
+	sink := g.add(ws.sample(r, "join"))
 	for _, l := range lasts {
-		g.MustAddEdge(l, sink)
+		g.link(l, sink)
 	}
 	return g, nil
 }
@@ -151,27 +151,30 @@ func Layered(layers, width int, density float64, ws WeightSpec, r *rng.Stream) (
 	if err := ws.validate(); err != nil {
 		return nil, err
 	}
-	g := New()
-	prev := make([]int, 0, width)
+	// Reserve the expected edge count: each of the later layers' tasks
+	// draws about density·width predecessors, and at least one.
+	tasks := layers * width
+	edges := int(float64((layers-1)*width) * max(density*float64(width), 1))
+	g := sized(tasks, edges, tasks*labelLen("L", layers, width))
 	for l := 0; l < layers; l++ {
-		cur := make([]int, 0, width)
 		for k := 0; k < width; k++ {
-			id := g.MustAddTask(ws.sample(r, fmt.Sprintf("L%d.%d", l+1, k+1)))
-			cur = append(cur, id)
+			id := g.add(ws.sample(r, "L"), l+1, k+1)
 			if l > 0 {
+				// The previous layer is the width IDs just below this
+				// layer's first.
+				first := id - k - width
 				linked := false
-				for _, p := range prev {
+				for p := first; p < first+width; p++ {
 					if r.Float64() < density {
-						g.MustAddEdge(p, id)
+						g.link(p, id)
 						linked = true
 					}
 				}
 				if !linked {
-					g.MustAddEdge(prev[r.IntN(len(prev))], id)
+					g.link(first+r.IntN(width), id)
 				}
 			}
 		}
-		prev = cur
 	}
 	return g, nil
 }
@@ -187,27 +190,27 @@ func MontageLike(tiles int, ws WeightSpec, r *rng.Stream) (*Graph, error) {
 	if err := ws.validate(); err != nil {
 		return nil, err
 	}
-	g := New()
-	proj := make([]int, tiles)
-	for i := range proj {
-		proj[i] = g.MustAddTask(ws.sample(r, fmt.Sprintf("mProject%d", i+1)))
+	// Tasks 0..tiles−1 project, tiles..2·tiles−2 diff neighbouring
+	// projections, and four tail tasks follow.
+	tasks := 2*tiles + 3
+	g := sized(tasks, 3*tiles, tasks*max(labelLen("mProject", tiles), len("mConcatFit")))
+	for i := 0; i < tiles; i++ {
+		g.add(ws.sample(r, "mProject"), i+1)
 	}
-	var diffs []int
 	for i := 0; i+1 < tiles; i++ {
-		d := g.MustAddTask(ws.sample(r, fmt.Sprintf("mDiff%d", i+1)))
-		g.MustAddEdge(proj[i], d)
-		g.MustAddEdge(proj[i+1], d)
-		diffs = append(diffs, d)
+		d := g.add(ws.sample(r, "mDiff"), i+1)
+		g.link(i, d)
+		g.link(i+1, d)
 	}
-	fit := g.MustAddTask(ws.sample(r, "mConcatFit"))
-	for _, d := range diffs {
-		g.MustAddEdge(d, fit)
+	fit := g.add(ws.sample(r, "mConcatFit"))
+	for d := tiles; d < fit; d++ {
+		g.link(d, fit)
 	}
-	bg := g.MustAddTask(ws.sample(r, "mBgModel"))
-	g.MustAddEdge(fit, bg)
-	add := g.MustAddTask(ws.sample(r, "mAdd"))
-	g.MustAddEdge(bg, add)
-	out := g.MustAddTask(ws.sample(r, "mJPEG"))
-	g.MustAddEdge(add, out)
+	bg := g.add(ws.sample(r, "mBgModel"))
+	g.link(fit, bg)
+	coadd := g.add(ws.sample(r, "mAdd"))
+	g.link(bg, coadd)
+	out := g.add(ws.sample(r, "mJPEG"))
+	g.link(coadd, out)
 	return g, nil
 }

@@ -23,14 +23,14 @@ type fileTask struct {
 
 // MarshalJSON encodes the graph in the workflow file format.
 func (g *Graph) MarshalJSON() ([]byte, error) {
-	ff := fileFormat{Tasks: make([]fileTask, 0, len(g.tasks))}
-	for _, t := range g.tasks {
-		ff.Tasks = append(ff.Tasks, fileTask{
-			Name: t.Name, Weight: t.Weight, Checkpoint: t.Checkpoint, Recovery: t.Recovery,
-		})
+	ff := fileFormat{Tasks: make([]fileTask, g.Len())}
+	if g.edges > 0 {
+		ff.Edges = make([][2]int, 0, g.edges)
 	}
-	for v, ss := range g.succ {
-		for _, s := range ss {
+	for v := range ff.Tasks {
+		t := g.Task(v)
+		ff.Tasks[v] = fileTask{Name: t.Name, Weight: t.Weight, Checkpoint: t.Checkpoint, Recovery: t.Recovery}
+		for _, s := range g.Successors(v) {
 			ff.Edges = append(ff.Edges, [2]int{v, s})
 		}
 	}
@@ -43,7 +43,11 @@ func (g *Graph) UnmarshalJSON(data []byte) error {
 	if err := json.Unmarshal(data, &ff); err != nil {
 		return fmt.Errorf("dag: decode workflow: %w", err)
 	}
-	fresh := New()
+	nameBytes, defaultLen := 0, labelLen("T", len(ff.Tasks))
+	for _, ft := range ff.Tasks {
+		nameBytes += max(len(ft.Name), defaultLen)
+	}
+	fresh := sized(len(ff.Tasks), len(ff.Edges), nameBytes)
 	for _, ft := range ff.Tasks {
 		if _, err := fresh.AddTask(Task{
 			Name: ft.Name, Weight: ft.Weight, Checkpoint: ft.Checkpoint, Recovery: ft.Recovery,

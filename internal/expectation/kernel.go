@@ -343,8 +343,13 @@ func (k *SegmentKernel) SegmentWithCost(x, j int, c float64) float64 {
 // table. PrepareBound must have run since the last build. See the
 // pruning notes on SegmentKernel.
 func (k *SegmentKernel) Bound(x, j int) float64 {
-	return k.Segment(x, int(k.sufMin[j]))
+	return k.Segment(x, k.BoundEnd(j))
 }
+
+// BoundEnd is the end position Bound evaluates: Bound(x, j) is
+// Segment(x, BoundEnd(j)) bit for bit, so a row scan whose next
+// candidate is that end can reuse the bound as its segment term.
+func (k *SegmentKernel) BoundEnd(j int) int { return int(k.sufMin[j]) }
 
 // Slack is the multiplicative safety factor for pruning comparisons:
 // stop scanning only once Bound(x, j) ≥ best·Slack(). It covers the
