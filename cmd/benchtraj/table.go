@@ -415,6 +415,53 @@ func table() []row {
 			}
 		})
 	}
+	// Raw quorum Load of the same payload, the read path store_save's
+	// quorum row writes: two replicas' keyed draws and mem copies.
+	add("exec", "store_load/kind=quorum", 4096, func(b *testing.B) {
+		s := fresh(b, store.Spec{Backends: make([]store.Store, 3), Net: &netCfg})
+		payload := make([]byte, 4096)
+		for seq := uint64(1); seq <= 8; seq++ {
+			check(b, s.Save("load", seq, payload))
+		}
+		seq := uint64(0)
+		loop(b, func() error {
+			seq++
+			_, err := s.Load("load", seq%8+1)
+			return err
+		})
+	})
+	// Scrub and anti-entropy passes over a run of n checkpoints on three
+	// pre-filled replicas, each op through a freshly built Spec{Net,
+	// Faults} stack as a restart builds one: the pass issues 3n+ replica
+	// operations, each a fresh (kind, run, seq) to the stack's attempt
+	// counters, so the rows price counters that start empty.
+	faults := store.FaultPlan{Seed: 37, MeanLatency: 0.01}
+	for _, pass := range []string{"scrub", "sync"} {
+		for _, n := range []int{1024, 16384} {
+			add("exec", fmt.Sprintf("store_%s/n=%d", pass, n), n, func(b *testing.B) {
+				spec := store.Spec{Backends: make([]store.Store, 3), Net: &netCfg, Faults: &faults}
+				filled := fresh(b, store.Spec{Backends: spec.Backends})
+				payload := make([]byte, 256)
+				for seq := uint64(1); seq <= uint64(n); seq++ {
+					check(b, filled.Save("bench", seq, payload))
+				}
+				loop(b, func() error {
+					st, err := spec.Build()
+					if err != nil {
+						return err
+					}
+					if pass == "scrub" {
+						sc, _ := store.FindScrubber(st)
+						_, err = sc.ScrubRun("bench")
+					} else {
+						sy, _ := store.FindSyncer(st)
+						_, err = sy.SyncRun("bench")
+					}
+					return err
+				})
+			})
+		}
+	}
 	// Degraded-store resilience: one suffix re-solve of the chain DP
 	// from mid-plan — the cost the adaptive executor pays per replan —
 	// and the full plan through a lossy, slow store with exponential

@@ -12,7 +12,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 	"strconv"
 	"unsafe"
 )
@@ -293,15 +292,15 @@ func (g *Graph) Validate() error {
 }
 
 // TopologicalOrder returns task IDs in a deterministic (smallest-ID-first)
-// topological order, or ErrCycle.
+// topological order, or ErrCycle. The ready tasks wait in a binary
+// min-heap on IDs, so the order costs O((n + e) log n).
 func (g *Graph) TopologicalOrder() ([]int, error) {
 	n := g.Len()
 	indeg := make([]int, n)
 	for i, r := range g.pred.runs {
 		indeg[i] = r.n
 	}
-	// Min-heap on IDs for determinism; n is small enough that a sorted
-	// slice is fine and allocation-free enough.
+	// Ascending IDs already form a min-heap.
 	ready := make([]int, 0, n)
 	for i := 0; i < n; i++ {
 		if indeg[i] == 0 {
@@ -310,14 +309,17 @@ func (g *Graph) TopologicalOrder() ([]int, error) {
 	}
 	order := make([]int, 0, n)
 	for len(ready) > 0 {
-		sort.Ints(ready)
 		v := ready[0]
-		ready = ready[1:]
+		last := len(ready) - 1
+		ready[0] = ready[last]
+		ready = ready[:last]
+		siftDown(ready)
 		order = append(order, v)
 		for _, s := range g.succ.list(v) {
 			indeg[s]--
 			if indeg[s] == 0 {
 				ready = append(ready, s)
+				siftUp(ready)
 			}
 		}
 	}
@@ -325,6 +327,38 @@ func (g *Graph) TopologicalOrder() ([]int, error) {
 		return nil, ErrCycle
 	}
 	return order, nil
+}
+
+// siftUp restores the min-heap h after an append.
+func siftUp(h []int) {
+	i := len(h) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if h[p] <= h[i] {
+			return
+		}
+		h[p], h[i] = h[i], h[p]
+		i = p
+	}
+}
+
+// siftDown restores the min-heap h after its root was replaced.
+func siftDown(h []int) {
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
+		}
+		if c+1 < len(h) && h[c+1] < h[c] {
+			c++
+		}
+		if h[i] <= h[c] {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
 }
 
 // IsLinearChain reports whether the graph is a single linear chain

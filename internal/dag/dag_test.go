@@ -81,6 +81,75 @@ func TestTopologicalOrder(t *testing.T) {
 	}
 }
 
+// sortedReadyOrder is the reference smallest-ID-first topological
+// order: it re-sorts the whole ready list before every pop, quadratic
+// on wide graphs.
+func sortedReadyOrder(g *Graph) ([]int, error) {
+	n := g.Len()
+	indeg := make([]int, n)
+	var ready []int
+	for v := 0; v < n; v++ {
+		if indeg[v] = len(g.Predecessors(v)); indeg[v] == 0 {
+			ready = append(ready, v)
+		}
+	}
+	order := make([]int, 0, n)
+	for len(ready) > 0 {
+		slices.Sort(ready)
+		v := ready[0]
+		ready = ready[1:]
+		order = append(order, v)
+		for _, s := range g.Successors(v) {
+			if indeg[s]--; indeg[s] == 0 {
+				ready = append(ready, s)
+			}
+		}
+	}
+	if len(order) != n {
+		return nil, ErrCycle
+	}
+	return order, nil
+}
+
+// TestTopologicalOrderMatchesSortedReady: the heap order equals the
+// sorted-ready-list reference on every generator, over several seeds
+// and sizes, and on a cycle.
+func TestTopologicalOrderMatchesSortedReady(t *testing.T) {
+	graphs := goldenGraphs(t)
+	ws := DefaultWeights()
+	for seed := uint64(1); seed <= 4; seed++ {
+		r := rng.New(seed)
+		for name, build := range map[string]func() (*Graph, error){
+			"chain":       func() (*Graph, error) { return Chain(50, ws, r) },
+			"independent": func() (*Graph, error) { return Independent(300, ws, r) },
+			"forkjoin":    func() (*Graph, error) { return ForkJoin(7, 5, ws, r) },
+			"layered":     func() (*Graph, error) { return Layered(12, 9, 0.2*float64(seed), ws, r) },
+			"montage":     func() (*Graph, error) { return MontageLike(6, ws, r) },
+		} {
+			g, err := build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			graphs[fmt.Sprintf("%s/seed=%d", name, seed)] = g
+		}
+	}
+	cyc := New()
+	for i := 0; i < 4; i++ {
+		cyc.MustAddTask(Task{Weight: 1})
+	}
+	cyc.MustAddEdge(3, 1)
+	cyc.MustAddEdge(1, 2)
+	cyc.MustAddEdge(2, 1)
+	graphs["cycle"] = cyc
+	for name, g := range graphs {
+		got, gotErr := g.TopologicalOrder()
+		want, wantErr := sortedReadyOrder(g)
+		if !slices.Equal(got, want) || (gotErr == nil) != (wantErr == nil) {
+			t.Errorf("%s: heap order %v (err %v), sorted-ready order %v (err %v)", name, got, gotErr, want, wantErr)
+		}
+	}
+}
+
 func TestCycleDetection(t *testing.T) {
 	g := New()
 	a := g.MustAddTask(Task{Weight: 1})

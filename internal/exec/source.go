@@ -39,12 +39,12 @@ type SourceState struct {
 
 // KeyedSource is the executor's default failure source: gap i is drawn
 // from the stateless keyed stream rng.New(seed).Keyed(salt).Keyed(i+1),
-// built in one allocation by rng.Derive, so the i-th inter-failure gap
-// depends only on (seed, salt, i) — never on how the executor got
-// there. That position-indexed determinism is what makes rewind/replay
-// exact: a resumed run restored to (draws, consumed) sees the same
-// remaining failure sequence the uninterrupted run saw, with no stream
-// state to reconstruct.
+// which the source's one held stream is rekeyed to per gap, so the
+// i-th inter-failure gap depends only on (seed, salt, i) — never on how
+// the executor got there. That position-indexed determinism is what
+// makes rewind/replay exact: a resumed run restored to (draws,
+// consumed) sees the same remaining failure sequence the uninterrupted
+// run saw, with no stream state to reconstruct.
 //
 // Semantics mirror failure.ExponentialProcess: Advance consumes the
 // announced gap and redraws a fresh one when the residual hits zero
@@ -57,6 +57,7 @@ type KeyedSource struct {
 	draws      uint64
 	consumed   float64
 	gap        float64
+	s          rng.Stream // rekeyed for every gap
 }
 
 // NewKeyedSource returns a keyed source over dist. salt distinguishes
@@ -69,7 +70,8 @@ func NewKeyedSource(dist failure.Distribution, seed, salt uint64) *KeyedSource {
 
 // gapAt draws gap i from its private keyed stream.
 func (k *KeyedSource) gapAt(i uint64) float64 {
-	return k.dist.Sample(rng.Derive(k.seed, k.salt, i+1))
+	k.s.Rekey(k.seed, k.salt, i+1)
+	return k.dist.Sample(&k.s)
 }
 
 // NextFailure returns the residual of the current gap.

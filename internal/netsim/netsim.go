@@ -19,6 +19,7 @@ package netsim
 import (
 	"sync"
 
+	"repro/internal/attempt"
 	"repro/internal/rng"
 )
 
@@ -113,12 +114,15 @@ type Stats struct {
 	Latency float64
 }
 
-// linkKey identifies a logical delivery for attempt counting.
-type linkKey struct {
-	from, to uint64
-	kind     uint64
-	run      string
-	seq      uint64
+// linkKey names one run's traffic on one directed link.
+type linkKey struct{ from, to, run string }
+
+// link is one run's delivery state on one directed link: the FNV-1a
+// keys of its endpoints and run, and the attempt count of every
+// (kind, seq) message it carried.
+type link struct {
+	from, to, run uint64
+	attempts      attempt.Counter
 }
 
 // Network is a deterministic simulated network. It is safe for
@@ -130,14 +134,30 @@ type linkKey struct {
 type Network struct {
 	cfg Config
 
-	mu       sync.Mutex
-	attempts map[linkKey]uint64
-	stats    Stats
+	mu    sync.Mutex
+	links map[linkKey]*link
+	s     rng.Stream // rekeyed for every delivery
+	stats Stats
 }
 
 // New returns a network with the given config.
 func New(cfg Config) *Network {
-	return &Network{cfg: cfg, attempts: make(map[linkKey]uint64)}
+	return &Network{cfg: cfg, links: make(map[linkKey]*link)}
+}
+
+// attempt resolves msg's link and counts one more attempt of its
+// (kind, seq), returning the link and the attempt ordinal. The caller
+// holds mu.
+func (n *Network) attempt(from, to string, msg Message) (*link, uint64) {
+	k := linkKey{from: from, to: to, run: msg.Run}
+	l := n.links[k]
+	if l == nil {
+		// The run key uses the same hash as the store layer's keying,
+		// so composed stacks stay coherent.
+		l = &link{from: rng.HashString(from), to: rng.HashString(to), run: rng.HashString(msg.Run)}
+		n.links[k] = l
+	}
+	return l, l.attempts.Next(msg.Kind, msg.Seq)
 }
 
 // Deliver attempts to carry msg from one endpoint to another at
@@ -145,17 +165,15 @@ func New(cfg Config) *Network {
 // first, then the loss decision — and both draws always happen, so a
 // partition window changes only the outcome flag, never the stream
 // positions of later draws; killing a window cannot perturb any other
-// delivery.
+// delivery. The draws come from the stream
+// rng.Derive(seed, from, to, kind, run, seq, attempt), with from, to
+// and run FNV-1a hashed.
 func (n *Network) Deliver(now float64, from, to string, msg Message) Outcome {
-	k := linkKey{from: rng.HashString(from), to: rng.HashString(to), kind: msg.Kind, run: msg.Run, seq: msg.Seq}
 	n.mu.Lock()
-	n.attempts[k]++
-	attempt := n.attempts[k]
-	n.mu.Unlock()
-
-	// The run key uses the same hash as the store layer's keying, so
-	// composed stacks stay coherent.
-	s := rng.Derive(n.cfg.Seed, k.from, k.to, msg.Kind, rng.HashString(msg.Run), msg.Seq, attempt)
+	defer n.mu.Unlock()
+	l, nth := n.attempt(from, to, msg)
+	s := &n.s
+	s.Rekey(n.cfg.Seed, l.from, l.to, msg.Kind, l.run, msg.Seq, nth)
 	out := Outcome{Latency: n.cfg.Latency}
 	if n.cfg.Jitter > 0 {
 		out.Latency += s.ExpFloat64() * n.cfg.Jitter
@@ -167,7 +185,6 @@ func (n *Network) Deliver(now float64, from, to string, msg Message) Outcome {
 		out.Lost = true
 	}
 
-	n.mu.Lock()
 	n.stats.Messages++
 	n.stats.Latency += out.Latency
 	if out.Partitioned {
@@ -175,7 +192,6 @@ func (n *Network) Deliver(now float64, from, to string, msg Message) Outcome {
 	} else if out.Lost {
 		n.stats.Lost++
 	}
-	n.mu.Unlock()
 	return out
 }
 

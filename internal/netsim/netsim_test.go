@@ -3,6 +3,9 @@ package netsim
 import (
 	"sync"
 	"testing"
+
+	"repro/internal/attempt"
+	"repro/internal/rng"
 )
 
 // TestDeliverDeterministic pins the core contract: the outcome of a
@@ -163,14 +166,76 @@ func TestConcurrentDeliveriesDeterministic(t *testing.T) {
 	}
 }
 
-// TestDeliverAllocs: a delivery derives one keyed stream and allocates
-// nothing else once its attempt counter exists.
+// TestDeliverAllocs: a delivery rekeys the network's one stream and
+// allocates nothing once its link's attempt table holds its seq.
 func TestDeliverAllocs(t *testing.T) {
 	n := New(Config{Seed: 3, Latency: 0.1, Jitter: 0.5, Loss: 0.2,
 		Partitions: []Window{{Start: 5, End: 6, Isolated: []string{"s1"}}}})
 	msg := Message{Kind: 1, Run: "run-7", Seq: 9}
 	n.Deliver(0, "exec", "s1", msg)
-	if got := testing.AllocsPerRun(100, func() { n.Deliver(0, "exec", "s1", msg) }); got != 1 {
-		t.Errorf("Deliver: %v allocs/op, budget 1", got)
+	if got := testing.AllocsPerRun(100, func() { n.Deliver(0, "exec", "s1", msg) }); got != 0 {
+		t.Errorf("Deliver: %v allocs/op, budget 0", got)
 	}
+}
+
+// oracleKey is one logical delivery, the key the reference network
+// counts attempts under.
+type oracleKey struct {
+	from, to, run string
+	kind, seq     uint64
+}
+
+// oracleNetwork is the reference bookkeeping: one map entry per logical
+// delivery and a freshly derived stream per draw. It ignores
+// partitions, which never touch a draw.
+type oracleNetwork struct {
+	cfg      Config
+	attempts map[oracleKey]uint64
+}
+
+func (o *oracleNetwork) deliver(from, to string, msg Message) (Outcome, uint64) {
+	k := oracleKey{from: from, to: to, run: msg.Run, kind: msg.Kind, seq: msg.Seq}
+	o.attempts[k]++
+	s := rng.Derive(o.cfg.Seed, rng.HashString(from), rng.HashString(to), msg.Kind, rng.HashString(msg.Run), msg.Seq, o.attempts[k])
+	out := Outcome{Latency: o.cfg.Latency}
+	if o.cfg.Jitter > 0 {
+		out.Latency += s.ExpFloat64() * o.cfg.Jitter
+	}
+	out.Lost = o.cfg.Loss > 0 && s.Float64() < o.cfg.Loss
+	return out, o.attempts[k]
+}
+
+// FuzzAttemptCounters: over any interleaving of links, runs, kinds and
+// seqs — small seqs, seqs at and past attempt.DenseCap, 2⁶⁴−1 — the
+// network's per-link attempt tables count exactly what one map entry
+// per logical delivery counts, and every delivery draws what a freshly
+// derived stream draws.
+func FuzzAttemptCounters(f *testing.F) {
+	f.Add(uint64(1), []byte{0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x15, 0x02, 0x0b})
+	f.Add(uint64(7), []byte{0x21, 0x05, 0x0c, 0x21, 0x05, 0x0c, 0xf1, 0x02, 0x0f, 0x94, 0x03, 0x0d})
+	endpoints := []string{"exec", "s0", "s1", "s2"}
+	runs := []string{"r", "run-1", "run-1~lease", "x"}
+	kinds := []uint64{0, 1, 2, 3, 4, 7, 8, 1<<64 - 1}
+	seqs := []uint64{0, 1, 2, 3, 9, 100, 4096, attempt.DenseCap - 2, attempt.DenseCap - 1,
+		attempt.DenseCap, attempt.DenseCap + 1, 1 << 32, 1 << 63, 1<<64 - 2, 1<<64 - 1, 5}
+	f.Fuzz(func(t *testing.T, seed uint64, ops []byte) {
+		cfg := Config{Seed: seed, Latency: 0.1, Jitter: 0.5, Loss: 0.3,
+			Partitions: []Window{{Start: 1, End: 2, Isolated: []string{"s1"}}}}
+		n := New(cfg)
+		o := &oracleNetwork{cfg: cfg, attempts: map[oracleKey]uint64{}}
+		for i := 0; i+3 <= len(ops); i += 3 {
+			b0, b1, b2 := ops[i], ops[i+1], ops[i+2]
+			from, to := endpoints[b0&3], endpoints[b0>>2&3]
+			msg := Message{Kind: kinds[b0>>4&7], Run: runs[b1&3], Seq: seqs[b2&15] + uint64(b2>>4)}
+			now := float64(b1>>2) / 16
+			want, nth := o.deliver(from, to, msg)
+			got := n.Deliver(now, from, to, msg)
+			if n.partitioned(now, from, to) {
+				want.Partitioned, want.Lost = true, false
+			}
+			if got != want {
+				t.Fatalf("op %d (%s→%s %+v, attempt %d): %+v, reference %+v", i/3, from, to, msg, nth, got, want)
+			}
+		}
+	})
 }

@@ -14,8 +14,9 @@ import (
 //
 // A Stream holds its generator by value and points into itself, so one
 // stream is one heap object. Always use it through the *Stream the
-// constructors return: a copy made by value would keep drawing from the
-// original's generator.
+// constructors return, or through a pointer to a Stream held in a heap
+// object and initialized by Rekey: a copy made by value would keep
+// drawing from the original's generator until it is rekeyed.
 type Stream struct {
 	pcg rand.PCG
 	r   rand.Rand // sources pcg
@@ -34,10 +35,18 @@ func New(seed uint64) *Stream {
 }
 
 func newFrom(hi, lo uint64) *Stream {
-	s := &Stream{hi: hi, lo: lo}
+	s := new(Stream)
+	s.init(hi, lo)
+	return s
+}
+
+// init (re)seeds s in place from the seed material (hi, lo). rand.Rand
+// holds nothing but its source, so this leaves s exactly as newFrom
+// builds a fresh stream.
+func (s *Stream) init(hi, lo uint64) {
+	*s = Stream{hi: hi, lo: lo}
 	s.pcg.Seed(hi, lo)
 	s.r = *rand.New(&s.pcg)
-	return s
 }
 
 // Split derives a new stream that is statistically independent of s and of
@@ -70,11 +79,26 @@ func (s *Stream) Keyed(key uint64) *Stream {
 // message's endpoints and identity, a store operation's run, seq and
 // attempt) use it instead of chaining Keyed.
 func Derive(seed uint64, keys ...uint64) *Stream {
-	hi, lo := seed, uint64(newLo)
+	return newFrom(derive(seed, keys))
+}
+
+// Rekey reseeds s in place as the stream Derive(seed, keys...) returns,
+// bit for bit, and allocates nothing: every later draw, Split and Keyed
+// of s matches that stream's. Hot paths that draw one keyed operation
+// at a time hold one Stream and rekey it per operation instead of
+// deriving a fresh one. A zero Stream becomes usable once rekeyed.
+func (s *Stream) Rekey(seed uint64, keys ...uint64) {
+	s.init(derive(seed, keys))
+}
+
+// derive folds the key chain of Derive(seed, keys...) into its seed
+// material.
+func derive(seed uint64, keys []uint64) (hi, lo uint64) {
+	hi, lo = seed, newLo
 	for _, k := range keys {
 		hi, lo = keyed(hi, lo, k)
 	}
-	return newFrom(hi, lo)
+	return hi, lo
 }
 
 // keyed maps seed material (hi, lo) to that of its child under key.

@@ -302,3 +302,43 @@ func TestDeriveAllocs(t *testing.T) {
 		t.Errorf("HashString: %v allocs, want 0", n)
 	}
 }
+
+// TestRekeyMatchesDerive: rekeying one stream, whatever it drew or
+// split before, reproduces Derive's stream for every key chain of
+// length 0–7, sampler by sampler, and allocates nothing.
+func TestRekeyMatchesDerive(t *testing.T) {
+	var s Stream // a zero Stream, usable once rekeyed
+	keys := []uint64{3, 0, 1<<64 - 1, 42, 0x9e3779b97f4a7c15, 7, 1 << 63}
+	for seed := uint64(0); seed < 3; seed++ {
+		for n := 0; n <= len(keys); n++ {
+			chain := keys[:n]
+			want, got := Derive(seed, chain...), &s
+			got.Rekey(seed, chain...)
+			for i := 0; i < 16; i++ {
+				if w, g := want.Uint64(), got.Uint64(); w != g {
+					t.Fatalf("seed %d, %d keys: Uint64 #%d = %#x, Derive gives %#x", seed, n, i, g, w)
+				}
+				if w, g := want.Float64(), got.Float64(); w != g {
+					t.Fatalf("seed %d, %d keys: Float64 #%d = %v, Derive gives %v", seed, n, i, g, w)
+				}
+				if w, g := want.ExpFloat64(), got.ExpFloat64(); w != g {
+					t.Fatalf("seed %d, %d keys: ExpFloat64 #%d = %v, Derive gives %v", seed, n, i, g, w)
+				}
+				if w, g := want.IntN(1000+i), got.IntN(1000+i); w != g {
+					t.Fatalf("seed %d, %d keys: IntN #%d = %d, Derive gives %d", seed, n, i, g, w)
+				}
+			}
+			// Split and Keyed children derive from the rekeyed seed
+			// material, not from what s held before.
+			if w, g := want.Split().Uint64(), got.Split().Uint64(); w != g {
+				t.Fatalf("seed %d, %d keys: Split child drew %#x, Derive's gives %#x", seed, n, g, w)
+			}
+			if w, g := want.Keyed(9).Uint64(), got.Keyed(9).Uint64(); w != g {
+				t.Fatalf("seed %d, %d keys: Keyed child drew %#x, Derive's gives %#x", seed, n, g, w)
+			}
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { s.Rekey(1, 2, 3, 4, 5, 6, 7, 8) }); n != 0 {
+		t.Errorf("Rekey with 7 keys: %v allocs, want 0", n)
+	}
+}

@@ -26,23 +26,24 @@ func pinAllocs(t *testing.T, name string, want float64, op func() error) {
 	}
 }
 
-// TestFaultStoreAllocs: one keyed stream per operation, plus the mem
-// store's copy of the payload.
+// TestFaultStoreAllocs: an operation rekeys its run's stream and
+// counts its attempt in place, so only the mem store's copy of the
+// payload allocates.
 func TestFaultStoreAllocs(t *testing.T) {
 	f := NewFaultStore(NewMemStore(), allocPlan)
 	payload := make([]byte, 256)
 	if err := f.Save("r", 1, payload); err != nil {
 		t.Fatal(err)
 	}
-	pinAllocs(t, "FaultStore.Save", 2, func() error { return f.Save("r", 1, payload) })
-	pinAllocs(t, "FaultStore.Load", 2, func() error { _, err := f.Load("r", 1); return err })
+	pinAllocs(t, "FaultStore.Save", 1, func() error { return f.Save("r", 1, payload) })
+	pinAllocs(t, "FaultStore.Load", 1, func() error { _, err := f.Load("r", 1); return err })
 }
 
 // TestQuorumStoreAllocs: a W=R=2 quorum over three Checked(Fault(Mem))
 // replicas costs only what its replicas allocate. A Save is a sealed
-// frame, a keyed stream and a mem copy on each of three replicas; a
-// Load is a keyed stream and a mem copy on each of the two replicas
-// the read quorum contacts. The fan-out itself allocates nothing.
+// frame and a mem copy on each of three replicas; a Load is a mem copy
+// on each of the two replicas the read quorum contacts. The fan-out and
+// the keyed draws allocate nothing.
 func TestQuorumStoreAllocs(t *testing.T) {
 	replicas := make([]Store, 3)
 	for i := range replicas {
@@ -58,19 +59,20 @@ func TestQuorumStoreAllocs(t *testing.T) {
 	if err := q.Save("r", 1, payload); err != nil {
 		t.Fatal(err)
 	}
-	pinAllocs(t, "QuorumStore.Save", 9, func() error { return q.Save("r", 1, payload) })
-	pinAllocs(t, "QuorumStore.Load", 4, func() error { _, err := q.Load("r", 1); return err })
+	pinAllocs(t, "QuorumStore.Save", 6, func() error { return q.Save("r", 1, payload) })
+	pinAllocs(t, "QuorumStore.Load", 2, func() error { _, err := q.Load("r", 1); return err })
 }
 
 // TestSpecBuildAllocs: Build allocates its layers and nothing else —
 // validation and the optional-layer branches are free. A replica is a
-// fault injector (struct, attempt map), a remote hop (struct, clock
-// map) and the codec; the stack adds one network (struct, attempt map).
-// A quorum adds its replica slice, itself, and the names s1 and s2 (s0
-// is a constant).
+// fault injector (struct, run map), a remote hop (struct only: its
+// clock map waits for the first BindClock) and the codec; the stack
+// adds one network (struct, link map). A quorum adds its replica
+// slice, itself, its tracker slice, and the names s1 and s2 (s0 is a
+// constant).
 func TestSpecBuildAllocs(t *testing.T) {
 	netCfg := netsim.Config{Seed: 2, Latency: 0.1}
-	for n, want := range map[int]float64{1: 2 + 5, 3: 2 + 3*5 + 2 + 2} {
+	for n, want := range map[int]float64{1: 2 + 4, 3: 2 + 3*4 + 3 + 2} {
 		spec := Spec{Backends: make([]Store, n), Faults: &allocPlan, Net: &netCfg}
 		for i := range spec.Backends {
 			spec.Backends[i] = NewMemStore()

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 
+	"repro/internal/attempt"
 	"repro/internal/rng"
 )
 
@@ -98,22 +99,27 @@ type FaultStore struct {
 
 	opLedger // its mutex guards the fields below too
 	stats    FaultStats
-	attempts map[faultOpKey]uint64
+	runs     map[string]*faultRun
 }
 
-// faultOpKey identifies a logical operation for attempt counting.
-type faultOpKey struct {
-	kind uint64
-	run  string
-	seq  uint64
+// faultRun is one run's draw state on an injector: the FNV-1a key of
+// its name, the attempt count of every (kind, seq) operation issued on
+// it, and the stream its operations draw from. The Store contract has
+// one goroutine drive a run at a time, so an operation keeps drawing
+// from the run's stream after opStream hands it over.
+type faultRun struct {
+	key      uint64
+	attempts attempt.Counter
+	s        rng.Stream
+	op       *RunOp // the run's ledger entry
 }
 
 // NewFaultStore wraps inner with the given fault plan.
 func NewFaultStore(inner Store, plan FaultPlan) *FaultStore {
 	return &FaultStore{
-		inner:    inner,
-		plan:     plan,
-		attempts: make(map[faultOpKey]uint64),
+		inner: inner,
+		plan:  plan,
+		runs:  make(map[string]*faultRun),
 	}
 }
 
@@ -129,22 +135,35 @@ func (f *FaultStore) Unwrap() Store { return f.inner }
 
 // opStream returns the keyed stream for an operation, advancing its
 // attempt count, and draws and books the operation's injected latency.
-// Draw order within an operation is fixed (latency first, then the
-// fault decision), which is part of the determinism contract.
+// The stream is the run's own, rekeyed to
+// rng.Derive(seed, kind, fnv1a(run), seq, attempt). Draw order within
+// an operation is fixed (latency first, then the fault decision), which
+// is part of the determinism contract.
 func (f *FaultStore) opStream(kind uint64, run string, seq uint64) *rng.Stream {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.stats.Ops++
-	k := faultOpKey{kind: kind, run: run, seq: seq}
-	f.attempts[k]++
-	s := rng.Derive(f.plan.Seed, kind, rng.HashString(run), seq, f.attempts[k])
+	r, nth := f.attempt(kind, run, seq)
+	s := &r.s
+	s.Rekey(f.plan.Seed, kind, r.key, seq, nth)
 	var lat float64
 	if f.plan.MeanLatency > 0 {
 		lat = s.ExpFloat64() * f.plan.MeanLatency
 		f.stats.Latency += lat
 	}
-	f.recordLocked(run, lat)
+	r.op.book(lat)
 	return s
+}
+
+// attempt resolves run and counts one more attempt of (kind, run, seq),
+// returning the run and the attempt ordinal. The caller holds mu.
+func (f *FaultStore) attempt(kind uint64, run string, seq uint64) (*faultRun, uint64) {
+	r := f.runs[run]
+	if r == nil {
+		r = &faultRun{key: rng.HashString(run), op: f.entryLocked(run)}
+		f.runs[run] = r
+	}
+	return r, r.attempts.Next(kind, seq)
 }
 
 // Save injects write faults around the inner Save.

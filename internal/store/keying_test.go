@@ -6,7 +6,9 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/attempt"
 	"repro/internal/netsim"
+	"repro/internal/rng"
 )
 
 // TestStackKeyingInvariance pins logical keying across a whole stack:
@@ -97,4 +99,46 @@ func TestStackKeyingInvariance(t *testing.T) {
 	if fails == 0 {
 		t.Fatal("script saw no failed operation")
 	}
+}
+
+// faultOpKey is one logical operation, the key the reference injector
+// counts attempts under.
+type faultOpKey struct {
+	kind uint64
+	run  string
+	seq  uint64
+}
+
+// FuzzAttemptCounters: over any interleaving of runs, op kinds and
+// seqs — small seqs, seqs at and past attempt.DenseCap, 2⁶⁴−1 — the
+// injector's per-run attempt tables count exactly what one map entry
+// per logical operation counts, and each operation's stream draws what
+// rng.Derive(seed, kind, fnv1a(run), seq, attempt) draws, latency
+// included.
+func FuzzAttemptCounters(f *testing.F) {
+	f.Add(uint64(1), []byte{0x01, 0x00, 0x01, 0x00, 0x21, 0x0b, 0x21, 0x0b})
+	f.Add(uint64(9), []byte{0x12, 0x0c, 0x12, 0x0d, 0x73, 0x0f, 0x02, 0x0e, 0x12, 0x0c})
+	runs := []string{"r", "run-1", "run-1~lease", "x"}
+	kinds := []uint64{opSave, opLoad, opList, opDelete, 0, 7, 8, 1<<64 - 1}
+	seqs := []uint64{0, 1, 2, 3, 9, 100, 4096, attempt.DenseCap - 2, attempt.DenseCap - 1,
+		attempt.DenseCap, attempt.DenseCap + 1, 1 << 32, 1 << 63, 1<<64 - 2, 1<<64 - 1, 5}
+	f.Fuzz(func(t *testing.T, seed uint64, ops []byte) {
+		plan := FaultPlan{Seed: seed, MeanLatency: 0.5}
+		fs := NewFaultStore(NewMemStore(), plan)
+		oracle := map[faultOpKey]uint64{}
+		for i := 0; i+2 <= len(ops); i += 2 {
+			b0, b1 := ops[i], ops[i+1]
+			k := faultOpKey{kind: kinds[b0&7], run: runs[b0>>3&3], seq: seqs[b1&15] + uint64(b1>>4)}
+			oracle[k]++
+			want := rng.Derive(plan.Seed, k.kind, rng.HashString(k.run), k.seq, oracle[k])
+			wantLat := want.ExpFloat64() * plan.MeanLatency
+			got := fs.opStream(k.kind, k.run, k.seq)
+			if lat := fs.LastOp(k.run).Latency; lat != wantLat {
+				t.Fatalf("op %d %+v attempt %d: latency %v, reference %v", i/2, k, oracle[k], lat, wantLat)
+			}
+			if g, w := got.Uint64(), want.Uint64(); g != w {
+				t.Fatalf("op %d %+v attempt %d: drew %#x, reference %#x", i/2, k, oracle[k], g, w)
+			}
+		}
+	})
 }

@@ -1,7 +1,7 @@
 package store
 
 import (
-	"sort"
+	"slices"
 	"sync"
 )
 
@@ -11,12 +11,19 @@ import (
 // store semantics without disk.
 type MemStore struct {
 	mu   sync.RWMutex
-	runs map[string]map[uint64][]byte
+	runs map[string]*memRun
+}
+
+// memRun is one run's checkpoints and their seqs in ascending order,
+// which Save and Delete maintain so List is a copy.
+type memRun struct {
+	payloads map[uint64][]byte
+	seqs     []uint64
 }
 
 // NewMemStore returns an empty in-memory store.
 func NewMemStore() *MemStore {
-	return &MemStore{runs: make(map[string]map[uint64][]byte)}
+	return &MemStore{runs: make(map[string]*memRun)}
 }
 
 // Save stores a copy of payload under (run, seq).
@@ -30,10 +37,14 @@ func (m *MemStore) Save(run string, seq uint64, payload []byte) error {
 	defer m.mu.Unlock()
 	r := m.runs[run]
 	if r == nil {
-		r = make(map[uint64][]byte)
+		r = &memRun{payloads: make(map[uint64][]byte)}
 		m.runs[run] = r
 	}
-	r[seq] = cp
+	if _, ok := r.payloads[seq]; !ok {
+		i, _ := slices.BinarySearch(r.seqs, seq)
+		r.seqs = slices.Insert(r.seqs, i, seq)
+	}
+	r.payloads[seq] = cp
 	return nil
 }
 
@@ -44,7 +55,11 @@ func (m *MemStore) Load(run string, seq uint64) ([]byte, error) {
 	}
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	payload, ok := m.runs[run][seq]
+	r := m.runs[run]
+	if r == nil {
+		return nil, ErrNotFound
+	}
+	payload, ok := r.payloads[seq]
 	if !ok {
 		return nil, ErrNotFound
 	}
@@ -60,13 +75,11 @@ func (m *MemStore) List(run string) ([]uint64, error) {
 	}
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	r := m.runs[run]
-	out := make([]uint64, 0, len(r))
-	for seq := range r {
-		out = append(out, seq)
+	var seqs []uint64
+	if r := m.runs[run]; r != nil {
+		seqs = r.seqs
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out, nil
+	return append(make([]uint64, 0, len(seqs)), seqs...), nil
 }
 
 // Delete removes checkpoint (run, seq).
@@ -77,10 +90,23 @@ func (m *MemStore) Delete(run string, seq uint64) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	r := m.runs[run]
-	if _, ok := r[seq]; !ok {
+	if r == nil {
 		return ErrNotFound
 	}
-	delete(r, seq)
+	if _, ok := r.payloads[seq]; !ok {
+		return ErrNotFound
+	}
+	delete(r.payloads, seq)
+	// Close the gap from the nearer end, so deleting the oldest seq (a
+	// purge or a retention pass walks them in ascending order) or the
+	// newest costs O(1).
+	i, _ := slices.BinarySearch(r.seqs, seq)
+	if i < len(r.seqs)/2 {
+		copy(r.seqs[1:i+1], r.seqs[:i])
+		r.seqs = r.seqs[1:]
+	} else {
+		r.seqs = slices.Delete(r.seqs, i, i+1)
+	}
 	return nil
 }
 

@@ -59,6 +59,7 @@ type QuorumStats struct {
 // layer (LastOp) and forwards clock bindings to every replica.
 type QuorumStore struct {
 	replicas []Store
+	trackers []lastOpReader // replica i's latency tracker, nil if none
 	w, r     int
 
 	// One executor drives a run, but runs share the store; the
@@ -87,8 +88,12 @@ func NewQuorumStore(replicas []Store, cfg QuorumConfig) (*QuorumStore, error) {
 	}
 	q := &QuorumStore{
 		replicas: replicas,
+		trackers: make([]lastOpReader, n),
 		w:        w,
 		r:        r,
+	}
+	for i, rep := range replicas {
+		q.trackers[i], _ = find[lastOpReader](rep)
 	}
 	return q, nil
 }
@@ -114,8 +119,7 @@ func (q *QuorumStore) BindClock(run string, now func() float64) {
 // operation.
 func (q *QuorumStore) replicaOp(i int, run string, op func(Store) error) (float64, error) {
 	rep := q.replicas[i]
-	lat, _, err := Measure(rep, run, func() error { return op(rep) })
-	return lat, err
+	return measure(q.trackers[i], run, func() error { return op(rep) })
 }
 
 // permanentErr classifies a replica failure: quota, corruption and

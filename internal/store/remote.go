@@ -56,10 +56,11 @@ func (c RemoteConfig) timeout(net netsim.Config) float64 {
 // attempt ordinal, so concurrent runs never perturb each other and
 // kill/resume replays re-observe identical outcomes.
 type RemoteStore struct {
-	inner Store
-	net   *netsim.Network
-	cfg   RemoteConfig
-	ttl   float64
+	inner   Store
+	tracker lastOpReader // inner's latency tracker, nil if none
+	net     *netsim.Network
+	cfg     RemoteConfig
+	ttl     float64
 
 	opLedger // its mutex guards the fields below too
 	clocks   map[string]func() float64
@@ -71,12 +72,13 @@ func NewRemoteStore(inner Store, net *netsim.Network, netCfg netsim.Config, cfg 
 	if cfg.Remote == "" {
 		cfg.Remote = "store"
 	}
+	tracker, _ := find[lastOpReader](inner)
 	return &RemoteStore{
-		inner:  inner,
-		net:    net,
-		cfg:    cfg,
-		ttl:    cfg.timeout(netCfg),
-		clocks: make(map[string]func() float64),
+		inner:   inner,
+		tracker: tracker,
+		net:     net,
+		cfg:     cfg,
+		ttl:     cfg.timeout(netCfg),
 	}
 }
 
@@ -84,6 +86,9 @@ func NewRemoteStore(inner Store, net *netsim.Network, netCfg netsim.Config, cfg 
 // partition windows at delivery time.
 func (r *RemoteStore) BindClock(run string, now func() float64) {
 	r.mu.Lock()
+	if r.clocks == nil {
+		r.clocks = make(map[string]func() float64)
+	}
 	r.clocks[run] = now
 	r.mu.Unlock()
 }
@@ -101,23 +106,13 @@ func (r *RemoteStore) Timeouts() uint64 {
 // Unwrap exposes the inner store for capability discovery.
 func (r *RemoteStore) Unwrap() Store { return r.inner }
 
-// transit sends the operation's message. It returns the network
-// latency to charge and a nil error on delivery, or ErrTimeout (with
-// the timeout as the charged latency) when the message is lost,
-// partitioned, or too slow.
-func (r *RemoteStore) transit(kind uint64, opName, run string, seq uint64) (float64, error) {
-	r.mu.Lock()
-	clock := r.clocks[run]
-	r.mu.Unlock()
-	now := 0.0
-	if clock != nil {
-		now = clock()
-	}
+// transit sends the operation's message at virtual time now. It
+// returns the network latency to charge and a nil error on delivery, or
+// ErrTimeout (with the timeout as the charged latency) when the message
+// is lost, partitioned, or too slow.
+func (r *RemoteStore) transit(now float64, kind uint64, opName, run string, seq uint64) (float64, error) {
 	out := r.net.Deliver(now, localEndpoint, r.cfg.Remote, netsim.Message{Kind: kind, Run: run, Seq: seq})
 	if !out.OK() || out.Latency > r.ttl {
-		r.mu.Lock()
-		r.timeouts++
-		r.mu.Unlock()
 		why := "slow"
 		switch {
 		case out.Partitioned:
@@ -137,13 +132,26 @@ func (r *RemoteStore) transit(kind uint64, opName, run string, seq uint64) (floa
 // Remote(Fault(...)) stack — or the full timeout when the message never
 // arrived.
 func (r *RemoteStore) do(kind uint64, opName, run string, seq uint64, op func() error) error {
-	lat, err := r.transit(kind, opName, run, seq)
-	if err == nil {
+	r.mu.Lock()
+	clock, entry := r.clocks[run], r.entryLocked(run)
+	r.mu.Unlock()
+	now := 0.0
+	if clock != nil {
+		now = clock()
+	}
+	lat, err := r.transit(now, kind, opName, run, seq)
+	timedOut := err != nil
+	if !timedOut {
 		var inner float64
-		inner, _, err = Measure(r.inner, run, op)
+		inner, err = measure(r.tracker, run, op)
 		lat += inner
 	}
-	r.record(run, lat)
+	r.mu.Lock()
+	entry.book(lat)
+	if timedOut {
+		r.timeouts++
+	}
+	r.mu.Unlock()
 	return err
 }
 

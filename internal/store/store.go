@@ -25,7 +25,6 @@ package store
 import (
 	"errors"
 	"fmt"
-	"strings"
 	"sync"
 )
 
@@ -150,15 +149,24 @@ func LastOp(s Store, run string) (op RunOp, ok bool) {
 // operation counts before and after, never differences of sums.
 func Measure(s Store, run string, op func() error) (lat float64, tracked bool, err error) {
 	r, tracked := find[lastOpReader](s)
-	if !tracked {
-		return 0, false, op()
+	lat, err = measure(r, run, op)
+	return lat, tracked, err
+}
+
+// measure is Measure against a tracking layer the caller resolved once
+// (a nil r tracks nothing): layers that measure an inner stack on every
+// operation look its tracker up at construction, since a stack's layers
+// never change once it is built.
+func measure(r lastOpReader, run string, op func() error) (float64, error) {
+	if r == nil {
+		return 0, op()
 	}
 	before := r.LastOp(run)
-	err = op()
+	err := op()
 	if after := r.LastOp(run); after.Ops > before.Ops {
-		lat = after.Latency
+		return after.Latency, err
 	}
-	return lat, true, err
+	return 0, err
 }
 
 // RunOp is a per-run operation observation: Ops counts the run's
@@ -177,22 +185,35 @@ type RunOp struct {
 // embeds. Its mutex also guards the embedding layer's own bookkeeping.
 type opLedger struct {
 	mu   sync.Mutex
-	runs map[string]RunOp
+	runs map[string]*RunOp
 }
 
-// recordLocked books one operation of run and its exact latency; the
-// caller holds mu.
-func (l *opLedger) recordLocked(run string, lat float64) {
-	if l.runs == nil {
-		l.runs = make(map[string]RunOp)
+// entryLocked returns run's ledger entry, adding an empty one for a new
+// run; the caller holds mu. Entries never move or go away, so a layer
+// that resolves a run once books its operations through the pointer.
+func (l *opLedger) entryLocked(run string) *RunOp {
+	e := l.runs[run]
+	if e == nil {
+		if l.runs == nil {
+			l.runs = make(map[string]*RunOp)
+		}
+		e = new(RunOp)
+		l.runs[run] = e
 	}
-	l.runs[run] = RunOp{Ops: l.runs[run].Ops + 1, Latency: lat}
+	return e
+}
+
+// book records one more operation and its exact latency; the ledger's
+// mutex is held.
+func (e *RunOp) book(lat float64) {
+	e.Ops++
+	e.Latency = lat
 }
 
 // record books one operation of run and its exact latency.
 func (l *opLedger) record(run string, lat float64) {
 	l.mu.Lock()
-	l.recordLocked(run, lat)
+	l.entryLocked(run).book(lat)
 	l.mu.Unlock()
 }
 
@@ -201,7 +222,10 @@ func (l *opLedger) record(run string, lat float64) {
 func (l *opLedger) LastOp(run string) RunOp {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.runs[run]
+	if e := l.runs[run]; e != nil {
+		return *e
+	}
+	return RunOp{}
 }
 
 // Latest returns the highest sequence number persisted for run, with
@@ -225,7 +249,12 @@ func validRun(run string) error {
 	if run == "" {
 		return fmt.Errorf("store: empty run ID")
 	}
-	if strings.ContainsAny(run, "/\\") || run == "." || run == ".." {
+	for i := 0; i < len(run); i++ {
+		if run[i] == '/' || run[i] == '\\' {
+			return fmt.Errorf("store: run ID %q must be a single path component", run)
+		}
+	}
+	if run == "." || run == ".." {
 		return fmt.Errorf("store: run ID %q must be a single path component", run)
 	}
 	return nil

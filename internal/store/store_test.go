@@ -6,10 +6,12 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/netsim"
+	"repro/internal/rng"
 	"repro/internal/store"
 )
 
@@ -87,6 +89,42 @@ func TestStoreContract(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestMemStoreSeqIndex: over random saves (new seqs, overwrites) and
+// deletes at the front, middle and back, List returns exactly the
+// sorted seqs the run holds, and the caller owns the returned slice.
+func TestMemStoreSeqIndex(t *testing.T) {
+	m := store.NewMemStore()
+	held := map[uint64]bool{}
+	r := rng.New(3)
+	for op := 0; op < 4000; op++ {
+		seq := uint64(r.IntN(300))
+		if r.IntN(3) == 0 {
+			err := m.Delete("run", seq)
+			if held[seq] != (err == nil) {
+				t.Fatalf("op %d: Delete(%d) = %v with seq held %v", op, seq, err, held[seq])
+			}
+			delete(held, seq)
+		} else {
+			if err := m.Save("run", seq, []byte{byte(seq)}); err != nil {
+				t.Fatal(err)
+			}
+			held[seq] = true
+		}
+		want := make([]uint64, 0, len(held))
+		for q := range held {
+			want = append(want, q)
+		}
+		slices.Sort(want)
+		got, err := m.List("run")
+		if err != nil || !slices.Equal(got, want) {
+			t.Fatalf("op %d: List = %v, %v; want %v", op, got, err, want)
+		}
+		for i := range got {
+			got[i] = 1 << 40 // the caller owns the slice
+		}
 	}
 }
 
