@@ -67,6 +67,11 @@
 // DP under -costmodel (last-task | live-set). The same construction
 // yields the online replanner: chains re-solve the suffix chain DP,
 // DAGs the per-order placement DP under the chosen cost model.
+//
+// Every persisted mode maps its flags onto one exec.RunSpec: the store
+// flags become its StoreLayout, the resilience flags its adaptive
+// knobs, the crash flags its kill points. -contend runs
+// exec.FencingDrill over that spec.
 package main
 
 import (
@@ -79,7 +84,6 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
-	"sync"
 
 	"repro/internal/core"
 	"repro/internal/dag"
@@ -245,13 +249,17 @@ func run(cfg config, out io.Writer) error {
 	}
 	overhead := 0.0
 	if cfg.planFromTelemetry {
-		st, err := buildStore(cfg, nil)
+		probe, err := cfg.runSpec(false)
 		if err != nil {
 			return err
 		}
-		probe := exec.ProbeStore(st, "telemetry-probe", 16)
-		fmt.Fprintf(out, "%s\n", probe)
-		overhead = probe.Estimate
+		_, st, err := probe.Boot()
+		if err != nil {
+			return err
+		}
+		res := exec.ProbeStore(st.Store, "telemetry-probe", 16)
+		fmt.Fprintf(out, "%s\n", res)
+		overhead = res.Estimate
 	}
 	w, replanner, desc, err := buildWorkload(g, m, cfg, overhead)
 	if err != nil {
@@ -264,47 +272,95 @@ func run(cfg config, out io.Writer) error {
 	if cfg.dir == "" {
 		return runCampaign(w, m, planned, cfg, out)
 	}
+	plan := exec.Plan{Workload: w, Model: m, Replanner: replanner}
 	if cfg.contend {
 		if cfg.tenants > 1 || cfg.tracePath != "" {
 			return fmt.Errorf("-contend drives one contended run: drop -tenants/-trace")
 		}
-		return runContend(g, m, planned, cfg, overhead, out)
+		return runContend(plan, planned, cfg, out)
+	}
+	if cfg.tenants > 1 && cfg.tracePath != "" {
+		return fmt.Errorf("-trace records one platform's failures: it cannot drive %d concurrent tenants", cfg.tenants)
+	}
+	spec, err := cfg.runSpec(true)
+	if err != nil {
+		return err
 	}
 	if cfg.tenants > 1 {
-		if cfg.tracePath != "" {
-			return fmt.Errorf("-trace records one platform's failures: it cannot drive %d concurrent tenants", cfg.tenants)
-		}
-		return runTenants(g, m, planned, replanner, cfg, overhead, out)
+		return runTenants(plan, spec, planned, cfg, out)
 	}
-	return runPersisted(w, m, planned, replanner, cfg, out)
+	return runPersisted(plan, spec, planned, cfg, out)
 }
 
-// buildSource picks the failure source for a persisted run: the keyed
-// seeded law, or the recorded trace when -trace is set (the *TraceSource
-// return is non-nil exactly then, so the caller can check exhaustion).
-func buildSource(cfg config, m expectation.Model) (exec.Source, *exec.TraceSource, error) {
-	if cfg.tracePath == "" {
-		return exec.NewKeyedSource(failure.Exponential{Lambda: m.Lambda}, cfg.seed, 1), nil, nil
+// runSpec maps the flags onto the persisted run's RunSpec: one file
+// store per replica (directory <dir>/r<i> when replicated) plus the
+// layers the flags ask for. Only a metered spec carries the -quota
+// budget; the telemetry probe, the contend drill and the maintenance
+// passes run unmetered.
+func (c config) runSpec(metered bool) (exec.RunSpec, error) {
+	layout := &exec.StoreLayout{
+		Replicas: c.replicas, W: c.writeQuorum, Dir: c.dir, Timeout: c.netTimeout,
+		Secondary: c.secondaryDir != "", SecondaryDir: c.secondaryDir,
 	}
-	f, err := os.Open(cfg.tracePath)
+	if metered && c.quota != "" {
+		q, err := parseQuota(c.quota)
+		if err != nil {
+			return exec.RunSpec{}, err
+		}
+		layout.Quota = &q
+	}
+	if c.faults {
+		layout.Faults = &store.FaultPlan{
+			Seed: c.faultSeed, WriteFail: 0.1, TornWrite: 0.1, LoseOld: 0.2, ReadFail: 0.1,
+			MeanLatency: c.faultLatency,
+		}
+		if layout.Quota != nil {
+			// Silent old-checkpoint loss would desync the quota
+			// ledger's retained accounting from the store.
+			layout.Faults.LoseOld = 0
+		}
+	}
+	if c.networked() {
+		wins, err := parsePartitions(c.partition)
+		if err != nil {
+			return exec.RunSpec{}, err
+		}
+		layout.Net = &netsim.Config{
+			Seed: c.netSeed, Latency: c.netLatency, Jitter: c.netJitter,
+			Loss: c.netLoss, Partitions: wins,
+		}
+	}
+	if c.lease > 0 {
+		layout.Lease = &store.LeaseConfig{Holder: c.holder, TTL: c.lease, Takeover: c.takeover}
+	}
+	spec := exec.RunSpec{
+		RunID: c.runID, Seed: c.seed, Salt: 1, Store: layout, SaveRetries: c.retries,
+		Adaptive: c.adaptive(), Retry: c.retryPolicy, ReplanRatio: c.replanThreshold, SyncEvery: c.syncEvery,
+		CrashAfterEvents: c.crashEvents, CrashAfterSaves: c.crashSaves,
+	}
+	return spec, nil
+}
+
+// loadTrace reads the -trace log into a replayable failure source.
+func loadTrace(path string) (*exec.TraceSource, error) {
+	f, err := os.Open(path)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	tr, err := trace.ReadCSV(f)
 	f.Close()
 	if err != nil {
-		return nil, nil, fmt.Errorf("reading trace %s: %w", cfg.tracePath, err)
+		return nil, fmt.Errorf("reading trace %s: %w", path, err)
 	}
 	gaps := tr.PlatformGaps()
 	if len(gaps) == 0 {
-		return nil, nil, fmt.Errorf("trace %s holds fewer than two events: no failure gaps to replay", cfg.tracePath)
+		return nil, fmt.Errorf("trace %s holds fewer than two events: no failure gaps to replay", path)
 	}
 	rate := 0.0
 	if mtbf := tr.MTBF(); mtbf > 0 {
 		rate = 1 / mtbf
 	}
-	ts := exec.NewTraceSource(gaps, rate)
-	return ts, ts, nil
+	return exec.NewTraceSource(gaps, rate), nil
 }
 
 // buildWorkload compiles the workflow into an executable workload plus
@@ -320,7 +376,7 @@ func buildWorkload(g *dag.Graph, m expectation.Model, cfg config, overhead float
 		if err != nil {
 			return nil, nil, "", err
 		}
-		ck, err := chainStrategy(cp, cfg.strategy)
+		ck, err := core.ChainStrategy(cp, cfg.strategy, m.Lambda)
 		if err != nil {
 			return nil, nil, "", err
 		}
@@ -379,40 +435,8 @@ func checkpointsFromSegments(n int, segs []core.Segment) []bool {
 	return ck
 }
 
-// parseRetryPolicy resolves the -retry-policy spelling.
-func parseRetryPolicy(name string) (exec.RetryPolicy, error) {
-	switch {
-	case name == "" || name == "none":
-		return exec.NoRetry{}, nil
-	case strings.HasPrefix(name, "fixed:"):
-		n, err := strconv.Atoi(name[len("fixed:"):])
-		if err != nil || n <= 0 {
-			return nil, fmt.Errorf("bad retry policy %q: want fixed:<positive n>", name)
-		}
-		return exec.FixedRetry{Attempts: n}, nil
-	case name == "exp" || strings.HasPrefix(name, "exp:"):
-		pol := exec.ExpBackoff{Base: 0.5}
-		parts := strings.Split(name, ":")[1:]
-		dst := []*float64{&pol.Base, &pol.Factor, &pol.Cap}
-		for i, part := range parts {
-			if i == len(dst) {
-				n, err := strconv.Atoi(part)
-				if err != nil || n <= 0 {
-					return nil, fmt.Errorf("bad retry policy %q: max attempts %q", name, part)
-				}
-				pol.MaxAttempts = n
-				break
-			}
-			v, err := strconv.ParseFloat(part, 64)
-			if err != nil || v < 0 {
-				return nil, fmt.Errorf("bad retry policy %q: %q", name, part)
-			}
-			*dst[i] = v
-		}
-		return pol, nil
-	}
-	return nil, fmt.Errorf("unknown retry policy %q (want none | fixed:<n> | exp[:base[:factor[:cap[:max]]]])", name)
-}
+// parseRetryPolicy is the -retry-policy grammar.
+var parseRetryPolicy = exec.ParseRetryPolicy
 
 // parseQuota resolves the -quota spelling into a per-tenant budget.
 func parseQuota(spec string) (store.Quota, error) {
@@ -439,44 +463,6 @@ func parseQuota(spec string) (store.Quota, error) {
 		}
 	}
 	return q, nil
-}
-
-// chainStrategy resolves a strategy name to a checkpoint vector.
-func chainStrategy(cp *core.ChainProblem, name string) ([]bool, error) {
-	meanC := 0.0
-	for _, c := range cp.Ckpt {
-		meanC += c
-	}
-	meanC /= float64(len(cp.Ckpt))
-	switch {
-	case name == "dp":
-		res, err := core.SolveChainDP(cp)
-		return res.CheckpointAfter, err
-	case name == "always":
-		res, err := core.AlwaysCheckpoint(cp)
-		return res.CheckpointAfter, err
-	case name == "never":
-		res, err := core.NeverCheckpoint(cp)
-		return res.CheckpointAfter, err
-	case name == "daly":
-		res, err := core.PeriodicCheckpoint(cp, expectation.DalyPeriod(meanC, cp.Model.Lambda))
-		return res.CheckpointAfter, err
-	case name == "young":
-		res, err := core.PeriodicCheckpoint(cp, expectation.YoungPeriod(meanC, cp.Model.Lambda))
-		return res.CheckpointAfter, err
-	case strings.HasPrefix(name, "every:"):
-		k, err := strconv.Atoi(name[len("every:"):])
-		if err != nil || k <= 0 {
-			return nil, fmt.Errorf("bad strategy %q: want every:<positive k>", name)
-		}
-		ck := make([]bool, cp.Len())
-		for i := range ck {
-			ck[i] = (i+1)%k == 0
-		}
-		ck[cp.Len()-1] = true
-		return ck, nil
-	}
-	return nil, fmt.Errorf("unknown strategy %q", name)
 }
 
 // runCampaign executes the plan cfg.runs times and prints realized vs
@@ -519,89 +505,6 @@ func parsePartitions(spec string) ([]netsim.Window, error) {
 	return wins, nil
 }
 
-// buildStore declares the persisted store stack as a store.Spec: one
-// file store per replica (directory <dir>/r<i> when replicated) plus
-// the layers the flags ask for. The quota ledger is passed in so
-// concurrent tenants share one accounting.
-func buildStore(cfg config, ledger *store.QuotaLedger) (store.Store, error) {
-	spec := store.Spec{Timeout: cfg.netTimeout, W: cfg.writeQuorum, Quota: ledger}
-	for i := 0; i < cfg.replicas; i++ {
-		dir := cfg.dir
-		if cfg.replicas > 1 {
-			dir = filepath.Join(cfg.dir, fmt.Sprintf("r%d", i))
-		}
-		fs, err := store.NewFileStore(dir)
-		if err != nil {
-			return nil, err
-		}
-		spec.Backends = append(spec.Backends, fs)
-	}
-	if cfg.faults {
-		spec.Faults = &store.FaultPlan{
-			Seed: cfg.faultSeed, WriteFail: 0.1, TornWrite: 0.1, LoseOld: 0.2, ReadFail: 0.1,
-			MeanLatency: cfg.faultLatency,
-		}
-		if ledger != nil {
-			// Silent old-checkpoint loss would desync the quota
-			// ledger's retained accounting from the store.
-			spec.Faults.LoseOld = 0
-		}
-	}
-	if cfg.networked() {
-		wins, err := parsePartitions(cfg.partition)
-		if err != nil {
-			return nil, err
-		}
-		spec.Net = &netsim.Config{
-			Seed: cfg.netSeed, Latency: cfg.netLatency, Jitter: cfg.netJitter,
-			Loss: cfg.netLoss, Partitions: wins,
-		}
-	}
-	if cfg.lease > 0 {
-		spec.Lease = &store.LeaseConfig{Holder: cfg.holder, TTL: cfg.lease, Takeover: cfg.takeover}
-	}
-	return spec.Build()
-}
-
-// buildAdaptive assembles the AdaptiveOptions the resilience flags ask
-// for; nil when no resilience flag is set.
-func buildAdaptive(cfg config, replanner exec.Replanner) (*exec.AdaptiveOptions, exec.RetryPolicy, error) {
-	if !cfg.adaptive() {
-		return nil, nil, nil
-	}
-	pol, err := parseRetryPolicy(cfg.retryPolicy)
-	if err != nil {
-		return nil, nil, err
-	}
-	ao := &exec.AdaptiveOptions{Retry: pol, ReplanRatio: cfg.replanThreshold, SyncEvery: cfg.syncEvery}
-	if cfg.replanThreshold > 1 {
-		ao.Replanner = replanner
-	}
-	if cfg.secondaryDir != "" {
-		sfs, err := store.NewFileStore(cfg.secondaryDir)
-		if err != nil {
-			return nil, nil, err
-		}
-		if ao.Secondary, err = (store.Spec{Backends: []store.Store{sfs}}).Build(); err != nil {
-			return nil, nil, err
-		}
-	}
-	return ao, pol, nil
-}
-
-// quotaLedger builds the per-process quota ledger, nil when -quota is
-// unset.
-func quotaLedger(cfg config) (*store.QuotaLedger, error) {
-	if cfg.quota == "" {
-		return nil, nil
-	}
-	q, err := parseQuota(cfg.quota)
-	if err != nil {
-		return nil, err
-	}
-	return store.NewQuotaLedger(q, nil), nil
-}
-
 // reportResult prints one invocation's outcome; prefix labels the
 // tenant in multi-tenant mode.
 func reportResult(out io.Writer, prefix string, cfg config, planned float64, res *exec.Result, err error) error {
@@ -627,7 +530,8 @@ func reportResult(out io.Writer, prefix string, cfg config, planned float64, res
 }
 
 // reportResilience prints the adaptive executor's summary line.
-func reportResilience(out io.Writer, prefix string, pol exec.RetryPolicy, res *exec.Result) {
+func reportResilience(out io.Writer, prefix string, spec exec.RunSpec, res *exec.Result) {
+	pol, _ := spec.Policy() // the run validated it
 	fmt.Fprintf(out, "%sresilience: policy %s, replans %d, save give-ups %d, level %s, store overhead %.4f, max rewind exposure %.4f\n",
 		prefix, pol.Name(), res.Replans, res.GiveUps, res.Level, res.StoreOverhead, res.MaxRewind)
 	if res.Syncs > 0 {
@@ -638,28 +542,16 @@ func reportResilience(out io.Writer, prefix string, pol exec.RetryPolicy, res *e
 
 // runPersisted executes once against a crash-durable file store,
 // resuming from whatever a previous invocation left there.
-func runPersisted(w *exec.Workload, m expectation.Model, planned float64, replanner exec.Replanner, cfg config, out io.Writer) error {
-	ledger, err := quotaLedger(cfg)
-	if err != nil {
-		return err
+func runPersisted(plan exec.Plan, spec exec.RunSpec, planned float64, cfg config, out io.Writer) error {
+	var ts *exec.TraceSource
+	if cfg.tracePath != "" {
+		var err error
+		if ts, err = loadTrace(cfg.tracePath); err != nil {
+			return err
+		}
+		plan.Source = ts
 	}
-	st, err := buildStore(cfg, ledger)
-	if err != nil {
-		return err
-	}
-	ao, pol, err := buildAdaptive(cfg, replanner)
-	if err != nil {
-		return err
-	}
-	src, ts, err := buildSource(cfg, m)
-	if err != nil {
-		return err
-	}
-	res, err := exec.Execute(w, src, exec.Options{
-		RunID: cfg.runID, Store: st, Downtime: m.Downtime,
-		SaveRetries: cfg.retries, CrashAfterEvents: cfg.crashEvents, CrashAfterSaves: cfg.crashSaves,
-		Adaptive: ao,
-	})
+	res, err := spec.Run(plan)
 	if ts != nil && ts.Exhausted() {
 		// The recorded log ran out of failure gaps mid-run: everything
 		// past the last recorded event executed failure-free, which the
@@ -669,8 +561,8 @@ func runPersisted(w *exec.Workload, m expectation.Model, planned float64, replan
 	if rerr := reportResult(out, "", cfg, planned, res, err); rerr != nil || err != nil {
 		return rerr
 	}
-	if ao != nil {
-		reportResilience(out, "", pol, res)
+	if spec.Adaptive {
+		reportResilience(out, "", spec, res)
 	}
 	return nil
 }
@@ -679,56 +571,19 @@ func runPersisted(w *exec.Workload, m expectation.Model, planned float64, replan
 // tenant, against one shared store stack (and one shared quota ledger).
 // Crash flags apply to tenant 0 only; every tenant resumes its own run
 // on the next invocation.
-func runTenants(g *dag.Graph, m expectation.Model, planned float64, replanner exec.Replanner, cfg config, overhead float64, out io.Writer) error {
-	ledger, err := quotaLedger(cfg)
+func runTenants(plan exec.Plan, spec exec.RunSpec, planned float64, cfg config, out io.Writer) error {
+	_, st, err := spec.Boot()
 	if err != nil {
 		return err
 	}
-	st, err := buildStore(cfg, ledger)
-	if err != nil {
-		return err
-	}
-	ao, pol, err := buildAdaptive(cfg, replanner)
-	if err != nil {
-		return err
-	}
-	results := make([]*exec.Result, cfg.tenants)
-	errs := make([]error, cfg.tenants)
-	var wg sync.WaitGroup
-	for i := 0; i < cfg.tenants; i++ {
-		i := i
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// Each tenant needs its own workload: the executor replans
-			// against executor-local segment state.
-			w, _, _, err := buildWorkload(g, m, cfg, overhead)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			opts := exec.Options{
-				RunID:    fmt.Sprintf("%s-t%d", cfg.runID, i),
-				Store:    st,
-				Downtime: m.Downtime,
-				Adaptive: ao,
-			}
-			if i == 0 {
-				opts.CrashAfterEvents = cfg.crashEvents
-				opts.CrashAfterSaves = cfg.crashSaves
-			}
-			src := exec.NewKeyedSource(failure.Exponential{Lambda: m.Lambda}, cfg.seed, uint64(i+1))
-			results[i], errs[i] = exec.Execute(w, src, opts)
-		}()
-	}
-	wg.Wait()
+	results, errs := spec.ExecuteTenants(plan, st, cfg.tenants)
 	for i := 0; i < cfg.tenants; i++ {
 		prefix := fmt.Sprintf("tenant %d: ", i)
 		if err := reportResult(out, prefix, cfg, planned, results[i], errs[i]); err != nil {
 			return fmt.Errorf("tenant %d: %w", i, err)
 		}
-		if ao != nil && errs[i] == nil {
-			reportResilience(out, prefix, pol, results[i])
+		if spec.Adaptive && errs[i] == nil {
+			reportResilience(out, prefix, spec, results[i])
 		}
 	}
 	return nil
@@ -749,13 +604,17 @@ func runMaintenance(cfg config, out io.Writer) error {
 	if cfg.contend || cfg.tenants > 1 {
 		return fmt.Errorf("-sync/-scrub are maintenance passes: drop -contend/-tenants")
 	}
-	st, err := buildStore(cfg, nil)
+	spec, err := cfg.runSpec(false)
+	if err != nil {
+		return err
+	}
+	_, st, err := exec.RunSpec{Store: spec.Store}.Boot()
 	if err != nil {
 		return err
 	}
 	// Two or more replicas build a quorum, which scrubs and syncs.
 	if cfg.scrub {
-		sc, _ := store.FindScrubber(st)
+		sc, _ := store.FindScrubber(st.Store)
 		rep, err := sc.ScrubRun(cfg.runID)
 		fmt.Fprintf(out, "scrub %s: %d seqs, %d replica copies checked, %d corrupt, %d repaired, %d unrepairable, %d repair writes failed\n",
 			cfg.runID, rep.Seqs, rep.Checked, rep.Corrupt, rep.Repaired, rep.Unrepairable, rep.CopyFailures)
@@ -764,7 +623,7 @@ func runMaintenance(cfg config, out io.Writer) error {
 		}
 	}
 	if cfg.syncMode {
-		sy, _ := store.FindSyncer(st)
+		sy, _ := store.FindSyncer(st.Store)
 		rep, err := sy.SyncRun(cfg.runID)
 		fmt.Fprintf(out, "sync %s: %d seqs, %d replica copies written, %d verified in sync, %d load failures, %d copy failures, %d replicas unlisted — converged %v\n",
 			cfg.runID, rep.Seqs, rep.Copied, rep.InSync, rep.LoadFailures, rep.CopyFailures, rep.Unlisted, rep.Converged())
@@ -775,118 +634,56 @@ func runMaintenance(cfg config, out io.Writer) error {
 	return nil
 }
 
-// runContend drives the two-executor fencing drill end to end inside
-// -dir: an uncontended leased reference run under <dir>/ref, then a
-// contended run under <dir>/main where executor a is killed at the
-// -crash-events point, executor b takes the run over with a higher
-// epoch (and is itself killed after one save), the woken zombie a is
-// fenced on its first write, and the surviving b resumes to completion.
-// The drill fails unless the survivor's journal is bit-identical to the
-// uncontended reference — fencing means the loser never interleaved.
-func runContend(g *dag.Graph, m expectation.Model, planned float64, cfg config, overhead float64, out io.Writer) error {
+// runContend drives the two-executor fencing drill (exec.FencingDrill)
+// end to end inside -dir: an uncontended leased reference run under
+// <dir>/ref, then the contended run under <dir>/main, where executor a
+// is killed at the -crash-events point (40 by default). The drill fails
+// unless the survivor's journal is bit-identical to the reference.
+func runContend(plan exec.Plan, planned float64, cfg config, out io.Writer) error {
 	if cfg.lease <= 0 {
 		return fmt.Errorf("-contend is a fencing drill: set -lease <ttl>")
 	}
-	crash := cfg.crashEvents
-	if crash <= 0 {
-		crash = 40
-	}
-	exe := func(c config, st store.Store, crashEvents, crashSaves int) (*exec.Result, error) {
-		w, replanner, _, err := buildWorkload(g, m, c, overhead)
-		if err != nil {
-			return nil, err
-		}
-		ao, _, err := buildAdaptive(c, replanner)
-		if err != nil {
-			return nil, err
-		}
-		src, _, err := buildSource(c, m)
-		if err != nil {
-			return nil, err
-		}
-		return exec.Execute(w, src, exec.Options{
-			RunID: c.runID, Store: st, Downtime: m.Downtime,
-			SaveRetries: c.retries, CrashAfterEvents: crashEvents, CrashAfterSaves: crashSaves,
-			Adaptive: ao,
-		})
-	}
-
 	refCfg := cfg
-	refCfg.dir = filepath.Join(cfg.dir, "ref")
-	refCfg.holder = "ref"
-	refStore, err := buildStore(refCfg, nil)
+	refCfg.dir, refCfg.holder, refCfg.crashEvents, refCfg.crashSaves = filepath.Join(cfg.dir, "ref"), "ref", 0, 0
+	ref, err := refCfg.runSpec(false)
 	if err != nil {
 		return err
 	}
-	ref, err := exe(refCfg, refStore, 0, 0)
+	refRes, err := ref.Run(plan)
 	if err != nil {
 		return fmt.Errorf("contend reference run: %w", err)
 	}
 	fmt.Fprintf(out, "contend: reference (epoch %d) journal: %d events, hash %016x\n",
-		ref.Epoch, len(ref.Journal), ref.Journal.Hash())
+		refRes.Epoch, len(refRes.Journal), refRes.Journal.Hash())
 
 	mainCfg := cfg
 	mainCfg.dir = filepath.Join(cfg.dir, "main")
-
-	aCfg := mainCfg
-	aCfg.holder = "a"
-	aStore, err := buildStore(aCfg, nil)
+	if mainCfg.crashEvents <= 0 {
+		mainCfg.crashEvents = 40
+	}
+	spec, err := mainCfg.runSpec(false)
 	if err != nil {
 		return err
 	}
-	resA, err := exe(aCfg, aStore, crash, 0)
-	if !errors.Is(err, exec.ErrCrashed) {
-		return fmt.Errorf("contend: executor a finished before the kill point (%v): set -crash-events below the run's %d events", err, len(ref.Journal))
-	}
-	fmt.Fprintf(out, "contend: executor a (epoch %d) killed after %d journal events\n", resA.Epoch, crash)
-
-	bCfg := mainCfg
-	bCfg.holder = "b"
-	bCfg.takeover = true
-	bStore, err := buildStore(bCfg, nil)
+	rep, err := exec.FencingDrill(plan, spec, refRes.Journal, false)
 	if err != nil {
-		return err
+		return fmt.Errorf("contend: %w", err)
 	}
-	resB, err := exe(bCfg, bStore, 0, 1)
-	switch {
-	case errors.Is(err, exec.ErrCrashed):
-		fmt.Fprintf(out, "contend: executor b (epoch %d) took the run over, killed after one save\n", resB.Epoch)
-	case err == nil:
-		fmt.Fprintf(out, "contend: executor b (epoch %d) took the run over and completed\n", resB.Epoch)
-	default:
-		return fmt.Errorf("contend: executor b: %w", err)
+	fmt.Fprintf(out, "contend: executor a (epoch %d) killed after %d journal events\n", rep.A.Epoch, len(rep.A.Journal))
+	if rep.BCompleted {
+		fmt.Fprintf(out, "contend: executor b (epoch %d) took the run over and completed\n", rep.B.Epoch)
+	} else {
+		fmt.Fprintf(out, "contend: executor b (epoch %d) took the run over, killed after one save\n", rep.B.Epoch)
 	}
-
-	// Zombie a wakes up on its ORIGINAL store instance — stale lease
-	// session, stale epoch — and must be fenced on its first write (or
-	// complete write-free with the identical journal when b already
-	// finished the run).
-	zRes, zErr := exe(aCfg, aStore, 0, 0)
-	switch {
-	case errors.Is(zErr, store.ErrFenced):
-		fmt.Fprintf(out, "contend: zombie a fenced: %v\n", zErr)
-	case zErr == nil && zRes.Journal.Equal(ref.Journal):
+	if rep.Zombie != nil {
+		fmt.Fprintf(out, "contend: zombie a fenced: %v\n", rep.Zombie)
+	} else {
 		fmt.Fprintf(out, "contend: zombie a had no writes left (journal already complete)\n")
-	case zErr == nil:
-		return fmt.Errorf("contend: zombie a completed UNFENCED with a diverged journal (hash %016x, reference %016x)",
-			zRes.Journal.Hash(), ref.Journal.Hash())
-	default:
-		return fmt.Errorf("contend: zombie a: %w", zErr)
-	}
-
-	survStore, err := buildStore(bCfg, nil)
-	if err != nil {
-		return err
-	}
-	surv, err := exe(bCfg, survStore, 0, 0)
-	if err != nil {
-		return fmt.Errorf("contend survivor run: %w", err)
 	}
 	fmt.Fprintf(out, "contend: survivor (epoch %d) journal: %d events, hash %016x\n",
-		surv.Epoch, len(surv.Journal), surv.Journal.Hash())
-	identical := surv.Journal.Equal(ref.Journal)
-	fmt.Fprintf(out, "contend: survivor journal identical to uncontended reference: %v\n", identical)
-	if !identical {
+		rep.Survivor.Epoch, len(rep.Survivor.Journal), rep.Survivor.Journal.Hash())
+	fmt.Fprintf(out, "contend: survivor journal identical to uncontended reference: %v\n", rep.Identical)
+	if !rep.Identical {
 		return fmt.Errorf("contend: survivor journal diverged from the uncontended reference")
 	}
 	return nil

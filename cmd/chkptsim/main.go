@@ -22,11 +22,11 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"math"
 	"os"
-	"strconv"
 	"strings"
 
 	"repro/internal/core"
@@ -73,7 +73,7 @@ func main() {
 	flag.IntVar(&cfg.runs, "runs", 50000, "Monte-Carlo runs (per-candidate cap with -ci-width)")
 	flag.Uint64Var(&cfg.seed, "seed", 1, "random seed")
 	flag.StringVar(&cfg.planPath, "plan", "", "replay a plan JSON (from chkptplan -out) instead of recomputing the DP")
-	flag.StringVar(&cfg.candidates, "candidates", "", "comma-separated CRN campaign candidates: dp | always | never | daly | every:k (first is the baseline)")
+	flag.StringVar(&cfg.candidates, "candidates", "", "comma-separated CRN campaign candidates: dp | always | never | daly | young | every:k (first is the baseline)")
 	flag.IntVar(&cfg.shards, "shards", 1, "split the campaign into N deterministic shards; merged results are bit-identical for any N")
 	flag.IntVar(&cfg.shard, "shard", -1, "run only this shard index (needs -resume; combine later with -merge)")
 	flag.IntVar(&cfg.block, "block", 0, "replications per deterministic fold block (0 = auto); part of the campaign fingerprint")
@@ -321,45 +321,16 @@ func buildCandidates(cfg config, cp *core.ChainProblem, res core.ChainResult, pl
 	var plans [][]core.Segment
 	for _, name := range strings.Split(spec, ",") {
 		name = strings.TrimSpace(name)
-		var ck []bool
-		switch {
-		case name == "dp":
-			ck = res.CheckpointAfter
-		case name == "always":
-			r, err := core.AlwaysCheckpoint(cp)
+		ck := res.CheckpointAfter
+		if name != "dp" {
+			var err error
+			ck, err = core.ChainStrategy(cp, name, planLambda)
+			if errors.Is(err, core.ErrUnknownStrategy) {
+				return nil, nil, fmt.Errorf("unknown candidate %q (want dp, always, never, daly, young or every:k)", name)
+			}
 			if err != nil {
 				return nil, nil, err
 			}
-			ck = r.CheckpointAfter
-		case name == "never":
-			r, err := core.NeverCheckpoint(cp)
-			if err != nil {
-				return nil, nil, err
-			}
-			ck = r.CheckpointAfter
-		case name == "daly":
-			meanC := 0.0
-			for _, c := range cp.Ckpt {
-				meanC += c
-			}
-			meanC /= float64(len(cp.Ckpt))
-			r, err := core.PeriodicCheckpoint(cp, expectation.DalyPeriod(meanC, planLambda))
-			if err != nil {
-				return nil, nil, err
-			}
-			ck = r.CheckpointAfter
-		case strings.HasPrefix(name, "every:"):
-			k, err := strconv.Atoi(strings.TrimPrefix(name, "every:"))
-			if err != nil || k <= 0 {
-				return nil, nil, fmt.Errorf("candidate %q: want every:k with a positive integer k", name)
-			}
-			ck = make([]bool, cp.Len())
-			for i := range ck {
-				ck[i] = (i+1)%k == 0
-			}
-			ck[len(ck)-1] = true
-		default:
-			return nil, nil, fmt.Errorf("unknown candidate %q (want dp, always, never, daly or every:k)", name)
 		}
 		segs, err := cp.Segments(ck)
 		if err != nil {

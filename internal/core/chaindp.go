@@ -1,7 +1,10 @@
 package core
 
 import (
+	"errors"
 	"fmt"
+	"strconv"
+	"strings"
 
 	"repro/internal/expectation"
 )
@@ -324,4 +327,49 @@ func PeriodicCheckpoint(cp *ChainProblem, period float64) (ChainResult, error) {
 		return ChainResult{}, err
 	}
 	return ChainResult{Expected: e, CheckpointAfter: ck}, nil
+}
+
+// ErrUnknownStrategy reports a spelling ChainStrategy does not know.
+var ErrUnknownStrategy = errors.New("unknown strategy")
+
+// ChainStrategy resolves a chain checkpoint strategy spelling — dp,
+// always, never, daly, young or every:k — to its checkpoint vector.
+// The periodic rules size their period from the mean checkpoint cost
+// and lambda, which may differ from the rate cp was planned under.
+func ChainStrategy(cp *ChainProblem, name string, lambda float64) ([]bool, error) {
+	var res ChainResult
+	var err error
+	switch {
+	case name == "dp":
+		res, err = SolveChainDP(cp)
+	case name == "always":
+		res, err = AlwaysCheckpoint(cp)
+	case name == "never":
+		res, err = NeverCheckpoint(cp)
+	case name == "daly" || name == "young":
+		meanC := 0.0
+		for _, c := range cp.Ckpt {
+			meanC += c
+		}
+		meanC /= float64(len(cp.Ckpt))
+		period := expectation.DalyPeriod(meanC, lambda)
+		if name == "young" {
+			period = expectation.YoungPeriod(meanC, lambda)
+		}
+		res, err = PeriodicCheckpoint(cp, period)
+	case strings.HasPrefix(name, "every:"):
+		k, err := strconv.Atoi(name[len("every:"):])
+		if err != nil || k <= 0 {
+			return nil, fmt.Errorf("bad strategy %q: want every:k with a positive integer k", name)
+		}
+		ck := make([]bool, cp.Len())
+		for i := range ck {
+			ck[i] = (i+1)%k == 0
+		}
+		ck[len(ck)-1] = true
+		return ck, nil
+	default:
+		return nil, fmt.Errorf("%w %q", ErrUnknownStrategy, name)
+	}
+	return res.CheckpointAfter, err
 }

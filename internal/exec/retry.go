@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strconv"
+	"strings"
 
 	"repro/internal/store"
 )
@@ -162,6 +164,43 @@ func (p ExpBackoff) Backoff(attempt int, spent float64) (float64, bool) {
 		return 0, false
 	}
 	return delay, true
+}
+
+// ParseRetryPolicy resolves a policy spelling: none (or empty),
+// fixed:<n>, or exp[:base[:factor[:cap[:max]]]] with base 0.5 by
+// default.
+func ParseRetryPolicy(name string) (RetryPolicy, error) {
+	switch {
+	case name == "" || name == "none":
+		return NoRetry{}, nil
+	case strings.HasPrefix(name, "fixed:"):
+		n, err := strconv.Atoi(name[len("fixed:"):])
+		if err != nil || n <= 0 {
+			return nil, fmt.Errorf("bad retry policy %q: want fixed:<positive n>", name)
+		}
+		return FixedRetry{Attempts: n}, nil
+	case name == "exp" || strings.HasPrefix(name, "exp:"):
+		pol := ExpBackoff{Base: 0.5}
+		parts := strings.Split(name, ":")[1:]
+		dst := []*float64{&pol.Base, &pol.Factor, &pol.Cap}
+		for i, part := range parts {
+			if i == len(dst) {
+				n, err := strconv.Atoi(part)
+				if err != nil || n <= 0 {
+					return nil, fmt.Errorf("bad retry policy %q: max attempts %q", name, part)
+				}
+				pol.MaxAttempts = n
+				break
+			}
+			v, err := strconv.ParseFloat(part, 64)
+			if err != nil || v < 0 {
+				return nil, fmt.Errorf("bad retry policy %q: %q", name, part)
+			}
+			*dst[i] = v
+		}
+		return pol, nil
+	}
+	return nil, fmt.Errorf("unknown retry policy %q (want none | fixed:<n> | exp[:base[:factor[:cap[:max]]]])", name)
 }
 
 var (

@@ -41,11 +41,6 @@ func planE18(cfg Config) (*Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	meanC := 0.0
-	for _, c := range cp.Ckpt {
-		meanC += c
-	}
-	meanC /= float64(len(cp.Ckpt))
 	runs := cfg.Runs(20_000, 1_500)
 
 	p := &Plan{}
@@ -62,27 +57,13 @@ func planE18(cfg Config) (*Plan, error) {
 		ck   []bool
 	}
 	var strategies []stratVec
-	dp, err := core.SolveChainDP(cp)
-	if err != nil {
-		return nil, err
+	for _, name := range []string{"dp", "daly", "young", "every:5"} {
+		ck, err := core.ChainStrategy(cp, name, lambda)
+		if err != nil {
+			return nil, err
+		}
+		strategies = append(strategies, stratVec{name, ck})
 	}
-	strategies = append(strategies, stratVec{"dp", dp.CheckpointAfter})
-	daly, err := core.PeriodicCheckpoint(cp, expectation.DalyPeriod(meanC, lambda))
-	if err != nil {
-		return nil, err
-	}
-	strategies = append(strategies, stratVec{"daly", daly.CheckpointAfter})
-	young, err := core.PeriodicCheckpoint(cp, expectation.YoungPeriod(meanC, lambda))
-	if err != nil {
-		return nil, err
-	}
-	strategies = append(strategies, stratVec{"young", young.CheckpointAfter})
-	every5 := make([]bool, n)
-	for i := range every5 {
-		every5[i] = (i+1)%5 == 0
-	}
-	every5[n-1] = true
-	strategies = append(strategies, stratVec{"every:5", every5})
 
 	type ciOut struct{ within bool }
 	for _, sv := range strategies {
@@ -187,14 +168,12 @@ func planE18(cfg Config) (*Plan, error) {
 	})
 	type crashOut struct{ identical bool }
 	type drill struct {
-		plan     string
-		storeTag string
-		workload func() (*exec.Workload, error)
-		source   func() exec.Source
-		file     bool             // file backend in a temp dir, else mem
-		faults   *store.FaultPlan // nil: no injector
+		plan, storeTag string
+		workload       func() (*exec.Workload, error)
+		spec           exec.RunSpec // Store.Dir is set to a fresh temp dir when file
+		file           bool
 	}
-	chainDP := func() (*exec.Workload, error) { return exec.NewChainWorkload(cp, dp.CheckpointAfter) }
+	chainDP := func() (*exec.Workload, error) { return exec.NewChainWorkload(cp, strategies[0].ck) } // dp
 	dagLive := func() (*exec.Workload, error) {
 		sol, err := core.SolveOrderDP(gd, order, m, core.LiveSetCosts{R0: 0.5})
 		if err != nil {
@@ -202,25 +181,18 @@ func planE18(cfg Config) (*Plan, error) {
 		}
 		return exec.NewDAGWorkload(gd, sol.Plan(), core.LiveSetCosts{R0: 0.5})
 	}
+	drillSpec := func(salt uint64, faults *store.FaultPlan) exec.RunSpec {
+		return exec.RunSpec{RunID: "drill", Seed: 1234, Salt: salt, SaveRetries: 4, Store: &exec.StoreLayout{Faults: faults}}
+	}
 	drills := []drill{
+		{plan: "chain/dp", storeTag: "file+crc", workload: chainDP, spec: drillSpec(1, nil), file: true},
 		{
-			plan: "chain/dp", storeTag: "file+crc",
-			workload: chainDP,
-			source:   func() exec.Source { return exec.NewKeyedSource(failure.Exponential{Lambda: lambda}, 1234, 1) },
-			file:     true,
+			plan: "chain/dp", storeTag: "file+crc+faults", workload: chainDP, file: true,
+			spec: drillSpec(1, &store.FaultPlan{Seed: 99, WriteFail: 0.1, TornWrite: 0.1, LoseOld: 0.3, ReadFail: 0.1}),
 		},
 		{
-			plan: "chain/dp", storeTag: "file+crc+faults",
-			workload: chainDP,
-			source:   func() exec.Source { return exec.NewKeyedSource(failure.Exponential{Lambda: lambda}, 1234, 1) },
-			file:     true,
-			faults:   &store.FaultPlan{Seed: 99, WriteFail: 0.1, TornWrite: 0.1, LoseOld: 0.3, ReadFail: 0.1},
-		},
-		{
-			plan: "dag/live-set", storeTag: "mem+crc+faults",
-			workload: dagLive,
-			source:   func() exec.Source { return exec.NewKeyedSource(failure.Exponential{Lambda: lambda}, 1234, 2) },
-			faults:   &store.FaultPlan{Seed: 7, WriteFail: 0.15, TornWrite: 0.15, LoseOld: 0.4, ReadFail: 0.15},
+			plan: "dag/live-set", storeTag: "mem+crc+faults", workload: dagLive,
+			spec: drillSpec(2, &store.FaultPlan{Seed: 7, WriteFail: 0.15, TornWrite: 0.15, LoseOld: 0.4, ReadFail: 0.15}),
 		},
 	}
 	for _, d := range drills {
@@ -230,31 +202,39 @@ func planE18(cfg Config) (*Plan, error) {
 			if err != nil {
 				return RowOut{}, err
 			}
-			ref, err := exec.Execute(w, d.source(), exec.Options{Downtime: down})
+			plan := exec.Plan{Workload: w, Model: m}
+			ref, err := exec.RunSpec{Seed: d.spec.Seed, Salt: d.spec.Salt}.Run(plan)
 			if err != nil {
 				return RowOut{}, err
 			}
-			st, cleanup, err := e18Store(d.file, d.faults)
+			if d.file {
+				dir, err := os.MkdirTemp("", "e18-store-*")
+				if err != nil {
+					return RowOut{}, err
+				}
+				defer os.RemoveAll(dir)
+				layout := *d.spec.Store
+				layout.Dir, d.spec.Store = dir, &layout
+			}
+			// One stack serves every invocation: its fault injector's
+			// attempt counters carry over, so a save that exhausted its
+			// retries is redrawn by the next invocation.
+			_, st, err := d.spec.Boot()
 			if err != nil {
 				return RowOut{}, err
 			}
-			defer cleanup()
 			ne := len(ref.Journal)
 			kills := []int{ne / 5, 2 * ne / 5, 3 * ne / 5, 4 * ne / 5}
 			crashes := 0
 			for _, kill := range kills {
-				_, err := exec.Execute(w, d.source(), exec.Options{
-					RunID: "drill", Store: st, Downtime: down,
-					SaveRetries: 4, CrashAfterEvents: kill,
-				})
-				if err == nil {
+				killed := d.spec
+				killed.CrashAfterEvents = kill
+				if _, err := killed.Execute(plan, st); err == nil {
 					return RowOut{}, fmt.Errorf("E18: kill point %d did not crash", kill)
 				}
 				crashes++
 			}
-			res, err := exec.Execute(w, d.source(), exec.Options{
-				RunID: "drill", Store: st, Downtime: down, SaveRetries: 4,
-			})
+			res, err := d.spec.Execute(plan, st)
 			if err != nil {
 				return RowOut{}, err
 			}
@@ -290,29 +270,6 @@ func planE18(cfg Config) (*Plan, error) {
 		return nil
 	}
 	return p, nil
-}
-
-// e18Store builds a crash drill's stack over a fresh file backend (in
-// a temp dir that cleanup removes) or mem backend.
-func e18Store(file bool, faults *store.FaultPlan) (st store.Store, cleanup func(), err error) {
-	var backend store.Store = store.NewMemStore()
-	cleanup = func() {}
-	if file {
-		dir, err := os.MkdirTemp("", "e18-store-*")
-		if err != nil {
-			return nil, nil, err
-		}
-		cleanup = func() { os.RemoveAll(dir) }
-		if backend, err = store.NewFileStore(dir); err != nil {
-			cleanup()
-			return nil, nil, err
-		}
-	}
-	if st, err = (store.Spec{Backends: []store.Store{backend}, Faults: faults}).Build(); err != nil {
-		cleanup()
-		return nil, nil, err
-	}
-	return st, cleanup, nil
 }
 
 // checkpointCount returns the checkpointed positions of a vector (it

@@ -3,14 +3,12 @@ package expt
 import (
 	"errors"
 	"fmt"
-	"sync"
 
 	"repro/internal/core"
 	"repro/internal/dag"
 	"repro/internal/exec"
 	"repro/internal/expectation"
 	"repro/internal/expt/result"
-	"repro/internal/failure"
 	"repro/internal/rng"
 	"repro/internal/stats"
 	"repro/internal/store"
@@ -58,7 +56,7 @@ func planE19(cfg Config) (*Plan, error) {
 	// latency. Both arms run the SAME resilience machinery (retry policy,
 	// health tracking, overhead accounting) on logically-keyed fault
 	// stacks sharing plan and failure seeds; the only difference is that
-	// the static arm has no Replanner. The paired per-run makespan delta
+	// the static arm's ReplanRatio of 0 attaches no Replanner. The paired per-run makespan delta
 	// therefore isolates the value of online replanning.
 	campRuns := cfg.Runs(600, 300)
 	camp := p.AddTable(&result.Table{
@@ -76,46 +74,34 @@ func planE19(cfg Config) (*Plan, error) {
 	for _, mult := range []float64{0, 2, 4} {
 		mult := mult
 		p.Job(camp, func(s *rng.Stream) (RowOut, error) {
-			pol := exec.ExpBackoff{Base: 0.25 * meanC, Cap: meanC, MaxAttempts: 4}
+			w, err := exec.NewChainWorkload(cp, dp.CheckpointAfter)
+			if err != nil {
+				return RowOut{}, err
+			}
+			plan := exec.Plan{Workload: w, Model: m, Replanner: exec.ChainReplanner{CP: cp}}
 			var static, adaptive, delta stats.Summary
 			replans := 0
 			for r := 0; r < campRuns; r++ {
 				planSeed := s.Uint64()
 				srcSeed := s.Uint64()
-				fp := store.FaultPlan{
-					Seed:        planSeed,
-					WriteFail:   0.1,
-					ReadFail:    0.05,
-					MeanLatency: mult * meanC,
+				spec := exec.RunSpec{
+					RunID: "camp", Seed: srcSeed, Salt: 1,
+					Store: &exec.StoreLayout{Faults: &store.FaultPlan{
+						Seed:        planSeed,
+						WriteFail:   0.1,
+						ReadFail:    0.05,
+						MeanLatency: mult * meanC,
+					}},
+					Adaptive:    true,
+					RetryPolicy: exec.ExpBackoff{Base: 0.25 * meanC, Cap: meanC, MaxAttempts: 4},
+					Cooldown:    2,
 				}
-				arm := func(replanner exec.Replanner) (*exec.Result, error) {
-					w, err := exec.NewChainWorkload(cp, dp.CheckpointAfter)
-					if err != nil {
-						return nil, err
-					}
-					st, err := store.Spec{Backends: []store.Store{store.NewMemStore()}, Faults: &fp}.Build()
-					if err != nil {
-						return nil, err
-					}
-					return exec.Execute(w,
-						exec.NewKeyedSource(failure.Exponential{Lambda: lambda}, srcSeed, 1),
-						exec.Options{
-							RunID:    "camp",
-							Store:    st,
-							Downtime: down,
-							Adaptive: &exec.AdaptiveOptions{
-								Retry:       pol,
-								Replanner:   replanner,
-								ReplanRatio: 1.25,
-								Cooldown:    2,
-							},
-						})
-				}
-				st, err := arm(nil)
+				st, err := spec.Run(plan)
 				if err != nil {
 					return RowOut{}, err
 				}
-				ad, err := arm(exec.ChainReplanner{CP: cp})
+				spec.ReplanRatio = 1.25
+				ad, err := spec.Run(plan)
 				if err != nil {
 					return RowOut{}, err
 				}
@@ -143,11 +129,11 @@ func planE19(cfg Config) (*Plan, error) {
 		})
 	}
 
-	// Table 2: chaos replay identity. Each drill builds a persistent
-	// bottom layer (MemStore, optional secondary, optional quota ledger)
-	// and rebuilds the logically-keyed fault wrapper per invocation, as a
-	// process restart would. For every kill point: run a crash invocation
-	// on a fresh stack, resume once, and demand the journal and metrics
+	// Table 2: chaos replay identity. Each drill opens its backends
+	// (MemStore, optional secondary, optional quota ledger) once and
+	// restarts the logically-keyed fault stack per invocation
+	// (RunSpec.RunOn). For every kill point: run a crash invocation on
+	// fresh backends, resume once, and demand the journal and metrics
 	// match an uninterrupted reference bit-for-bit.
 	drills := p.AddTable(&result.Table{
 		ID:    "E19",
@@ -157,88 +143,56 @@ func planE19(cfg Config) (*Plan, error) {
 		},
 	})
 	type identOut struct{ identical bool }
-	type drill struct {
+	w, err := exec.NewChainWorkload(cp, dp.CheckpointAfter)
+	if err != nil {
+		return nil, err
+	}
+	plan := exec.Plan{Workload: w, Model: m, Replanner: exec.ChainReplanner{CP: cp}}
+	// drill declares one scenario's run; replan sets ReplanRatio 1.4.
+	drill := func(faults store.FaultPlan, retry exec.RetryPolicy, replan bool) exec.RunSpec {
+		spec := exec.RunSpec{
+			RunID: "e19", Seed: 501, Store: &exec.StoreLayout{Faults: &faults},
+			Adaptive: true, RetryPolicy: retry, DownAfter: 3,
+		}
+		if replan {
+			spec.ReplanRatio = 1.4
+		}
+		return spec
+	}
+	withQuota := func(spec exec.RunSpec, q store.Quota) exec.RunSpec {
+		spec.Store.Quota = &q
+		return spec
+	}
+	withSecondary := func(spec exec.RunSpec) exec.RunSpec {
+		spec.Store.Secondary = true
+		return spec
+	}
+	scenarios := []struct {
 		name, storeTag string
-		plan           store.FaultPlan
-		quota          *store.Quota
-		secondary      bool
-		retry          exec.RetryPolicy
-		replan         bool
-	}
-	scenarios := []drill{
+		spec           exec.RunSpec
+	}{
 		{
-			name: "chain/drift-replan", storeTag: "mem+crc+faults",
-			plan:   store.FaultPlan{Seed: 31, MeanLatency: 2.5, WriteFail: 0.2, ReadFail: 0.1},
-			retry:  exec.ExpBackoff{Base: 0.5, Cap: 4, MaxAttempts: 5},
-			replan: true,
+			"chain/drift-replan", "mem+crc+faults",
+			drill(store.FaultPlan{Seed: 31, MeanLatency: 2.5, WriteFail: 0.2, ReadFail: 0.1}, exec.ExpBackoff{Base: 0.5, Cap: 4, MaxAttempts: 5}, true),
 		},
 		{
-			name: "chain/torn-writes", storeTag: "mem+crc+faults",
-			plan:  store.FaultPlan{Seed: 32, MeanLatency: 1.5, WriteFail: 0.3, TornWrite: 0.2},
-			retry: exec.FixedRetry{Attempts: 3},
+			"chain/torn-writes", "mem+crc+faults",
+			drill(store.FaultPlan{Seed: 32, MeanLatency: 1.5, WriteFail: 0.3, TornWrite: 0.2}, exec.FixedRetry{Attempts: 3}, false),
 		},
 		{
-			name: "chain/quota-down", storeTag: "mem+crc+faults+quota",
-			plan:  store.FaultPlan{Seed: 33, MeanLatency: 1},
-			quota: &store.Quota{MaxCheckpoints: 2},
-			retry: exec.ExpBackoff{Base: 0.5, MaxAttempts: 3},
+			"chain/quota-down", "mem+crc+faults+quota",
+			withQuota(drill(store.FaultPlan{Seed: 33, MeanLatency: 1}, exec.ExpBackoff{Base: 0.5, MaxAttempts: 3}, false), store.Quota{MaxCheckpoints: 2}),
 		},
 		{
-			name: "chain/failover", storeTag: "mem+crc+faults+secondary",
-			plan:      store.FaultPlan{Seed: 34, WriteFail: 1},
-			secondary: true,
-			retry:     exec.FixedRetry{Attempts: 1},
+			"chain/failover", "mem+crc+faults+secondary",
+			withSecondary(drill(store.FaultPlan{Seed: 34, WriteFail: 1}, exec.FixedRetry{Attempts: 1}, false)),
 		},
 	}
-	type stack struct {
-		mem, sec *store.MemStore
-		ledger   *store.QuotaLedger
-	}
-	newStack := func(d drill) *stack {
-		a := &stack{mem: store.NewMemStore()}
-		if d.secondary {
-			a.sec = store.NewMemStore()
-		}
-		if d.quota != nil {
-			a.ledger = store.NewQuotaLedger(*d.quota, nil)
-		}
-		return a
-	}
-	// execute runs w once on a fresh wrapper stack over a's bottom layer.
-	execute := func(d drill, a *stack, w *exec.Workload, src exec.Source, crash int) (*exec.Result, error) {
-		st, err := store.Spec{Backends: []store.Store{a.mem}, Faults: &d.plan, Quota: a.ledger}.Build()
-		if err != nil {
-			return nil, err
-		}
-		ao := &exec.AdaptiveOptions{
-			Retry:       d.retry,
-			ReplanRatio: 1.4,
-			DownAfter:   3,
-		}
-		if d.replan {
-			ao.Replanner = exec.ChainReplanner{CP: cp}
-		}
-		if a.sec != nil {
-			if ao.Secondary, err = (store.Spec{Backends: []store.Store{a.sec}}).Build(); err != nil {
-				return nil, err
-			}
-		}
-		return exec.Execute(w, src, exec.Options{
-			RunID: "e19", Store: st, Downtime: down,
-			CrashAfterEvents: crash, Adaptive: ao,
-		})
-	}
-	for i, d := range scenarios {
-		d, salt := d, uint64(i+1)
+	for i, sc := range scenarios {
+		sc := sc
+		sc.spec.Salt = uint64(i + 1)
 		p.Job(drills, func(s *rng.Stream) (RowOut, error) {
-			src := func() exec.Source {
-				return exec.NewKeyedSource(failure.Exponential{Lambda: lambda}, 501, salt)
-			}
-			w, err := exec.NewChainWorkload(cp, dp.CheckpointAfter)
-			if err != nil {
-				return RowOut{}, err
-			}
-			ref, err := execute(d, newStack(d), w, src(), 0)
+			ref, err := sc.spec.Run(plan)
 			if err != nil {
 				return RowOut{}, err
 			}
@@ -246,14 +200,18 @@ func planE19(cfg Config) (*Plan, error) {
 			kills := []int{ne / 5, 2 * ne / 5, 3 * ne / 5, 4 * ne / 5}
 			identical, metricsOK := true, true
 			for _, kill := range kills {
-				a := newStack(d)
-				_, err := execute(d, a, w, src(), kill)
-				if !errors.Is(err, exec.ErrCrashed) {
-					return RowOut{}, fmt.Errorf("E19: %s kill point %d: want ErrCrashed, got %v", d.name, kill, err)
-				}
-				res, err := execute(d, a, w, src(), 0)
+				b, err := sc.spec.Open()
 				if err != nil {
-					return RowOut{}, fmt.Errorf("E19: %s resume after kill %d: %w", d.name, kill, err)
+					return RowOut{}, err
+				}
+				killed := sc.spec
+				killed.CrashAfterEvents = kill
+				if _, err := killed.RunOn(plan, b); !errors.Is(err, exec.ErrCrashed) {
+					return RowOut{}, fmt.Errorf("E19: %s kill point %d: want ErrCrashed, got %v", sc.name, kill, err)
+				}
+				res, err := sc.spec.RunOn(plan, b)
+				if err != nil {
+					return RowOut{}, fmt.Errorf("E19: %s resume after kill %d: %w", sc.name, kill, err)
 				}
 				identical = identical && res.Journal.Equal(ref.Journal)
 				metricsOK = metricsOK && res.Metrics == ref.Metrics &&
@@ -262,8 +220,8 @@ func planE19(cfg Config) (*Plan, error) {
 			}
 			return RowOut{
 				Cells: []result.Cell{
-					result.Str(d.name),
-					result.Str(d.storeTag),
+					result.Str(sc.name),
+					result.Str(sc.storeTag),
 					result.Int(len(kills)),
 					result.Int(ne),
 					result.Bool(identical),
@@ -282,76 +240,34 @@ func planE19(cfg Config) (*Plan, error) {
 	// the same tenant run ALONE on a private stack.
 	p.Job(drills, func(s *rng.Stream) (RowOut, error) {
 		const tenants = 4
-		fp := store.FaultPlan{Seed: 35, MeanLatency: 1.5, WriteFail: 0.15}
-		quota := store.Quota{MaxCheckpoints: 3}
-		opts := func(st store.Store, crash int) exec.Options {
-			return exec.Options{
-				Store: st, Downtime: down, CrashAfterEvents: crash,
-				Adaptive: &exec.AdaptiveOptions{
-					Retry:       exec.ExpBackoff{Base: 0.5, Cap: 2, MaxAttempts: 3},
-					ReplanRatio: 1.4,
-					Replanner:   exec.ChainReplanner{CP: cp},
-					DownAfter:   3,
-				},
-			}
-		}
-		src := func(i int) exec.Source {
-			return exec.NewKeyedSource(failure.Exponential{Lambda: lambda}, 601, uint64(i+1))
+		spec := exec.RunSpec{
+			RunID: "camp", Seed: 601, Salt: 1,
+			Store: &exec.StoreLayout{
+				Faults: &store.FaultPlan{Seed: 35, MeanLatency: 1.5, WriteFail: 0.15},
+				Quota:  &store.Quota{MaxCheckpoints: 3},
+			},
+			Adaptive: true, RetryPolicy: exec.ExpBackoff{Base: 0.5, Cap: 2, MaxAttempts: 3},
+			ReplanRatio: 1.4, DownAfter: 3,
 		}
 		// Solo references: each tenant alone on a private stack. Quota
 		// accounting is per tenant, so a private ledger admits exactly
 		// what the shared one would.
 		refs := make([]*exec.Result, tenants)
-		for i := 0; i < tenants; i++ {
-			w, err := exec.NewChainWorkload(cp, dp.CheckpointAfter)
-			if err != nil {
-				return RowOut{}, err
-			}
-			st, err := store.Spec{
-				Backends: []store.Store{store.NewMemStore()}, Faults: &fp, Quota: store.NewQuotaLedger(quota, nil),
-			}.Build()
-			if err != nil {
-				return RowOut{}, err
-			}
-			o := opts(st, 0)
-			o.RunID = fmt.Sprintf("camp-t%d", i)
-			refs[i], err = exec.Execute(w, src(i), o)
-			if err != nil {
+		for i := range refs {
+			var err error
+			if refs[i], err = spec.Tenant(i).Run(plan); err != nil {
 				return RowOut{}, err
 			}
 		}
-		// Contention run: shared bottom layer, one wrapper stack per
-		// invocation, all four tenants concurrent; tenant 0 is killed.
-		shared := store.Spec{
-			Backends: []store.Store{store.NewMemStore()}, Faults: &fp, Quota: store.NewQuotaLedger(quota, nil),
-		}
-		results := make([]*exec.Result, tenants)
-		errs := make([]error, tenants)
-		st, err := shared.Build()
+		// Contention run: shared backends, all four tenants concurrent on
+		// one stack; tenant 0 is killed.
+		killed := spec
+		killed.CrashAfterEvents = len(refs[0].Journal) / 2
+		b, st, err := killed.Boot()
 		if err != nil {
 			return RowOut{}, err
 		}
-		var wg sync.WaitGroup
-		for i := 0; i < tenants; i++ {
-			i := i
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				w, err := exec.NewChainWorkload(cp, dp.CheckpointAfter)
-				if err != nil {
-					errs[i] = err
-					return
-				}
-				crash := 0
-				if i == 0 {
-					crash = len(refs[0].Journal) / 2
-				}
-				o := opts(st, crash)
-				o.RunID = fmt.Sprintf("camp-t%d", i)
-				results[i], errs[i] = exec.Execute(w, src(i), o)
-			}()
-		}
-		wg.Wait()
+		results, errs := killed.ExecuteTenants(plan, st, tenants)
 		for i := 1; i < tenants; i++ {
 			if errs[i] != nil {
 				return RowOut{}, fmt.Errorf("E19: tenant %d: %w", i, errs[i])
@@ -360,20 +276,8 @@ func planE19(cfg Config) (*Plan, error) {
 		if !errors.Is(errs[0], exec.ErrCrashed) {
 			return RowOut{}, fmt.Errorf("E19: tenant 0 kill: want ErrCrashed, got %v", errs[0])
 		}
-		// Resume the killed tenant on a rebuilt wrapper stack, as a
-		// process restart would.
-		w, err := exec.NewChainWorkload(cp, dp.CheckpointAfter)
-		if err != nil {
-			return RowOut{}, err
-		}
-		st, err = shared.Build()
-		if err != nil {
-			return RowOut{}, err
-		}
-		o := opts(st, 0)
-		o.RunID = "camp-t0"
-		results[0], err = exec.Execute(w, src(0), o)
-		if err != nil {
+		// Resume the killed tenant on a restarted stack.
+		if results[0], err = spec.Tenant(0).RunOn(plan, b); err != nil {
 			return RowOut{}, fmt.Errorf("E19: tenant 0 resume: %w", err)
 		}
 		identical, metricsOK := true, true
@@ -409,62 +313,40 @@ func planE19(cfg Config) (*Plan, error) {
 	type ladderOut struct{ ok bool }
 	ladderDrills := []struct {
 		name   string
-		d      drill
+		spec   exec.RunSpec
 		expect exec.DegradeLevel
 	}{
 		{
-			name: "clean store",
-			d: drill{
-				plan:  store.FaultPlan{Seed: 41},
-				retry: exec.ExpBackoff{Base: 0.5, MaxAttempts: 4},
-			},
+			name:   "clean store",
+			spec:   drill(store.FaultPlan{Seed: 41}, exec.ExpBackoff{Base: 0.5, MaxAttempts: 4}, false),
 			expect: exec.LevelHealthy,
 		},
 		{
-			name: "latency drift",
-			d: drill{
-				plan:   store.FaultPlan{Seed: 42, MeanLatency: 3, WriteFail: 0.2},
-				retry:  exec.ExpBackoff{Base: 0.5, Cap: 4, MaxAttempts: 5},
-				replan: true,
-			},
+			name:   "latency drift",
+			spec:   drill(store.FaultPlan{Seed: 42, MeanLatency: 3, WriteFail: 0.2}, exec.ExpBackoff{Base: 0.5, Cap: 4, MaxAttempts: 5}, true),
 			expect: exec.LevelDegraded,
 		},
 		{
-			name: "primary dead, secondary alive",
-			d: drill{
-				plan:      store.FaultPlan{Seed: 43, WriteFail: 1},
-				secondary: true,
-				retry:     exec.FixedRetry{Attempts: 1},
-			},
+			name:   "primary dead, secondary alive",
+			spec:   withSecondary(drill(store.FaultPlan{Seed: 43, WriteFail: 1}, exec.FixedRetry{Attempts: 1}, false)),
 			expect: exec.LevelFailover,
 		},
 		{
-			name: "primary dead, no secondary",
-			d: drill{
-				plan:  store.FaultPlan{Seed: 44, WriteFail: 1},
-				retry: exec.FixedRetry{Attempts: 1},
-			},
+			name:   "primary dead, no secondary",
+			spec:   drill(store.FaultPlan{Seed: 44, WriteFail: 1}, exec.FixedRetry{Attempts: 1}, false),
 			expect: exec.LevelDown,
 		},
 		{
-			name: "quota exhausted",
-			d: drill{
-				plan:  store.FaultPlan{Seed: 45},
-				quota: &store.Quota{MaxBytes: 16},
-				retry: exec.ExpBackoff{Base: 0.5, MaxAttempts: 4},
-			},
+			name:   "quota exhausted",
+			spec:   withQuota(drill(store.FaultPlan{Seed: 45}, exec.ExpBackoff{Base: 0.5, MaxAttempts: 4}, false), store.Quota{MaxBytes: 16}),
 			expect: exec.LevelDown,
 		},
 	}
 	for i, ld := range ladderDrills {
-		ld, salt := ld, uint64(100+i)
+		ld := ld
+		ld.spec.Seed, ld.spec.Salt = 701, uint64(100+i)
 		p.Job(ladder, func(s *rng.Stream) (RowOut, error) {
-			w, err := exec.NewChainWorkload(cp, dp.CheckpointAfter)
-			if err != nil {
-				return RowOut{}, err
-			}
-			res, err := execute(ld.d, newStack(ld.d), w,
-				exec.NewKeyedSource(failure.Exponential{Lambda: lambda}, 701, salt), 0)
+			res, err := ld.spec.Run(plan)
 			if err != nil {
 				return RowOut{}, err
 			}

@@ -9,11 +9,9 @@ import (
 	"repro/internal/exec"
 	"repro/internal/expectation"
 	"repro/internal/expt/result"
-	"repro/internal/failure"
 	"repro/internal/netsim"
 	"repro/internal/rng"
 	"repro/internal/stats"
-	"repro/internal/store"
 )
 
 func init() {
@@ -53,62 +51,36 @@ func e20Problem() (*core.ChainProblem, error) {
 	return cp, nil
 }
 
-const (
-	e20Lambda   = 0.08
-	e20Downtime = 1.0
-)
+// e20Timeout is every remote layer's per-operation deadline.
+const e20Timeout = 1.5
 
-// e20Workload is the checkpoint-everywhere workload over e20Problem —
-// the densest commit schedule, so partition windows always cover
-// several commits.
-func e20Workload(cp *core.ChainProblem) (*exec.Workload, error) {
+// e20Plan is the checkpoint-everywhere workload over e20Problem — the
+// densest commit schedule, so partition windows always cover several
+// commits.
+func e20Plan(cp *core.ChainProblem) (exec.Plan, error) {
 	ck := make([]bool, cp.Len())
 	for i := range ck {
 		ck[i] = true
 	}
-	return exec.NewChainWorkload(cp, ck)
+	w, err := exec.NewChainWorkload(cp, ck)
+	return exec.Plan{Workload: w, Model: cp.Model, Replanner: exec.ChainReplanner{CP: cp}}, err
 }
 
-// e20Timeout is every remote layer's per-operation deadline.
-const e20Timeout = 1.5
-
-// e20Spec declares one drill's stack: replica mem stores that survive
-// invocations, which every Build wraps in a fresh network and fresh
-// wrappers — process-restart semantics, resetting the network's
-// logical attempt counters exactly as the replay contract requires.
-// The quorum form is three replicas at the majority W=2, R=2, which
-// E21 reuses under a lease layer.
-func e20Spec(netCfg netsim.Config, quorum bool) store.Spec {
-	spec := store.Spec{Backends: []store.Store{store.NewMemStore()}, Net: &netCfg, Timeout: e20Timeout}
+// e20Spec declares one drill's run under the adaptive configuration
+// every E20 drill shares, over in-memory replicas that a restart keeps
+// (RunSpec.Open) under a fresh network. The quorum form is three
+// replicas at the majority W=2, R=2.
+func e20Spec(netCfg netsim.Config, quorum bool, srcSeed uint64) exec.RunSpec {
+	spec := exec.RunSpec{
+		RunID: "e20", Seed: srcSeed, Salt: 1,
+		Store:    &exec.StoreLayout{Net: &netCfg, Timeout: e20Timeout},
+		Adaptive: true, RetryPolicy: exec.ExpBackoff{Base: 0.25, Cap: 0.5, MaxAttempts: 4},
+		ReplanRatio: 1.4, DownAfter: 2, ProbeEvery: 2,
+	}
 	if quorum {
-		spec.Backends = append(spec.Backends, store.NewMemStore(), store.NewMemStore())
+		spec.Store.Replicas = 3
 	}
 	return spec
-}
-
-// e20Execute runs the checkpoint-everywhere workload once, from src,
-// on a fresh build of spec under the adaptive configuration every E20
-// drill shares.
-func e20Execute(spec store.Spec, cp *core.ChainProblem, src exec.Source, crashEvents int) (*exec.Result, error) {
-	w, err := e20Workload(cp)
-	if err != nil {
-		return nil, err
-	}
-	st, err := spec.Build()
-	if err != nil {
-		return nil, err
-	}
-	return exec.Execute(w, src, exec.Options{
-		RunID: "e20", Store: st, Downtime: e20Downtime,
-		CrashAfterEvents: crashEvents,
-		Adaptive: &exec.AdaptiveOptions{
-			Retry:       exec.ExpBackoff{Base: 0.25, Cap: 0.5, MaxAttempts: 4},
-			Replanner:   exec.ChainReplanner{CP: cp},
-			ReplanRatio: 1.4,
-			DownAfter:   2,
-			ProbeEvery:  2,
-		},
-	})
 }
 
 // e20NetCfg schedules one partition window isolating endpoint s0. For
@@ -129,6 +101,10 @@ func e20NetCfg(seed uint64, start, end float64) netsim.Config {
 
 func planE20(cfg Config) (*Plan, error) {
 	cp, err := e20Problem()
+	if err != nil {
+		return nil, err
+	}
+	plan, err := e20Plan(cp)
 	if err != nil {
 		return nil, err
 	}
@@ -162,20 +138,12 @@ func planE20(cfg Config) (*Plan, error) {
 			}
 			srcSeed := s.Uint64()
 			netSeed := s.Uint64()
-			src := func() exec.Source {
-				return exec.NewKeyedSource(failure.Exponential{Lambda: e20Lambda}, srcSeed, 1)
-			}
-			w, err := e20Workload(cp)
+			base, err := exec.RunSpec{Seed: srcSeed, Salt: 1}.Run(plan)
 			if err != nil {
 				return RowOut{}, err
 			}
-			base, err := exec.Execute(w, src(), exec.Options{Downtime: e20Downtime})
-			if err != nil {
-				return RowOut{}, err
-			}
-			netCfg := e20NetCfg(netSeed, 0.2*base.Makespan, 1.2*base.Makespan)
-
-			ref, err := e20Execute(e20Spec(netCfg, quorum), cp, src(), 0)
+			spec := e20Spec(e20NetCfg(netSeed, 0.2*base.Makespan, 1.2*base.Makespan), quorum, srcSeed)
+			ref, err := spec.Run(plan)
 			if err != nil {
 				return RowOut{}, err
 			}
@@ -197,12 +165,16 @@ func planE20(cfg Config) (*Plan, error) {
 			identical, metricsOK := true, true
 			for kill := 1; kill <= ne; kill += killStride {
 				kills++
-				spec := e20Spec(netCfg, quorum)
-				_, err := e20Execute(spec, cp, src(), kill)
-				if !errors.Is(err, exec.ErrCrashed) {
+				b, err := spec.Open()
+				if err != nil {
+					return RowOut{}, err
+				}
+				killed := spec
+				killed.CrashAfterEvents = kill
+				if _, err := killed.RunOn(plan, b); !errors.Is(err, exec.ErrCrashed) {
 					return RowOut{}, fmt.Errorf("E20: %s kill@%d: want ErrCrashed, got %v", name, kill, err)
 				}
-				res, err := e20Execute(spec, cp, src(), 0)
+				res, err := spec.RunOn(plan, b)
 				if err != nil {
 					return RowOut{}, fmt.Errorf("E20: %s resume after kill@%d: %w", name, kill, err)
 				}
@@ -238,7 +210,7 @@ func planE20(cfg Config) (*Plan, error) {
 	camp := p.AddTable(&result.Table{
 		ID: "E20",
 		Title: fmt.Sprintf("quorum (N=3, W=2) vs single remote under partition schedules: paired deltas over %d runs (chain n=%d, λ=%g, D=%g)",
-			campRuns, cp.Len(), e20Lambda, e20Downtime),
+			campRuns, cp.Len(), cp.Model.Lambda, cp.Model.Downtime),
 		Columns: []string{
 			"window_end", "runs", "single_mean", "quorum_mean", "delta_mean", "delta_ci99", "single_giveups_mean", "ci_excludes_0",
 		},
@@ -255,23 +227,16 @@ func planE20(cfg Config) (*Plan, error) {
 			for r := 0; r < campRuns; r++ {
 				srcSeed := s.Uint64()
 				netSeed := s.Uint64()
-				src := func() exec.Source {
-					return exec.NewKeyedSource(failure.Exponential{Lambda: e20Lambda}, srcSeed, 1)
-				}
-				w, err := e20Workload(cp)
-				if err != nil {
-					return RowOut{}, err
-				}
-				base, err := exec.Execute(w, src(), exec.Options{Downtime: e20Downtime})
+				base, err := exec.RunSpec{Seed: srcSeed, Salt: 1}.Run(plan)
 				if err != nil {
 					return RowOut{}, err
 				}
 				netCfg := e20NetCfg(netSeed, 0.2*base.Makespan, windowEnd*base.Makespan)
-				sg, err := e20Execute(e20Spec(netCfg, false), cp, src(), 0)
+				sg, err := e20Spec(netCfg, false, srcSeed).Run(plan)
 				if err != nil {
 					return RowOut{}, err
 				}
-				qr, err := e20Execute(e20Spec(netCfg, true), cp, src(), 0)
+				qr, err := e20Spec(netCfg, true, srcSeed).Run(plan)
 				if err != nil {
 					return RowOut{}, err
 				}
@@ -322,13 +287,11 @@ func planE20(cfg Config) (*Plan, error) {
 		p.Job(tele, func(s *rng.Stream) (RowOut, error) {
 			jitter := lat / 2
 			netCfg := netsim.Config{Seed: s.Uint64(), Latency: lat, Jitter: jitter}
-			st, err := store.Spec{
-				Backends: []store.Store{store.NewMemStore()}, Net: &netCfg, Timeout: 8 * (lat + jitter),
-			}.Build()
+			_, st, err := exec.RunSpec{Store: &exec.StoreLayout{Net: &netCfg, Timeout: 8 * (lat + jitter)}}.Boot()
 			if err != nil {
 				return RowOut{}, err
 			}
-			probe := exec.ProbeStore(st, "e20-telemetry", 32)
+			probe := exec.ProbeStore(st.Store, "e20-telemetry", 32)
 			if !probe.Tracked || probe.Failures != 0 {
 				return RowOut{}, fmt.Errorf("E20: probe = %+v, want tracked with no failures", probe)
 			}

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/exec"
 	"repro/internal/expt/result"
-	"repro/internal/failure"
 	"repro/internal/netsim"
 	"repro/internal/rng"
 	"repro/internal/store"
@@ -20,26 +19,15 @@ func init() {
 	}, planE21)
 }
 
-// e21Leased builds a fresh instance of spec's stack under a lease
-// held by holder. The zombie drill re-enters on the ORIGINAL instance,
-// whose stale lease session is exactly what a woken zombie process
-// holds.
-func e21Leased(spec store.Spec, holder string, takeover bool) (store.Store, error) {
-	spec.Lease = &store.LeaseConfig{Holder: holder, TTL: 1e9, Takeover: takeover}
-	return spec.Build()
-}
-
-// e21Options mirrors the adaptive configuration E20 proved replay-exact
-// over this network, so every journal-identity claim here isolates the
+// e21Spec declares the run every E21 drill executes: E20's 3-replica
+// quorum over the given network under the retry policy E20 proved
+// replay-exact there, so every journal-identity claim here isolates the
 // new machinery (leases, sync passes), not the executor.
-func e21Options(st store.Store, crashEvents, crashSaves, syncEvery int) exec.Options {
-	return exec.Options{
-		RunID: "e21", Store: st, Downtime: e20Downtime,
-		CrashAfterEvents: crashEvents, CrashAfterSaves: crashSaves,
-		Adaptive: &exec.AdaptiveOptions{
-			Retry:     exec.ExpBackoff{Base: 0.25, Cap: 0.5, MaxAttempts: 4},
-			SyncEvery: syncEvery,
-		},
+func e21Spec(netCfg netsim.Config, srcSeed uint64) exec.RunSpec {
+	return exec.RunSpec{
+		RunID: "e21", Seed: srcSeed, Salt: 1,
+		Store:    &exec.StoreLayout{Replicas: 3, Net: &netCfg, Timeout: e20Timeout},
+		Adaptive: true, RetryPolicy: exec.ExpBackoff{Base: 0.25, Cap: 0.5, MaxAttempts: 4},
 	}
 }
 
@@ -79,6 +67,10 @@ func planE21(cfg Config) (*Plan, error) {
 	if err != nil {
 		return nil, err
 	}
+	plan, err := e20Plan(cp)
+	if err != nil {
+		return nil, err
+	}
 
 	p := &Plan{}
 
@@ -104,36 +96,23 @@ func planE21(cfg Config) (*Plan, error) {
 	p.Job(drill, func(s *rng.Stream) (RowOut, error) {
 		srcSeed := s.Uint64()
 		netSeed := s.Uint64()
-		src := func() exec.Source {
-			return exec.NewKeyedSource(failure.Exponential{Lambda: e20Lambda}, srcSeed, 1)
-		}
 		netCfg := netsim.Config{Seed: netSeed, Latency: 0.2, Jitter: 0.3, Loss: 0.05}
-		run := func(st store.Store, crashEvents, crashSaves int) (*exec.Result, error) {
-			w, err := e20Workload(cp)
-			if err != nil {
-				return nil, err
-			}
-			return exec.Execute(w, src(), e21Options(st, crashEvents, crashSaves, 0))
+		leased := func(holder string) exec.RunSpec {
+			spec := e21Spec(netCfg, srcSeed)
+			spec.Store.Lease = &store.LeaseConfig{Holder: holder, TTL: 1e9}
+			return spec
 		}
 
 		// Uncontended leased reference, plus a lease-free control proving
 		// the lease protocol never reaches the journal.
-		refStore, err := e21Leased(e20Spec(netCfg, true), "ref", false)
-		if err != nil {
-			return RowOut{}, err
-		}
-		ref, err := run(refStore, 0, 0)
+		ref, err := leased("ref").Run(plan)
 		if err != nil {
 			return RowOut{}, err
 		}
 		if ref.Epoch != 1 {
 			return RowOut{}, fmt.Errorf("E21: reference epoch = %d, want 1", ref.Epoch)
 		}
-		bareStore, err := e20Spec(netCfg, true).Build()
-		if err != nil {
-			return RowOut{}, err
-		}
-		bare, err := run(bareStore, 0, 0)
+		bare, err := e21Spec(netCfg, srcSeed).Run(plan)
 		if err != nil {
 			return RowOut{}, err
 		}
@@ -146,57 +125,23 @@ func planE21(cfg Config) (*Plan, error) {
 		politeBlocked, epochsOK, identical := false, true, true
 		for kill := 1; kill <= ne; kill += killStride {
 			kills++
-			spec := e20Spec(netCfg, true)
-			aStore, err := e21Leased(spec, "a", false)
+			spec := leased("")
+			spec.CrashAfterEvents = kill
+			rep, err := exec.FencingDrill(plan, spec, ref.Journal, kill == 1)
 			if err != nil {
-				return RowOut{}, err
+				return RowOut{}, fmt.Errorf("E21: kill@%d: %w", kill, err)
 			}
-			resA, err := run(aStore, kill, 0)
-			if !errors.Is(err, exec.ErrCrashed) {
-				return RowOut{}, fmt.Errorf("E21: kill@%d: a = %v, want ErrCrashed", kill, err)
-			}
-			epochsOK = epochsOK && resA.Epoch == 1
-
+			epochsOK = epochsOK && rep.A.Epoch == 1 && rep.B.Epoch == 2 && rep.Survivor.Epoch == 3
 			if kill == 1 {
 				// A polite b (no takeover) is blocked while a's lease lives.
-				polite, err := e21Leased(spec, "b", false)
-				if err != nil {
-					return RowOut{}, err
-				}
-				_, perr := run(polite, 0, 0)
-				politeBlocked = errors.Is(perr, store.ErrLeaseHeld)
+				politeBlocked = errors.Is(rep.PoliteErr, store.ErrLeaseHeld)
 			}
-
-			bStore, err := e21Leased(spec, "b", true)
-			if err != nil {
-				return RowOut{}, err
-			}
-			resB, err := run(bStore, 0, 1)
-			if err != nil && !errors.Is(err, exec.ErrCrashed) {
-				return RowOut{}, fmt.Errorf("E21: kill@%d: b = %v", kill, err)
-			}
-			epochsOK = epochsOK && resB.Epoch == 2
-
-			zRes, zErr := run(aStore, 0, 0)
-			switch {
-			case errors.Is(zErr, store.ErrFenced):
+			if rep.Zombie != nil {
 				fenced++
-			case zErr == nil && zRes.Journal.Equal(ref.Journal):
+			} else {
 				writeFree++
-			default:
-				return RowOut{}, fmt.Errorf("E21: kill@%d: zombie = %v, want ErrFenced or write-free completion", kill, zErr)
 			}
-
-			survStore, err := e21Leased(spec, "b", true)
-			if err != nil {
-				return RowOut{}, err
-			}
-			surv, err := run(survStore, 0, 0)
-			if err != nil {
-				return RowOut{}, fmt.Errorf("E21: kill@%d: survivor = %v", kill, err)
-			}
-			epochsOK = epochsOK && surv.Epoch == 3
-			identical = identical && surv.Journal.Equal(ref.Journal)
+			identical = identical && rep.Identical
 		}
 		ok := politeBlocked && epochsOK && identical && fenced > 0
 		return RowOut{
@@ -231,30 +176,20 @@ func planE21(cfg Config) (*Plan, error) {
 		p.Job(sync, func(s *rng.Stream) (RowOut, error) {
 			srcSeed := s.Uint64()
 			netSeed := s.Uint64()
-			src := func() exec.Source {
-				return exec.NewKeyedSource(failure.Exponential{Lambda: e20Lambda}, srcSeed, 1)
-			}
-			w, err := e20Workload(cp)
-			if err != nil {
-				return RowOut{}, err
-			}
-			base, err := exec.Execute(w, src(), exec.Options{Downtime: e20Downtime})
+			base, err := exec.RunSpec{Seed: srcSeed, Salt: 1}.Run(plan)
 			if err != nil {
 				return RowOut{}, err
 			}
 			netCfg := e20NetCfg(netSeed, 0.1*base.Makespan, windowEnd*base.Makespan)
 			arm := func(syncEvery int) (*exec.Result, []store.Store, error) {
-				w, err := e20Workload(cp)
+				spec := e21Spec(netCfg, srcSeed)
+				spec.SyncEvery = syncEvery
+				b, st, err := spec.Boot()
 				if err != nil {
 					return nil, nil, err
 				}
-				spec := e20Spec(netCfg, true)
-				q, err := spec.Build()
-				if err != nil {
-					return nil, nil, err
-				}
-				res, err := exec.Execute(w, src(), e21Options(q, 0, 0, syncEvery))
-				return res, spec.Backends, err
+				res, err := spec.Execute(plan, st)
+				return res, b.Replicas, err
 			}
 			res, mems, err := arm(3)
 			if err != nil {
@@ -305,20 +240,15 @@ func planE21(cfg Config) (*Plan, error) {
 	for _, corrupt := range []int{0, 1, 2} {
 		corrupt := corrupt
 		p.Job(scrub, func(s *rng.Stream) (RowOut, error) {
-			srcSeed := s.Uint64()
-			src := exec.NewKeyedSource(failure.Exponential{Lambda: e20Lambda}, srcSeed, 1)
-			mems := []store.Store{store.NewMemStore(), store.NewMemStore(), store.NewMemStore()}
-			q, err := store.Spec{Backends: mems}.Build()
+			spec := exec.RunSpec{RunID: "e21", Seed: s.Uint64(), Salt: 1, Store: &exec.StoreLayout{Replicas: 3}}
+			b, q, err := spec.Boot()
 			if err != nil {
 				return RowOut{}, err
 			}
-			w, err := e20Workload(cp)
-			if err != nil {
+			if _, err := spec.Execute(plan, q); err != nil {
 				return RowOut{}, err
 			}
-			if _, err := exec.Execute(w, src, exec.Options{RunID: "e21", Store: q, Downtime: e20Downtime}); err != nil {
-				return RowOut{}, err
-			}
+			mems := b.Replicas
 			seqs, err := mems[0].List("e21")
 			if err != nil || len(seqs) == 0 {
 				return RowOut{}, fmt.Errorf("E21: no checkpoints to scrub (%v)", err)
@@ -332,7 +262,7 @@ func planE21(cfg Config) (*Plan, error) {
 					return RowOut{}, err
 				}
 			}
-			scrubber, _ := store.FindScrubber(q)
+			scrubber, _ := store.FindScrubber(q.Store)
 			rep, err := scrubber.ScrubRun("e21")
 			typed := errors.Is(err, store.ErrUnrepairable)
 			if corrupt <= 1 && err != nil {

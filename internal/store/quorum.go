@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 )
 
 // ErrQuorum reports an operation that could not assemble its quorum:
@@ -375,42 +374,72 @@ func lastArrival(responses, failures []reply) float64 {
 // replicas answered. Late responses still merge — a conservative
 // union can only offer the executor more fallback points.
 func (q *QuorumStore) List(run string) ([]uint64, error) {
-	n := len(q.replicas)
+	merged, lats, errs := q.listAll(run)
 	var oks []float64
-	var terminals []float64
-	errs := make([]error, 0, n)
-	seen := make(map[uint64]bool)
-	for i := 0; i < n; i++ {
-		var seqs []uint64
-		lat, err := q.replicaOp(i, run, func(s Store) error {
-			var ierr error
-			seqs, ierr = s.List(run)
-			return ierr
-		})
-		terminals = append(terminals, lat)
-		if err != nil {
-			errs = append(errs, err)
-			continue
-		}
-		oks = append(oks, lat)
-		for _, sq := range seqs {
-			seen[sq] = true
+	for i, err := range errs {
+		if err == nil {
+			oks = append(oks, lats[i])
 		}
 	}
 	if len(oks) < q.r {
-		q.record(run, maxOf(terminals))
+		q.record(run, maxOf(lats))
 		q.mu.Lock()
 		q.stats.QuorumFailures++
 		q.mu.Unlock()
 		return nil, quorumErr("list", run, 0, len(oks), q.r, errs)
 	}
 	q.record(run, kthSmallest(oks, q.r))
-	merged := make([]uint64, 0, len(seen))
-	for sq := range seen {
-		merged = append(merged, sq)
-	}
-	sort.Slice(merged, func(a, b int) bool { return merged[a] < merged[b] })
 	return merged, nil
+}
+
+// listAll lists run on every replica in index order. It returns the
+// ascending, deduplicated union of the listings that succeeded, and
+// each replica's charged latency and error (nil when it listed).
+func (q *QuorumStore) listAll(run string) (merged []uint64, lats []float64, errs []error) {
+	n := len(q.replicas)
+	lats, errs = make([]float64, n), make([]error, n)
+	for i := range q.replicas {
+		var seqs []uint64
+		lats[i], errs[i] = q.replicaOp(i, run, func(s Store) error {
+			var err error
+			seqs, err = s.List(run)
+			return err
+		})
+		if errs[i] == nil {
+			merged = mergeSorted(merged, seqs)
+		}
+	}
+	if merged == nil {
+		merged = []uint64{}
+	}
+	return merged, lats, errs
+}
+
+// mergeSorted returns the ascending, deduplicated union of two
+// ascending lists: a itself when b adds nothing, b compacted in place
+// when a is empty (List results belong to the caller), a new slice
+// otherwise.
+func mergeSorted(a, b []uint64) []uint64 {
+	switch {
+	case len(a) == 0:
+		return slices.Compact(b)
+	case slices.Equal(a, b):
+		return a
+	}
+	out := make([]uint64, 0, len(a)+len(b))
+	for len(a) > 0 || len(b) > 0 {
+		var v uint64
+		switch {
+		case len(b) == 0 || (len(a) > 0 && a[0] <= b[0]):
+			v, a = a[0], a[1:]
+		default:
+			v, b = b[0], b[1:]
+		}
+		if len(out) == 0 || out[len(out)-1] != v {
+			out = append(out, v)
+		}
+	}
+	return out
 }
 
 // Delete fans out to every replica; a replica that reports not-found

@@ -32,7 +32,7 @@ type Spec struct {
 
 // Build validates the spec and assembles its stack.
 func (s Spec) Build() (Store, error) {
-	if err := s.validate(); err != nil {
+	if err := s.Validate(); err != nil {
 		return nil, err
 	}
 	var net *netsim.Network
@@ -80,12 +80,12 @@ func (s *Spec) replica(i int, net *netsim.Network) Store {
 	return Checked(st)
 }
 
-// validate rejects values no layer can honour: negative or NaN
+// Validate rejects values no layer can honour: negative or NaN
 // durations, probabilities outside [0, 1] (WriteFail+TornWrite too: a
 // save's fail and tear bands split one draw), malformed partition windows,
 // a write quorum without a quorum, and silent loss under a quota (the
 // ledger would bill for saves the injector ate).
-func (s *Spec) validate() error {
+func (s Spec) Validate() error {
 	if len(s.Backends) == 0 {
 		return fmt.Errorf("store: spec has no backends")
 	}

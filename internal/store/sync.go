@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"sort"
 )
 
 // ErrUnrepairable reports a scrub that found corrupt replicas it could
@@ -80,6 +79,17 @@ func FindSyncer(s Store) (RunSyncer, bool) { return find[RunSyncer](s) }
 // FindScrubber walks the decorator stack for a RunScrubber.
 func FindScrubber(s Store) (RunScrubber, bool) { return find[RunScrubber](s) }
 
+// listed counts the replicas whose listing succeeded.
+func listed(errs []error) int {
+	n := 0
+	for _, err := range errs {
+		if err == nil {
+			n++
+		}
+	}
+	return n
+}
+
 // SyncRun runs one deterministic anti-entropy pass over run: list every
 // replica, take the union of sequence numbers, establish the canonical
 // payload for each via a quorum Load, and copy it to every reachable
@@ -99,27 +109,8 @@ func (q *QuorumStore) SyncRun(run string) (SyncReport, error) {
 		return SyncReport{}, err
 	}
 	n := len(q.replicas)
-	seen := make(map[uint64]bool)
-	listed := make([]bool, n)
-	okLists := 0
-	listErrs := make([]error, 0, n)
-	for i := 0; i < n; i++ {
-		var seqs []uint64
-		_, err := q.replicaOp(i, run, func(s Store) error {
-			var ierr error
-			seqs, ierr = s.List(run)
-			return ierr
-		})
-		if err != nil {
-			listErrs = append(listErrs, err)
-			continue
-		}
-		listed[i] = true
-		okLists++
-		for _, sq := range seqs {
-			seen[sq] = true
-		}
-	}
+	seqs, _, listErrs := q.listAll(run)
+	okLists := listed(listErrs)
 	rep := SyncReport{Unlisted: n - okLists}
 	if okLists < q.r {
 		// Too few listings to even trust the seq union: bail with the
@@ -129,11 +120,6 @@ func (q *QuorumStore) SyncRun(run string) (SyncReport, error) {
 		q.mu.Unlock()
 		return rep, quorumErr("sync", run, 0, okLists, q.r, listErrs)
 	}
-	seqs := make([]uint64, 0, len(seen))
-	for sq := range seen {
-		seqs = append(seqs, sq)
-	}
-	sort.Slice(seqs, func(a, b int) bool { return seqs[a] < seqs[b] })
 	rep.Seqs = len(seqs)
 
 	var firstErr error
@@ -156,7 +142,7 @@ func (q *QuorumStore) SyncRun(run string) (SyncReport, error) {
 			continue
 		}
 		for i := 0; i < n; i++ {
-			if !listed[i] {
+			if listErrs[i] != nil {
 				// The replica could not even list; its copy state is
 				// unknown and a write would likely fail the same way.
 				continue
@@ -211,37 +197,14 @@ func (q *QuorumStore) ScrubRun(run string) (ScrubReport, error) {
 		return ScrubReport{}, err
 	}
 	n := len(q.replicas)
-	seen := make(map[uint64]bool)
-	okLists := 0
-	listErrs := make([]error, 0, n)
-	for i := 0; i < n; i++ {
-		var seqs []uint64
-		_, err := q.replicaOp(i, run, func(s Store) error {
-			var ierr error
-			seqs, ierr = s.List(run)
-			return ierr
-		})
-		if err != nil {
-			listErrs = append(listErrs, err)
-			continue
-		}
-		okLists++
-		for _, sq := range seqs {
-			seen[sq] = true
-		}
-	}
+	seqs, _, listErrs := q.listAll(run)
 	var rep ScrubReport
-	if okLists < q.r {
+	if okLists := listed(listErrs); okLists < q.r {
 		q.mu.Lock()
 		q.stats.QuorumFailures++
 		q.mu.Unlock()
 		return rep, quorumErr("scrub", run, 0, okLists, q.r, listErrs)
 	}
-	seqs := make([]uint64, 0, len(seen))
-	for sq := range seen {
-		seqs = append(seqs, sq)
-	}
-	sort.Slice(seqs, func(a, b int) bool { return seqs[a] < seqs[b] })
 	rep.Seqs = len(seqs)
 
 	var firstErr error

@@ -278,21 +278,11 @@ func ExecutePlanResilient(g *Graph, m Model, checkpointAfter []bool, meanLatency
 		meanC += c
 	}
 	meanC /= float64(len(cp.Ckpt))
-	plan := store.FaultPlan{Seed: seed, WriteFail: writeFail, MeanLatency: meanLatency}
-	st, err := store.Spec{Backends: []store.Store{store.NewMemStore()}, Faults: &plan}.Build()
-	if err != nil {
-		return ResilienceReport{}, err
-	}
-	res, err := exec.Execute(w,
-		exec.NewKeyedSource(failure.Exponential{Lambda: m.Lambda}, seed, 1),
-		exec.Options{
-			RunID: "resilient", Store: st, Downtime: m.Downtime,
-			Adaptive: &exec.AdaptiveOptions{
-				Retry:       exec.ExpBackoff{Base: 0.25 * meanC, Cap: meanC, MaxAttempts: 4},
-				Replanner:   exec.ChainReplanner{CP: cp},
-				ReplanRatio: 1.25,
-			},
-		})
+	res, err := exec.RunSpec{
+		RunID: "resilient", Seed: seed, Salt: 1,
+		Store:    &exec.StoreLayout{Faults: &store.FaultPlan{Seed: seed, WriteFail: writeFail, MeanLatency: meanLatency}},
+		Adaptive: true, RetryPolicy: exec.ExpBackoff{Base: 0.25 * meanC, Cap: meanC, MaxAttempts: 4}, ReplanRatio: 1.25,
+	}.Run(exec.Plan{Workload: w, Model: m, Replanner: exec.ChainReplanner{CP: cp}})
 	if err != nil {
 		return ResilienceReport{}, err
 	}
