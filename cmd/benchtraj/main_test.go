@@ -79,38 +79,52 @@ func TestBenchtrajTableMatchesSnapshots(t *testing.T) {
 // TestBenchtrajWritesReport runs a subset of the table through the
 // runner into a directory -out creates, one row or more per file.
 func TestBenchtrajWritesReport(t *testing.T) {
-	setBenchtime(t, "10ms")
 	zeroAlloc := func(name string) bool {
 		return name == "sim_run_steady_state" || strings.HasPrefix(name, "superposed_campaign_")
 	}
-	var subset []row
+	var zero, rest []row
 	for _, r := range table() {
 		switch {
-		case zeroAlloc(r.name), r.name == "dag_lattice/n=7", strings.HasPrefix(r.name, "exec_run/store=mem n="):
-			subset = append(subset, r)
+		case zeroAlloc(r.name):
+			zero = append(zero, r)
+		case r.name == "dag_lattice/n=7", strings.HasPrefix(r.name, "exec_run/store=mem n="):
+			rest = append(rest, r)
 		}
-	}
-	out := filepath.Join(t.TempDir(), "fresh")
-	var stderr bytes.Buffer
-	if code := run([]string{"-out", out}, subset, &stderr); code != 0 {
-		t.Fatalf("exit %d, stderr:\n%s", code, stderr.String())
 	}
 	byName := map[string]Measurement{}
-	for _, file := range files {
-		for _, m := range readReport(t, filepath.Join(out, "BENCH_"+file+".json")).Results {
-			if m.NsPerOp <= 0 || m.Iterations <= 0 {
-				t.Errorf("%s: empty measurement %+v", m.Name, m)
+	measureRows := func(benchtime string, rows []row) {
+		setBenchtime(t, benchtime)
+		out := filepath.Join(t.TempDir(), "fresh")
+		var stderr bytes.Buffer
+		if code := run([]string{"-out", out}, rows, &stderr); code != 0 {
+			t.Fatalf("exit %d, stderr:\n%s", code, stderr.String())
+		}
+		for _, file := range files {
+			path := filepath.Join(out, "BENCH_"+file+".json")
+			if _, err := os.Stat(path); err != nil {
+				continue
 			}
-			byName[m.Name] = m
+			for _, m := range readReport(t, path).Results {
+				if m.NsPerOp <= 0 || m.Iterations <= 0 {
+					t.Errorf("%s: empty measurement %+v", m.Name, m)
+				}
+				byName[m.Name] = m
+			}
 		}
 	}
-	if len(byName) != len(subset) {
-		t.Errorf("wrote %d measurements, want %d", len(byName), len(subset))
+	// Allocs/op is the process-wide malloc count over the timed ops
+	// divided by their number, so the zero-alloc rows run a fixed ten
+	// ops: at a 10ms budget the slowest runs one ~121 ms op, where a
+	// single runtime allocation reads as 1/op.
+	measureRows("10x", zero)
+	measureRows("10ms", rest)
+	if len(byName) != len(zero)+len(rest) {
+		t.Errorf("wrote %d measurements, want %d", len(byName), len(zero)+len(rest))
 	}
 	// The simulation loops reuse one process: 0 allocs/op.
 	for name, m := range byName {
-		if zeroAlloc(name) && m.AllocsPerOp != 0 {
-			t.Errorf("%s allocates %d/op, want 0", name, m.AllocsPerOp)
+		if zeroAlloc(name) && (m.AllocsPerOp != 0 || m.Iterations < 10) {
+			t.Errorf("%s allocates %d/op over %d ops, want 0 over at least 10", name, m.AllocsPerOp, m.Iterations)
 		}
 	}
 	if m := byName["dag_lattice/n=7"]; m.States <= 0 {

@@ -12,7 +12,6 @@
 //	chkptbench -parallel 8     # worker-pool size (default GOMAXPROCS)
 //	chkptbench -csv            # emit CSV instead of aligned tables
 //	chkptbench -json           # emit typed JSON
-//	chkptbench -crn            # opt into common-random-number comparisons
 //
 // With a fixed seed the tables are byte-identical for every -parallel
 // value (volatile wall-clock cells in E7/E13/E14 excepted; see DESIGN.md's
@@ -47,7 +46,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		parallel = fs.Int("parallel", 0, "worker-pool size (0 = GOMAXPROCS)")
 		csv      = fs.Bool("csv", false, "emit CSV tables")
 		jsonOut  = fs.Bool("json", false, "emit typed JSON")
-		crn      = fs.Bool("crn", false, "run strategy comparisons (E8, E11) on the common-random-number campaign; changes those tables' sampling schedule, so fingerprints differ from the default")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -63,7 +61,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	cfg := expt.Config{Seed: *seed, Quick: *quick, CRN: *crn}
+	cfg := expt.Config{Seed: *seed, Quick: *quick}
 	runner := engine.Runner{Workers: *parallel}
 
 	if *jsonOut {

@@ -277,6 +277,11 @@ func run(cfg config, out io.Writer) error {
 		if cfg.tenants > 1 || cfg.tracePath != "" {
 			return fmt.Errorf("-contend drives one contended run: drop -tenants/-trace")
 		}
+		if cfg.quota != "" {
+			// The drill's four processes share one run, and a quota
+			// ledger lives for one process only.
+			return fmt.Errorf("-contend spans several processes while -quota meters one: drop -quota")
+		}
 		return runContend(plan, planned, cfg, out)
 	}
 	if cfg.tenants > 1 && cfg.tracePath != "" {
@@ -295,8 +300,8 @@ func run(cfg config, out io.Writer) error {
 // runSpec maps the flags onto the persisted run's RunSpec: one file
 // store per replica (directory <dir>/r<i> when replicated) plus the
 // layers the flags ask for. Only a metered spec carries the -quota
-// budget; the telemetry probe, the contend drill and the maintenance
-// passes run unmetered.
+// budget; the telemetry probe and the maintenance passes run unmetered,
+// and the contend drill refuses -quota.
 func (c config) runSpec(metered bool) (exec.RunSpec, error) {
 	layout := &exec.StoreLayout{
 		Replicas: c.replicas, W: c.writeQuorum, Dir: c.dir, Timeout: c.netTimeout,
@@ -333,9 +338,13 @@ func (c config) runSpec(metered bool) (exec.RunSpec, error) {
 	if c.lease > 0 {
 		layout.Lease = &store.LeaseConfig{Holder: c.holder, TTL: c.lease, Takeover: c.takeover}
 	}
+	pol, err := parseRetryPolicy(c.retryPolicy)
+	if err != nil {
+		return exec.RunSpec{}, err
+	}
 	spec := exec.RunSpec{
 		RunID: c.runID, Seed: c.seed, Salt: 1, Store: layout, SaveRetries: c.retries,
-		Adaptive: c.adaptive(), Retry: c.retryPolicy, ReplanRatio: c.replanThreshold, SyncEvery: c.syncEvery,
+		Adaptive: c.adaptive(), RetryPolicy: pol, ReplanRatio: c.replanThreshold, SyncEvery: c.syncEvery,
 		CrashAfterEvents: c.crashEvents, CrashAfterSaves: c.crashSaves,
 	}
 	return spec, nil
@@ -531,9 +540,8 @@ func reportResult(out io.Writer, prefix string, cfg config, planned float64, res
 
 // reportResilience prints the adaptive executor's summary line.
 func reportResilience(out io.Writer, prefix string, spec exec.RunSpec, res *exec.Result) {
-	pol, _ := spec.Policy() // the run validated it
 	fmt.Fprintf(out, "%sresilience: policy %s, replans %d, save give-ups %d, level %s, store overhead %.4f, max rewind exposure %.4f\n",
-		prefix, pol.Name(), res.Replans, res.GiveUps, res.Level, res.StoreOverhead, res.MaxRewind)
+		prefix, spec.RetryPolicy.Name(), res.Replans, res.GiveUps, res.Level, res.StoreOverhead, res.MaxRewind)
 	if res.Syncs > 0 {
 		fmt.Fprintf(out, "%santi-entropy: %d passes, %d replica copies, %d unconverged\n",
 			prefix, res.Syncs, res.SyncCopied, res.SyncFailures)

@@ -324,6 +324,24 @@ func TestParseRetryPolicy(t *testing.T) {
 	}
 }
 
+// TestRetryPolicyFlagValidation pins that a non-finite or over-long
+// -retry-policy spelling fails the persisted run (exit 1) instead of
+// running with a NaN or truncated backoff.
+func TestRetryPolicyFlagValidation(t *testing.T) {
+	wf := chainWorkflow(t, t.TempDir(), 8)
+	for _, bad := range []string{"exp:NaN", "exp:Inf", "exp:0.5:NaN", "exp:0.5:2:4:5:7"} {
+		cfg := baseConfig(wf)
+		cfg.dir = t.TempDir()
+		cfg.faults = true
+		cfg.retryPolicy = bad
+		var out bytes.Buffer
+		err := run(cfg, &out)
+		if err == nil || !strings.Contains(err.Error(), "bad retry policy") {
+			t.Errorf("-retry-policy %s: err %v, want a bad retry policy error\n%s", bad, err, out.String())
+		}
+	}
+}
+
 // TestParseQuota covers the quota grammar.
 func TestParseQuota(t *testing.T) {
 	q, err := parseQuota("ckpts:4,bytes:8192")
@@ -684,6 +702,25 @@ func TestContendFencingDrill(t *testing.T) {
 		if !strings.Contains(s, want) {
 			t.Errorf("drill output missing %q:\n%s", want, s)
 		}
+	}
+}
+
+// TestContendRefusesQuota pins that -contend rejects -quota: the drill
+// runs several processes over one run, while a quota ledger meters one
+// process, so the drill would otherwise run unmetered.
+func TestContendRefusesQuota(t *testing.T) {
+	base := t.TempDir()
+	wf := chainWorkflow(t, base, 12)
+	cfg := baseConfig(wf)
+	cfg.dir = filepath.Join(base, "drill")
+	cfg.lease = 1e9
+	cfg.contend = true
+	cfg.crashEvents = 10
+	cfg.retryPolicy = "fixed:1"
+	cfg.quota = "ckpts:1"
+	var out bytes.Buffer
+	if err := run(cfg, &out); err == nil || !strings.Contains(err.Error(), "-quota") {
+		t.Fatalf("-contend -quota: err %v, want a refusal naming -quota\n%s", err, out.String())
 	}
 }
 

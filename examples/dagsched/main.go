@@ -55,7 +55,7 @@ func main() {
 			fmt.Printf("  %-18s E[T] = %-10.4f (%d checkpoints)\n",
 				s.Name, res.Expected, len(res.Plan().Checkpoints()))
 		}
-		best, err := core.SolveDAG(g, m, cm, nil)
+		best, err := core.SolveDAG(g, m, cm)
 		if err != nil {
 			log.Fatal(err)
 		}

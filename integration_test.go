@@ -227,7 +227,7 @@ func TestIntegrationDAGJSONRoundTripSchedule(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, cm := range []core.CostModel{core.LastTaskCosts{}, core.LiveSetCosts{}} {
-		res, err := core.SolveDAG(g2, m, cm, nil)
+		res, err := core.SolveDAG(g2, m, cm)
 		if err != nil {
 			t.Fatalf("%s: %v", cm.Name(), err)
 		}

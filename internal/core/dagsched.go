@@ -736,10 +736,6 @@ type Options struct {
 	// concurrently per level. ≤ 0 means runtime.GOMAXPROCS(0). Results
 	// are identical for every worker count.
 	Workers int
-	// Strategies is the linearization portfolio (nil means
-	// DefaultStrategies) — the heuristic arms of SolveDAGWith and the
-	// branch-and-bound incumbent of SolveDAGLattice.
-	Strategies []LinearizationStrategy
 	// MaxStates caps the number of DP states SolveDAGLattice may store
 	// (0 means unlimited); exceeding it aborts with an error instead of
 	// exhausting memory. The cap is enforced exactly between lattice
@@ -757,14 +753,13 @@ type Options struct {
 	IncumbentUB float64
 }
 
-// SolveDAG schedules a general DAG heuristically: it tries every supplied
-// linearization strategy (DefaultStrategies when strategies is nil), runs
-// the exact per-order DP on each, and returns the best schedule found.
-// Proposition 2 says finding the globally optimal order is strongly
-// NP-hard, so a portfolio of orders with exact placement per order is the
-// principled heuristic.
-func SolveDAG(g *dag.Graph, m expectation.Model, cm CostModel, strategies []LinearizationStrategy) (DAGResult, error) {
-	return SolveDAGWith(g, m, cm, Options{Strategies: strategies, Workers: 1})
+// SolveDAG schedules a general DAG heuristically: it tries every
+// linearization strategy of DefaultStrategies, runs the exact per-order
+// DP on each, and returns the best schedule found. Proposition 2 says
+// finding the globally optimal order is strongly NP-hard, so a portfolio
+// of orders with exact placement per order is the principled heuristic.
+func SolveDAG(g *dag.Graph, m expectation.Model, cm CostModel) (DAGResult, error) {
+	return SolveDAGWith(g, m, cm, Options{Workers: 1})
 }
 
 // SolveDAGWith is SolveDAG with explicit Options: the portfolio
@@ -780,10 +775,7 @@ func SolveDAGWith(g *dag.Graph, m expectation.Model, cm CostModel, opts Options)
 	if err := g.Validate(); err != nil {
 		return DAGResult{}, err
 	}
-	strategies := opts.Strategies
-	if strategies == nil {
-		strategies = DefaultStrategies()
-	}
+	strategies := DefaultStrategies()
 	results := make([]DAGResult, len(strategies))
 	scratches := make([]*orderScratch, par.Workers(opts.Workers, len(strategies)))
 	err := par.Each(opts.Workers, len(strategies), func(w, i int) error {

@@ -123,7 +123,7 @@ func TestSolveDAGValidPlans(t *testing.T) {
 
 	for name, g := range graphs {
 		for _, cm := range []CostModel{LastTaskCosts{}, LiveSetCosts{}} {
-			res, err := SolveDAG(g, m, cm, nil)
+			res, err := SolveDAG(g, m, cm)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", name, cm.Name(), err)
 			}
@@ -147,7 +147,7 @@ func TestSolveDAGExhaustiveDominates(t *testing.T) {
 	}
 	m := mustModelT(t, 0.05, 0.1)
 	for _, cm := range []CostModel{LastTaskCosts{}, LiveSetCosts{}} {
-		heur, err := SolveDAG(g, m, cm, nil)
+		heur, err := SolveDAG(g, m, cm)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -241,7 +241,7 @@ func TestStrategiesProduceValidOrders(t *testing.T) {
 
 func TestSolveDAGErrors(t *testing.T) {
 	m := mustModelT(t, 0.1, 0)
-	if _, err := SolveDAG(dag.New(), m, LastTaskCosts{}, nil); err == nil {
+	if _, err := SolveDAG(dag.New(), m, LastTaskCosts{}); err == nil {
 		t.Error("empty graph should fail")
 	}
 	g := dag.New()

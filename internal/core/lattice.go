@@ -195,7 +195,7 @@ func SolveDAGLatticeStats(g *dag.Graph, m expectation.Model, cm CostModel, opts 
 
 	ub := opts.IncumbentUB
 	if ub <= 0 {
-		inc, err := SolveDAGWith(g, m, cm, Options{Workers: opts.Workers, Strategies: opts.Strategies})
+		inc, err := SolveDAGWith(g, m, cm, Options{Workers: opts.Workers})
 		if err != nil {
 			return DAGResult{}, stats, err
 		}

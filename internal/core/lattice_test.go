@@ -81,7 +81,7 @@ func TestLatticeMatchesExhaustiveProperty(t *testing.T) {
 					trial, cm.Name(), onWitness.Expected, lattice.Expected)
 			}
 			// And the heuristic portfolio never beats the exact optimum.
-			heur, err := SolveDAG(g, m, cm, nil)
+			heur, err := SolveDAG(g, m, cm)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -307,7 +307,7 @@ func TestSolveDAGWithParallelMatchesSerial(t *testing.T) {
 	}
 	m := mustModelT(t, 0.02, 1)
 	for _, cm := range []CostModel{LastTaskCosts{}, LiveSetCosts{}} {
-		serial, err := SolveDAG(g, m, cm, nil)
+		serial, err := SolveDAG(g, m, cm)
 		if err != nil {
 			t.Fatal(err)
 		}

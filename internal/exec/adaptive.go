@@ -234,11 +234,6 @@ func (ex *executor) persist(seq uint64, payload []byte) error {
 		ex.base, ex.baseLen = seq, encoded
 		return ex.countSave()
 	}
-	// Every attempt but the last failed; the last failed unless the
-	// save went through.
-	for a := 1; a <= out.attempts; a++ {
-		ex.health.ObserveAttempt(a < out.attempts || !out.ok)
-	}
 	ex.t += out.overhead
 	ex.met.StoreOverhead += out.overhead
 	if err := ex.event(Event{Kind: EvSaveResult, Time: ex.t, Arg: encodeSaveArg(out.attempts, out.code), Seq: math.Float64bits(out.overhead)}); err != nil {
@@ -411,7 +406,7 @@ func (ex *executor) restoreAdaptive(st *execState) error {
 // checkpoint seq.
 func (ex *executor) snapshot(seq uint64) execState {
 	return execState{
-		fp: ex.fp, seq: seq, nextSeg: seq, src: ex.src.State(),
+		fp: ex.fp, seq: seq, src: ex.src.State(),
 		coreRecord: ex.coreRecord, adaptiveRecord: ex.adaptiveRecord,
 		delta: ex.j[ex.baseLen:],
 	}

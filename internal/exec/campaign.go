@@ -21,9 +21,8 @@ type CampaignOptions struct {
 	// the merged summaries are deterministic for a given (Seed, Workers)
 	// pair (summary merging is not floating-point associative).
 	Workers int
-	// Downtime and MaxFailures are per-run execution options.
-	Downtime    float64
-	MaxFailures int
+	// Downtime is each run's downtime after a failure (Options).
+	Downtime float64
 }
 
 // CampaignResult aggregates a campaign.
@@ -59,10 +58,7 @@ func Campaign(w *Workload, dist failure.Distribution, opts CampaignOptions) (Cam
 		p := &parts[wk]
 		for r := first; r < first+count; r++ {
 			src := NewKeyedSource(dist, opts.Seed, uint64(r)+1)
-			res, err := Execute(w, src, Options{
-				Downtime:    opts.Downtime,
-				MaxFailures: opts.MaxFailures,
-			})
+			res, err := Execute(w, src, Options{Downtime: opts.Downtime})
 			if err != nil {
 				return fmt.Errorf("exec: campaign run %d: %w", r, err)
 			}

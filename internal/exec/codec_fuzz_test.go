@@ -9,7 +9,7 @@ import (
 	"repro/internal/store"
 )
 
-// statePayloads returns the schema-4 payloads a short run persists: a
+// statePayloads returns the payloads a short run persists: a
 // chain root and the payloads chained onto it.
 func statePayloads(t testing.TB) [][]byte {
 	t.Helper()
@@ -56,7 +56,7 @@ func mutations(p []byte, cuts ...int) [][]byte {
 func FuzzDecodeState(f *testing.F) {
 	for _, p := range statePayloads(f) {
 		// Slot offsets: schema, seq, base, baseLen, delta count.
-		for _, m := range mutations(p, 0, 4+8, 4+8*28, 4+8*29, stateHeaderSize) {
+		for _, m := range mutations(p, 0, 4+8, 4+8*23, 4+8*24, stateHeaderSize) {
 			f.Add(m)
 		}
 	}
@@ -131,5 +131,37 @@ func TestSchema3PayloadRejected(t *testing.T) {
 	}
 	if len(res.Journal) != 0 {
 		t.Fatalf("Execute ran %d events past an unreadable checkpoint", len(res.Journal))
+	}
+}
+
+// TestSchema4PayloadRejected pins the schema bump: a schema-4 payload
+// (31 state slots, with the next-segment slot and the store health's
+// failure window and attempt counters that schema 5 dropped) is a
+// typed decode error, and a store holding one makes Execute fail
+// loudly.
+func TestSchema4PayloadRejected(t *testing.T) {
+	p := statePayloads(t)[0]
+	old := make([]byte, 4, len(p)+8*5)
+	putU32(old, 4)
+	for i := 0; i < stateSlots; i++ {
+		old = append(old, p[4+8*i:4+8*(i+1)]...)
+		switch i {
+		case 1: // after seq: the next segment, always seq
+			old = append(old, p[4+8:4+16]...)
+		case 13: // after the health EWMAs: bits, nbits, attempts, failures
+			old = append(old, make([]byte, 8*4)...)
+		}
+	}
+	old = append(old, p[stateHeaderSize:]...)
+	if _, err := decodeState(old); !errors.Is(err, errState) {
+		t.Fatalf("decodeState(schema 4) = %v, want errState", err)
+	}
+	st := store.Checked(store.NewMemStore())
+	if err := st.Save("run", 1, old); err != nil {
+		t.Fatal(err)
+	}
+	src := NewKeyedSource(failure.Exponential{Lambda: 0.08}, 55, 1)
+	if _, err := Execute(segmentChain(t, 6), src, Options{Store: st, Downtime: 1}); !errors.Is(err, errState) {
+		t.Fatalf("Execute over a schema-4 checkpoint = %v, want errState", err)
 	}
 }

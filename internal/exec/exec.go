@@ -279,7 +279,7 @@ func Execute(w *Workload, src Source, opts Options) (*Result, error) {
 		ex.coreRecord = st.coreRecord
 		ex.j = st.journal
 		ex.src.Restore(st.src)
-		startSeg = int(st.nextSeg)
+		startSeg = int(st.seq)
 		res.Resumed = true
 		res.ResumeSeq = st.seq
 		res.RestoredEvents = len(st.journal)

@@ -1,9 +1,6 @@
 package exec
 
-import (
-	"fmt"
-	"math/bits"
-)
+import "fmt"
 
 // DegradeLevel is the executor's position on the degradation ladder.
 // Levels move down within a run; the single path back up is the
@@ -45,9 +42,8 @@ func (l DegradeLevel) String() string {
 }
 
 // StoreHealth is the deterministic store-health observer: an EWMA of
-// per-commit save latency, an EWMA of per-commit retry overhead
-// (backoff delays plus latency burned on failed attempts), and a
-// rolling window of per-attempt outcomes for a failure rate. All inputs
+// per-commit save latency and an EWMA of per-commit retry overhead
+// (backoff delays plus latency burned on failed attempts). Both inputs
 // are virtual-time quantities read from the deterministic store stack,
 // and every field round-trips bit-exactly through the checkpoint
 // payload, so a resumed run's health — and therefore its replan
@@ -56,33 +52,10 @@ type StoreHealth struct {
 	commits  uint64 // commits observed (first one seeds the EWMAs)
 	ewmaLat  float64
 	ewmaOver float64
-	bits     uint64 // rolling per-attempt outcomes, bit 0 = most recent
-	nbits    int
-	attempts uint64
-	failures uint64
 }
 
-// Store-health constants: the EWMA weight, and the failure-rate window
-// in attempts (at most 64, the width of the bit window).
-const (
-	healthAlpha  = 0.25
-	healthWindow = 16
-)
-
-// ObserveAttempt records one save attempt's outcome in the failure
-// window.
-func (h *StoreHealth) ObserveAttempt(failed bool) {
-	h.attempts++
-	h.bits <<= 1
-	if failed {
-		h.failures++
-		h.bits |= 1
-	}
-	if h.nbits < healthWindow {
-		h.nbits++
-	}
-	h.bits &= 1<<healthWindow - 1
-}
+// healthAlpha is the EWMA weight.
+const healthAlpha = 0.25
 
 // ObserveCommit folds one commit's outcome into the EWMAs: successLat
 // is the injected latency of the successful attempt (0 on give-up),
@@ -99,32 +72,7 @@ func (h *StoreHealth) ObserveCommit(successLat, retryOverhead float64) {
 	h.commits++
 }
 
-// EwmaLatency returns the smoothed per-commit successful-save latency.
-func (h *StoreHealth) EwmaLatency() float64 { return h.ewmaLat }
-
-// EwmaOverhead returns the smoothed per-commit retry overhead.
-func (h *StoreHealth) EwmaOverhead() float64 { return h.ewmaOver }
-
 // OverheadEstimate is the expected EXTRA cost of the next checkpoint
 // beyond its planned C: smoothed latency plus smoothed retry overhead.
 // This is the C_eff − C term replan decisions use.
 func (h *StoreHealth) OverheadEstimate() float64 { return h.ewmaLat + h.ewmaOver }
-
-// FailureRate returns the fraction of failed attempts in the window
-// (0 before any attempt).
-func (h *StoreHealth) FailureRate() float64 {
-	if h.nbits == 0 {
-		return 0
-	}
-	return float64(bits.OnesCount64(h.bits)) / float64(h.nbits)
-}
-
-// Attempts and Failures return lifetime counters; Commits the number of
-// committed observations.
-func (h *StoreHealth) Attempts() uint64 { return h.attempts }
-
-// Failures returns the lifetime failed-attempt count.
-func (h *StoreHealth) Failures() uint64 { return h.failures }
-
-// Commits returns the number of ObserveCommit calls.
-func (h *StoreHealth) Commits() uint64 { return h.commits }

@@ -17,7 +17,7 @@ import (
 // payload byte for byte: a change to the slot order, a slot's encoding
 // or the delta framing moves it. Like the experiment fingerprints it
 // is compared on amd64 only, where float arithmetic is not fused.
-const payloadGolden = "f45a379b66798cf01e3f88da910d6bc2833aa66c0412298f07df458e0e8da36d"
+const payloadGolden = "a79045e3fd0ef8514d4dc2add5f9418d14fa592e03bfa6937e18f6eb8a627863"
 
 // TestPayloadGolden runs a fixed adaptive execution — injected save
 // latency, write faults, replans, a fall to LevelDown and a ride-out

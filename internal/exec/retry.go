@@ -123,9 +123,9 @@ func (p FixedRetry) Backoff(attempt int, _ float64) (float64, bool) {
 
 // ExpBackoff is capped exponential backoff in virtual time: retry k
 // (1-based) waits min(Base·Factor^(k−1), Cap) before the next attempt,
-// up to MaxAttempts retries and a total per-operation overhead Budget.
-// It is deliberately jitter-free: determinism outranks thundering-herd
-// etiquette inside a replayable virtual clock.
+// up to MaxAttempts retries. It is deliberately jitter-free:
+// determinism outranks thundering-herd etiquette inside a replayable
+// virtual clock.
 type ExpBackoff struct {
 	// Base is the first retry's delay (virtual time units).
 	Base float64
@@ -135,21 +135,22 @@ type ExpBackoff struct {
 	Cap float64
 	// MaxAttempts bounds retries; 0 means 8.
 	MaxAttempts int
-	// Budget bounds the operation's total overhead (spent + next delay);
-	// 0 means unbounded.
-	Budget float64
 }
 
 // Name identifies the policy.
 func (p ExpBackoff) Name() string { return "exp" }
 
-// Backoff computes the capped exponential delay and every stop rule.
-func (p ExpBackoff) Backoff(attempt int, spent float64) (float64, bool) {
-	max := p.MaxAttempts
-	if max <= 0 {
-		max = 8
+// retries is the retry limit: MaxAttempts, or 8 when unset.
+func (p ExpBackoff) retries() int {
+	if p.MaxAttempts <= 0 {
+		return 8
 	}
-	if attempt > max {
+	return p.MaxAttempts
+}
+
+// Backoff computes the capped exponential delay and the attempt limit.
+func (p ExpBackoff) Backoff(attempt int, _ float64) (float64, bool) {
+	if attempt > p.retries() {
 		return 0, false
 	}
 	factor := p.Factor
@@ -160,15 +161,14 @@ func (p ExpBackoff) Backoff(attempt int, spent float64) (float64, bool) {
 	if p.Cap > 0 && delay > p.Cap {
 		delay = p.Cap
 	}
-	if p.Budget > 0 && spent+delay > p.Budget {
-		return 0, false
-	}
 	return delay, true
 }
 
 // ParseRetryPolicy resolves a policy spelling: none (or empty),
 // fixed:<n>, or exp[:base[:factor[:cap[:max]]]] with base 0.5 by
-// default.
+// default. Every field must be finite and non-negative, with at most
+// four exp fields, and a spelling whose delay overflows by its last
+// retry is refused.
 func ParseRetryPolicy(name string) (RetryPolicy, error) {
 	switch {
 	case name == "" || name == "none":
@@ -183,6 +183,9 @@ func ParseRetryPolicy(name string) (RetryPolicy, error) {
 		pol := ExpBackoff{Base: 0.5}
 		parts := strings.Split(name, ":")[1:]
 		dst := []*float64{&pol.Base, &pol.Factor, &pol.Cap}
+		if len(parts) > len(dst)+1 {
+			return nil, fmt.Errorf("bad retry policy %q: at most 4 fields", name)
+		}
 		for i, part := range parts {
 			if i == len(dst) {
 				n, err := strconv.Atoi(part)
@@ -193,10 +196,16 @@ func ParseRetryPolicy(name string) (RetryPolicy, error) {
 				break
 			}
 			v, err := strconv.ParseFloat(part, 64)
-			if err != nil || v < 0 {
+			if err != nil || !(v >= 0) || math.IsInf(v, 1) {
 				return nil, fmt.Errorf("bad retry policy %q: %q", name, part)
 			}
 			*dst[i] = v
+		}
+		// Base·Factor^(k−1) is monotone in k and Base is finite, so a
+		// finite delay at the last retry bounds every earlier one.
+		last := pol.retries()
+		if d, _ := pol.Backoff(last, 0); math.IsInf(d, 0) || math.IsNaN(d) {
+			return nil, fmt.Errorf("bad retry policy %q: delay overflows by retry %d", name, last)
 		}
 		return pol, nil
 	}

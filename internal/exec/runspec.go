@@ -39,9 +39,8 @@ type RunSpec struct {
 	// Adaptive runs the adaptive executor (AdaptiveOptions) with the
 	// knobs below; it needs a Store.
 	Adaptive bool
-	// Retry is the save retry policy by its -retry-policy spelling
-	// (ParseRetryPolicy); RetryPolicy, when set, is used instead.
-	Retry       string
+	// RetryPolicy is the adaptive save retry policy (nil: NoRetry);
+	// ParseRetryPolicy reads its -retry-policy spelling.
 	RetryPolicy RetryPolicy
 	// ReplanRatio attaches the plan's Replanner when above 1 (see
 	// AdaptiveOptions.ReplanRatio); Cooldown, DownAfter, ProbeEvery and
@@ -121,22 +120,11 @@ func (l *StoreLayout) spec(backends []store.Store, ledger *store.QuotaLedger) st
 	return store.Spec{Backends: backends, Faults: l.Faults, Net: l.Net, Timeout: l.Timeout, W: l.W, Lease: l.Lease, Quota: ledger}
 }
 
-// Policy resolves the save retry policy.
-func (s RunSpec) Policy() (RetryPolicy, error) {
-	if s.RetryPolicy != nil {
-		return s.RetryPolicy, nil
-	}
-	return ParseRetryPolicy(s.Retry)
-}
-
-// Validate rejects a spec no run can honour, with a *SpecError: a bad
-// retry spelling, the adaptive executor without a store, and every
-// layout store.Spec rejects (out-of-range rates, malformed partition
-// windows, W over one replica, LoseOld under a quota).
+// Validate rejects a spec no run can honour, with a *SpecError: the
+// adaptive executor without a store, and every layout store.Spec
+// rejects (out-of-range rates, malformed partition windows, W over one
+// replica, LoseOld under a quota).
 func (s RunSpec) Validate() error {
-	if _, err := s.Policy(); err != nil {
-		return &SpecError{"Retry", err}
-	}
 	l := s.Store
 	if l == nil {
 		if s.Adaptive {
@@ -226,9 +214,8 @@ func (s RunSpec) Execute(plan Plan, st *Stack) (*Result, error) {
 		opts.Store = st.Store
 	}
 	if s.Adaptive {
-		pol, _ := s.Policy()
 		opts.Adaptive = &AdaptiveOptions{
-			Retry: pol, ReplanRatio: s.ReplanRatio, Cooldown: s.Cooldown,
+			Retry: s.RetryPolicy, ReplanRatio: s.ReplanRatio, Cooldown: s.Cooldown,
 			DownAfter: s.DownAfter, ProbeEvery: s.ProbeEvery, SyncEvery: s.SyncEvery,
 		}
 		if s.ReplanRatio > 1 {

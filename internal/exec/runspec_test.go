@@ -18,14 +18,10 @@ func TestRunSpecValidate(t *testing.T) {
 		t.Fatal(err)
 	}
 	plan := Plan{Workload: w, Model: cp.Model}
-	mem := &StoreLayout{}
 	for name, tc := range map[string]struct {
 		spec  RunSpec
 		field string
 	}{
-		"unknown retry spelling": {RunSpec{Store: mem, Adaptive: true, Retry: "bogus"}, "Retry"},
-		"malformed retry":        {RunSpec{Store: mem, Adaptive: true, Retry: "exp:1:2:3:0"}, "Retry"},
-		"fixed:0 retry":          {RunSpec{Store: mem, Adaptive: true, Retry: "fixed:0"}, "Retry"},
 		"inverted partition window": {RunSpec{Store: &StoreLayout{Net: &netsim.Config{
 			Partitions: []netsim.Window{{Start: 5, End: 1, Isolated: []string{"s0"}}},
 		}}}, "Store"},
@@ -54,9 +50,9 @@ func TestRunSpecValidate(t *testing.T) {
 	}
 	for name, spec := range map[string]RunSpec{
 		"store-less":           {},
-		"store-less knobs off": {ReplanRatio: 1.5, Retry: "exp:0.5"},
+		"store-less knobs off": {ReplanRatio: 1.5, RetryPolicy: ExpBackoff{Base: 0.5}},
 		"quota without loss":   {Store: &StoreLayout{Quota: &store.Quota{MaxCheckpoints: 2}, Faults: &store.FaultPlan{WriteFail: 0.1}}},
-		"replicated quorum":    {Store: &StoreLayout{Replicas: 3, W: 3, Net: &netsim.Config{Latency: 0.1}}, Adaptive: true, Retry: "exp:0.5:2:4:3"},
+		"replicated quorum":    {Store: &StoreLayout{Replicas: 3, W: 3, Net: &netsim.Config{Latency: 0.1}}, Adaptive: true, RetryPolicy: ExpBackoff{Base: 0.5, Factor: 2, Cap: 4, MaxAttempts: 3}},
 	} {
 		if err := spec.Validate(); err != nil {
 			t.Errorf("%s: Validate = %v, want nil", name, err)
@@ -81,7 +77,7 @@ func TestRunSpecRestart(t *testing.T) {
 			Replicas: 3, Net: &netsim.Config{Seed: 5, Latency: 0.1, Jitter: 0.2, Loss: 0.05},
 			Faults: &store.FaultPlan{Seed: 9, WriteFail: 0.2, MeanLatency: 0.5},
 		},
-		Adaptive: true, Retry: "exp:0.25:2:1:4", ReplanRatio: 1.3,
+		Adaptive: true, RetryPolicy: ExpBackoff{Base: 0.25, Factor: 2, Cap: 1, MaxAttempts: 4}, ReplanRatio: 1.3,
 	}
 	ref, err := spec.Run(plan)
 	if err != nil {

@@ -44,10 +44,9 @@ type adaptiveRecord struct {
 // delta since the chain base. Bit-exact float round-tripping is what
 // makes resumed accumulations identical to uninterrupted ones.
 type execState struct {
-	fp      uint64
-	seq     uint64
-	nextSeg uint64
-	src     SourceState
+	fp  uint64
+	seq uint64 // checkpoint k follows segment k−1, so a resume runs segment seq next
+	src SourceState
 	coreRecord
 	adaptiveRecord
 
@@ -66,11 +65,13 @@ func (st *execState) journalLen() uint64 { return st.baseLen + uint64(len(st.del
 // adaptive block to schema 1's twelve slots, reusing slot 11 (reserved)
 // for StoreOverhead; schema 3 appended the ride-out probe counter
 // (sinceDown); schema 4 appended the chain slots (base, baseLen, jhash)
-// and replaced the full journal prefix with the delta since base.
-const stateSchema = 4
+// and replaced the full journal prefix with the delta since base;
+// schema 5 dropped five words no resume read: the next segment (always
+// seq) and the store health's failure window and attempt counters.
+const stateSchema = 5
 
 // stateSlots is the number of fixed 8-byte words in a payload.
-const stateSlots = 31
+const stateSlots = 26
 
 // stateHeaderSize is the fixed part of the payload before the journal
 // delta: the schema, then the slots.
@@ -83,11 +84,11 @@ const stateHeaderSize = 4 + 8*stateSlots
 func (st *execState) slots() [stateSlots]any {
 	m, h := &st.met, &st.health
 	return [stateSlots]any{
-		&st.fp, &st.seq, &st.nextSeg, &st.t,
+		&st.fp, &st.seq, &st.t,
 		&m.Failures, &m.Lost, &m.Downtime, &m.RecoveryTime, &m.Useful,
 		&st.src.Draws, &st.src.Consumed, &m.StoreOverhead,
-		// Slot 12 on: the adaptive block.
-		&h.commits, &h.ewmaLat, &h.ewmaOver, &h.bits, &h.nbits, &h.attempts, &h.failures,
+		// Slot 11 on: the adaptive block.
+		&h.commits, &h.ewmaLat, &h.ewmaOver,
 		&st.level, &st.consec, &st.giveups, &st.replans, &st.lastOverhead,
 		&st.lastReplanAt1, &st.lastPersistT, &st.maxRewind, &st.sinceDown,
 		&st.base, &st.baseLen, &st.jhash,

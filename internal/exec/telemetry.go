@@ -55,7 +55,6 @@ func ProbeStore(st store.Store, run string, samples int) ProbeResult {
 		seq := uint64(i)
 		lat, tracked, err := store.Measure(st, run, func() error { return st.Save(run, seq, payload) })
 		res.Tracked = tracked
-		health.ObserveAttempt(err != nil)
 		if err == nil {
 			health.ObserveCommit(lat, 0)
 		} else {

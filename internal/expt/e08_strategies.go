@@ -8,7 +8,6 @@ import (
 	"repro/internal/expectation"
 	"repro/internal/expt/result"
 	"repro/internal/rng"
-	"repro/internal/sim"
 )
 
 func init() {
@@ -149,96 +148,10 @@ func planE8(cfg Config) (*Plan, error) {
 		})
 	}
 
-	// CRN simulated cross-check (opt-in): replay the four strategies
-	// against common recorded failure environments and verify the
-	// analytic ranking holds in simulation, with paired-delta confidence
-	// intervals the independent-sampling design cannot match at this run
-	// count. The table (and its jobs) exists only under cfg.CRN, so the
-	// default fingerprints are untouched.
-	crn := -1
-	if cfg.CRN {
-		crn = p.AddTable(&result.Table{
-			ID:      "E8",
-			Title:   "CRN simulated cross-check: paired strategy deltas vs the DP (same chain, common environments)",
-			Columns: []string{"lambda", "sim_dp", "Δalways", "Δnever", "Δdaly", "ci99_Δalways", "rank_ok"},
-		})
-		simRuns := cfg.Runs(20_000, 2_000)
-		// λ stops at 1e-2: beyond that the never-checkpoint candidate's
-		// single ~275-unit segment succeeds with probability e^{−λ·275},
-		// which is simulable at 1e-2 (~6% per attempt) and hopeless at
-		// 1e-1 — the analytic sweep above still covers the large-λ end.
-		for _, lambda := range []float64{1e-3, 3e-3, 1e-2} {
-			lambda := lambda
-			p.Job(crn, func(s *rng.Stream) (RowOut, error) {
-				m, err := expectation.NewModel(lambda, 1)
-				if err != nil {
-					return RowOut{}, err
-				}
-				cp, _, err := core.NewChainProblem(g, m, 0)
-				if err != nil {
-					return RowOut{}, err
-				}
-				dp, err := core.SolveChainDP(cp)
-				if err != nil {
-					return RowOut{}, err
-				}
-				always, err := core.AlwaysCheckpoint(cp)
-				if err != nil {
-					return RowOut{}, err
-				}
-				never, err := core.NeverCheckpoint(cp)
-				if err != nil {
-					return RowOut{}, err
-				}
-				meanC := 0.0
-				for _, c := range cp.Ckpt {
-					meanC += c
-				}
-				meanC /= float64(len(cp.Ckpt))
-				daly, err := core.PeriodicCheckpoint(cp, expectation.DalyPeriod(meanC, lambda))
-				if err != nil {
-					return RowOut{}, err
-				}
-				var plans [][]core.Segment
-				for _, ck := range [][]bool{dp.CheckpointAfter, always.CheckpointAfter, never.CheckpointAfter, daly.CheckpointAfter} {
-					segs, err := cp.Segments(ck)
-					if err != nil {
-						return RowOut{}, err
-					}
-					plans = append(plans, segs)
-				}
-				res, err := sim.CampaignPlansSharded(plans, sim.ExponentialFactory(lambda), sim.ShardOptions{
-					Options: sim.Options{Downtime: m.Downtime, Workers: 1},
-					Seed:    s.Split().Uint64(), Runs: simRuns, Shards: 1,
-				})
-				if err != nil {
-					return RowOut{}, err
-				}
-				// The DP is provably optimal: every paired delta must be
-				// nonnegative up to its own CI.
-				rankOK := true
-				for i := 1; i < len(res.Delta); i++ {
-					if res.Delta[i].Mean() < -res.Delta[i].CI(0.99) {
-						rankOK = false
-					}
-				}
-				return RowOut{
-					Cells: []result.Cell{
-						result.Float(lambda), result.Float(res.Results[0].Makespan.Mean()),
-						result.Float(res.Delta[1].Mean()), result.Float(res.Delta[2].Mean()), result.Float(res.Delta[3].Mean()),
-						result.Sci(res.Delta[1].CI(0.99)), result.Bool(rankOK),
-					},
-					Value: rankOK,
-				}, nil
-			})
-		}
-	}
-
 	p.Finish = func(tables []*result.Table, outs []RowOut) error {
 		dpDominates := true
 		var sawAlwaysWin, sawNeverWin bool
 		gains := true
-		ranksOK := true
 		for j, job := range p.Jobs {
 			switch job.Table {
 			case sweep:
@@ -251,8 +164,6 @@ func planE8(cfg Config) (*Plan, error) {
 				}
 			case het:
 				gains = gains && outs[j].Value.(bool)
-			case crn:
-				ranksOK = ranksOK && outs[j].Value.(bool)
 			}
 		}
 		tables[sweep].AddNote("DP ≤ every baseline at every λ → %s", yn(dpDominates))
@@ -260,10 +171,6 @@ func planE8(cfg Config) (*Plan, error) {
 			yn(sawNeverWin), yn(sawAlwaysWin))
 		tables[het].AddNote("cost-aware DP beats the best cost-blind baseline on every instance → %s", yn(gains))
 		tables[het].AddNote("the DP concentrates checkpoints on the cheap positions — the structure uniform policies cannot express")
-		if crn >= 0 {
-			tables[crn].AddNote("simulated paired deltas confirm the analytic ranking (DP optimal) at every λ → %s", yn(ranksOK))
-			tables[crn].AddNote("common random numbers pair the strategies against one environment set: the delta CI measures the *comparison*, not two independent means")
-		}
 		return nil
 	}
 	return p, nil

@@ -50,14 +50,7 @@ func planE11(cfg Config) (*Plan, error) {
 			"shape k", "E_expDP", "E_weibullDP", "E_always", "E_never", "weibull/exp", "ckpts_exp", "ckpts_weib",
 		},
 	})
-	type shapeOut struct {
-		shape, ratio float64
-		// deltaCI is the 99% half-width of the paired weibullDP − expDP
-		// makespan delta; only set on the CRN path (cfg.CRN), where the
-		// common environments make it far tighter than differencing
-		// independent means.
-		deltaCI float64
-	}
+	type shapeOut struct{ shape, ratio float64 }
 	// One row job per shape: each runs four Monte-Carlo campaigns, so the
 	// shapes are the natural parallel grain of this experiment.
 	for _, shape := range []float64{0.5, 0.7, 0.9, 1.0, 1.5} {
@@ -101,56 +94,19 @@ func planE11(cfg Config) (*Plan, error) {
 			// the host's GOMAXPROCS.
 			factory := sim.SuperposedFactory(weib, 1, failure.RejuvenateFailedOnly)
 			opts := sim.Options{Downtime: dtime, Workers: 1}
-			var eExp, eWeib, eAlways, eNever, deltaCI float64
-			if cfg.CRN {
-				// Common-random-number comparison: all four placements
-				// replay the same recorded failure environments, so the
-				// strategy deltas are paired (variance-reduced) and the
-				// distribution is sampled once instead of four times.
-				var plans [][]core.Segment
-				for _, ck := range [][]bool{expDP.CheckpointAfter, weibDP.CheckpointAfter, always, never} {
-					segs, err := cp.Segments(ck)
-					if err != nil {
-						return RowOut{}, err
-					}
-					plans = append(plans, segs)
-				}
-				res, err := sim.CampaignPlansSharded(plans, factory, sim.ShardOptions{
-					Options: opts, Seed: s.Split().Uint64(), Runs: runs, Shards: 1,
-				})
+			var means [4]float64
+			for i, ck := range [][]bool{expDP.CheckpointAfter, weibDP.CheckpointAfter, always, never} {
+				segs, err := cp.Segments(ck)
 				if err != nil {
 					return RowOut{}, err
 				}
-				eExp = res.Results[0].Makespan.Mean()
-				eWeib = res.Results[1].Makespan.Mean()
-				eAlways = res.Results[2].Makespan.Mean()
-				eNever = res.Results[3].Makespan.Mean()
-				deltaCI = res.Delta[1].CI(0.99)
-			} else {
-				simulate := func(ck []bool) (float64, error) {
-					segs, err := cp.Segments(ck)
-					if err != nil {
-						return 0, err
-					}
-					res, err := sim.MonteCarlo(segs, factory, opts, runs, s.Split())
-					if err != nil {
-						return 0, err
-					}
-					return res.Makespan.Mean(), nil
-				}
-				if eExp, err = simulate(expDP.CheckpointAfter); err != nil {
+				res, err := sim.MonteCarlo(segs, factory, opts, runs, s.Split())
+				if err != nil {
 					return RowOut{}, err
 				}
-				if eWeib, err = simulate(weibDP.CheckpointAfter); err != nil {
-					return RowOut{}, err
-				}
-				if eAlways, err = simulate(always); err != nil {
-					return RowOut{}, err
-				}
-				if eNever, err = simulate(never); err != nil {
-					return RowOut{}, err
-				}
+				means[i] = res.Makespan.Mean()
 			}
+			eExp, eWeib, eAlways, eNever := means[0], means[1], means[2], means[3]
 			ratio := eWeib / eExp
 			nw := 0
 			for _, ck := range weibDP.CheckpointAfter {
@@ -164,7 +120,7 @@ func planE11(cfg Config) (*Plan, error) {
 					result.Fixed(ratio, 3),
 					result.Int(len(expDP.Positions())), result.Int(nw),
 				},
-				Value: shapeOut{shape: shape, ratio: ratio, deltaCI: deltaCI},
+				Value: shapeOut{shape: shape, ratio: ratio},
 			}, nil
 		})
 	}
@@ -208,16 +164,12 @@ func planE11(cfg Config) (*Plan, error) {
 		decreasingHazardWins := true
 		prevCk := n + 1
 		monotone := true
-		maxDeltaCI := 0.0
 		for j, job := range p.Jobs {
 			switch job.Table {
 			case t:
 				v := outs[j].Value.(shapeOut)
 				if v.shape < 1 && v.ratio > 1.05 {
 					decreasingHazardWins = false
-				}
-				if v.deltaCI > maxDeltaCI {
-					maxDeltaCI = v.deltaCI
 				}
 			case age:
 				nc := outs[j].Value.(int)
@@ -226,9 +178,6 @@ func planE11(cfg Config) (*Plan, error) {
 				}
 				prevCk = nc
 			}
-		}
-		if cfg.CRN {
-			tables[t].AddNote("CRN campaign: all four placements replayed the same recorded environments; paired weibullDP−expDP 99%% CI ≤ ±%.3g across shapes", maxDeltaCI)
 		}
 		tables[t].AddNote("for decreasing hazard (k<1) the Weibull-aware placement stays within 5%% of the exponential-fit DP → %s", yn(decreasingHazardWins))
 		tables[t].AddNote("the two objectives (expected makespan vs expected saved work) are close but distinct, so neither placement dominates — only heuristics exist for general laws, as Section 6 states")

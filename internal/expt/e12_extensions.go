@@ -100,7 +100,7 @@ func planE12(cfg Config) (*Plan, error) {
 		if err != nil {
 			return RowOut{}, err
 		}
-		heur, err := core.SolveDAG(sg, m, core.LiveSetCosts{}, nil)
+		heur, err := core.SolveDAG(sg, m, core.LiveSetCosts{})
 		if err != nil {
 			return RowOut{}, err
 		}

@@ -31,17 +31,6 @@ type Config struct {
 	// -bench` so the full suite stays fast; the recorded tables use the
 	// full budget).
 	Quick bool
-	// CRN switches the strategy-comparison experiments (E8, E11) onto the
-	// common-random-number sharded campaign (sim.CampaignPlansSharded,
-	// single-shard so the table cells match the documented CRN
-	// fingerprints): every candidate
-	// strategy replays the same recorded failure environments, which
-	// tightens paired-delta confidence intervals at equal run counts and
-	// cuts the distribution sampling S-fold. Off by default because the
-	// CRN sampling schedule differs from the independent one, so the
-	// fingerprinted tables would change (see DESIGN.md's determinism
-	// contract).
-	CRN bool
 }
 
 // Runs picks a Monte-Carlo budget: full when !Quick, reduced otherwise.

@@ -119,7 +119,7 @@ func OptimalChainPlanStats(g *Graph, m Model, initialRecovery float64) (ChainRes
 // Proposition 2) and runs the exact per-order placement DP, returning the
 // best schedule found.
 func ScheduleDAG(g *Graph, m Model) (core.DAGResult, error) {
-	return core.SolveDAG(g, m, core.LastTaskCosts{}, nil)
+	return core.SolveDAG(g, m, core.LastTaskCosts{})
 }
 
 // ScheduleDAGExact computes the globally optimal order-plus-placement
