@@ -82,13 +82,15 @@ func TestBenchtrajWritesReport(t *testing.T) {
 	zeroAlloc := func(name string) bool {
 		return name == "sim_run_steady_state" || strings.HasPrefix(name, "superposed_campaign_")
 	}
-	var zero, rest []row
+	var zero, rest, resume []row
 	for _, r := range table() {
 		switch {
 		case zeroAlloc(r.name):
 			zero = append(zero, r)
 		case r.name == "dag_lattice/n=7", strings.HasPrefix(r.name, "exec_run/store=mem n="):
 			rest = append(rest, r)
+		case strings.HasPrefix(r.name, "exec_resume/"):
+			resume = append(resume, r)
 		}
 	}
 	byName := map[string]Measurement{}
@@ -118,8 +120,12 @@ func TestBenchtrajWritesReport(t *testing.T) {
 	// single runtime allocation reads as 1/op.
 	measureRows("10x", zero)
 	measureRows("10ms", rest)
-	if len(byName) != len(zero)+len(rest) {
-		t.Errorf("wrote %d measurements, want %d", len(byName), len(zero)+len(rest))
+	// One restart each: the rows' setup runs the whole killed run, and
+	// a restart allocates megabytes, so one op reads its bytes exactly
+	// enough.
+	measureRows("1x", resume)
+	if want := len(zero) + len(rest) + len(resume); len(byName) != want {
+		t.Errorf("wrote %d measurements, want %d", len(byName), want)
 	}
 	// The simulation loops reuse one process: 0 allocs/op.
 	for name, m := range byName {
@@ -139,6 +145,13 @@ func TestBenchtrajWritesReport(t *testing.T) {
 	}
 	if small, large := perTask("exec_run/store=mem n=4096"), perTask("exec_run/store=mem n=65536"); large > 2*small {
 		t.Errorf("exec_run/store=mem allocates %.0f B/task at n=65536 vs %.0f at n=4096: not linear", large, small)
+	}
+	// Linear restart: the same bound on a resume, which rebuilds its
+	// segment layout from the journal's last replan only (re-solving
+	// every journaled replan grows bytes per task with the replan
+	// count, about 8× here).
+	if small, large := perTask("exec_resume/n=4096"), perTask("exec_resume/n=65536"); large > 2*small {
+		t.Errorf("exec_resume allocates %.0f B/task at n=65536 vs %.0f at n=4096: not linear", large, small)
 	}
 }
 

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"testing"
@@ -495,6 +496,57 @@ func table() []row {
 					},
 				})
 				return err
+			})
+		})
+	}
+	// Restart: an adaptive ChainReplanner run through a latency-injecting
+	// in-memory stack, killed after 9/10 of its saves. One op is one
+	// process start: a fresh stack over the run's backends, then an
+	// Execute that lists, loads and decodes the chain, rebuilds the
+	// replanned layout and stops at its first new event (a crash point
+	// of one event), like perfbench's recover restart. Its bytes per
+	// task must stay flat in n: re-solving every journaled replan would
+	// grow them with the replan count.
+	for _, n := range []int{4096, 65536} {
+		add("exec", fmt.Sprintf("exec_resume/n=%d", n), n, func(b *testing.B) {
+			cp, w := execChain(b, n)
+			src := keyedSource()
+			spec := store.Spec{Backends: make([]store.Store, 1), Faults: &store.FaultPlan{Seed: 41, MeanLatency: 0.5}}
+			opts := exec.Options{
+				RunID: "bench", Downtime: 0.5,
+				Adaptive: &exec.AdaptiveOptions{
+					Retry:       exec.ExpBackoff{Base: 0.25, Cap: 1, MaxAttempts: 4},
+					Replanner:   exec.ChainReplanner{CP: cp},
+					ReplanRatio: 1.1,
+					Cooldown:    256,
+				},
+			}
+			ref := opts
+			ref.Store = fresh(b, spec)
+			res, err := exec.Execute(w, src, ref)
+			check(b, err)
+			killed := opts
+			killed.Store, killed.CrashAfterSaves = fresh(b, spec), res.Saves*9/10
+			if _, err := exec.Execute(w, src, killed); !errors.Is(err, exec.ErrCrashed) {
+				b.Fatalf("kill after %d saves: %v, want the injected crash", killed.CrashAfterSaves, err)
+			}
+			loop(b, func() error {
+				st, err := spec.Build()
+				if err != nil {
+					return err
+				}
+				restart := opts
+				restart.Store, restart.CrashAfterEvents = st, 1
+				res, err := exec.Execute(w, src, restart)
+				switch {
+				case !errors.Is(err, exec.ErrCrashed):
+					return fmt.Errorf("restart = %v, want the injected crash", err)
+				case !res.Resumed || len(res.Journal) != res.RestoredEvents+1:
+					return fmt.Errorf("restart resumed=%v and stopped after %d of %d restored events", res.Resumed, len(res.Journal), res.RestoredEvents)
+				case res.Journal.Count(exec.EvReplan) < 2:
+					return fmt.Errorf("restart restored %d replans, want several", res.Journal.Count(exec.EvReplan))
+				}
+				return nil
 			})
 		})
 	}

@@ -247,6 +247,18 @@ func run(cfg config, out io.Writer) error {
 			return fmt.Errorf("-lease/-contend fence writes to a persisted store: set -dir")
 		}
 	}
+	// A persisted run's declaration is checked before the plan is
+	// solved, so a bad store or resilience flag fails at once, not
+	// after a long solve.
+	var spec exec.RunSpec
+	if cfg.dir != "" {
+		if spec, err = cfg.runSpec(true); err == nil {
+			err = spec.Validate()
+		}
+		if err != nil {
+			return err
+		}
+	}
 	overhead := 0.0
 	if cfg.planFromTelemetry {
 		probe, err := cfg.runSpec(false)
@@ -286,10 +298,6 @@ func run(cfg config, out io.Writer) error {
 	}
 	if cfg.tenants > 1 && cfg.tracePath != "" {
 		return fmt.Errorf("-trace records one platform's failures: it cannot drive %d concurrent tenants", cfg.tenants)
-	}
-	spec, err := cfg.runSpec(true)
-	if err != nil {
-		return err
 	}
 	if cfg.tenants > 1 {
 		return runTenants(plan, spec, planned, cfg, out)

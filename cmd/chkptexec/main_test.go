@@ -342,6 +342,28 @@ func TestRetryPolicyFlagValidation(t *testing.T) {
 	}
 }
 
+// TestRunSpecCheckedBeforePlanning pins that a persisted run rejects a
+// bad store or resilience flag before it solves the plan: the error
+// comes with no plan line printed.
+func TestRunSpecCheckedBeforePlanning(t *testing.T) {
+	wf := chainWorkflow(t, t.TempDir(), 4)
+	for name, set := range map[string]func(*config){
+		"retry policy":  func(c *config) { c.retryPolicy = "exp:NaN" },
+		"quota":         func(c *config) { c.retryPolicy, c.quota = "exp", "ckpts:x" },
+		"partition":     func(c *config) { c.partition = "25:10" },
+		"fault latency": func(c *config) { c.faults, c.faultLatency = true, -1 },
+	} {
+		cfg := baseConfig(wf)
+		cfg.dir = t.TempDir()
+		set(&cfg)
+		var out bytes.Buffer
+		err := run(cfg, &out)
+		if err == nil || strings.Contains(out.String(), "plan:") {
+			t.Errorf("%s: err %v after output %q, want an error before any plan line", name, err, out.String())
+		}
+	}
+}
+
 // TestParseQuota covers the quota grammar.
 func TestParseQuota(t *testing.T) {
 	q, err := parseQuota("ckpts:4,bytes:8192")

@@ -8,8 +8,8 @@
 // decision is a pure function of state that round-trips through the
 // checkpoint payload. Store overhead is measured from the store
 // stack's per-run latency ledger (store.Measure); replans are
-// journaled as (frontier, overhead) pairs and reconstructed by
-// replaying them through the pure Replanner; and the save outcomes of
+// journaled as (frontier, overhead) pairs, and a resume re-solves the
+// last of them through the pure Replanner; and the save outcomes of
 // commit k — which happen AFTER payload k is encoded — are re-observed
 // on resume by re-saving the restored payload through the same
 // logically-keyed store stack, regenerating the post-encode journal
@@ -159,7 +159,7 @@ func (ex *executor) save(seq uint64, payload []byte) (saveOutcome, error) {
 			out.code = saveCodePermanent
 			return out, nil
 		}
-		delay, retry := ex.retry.Backoff(attempt, out.overhead)
+		delay, retry := ex.retry.Backoff(attempt)
 		if !retry {
 			out.code = saveCodeExhausted
 			return out, nil
@@ -306,7 +306,7 @@ func (ex *executor) maybeReplan(s int) error {
 	if ad.Replanner == nil || ad.ReplanRatio <= 1 || ex.baseCost <= 0 {
 		return nil
 	}
-	from := ex.segs[s].End + 1
+	from := ex.seg(s).End + 1
 	if from >= len(ex.w.Order) {
 		return nil
 	}
@@ -322,7 +322,7 @@ func (ex *executor) maybeReplan(s int) error {
 	if err != nil {
 		return fmt.Errorf("exec: replanning at frontier %d: %w", from, err)
 	}
-	if err := ex.spliceAt(from, segs); err != nil {
+	if err := ex.spliceAt(s+1, from, segs); err != nil {
 		return err
 	}
 	ex.replans++
@@ -334,24 +334,12 @@ func (ex *executor) maybeReplan(s int) error {
 	return ex.event(Event{Kind: EvReplan, Time: ex.t, Arg: int32(from), Seq: math.Float64bits(overhead)})
 }
 
-// spliceAt replaces every segment at or past position from with segs,
-// validating that the splice covers [from, n−1] contiguously. The
-// executor's segment slice is a private copy after a splice, so
-// splicing never mutates the (possibly shared) Workload.
-func (ex *executor) spliceAt(from int, segs []core.Segment) error {
-	cut := 0
-	if from > 0 {
-		cut = -1
-		for i, sg := range ex.segs {
-			if sg.End == from-1 {
-				cut = i + 1
-				break
-			}
-		}
-		if cut < 0 {
-			return fmt.Errorf("exec: splice frontier %d is not a segment boundary", from)
-		}
-	}
+// spliceAt makes segs the layout from segment cut on, validating that
+// they cover positions [from, n−1] contiguously. Segments before cut
+// have run and no later step reads them, so the executor keeps only
+// the new tail (segment s is segs[s−cut]) and copies nothing; the
+// shared Workload is never mutated.
+func (ex *executor) spliceAt(cut, from int, segs []core.Segment) error {
 	if len(segs) == 0 {
 		return fmt.Errorf("exec: empty splice at frontier %d", from)
 	}
@@ -366,16 +354,24 @@ func (ex *executor) spliceAt(from int, segs []core.Segment) error {
 	if want != len(ex.w.Order) {
 		return fmt.Errorf("exec: splice at frontier %d ends at %d, want %d", from, want-1, len(ex.w.Order)-1)
 	}
-	ex.segs = append(append(make([]core.Segment, 0, cut+len(segs)), ex.segs[:cut]...), segs...)
+	ex.segs, ex.segOff = segs, cut
 	return nil
 }
 
 // restoreAdaptive finishes an adaptive resume once the adaptive record
 // is assigned back, from the resolved journal (which records every
 // ladder move and replan up to the encode point): it re-selects the
-// active store and rebuilds the spliced segment layout by replaying the
-// EvReplan events through the configured replanner.
+// active store and rebuilds the live segment layout with at most one
+// Replan call. Replan is pure in (from, overhead), and the journal's
+// last EvReplan re-solved every segment from its cut lastReplanAt1 on,
+// which is at or before seq, the segment the resume runs next. So
+// re-solving that one event yields the tail the uninterrupted run held
+// at seq; earlier replans only shaped segments that have already run.
+// The cut is the seq of the checkpoint journaled just before the
+// replan, and a record that disagrees with its journal is refused.
 func (ex *executor) restoreAdaptive(st *execState) error {
+	var replan Event        // the journal's last EvReplan, if any
+	var ckptSeq, cut uint64 // the latest checkpoint's seq; its value at that replan
 	for _, e := range st.journal {
 		switch {
 		case e.Kind == EvDegrade && DegradeLevel(e.Arg) == LevelFailover:
@@ -386,20 +382,28 @@ func (ex *executor) restoreAdaptive(st *execState) error {
 				return fmt.Errorf("exec: checkpoint was saved after failover but no secondary store is configured")
 			}
 			ex.store, ex.onSecondary = ex.ad.Secondary, true
+		case e.Kind == EvCheckpoint:
+			ckptSeq = e.Seq
 		case e.Kind == EvReplan:
-			if ex.ad.Replanner == nil {
-				return fmt.Errorf("exec: journal records a replan at %d but no replanner is configured", e.Arg)
-			}
-			segs, err := ex.ad.Replanner.Replan(int(e.Arg), math.Float64frombits(e.Seq))
-			if err != nil {
-				return fmt.Errorf("exec: replaying replan at %d: %w", e.Arg, err)
-			}
-			if err := ex.spliceAt(int(e.Arg), segs); err != nil {
-				return err
-			}
+			replan, cut = e, ckptSeq
 		}
 	}
-	return nil
+	replanned, at1 := replan.Kind == EvReplan, uint64(ex.lastReplanAt1)
+	if at1 != cut || at1 > st.seq || (replanned && at1 < 1) {
+		return fmt.Errorf("exec: checkpoint %d records its last replan at commit %d, but its journal has it at %d",
+			st.seq, at1, cut)
+	}
+	if !replanned {
+		return nil
+	}
+	if ex.ad.Replanner == nil {
+		return fmt.Errorf("exec: journal records a replan at %d but no replanner is configured", replan.Arg)
+	}
+	segs, err := ex.ad.Replanner.Replan(int(replan.Arg), math.Float64frombits(replan.Seq))
+	if err != nil {
+		return fmt.Errorf("exec: replaying replan at %d: %w", replan.Arg, err)
+	}
+	return ex.spliceAt(int(at1), int(replan.Arg), segs)
 }
 
 // snapshot captures the executor's durable records for encoding as

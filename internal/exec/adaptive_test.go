@@ -94,7 +94,6 @@ func TestLegacyCommitErrorWrapping(t *testing.T) {
 func TestRetryPolicies(t *testing.T) {
 	type step struct {
 		attempt int
-		spent   float64
 		delay   float64
 		retry   bool
 	}
@@ -103,12 +102,12 @@ func TestRetryPolicies(t *testing.T) {
 		pol   RetryPolicy
 		steps []step
 	}{
-		{"none", NoRetry{}, []step{{1, 0, 0, false}}},
+		{"none", NoRetry{}, []step{{1, 0, false}}},
 		{"fixed", FixedRetry{Attempts: 2}, []step{
-			{1, 0, 0, true}, {2, 0, 0, true}, {3, 0, 0, false},
+			{1, 0, true}, {2, 0, true}, {3, 0, false},
 		}},
 		{"exp capped", ExpBackoff{Base: 1, Factor: 2, Cap: 5, MaxAttempts: 4}, []step{
-			{1, 0, 1, true}, {2, 0, 2, true}, {3, 0, 4, true}, {4, 0, 5, true}, {5, 0, 0, false},
+			{1, 1, true}, {2, 2, true}, {3, 4, true}, {4, 5, true}, {5, 0, false},
 		}},
 	}
 	for _, c := range cases {
@@ -117,10 +116,10 @@ func TestRetryPolicies(t *testing.T) {
 				t.Fatal("empty policy name")
 			}
 			for _, s := range c.steps {
-				delay, retry := c.pol.Backoff(s.attempt, s.spent)
+				delay, retry := c.pol.Backoff(s.attempt)
 				if delay != s.delay || retry != s.retry {
-					t.Fatalf("Backoff(%d, %v) = (%v, %v), want (%v, %v)",
-						s.attempt, s.spent, delay, retry, s.delay, s.retry)
+					t.Fatalf("Backoff(%d) = (%v, %v), want (%v, %v)",
+						s.attempt, delay, retry, s.delay, s.retry)
 				}
 			}
 		})

@@ -177,10 +177,13 @@ type executor struct {
 	saves   int
 	budget  int
 
-	// Executor-local segment layout. Initially aliases the Workload's
-	// segments; online replans replace the slice wholesale (spliceAt),
-	// so the shared Workload is never mutated.
-	segs []core.Segment
+	// The live tail of the segment layout: segment s is
+	// segs[s−segOff]. Initially the Workload's segments at offset 0; an
+	// online replan replaces the tail from its cut on (spliceAt), so
+	// the shared Workload is never mutated and segments that have run
+	// are dropped.
+	segs   []core.Segment
+	segOff int
 
 	store store.Store // active store (primary, or secondary after failover)
 	retry RetryPolicy // Adaptive.Retry, or FixedRetry{SaveRetries}
@@ -309,7 +312,7 @@ func Execute(w *Workload, src Source, opts Options) (*Result, error) {
 				return err
 			}
 		}
-		for s := startSeg; s < len(ex.segs); s++ {
+		for s := startSeg; s < ex.segOff+len(ex.segs); s++ {
 			if err := ex.runSegment(s); err != nil {
 				return err
 			}
@@ -408,7 +411,7 @@ func (ex *executor) piece(d float64) (done bool, err error) {
 	ex.t += ex.opts.Downtime
 	ex.met.Downtime += ex.opts.Downtime
 	// Recovery: failures possible; repeat until one completes.
-	rec := ex.segs[ex.curSeg].Recovery
+	rec := ex.seg(ex.curSeg).Recovery
 	for {
 		if next := ex.src.NextFailure(); next >= rec {
 			ex.src.Advance(rec)
@@ -438,11 +441,15 @@ func (ex *executor) strike() error {
 	return ex.event(Event{Kind: EvFailure, Time: ex.t})
 }
 
+// seg is segment s of the current layout.
+func (ex *executor) seg(s int) core.Segment { return ex.segs[s-ex.segOff] }
+
 // runSegment executes segment s to a committed checkpoint event,
 // restarting the attempt from the segment start after every failure.
 func (ex *executor) runSegment(s int) error {
 	ex.curSeg = s
-	start, end := ex.segs[s].Start, ex.segs[s].End
+	sg := ex.seg(s)
+	start, end := sg.Start, sg.End
 	for {
 		ex.attempt = 0
 		if err := ex.event(Event{Kind: EvSegmentStart, Time: ex.t, Arg: int32(start)}); err != nil {
@@ -465,7 +472,7 @@ func (ex *executor) runSegment(s int) error {
 		if failed {
 			continue
 		}
-		done, err := ex.piece(ex.segs[s].Checkpoint)
+		done, err := ex.piece(sg.Checkpoint)
 		if err != nil {
 			return err
 		}
@@ -567,7 +574,7 @@ func (ex *executor) loadOnce(st store.Store, seq uint64) ([]byte, error) {
 		if err == nil || ClassifyStoreError(err) != ClassTransient {
 			return data, err
 		}
-		if _, retry := ex.retry.Backoff(attempt, 0); !retry {
+		if _, retry := ex.retry.Backoff(attempt); !retry {
 			return nil, err
 		}
 	}

@@ -39,9 +39,11 @@ const (
 	// EvReplan records an online replan spliced at the frontier, BEFORE
 	// the state is encoded: Arg is the frontier position (first
 	// unexecuted position), Seq holds Float64bits of the per-checkpoint
-	// overhead the suffix was re-solved with. A resume reconstructs the
-	// spliced plan by replaying these events through the configured
-	// replanner.
+	// overhead the suffix was re-solved with. A resume rebuilds the
+	// spliced plan from the last of these events alone: the replanner is
+	// pure, and that replan's suffix covers every segment from the
+	// checkpoint journaled just before it, which is at or before the
+	// resume point.
 	EvReplan
 	// EvSaveResult records the outcome of one commit's save, AFTER the
 	// state was encoded (so it lands in the NEXT checkpoint's persisted

@@ -11,15 +11,20 @@ import (
 // Replanner re-solves the remaining suffix of a plan when the observed
 // effective checkpoint cost drifts from the planned one. Replan must be
 // a PURE function of (from, overhead): the executor records each replan
-// in the journal as an EvReplan{from, overhead} event and a resumed run
-// reconstructs the spliced plan by replaying those events, so a
+// in the journal as an EvReplan{from, overhead} event, and a resumed
+// run calls Replan once, with the journal's last such event. Purity
+// makes that one call exact: it returns the suffix the uninterrupted
+// run spliced, and that suffix covers every segment the resume can
+// still reach, so the earlier replans need not be solved again. A
 // replanner that consulted anything else would break replay identity.
 //
 // The returned segments cover positions [from, n−1] of the original
 // execution order with ABSOLUTE positions and the plan's TRUE
 // checkpoint/recovery costs — overhead inflates the costs only inside
 // the optimization, because the executor keeps paying the planned C in
-// the model and observes store overhead separately.
+// the model and observes store overhead separately. The executor keeps
+// the returned slice as its segment layout, so Replan must return a
+// fresh one and not touch it afterwards.
 type Replanner interface {
 	// Name identifies the replanner in summaries.
 	Name() string

@@ -89,11 +89,10 @@ var ErrSavePermanent = errors.New("exec: permanent store error")
 type RetryPolicy interface {
 	// Name identifies the policy in summaries and benchmarks.
 	Name() string
-	// Backoff is called after the attempt-th failure (1-based) with the
-	// virtual-time overhead already spent on this operation (latency of
-	// failed attempts plus earlier backoffs). It returns the delay to
-	// serve before the next attempt and whether to retry at all.
-	Backoff(attempt int, spent float64) (delay float64, retry bool)
+	// Backoff is called after the attempt-th failure (1-based). It
+	// returns the delay to serve before the next attempt and whether to
+	// retry at all.
+	Backoff(attempt int) (delay float64, retry bool)
 }
 
 // NoRetry gives up after the first failure.
@@ -103,7 +102,7 @@ type NoRetry struct{}
 func (NoRetry) Name() string { return "none" }
 
 // Backoff never retries.
-func (NoRetry) Backoff(int, float64) (float64, bool) { return 0, false }
+func (NoRetry) Backoff(int) (float64, bool) { return 0, false }
 
 // FixedRetry retries up to Attempts times with no backoff. Without
 // Options.Adaptive the executor runs FixedRetry{SaveRetries} for both
@@ -117,7 +116,7 @@ type FixedRetry struct {
 func (p FixedRetry) Name() string { return fmt.Sprintf("fixed:%d", p.Attempts) }
 
 // Backoff retries immediately while attempts remain.
-func (p FixedRetry) Backoff(attempt int, _ float64) (float64, bool) {
+func (p FixedRetry) Backoff(attempt int) (float64, bool) {
 	return 0, attempt <= p.Attempts
 }
 
@@ -149,7 +148,7 @@ func (p ExpBackoff) retries() int {
 }
 
 // Backoff computes the capped exponential delay and the attempt limit.
-func (p ExpBackoff) Backoff(attempt int, _ float64) (float64, bool) {
+func (p ExpBackoff) Backoff(attempt int) (float64, bool) {
 	if attempt > p.retries() {
 		return 0, false
 	}
@@ -204,7 +203,7 @@ func ParseRetryPolicy(name string) (RetryPolicy, error) {
 		// Base·Factor^(k−1) is monotone in k and Base is finite, so a
 		// finite delay at the last retry bounds every earlier one.
 		last := pol.retries()
-		if d, _ := pol.Backoff(last, 0); math.IsInf(d, 0) || math.IsNaN(d) {
+		if d, _ := pol.Backoff(last); math.IsInf(d, 0) || math.IsNaN(d) {
 			return nil, fmt.Errorf("bad retry policy %q: delay overflows by retry %d", name, last)
 		}
 		return pol, nil

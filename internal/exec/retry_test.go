@@ -74,7 +74,7 @@ func FuzzParseRetryPolicy(f *testing.F) {
 			t.Fatalf("%q: unexpected policy %#v", spelling, pol)
 		}
 		for attempt := 1; attempt <= 16; attempt++ {
-			if d, _ := pol.Backoff(attempt, 0); !finite(d) {
+			if d, _ := pol.Backoff(attempt); !finite(d) {
 				t.Fatalf("%q: retry %d waits %v", spelling, attempt, d)
 			}
 		}

@@ -32,7 +32,7 @@ type adaptiveRecord struct {
 	consec        int // consecutive commit give-ups on the active store
 	giveups       int // lifetime commit give-ups
 	sinceDown     int // commits skipped since the last ride-out probe
-	replans       int // replans applied (including replayed ones)
+	replans       int // replans applied over the run's lifetime
 	lastOverhead  float64
 	lastReplanAt1 int // commit index of the last replan + 1; 0 = never
 	lastPersistT  float64

@@ -2,6 +2,7 @@ package expt
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/expt/result"
 	"repro/internal/moldable"
@@ -102,7 +103,7 @@ func planE9(cfg Config) (*Plan, error) {
 	p.Finish = func(tables []*result.Table, outs []RowOut) error {
 		constInterior := true
 		monotone := true
-		prevP := 1 << 62
+		prevP := math.MaxInt
 		for j, job := range p.Jobs {
 			switch job.Table {
 			case t:
