@@ -464,14 +464,21 @@ func table() []row {
 		}
 	}
 	// Degraded-store resilience: one suffix re-solve of the chain DP
-	// from mid-plan — the cost the adaptive executor pays per replan —
-	// and the full plan through a lossy, slow store with exponential
-	// backoff, static vs adaptive, at equal fault exposure.
-	add("exec", "exec_adaptive/replan", 64, func(b *testing.B) {
-		cp, _ := execChain(b, 64)
-		replanner := exec.ChainReplanner{CP: cp}
-		loop(b, func() error { _, err := replanner.Replan(32, 1.5); return err })
-	})
+	// from mid-plan — the cost the adaptive executor pays per replan,
+	// which grows with n: a run that replans every k commits pays it
+	// n/k times — and the full plan through a lossy, slow store with
+	// exponential backoff, static vs adaptive, at equal fault exposure.
+	for _, n := range []int{64, 4096, 65536} {
+		name := "exec_adaptive/replan"
+		if n > 64 {
+			name += fmt.Sprintf(" n=%d", n)
+		}
+		add("exec", name, n, func(b *testing.B) {
+			cp, _ := execChain(b, n)
+			replanner := exec.ChainReplanner{CP: cp}
+			loop(b, func() error { _, err := replanner.Replan(n/2, 1.5); return err })
+		})
+	}
 	for _, mode := range []string{"static", "adaptive"} {
 		add("exec", "exec_adaptive/run mode="+mode, 64, func(b *testing.B) {
 			cp, w := execChain(b, 64)

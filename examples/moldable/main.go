@@ -31,14 +31,14 @@ func main() {
 	// E(p) curve: failure-free time shrinks with p, but λ(p) = p·λproc
 	// grows and the constant checkpoint cost does not shrink.
 	fmt.Println("E(p) for the numerical kernel (constant checkpoint overhead):")
-	fmt.Printf("%-10s %-14s %-14s %-12s\n", "p", "W(p) (h)", "E(p) (h)", "waste %")
+	fmt.Printf("%-10s %-14s %-14s %s\n", "p", "W(p) (h)", "E(p) (h)", "waste %")
 	for p := 64; p <= pl.Processors; p *= 4 {
 		wp := task.Scenario.Workload.Time(task.WTotal, p)
 		e, err := task.ExpectedTime(pl, p)
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("%-10d %-14.4g %-14.4g %-12.2f\n", p, wp, e, (e/wp-1)*100)
+		fmt.Printf("%-10d %-14.4g %-14.4g %.2f\n", p, wp, e, (e/wp-1)*100)
 	}
 
 	a, err := moldable.OptimalProcessors(task, pl)
@@ -71,9 +71,9 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("%-16s %-22s %-14s %-10s %-12s\n", "stage", "workload model", "overhead", "p*", "E (h)")
+	fmt.Printf("%-16s %-22s %-14s %-10s %s\n", "stage", "workload model", "overhead", "p*", "E (h)")
 	for i, alloc := range seq.Allocations {
-		fmt.Printf("%-16s %-22s %-14s %-10d %-12.4g\n",
+		fmt.Printf("%-16s %-22s %-14s %-10d %.4g\n",
 			pipe[i].Name, pipe[i].Scenario.Workload.Name(), pipe[i].Scenario.Overhead.Name(),
 			alloc.Processors, alloc.Expected)
 	}

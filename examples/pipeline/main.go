@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"strings"
 
 	"repro/internal/core"
 	"repro/internal/dag"
@@ -80,12 +81,12 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		names := ""
+		var names []string
 		for _, pos := range opt.Positions() {
-			names += g.Task(order[pos]).Name + " "
+			names = append(names, g.Task(order[pos]).Name)
 		}
 		fmt.Printf("%-10.4g %-12.4g %-14.4g %-14.4g %-14.4g %s\n",
-			mtbf, opt.Expected, always.Expected, never.Expected, daly.Expected, names)
+			mtbf, opt.Expected, always.Expected, never.Expected, daly.Expected, strings.Join(names, " "))
 	}
 	fmt.Println("\nreading the table: at long MTBF only the mandatory final checkpoint survives;")
 	fmt.Println("as failures become frequent the DP checkpoints the cheap positions (post-variant-calling)")

@@ -143,7 +143,7 @@ func (ex *executor) save(seq uint64, payload []byte) (saveOutcome, error) {
 			// attempt happens at t.
 			ex.pending = out.overhead
 		}
-		lat, _, err := store.Measure(ex.store, run, func() error { return ex.store.Save(run, seq, payload) })
+		lat, _, err := ex.meter.Measure(func() error { return ex.store.Save(run, seq, payload) })
 		out.overhead += lat
 		out.attempts = attempt
 		if err == nil {
@@ -166,6 +166,12 @@ func (ex *executor) save(seq uint64, payload []byte) (saveOutcome, error) {
 		}
 		out.overhead += delay
 	}
+}
+
+// use makes s the active store and resolves the run's latency meter on
+// it once, so the save loop measures without walking the stack.
+func (ex *executor) use(s store.Store) {
+	ex.store, ex.meter = s, store.NewMeter(s, ex.opts.runID())
 }
 
 // currentOverheadEstimate is the expected extra cost of the next
@@ -284,7 +290,8 @@ func (ex *executor) escalate(permanent bool) error {
 	case ex.ad.Secondary != nil && !ex.onSecondary &&
 		(permanent || ex.consec >= failoverAfter):
 		ex.level = LevelFailover
-		ex.store, ex.onSecondary = ex.ad.Secondary, true
+		ex.use(ex.ad.Secondary)
+		ex.onSecondary = true
 		ex.consec = 0
 		// Chains never span stores: the first save on the secondary
 		// carries the whole journal.
@@ -381,7 +388,8 @@ func (ex *executor) restoreAdaptive(st *execState) error {
 			if ex.ad.Secondary == nil {
 				return fmt.Errorf("exec: checkpoint was saved after failover but no secondary store is configured")
 			}
-			ex.store, ex.onSecondary = ex.ad.Secondary, true
+			ex.use(ex.ad.Secondary)
+			ex.onSecondary = true
 		case e.Kind == EvCheckpoint:
 			ckptSeq = e.Seq
 		case e.Kind == EvReplan:

@@ -186,6 +186,7 @@ type executor struct {
 	segOff int
 
 	store store.Store // active store (primary, or secondary after failover)
+	meter store.Meter // the run's latency meter on store (use)
 	retry RetryPolicy // Adaptive.Retry, or FixedRetry{SaveRetries}
 	// onSecondary reports that saves go to ad.Secondary: set by the
 	// failover, and on a resume whose journal records one. A ride-out
@@ -230,7 +231,6 @@ func Execute(w *Workload, src Source, opts Options) (*Result, error) {
 		opts:   opts,
 		fp:     w.Fingerprint() ^ (src.Fingerprint() * 0x9e3779b97f4a7c15),
 		budget: opts.maxFailures(),
-		store:  opts.Store,
 		retry:  FixedRetry{Attempts: opts.SaveRetries},
 
 		coreRecord: coreRecord{jhash: fnvOffset64},
@@ -257,6 +257,7 @@ func Execute(w *Workload, src Source, opts Options) (*Result, error) {
 		if opts.Adaptive != nil && opts.Adaptive.Secondary != nil {
 			store.BindClock(opts.Adaptive.Secondary, opts.runID(), clock)
 		}
+		ex.use(opts.Store)
 	}
 	res := &Result{}
 	if opts.Store != nil {

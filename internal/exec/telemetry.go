@@ -51,9 +51,10 @@ func ProbeStore(st store.Store, run string, samples int) ProbeResult {
 	payload := make([]byte, probePayloadSize)
 	var health StoreHealth
 	res := ProbeResult{Samples: samples}
+	meter := store.NewMeter(st, run)
 	for i := 1; i <= samples; i++ {
 		seq := uint64(i)
-		lat, tracked, err := store.Measure(st, run, func() error { return st.Save(run, seq, payload) })
+		lat, tracked, err := meter.Measure(func() error { return st.Save(run, seq, payload) })
 		res.Tracked = tracked
 		if err == nil {
 			health.ObserveCommit(lat, 0)

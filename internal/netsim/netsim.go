@@ -35,15 +35,6 @@ type Window struct {
 	Isolated []string
 }
 
-// covers reports whether the window partitions a message between from
-// and to at virtual time now.
-func (w Window) covers(now float64, from, to string) bool {
-	if now < w.Start || now >= w.End {
-		return false
-	}
-	return w.isolates(from) != w.isolates(to)
-}
-
 func (w Window) isolates(name string) bool {
 	for _, n := range w.Isolated {
 		if n == name {
@@ -70,21 +61,6 @@ type Config struct {
 	Loss float64
 	// Partitions schedules deterministic partition windows.
 	Partitions []Window
-}
-
-// Message identifies the payload being delivered in logical terms. The
-// triple (Kind, Run, Seq), together with the endpoints and a
-// per-identity attempt counter, keys the delivery's random draws: the
-// same logical delivery always draws the same jitter and the same loss
-// decision, no matter what else the network carried in between.
-type Message struct {
-	// Kind distinguishes operation families (the remote store uses its
-	// save/load/list/delete op kinds) so retries of one operation can
-	// never perturb another's outcomes.
-	Kind uint64
-	// Run and Seq name the checkpoint operation being carried.
-	Run string
-	Seq uint64
 }
 
 // Outcome reports one delivery attempt. Latency is always the drawn
@@ -117,11 +93,15 @@ type Stats struct {
 // linkKey names one run's traffic on one directed link.
 type linkKey struct{ from, to, run string }
 
-// link is one run's delivery state on one directed link: the FNV-1a
-// keys of its endpoints and run, and the attempt count of every
-// (kind, seq) message it carried.
-type link struct {
+// A Link is one run's traffic on one directed link: the FNV-1a keys of
+// its endpoints and run, the attempt count of every (kind, seq) message
+// it carried, and the partition windows that separate its endpoints.
+// Network.Link resolves it once, so a sender that delivers on it skips
+// any per-message lookup.
+type Link struct {
+	net           *Network
 	from, to, run uint64
+	cuts          []Window // the configured windows that cut this link
 	attempts      attempt.Counter
 }
 
@@ -135,51 +115,66 @@ type Network struct {
 	cfg Config
 
 	mu    sync.Mutex
-	links map[linkKey]*link
+	links map[linkKey]*Link
 	s     rng.Stream // rekeyed for every delivery
 	stats Stats
 }
 
 // New returns a network with the given config.
 func New(cfg Config) *Network {
-	return &Network{cfg: cfg, links: make(map[linkKey]*link)}
+	return &Network{cfg: cfg, links: make(map[linkKey]*Link)}
 }
 
-// attempt resolves msg's link and counts one more attempt of its
-// (kind, seq), returning the link and the attempt ordinal. The caller
-// holds mu.
-func (n *Network) attempt(from, to string, msg Message) (*link, uint64) {
-	k := linkKey{from: from, to: to, run: msg.Run}
+// Link returns run's directed link from one endpoint to another,
+// creating it on first use. A link never moves, so its holder may
+// deliver on it for as long as the network lives.
+func (n *Network) Link(from, to, run string) *Link {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	k := linkKey{from: from, to: to, run: run}
 	l := n.links[k]
 	if l == nil {
 		// The run key uses the same hash as the store layer's keying,
 		// so composed stacks stay coherent.
-		l = &link{from: rng.HashString(from), to: rng.HashString(to), run: rng.HashString(msg.Run)}
+		l = &Link{net: n, from: rng.HashString(from), to: rng.HashString(to), run: rng.HashString(run)}
+		for _, w := range n.cfg.Partitions {
+			if w.isolates(from) != w.isolates(to) {
+				l.cuts = append(l.cuts, w)
+			}
+		}
 		n.links[k] = l
 	}
-	return l, l.attempts.Next(msg.Kind, msg.Seq)
+	return l
 }
 
-// Deliver attempts to carry msg from one endpoint to another at
-// virtual time now. The draw order within an attempt is fixed — jitter
-// first, then the loss decision — and both draws always happen, so a
-// partition window changes only the outcome flag, never the stream
+// Deliver attempts to carry the (kind, seq) message of the link's run
+// at virtual time now. The message's logical identity — the endpoints,
+// kind, run and seq — and a per-identity attempt counter key its
+// random draws: the same logical delivery always draws the same jitter
+// and the same loss decision, no matter what else the network carried
+// in between. kind distinguishes operation families (the remote store
+// uses its save/load/list/delete op kinds) so retries of one operation
+// can never perturb another's outcomes. The draw order within an
+// attempt is fixed —
+// jitter first, then the loss decision — and both draws always happen,
+// so a partition window changes only the outcome flag, never the stream
 // positions of later draws; killing a window cannot perturb any other
 // delivery. The draws come from the stream
 // rng.Derive(seed, from, to, kind, run, seq, attempt), with from, to
 // and run FNV-1a hashed.
-func (n *Network) Deliver(now float64, from, to string, msg Message) Outcome {
+func (l *Link) Deliver(now float64, kind, seq uint64) Outcome {
+	n := l.net
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	l, nth := n.attempt(from, to, msg)
+	nth := l.attempts.Next(kind, seq)
 	s := &n.s
-	s.Rekey(n.cfg.Seed, l.from, l.to, msg.Kind, l.run, msg.Seq, nth)
+	s.Rekey(n.cfg.Seed, l.from, l.to, kind, l.run, seq, nth)
 	out := Outcome{Latency: n.cfg.Latency}
 	if n.cfg.Jitter > 0 {
 		out.Latency += s.ExpFloat64() * n.cfg.Jitter
 	}
 	lost := n.cfg.Loss > 0 && s.Float64() < n.cfg.Loss
-	if n.partitioned(now, from, to) {
+	if l.partitioned(now) {
 		out.Partitioned = true
 	} else if lost {
 		out.Lost = true
@@ -195,11 +190,11 @@ func (n *Network) Deliver(now float64, from, to string, msg Message) Outcome {
 	return out
 }
 
-// Partitioned reports whether a scheduled window separates the two
-// endpoints at virtual time now.
-func (n *Network) partitioned(now float64, a, b string) bool {
-	for _, w := range n.cfg.Partitions {
-		if w.covers(now, a, b) {
+// partitioned reports whether a window that cuts the link is open at
+// virtual time now.
+func (l *Link) partitioned(now float64) bool {
+	for _, w := range l.cuts {
+		if now >= w.Start && now < w.End {
 			return true
 		}
 	}

@@ -8,6 +8,20 @@ import (
 	"repro/internal/rng"
 )
 
+// Message names one delivery in logical terms, for tests that deliver
+// by endpoint name.
+type Message struct {
+	Kind uint64
+	Run  string
+	Seq  uint64
+}
+
+// Deliver carries msg from one endpoint to another at virtual time now
+// on run msg.Run's link.
+func (n *Network) Deliver(now float64, from, to string, msg Message) Outcome {
+	return n.Link(from, to, msg.Run).Deliver(now, msg.Kind, msg.Seq)
+}
+
 // TestDeliverDeterministic pins the core contract: the outcome of a
 // logical delivery is a pure function of (seed, endpoints, message,
 // attempt), independent of interleaving with other traffic and of
@@ -193,6 +207,17 @@ type oracleNetwork struct {
 	attempts map[oracleKey]uint64
 }
 
+// partitioned is the reference partition rule: some configured window
+// is open at now and isolates exactly one of the two endpoints.
+func (o *oracleNetwork) partitioned(now float64, from, to string) bool {
+	for _, w := range o.cfg.Partitions {
+		if now >= w.Start && now < w.End && w.isolates(from) != w.isolates(to) {
+			return true
+		}
+	}
+	return false
+}
+
 func (o *oracleNetwork) deliver(from, to string, msg Message) (Outcome, uint64) {
 	k := oracleKey{from: from, to: to, run: msg.Run, kind: msg.Kind, seq: msg.Seq}
 	o.attempts[k]++
@@ -230,7 +255,7 @@ func FuzzAttemptCounters(f *testing.F) {
 			now := float64(b1>>2) / 16
 			want, nth := o.deliver(from, to, msg)
 			got := n.Deliver(now, from, to, msg)
-			if n.partitioned(now, from, to) {
+			if o.partitioned(now, from, to) {
 				want.Partitioned, want.Lost = true, false
 			}
 			if got != want {

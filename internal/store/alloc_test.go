@@ -63,6 +63,23 @@ func TestQuorumStoreAllocs(t *testing.T) {
 	pinAllocs(t, "QuorumStore.Load", 2, func() error { _, err := q.Load("r", 1); return err })
 }
 
+// TestLeaseStoreAllocs: a guarded Save over Checked(Fault(Mem)) costs
+// what its inner operations allocate — the lease record's mem copy on
+// the validation read, then the sealed frame and its mem copy — and the
+// validation itself nothing: the lease run's name is resolved once per
+// session and the record's holder is compared in place.
+func TestLeaseStoreAllocs(t *testing.T) {
+	l := NewLeaseStore(Checked(NewFaultStore(NewMemStore(), allocPlan)), LeaseConfig{Holder: "h", TTL: 1e12})
+	if _, err := l.Acquire("r"); err != nil {
+		t.Fatal(err)
+	}
+	payload := make([]byte, 256)
+	pinAllocs(t, "LeaseStore.Save", 3, func() error { return l.Save("r", 1, payload) })
+	if got := l.Stats().Renewals; got != 0 {
+		t.Fatalf("%d renewals: the pin must price validation alone", got)
+	}
+}
+
 // TestSpecBuildAllocs: Build allocates its layers and nothing else —
 // validation and the optional-layer branches are free. A replica is a
 // fault injector (struct, run map), a remote hop (struct only: its

@@ -97,29 +97,29 @@ type FaultStore struct {
 	inner Store
 	plan  FaultPlan
 
-	opLedger // its mutex guards the fields below too
-	stats    FaultStats
-	runs     map[string]*faultRun
+	opLedger[faultRun, *faultRun] // its mutex guards stats too
+	stats                         FaultStats
 }
 
 // faultRun is one run's draw state on an injector: the FNV-1a key of
 // its name, the attempt count of every (kind, seq) operation issued on
-// it, and the stream its operations draw from. The Store contract has
-// one goroutine drive a run at a time, so an operation keeps drawing
-// from the run's stream after opStream hands it over.
+// it, the stream its operations draw from, and its ledger entry. The
+// Store contract has one goroutine drive a run at a time, so an
+// operation keeps drawing from the run's stream after opStream hands
+// it over.
 type faultRun struct {
+	runHead
 	key      uint64
 	attempts attempt.Counter
 	s        rng.Stream
-	op       *RunOp // the run's ledger entry
 }
 
 // NewFaultStore wraps inner with the given fault plan.
 func NewFaultStore(inner Store, plan FaultPlan) *FaultStore {
 	return &FaultStore{
-		inner: inner,
-		plan:  plan,
-		runs:  make(map[string]*faultRun),
+		inner:    inner,
+		plan:     plan,
+		opLedger: opLedger[faultRun, *faultRun]{runs: make(map[string]*faultRun)},
 	}
 }
 
@@ -158,12 +158,27 @@ func (f *FaultStore) opStream(kind uint64, run string, seq uint64) *rng.Stream {
 // attempt resolves run and counts one more attempt of (kind, run, seq),
 // returning the run and the attempt ordinal. The caller holds mu.
 func (f *FaultStore) attempt(kind uint64, run string, seq uint64) (*faultRun, uint64) {
+	r := f.runLocked(run)
+	return r, r.attempts.Next(kind, seq)
+}
+
+// runLocked returns run's draw state, creating it on first use. The
+// caller holds mu.
+func (f *FaultStore) runLocked(run string) *faultRun {
 	r := f.runs[run]
 	if r == nil {
-		r = &faultRun{key: rng.HashString(run), op: f.entryLocked(run)}
+		r = &faultRun{runHead: runHead{name: run}, key: rng.HashString(run)}
 		f.runs[run] = r
 	}
-	return r, r.attempts.Next(kind, seq)
+	return r
+}
+
+// runOp resolves run's ledger entry for the layers that measure this
+// one.
+func (f *FaultStore) runOp(run string) *RunOp {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return &f.runLocked(run).op
 }
 
 // Save injects write faults around the inner Save.

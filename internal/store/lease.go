@@ -106,10 +106,12 @@ type LeaseStats struct {
 	Fenced uint64
 }
 
-// leaseSession is this instance's claim on one run.
+// leaseSession is this instance's claim on one run, and the name of
+// the lease run its record lives under.
 type leaseSession struct {
 	epoch  uint64
 	expiry float64
+	lrun   string
 }
 
 // LeaseStore wraps a store with epoch-fenced write leases. One
@@ -216,26 +218,46 @@ func encodeLease(st LeaseState) []byte {
 }
 
 func decodeLease(data []byte) (LeaseState, error) {
+	rec, err := parseLease(data)
+	if err != nil {
+		return LeaseState{}, err
+	}
+	return rec.state(), nil
+}
+
+// leaseRecord is a parsed lease record whose holder aliases the bytes
+// it was parsed from, so validating a guarded write copies nothing.
+type leaseRecord struct {
+	epoch  uint64
+	expiry float64
+	holder []byte
+}
+
+func (r leaseRecord) state() LeaseState {
+	return LeaseState{Epoch: r.epoch, Holder: string(r.holder), Expiry: r.expiry}
+}
+
+func parseLease(data []byte) (leaseRecord, error) {
 	head := len(leaseMagic) + 1 + 8 + 8 + 2
 	if len(data) < head || string(data[:len(leaseMagic)]) != leaseMagic {
-		return LeaseState{}, errLeaseRecord
+		return leaseRecord{}, errLeaseRecord
 	}
 	p := len(leaseMagic)
 	if data[p] != leaseVersion {
-		return LeaseState{}, fmt.Errorf("%w: version %d", errLeaseRecord, data[p])
+		return leaseRecord{}, fmt.Errorf("%w: version %d", errLeaseRecord, data[p])
 	}
 	p++
-	st := LeaseState{Epoch: binary.LittleEndian.Uint64(data[p:])}
+	rec := leaseRecord{epoch: binary.LittleEndian.Uint64(data[p:])}
 	p += 8
-	st.Expiry = math.Float64frombits(binary.LittleEndian.Uint64(data[p:]))
+	rec.expiry = math.Float64frombits(binary.LittleEndian.Uint64(data[p:]))
 	p += 8
 	hlen := int(binary.LittleEndian.Uint16(data[p:]))
 	p += 2
 	if len(data) != head+hlen {
-		return LeaseState{}, fmt.Errorf("%w: holder length %d does not match record size %d", errLeaseRecord, hlen, len(data))
+		return leaseRecord{}, fmt.Errorf("%w: holder length %d does not match record size %d", errLeaseRecord, hlen, len(data))
 	}
-	st.Holder = string(data[p:])
-	return st, nil
+	rec.holder = data[p:]
+	return rec, nil
 }
 
 // leaseOpRetries is the extra-attempt budget lease reads and writes get
@@ -248,27 +270,35 @@ const leaseOpRetries = 4
 // readLease loads and decodes run's current lease record. found=false
 // means the record definitively does not exist (epoch zero).
 func (l *LeaseStore) readLease(run string) (st LeaseState, found bool, err error) {
-	lrun := LeaseRun(run)
+	rec, found, err := l.loadLease(LeaseRun(run))
+	if !found || err != nil {
+		return LeaseState{}, false, err
+	}
+	return rec.state(), true, nil
+}
+
+// loadLease loads and parses the record of the lease run lrun.
+// found=false means the record definitively does not exist.
+func (l *LeaseStore) loadLease(lrun string) (rec leaseRecord, found bool, err error) {
 	data, err := l.inner.Load(lrun, leaseSeq)
 	for extra := 0; errors.Is(err, ErrTimeout) && extra < leaseOpRetries; extra++ {
 		data, err = l.inner.Load(lrun, leaseSeq)
 	}
 	if errors.Is(err, ErrNotFound) {
-		return LeaseState{}, false, nil
+		return leaseRecord{}, false, nil
 	}
 	if err != nil {
-		return LeaseState{}, false, err
+		return leaseRecord{}, false, err
 	}
-	st, err = decodeLease(data)
+	rec, err = parseLease(data)
 	if err != nil {
-		return LeaseState{}, false, err
+		return leaseRecord{}, false, err
 	}
-	return st, true, nil
+	return rec, true, nil
 }
 
-// writeLease persists st as run's current lease record.
-func (l *LeaseStore) writeLease(run string, st LeaseState) error {
-	lrun := LeaseRun(run)
+// writeLease persists st as the current record of the lease run lrun.
+func (l *LeaseStore) writeLease(lrun string, st LeaseState) error {
 	err := l.inner.Save(lrun, leaseSeq, encodeLease(st))
 	for extra := 0; errors.Is(err, ErrTimeout) && extra < leaseOpRetries; extra++ {
 		err = l.inner.Save(lrun, leaseSeq, encodeLease(st))
@@ -317,7 +347,8 @@ func (l *LeaseStore) Acquire(run string) (LeaseState, error) {
 			run, ErrLeaseHeld, cur.Holder, cur.Epoch, cur.Expiry, now)
 	}
 	next := LeaseState{Epoch: cur.Epoch + 1, Holder: l.cfg.holder(), Expiry: now + l.cfg.ttl()}
-	if err := l.writeLease(run, next); err != nil {
+	lrun := LeaseRun(run)
+	if err := l.writeLease(lrun, next); err != nil {
 		return LeaseState{}, fmt.Errorf("store: acquire %s: writing lease record: %w", run, err)
 	}
 	// Read-back arbitration: a racing acquirer may have overwritten the
@@ -335,7 +366,7 @@ func (l *LeaseStore) Acquire(run string) (LeaseState, error) {
 			run, ErrFenced, got.Holder, got.Epoch)
 	}
 	l.mu.Lock()
-	l.sessions[run] = &leaseSession{epoch: next.Epoch, expiry: next.Expiry}
+	l.sessions[run] = &leaseSession{epoch: next.Epoch, expiry: next.Expiry, lrun: lrun}
 	l.stats.Acquires++
 	l.mu.Unlock()
 	return next, nil
@@ -349,34 +380,37 @@ func (l *LeaseStore) Acquire(run string) (LeaseState, error) {
 // is still good, and the next guarded write retries the renewal.
 func (l *LeaseStore) guard(op, run string, seq uint64) error {
 	l.mu.Lock()
-	s := l.sessions[run]
-	holder := l.cfg.holder()
+	s, clock := l.sessions[run], l.clocks[run]
+	if s != nil {
+		l.stats.Validations++
+	}
 	l.mu.Unlock()
 	if s == nil {
 		return fmt.Errorf("store: %s %s/%d: %w (no lease acquired for run)", op, run, seq, ErrLeaseExpired)
 	}
-	now := l.now(run)
-	l.mu.Lock()
-	l.stats.Validations++
-	l.mu.Unlock()
-	cur, found, err := l.readLease(run)
+	now := 0.0
+	if clock != nil {
+		now = clock()
+	}
+	holder := l.cfg.holder()
+	cur, found, err := l.loadLease(s.lrun)
 	if err != nil {
 		return fmt.Errorf("store: %s %s/%d: validating lease: %w: %w", op, run, seq, ErrLeaseExpired, err)
 	}
-	if found && (cur.Epoch > s.epoch || (cur.Epoch == s.epoch && cur.Holder != holder)) {
+	if found && (cur.epoch > s.epoch || (cur.epoch == s.epoch && string(cur.holder) != holder)) {
 		l.mu.Lock()
 		l.stats.Fenced++
 		l.mu.Unlock()
 		return fmt.Errorf("store: %s %s/%d: %w (holder %q epoch %d supersedes ours, epoch %d)",
-			op, run, seq, ErrFenced, cur.Holder, cur.Epoch, s.epoch)
+			op, run, seq, ErrFenced, cur.holder, cur.epoch, s.epoch)
 	}
 	// Our epoch stands. Renew when the record is gone (self-heal), the
 	// persisted expiry has passed (nobody claimed the gap), or the
 	// remaining TTL is inside the renewal window.
-	if !found || now >= cur.Expiry-l.cfg.ttl()/2 {
+	if !found || now >= cur.expiry-l.cfg.ttl()/2 {
 		renewed := LeaseState{Epoch: s.epoch, Holder: holder, Expiry: now + l.cfg.ttl()}
-		if werr := l.writeLease(run, renewed); werr != nil {
-			if found && now < cur.Expiry {
+		if werr := l.writeLease(s.lrun, renewed); werr != nil {
+			if found && now < cur.expiry {
 				// Lease still live; renewal was advisory.
 				return nil
 			}
@@ -384,9 +418,7 @@ func (l *LeaseStore) guard(op, run string, seq uint64) error {
 		}
 		l.mu.Lock()
 		l.stats.Renewals++
-		if s := l.sessions[run]; s != nil {
-			s.expiry = renewed.Expiry
-		}
+		s.expiry = renewed.Expiry
 		l.mu.Unlock()
 	}
 	return nil

@@ -71,7 +71,7 @@ func TestListMergeMatchesMapOracle(t *testing.T) {
 			t.Fatal(err)
 		}
 		want := mapUnion(listings, errs)
-		got, _, gotErrs := q.listAll("run")
+		got, _, gotErrs := q.listAll(q.run("run"), "run")
 		if !slices.Equal(got, want) || got == nil {
 			t.Fatalf("trial %d: listings %v errs %v: merged %v, want %v", trial, listings, errs, got, want)
 		}

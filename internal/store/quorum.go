@@ -63,8 +63,18 @@ type QuorumStore struct {
 
 	// One executor drives a run, but runs share the store; the
 	// ledger's mutex guards stats too.
-	opLedger
+	opLedger[quorumRun, *quorumRun]
 	stats QuorumStats
+}
+
+// quorumRun is one run's record at this layer, resolved at the run's
+// first operation: its ledger entry and its entry in every replica's
+// latency tracker (nil for a replica that tracks none). The run's
+// driver reads it without a lock (see lastOpReader.runOp).
+type quorumRun struct {
+	runHead
+	reps []*RunOp
+	buf  [scratchReplicas]*RunOp // backs reps up to scratchReplicas replicas
 }
 
 // NewQuorumStore builds a quorum store over the given replicas. W and
@@ -104,6 +114,53 @@ func (q *QuorumStore) Stats() QuorumStats {
 	return q.stats
 }
 
+// run returns run's record, creating it on first use.
+func (q *QuorumStore) run(run string) *quorumRun {
+	if qr := q.lookup(run); qr != nil {
+		return qr
+	}
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return q.missedLocked(run, func() *quorumRun {
+		qr := new(quorumRun)
+		qr.reps = qr.buf[:0]
+		for _, tr := range q.trackers {
+			var e *RunOp
+			if tr != nil {
+				e = tr.runOp(run)
+			}
+			qr.reps = append(qr.reps, e)
+		}
+		return qr
+	})
+}
+
+// runOp resolves run's ledger entry for the layers that measure this
+// one.
+func (q *QuorumStore) runOp(run string) *RunOp { return &q.run(run).op }
+
+// book records one operation of the run and its exact latency, and
+// adds the operation's counters d to the store's, in one lock section.
+func (q *QuorumStore) book(qr *quorumRun, lat float64, d QuorumStats) {
+	q.mu.Lock()
+	qr.op.book(lat)
+	q.addLocked(d)
+	q.mu.Unlock()
+}
+
+// count adds d to the store's counters.
+func (q *QuorumStore) count(d QuorumStats) {
+	q.mu.Lock()
+	q.addLocked(d)
+	q.mu.Unlock()
+}
+
+func (q *QuorumStore) addLocked(d QuorumStats) {
+	q.stats.Repairs += d.Repairs
+	q.stats.Hedged += d.Hedged
+	q.stats.QuorumFailures += d.QuorumFailures
+}
+
 // BindClock forwards the binding to every replica stack.
 func (q *QuorumStore) BindClock(run string, now func() float64) {
 	for _, rep := range q.replicas {
@@ -111,14 +168,14 @@ func (q *QuorumStore) BindClock(run string, now func() float64) {
 	}
 }
 
-// replicaOp runs op against replica i and returns the virtual latency
-// the replica stack charged for it (zero when the stack tracks none).
-// Each quorum Save/Load/List/Delete books ONE ledger entry regardless
-// of replica fan-out, so a caller measuring a save observes exactly one
-// operation.
-func (q *QuorumStore) replicaOp(i int, run string, op func(Store) error) (float64, error) {
+// replicaOp runs op against replica i on qr's run and returns the
+// virtual latency the replica stack charged for it (zero when the stack
+// tracks none). Each quorum Save/Load/List/Delete books ONE ledger
+// entry regardless of replica fan-out, so a caller measuring a save
+// observes exactly one operation.
+func (q *QuorumStore) replicaOp(qr *quorumRun, i int, op func(Store) error) (float64, error) {
 	rep := q.replicas[i]
-	return measure(q.trackers[i], run, func() error { return op(rep) })
+	return measure(qr.reps[i], func() error { return op(rep) })
 }
 
 // permanentErr classifies a replica failure: quota, corruption and
@@ -206,8 +263,9 @@ func (q *QuorumStore) Save(run string, seq uint64, payload []byte) error {
 	var errBuf [scratchReplicas]error
 	acks, errs := ackBuf[:0], errBuf[:0]
 	slowest := 0.0
+	qr := q.run(run)
 	for i := range q.replicas {
-		lat, err := q.replicaOp(i, run, func(s Store) error { return s.Save(run, seq, payload) })
+		lat, err := q.replicaOp(qr, i, func(s Store) error { return s.Save(run, seq, payload) })
 		errs = append(errs, err)
 		if lat > slowest {
 			slowest = lat
@@ -217,13 +275,10 @@ func (q *QuorumStore) Save(run string, seq uint64, payload []byte) error {
 		}
 	}
 	if len(acks) >= q.w {
-		q.record(run, kthSmallest(acks, q.w))
+		q.book(qr, kthSmallest(acks, q.w), QuorumStats{})
 		return nil
 	}
-	q.record(run, slowest)
-	q.mu.Lock()
-	q.stats.QuorumFailures++
-	q.mu.Unlock()
+	q.book(qr, slowest, QuorumStats{QuorumFailures: 1})
 	return quorumErr("save", run, seq, len(acks), q.w, errs)
 }
 
@@ -248,12 +303,19 @@ type reply struct {
 // critical path. All R responses negative means the checkpoint
 // definitively does not exist at this quorum: ErrNotFound.
 func (q *QuorumStore) Load(run string, seq uint64) ([]byte, error) {
+	payload, _, err := q.load(q.run(run), run, seq)
+	return payload, err
+}
+
+// load is Load on qr's run; it also returns how many replicas its read
+// repair rewrote.
+func (q *QuorumStore) load(qr *quorumRun, run string, seq uint64) ([]byte, uint64, error) {
 	n := len(q.replicas)
 	var respBuf, failBuf [scratchReplicas]reply
 	responses, failures := respBuf[:0], failBuf[:0]
 	contact := func(i int, offset float64) {
 		var payload []byte
-		lat, err := q.replicaOp(i, run, func(s Store) error {
+		lat, err := q.replicaOp(qr, i, func(s Store) error {
 			var ierr error
 			payload, ierr = s.Load(run, seq)
 			return ierr
@@ -278,11 +340,10 @@ func (q *QuorumStore) Load(run string, seq uint64) ([]byte, error) {
 
 	// Hedge: contact the spares, at the first wave's last arrival, when
 	// that wave cannot assemble R responses on its own.
+	var d QuorumStats
 	if len(responses) < q.r && first < n {
 		start := lastArrival(responses, failures)
-		q.mu.Lock()
-		q.stats.Hedged++
-		q.mu.Unlock()
+		d.Hedged = 1
 		for i := first; i < n; i++ {
 			contact(i, start)
 		}
@@ -297,20 +358,18 @@ func (q *QuorumStore) Load(run string, seq uint64) ([]byte, error) {
 	})
 
 	if len(responses) < q.r {
-		q.record(run, lastArrival(responses, failures))
-		q.mu.Lock()
-		q.stats.QuorumFailures++
-		q.mu.Unlock()
+		d.QuorumFailures = 1
+		q.book(qr, lastArrival(responses, failures), d)
 		errs := make([]error, 0, len(failures))
 		for _, rp := range failures {
 			errs = append(errs, rp.err)
 		}
-		return nil, quorumErr("load", run, seq, len(responses), q.r, errs)
+		return nil, 0, quorumErr("load", run, seq, len(responses), q.r, errs)
 	}
 
 	// The read completes when the R-th response arrives.
 	quorum := responses[:q.r]
-	q.record(run, quorum[q.r-1].at)
+	lat := quorum[q.r-1].at
 	var payload []byte
 	for _, rp := range quorum {
 		if !rp.negative {
@@ -329,7 +388,8 @@ func (q *QuorumStore) Load(run string, seq uint64) ([]byte, error) {
 			}
 		}
 		if payload == nil {
-			return nil, fmt.Errorf("store: load %s/%d: %w", run, seq, ErrNotFound)
+			q.book(qr, lat, d)
+			return nil, 0, fmt.Errorf("store: load %s/%d: %w", run, seq, ErrNotFound)
 		}
 	}
 
@@ -347,13 +407,12 @@ func (q *QuorumStore) Load(run string, seq uint64) ([]byte, error) {
 	}
 	slices.Sort(stale)
 	for _, i := range stale {
-		if _, err := q.replicaOp(i, run, func(s Store) error { return s.Save(run, seq, payload) }); err == nil {
-			q.mu.Lock()
-			q.stats.Repairs++
-			q.mu.Unlock()
+		if _, err := q.replicaOp(qr, i, func(s Store) error { return s.Save(run, seq, payload) }); err == nil {
+			d.Repairs++
 		}
 	}
-	return payload, nil
+	q.book(qr, lat, d)
+	return payload, d.Repairs, nil
 }
 
 // lastArrival returns the slowest terminal event among the replies.
@@ -374,7 +433,8 @@ func lastArrival(responses, failures []reply) float64 {
 // replicas answered. Late responses still merge — a conservative
 // union can only offer the executor more fallback points.
 func (q *QuorumStore) List(run string) ([]uint64, error) {
-	merged, lats, errs := q.listAll(run)
+	qr := q.run(run)
+	merged, lats, errs := q.listAll(qr, run)
 	var oks []float64
 	for i, err := range errs {
 		if err == nil {
@@ -382,25 +442,22 @@ func (q *QuorumStore) List(run string) ([]uint64, error) {
 		}
 	}
 	if len(oks) < q.r {
-		q.record(run, maxOf(lats))
-		q.mu.Lock()
-		q.stats.QuorumFailures++
-		q.mu.Unlock()
+		q.book(qr, maxOf(lats), QuorumStats{QuorumFailures: 1})
 		return nil, quorumErr("list", run, 0, len(oks), q.r, errs)
 	}
-	q.record(run, kthSmallest(oks, q.r))
+	q.book(qr, kthSmallest(oks, q.r), QuorumStats{})
 	return merged, nil
 }
 
-// listAll lists run on every replica in index order. It returns the
-// ascending, deduplicated union of the listings that succeeded, and
+// listAll lists qr's run on every replica in index order. It returns
+// the ascending, deduplicated union of the listings that succeeded, and
 // each replica's charged latency and error (nil when it listed).
-func (q *QuorumStore) listAll(run string) (merged []uint64, lats []float64, errs []error) {
+func (q *QuorumStore) listAll(qr *quorumRun, run string) (merged []uint64, lats []float64, errs []error) {
 	n := len(q.replicas)
 	lats, errs = make([]float64, n), make([]error, n)
 	for i := range q.replicas {
 		var seqs []uint64
-		lats[i], errs[i] = q.replicaOp(i, run, func(s Store) error {
+		lats[i], errs[i] = q.replicaOp(qr, i, func(s Store) error {
 			var err error
 			seqs, err = s.List(run)
 			return err
@@ -452,8 +509,9 @@ func (q *QuorumStore) Delete(run string, seq uint64) error {
 	errs := make([]error, n)
 	var acks []float64
 	deleted := false
+	qr := q.run(run)
 	for i := 0; i < n; i++ {
-		lats[i], errs[i] = q.replicaOp(i, run, func(s Store) error { return s.Delete(run, seq) })
+		lats[i], errs[i] = q.replicaOp(qr, i, func(s Store) error { return s.Delete(run, seq) })
 		if errs[i] == nil || errors.Is(errs[i], ErrNotFound) {
 			acks = append(acks, lats[i])
 			if errs[i] == nil {
@@ -462,16 +520,13 @@ func (q *QuorumStore) Delete(run string, seq uint64) error {
 		}
 	}
 	if len(acks) >= q.w {
-		q.record(run, kthSmallest(acks, q.w))
+		q.book(qr, kthSmallest(acks, q.w), QuorumStats{})
 		if !deleted {
 			return fmt.Errorf("store: delete %s/%d: %w", run, seq, ErrNotFound)
 		}
 		return nil
 	}
-	q.record(run, maxOf(lats))
-	q.mu.Lock()
-	q.stats.QuorumFailures++
-	q.mu.Unlock()
+	q.book(qr, maxOf(lats), QuorumStats{QuorumFailures: 1})
 	return quorumErr("delete", run, seq, len(acks), q.w, errs)
 }
 

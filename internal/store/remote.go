@@ -62,9 +62,19 @@ type RemoteStore struct {
 	cfg     RemoteConfig
 	ttl     float64
 
-	opLedger // its mutex guards the fields below too
-	clocks   map[string]func() float64
-	timeouts uint64
+	opLedger[remoteRun, *remoteRun] // its mutex guards timeouts too
+	timeouts                        uint64
+}
+
+// remoteRun is what one run's operations need at this layer, resolved
+// at the run's first operation: its ledger entry, its bound clock, its
+// link to the store endpoint and its entry in the inner tracker. The
+// run's driver reads it without a lock (see lastOpReader.runOp).
+type remoteRun struct {
+	runHead
+	clock func() float64 // nil until BindClock: the run reads time zero
+	link  *netsim.Link
+	inner *RunOp // nil when the inner stack tracks no latency
 }
 
 // NewRemoteStore wraps inner behind the simulated network.
@@ -82,14 +92,34 @@ func NewRemoteStore(inner Store, net *netsim.Network, netCfg netsim.Config, cfg 
 	}
 }
 
+// run returns run's record, creating it on first use.
+func (r *RemoteStore) run(run string) *remoteRun {
+	if rr := r.lookup(run); rr != nil {
+		return rr
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.missedLocked(run, func() *remoteRun { return r.newRun(run) })
+}
+
+// newRun resolves a new run's link and its entry in the inner tracker.
+func (r *RemoteStore) newRun(run string) *remoteRun {
+	rr := &remoteRun{link: r.net.Link(localEndpoint, r.cfg.Remote, run)}
+	if r.tracker != nil {
+		rr.inner = r.tracker.runOp(run)
+	}
+	return rr
+}
+
+// runOp resolves run's ledger entry for the layers that measure this
+// one.
+func (r *RemoteStore) runOp(run string) *RunOp { return &r.run(run).op }
+
 // BindClock registers run's virtual-time source, used to evaluate
-// partition windows at delivery time.
+// partition windows at delivery time. Binding again replaces it.
 func (r *RemoteStore) BindClock(run string, now func() float64) {
 	r.mu.Lock()
-	if r.clocks == nil {
-		r.clocks = make(map[string]func() float64)
-	}
-	r.clocks[run] = now
+	r.recordLocked(run, func() *remoteRun { return r.newRun(run) }).clock = now
 	r.mu.Unlock()
 }
 
@@ -106,12 +136,12 @@ func (r *RemoteStore) Timeouts() uint64 {
 // Unwrap exposes the inner store for capability discovery.
 func (r *RemoteStore) Unwrap() Store { return r.inner }
 
-// transit sends the operation's message at virtual time now. It
-// returns the network latency to charge and a nil error on delivery, or
-// ErrTimeout (with the timeout as the charged latency) when the message
-// is lost, partitioned, or too slow.
-func (r *RemoteStore) transit(now float64, kind uint64, opName, run string, seq uint64) (float64, error) {
-	out := r.net.Deliver(now, localEndpoint, r.cfg.Remote, netsim.Message{Kind: kind, Run: run, Seq: seq})
+// transit sends the operation's message on the run's link at virtual
+// time now. It returns the network latency to charge and a nil error on
+// delivery, or ErrTimeout (with the timeout as the charged latency)
+// when the message is lost, partitioned, or too slow.
+func (r *RemoteStore) transit(link *netsim.Link, now float64, kind uint64, opName, run string, seq uint64) (float64, error) {
+	out := link.Deliver(now, kind, seq)
 	if !out.OK() || out.Latency > r.ttl {
 		why := "slow"
 		switch {
@@ -132,22 +162,20 @@ func (r *RemoteStore) transit(now float64, kind uint64, opName, run string, seq 
 // Remote(Fault(...)) stack — or the full timeout when the message never
 // arrived.
 func (r *RemoteStore) do(kind uint64, opName, run string, seq uint64, op func() error) error {
-	r.mu.Lock()
-	clock, entry := r.clocks[run], r.entryLocked(run)
-	r.mu.Unlock()
+	rr := r.run(run)
 	now := 0.0
-	if clock != nil {
-		now = clock()
+	if rr.clock != nil {
+		now = rr.clock()
 	}
-	lat, err := r.transit(now, kind, opName, run, seq)
+	lat, err := r.transit(rr.link, now, kind, opName, run, seq)
 	timedOut := err != nil
 	if !timedOut {
 		var inner float64
-		inner, err = measure(r.tracker, run, op)
+		inner, err = measure(rr.inner, op)
 		lat += inner
 	}
 	r.mu.Lock()
-	entry.book(lat)
+	rr.op.book(lat)
 	if timedOut {
 		r.timeouts++
 	}

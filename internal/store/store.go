@@ -26,6 +26,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 )
 
 // ErrNotFound reports a missing checkpoint (unknown run or sequence).
@@ -121,9 +122,13 @@ func BindClock(s Store, run string, now func() float64) int {
 
 // lastOpReader is the capability behind LastOp and Measure; the
 // latency-tracking layers (FaultStore, RemoteStore, QuorumStore)
-// implement it through their embedded opLedger.
+// implement it through their embedded opLedger and per-run records.
 type lastOpReader interface {
 	LastOp(run string) RunOp
+	// runOp resolves run's ledger entry, creating the layer's per-run
+	// record on first use. The entry never moves, and only the run's
+	// driver books into it, so that driver may read it without a lock.
+	runOp(run string) *RunOp
 }
 
 // LastOp walks the decorator stack of s to the topmost layer that
@@ -148,23 +153,45 @@ func LastOp(s Store, run string) (op RunOp, ok bool) {
 // ledger still holds the previous operation's latency: Measure compares
 // operation counts before and after, never differences of sums.
 func Measure(s Store, run string, op func() error) (lat float64, tracked bool, err error) {
-	r, tracked := find[lastOpReader](s)
-	lat, err = measure(r, run, op)
-	return lat, tracked, err
+	return NewMeter(s, run).Measure(op)
 }
 
-// measure is Measure against a tracking layer the caller resolved once
-// (a nil r tracks nothing): layers that measure an inner stack on every
-// operation look its tracker up at construction, since a stack's layers
-// never change once it is built.
-func measure(r lastOpReader, run string, op func() error) (float64, error) {
-	if r == nil {
+// A Meter is Measure for one run on one stack, resolved once: it holds
+// the run's entry in the stack's topmost latency tracker, so measuring
+// an operation walks no decorators and looks nothing up. The run's
+// driver owns its Meter; a stack's layers never change once built, so a
+// Meter stays valid for as long as the stack lives.
+type Meter struct {
+	entry *RunOp // nil when the stack tracks no latency
+}
+
+// NewMeter resolves run's ledger entry in the topmost latency-tracking
+// layer of s.
+func NewMeter(s Store, run string) Meter {
+	if r, ok := find[lastOpReader](s); ok {
+		return Meter{entry: r.runOp(run)}
+	}
+	return Meter{}
+}
+
+// Measure runs op and returns the latency it was charged, as Measure.
+func (m Meter) Measure(op func() error) (lat float64, tracked bool, err error) {
+	lat, err = measure(m.entry, op)
+	return lat, m.entry != nil, err
+}
+
+// measure runs op and returns the latency booked into e for it: the
+// entry's latency when op booked at least one operation, 0 otherwise
+// (a nil e tracks nothing). The entry is read without a lock: only
+// the run's driver — the caller — books into it.
+func measure(e *RunOp, op func() error) (float64, error) {
+	if e == nil {
 		return 0, op()
 	}
-	before := r.LastOp(run)
+	before := e.Ops
 	err := op()
-	if after := r.LastOp(run); after.Ops > before.Ops {
-		return after.Latency, err
+	if e.Ops > before {
+		return e.Latency, err
 	}
 	return 0, err
 }
@@ -181,26 +208,72 @@ type RunOp struct {
 	Latency float64
 }
 
-// opLedger is the per-run operation ledger a latency-tracking layer
-// embeds. Its mutex also guards the embedding layer's own bookkeeping.
-type opLedger struct {
-	mu   sync.Mutex
-	runs map[string]*RunOp
+// runHead starts every latency-tracking layer's per-run record: the
+// run's name and its ledger entry. The rest of a record is what the
+// run's operations need at that layer.
+type runHead struct {
+	name string
+	op   RunOp
 }
 
-// entryLocked returns run's ledger entry, adding an empty one for a new
-// run; the caller holds mu. Entries never move or go away, so a layer
-// that resolves a run once books its operations through the pointer.
-func (l *opLedger) entryLocked(run string) *RunOp {
-	e := l.runs[run]
-	if e == nil {
+func (h *runHead) head() *runHead { return h }
+
+// recentRuns is how many runs a layer finds without a lock: an executor
+// drives a run and its lease run in turns.
+const recentRuns = 2
+
+// opLedger is the per-run record table a latency-tracking layer embeds:
+// R is the layer's record type, which embeds runHead. A record is
+// created at the run's first operation and never moves or goes away,
+// so a layer that resolves a run once books through the record. Its
+// mutex also guards the embedding layer's own bookkeeping.
+//
+// Records are found by name in the map under mu, or without a lock in
+// the recent slots: a lookup that misses them takes mu and puts the
+// record in the next slot, round robin.
+type opLedger[R any, P interface {
+	*R
+	head() *runHead
+}] struct {
+	mu     sync.Mutex
+	runs   map[string]P
+	recent [recentRuns]atomic.Pointer[R]
+	next   int // the recent slot the next miss fills
+}
+
+// recordLocked returns run's record, adding fresh() for a new run. The
+// caller holds mu.
+func (l *opLedger[R, P]) recordLocked(run string, fresh func() P) P {
+	r := l.runs[run]
+	if r == nil {
 		if l.runs == nil {
-			l.runs = make(map[string]*RunOp)
+			l.runs = make(map[string]P)
 		}
-		e = new(RunOp)
-		l.runs[run] = e
+		r = fresh()
+		r.head().name = run
+		l.runs[run] = r
 	}
-	return e
+	return r
+}
+
+// lookup returns run's record from the recent slots without a lock,
+// nil when none holds it.
+func (l *opLedger[R, P]) lookup(run string) P {
+	for i := range l.recent {
+		if r := P(l.recent[i].Load()); r != nil && r.head().name == run {
+			return r
+		}
+	}
+	return nil
+}
+
+// missedLocked returns run's record after lookup missed it, and makes
+// it recent. The caller holds mu.
+func (l *opLedger[R, P]) missedLocked(run string, fresh func() P) P {
+	r := l.recordLocked(run, fresh)
+	l.recent[l.next].Store((*R)(r))
+	l.next = (l.next + 1) % recentRuns
+	return r
 }
 
 // book records one more operation and its exact latency; the ledger's
@@ -210,20 +283,13 @@ func (e *RunOp) book(lat float64) {
 	e.Latency = lat
 }
 
-// record books one operation of run and its exact latency.
-func (l *opLedger) record(run string, lat float64) {
-	l.mu.Lock()
-	l.entryLocked(run).book(lat)
-	l.mu.Unlock()
-}
-
 // LastOp returns the run's operation count and the exact latency of its
 // most recent operation.
-func (l *opLedger) LastOp(run string) RunOp {
+func (l *opLedger[R, P]) LastOp(run string) RunOp {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if e := l.runs[run]; e != nil {
-		return *e
+	if r := l.runs[run]; r != nil {
+		return r.head().op
 	}
 	return RunOp{}
 }

@@ -109,31 +109,25 @@ func (q *QuorumStore) SyncRun(run string) (SyncReport, error) {
 		return SyncReport{}, err
 	}
 	n := len(q.replicas)
-	seqs, _, listErrs := q.listAll(run)
+	qr := q.run(run)
+	seqs, _, listErrs := q.listAll(qr, run)
 	okLists := listed(listErrs)
 	rep := SyncReport{Unlisted: n - okLists}
 	if okLists < q.r {
 		// Too few listings to even trust the seq union: bail with the
 		// usual quorum error shape so retry classification works.
-		q.mu.Lock()
-		q.stats.QuorumFailures++
-		q.mu.Unlock()
+		q.count(QuorumStats{QuorumFailures: 1})
 		return rep, quorumErr("sync", run, 0, okLists, q.r, listErrs)
 	}
 	rep.Seqs = len(seqs)
 
 	var firstErr error
 	for _, sq := range seqs {
-		// The quorum Load both establishes the canonical payload and
+		// The quorum load both establishes the canonical payload and
 		// read-repairs the negatives it contacts; those repairs are this
-		// pass's work, so the Repairs delta counts toward Copied.
-		q.mu.Lock()
-		beforeRepairs := q.stats.Repairs
-		q.mu.Unlock()
-		canonical, err := q.Load(run, sq)
-		q.mu.Lock()
-		rep.Copied += int(q.stats.Repairs - beforeRepairs)
-		q.mu.Unlock()
+		// pass's work, so they count toward Copied.
+		canonical, repaired, err := q.load(qr, run, sq)
+		rep.Copied += int(repaired)
 		if err != nil {
 			rep.LoadFailures++
 			if firstErr == nil {
@@ -148,7 +142,7 @@ func (q *QuorumStore) SyncRun(run string) (SyncReport, error) {
 				continue
 			}
 			var cur []byte
-			_, lerr := q.replicaOp(i, run, func(s Store) error {
+			_, lerr := q.replicaOp(qr, i, func(s Store) error {
 				var ierr error
 				cur, ierr = s.Load(run, sq)
 				return ierr
@@ -157,7 +151,7 @@ func (q *QuorumStore) SyncRun(run string) (SyncReport, error) {
 				rep.InSync++
 				continue
 			}
-			if _, werr := q.replicaOp(i, run, func(s Store) error { return s.Save(run, sq, canonical) }); werr != nil {
+			if _, werr := q.replicaOp(qr, i, func(s Store) error { return s.Save(run, sq, canonical) }); werr != nil {
 				rep.CopyFailures++
 				if firstErr == nil {
 					firstErr = werr
@@ -165,9 +159,7 @@ func (q *QuorumStore) SyncRun(run string) (SyncReport, error) {
 				continue
 			}
 			rep.Copied++
-			q.mu.Lock()
-			q.stats.Repairs++
-			q.mu.Unlock()
+			q.count(QuorumStats{Repairs: 1})
 		}
 	}
 	if rep.Converged() {
@@ -197,12 +189,11 @@ func (q *QuorumStore) ScrubRun(run string) (ScrubReport, error) {
 		return ScrubReport{}, err
 	}
 	n := len(q.replicas)
-	seqs, _, listErrs := q.listAll(run)
+	qr := q.run(run)
+	seqs, _, listErrs := q.listAll(qr, run)
 	var rep ScrubReport
 	if okLists := listed(listErrs); okLists < q.r {
-		q.mu.Lock()
-		q.stats.QuorumFailures++
-		q.mu.Unlock()
+		q.count(QuorumStats{QuorumFailures: 1})
 		return rep, quorumErr("scrub", run, 0, okLists, q.r, listErrs)
 	}
 	rep.Seqs = len(seqs)
@@ -213,7 +204,7 @@ func (q *QuorumStore) ScrubRun(run string) (ScrubReport, error) {
 		var corrupt []int
 		for i := 0; i < n; i++ {
 			var payload []byte
-			_, err := q.replicaOp(i, run, func(s Store) error {
+			_, err := q.replicaOp(qr, i, func(s Store) error {
 				var ierr error
 				payload, ierr = s.Load(run, sq)
 				return ierr
@@ -242,7 +233,7 @@ func (q *QuorumStore) ScrubRun(run string) (ScrubReport, error) {
 		}
 		winner := scrubWinner(clean)
 		for _, i := range corrupt {
-			if _, werr := q.replicaOp(i, run, func(s Store) error { return s.Save(run, sq, winner) }); werr != nil {
+			if _, werr := q.replicaOp(qr, i, func(s Store) error { return s.Save(run, sq, winner) }); werr != nil {
 				rep.CopyFailures++
 				if firstErr == nil {
 					firstErr = werr
@@ -250,9 +241,7 @@ func (q *QuorumStore) ScrubRun(run string) (ScrubReport, error) {
 				continue
 			}
 			rep.Repaired++
-			q.mu.Lock()
-			q.stats.Repairs++
-			q.mu.Unlock()
+			q.count(QuorumStats{Repairs: 1})
 		}
 	}
 	if rep.Unrepairable == 0 && rep.CopyFailures == 0 {
