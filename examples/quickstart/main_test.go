@@ -9,7 +9,7 @@ func Example_main() {
 	// checkpoint after: ingest clean align call report
 	// checkpoint-everywhere: 55.447 h (0.2% over optimal)
 	// final-checkpoint-only: 62.305 h (12.6% over optimal)
-	// simulated (50k runs):  55.316 ± 0.103 h  (analytical 55.309)
+	// simulated (50k runs):  55.292 ± 0.102 h  (analytical 55.309)
 	// executed  (50k runs):  55.265 ± 0.102 h  (planned 55.309, within CI: true)
 	// solver arm: monotone (12 oracle evaluations for 6 tasks)
 }

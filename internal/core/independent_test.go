@@ -294,3 +294,10 @@ func TestReductionString(t *testing.T) {
 		t.Error("empty String()")
 	}
 }
+
+// RiggedExponent returns e^{λ(T+C)}, which the reduction fixes at exactly
+// 2.
+func (ri *ReducedInstance) RiggedExponent() float64 {
+	t := float64(ri.Source.Target)
+	return math.Exp(ri.Problem.Model.Lambda * (t + ri.Problem.Checkpoint))
+}

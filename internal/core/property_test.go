@@ -217,3 +217,14 @@ func TestPropertyVarianceAdditive(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// SegmentExpectation returns the exact expected time (Proposition 1) of
+// executing positions [start, end] and checkpointing after end, given that
+// the previous checkpoint is the one preceding start.
+func (cp *ChainProblem) SegmentExpectation(start, end int) float64 {
+	var w float64
+	for i := start; i <= end; i++ {
+		w += cp.Weights[i]
+	}
+	return cp.Model.ExpectedTime(w, cp.Ckpt[end], cp.recoveryBefore(start))
+}

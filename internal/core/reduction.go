@@ -57,13 +57,6 @@ func BuildReduction(in partition.Instance) (*ReducedInstance, error) {
 	}, nil
 }
 
-// RiggedExponent returns e^{λ(T+C)}, which the reduction fixes at exactly
-// 2; exposed so tests and experiment E5 can check the construction.
-func (ri *ReducedInstance) RiggedExponent() float64 {
-	t := float64(ri.Source.Target)
-	return math.Exp(ri.Problem.Model.Lambda * (t + ri.Problem.Checkpoint))
-}
-
 // GroupingFromPartition converts a 3-PARTITION witness into the schedule
 // of the forward direction of the proof: each triple becomes one
 // checkpoint group. Its expectation equals the bound K.

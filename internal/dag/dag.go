@@ -269,15 +269,6 @@ func (g *Graph) TotalWeight() float64 {
 	return sum
 }
 
-// SetCosts overwrites every task's checkpoint and recovery cost with the
-// given constants, the homogeneous cost model of Proposition 2.
-func (g *Graph) SetCosts(checkpoint, recovery float64) {
-	for i := range g.ckpt {
-		g.ckpt[i] = checkpoint
-		g.rec[i] = recovery
-	}
-}
-
 // Validate checks structural invariants: acyclicity and cost sanity.
 func (g *Graph) Validate() error {
 	if _, err := g.TopologicalOrder(); err != nil {
@@ -398,10 +389,6 @@ func (g *Graph) IsLinearChain() ([]int, bool) {
 	}
 	return order, true
 }
-
-// IsIndependent reports whether the graph has no edges (the instance class
-// of Proposition 2).
-func (g *Graph) IsIndependent() bool { return g.edges == 0 }
 
 // EachTopologicalOrder streams every linearization of the graph to fn,
 // up to the given limit (0 means unlimited), in the lexicographic order

@@ -598,3 +598,16 @@ func TestConcurrentReaders(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// SetCosts overwrites every task's checkpoint and recovery cost with the
+// given constants, the homogeneous cost model of Proposition 2.
+func (g *Graph) SetCosts(checkpoint, recovery float64) {
+	for i := range g.ckpt {
+		g.ckpt[i] = checkpoint
+		g.rec[i] = recovery
+	}
+}
+
+// IsIndependent reports whether the graph has no edges (the instance class
+// of Proposition 2).
+func (g *Graph) IsIndependent() bool { return g.edges == 0 }

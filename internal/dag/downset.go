@@ -75,30 +75,6 @@ func (l *Lattice) Masks() (pred, succ []uint64) {
 // lattice enumerations follow.
 func (l *Lattice) Topo() []int { return append([]int(nil), l.topo...) }
 
-// IsDownset reports whether s is closed under predecessors.
-func (l *Lattice) IsDownset(s uint64) bool {
-	for rest := s; rest != 0; rest &= rest - 1 {
-		t := bits.TrailingZeros64(rest)
-		if l.pred[t]&^s != 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// Ready returns the tasks that can extend the downset d: tasks outside
-// d whose predecessors are all inside it.
-func (l *Lattice) Ready(d uint64) uint64 {
-	var out uint64
-	for rest := l.Full() &^ d; rest != 0; rest &= rest - 1 {
-		t := bits.TrailingZeros64(rest)
-		if l.pred[t]&^d == 0 {
-			out |= 1 << uint(t)
-		}
-	}
-	return out
-}
-
 // MaximalIn returns the maximal elements of the set s: tasks of s with
 // no direct successor inside s. For a downset these are exactly the
 // tasks that can be scheduled last among s.
@@ -148,25 +124,6 @@ func (l *Lattice) eachExtension(base uint64, start int, fn func(d uint64, added 
 			l.eachExtension(d, idx+1, fn)
 		}
 	}
-}
-
-// EachSegment enumerates every nonempty segment T that extends the
-// downset from: sets T disjoint from `from` with from ∪ T a downset.
-// fn receives the segment and the task just added; returning false
-// prunes every superset of that segment reached through it (the
-// depth-first subtree), while siblings are still visited. Segments are
-// duplicate-free for the same reason as EachDownset.
-func (l *Lattice) EachSegment(from uint64, fn func(seg uint64, added int) bool) {
-	l.eachExtension(from, 0, func(d uint64, added int) bool { return fn(d&^from, added) })
-}
-
-// CountDownsets returns the number of downsets of the graph (including
-// ∅ and V) — the state-space size of the exact lattice DP, against the
-// n! upper bound of order enumeration.
-func (l *Lattice) CountDownsets() int64 {
-	var count int64
-	l.EachDownset(func(uint64) bool { count++; return true })
-	return count
 }
 
 // CountLinearExtensions returns the number of linearizations

@@ -17,9 +17,8 @@ type CampaignOptions struct {
 	// scheduling — each run's failure sequence depends only on (Seed, r).
 	Seed uint64
 	// Workers fans runs out over goroutines; ≤ 0 means
-	// runtime.GOMAXPROCS(0). Per-run results are Workers-independent;
-	// the merged summaries are deterministic for a given (Seed, Workers)
-	// pair (summary merging is not floating-point associative).
+	// runtime.GOMAXPROCS(0). Per-run results are folded in run order,
+	// so the summaries do not depend on Workers.
 	Workers int
 	// Downtime is each run's downtime after a failure (Options).
 	Downtime float64
@@ -44,37 +43,24 @@ func Campaign(w *Workload, dist failure.Distribution, opts CampaignOptions) (Cam
 	if opts.Runs <= 0 {
 		return CampaignResult{}, fmt.Errorf("exec: campaign needs a positive run count, got %d", opts.Runs)
 	}
-	// A static partition: worker wk runs a contiguous range of runs,
-	// the first Runs%workers ranges one run longer.
-	workers := par.Workers(opts.Workers, opts.Runs)
-	type partial struct{ makespan, failures stats.Summary }
-	parts := make([]partial, workers)
-	err := par.Each(workers, workers, func(_, wk int) error {
-		per, extra := opts.Runs/workers, opts.Runs%workers
-		first, count := wk*per+min(wk, extra), per
-		if wk < extra {
-			count++
+	type run struct{ makespan, failures float64 }
+	runs := make([]run, opts.Runs)
+	err := par.Each(opts.Workers, opts.Runs, func(_, r int) error {
+		src := NewKeyedSource(dist, opts.Seed, uint64(r)+1)
+		res, err := Execute(w, src, Options{Downtime: opts.Downtime})
+		if err != nil {
+			return fmt.Errorf("exec: campaign run %d: %w", r, err)
 		}
-		p := &parts[wk]
-		for r := first; r < first+count; r++ {
-			src := NewKeyedSource(dist, opts.Seed, uint64(r)+1)
-			res, err := Execute(w, src, Options{Downtime: opts.Downtime})
-			if err != nil {
-				return fmt.Errorf("exec: campaign run %d: %w", r, err)
-			}
-			p.makespan.Add(res.Makespan)
-			p.failures.Add(float64(res.Failures))
-		}
+		runs[r] = run{res.Makespan, float64(res.Failures)}
 		return nil
 	})
 	if err != nil {
 		return CampaignResult{}, err
 	}
 	out := CampaignResult{Runs: opts.Runs}
-	for i := range parts {
-		// Merge in worker order: deterministic for a (Seed, Workers) pair.
-		out.Makespan.Merge(parts[i].makespan)
-		out.Failures.Merge(parts[i].failures)
+	for _, r := range runs {
+		out.Makespan.Add(r.makespan)
+		out.Failures.Add(r.failures)
 	}
 	return out, nil
 }

@@ -266,7 +266,12 @@ func Execute(w *Workload, src Source, opts Options) (*Result, error) {
 		// (a new process) bumps the epoch, fencing every older writer's
 		// saves; re-entering on the same instance (a zombie waking up)
 		// keeps its stale session and is fenced on its first write.
-		ls, leased, lerr := store.AcquireLease(opts.Store, opts.runID())
+		var ls store.LeaseState
+		var leased bool
+		lerr := ex.retryOffTimeline(func() (err error) {
+			ls, leased, err = store.AcquireLease(opts.Store, opts.runID())
+			return err
+		})
 		if lerr != nil {
 			return res, fmt.Errorf("exec: acquiring run lease: %w", lerr)
 		}
@@ -563,20 +568,31 @@ func (ex *executor) listResume() ([]resumeCandidate, error) {
 	return cands, nil
 }
 
-// loadOnce loads one checkpoint under the executor's retry policy:
-// transient errors are retried while the policy allows, permanent ones
-// (a corrupt frame, a missing entry) return at once so the caller falls
-// back to an older checkpoint. Backoff delays are NOT served: resume
-// happens outside the modeled timeline (an uninterrupted run performs
-// no loads), so load retries must not advance any clock.
-func (ex *executor) loadOnce(st store.Store, seq uint64) ([]byte, error) {
+// loadOnce loads one checkpoint under retryOffTimeline: permanent
+// errors (a corrupt frame, a missing entry) return at once so the
+// caller falls back to an older checkpoint.
+func (ex *executor) loadOnce(st store.Store, seq uint64) (data []byte, err error) {
+	err = ex.retryOffTimeline(func() error {
+		data, err = st.Load(ex.opts.runID(), seq)
+		return err
+	})
+	return data, err
+}
+
+// retryOffTimeline runs op, retrying transient errors while the
+// executor's retry policy allows. Backoff delays are NOT served: lease
+// acquisition and resume happen outside the modeled timeline (an
+// uninterrupted run performs no loads), so their retries must not
+// advance any clock. ErrLeaseHeld is not retried either: with the clock
+// standing still, the other holder's lease cannot expire.
+func (ex *executor) retryOffTimeline(op func() error) error {
 	for attempt := 1; ; attempt++ {
-		data, err := st.Load(ex.opts.runID(), seq)
-		if err == nil || ClassifyStoreError(err) != ClassTransient {
-			return data, err
+		err := op()
+		if err == nil || ClassifyStoreError(err) != ClassTransient || errors.Is(err, store.ErrLeaseHeld) {
+			return err
 		}
 		if _, retry := ex.retry.Backoff(attempt); !retry {
-			return nil, err
+			return err
 		}
 	}
 }

@@ -87,6 +87,49 @@ func TestExecuteFencesZombie(t *testing.T) {
 	}
 }
 
+// TestExecuteRetriesLeaseAcquisition pins that a transient store error
+// during lease acquisition is retried under the run's retry policy. On
+// this stack (fault seed 17) the first quorum read of the lease record
+// fails on injected read faults at two of three replicas; the retried
+// acquisition reads a fresh draw and the run completes with the journal
+// of a lease-free run.
+func TestExecuteRetriesLeaseAcquisition(t *testing.T) {
+	w := chainWorkload(t)
+	src := func() Source { return NewKeyedSource(failure.Exponential{Lambda: 0.08}, 77, 1) }
+	leased := func() store.Store {
+		st, err := store.Spec{
+			Backends: []store.Store{store.NewMemStore(), store.NewMemStore(), store.NewMemStore()},
+			Faults:   &store.FaultPlan{Seed: 17, ReadFail: 0.2},
+			Lease:    &store.LeaseConfig{Holder: "a", TTL: 1e9},
+		}.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	if _, _, err := store.AcquireLease(leased(), "run"); !errors.Is(err, store.ErrInjectedRead) {
+		t.Fatalf("bare acquisition = %v, want a failed quorum read on an injected read fault", err)
+	}
+	if _, err := Execute(w, src(), Options{Store: leased(), Downtime: 1}); !errors.Is(err, store.ErrInjectedRead) {
+		t.Fatalf("run without retries = %v, want the acquisition's read fault", err)
+	}
+
+	ref, err := Execute(w, src(), Options{Store: store.Checked(store.NewMemStore()), Downtime: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Execute(w, src(), Options{Store: leased(), Downtime: 1, SaveRetries: 3})
+	if err != nil {
+		t.Fatalf("run with retries: %v", err)
+	}
+	if res.Epoch != 1 {
+		t.Errorf("epoch = %d, want 1", res.Epoch)
+	}
+	if !res.Journal.Equal(ref.Journal) {
+		t.Errorf("journal diverges from the lease-free reference: ref hash %016x, got %016x", ref.Journal.Hash(), res.Journal.Hash())
+	}
+}
+
 // TestExecuteSyncEvery pins executor-driven anti-entropy: a replica
 // isolated for the first part of the run converges bit-identically by
 // completion without any read traffic, and the pass cadence (absolute

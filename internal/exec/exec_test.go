@@ -3,6 +3,7 @@ package exec
 import (
 	"errors"
 	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/core"
@@ -287,21 +288,29 @@ func TestCampaignMatchesPlanned(t *testing.T) {
 }
 
 // TestCampaignDeterministic pins bit-identical campaign results for a
-// fixed (seed, workers) pair.
+// fixed seed at every worker count: runs fold in run order, so neither
+// Workers nor the host's GOMAXPROCS enters the summaries.
 func TestCampaignDeterministic(t *testing.T) {
 	w := chainWorkload(t)
-	run := func() CampaignResult {
+	run := func(workers int) CampaignResult {
 		res, err := Campaign(w, failure.Exponential{Lambda: 0.08}, CampaignOptions{
-			Runs: 500, Seed: 23, Workers: 4, Downtime: 1.5,
+			Runs: 500, Seed: 23, Workers: workers, Downtime: 1.5,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res
 	}
-	a, b := run(), run()
-	if a.Makespan.Mean() != b.Makespan.Mean() || a.Failures.Mean() != b.Failures.Mean() {
-		t.Fatalf("campaign not deterministic: %v vs %v", a, b)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	runtime.GOMAXPROCS(1)
+	ref := run(1)
+	for _, procs := range []int{1, 2, 4} {
+		runtime.GOMAXPROCS(procs)
+		for _, workers := range []int{0, 1, 2, 4} {
+			if got := run(workers); got != ref {
+				t.Errorf("GOMAXPROCS=%d Workers=%d: %v, serial run %v", procs, workers, got, ref)
+			}
+		}
 	}
 }
 
@@ -379,4 +388,10 @@ func TestDAGWorkloadBothCostModels(t *testing.T) {
 			t.Fatalf("%s: planned %v not above failure-free weight", cm.Name(), w.Planned(m))
 		}
 	}
+}
+
+// CoreSegments returns a copy of the workload's segments, for callers
+// that want to drive sim.Run on the identical segmentation.
+func (w *Workload) CoreSegments() []core.Segment {
+	return append([]core.Segment(nil), w.segs...)
 }

@@ -148,12 +148,6 @@ func (w *Workload) fingerprint() uint64 {
 	return h.Sum64()
 }
 
-// CoreSegments returns a copy of the workload's segments, for callers
-// that want to drive sim.Run on the identical segmentation.
-func (w *Workload) CoreSegments() []core.Segment {
-	return append([]core.Segment(nil), w.segs...)
-}
-
 // String summarizes the workload.
 func (w *Workload) String() string {
 	return fmt.Sprintf("workload{n=%d segments=%d fp=%016x}", w.Len(), w.Segments(), w.fp)

@@ -91,10 +91,7 @@ func planE6(cfg Config) (*Plan, error) {
 				if err != nil {
 					return RowOut{}, err
 				}
-				// Workers: 1 — this job already runs on the engine's
-				// saturated pool, and a pinned worker count keeps the table
-				// independent of the host's GOMAXPROCS.
-				res, err := sim.MonteCarloPlan(cp, dp.CheckpointAfter, sim.ExponentialFactory(lambda), sim.Options{Workers: 1}, runs, s.Split())
+				res, err := sim.MonteCarloPlan(cp, dp.CheckpointAfter, sim.ExponentialFactory(lambda), sim.Options{}, runs, s.Split())
 				if err != nil {
 					return RowOut{}, err
 				}

@@ -89,11 +89,8 @@ func planE11(cfg Config) (*Plan, error) {
 			}
 			never[n-1] = true
 
-			// Workers: 1 — row jobs already run on the engine's saturated
-			// pool; a pinned worker count also keeps tables independent of
-			// the host's GOMAXPROCS.
 			factory := sim.SuperposedFactory(weib, 1, failure.RejuvenateFailedOnly)
-			opts := sim.Options{Downtime: dtime, Workers: 1}
+			opts := sim.Options{Downtime: dtime}
 			var means [4]float64
 			for i, ck := range [][]bool{expDP.CheckpointAfter, weibDP.CheckpointAfter, always, never} {
 				segs, err := cp.Segments(ck)

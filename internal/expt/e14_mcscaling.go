@@ -117,7 +117,7 @@ func planE14(cfg Config) (*Plan, error) {
 				if err != nil {
 					return RowOut{}, err
 				}
-				opts := sim.Options{Downtime: dtime, Workers: 1}
+				opts := sim.Options{Downtime: dtime}
 				// Identical seeds for both arms: the processes are
 				// sample-identical, so the campaigns must agree (bit-exact
 				// at p=1, to float accumulation accuracy beyond).
@@ -174,7 +174,7 @@ func planE14(cfg Config) (*Plan, error) {
 					return RowOut{}, err
 				}
 				factory := sim.SuperposedFactory(bdist, procs, failure.RejuvenateFailedOnly)
-				opts := sim.Options{Downtime: dtime, Workers: 1}
+				opts := sim.Options{Downtime: dtime}
 				plans := E14ComparatorPlans()
 				crn, err := sim.CampaignPlans(plans, factory, opts, crnRuns, s.Split())
 				if err != nil {

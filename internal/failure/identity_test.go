@@ -248,3 +248,6 @@ func TestRecordedTraceReplaysSharedEnvironment(t *testing.T) {
 		t.Fatalf("fresh replication repeated %d/50 gaps of the previous one", same)
 	}
 }
+
+// Recorded returns the number of gaps materialized so far.
+func (t *RecordedTrace) Recorded() int { return len(t.gaps) }

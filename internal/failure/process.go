@@ -205,15 +205,6 @@ func (sp *ScanProcess) Reset() {
 	}
 }
 
-// Ages returns, for laws where it matters, the elapsed life of each
-// processor clock expressed as time-to-failure remaining. Exposed for
-// white-box tests.
-func (sp *ScanProcess) Ages() []float64 {
-	out := make([]float64, len(sp.remain))
-	copy(out, sp.remain)
-	return out
-}
-
 // TraceProcess replays a fixed sequence of platform failure inter-arrival
 // times, cycling if exhausted. It adapts recorded traces (internal/trace)
 // to the Process interface.

@@ -159,3 +159,11 @@ func TestTraceProcessValidation(t *testing.T) {
 		t.Error("NaN gap should be rejected")
 	}
 }
+
+// Ages returns, for laws where it matters, the elapsed life of each
+// processor clock expressed as time-to-failure remaining.
+func (sp *ScanProcess) Ages() []float64 {
+	out := make([]float64, len(sp.remain))
+	copy(out, sp.remain)
+	return out
+}

@@ -44,9 +44,6 @@ func (t *RecordedTrace) Gap(i int) float64 {
 	return t.gaps[i]
 }
 
-// Recorded returns the number of gaps materialized so far.
-func (t *RecordedTrace) Recorded() int { return len(t.gaps) }
-
 // Gaps returns the gaps recorded so far. The slice aliases the trace's
 // internal buffer and is invalidated by Reset — spill writers must copy
 // it before starting the next replication.

@@ -21,8 +21,6 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/failure"
-	"repro/internal/par"
 	"repro/internal/rng"
 	"repro/internal/stats"
 )
@@ -44,93 +42,28 @@ type CampaignResult struct {
 	Runs int
 	// Digests holds per-candidate makespan t-digests when the campaign
 	// ran through the sharded pipeline (CampaignPlansSharded /
-	// MergeShards); nil from the legacy worker-partitioned entry
-	// points. Digest quantiles are pinned in quantile space — not
-	// bitwise — across shard counts; see stats.TDigest.
+	// MergeShards); nil from CampaignPlans. Digest quantiles are
+	// pinned in quantile space — not bitwise — across shard counts; see
+	// stats.TDigest.
 	Digests []*stats.TDigest
 }
 
 // CampaignPlans runs a CRN comparator campaign over static plans: each
 // replication records one failure trace from factory and replays it
-// across every plan's segments. Replications are distributed over
-// opts.Workers goroutines exactly like MonteCarlo runs; results are
-// deterministic for a given (seed, Workers) pair.
+// across every plan's segments. It runs the block pipeline's CRN loop
+// over one split of the seed stream, replications in order, so results
+// depend on the seed alone — never on opts.Workers or the host's core
+// count.
 func CampaignPlans(plans [][]core.Segment, factory ProcessFactory, opts Options, runs int, seed *rng.Stream) (CampaignResult, error) {
 	if len(plans) == 0 {
 		return CampaignResult{}, fmt.Errorf("sim: campaign needs at least one candidate plan")
 	}
-	return campaign(len(plans), func(cand int, proc failure.Process) (RunStats, error) {
-		return Run(plans[cand], proc, opts)
-	}, factory, opts, runs, seed)
-}
-
-// campaign is the shared CRN engine: worker partitioning as in
-// MonteCarlo, one RecordedTrace per worker reused across replications
-// (allocation-free in steady state when the factory's process is
-// Resettable), candidates replayed serially within each replication so
-// trace extension order — and hence the stream draw order — is
-// deterministic.
-func campaign(cands int, exec func(cand int, proc failure.Process) (RunStats, error), factory ProcessFactory, opts Options, runs int, seed *rng.Stream) (CampaignResult, error) {
 	if runs <= 0 {
 		return CampaignResult{}, fmt.Errorf("sim: run count must be positive, got %d", runs)
 	}
-	shares := opts.shareRuns(runs, seed)
-	type partial struct {
-		res   []MCResult
-		delta []stats.Summary
-	}
-	parts := make([]partial, len(shares))
-	err := par.Each(len(shares), len(shares), func(_, w int) error {
-		count, r := shares[w].count, shares[w].r
-		res := make([]MCResult, cands)
-		delta := make([]stats.Summary, cands)
-		makespans := make([]float64, cands)
-		src := factory(r)
-		_, resettable := src.(failure.Resettable)
-		trace := failure.NewRecordedTrace(src)
-		cursor := trace.Cursor()
-		for rep := 0; rep < count; rep++ {
-			if rep > 0 {
-				if resettable {
-					trace.Reset()
-				} else {
-					// Processes that must differ structurally per
-					// replication: fall back to one factory call each, as
-					// MonteCarlo does.
-					src = factory(r)
-					trace = failure.NewRecordedTrace(src)
-					cursor = trace.Cursor()
-				}
-			}
-			for cand := 0; cand < cands; cand++ {
-				cursor.Reset()
-				rs, err := exec(cand, cursor)
-				if err != nil {
-					return err
-				}
-				res[cand].add(rs)
-				makespans[cand] = rs.Makespan
-			}
-			for cand := range delta {
-				delta[cand].Add(makespans[cand] - makespans[0])
-			}
-		}
-		parts[w] = partial{res: res, delta: delta}
-		return nil
-	})
+	agg, err := replicate(plans, factory, opts, seed.Split(), runs, nil, nil, nil)
 	if err != nil {
 		return CampaignResult{}, err
 	}
-	out := CampaignResult{
-		Results: make([]MCResult, cands),
-		Delta:   make([]stats.Summary, cands),
-	}
-	for _, p := range parts {
-		for i := range out.Results {
-			out.Results[i].merge(p.res[i])
-			out.Delta[i].Merge(p.delta[i])
-		}
-	}
-	out.Runs = out.Results[0].Runs
-	return out, nil
+	return CampaignResult{Results: agg.Results, Delta: agg.Delta, Runs: runs}, nil
 }

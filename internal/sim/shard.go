@@ -8,11 +8,12 @@ package sim
 //
 //	rng.New(seed).Keyed(round).Keyed(b)
 //
-// and runs the PR 3 CRN trace-sharing loop over its replications. A
-// shard owns a contiguous range of blocks; merging folds the per-block
-// partial aggregates in global block order. Because the fold units and
-// the fold order are fixed, the merged means and paired deltas are
-// bit-identical for ANY shard count and ANY worker count — including
+// and runs sim's one CRN replication loop (replicate) over its
+// replications. A shard owns a contiguous range of blocks; merging
+// folds the per-block partial aggregates in global block order.
+// Because the fold units and the fold order are fixed, the merged means
+// and paired deltas are bit-identical for ANY shard count and ANY
+// worker count — including
 // shards computed by separate processes and merged from their
 // serialized results (Summary.Merge is not floating-point associative,
 // so this property is exactly as strong as the fixed fold structure and
@@ -103,8 +104,8 @@ func (f CampaignFingerprint) blockRuns(b int) int {
 }
 
 // ShardOptions configures a sharded campaign. The embedded Options are
-// honoured as in CampaignPlans, except that Workers no longer affects
-// results — only wall-clock time.
+// honoured as in CampaignPlans; Workers sets how many blocks run at
+// once, which affects wall-clock time only.
 type ShardOptions struct {
 	Options
 	// Seed is the campaign-level seed; shards derive their block
@@ -225,35 +226,59 @@ type ShardResult struct {
 // oversubscription audit uses it to measure peak block concurrency.
 var testHookBlock func(enter bool)
 
-// runBlock executes one block of the CRN loop. When replay is non-nil
-// the block re-materializes those recorded traces instead of drawing
-// from the factory; when rec is non-nil each replication's recorded
-// gaps are appended to it (the caller spills them).
+// runBlock executes one block of the CRN loop on the block's own
+// stream. When replay is non-nil the block re-materializes those
+// recorded traces instead of drawing from the factory; when rec is
+// non-nil each replication's recorded gaps are appended to it (the
+// caller spills them).
 func runBlock(plans [][]core.Segment, factory ProcessFactory, opts Options, fp CampaignFingerprint, block int, replay *failure.SpilledBlock, rec *[][]float64) (BlockAggregate, []*stats.TDigest, error) {
 	if testHookBlock != nil {
 		testHookBlock(true)
 		defer testHookBlock(false)
 	}
-	cands := len(plans)
-	agg := BlockAggregate{
-		Block:   block,
-		Runs:    fp.blockRuns(block),
-		Results: make([]MCResult, cands),
-		Delta:   make([]stats.Summary, cands),
+	runs := fp.blockRuns(block)
+	var reps [][]float64
+	if replay != nil {
+		if len(replay.Reps) != runs {
+			return BlockAggregate{}, nil, fmt.Errorf(
+				"sim: spilled block %d holds %d replications, campaign %s expects %d — spill belongs to a different campaign",
+				block, len(replay.Reps), fp, runs)
+		}
+		reps = replay.Reps
 	}
-	digests := make([]*stats.TDigest, cands)
+	digests := make([]*stats.TDigest, len(plans))
 	for i := range digests {
 		digests[i] = stats.NewTDigest(stats.DefaultTDigestCompression)
 	}
-	makespans := make([]float64, cands)
-
-	if replay != nil && len(replay.Reps) != agg.Runs {
-		return BlockAggregate{}, nil, fmt.Errorf(
-			"sim: spilled block %d holds %d replications, campaign %s expects %d — spill belongs to a different campaign",
-			block, len(replay.Reps), fp, agg.Runs)
-	}
-
 	stream := rng.New(fp.Seed).Keyed(fp.Round).Keyed(uint64(block))
+	agg, err := replicate(plans, factory, opts, stream, runs, reps, rec, digests)
+	if err != nil {
+		if replay != nil {
+			err = fmt.Errorf("sim: replaying block %d of campaign %s: %w", block, fp, err)
+		}
+		return BlockAggregate{}, nil, err
+	}
+	agg.Block = block
+	return agg, digests, nil
+}
+
+// replicate is sim's one CRN replication loop: runs replications, each
+// recording one failure trace and replaying it through every plan, the
+// candidates in order so trace extension — and hence the stream draw
+// order — is deterministic. The traces come from factory over stream
+// (one recorded trace reused across replications, allocation-free in
+// steady state when the process is Resettable) or, with replay set,
+// are re-materialized from those recorded gaps. When rec is non-nil
+// each replication's gaps are appended to it; when digests is non-nil
+// each candidate's makespans are added to its digest.
+func replicate(plans [][]core.Segment, factory ProcessFactory, opts Options, stream *rng.Stream, runs int, replay [][]float64, rec *[][]float64, digests []*stats.TDigest) (BlockAggregate, error) {
+	cands := len(plans)
+	agg := BlockAggregate{
+		Runs:    runs,
+		Results: make([]MCResult, cands),
+		Delta:   make([]stats.Summary, cands),
+	}
+	makespans := make([]float64, cands)
 	var trace *failure.RecordedTrace
 	var cursor *failure.TraceCursor
 	var resettable bool
@@ -263,16 +288,17 @@ func runBlock(plans [][]core.Segment, factory ProcessFactory, opts Options, fp C
 		trace = failure.NewRecordedTrace(src)
 		cursor = trace.Cursor()
 	}
-	for rep := 0; rep < agg.Runs; rep++ {
+	for rep := 0; rep < runs; rep++ {
 		if replay != nil {
-			trace = failure.ReplayTrace(replay.Reps[rep], 0)
+			trace = failure.ReplayTrace(replay[rep], 0)
 			cursor = trace.Cursor()
 		} else if rep > 0 {
 			if resettable {
 				trace.Reset()
 			} else {
-				src := factory(stream)
-				trace = failure.NewRecordedTrace(src)
+				// Processes that must differ structurally per
+				// replication: one factory call each, as MonteCarlo does.
+				trace = failure.NewRecordedTrace(factory(stream))
 				cursor = trace.Cursor()
 			}
 		}
@@ -280,16 +306,16 @@ func runBlock(plans [][]core.Segment, factory ProcessFactory, opts Options, fp C
 			cursor.Reset()
 			rs, err := Run(plans[cand], cursor, opts)
 			if err != nil {
-				return BlockAggregate{}, nil, err
+				return BlockAggregate{}, err
 			}
 			agg.Results[cand].add(rs)
-			digests[cand].Add(rs.Makespan)
+			if digests != nil {
+				digests[cand].Add(rs.Makespan)
+			}
 			makespans[cand] = rs.Makespan
 		}
 		if replay != nil && trace.Exhausted() {
-			return BlockAggregate{}, nil, fmt.Errorf(
-				"sim: replay of block %d replication %d exhausted its spilled trace — spill was recorded under a different workload than %s",
-				block, rep, fp)
+			return BlockAggregate{}, fmt.Errorf("replication %d exhausted its spilled trace — the spill was recorded under a different workload", rep)
 		}
 		for cand := range agg.Delta {
 			agg.Delta[cand].Add(makespans[cand] - makespans[0])
@@ -298,7 +324,7 @@ func runBlock(plans [][]core.Segment, factory ProcessFactory, opts Options, fp C
 			*rec = append(*rec, append([]float64(nil), trace.Gaps()...))
 		}
 	}
-	return agg, digests, nil
+	return agg, nil
 }
 
 // foldBlockDigests folds per-block digests into the shard accumulators
@@ -544,8 +570,8 @@ func MergeShards(parts []*ShardResult) (CampaignResult, error) {
 
 // CampaignPlansSharded runs every shard in this process and merges. It
 // is the drop-in sharded equivalent of CampaignPlans: same CRN loop,
-// but results are independent of both Shards and Workers, and carry
-// per-candidate makespan digests.
+// but over per-block streams, so results are independent of Shards as
+// well as Workers, and carry per-candidate makespan digests.
 //
 // Without a spill directory, shards run back to back and each spreads
 // its blocks over the worker pool. With one, the shards themselves

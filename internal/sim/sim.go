@@ -17,7 +17,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/failure"
-	"repro/internal/par"
 	"repro/internal/rng"
 	"repro/internal/stats"
 )
@@ -51,14 +50,12 @@ type Options struct {
 	// MaxFailures bounds the failures tolerated in one run (0 means the
 	// default of 10 million).
 	MaxFailures int
-	// Workers is the goroutine count Monte-Carlo campaigns fan out over
-	// (MonteCarlo, MonteCarloPlan, Campaign*); ≤ 0 means
-	// runtime.GOMAXPROCS(0). Callers already running on a saturated
-	// worker pool — the experiment engine's row jobs — pass 1, so nested
-	// campaigns stop oversubscribing the host by GOMAXPROCS². Note the
-	// worker count is part of the sampling schedule: campaigns are
-	// deterministic for a given (seed, Workers) pair, and changing
-	// Workers repartitions runs over per-worker streams.
+	// Workers is the goroutine count the sharded block pipeline
+	// (CampaignPlansShard, CampaignPlansSharded, CampaignPlansAdaptive)
+	// spreads blocks over; ≤ 0 means runtime.GOMAXPROCS(0). Blocks own
+	// their streams, so it bounds wall-clock time and concurrency only:
+	// no worker count enters any result. MonteCarlo and CampaignPlans
+	// run one stream in run order and do not read it.
 	Workers int
 }
 
@@ -67,29 +64,6 @@ func (o Options) maxFailures() int {
 		return 10_000_000
 	}
 	return o.MaxFailures
-}
-
-// runShare is one worker's part of a campaign's static partition: its
-// run count and its own split of the seed stream.
-type runShare struct {
-	count int
-	r     *rng.Stream
-}
-
-// shareRuns partitions runs over par.Workers(o.Workers, runs) workers
-// (the first runs%workers take one extra) and gives each one split of
-// seed, derived in worker order before any run starts, so the sampling
-// schedule depends only on the (seed, Workers) pair.
-func (o Options) shareRuns(runs int, seed *rng.Stream) []runShare {
-	workers := par.Workers(o.Workers, runs)
-	shares := make([]runShare, workers)
-	for w := range shares {
-		shares[w] = runShare{count: runs / workers, r: seed.Split()}
-		if w < runs%workers {
-			shares[w].count++
-		}
-	}
-	return shares
 }
 
 // Run executes the segments in sequence against proc. Each segment is
@@ -153,7 +127,7 @@ func Run(segments []core.Segment, proc failure.Process, opts Options) (RunStats,
 
 // ProcessFactory builds a failure process, drawing its randomness from
 // the supplied stream. The Monte-Carlo campaigns call a factory once
-// per worker and, when the returned process implements
+// per stream and, when the returned process implements
 // failure.Resettable (all built-in processes do), obtain per-run
 // freshness by calling Reset() between runs rather than re-invoking the
 // factory. Custom factories whose processes must differ structurally
@@ -222,7 +196,7 @@ func (m *MCResult) add(rs RunStats) {
 	m.Runs++
 }
 
-// merge folds another aggregate into this one (worker-order merges keep
+// merge folds another aggregate into this one (block-order merges keep
 // results deterministic).
 func (m *MCResult) merge(other MCResult) {
 	m.Makespan.Merge(other.Makespan)
@@ -234,14 +208,12 @@ func (m *MCResult) merge(other MCResult) {
 	m.Runs += other.Runs
 }
 
-// MonteCarlo simulates the segments runs times and aggregates. Runs are
-// distributed over opts.Workers goroutines (GOMAXPROCS when unset), each
-// with an independent split of the seed stream, so results are
-// deterministic for a given (seed, Workers) pair regardless of
-// scheduling.
+// MonteCarlo simulates the segments runs times and aggregates. The runs
+// draw, in order, from one split of the seed stream, so results depend
+// on the seed alone — never on opts.Workers or the host's core count.
 //
-// The per-run loop is allocation-free in its steady state: each worker
-// builds one process from the factory and, when the process implements
+// The per-run loop is allocation-free in its steady state: it builds
+// one process from the factory and, when the process implements
 // failure.Resettable (all built-in processes do), re-initializes it per
 // run instead of constructing a fresh one. A Reset draws exactly the
 // variates construction would, so campaigns are sample-for-sample
@@ -251,41 +223,28 @@ func MonteCarlo(segments []core.Segment, factory ProcessFactory, opts Options, r
 	if runs <= 0 {
 		return MCResult{}, fmt.Errorf("sim: run count must be positive, got %d", runs)
 	}
-	shares := opts.shareRuns(runs, seed)
-	parts := make([]MCResult, len(shares))
-	err := par.Each(len(shares), len(shares), func(_, w int) error {
-		var acc MCResult
-		var proc failure.Process
-		r := shares[w].r
-		for i := 0; i < shares[w].count; i++ {
-			if res, ok := proc.(failure.Resettable); ok {
-				res.Reset()
-			} else {
-				proc = factory(r)
-			}
-			rs, err := Run(segments, proc, opts)
-			if err != nil {
-				return err
-			}
-			acc.add(rs)
-		}
-		parts[w] = acc
-		return nil
-	})
-	if err != nil {
-		return MCResult{}, err
-	}
 	var out MCResult
-	for _, p := range parts {
-		out.merge(p)
+	var proc failure.Process
+	r := seed.Split()
+	for i := 0; i < runs; i++ {
+		if res, ok := proc.(failure.Resettable); ok {
+			res.Reset()
+		} else {
+			proc = factory(r)
+		}
+		rs, err := Run(segments, proc, opts)
+		if err != nil {
+			return MCResult{}, err
+		}
+		out.add(rs)
 	}
 	return out, nil
 }
 
 // MonteCarloPlan evaluates a chain problem's checkpoint vector by
 // simulation: it splits the problem into segments and runs MonteCarlo.
-// The downtime always comes from the problem's model; the remaining
-// options (Workers, MaxFailures) are honoured as given.
+// The downtime always comes from the problem's model; MaxFailures is
+// honoured as given.
 func MonteCarloPlan(cp *core.ChainProblem, checkpointAfter []bool, factory ProcessFactory, opts Options, runs int, seed *rng.Stream) (MCResult, error) {
 	segs, err := cp.Segments(checkpointAfter)
 	if err != nil {

@@ -46,7 +46,8 @@ func (s *Summary) AddAll(xs []float64) {
 }
 
 // Merge folds other into s, as if all of other's observations had been
-// added to s. It enables parallel accumulation with per-worker summaries.
+// added to s. Merging is not floating-point associative, so callers fold
+// partial summaries in a fixed order (sim folds blocks in block order).
 func (s *Summary) Merge(other Summary) {
 	if other.n == 0 {
 		return

@@ -80,13 +80,6 @@ func (t *TDigest) Min() float64 { return t.min }
 // Max returns the largest observation (−Inf when empty).
 func (t *TDigest) Max() float64 { return t.max }
 
-// Centroids returns the current centroid count (after compressing the
-// buffer), the O(δ) memory footprint of the sketch.
-func (t *TDigest) Centroids() int {
-	t.compress()
-	return len(t.means)
-}
-
 // Add accumulates one observation with unit weight.
 func (t *TDigest) Add(x float64) { t.AddWeighted(x, 1) }
 

@@ -240,3 +240,10 @@ func TestTDigestConstantStream(t *testing.T) {
 		t.Errorf("constant stream kept %d centroids", td.Centroids())
 	}
 }
+
+// Centroids returns the current centroid count (after compressing the
+// buffer), the O(δ) memory footprint of the sketch.
+func (t *TDigest) Centroids() int {
+	t.compress()
+	return len(t.means)
+}

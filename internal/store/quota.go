@@ -64,13 +64,6 @@ func (l *QuotaLedger) tenant(run string) string {
 	return l.tenantOf(run)
 }
 
-// Used returns a tenant's retained bytes and checkpoint count.
-func (l *QuotaLedger) Used(tenant string) (bytes uint64, checkpoints int) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.used[tenant], l.count[tenant]
-}
-
 // admit checks whether replacing (run, seq) with size bytes fits the
 // budget, without committing.
 func (l *QuotaLedger) admit(run string, seq uint64, size uint64) error {
