@@ -33,6 +33,7 @@ import (
 	"repro/internal/dag"
 	"repro/internal/expectation"
 	"repro/internal/failure"
+	"repro/internal/rng"
 	"repro/internal/sim"
 )
 
@@ -200,23 +201,10 @@ func run(cfg config) error {
 		return runCampaign(cfg, cp, res, factory, planLambda)
 	}
 
-	// One plan through the block pipeline: its blocks own their streams,
-	// so the runs spread over every core and the figures still depend
-	// on the seed alone.
-	segs, err := cp.Segments(res.CheckpointAfter)
+	mc, err := sim.MonteCarloPlan(cp, res.CheckpointAfter, factory, sim.Options{}, cfg.runs, rng.New(cfg.seed))
 	if err != nil {
 		return err
 	}
-	camp, err := sim.CampaignPlansSharded([][]core.Segment{segs}, factory, sim.ShardOptions{
-		Options: sim.Options{Downtime: cp.Model.Downtime},
-		Seed:    cfg.seed,
-		Runs:    cfg.runs,
-		Shards:  1,
-	})
-	if err != nil {
-		return err
-	}
-	mc := camp.Results[0]
 	fmt.Printf("\nsimulated over %d runs:\n", mc.Runs)
 	fmt.Printf("  makespan: mean %.6g  sd %.4g  99%%CI ±%.4g  min %.6g  max %.6g\n",
 		mc.Makespan.Mean(), mc.Makespan.StdDev(), mc.Makespan.CI(0.99), mc.Makespan.Min(), mc.Makespan.Max())
