@@ -13,7 +13,8 @@
 // strategies, run through the sharded deterministic pipeline: results
 // are bit-identical for any -shards value, shards can be computed by
 // separate invocations against a shared -resume directory and merged
-// with -merge, and a killed invocation resumes from its spilled traces.
+// with -merge, and a killed invocation resumes from its stored block
+// results, running only the blocks it had not finished.
 //
 //	chkptsim -workflow wf.json -candidates dp,daly,never -runs 1e6 -shards 16
 //	chkptsim -workflow wf.json -candidates dp,daly -shards 4 -shard 2 -resume dir/
@@ -77,7 +78,7 @@ func main() {
 	flag.IntVar(&cfg.shards, "shards", 1, "split the campaign into N deterministic shards; merged results are bit-identical for any N")
 	flag.IntVar(&cfg.shard, "shard", -1, "run only this shard index (needs -resume; combine later with -merge)")
 	flag.IntVar(&cfg.block, "block", 0, "replications per deterministic fold block (0 = auto); part of the campaign fingerprint")
-	flag.StringVar(&cfg.resumeDir, "resume", "", "campaign directory: spill traces and shard results there, resume bit-identically after a kill")
+	flag.StringVar(&cfg.resumeDir, "resume", "", "campaign directory: store block and shard results there, resume bit-identically after a kill")
 	flag.BoolVar(&cfg.mergeOnly, "merge", false, "merge the finished shards in -resume and print, without simulating")
 	flag.Float64Var(&cfg.ciWidth, "ci-width", 0, "adaptive stopping: sample until every paired-delta 99% CI is narrower than this or excludes zero")
 	flag.Parse()

@@ -135,8 +135,7 @@ func (k *KeyedSource) Fingerprint() uint64 {
 }
 
 // TraceSource replays a fixed recorded gap sequence — the executor's
-// trace-replay mode, the Process-level analogue of
-// failure.ReplayTrace. Past the end of the recording it announces an
+// trace-replay mode. Past the end of the recording it announces an
 // infinite gap (no further failures) and sets the exhausted flag, which
 // callers must check: an exhausted replay means the recording was
 // shorter than the execution that consumed it, so the failure-free tail

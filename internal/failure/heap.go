@@ -324,20 +324,6 @@ func (sp *SuperposedProcess) Reset() {
 	sp.drawAll()
 }
 
-// Ages returns, for laws where it matters, the elapsed life of each
-// processor clock expressed as time-to-failure remaining. It materializes
-// every lazy clock first. Exposed for white-box tests.
-func (sp *SuperposedProcess) Ages() []float64 {
-	for sp.pending > 0 {
-		sp.materialize()
-	}
-	out := make([]float64, len(sp.abs))
-	for i, a := range sp.abs {
-		out[i] = a - sp.clock
-	}
-	return out
-}
-
 var (
 	_ Process    = (*SuperposedProcess)(nil)
 	_ Resettable = (*SuperposedProcess)(nil)

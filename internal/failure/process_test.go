@@ -167,3 +167,17 @@ func (sp *ScanProcess) Ages() []float64 {
 	copy(out, sp.remain)
 	return out
 }
+
+// Ages returns, for laws where it matters, the elapsed life of each
+// processor clock expressed as time-to-failure remaining. It materializes
+// every lazy clock first.
+func (sp *SuperposedProcess) Ages() []float64 {
+	for sp.pending > 0 {
+		sp.materialize()
+	}
+	out := make([]float64, len(sp.abs))
+	for i, a := range sp.abs {
+		out[i] = a - sp.clock
+	}
+	return out
+}

@@ -1,7 +1,5 @@
 package failure
 
-import "math"
-
 // RecordedTrace lazily materializes the platform-level inter-failure gap
 // sequence of a live process so several candidate simulations can replay
 // one stochastic environment — the common-random-numbers backbone behind
@@ -43,25 +41,6 @@ func (t *RecordedTrace) Gap(i int) float64 {
 	}
 	return t.gaps[i]
 }
-
-// Gaps returns the gaps recorded so far. The slice aliases the trace's
-// internal buffer and is invalidated by Reset — spill writers must copy
-// it before starting the next replication.
-func (t *RecordedTrace) Gaps() []float64 { return t.gaps }
-
-// Exhausted reports whether a replaying trace (ReplayTrace) has been
-// asked for more gaps than were spilled. A bit-identical replay never
-// exhausts — the spill holds exactly the gaps the original run drew —
-// so exhaustion means the replay is being driven by a different
-// workload or plan set than the recording, and the campaign layer
-// escalates it to a fingerprint error.
-func (t *RecordedTrace) Exhausted() bool {
-	r, ok := t.src.(*replaySource)
-	return ok && r.exhausted
-}
-
-// Source returns the live process being recorded.
-func (t *RecordedTrace) Source() Process { return t.src }
 
 // Reset begins a new replication: it discards the recorded gaps (keeping
 // their capacity, so steady-state recording allocates nothing) and
@@ -125,47 +104,3 @@ var (
 	_ Process    = (*TraceCursor)(nil)
 	_ Resettable = (*TraceCursor)(nil)
 )
-
-// replaySource feeds a fixed spilled gap sequence back through the
-// Process interface so a RecordedTrace can re-materialize a prior
-// recording instead of drawing fresh randomness. Past the end of the
-// sequence it announces an infinite gap (no further failures) and sets
-// the exhausted flag.
-type replaySource struct {
-	gaps      []float64
-	pos       int
-	rate      float64
-	exhausted bool
-}
-
-func (r *replaySource) NextFailure() float64 {
-	if r.pos >= len(r.gaps) {
-		r.exhausted = true
-		return math.Inf(1)
-	}
-	return r.gaps[r.pos]
-}
-
-func (r *replaySource) ObserveFailure() { r.pos++ }
-func (r *replaySource) Advance(float64) {}
-func (r *replaySource) Rate() float64   { return r.rate }
-func (r *replaySource) Reset()          { r.pos = 0; r.exhausted = false }
-
-var (
-	_ Process    = (*replaySource)(nil)
-	_ Resettable = (*replaySource)(nil)
-)
-
-// ReplayTrace returns a RecordedTrace that re-materializes a previously
-// recorded gap sequence (one replication's worth, e.g. one entry of a
-// SpilledBlock) instead of consuming a live process. Cursors over it
-// behave exactly as they did over the original recording, which is what
-// makes resume-from-spill bit-identical. rate is the nominal failure
-// rate from the spill header.
-//
-// Note Reset rewinds to the SAME gap sequence (the replay analogue of
-// "statistically fresh" is a different spilled replication), so a
-// replay trace is used for one replication and discarded.
-func ReplayTrace(gaps []float64, rate float64) *RecordedTrace {
-	return &RecordedTrace{src: &replaySource{gaps: gaps, rate: rate}}
-}

@@ -1,7 +1,7 @@
 // Package fsx holds the crash-durability file primitives shared by every
-// component that persists state: the sharded campaign results
-// (internal/sim), the trace spills (internal/failure) and the durable
-// checkpoint store (internal/store).
+// component that persists state: the sharded campaign's block and shard
+// results (internal/sim) and the durable checkpoint store
+// (internal/store).
 //
 // The discipline is the standard one: write to a temp file in the target
 // directory, fsync the file, rename over the destination, then fsync the

@@ -61,7 +61,7 @@ func CampaignPlans(plans [][]core.Segment, factory ProcessFactory, opts Options,
 	if runs <= 0 {
 		return CampaignResult{}, fmt.Errorf("sim: run count must be positive, got %d", runs)
 	}
-	agg, err := replicate(plans, factory, opts, seed.Split(), runs, nil, nil, nil)
+	agg, err := replicate(plans, factory, opts, seed.Split(), runs, nil)
 	if err != nil {
 		return CampaignResult{}, err
 	}

@@ -22,11 +22,12 @@ package sim
 // stats.TDigest.
 //
 // Resumability rides on the same block structure: with a spill
-// directory set, each shard writes its recorded failure traces block by
-// block (failure.TraceSpillWriter) and its final aggregate as JSON. A
-// killed campaign re-runs cheaply: finished shards load their results,
-// unfinished shards replay complete spilled blocks bit-identically
-// (failure.ReplayTrace) and simulate only the missing ones.
+// directory set, each finished block writes its aggregate and digests
+// to a JSON file, and each finished shard its whole result. A killed
+// campaign re-runs cheaply: finished shards load their results, and
+// unfinished shards load their finished blocks and run only the
+// missing ones. Block streams are stateless, so a block run after the
+// kill draws exactly what it would have drawn before it.
 
 import (
 	"encoding/binary"
@@ -77,7 +78,7 @@ type CampaignFingerprint struct {
 	Workload string `json:"workload"`
 }
 
-// String renders the fingerprint for error messages and spill headers.
+// String renders the fingerprint for error messages.
 func (f CampaignFingerprint) String() string {
 	return fmt.Sprintf("seed=%d runs=%d block=%d shards=%d cands=%d round=%d workload=%s",
 		f.Seed, f.Runs, f.BlockSize, f.Shards, f.Candidates, f.Round, f.Workload)
@@ -123,11 +124,11 @@ type ShardOptions struct {
 	// Round salts every block stream; adaptive campaigns bump it per
 	// round so extension rounds draw fresh randomness.
 	Round uint64
-	// SpillDir, when set, makes the campaign resumable: each shard
-	// writes block traces to <dir>/shard-NNNN.trace as it goes and its
-	// aggregate to <dir>/shard-NNNN.json when done. On re-invocation,
-	// finished shards are loaded and interrupted ones replayed
-	// bit-identically from their spills.
+	// SpillDir, when set, makes the campaign resumable: each block
+	// writes its result to <dir>/block-NNNNNN.json as it finishes and
+	// each shard its aggregate to <dir>/shard-NNNN.json when done. On
+	// re-invocation, finished shards are loaded, and interrupted ones
+	// load their finished blocks and run only the rest.
 	SpillDir string
 }
 
@@ -227,35 +228,19 @@ type ShardResult struct {
 var testHookBlock func(enter bool)
 
 // runBlock executes one block of the CRN loop on the block's own
-// stream. When replay is non-nil the block re-materializes those
-// recorded traces instead of drawing from the factory; when rec is
-// non-nil each replication's recorded gaps are appended to it (the
-// caller spills them).
-func runBlock(plans [][]core.Segment, factory ProcessFactory, opts Options, fp CampaignFingerprint, block int, replay *failure.SpilledBlock, rec *[][]float64) (BlockAggregate, []*stats.TDigest, error) {
+// stream.
+func runBlock(plans [][]core.Segment, factory ProcessFactory, opts Options, fp CampaignFingerprint, block int) (BlockAggregate, []*stats.TDigest, error) {
 	if testHookBlock != nil {
 		testHookBlock(true)
 		defer testHookBlock(false)
-	}
-	runs := fp.blockRuns(block)
-	var reps [][]float64
-	if replay != nil {
-		if len(replay.Reps) != runs {
-			return BlockAggregate{}, nil, fmt.Errorf(
-				"sim: spilled block %d holds %d replications, campaign %s expects %d — spill belongs to a different campaign",
-				block, len(replay.Reps), fp, runs)
-		}
-		reps = replay.Reps
 	}
 	digests := make([]*stats.TDigest, len(plans))
 	for i := range digests {
 		digests[i] = stats.NewTDigest(stats.DefaultTDigestCompression)
 	}
 	stream := rng.New(fp.Seed).Keyed(fp.Round).Keyed(uint64(block))
-	agg, err := replicate(plans, factory, opts, stream, runs, reps, rec, digests)
+	agg, err := replicate(plans, factory, opts, stream, fp.blockRuns(block), digests)
 	if err != nil {
-		if replay != nil {
-			err = fmt.Errorf("sim: replaying block %d of campaign %s: %w", block, fp, err)
-		}
 		return BlockAggregate{}, nil, err
 	}
 	agg.Block = block
@@ -263,15 +248,13 @@ func runBlock(plans [][]core.Segment, factory ProcessFactory, opts Options, fp C
 }
 
 // replicate is sim's one CRN replication loop: runs replications, each
-// recording one failure trace and replaying it through every plan, the
-// candidates in order so trace extension — and hence the stream draw
-// order — is deterministic. The traces come from factory over stream
-// (one recorded trace reused across replications, allocation-free in
-// steady state when the process is Resettable) or, with replay set,
-// are re-materialized from those recorded gaps. When rec is non-nil
-// each replication's gaps are appended to it; when digests is non-nil
-// each candidate's makespans are added to its digest.
-func replicate(plans [][]core.Segment, factory ProcessFactory, opts Options, stream *rng.Stream, runs int, replay [][]float64, rec *[][]float64, digests []*stats.TDigest) (BlockAggregate, error) {
+// recording one failure trace from factory over stream and replaying it
+// through every plan, the candidates in order so trace extension — and
+// hence the stream draw order — is deterministic. One recorded trace is
+// reused across replications (allocation-free in steady state) when the
+// process is Resettable. When digests is non-nil each candidate's
+// makespans are added to its digest.
+func replicate(plans [][]core.Segment, factory ProcessFactory, opts Options, stream *rng.Stream, runs int, digests []*stats.TDigest) (BlockAggregate, error) {
 	cands := len(plans)
 	agg := BlockAggregate{
 		Runs:    runs,
@@ -279,20 +262,12 @@ func replicate(plans [][]core.Segment, factory ProcessFactory, opts Options, str
 		Delta:   make([]stats.Summary, cands),
 	}
 	makespans := make([]float64, cands)
-	var trace *failure.RecordedTrace
-	var cursor *failure.TraceCursor
-	var resettable bool
-	if replay == nil {
-		src := factory(stream)
-		_, resettable = src.(failure.Resettable)
-		trace = failure.NewRecordedTrace(src)
-		cursor = trace.Cursor()
-	}
+	src := factory(stream)
+	_, resettable := src.(failure.Resettable)
+	trace := failure.NewRecordedTrace(src)
+	cursor := trace.Cursor()
 	for rep := 0; rep < runs; rep++ {
-		if replay != nil {
-			trace = failure.ReplayTrace(replay[rep], 0)
-			cursor = trace.Cursor()
-		} else if rep > 0 {
+		if rep > 0 {
 			if resettable {
 				trace.Reset()
 			} else {
@@ -314,14 +289,8 @@ func replicate(plans [][]core.Segment, factory ProcessFactory, opts Options, str
 			}
 			makespans[cand] = rs.Makespan
 		}
-		if replay != nil && trace.Exhausted() {
-			return BlockAggregate{}, fmt.Errorf("replication %d exhausted its spilled trace — the spill was recorded under a different workload", rep)
-		}
 		for cand := range agg.Delta {
 			agg.Delta[cand].Add(makespans[cand] - makespans[0])
-		}
-		if rec != nil {
-			*rec = append(*rec, append([]float64(nil), trace.Gaps()...))
 		}
 	}
 	return agg, nil
@@ -345,13 +314,15 @@ func foldBlockDigests(acc, block []*stats.TDigest) []*stats.TDigest {
 // CampaignPlansShard runs the blocks owned by one shard of a sharded
 // CRN campaign and returns that shard's partial result. Shards are
 // independent: separate processes may each run one (sharing only the
-// ShardOptions) and merge the results with MergeShards.
+// ShardOptions) and merge the results with MergeShards. The shard's
+// blocks spread over the worker pool; their results land in a slice
+// indexed by block, so the fold order is independent of scheduling.
 //
 // With SpillDir set the shard is resumable: an existing result file for
-// the same fingerprint is returned as-is; an interrupted spill has its
-// complete blocks replayed bit-identically and only the rest simulated.
-// A result or spill recorded under a different fingerprint is a loud
-// error, never silently recomputed.
+// the same fingerprint is returned as-is, finished block files are
+// loaded, and only the missing blocks run. A result or block file
+// written under a different fingerprint is a loud error, never
+// silently recomputed.
 func CampaignPlansShard(plans [][]core.Segment, factory ProcessFactory, so ShardOptions, shard int) (*ShardResult, error) {
 	fp, err := so.resolve(plans)
 	if err != nil {
@@ -361,22 +332,20 @@ func CampaignPlansShard(plans [][]core.Segment, factory ProcessFactory, so Shard
 		return nil, fmt.Errorf("sim: shard %d out of range [0, %d)", shard, fp.Shards)
 	}
 	if so.SpillDir != "" {
-		return shardWithSpill(plans, factory, so, fp, shard)
+		if err := os.MkdirAll(so.SpillDir, 0o755); err != nil {
+			return nil, err
+		}
+		if prior, err := loadShardResult(so.SpillDir, fp, shard); prior != nil || err != nil {
+			return prior, err
+		}
 	}
-	return shardInMemory(plans, factory, so, fp, shard)
-}
-
-// shardInMemory executes a shard's blocks across the worker pool; block
-// results land in a slice indexed by block, so the fold order is
-// independent of scheduling.
-func shardInMemory(plans [][]core.Segment, factory ProcessFactory, so ShardOptions, fp CampaignFingerprint, shard int) (*ShardResult, error) {
 	lo, hi := fp.blockRange(shard)
 	n := hi - lo
 	out := &ShardResult{Fingerprint: fp, Shard: shard, Blocks: make([]BlockAggregate, n)}
 	digests := make([][]*stats.TDigest, n)
-	err := par.Each(so.Workers, n, func(_, i int) error {
-		agg, dig, err := runBlock(plans, factory, so.Options, fp, lo+i, nil, nil)
-		out.Blocks[i], digests[i] = agg, dig
+	err = par.Each(so.Workers, n, func(_, i int) error {
+		var err error
+		out.Blocks[i], digests[i], err = shardBlock(plans, factory, so, fp, lo+i)
 		return err
 	})
 	if err != nil {
@@ -385,107 +354,138 @@ func shardInMemory(plans [][]core.Segment, factory ProcessFactory, so ShardOptio
 	for _, dig := range digests {
 		out.Digests = foldBlockDigests(out.Digests, dig)
 	}
-	return out, nil
-}
-
-// shardResultPath and shardSpillPath name a shard's artifacts inside a
-// campaign spill directory.
-func shardResultPath(dir string, shard int) string {
-	return filepath.Join(dir, fmt.Sprintf("shard-%04d.json", shard))
-}
-
-func shardSpillPath(dir string, shard int) string {
-	return filepath.Join(dir, fmt.Sprintf("shard-%04d.trace", shard))
-}
-
-// shardWithSpill is the resumable path: blocks run sequentially (the
-// spill is an ordered log), each block's traces written behind it.
-func shardWithSpill(plans [][]core.Segment, factory ProcessFactory, so ShardOptions, fp CampaignFingerprint, shard int) (*ShardResult, error) {
-	if err := os.MkdirAll(so.SpillDir, 0o755); err != nil {
-		return nil, err
-	}
-	// A finished shard: load, verify, return.
-	resPath := shardResultPath(so.SpillDir, shard)
-	if data, err := os.ReadFile(resPath); err == nil {
-		var prior ShardResult
-		if err := json.Unmarshal(data, &prior); err != nil {
-			return nil, fmt.Errorf("sim: corrupt shard result %s: %w", resPath, err)
-		}
-		if prior.Fingerprint != fp {
-			return nil, fmt.Errorf("sim: shard result %s was produced by campaign\n  %s\nbut this invocation is\n  %s\nrefusing to mix them", resPath, prior.Fingerprint, fp)
-		}
-		if prior.Shard != shard {
-			return nil, fmt.Errorf("sim: shard result %s claims shard %d", resPath, prior.Shard)
-		}
-		return &prior, nil
-	} else if !errors.Is(err, os.ErrNotExist) {
-		return nil, err
-	}
-
-	lo, hi := fp.blockRange(shard)
-	out := &ShardResult{Fingerprint: fp, Shard: shard}
-	spillPath := shardSpillPath(so.SpillDir, shard)
-	var writer *failure.TraceSpillWriter
-	nextBlock := lo
-
-	if _, err := os.Stat(spillPath); err == nil {
-		// Interrupted run: replay the complete prefix bit-identically.
-		blocks, meta, _, offset, _, err := failure.ReadTraceSpill(spillPath)
-		if err != nil {
-			return nil, err
-		}
-		if meta != fp.String() {
-			return nil, fmt.Errorf("sim: spill %s was recorded by campaign\n  %s\nbut this invocation is\n  %s\nrefusing to replay it", spillPath, meta, fp)
-		}
-		for _, blk := range blocks {
-			if blk.Index != nextBlock {
-				return nil, fmt.Errorf("sim: spill %s holds block %d where block %d was expected", spillPath, blk.Index, nextBlock)
-			}
-			blk := blk
-			agg, dig, err := runBlock(plans, factory, so.Options, fp, blk.Index, &blk, nil)
-			if err != nil {
-				return nil, err
-			}
-			out.Blocks = append(out.Blocks, agg)
-			out.Digests = foldBlockDigests(out.Digests, dig)
-			nextBlock++
-		}
-		// Truncate the partial tail (if any) and continue appending.
-		writer, err = failure.AppendTraceSpill(spillPath, offset)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		writer, err = failure.CreateTraceSpill(spillPath, fp.String(), 0)
-		if err != nil {
-			return nil, err
-		}
-	}
-	defer writer.Close()
-
-	for b := nextBlock; b < hi; b++ {
-		var rec [][]float64
-		agg, dig, err := runBlock(plans, factory, so.Options, fp, b, nil, &rec)
-		if err != nil {
-			return nil, err
-		}
-		if err := writer.WriteBlock(b, rec); err != nil {
-			return nil, err
-		}
-		out.Blocks = append(out.Blocks, agg)
-		out.Digests = foldBlockDigests(out.Digests, dig)
-	}
-	if err := writer.Close(); err != nil {
-		return nil, err
+	if so.SpillDir == "" {
+		return out, nil
 	}
 	data, err := json.Marshal(out)
 	if err != nil {
 		return nil, err
 	}
-	if err := fsx.AtomicWriteFile(resPath, data); err != nil {
+	if err := fsx.AtomicWriteFile(shardResultPath(so.SpillDir, shard), data); err != nil {
 		return nil, err
 	}
 	return out, nil
+}
+
+// shardResultPath and blockPath name a shard's and a block's results
+// inside a campaign spill directory.
+func shardResultPath(dir string, shard int) string {
+	return filepath.Join(dir, fmt.Sprintf("shard-%04d.json", shard))
+}
+
+func blockPath(dir string, block int) string {
+	return filepath.Join(dir, fmt.Sprintf("block-%06d.json", block))
+}
+
+// loadShardResult returns the finished result of shard in dir, or nil
+// when the shard has none yet.
+func loadShardResult(dir string, fp CampaignFingerprint, shard int) (*ShardResult, error) {
+	path := shardResultPath(dir, shard)
+	data, err := os.ReadFile(path)
+	if errors.Is(err, os.ErrNotExist) {
+		return nil, nil
+	}
+	if err != nil {
+		return nil, err
+	}
+	var prior ShardResult
+	if err := json.Unmarshal(data, &prior); err != nil {
+		return nil, fmt.Errorf("sim: corrupt shard result %s: %w", path, err)
+	}
+	if prior.Fingerprint != fp {
+		return nil, fmt.Errorf("sim: shard result %s was produced by campaign\n  %s\nbut this invocation is\n  %s\nrefusing to mix them", path, prior.Fingerprint, fp)
+	}
+	if prior.Shard != shard {
+		return nil, fmt.Errorf("sim: shard result %s claims shard %d", path, prior.Shard)
+	}
+	return &prior, nil
+}
+
+// blockFile is one finished block as a spill directory stores it.
+type blockFile struct {
+	Fingerprint CampaignFingerprint `json:"fingerprint"`
+	Aggregate   BlockAggregate      `json:"aggregate"`
+	Digests     []*stats.TDigest    `json:"digests"`
+}
+
+// shardBlock returns the result of block b. With a spill directory it
+// loads the block's file when an earlier invocation finished the
+// block, and otherwise runs the block and writes its file. Either way
+// the digests come back in their stored form: MarshalJSON compresses a
+// digest in place, so a block folded now and the same block loaded on
+// resume fold the same bits.
+func shardBlock(plans [][]core.Segment, factory ProcessFactory, so ShardOptions, fp CampaignFingerprint, b int) (BlockAggregate, []*stats.TDigest, error) {
+	if so.SpillDir == "" {
+		return runBlock(plans, factory, so.Options, fp, b)
+	}
+	path := blockPath(so.SpillDir, b)
+	data, err := os.ReadFile(path)
+	if err == nil {
+		return decodeBlock(path, data, fp, b)
+	}
+	if !errors.Is(err, os.ErrNotExist) {
+		return BlockAggregate{}, nil, err
+	}
+	agg, digests, err := runBlock(plans, factory, so.Options, fp, b)
+	if err != nil {
+		return BlockAggregate{}, nil, err
+	}
+	data, err = json.Marshal(blockFile{Fingerprint: fp, Aggregate: agg, Digests: digests})
+	if err != nil {
+		return BlockAggregate{}, nil, err
+	}
+	return agg, digests, fsx.AtomicWriteFile(path, data)
+}
+
+// decodeBlock parses the block file at path and checks that it holds
+// block b of campaign fp.
+func decodeBlock(path string, data []byte, fp CampaignFingerprint, b int) (BlockAggregate, []*stats.TDigest, error) {
+	var f blockFile
+	if err := json.Unmarshal(data, &f); err != nil {
+		return BlockAggregate{}, nil, fmt.Errorf("sim: corrupt block file %s: %w", path, err)
+	}
+	if f.Fingerprint != fp {
+		return BlockAggregate{}, nil, fmt.Errorf("sim: block file %s was produced by campaign\n  %s\nbut this invocation is\n  %s\nrefusing to mix them", path, f.Fingerprint, fp)
+	}
+	if err := fp.checkBlock(f.Aggregate, b); err != nil {
+		return BlockAggregate{}, nil, fmt.Errorf("sim: block file %s: %w", path, err)
+	}
+	if err := fp.checkDigests(f.Digests, f.Aggregate.Runs); err != nil {
+		return BlockAggregate{}, nil, fmt.Errorf("sim: block file %s: %w", path, err)
+	}
+	return f.Aggregate, f.Digests, nil
+}
+
+// checkBlock verifies that blk is block b of the campaign: its index,
+// its candidate count and its run count.
+func (f CampaignFingerprint) checkBlock(blk BlockAggregate, b int) error {
+	if blk.Block != b {
+		return fmt.Errorf("block has index %d, expected %d", blk.Block, b)
+	}
+	if len(blk.Results) != f.Candidates || len(blk.Delta) != f.Candidates {
+		return fmt.Errorf("block %d carries %d candidates, fingerprint says %d", b, len(blk.Results), f.Candidates)
+	}
+	if blk.Runs != f.blockRuns(b) {
+		return fmt.Errorf("block %d holds %d runs, expected %d", b, blk.Runs, f.blockRuns(b))
+	}
+	return nil
+}
+
+// checkDigests verifies that digests hold one sketch per candidate,
+// each over exactly runs makespans.
+func (f CampaignFingerprint) checkDigests(digests []*stats.TDigest, runs int) error {
+	if len(digests) != f.Candidates {
+		return fmt.Errorf("%d digests, fingerprint says %d candidates", len(digests), f.Candidates)
+	}
+	for c, d := range digests {
+		if d == nil {
+			return fmt.Errorf("digest of candidate %d is missing", c)
+		}
+		if d.N() != float64(runs) {
+			return fmt.Errorf("digest of candidate %d covers %v runs, expected %d", c, d.N(), runs)
+		}
+	}
+	return nil
 }
 
 // MergeShards folds shard results into the campaign aggregate. Every
@@ -498,6 +498,11 @@ func MergeShards(parts []*ShardResult) (CampaignResult, error) {
 		return CampaignResult{}, fmt.Errorf("sim: no shard results to merge")
 	}
 	fp := parts[0].Fingerprint
+	// Fingerprints arrive from disk: the block size divides and the
+	// candidate count indexes below.
+	if fp.BlockSize <= 0 || fp.Candidates <= 0 {
+		return CampaignResult{}, fmt.Errorf("sim: invalid campaign fingerprint %s", fp)
+	}
 	seen := make(map[int]bool, len(parts))
 	for _, p := range parts {
 		if p.Fingerprint != fp {
@@ -526,6 +531,10 @@ func MergeShards(parts []*ShardResult) (CampaignResult, error) {
 	out := CampaignResult{
 		Results: make([]MCResult, fp.Candidates),
 		Delta:   make([]stats.Summary, fp.Candidates),
+		Digests: make([]*stats.TDigest, fp.Candidates),
+	}
+	for i := range out.Digests {
+		out.Digests[i] = stats.NewTDigest(stats.DefaultTDigestCompression)
 	}
 	nextBlock := 0
 	for _, p := range ordered {
@@ -533,32 +542,26 @@ func MergeShards(parts []*ShardResult) (CampaignResult, error) {
 		if len(p.Blocks) != hi-lo {
 			return CampaignResult{}, fmt.Errorf("sim: shard %d carries %d blocks, expected %d", p.Shard, len(p.Blocks), hi-lo)
 		}
-		for i, blk := range p.Blocks {
-			if blk.Block != nextBlock {
-				return CampaignResult{}, fmt.Errorf("sim: shard %d block %d has index %d, expected %d", p.Shard, i, blk.Block, nextBlock)
-			}
-			if len(blk.Results) != fp.Candidates || len(blk.Delta) != fp.Candidates {
-				return CampaignResult{}, fmt.Errorf("sim: shard %d block %d carries %d candidates, fingerprint says %d", p.Shard, blk.Block, len(blk.Results), fp.Candidates)
-			}
-			if blk.Runs != fp.blockRuns(blk.Block) {
-				return CampaignResult{}, fmt.Errorf("sim: shard %d block %d holds %d runs, expected %d", p.Shard, blk.Block, blk.Runs, fp.blockRuns(blk.Block))
+		runs := 0
+		for _, blk := range p.Blocks {
+			if err := fp.checkBlock(blk, nextBlock); err != nil {
+				return CampaignResult{}, fmt.Errorf("sim: shard %d: %w", p.Shard, err)
 			}
 			for c := range out.Results {
 				out.Results[c].merge(blk.Results[c])
 				out.Delta[c].Merge(blk.Delta[c])
 			}
+			runs += blk.Runs
 			nextBlock++
 		}
-		if len(p.Digests) == fp.Candidates {
-			if out.Digests == nil {
-				out.Digests = make([]*stats.TDigest, fp.Candidates)
-				for i := range out.Digests {
-					out.Digests[i] = stats.NewTDigest(stats.DefaultTDigestCompression)
-				}
-			}
-			for c := range out.Digests {
-				out.Digests[c].Merge(p.Digests[c])
-			}
+		// A digest that covers fewer runs than the shard's blocks would
+		// leave the merged quantiles describing a different sample than
+		// Runs reports.
+		if err := fp.checkDigests(p.Digests, runs); err != nil {
+			return CampaignResult{}, fmt.Errorf("sim: shard %d: %w", p.Shard, err)
+		}
+		for c := range out.Digests {
+			out.Digests[c].Merge(p.Digests[c])
 		}
 	}
 	if nextBlock != fp.numBlocks() {
@@ -573,27 +576,18 @@ func MergeShards(parts []*ShardResult) (CampaignResult, error) {
 // but over per-block streams, so results are independent of Shards as
 // well as Workers, and carry per-candidate makespan digests.
 //
-// Without a spill directory, shards run back to back and each spreads
-// its blocks over the worker pool. With one, the shards themselves
-// spread over the pool (each owns its spill file) and run their blocks
-// sequentially — total concurrency stays at Workers either way.
+// Shards run back to back, and each spreads its blocks over the
+// worker pool, so at most Workers blocks run at once.
 func CampaignPlansSharded(plans [][]core.Segment, factory ProcessFactory, so ShardOptions) (CampaignResult, error) {
 	fp, err := so.resolve(plans)
 	if err != nil {
 		return CampaignResult{}, err
 	}
 	parts := make([]*ShardResult, fp.Shards)
-	workers := so.Workers
-	if so.SpillDir == "" {
-		workers = 1 // each shard spreads its blocks over the pool instead
-	}
-	err = par.Each(workers, fp.Shards, func(_, s int) error {
-		res, err := CampaignPlansShard(plans, factory, so, s)
-		parts[s] = res
-		return err
-	})
-	if err != nil {
-		return CampaignResult{}, err
+	for s := range parts {
+		if parts[s], err = CampaignPlansShard(plans, factory, so, s); err != nil {
+			return CampaignResult{}, err
+		}
 	}
 	return MergeShards(parts)
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"encoding/json"
 	"math"
 	"os"
 	"runtime"
@@ -152,7 +153,7 @@ func TestShardedMatchesMCMarginal(t *testing.T) {
 }
 
 // countingFactory wraps a factory and counts invocations — the resume
-// test uses it to prove spilled blocks are replayed, not re-simulated.
+// test uses it to prove finished blocks are loaded, not re-simulated.
 func countingFactory(inner ProcessFactory, n *atomic.Int64) ProcessFactory {
 	return func(r *rng.Stream) failure.Process {
 		n.Add(1)
@@ -160,57 +161,56 @@ func countingFactory(inner ProcessFactory, n *atomic.Int64) ProcessFactory {
 	}
 }
 
-// TestShardSpillResume is the S3 resume property: kill a campaign
-// mid-shard (simulated by truncating the spill and removing the result
-// file), resume, and get the uninterrupted result bit-identically —
-// with completed blocks replayed from the spill rather than recomputed.
-func TestShardSpillResume(t *testing.T) {
-	plans := shardTestPlans()
-	factory := ExponentialFactory(0.08)
-	mk := func(dir string) ShardOptions {
-		return ShardOptions{
-			Options:   Options{Downtime: 0.3, Workers: 1},
-			Seed:      4242,
-			Runs:      512,
-			Shards:    4,
-			BlockSize: 32, // 16 blocks, 4 per shard
-			SpillDir:  dir,
-		}
-	}
-	// Reference: uninterrupted spilled run.
-	refDir := t.TempDir()
-	ref, err := CampaignPlansSharded(plans, factory, mk(refDir))
+// digestBits renders digests in their serialized form, which is exact:
+// equal strings mean bit-identical sketches.
+func digestBits(t *testing.T, ds []*stats.TDigest) string {
+	t.Helper()
+	data, err := json.Marshal(ds)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Interrupted run: shards 0 and 1 finish; shard 2 is killed after
-	// its spill gained 3 complete blocks plus a corrupt tail; shard 3
-	// never starts.
+	return string(data)
+}
+
+// spillTestOptions is the 16-block, 4-shard campaign the spill tests
+// kill and resume.
+func spillTestOptions(dir string, workers int) ShardOptions {
+	return ShardOptions{
+		Options:   Options{Downtime: 0.3, Workers: workers},
+		Seed:      4242,
+		Runs:      512,
+		Shards:    4,
+		BlockSize: 32, // 16 blocks, 4 per shard
+		SpillDir:  dir,
+	}
+}
+
+// TestShardSpillResume is the S3 resume property: kill a campaign
+// mid-shard (simulated by removing one finished block file and the
+// shard's result file), resume, and get the uninterrupted result
+// bit-identically — with finished blocks loaded from their files
+// rather than recomputed.
+func TestShardSpillResume(t *testing.T) {
+	plans := shardTestPlans()
+	factory := ExponentialFactory(0.08)
+	// Reference: uninterrupted spilled run.
+	ref, err := CampaignPlansSharded(plans, factory, spillTestOptions(t.TempDir(), 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Interrupted run: shards 0 and 1 finish; shard 2 is killed after 3
+	// of its blocks (8–11) finished; shard 3 never starts.
 	dir := t.TempDir()
-	so := mk(dir)
+	so := spillTestOptions(dir, 1)
 	for s := 0; s < 3; s++ {
 		if _, err := CampaignPlansShard(plans, factory, so, s); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := os.Remove(shardResultPath(dir, 2)); err != nil {
-		t.Fatal(err)
-	}
-	spill2 := shardSpillPath(dir, 2)
-	data, err := os.ReadFile(spill2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	blocks, meta, _, _, _, err := failure.ReadTraceSpill(spill2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(blocks) != 4 || meta == "" {
-		t.Fatalf("expected 4 complete spilled blocks, got %d", len(blocks))
-	}
-	// Truncate inside the last record: 3 complete blocks + torn tail.
-	if err := os.WriteFile(spill2, data[:len(data)-5], 0o644); err != nil {
-		t.Fatal(err)
+	for _, path := range []string{shardResultPath(dir, 2), blockPath(dir, 10)} {
+		if err := os.Remove(path); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	var calls atomic.Int64
@@ -222,20 +222,223 @@ func TestShardSpillResume(t *testing.T) {
 	if !sameCampaign(ref, resumed) {
 		t.Error("resumed campaign differs from uninterrupted run")
 	}
-	// Digest equivalence bitwise here: same fold structure either way.
-	for c := range ref.Digests {
-		for _, q := range []float64{0.5, 0.99} {
-			if a, b := ref.Digests[c].Quantile(q), resumed.Digests[c].Quantile(q); a != b {
-				t.Errorf("cand %d q=%v: resumed digest %v vs %v", c, q, b, a)
-			}
-		}
+	if a, b := digestBits(t, ref.Digests), digestBits(t, resumed.Digests); a != b {
+		t.Errorf("resumed digests differ from the uninterrupted run:\n%s\n%s", b, a)
 	}
-	// Shards 0, 1 loaded from JSON (0 factory calls); shard 2 replayed
-	// 3 blocks (0 calls) and re-ran 1 (1 call); shard 3 ran 4 blocks
+	// Shards 0, 1 loaded from JSON (0 factory calls); shard 2 loaded 3
+	// blocks (0 calls) and re-ran 1 (1 call); shard 3 ran 4 blocks
 	// (4 calls). The exponential process is Resettable, so each live
 	// block costs exactly one factory call.
 	if got := calls.Load(); got != 5 {
 		t.Errorf("resume made %d factory calls, want 5 (1 re-run + 4 fresh blocks)", got)
+	}
+}
+
+// TestShardSpillWorkers: a spilled campaign is bit-identical at any
+// worker count, digests included, and agrees with the in-memory
+// campaign — bitwise on means and deltas, in quantile space on digests
+// (a block folds its digests in their stored, compressed form).
+func TestShardSpillWorkers(t *testing.T) {
+	plans := shardTestPlans()
+	factory := ExponentialFactory(0.08)
+	serial, err := CampaignPlansSharded(plans, factory, spillTestOptions(t.TempDir(), 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pooled, err := CampaignPlansSharded(plans, factory, spillTestOptions(t.TempDir(), 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sameCampaign(serial, pooled) {
+		t.Error("spilled campaign at Workers 4 differs from Workers 1")
+	}
+	if a, b := digestBits(t, serial.Digests), digestBits(t, pooled.Digests); a != b {
+		t.Errorf("spilled digests at Workers 4 differ from Workers 1:\n%s\n%s", b, a)
+	}
+	mem, err := CampaignPlansSharded(plans, factory, spillTestOptions("", 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sameCampaign(mem, pooled) {
+		t.Error("spilled campaign differs from the in-memory one")
+	}
+	for c := range mem.Digests {
+		for _, q := range []float64{0.5, 0.9, 0.99} {
+			a, b := mem.Digests[c].Quantile(q), pooled.Digests[c].Quantile(q)
+			if math.Abs(a-b) > 0.05*math.Abs(a)+1e-9 {
+				t.Errorf("cand %d q=%v: spilled digest quantile %v vs in-memory %v", c, q, b, a)
+			}
+		}
+	}
+}
+
+// TestShardBlockFileRejected: a block file that is corrupt, foreign or
+// inconsistent stops the resume with an error naming the file. It never
+// panics and is never silently recomputed or overwritten.
+func TestShardBlockFileRejected(t *testing.T) {
+	plans := shardTestPlans()
+	factory := ExponentialFactory(0.08)
+	dir := t.TempDir()
+	so := spillTestOptions(dir, 1)
+	if _, err := CampaignPlansShard(plans, factory, so, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(shardResultPath(dir, 0)); err != nil {
+		t.Fatal(err)
+	}
+	path := blockPath(dir, 1)
+	good, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc map[string]json.RawMessage
+	if err := json.Unmarshal(good, &doc); err != nil {
+		t.Fatal(err)
+	}
+	edit := func(key, value string) []byte {
+		m := make(map[string]json.RawMessage, len(doc))
+		for k, v := range doc {
+			m[k] = v
+		}
+		m[key] = json.RawMessage(value)
+		data, err := json.Marshal(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	var agg BlockAggregate
+	if err := json.Unmarshal(doc["aggregate"], &agg); err != nil {
+		t.Fatal(err)
+	}
+	withAgg := func(mut func(*BlockAggregate)) []byte {
+		a := agg
+		mut(&a)
+		data, err := json.Marshal(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return edit("aggregate", string(data))
+	}
+	var digests []json.RawMessage
+	if err := json.Unmarshal(doc["digests"], &digests); err != nil {
+		t.Fatal(err)
+	}
+	foreign := mustFingerprint(t, ShardOptions{Seed: 99, Runs: so.Runs, Shards: so.Shards, BlockSize: so.BlockSize, Options: so.Options}, plans)
+	foreignJSON, err := json.Marshal(foreign)
+	if err != nil {
+		t.Fatal(err)
+	}
+	short := stats.NewTDigest(stats.DefaultTDigestCompression)
+	short.Add(1)
+	shortJSON, err := json.Marshal(short)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := map[string]struct {
+		data []byte
+		want string
+	}{
+		"empty":             {nil, "corrupt block file"},
+		"truncated":         {good[:len(good)/2], "corrupt block file"},
+		"garbage":           {[]byte("CHKTRACE\x00\x01"), "corrupt block file"},
+		"foreign campaign":  {edit("fingerprint", string(foreignJSON)), "refusing to mix"},
+		"wrong block":       {withAgg(func(a *BlockAggregate) { a.Block = 2 }), "index 2"},
+		"wrong runs":        {withAgg(func(a *BlockAggregate) { a.Runs = 31 }), "holds 31 runs"},
+		"missing candidate": {withAgg(func(a *BlockAggregate) { a.Results = a.Results[:2] }), "carries 2 candidates"},
+		"missing digest":    {edit("digests", "["+string(digests[0])+","+string(digests[1])+"]"), "2 digests"},
+		"null digest":       {edit("digests", "["+string(digests[0])+",null,"+string(digests[2])+"]"), "candidate 1 is missing"},
+		"short digest":      {edit("digests", "["+string(digests[0])+","+string(shortJSON)+","+string(digests[2])+"]"), "covers 1 runs"},
+		"bad digest":        {edit("digests", `[{"compression":1}]`), "corrupt block file"},
+	}
+	for name, tc := range cases {
+		if err := os.WriteFile(path, tc.data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var calls atomic.Int64
+		_, err := CampaignPlansShard(plans, countingFactory(factory, &calls), so, 0)
+		if err == nil || !strings.Contains(err.Error(), path) || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %v, want one naming %s and saying %q", name, err, path, tc.want)
+		}
+		if calls.Load() != 0 {
+			t.Errorf("%s: resume simulated %d blocks before refusing the file", name, calls.Load())
+		}
+		if data, err := os.ReadFile(path); err != nil || string(data) != string(tc.data) {
+			t.Errorf("%s: rejected block file was rewritten (err %v)", name, err)
+		}
+	}
+}
+
+// TestMergeShardsRejectsPartialDigests: a shard result read from disk
+// must carry one digest per candidate, each covering the shard's runs;
+// otherwise the merged quantiles would describe fewer runs than Runs.
+func TestMergeShardsRejectsPartialDigests(t *testing.T) {
+	plans := shardTestPlans()
+	factory := ExponentialFactory(0.08)
+	dir := t.TempDir()
+	so := spillTestOptions(dir, 1)
+	if err := WriteCampaignManifest(dir, mustFingerprint(t, so, plans)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := CampaignPlansSharded(plans, factory, so); err != nil {
+		t.Fatal(err)
+	}
+	path := shardResultPath(dir, 1)
+	good, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	parts, err := LoadCampaignDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := MergeShards(parts); err != nil {
+		t.Fatalf("untouched directory: %v", err)
+	}
+	var doc map[string]json.RawMessage
+	if err := json.Unmarshal(good, &doc); err != nil {
+		t.Fatal(err)
+	}
+	var digests []json.RawMessage
+	if err := json.Unmarshal(doc["digests"], &digests); err != nil {
+		t.Fatal(err)
+	}
+	// A block's digest is a valid sketch, but over one block's runs
+	// rather than the shard's.
+	blockDoc, err := os.ReadFile(blockPath(dir, 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var blk struct {
+		Digests []json.RawMessage `json:"digests"`
+	}
+	if err := json.Unmarshal(blockDoc, &blk); err != nil {
+		t.Fatal(err)
+	}
+	for name, tc := range map[string]struct {
+		digests string
+		want    string
+	}{
+		"dropped digest": {"[" + string(digests[0]) + "," + string(digests[1]) + "]", "2 digests"},
+		"null digest":    {"[" + string(digests[0]) + ",null," + string(digests[2]) + "]", "candidate 1 is missing"},
+		"no digests":     {"null", "0 digests"},
+		"block digest":   {"[" + string(digests[0]) + "," + string(blk.Digests[1]) + "," + string(digests[2]) + "]", "covers 32 runs, expected 128"},
+	} {
+		doc["digests"] = json.RawMessage(tc.digests)
+		data, err := json.Marshal(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		parts, err := LoadCampaignDir(dir)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if _, err := MergeShards(parts); err == nil || !strings.Contains(err.Error(), "shard 1") || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: merge error %v, want one about shard 1 saying %q", name, err, tc.want)
+		}
 	}
 }
 
@@ -276,6 +479,20 @@ func TestShardFingerprintMismatches(t *testing.T) {
 		t.Errorf("valid merge rejected: %v", err)
 	}
 
+	// A fingerprint read from disk that cannot describe a campaign is
+	// refused before anything divides by or indexes with it.
+	for name, mut := range map[string]func(*CampaignFingerprint){
+		"zero block size": func(f *CampaignFingerprint) { f.BlockSize = 0 },
+		"no candidates":   func(f *CampaignFingerprint) { f.Candidates = 0 },
+	} {
+		p0, p1 := *a0, *a1
+		mut(&p0.Fingerprint)
+		mut(&p1.Fingerprint)
+		if _, err := MergeShards([]*ShardResult{&p0, &p1}); err == nil || !strings.Contains(err.Error(), "invalid campaign fingerprint") {
+			t.Errorf("%s: %v", name, err)
+		}
+	}
+
 	// Workload mismatch: same seed, different plans.
 	otherPlans := shardTestPlans()
 	otherPlans[0][0].Work *= 2
@@ -300,12 +517,12 @@ func TestShardFingerprintMismatches(t *testing.T) {
 	if _, err := CampaignPlansShard(plans, factory, bad, 0); err == nil || !strings.Contains(err.Error(), "refusing to mix") {
 		t.Errorf("foreign result file: %v", err)
 	}
-	// Spill from a different campaign (result gone, trace remains).
+	// Block files from a different campaign (result gone, blocks remain).
 	if err := os.Remove(shardResultPath(dir, 0)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := CampaignPlansShard(plans, factory, bad, 0); err == nil || !strings.Contains(err.Error(), "refusing to replay") {
-		t.Errorf("foreign spill: %v", err)
+	if _, err := CampaignPlansShard(plans, factory, bad, 0); err == nil || !strings.Contains(err.Error(), "block file") || !strings.Contains(err.Error(), "refusing to mix") {
+		t.Errorf("foreign block file: %v", err)
 	}
 	// Manifest seam.
 	if err := WriteCampaignManifest(dir, mustFingerprint(t, base, plans)); err != nil {
@@ -399,7 +616,7 @@ func TestShardWorkerDiscipline(t *testing.T) {
 		t.Errorf("default-Workers campaign reached %d concurrent blocks, GOMAXPROCS=%d", peak.Load(), maxProcs)
 	}
 
-	// Spilled campaigns parallelize over shards instead of blocks; the
+	// Spilled campaigns spread their blocks over the same pool; the
 	// same bound applies.
 	inFlight.Store(0)
 	peak.Store(0)
