@@ -201,6 +201,93 @@ func TestCampaignShardsAcrossInvocations(t *testing.T) {
 	}
 }
 
+// runCaptured runs cfg with standard output sent to a file and returns
+// what it printed.
+func runCaptured(t *testing.T, cfg config) string {
+	t.Helper()
+	out, err := os.CreateTemp(t.TempDir(), "stdout")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer out.Close()
+	old := os.Stdout
+	os.Stdout = out
+	err = run(cfg)
+	os.Stdout = old
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(out.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(data)
+}
+
+// plantTemps writes the temp files a writer killed mid-write leaves in
+// a campaign directory and returns their paths.
+func plantTemps(t *testing.T, dir string) []string {
+	t.Helper()
+	var paths []string
+	for _, name := range []string{".tmp-4242", ".tmp-killed"} {
+		p := filepath.Join(dir, name)
+		if err := os.WriteFile(p, []byte(`{"fingerprint":`), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		paths = append(paths, p)
+	}
+	return paths
+}
+
+// TestCampaignRemovesKilledTemps: a -resume that runs every shard and a
+// -merge both clear the temp files killed writers left in the campaign
+// directory, and print what a clean directory prints; a -shard resume
+// leaves them, since another shard's process may be writing one.
+func TestCampaignRemovesKilledTemps(t *testing.T) {
+	path := writeChain(t, 5)
+	cfg := base(path)
+	cfg.runs, cfg.candidates, cfg.shards = 256, "dp,never", 3
+	gone := func(stage string, paths []string) {
+		t.Helper()
+		for _, p := range paths {
+			if _, err := os.Stat(p); !os.IsNotExist(err) {
+				t.Errorf("%s left %s (stat: %v)", stage, filepath.Base(p), err)
+			}
+		}
+	}
+
+	clean := cfg
+	clean.resumeDir = t.TempDir()
+	wantRun := runCaptured(t, clean)
+	wantMerge := runCaptured(t, config{resumeDir: clean.resumeDir, mergeOnly: true, shard: -1})
+	if wantRun == "" || wantMerge == "" {
+		t.Fatal("the clean campaign printed nothing to compare against")
+	}
+
+	dirty := cfg
+	dirty.resumeDir = t.TempDir()
+	planted := plantTemps(t, dirty.resumeDir)
+	if got := runCaptured(t, dirty); got != wantRun {
+		t.Errorf("resume over temps printed\n%s\nclean run printed\n%s", got, wantRun)
+	}
+	gone("resume of every shard", planted)
+	planted = plantTemps(t, dirty.resumeDir)
+	if got := runCaptured(t, config{resumeDir: dirty.resumeDir, mergeOnly: true, shard: -1}); got != wantMerge {
+		t.Errorf("merge over temps printed\n%s\nclean merge printed\n%s", got, wantMerge)
+	}
+	gone("merge", planted)
+
+	one := cfg
+	one.resumeDir, one.shard = t.TempDir(), 1
+	planted = plantTemps(t, one.resumeDir)
+	runCaptured(t, one)
+	for _, p := range planted {
+		if _, err := os.Stat(p); err != nil {
+			t.Errorf("-shard resume removed %s: %v", filepath.Base(p), err)
+		}
+	}
+}
+
 // TestCampaignFingerprintMismatchLoud: a campaign directory refuses
 // invocations whose parameters disagree with its manifest.
 func TestCampaignFingerprintMismatchLoud(t *testing.T) {

@@ -122,11 +122,13 @@ func SolveChainDPKernelStats(cp *ChainProblem) (ChainResult, DPStats, error) {
 
 // solveChainKernelRows runs the pruned kernel scan over every row,
 // returning the per-row decisions and the evaluated transition count.
+// Like windowRows it keeps the rows in the kernel's spent start tables
+// (prunedRow calls Segment with start x only), so the returned next
+// aliases the kernel, which must be rebuilt with Reinit before reuse.
 func solveChainKernelRows(kern *expectation.SegmentKernel) ([]int32, int64) {
 	kern.PrepareBound()
 	n := kern.Len()
-	best := make([]float64, n+1)
-	next := make([]int32, n) // next[x] = end position j of the first segment of the optimal suffix plan from x
+	best, next := kern.SpendStarts() // next[x] = end position j of the first segment of the optimal suffix plan from x
 	var evals int64
 	for x := n - 1; x >= 0; x-- {
 		e, j, scanned := prunedRow(kern, x, best)

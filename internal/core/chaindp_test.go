@@ -396,7 +396,7 @@ func TestInitialRecoveryMatters(t *testing.T) {
 // decisions, and the result. The figure is a budget: a rise is a
 // regression, and a drop should re-pin the lower figure.
 func TestChainDPBytesPerTask(t *testing.T) {
-	const n, runs, want = 100000, 4, 54
+	const n, runs, want = 100000, 4, 42
 	cp := defaultWeightsChain(t, n, 0.001)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)

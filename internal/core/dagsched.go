@@ -229,7 +229,7 @@ func (sc *orderScratch) segments(g *dag.Graph, order []int, checkpointAfter []bo
 		}
 		sg := Segment{Start: start, End: end}
 		for i := start; i <= end; i++ {
-			sg.Work += g.Task(order[i]).Weight
+			sg.Work += g.Weight(order[i])
 		}
 		segs = append(segs, sg)
 		start = end + 1
@@ -238,10 +238,10 @@ func (sc *orderScratch) segments(g *dag.Graph, order []int, checkpointAfter []bo
 	case LastTaskCosts:
 		for k := range segs {
 			sg := &segs[k]
-			sg.Checkpoint = g.Task(order[sg.End]).Checkpoint
+			sg.Checkpoint = g.Checkpoint(order[sg.End])
 			sg.Recovery = cm.R0
 			if sg.Start > 0 {
-				sg.Recovery = g.Task(order[sg.Start-1]).Recovery
+				sg.Recovery = g.Recovery(order[sg.Start-1])
 			}
 		}
 	case LiveSetCosts:
@@ -286,19 +286,19 @@ func (sc *orderScratch) liveSetSegmentCosts(g *dag.Graph, order []int, r0 float6
 				}
 			}
 			for q := next[frozen]; q != n && lastUse[q] == n; q = next[q] {
-				frozenSum += g.Task(order[q]).Recovery
+				frozenSum += g.Recovery(order[q])
 				frozen = q
 			}
 			sum := frozenSum
 			for q := next[frozen]; q != n; q = next[q] {
-				sum += g.Task(order[q]).Recovery
+				sum += g.Recovery(order[q])
 			}
 			sg.Recovery = sum
 		}
 		var ck float64
 		for i := sg.Start; i <= sg.End; i++ {
 			if lastUse[i] > sg.End {
-				ck += g.Task(order[i]).Checkpoint
+				ck += g.Checkpoint(order[i])
 			}
 		}
 		sg.Checkpoint = ck
@@ -381,7 +381,7 @@ func solveOrderNext(g *dag.Graph, order []int, m expectation.Model, cm CostModel
 func orderPrefix(g *dag.Graph, order []int) []float64 {
 	prefix := make([]float64, len(order)+1)
 	for i, id := range order {
-		prefix[i+1] = prefix[i] + g.Task(id).Weight
+		prefix[i+1] = prefix[i] + g.Weight(id)
 	}
 	return prefix
 }
@@ -395,11 +395,10 @@ func solveOrderDPKernel(g *dag.Graph, order []int, m expectation.Model, lc LastT
 	sc.ckpt = grow(sc.ckpt, n)
 	sc.rec = grow(sc.rec, n-1)
 	for i, id := range order {
-		t := g.Task(id)
-		sc.weights[i] = t.Weight
-		sc.ckpt[i] = t.Checkpoint + overhead
+		sc.weights[i] = g.Weight(id)
+		sc.ckpt[i] = g.Checkpoint(id) + overhead
 		if i < n-1 {
-			sc.rec[i] = t.Recovery
+			sc.rec[i] = g.Recovery(id)
 		}
 	}
 	kern, err := sc.reinitKernel(m, sc.weights, sc.ckpt, lc.R0, sc.rec)
@@ -459,10 +458,9 @@ func solveOrderDPLiveSet(g *dag.Graph, order []int, m expectation.Model, lv Live
 	sc.rPos = grow(sc.rPos, n)
 	weights, cPos, rPos := sc.weights, sc.cPos, sc.rPos
 	for i, id := range order {
-		t := g.Task(id)
-		weights[i] = t.Weight
-		cPos[i] = t.Checkpoint
-		rPos[i] = t.Recovery
+		weights[i] = g.Weight(id)
+		cPos[i] = g.Checkpoint(id)
+		rPos[i] = g.Recovery(id)
 	}
 	// All recovery costs in one incremental sweep: rec(end) adds the
 	// task that just ran (its output is always live at its own position)
@@ -544,11 +542,11 @@ func HeaviestFirstStrategy() LinearizationStrategy {
 	return LinearizationStrategy{
 		Name: "heaviest-first",
 		Order: func(g *dag.Graph) ([]int, error) {
-			return readyListOrder(g, func(a, b dag.Task) bool {
-				if a.Weight != b.Weight {
-					return a.Weight > b.Weight
+			return readyListOrder(g, func(g *dag.Graph, a, b int) bool {
+				if wa, wb := g.Weight(a), g.Weight(b); wa != wb {
+					return wa > wb
 				}
-				return a.ID < b.ID
+				return a < b
 			})
 		},
 	}
@@ -560,11 +558,11 @@ func CheapCheckpointFirstStrategy() LinearizationStrategy {
 	return LinearizationStrategy{
 		Name: "cheap-ckpt-first",
 		Order: func(g *dag.Graph) ([]int, error) {
-			return readyListOrder(g, func(a, b dag.Task) bool {
-				if a.Checkpoint != b.Checkpoint {
-					return a.Checkpoint < b.Checkpoint
+			return readyListOrder(g, func(g *dag.Graph, a, b int) bool {
+				if ca, cb := g.Checkpoint(a), g.Checkpoint(b); ca != cb {
+					return ca < cb
 				}
-				return a.ID < b.ID
+				return a < b
 			})
 		},
 	}
@@ -628,12 +626,12 @@ func MinLiveSetStrategy() LinearizationStrategy {
 // on a typed slice, so no ID is boxed into an interface.
 type readyQueue struct {
 	g    *dag.Graph
-	less func(a, b dag.Task) bool
+	less func(g *dag.Graph, a, b int) bool // on task IDs; capturing nothing, it costs no allocation
 	ids  []int
 }
 
 func (q *readyQueue) lessAt(i, j int) bool {
-	return q.less(q.g.Task(q.ids[i]), q.g.Task(q.ids[j]))
+	return q.less(q.g, q.ids[i], q.ids[j])
 }
 
 func (q *readyQueue) init() {
@@ -689,7 +687,7 @@ func (q *readyQueue) down(i, n int) {
 // task under the strategy's order. The ready set lives in a heap, so a
 // full linearization costs O((n + e)·log n) instead of the O(n²·log n) a
 // per-step re-sort of the ready list would pay.
-func readyListOrder(g *dag.Graph, less func(a, b dag.Task) bool) ([]int, error) {
+func readyListOrder(g *dag.Graph, less func(g *dag.Graph, a, b int) bool) ([]int, error) {
 	n := g.Len()
 	indeg := make([]int, n)
 	for i := 0; i < n; i++ {

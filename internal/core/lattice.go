@@ -172,11 +172,10 @@ func SolveDAGLatticeStats(g *dag.Graph, m expectation.Model, cm CostModel, opts 
 	rcov := make([]float64, n)
 	totalW := 0.0
 	for i := 0; i < n; i++ {
-		t := g.Task(i)
-		weights[i] = t.Weight
-		ckpt[i] = t.Checkpoint
-		rcov[i] = t.Recovery
-		totalW += t.Weight
+		weights[i] = g.Weight(i)
+		ckpt[i] = g.Checkpoint(i)
+		rcov[i] = g.Recovery(i)
+		totalW += weights[i]
 	}
 	kern, err := expectation.NewSetKernel(m, weights, ckpt)
 	if err != nil {
@@ -188,7 +187,7 @@ func SolveDAGLatticeStats(g *dag.Graph, m expectation.Model, cm CostModel, opts 
 	// a sink's checkpoint cost is charged under both cost models.
 	minFinalC := math.Inf(1)
 	for _, s := range g.Sinks() {
-		if c := g.Task(s).Checkpoint; c < minFinalC {
+		if c := g.Checkpoint(s); c < minFinalC {
 			minFinalC = c
 		}
 	}
@@ -573,16 +572,16 @@ func downsetChainValue(g *dag.Graph, m expectation.Model, cm CostModel, succ []u
 		seg := s.cur &^ s.prev
 		var w float64
 		for rest := seg; rest != 0; rest &= rest - 1 {
-			w += g.Task(bits.TrailingZeros64(rest)).Weight
+			w += g.Weight(bits.TrailingZeros64(rest))
 		}
 		var ck, rec float64
 		switch model := cm.(type) {
 		case LastTaskCosts:
-			ck = g.Task(s.last).Checkpoint
+			ck = g.Checkpoint(s.last)
 			if i == 0 {
 				rec = model.R0
 			} else {
-				rec = g.Task(segs[i-1].last).Recovery
+				rec = g.Recovery(segs[i-1].last)
 			}
 		case LiveSetCosts:
 			ck = liveMaskSum(g, succ, seg, s.cur, false)
@@ -607,9 +606,9 @@ func liveMaskSum(g *dag.Graph, succ []uint64, members, exec uint64, recovery boo
 		t := bits.TrailingZeros64(rest)
 		if succ[t] == 0 || succ[t]&^exec != 0 {
 			if recovery {
-				sum += g.Task(t).Recovery
+				sum += g.Recovery(t)
 			} else {
-				sum += g.Task(t).Checkpoint
+				sum += g.Checkpoint(t)
 			}
 		}
 	}

@@ -111,10 +111,15 @@ func SolveChainDPMonotoneStats(cp *ChainProblem) (ChainResult, DPStats, error) {
 // are long. It returns the per-row decisions, the oracle-evaluation
 // count, and the row at which the deque took over (−1 when every row
 // was a window scan).
+//
+// The rows' values and decisions live in the kernel's start tables
+// (SpendStarts): row x's last kernel call with start x comes before its
+// write, and every later call starts at a row below x. The returned
+// next aliases the kernel, which must be rebuilt with Reinit before any
+// other use.
 func windowRows(kern *expectation.SegmentKernel) (next []int32, evals int64, handover int) {
 	n := kern.Len()
-	best := make([]float64, n+1)
-	next = make([]int32, n)
+	best, next := kern.SpendStarts()
 	limit := 2 * bits.Len(uint(n)) // 2⌈log₂(n+1)⌉
 	vals := make([]float64, limit)
 	hi := n - 1 // next[x+1]; the last row's only candidate is n−1
@@ -159,6 +164,10 @@ type span struct {
 // the bottom, so the owner of the current row is always the bottom span.
 // Ties resolve toward the smaller end position, matching the dense
 // scan's earliest-j rule. Returns the oracle-evaluation count.
+//
+// best and next may be the kernel's spent start tables (see windowRows):
+// every val call starts at the current row x or below it, so row x's
+// write follows its last read of x's start entries.
 func monotoneDeque(kern *expectation.SegmentKernel, best []float64, next []int32, x0, jmax int) int64 {
 	var evals int64
 	val := func(x, j int) float64 {

@@ -472,3 +472,124 @@ func FuzzChainDPMonotone(f *testing.F) {
 		checkChainEquivalence(t, "fuzz", cp)
 	})
 }
+
+// splitKernelRows is the pruned kernel scan over row arrays of its own,
+// leaving the kernel's start tables intact: the reference the in-place
+// row solves (windowRows, solveChainKernelRows) must reproduce.
+func splitKernelRows(kern *expectation.SegmentKernel) []int32 {
+	kern.PrepareBound()
+	n := kern.Len()
+	best := make([]float64, n+1)
+	next := make([]int32, n)
+	for x := n - 1; x >= 0; x-- {
+		e, j, _ := prunedRow(kern, x, best)
+		best[x], next[x] = e, int32(j)
+	}
+	return next
+}
+
+// TestInPlaceRowsMatchSplitArrays pins the rows kept in the kernel's
+// spent start tables on random certified instances, long-segment ones
+// that hand over to the candidate deque included: the monotone solve's
+// placement and Expected equal SolveChainDPKernel's (under the
+// documented ulp-scale tie caveat), and the in-place kernel scan is the
+// split-array scan bit for bit.
+func TestInPlaceRowsMatchSplitArrays(t *testing.T) {
+	r := rng.New(1111)
+	lambdas := []float64{1e-9, 1e-4, 0.01, 0.3}
+	certified, handovers := 0, 0
+	for trial := 0; trial < 160; trial++ {
+		lambda := lambdas[trial%len(lambdas)]
+		n := 1 + int(r.Uint64()%300)
+		cp := randomLawChain(r, n, trial/len(lambdas), lambda, 10, 0.05)
+		if trial%2 == 0 { // constant costs certify whatever the weights
+			c := cp.Ckpt[0]
+			for i := range cp.Ckpt {
+				cp.Ckpt[i], cp.Rec[i] = c, c
+			}
+			cp.InitialRecovery = c
+		}
+		kern, err := cp.kernel()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !kern.CertifyQuadrangle().Certified {
+			continue
+		}
+		certified++
+		next, _, handover := windowRows(kern)
+		if handover >= 0 {
+			handovers++
+		}
+		mono := chainResultFromNext(cp, kern, next)
+		kernel, err := SolveChainDPKernel(cp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkAgainst(t, "in-place monotone vs kernel arm", cp, mono, kernel, true)
+
+		fresh, err := cp.kernel()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := chainResultFromNext(cp, fresh, splitKernelRows(fresh))
+		if kernel.Expected != want.Expected && !(math.IsNaN(kernel.Expected) && math.IsNaN(want.Expected)) {
+			t.Fatalf("trial %d: in-place kernel scan Expected %v, split arrays %v", trial, kernel.Expected, want.Expected)
+		}
+		for i := range want.CheckpointAfter {
+			if kernel.CheckpointAfter[i] != want.CheckpointAfter[i] {
+				t.Fatalf("trial %d: in-place kernel scan placement differs from split arrays at %d", trial, i)
+			}
+		}
+	}
+	if certified < 60 || handovers < 10 {
+		t.Fatalf("%d certified instances, %d deque handovers: the sweep lost its coverage", certified, handovers)
+	}
+}
+
+// TestKernelReinitAfterSpentStarts pins the Reinit-before-reuse rule:
+// a kernel whose start tables a monotone solve spent, rebuilt with
+// Reinit, is the fresh kernel again — every segment value, the
+// certificate and the next solve's decisions bit for bit.
+func TestKernelReinitAfterSpentStarts(t *testing.T) {
+	const n = 400
+	first := defaultWeightsChain(t, n, 1e-9) // hands over to the deque at once
+	second := defaultWeightsChain(t, n, 0.01)
+	second.InitialRecovery = 0.3
+	for _, cp := range []*ChainProblem{first, second} {
+		reused, err := first.kernel()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, handover := windowRows(reused); handover < 0 {
+			t.Fatal("the spending solve never reached the deque")
+		}
+		if err := reused.Reinit(cp.Model, cp.Weights, cp.Ckpt, cp.InitialRecovery, cp.Rec); err != nil {
+			t.Fatal(err)
+		}
+		fresh, err := cp.kernel()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for x := 0; x < n; x++ {
+			for j := x; j < n; j++ {
+				if a, b := reused.Segment(x, j), fresh.Segment(x, j); math.Float64bits(a) != math.Float64bits(b) {
+					t.Fatalf("Segment(%d, %d): reused %v, fresh %v", x, j, a, b)
+				}
+			}
+		}
+		if a, b := reused.CertifyQuadrangle(), fresh.CertifyQuadrangle(); a != b {
+			t.Fatalf("certificate: reused %+v, fresh %+v", a, b)
+		}
+		got, gotEvals, _ := windowRows(reused)
+		want, wantEvals, _ := windowRows(fresh)
+		if gotEvals != wantEvals {
+			t.Fatalf("evaluations: reused %d, fresh %d", gotEvals, wantEvals)
+		}
+		for x := range want {
+			if got[x] != want[x] {
+				t.Fatalf("row %d: reused kernel chose %d, fresh %d", x, got[x], want[x])
+			}
+		}
+	}
+}

@@ -205,10 +205,9 @@ func NewChainProblemOrdered(g *dag.Graph, order []int, m expectation.Model, init
 		Model:           m,
 	}
 	for i, id := range order {
-		t := g.Task(id)
-		cp.Weights[i] = t.Weight
-		cp.Ckpt[i] = t.Checkpoint
-		cp.Rec[i] = t.Recovery
+		cp.Weights[i] = g.Weight(id)
+		cp.Ckpt[i] = g.Checkpoint(id)
+		cp.Rec[i] = g.Recovery(id)
 	}
 	return cp, nil
 }

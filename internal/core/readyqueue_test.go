@@ -12,7 +12,7 @@ import (
 // ready list at every step and take its head. The heap version must
 // reproduce its output exactly (both pop the unique minimum of a total
 // order).
-func readyListOrderSorted(g *dag.Graph, less func(a, b dag.Task) bool) ([]int, error) {
+func readyListOrderSorted(g *dag.Graph, less func(g *dag.Graph, a, b int) bool) ([]int, error) {
 	n := g.Len()
 	indeg := make([]int, n)
 	for i := 0; i < n; i++ {
@@ -26,7 +26,7 @@ func readyListOrderSorted(g *dag.Graph, less func(a, b dag.Task) bool) ([]int, e
 	}
 	order := make([]int, 0, n)
 	for len(ready) > 0 {
-		sort.Slice(ready, func(a, b int) bool { return less(g.Task(ready[a]), g.Task(ready[b])) })
+		sort.Slice(ready, func(a, b int) bool { return less(g, ready[a], ready[b]) })
 		v := ready[0]
 		ready = ready[1:]
 		order = append(order, v)
@@ -63,21 +63,21 @@ func TestReadyQueueMatchesSortedReference(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				var less func(a, b dag.Task) bool
+				var less func(g *dag.Graph, a, b int) bool
 				switch st.Name {
 				case "heaviest-first":
-					less = func(a, b dag.Task) bool {
-						if a.Weight != b.Weight {
-							return a.Weight > b.Weight
+					less = func(g *dag.Graph, a, b int) bool {
+						if ta, tb := g.Task(a), g.Task(b); ta.Weight != tb.Weight {
+							return ta.Weight > tb.Weight
 						}
-						return a.ID < b.ID
+						return a < b
 					}
 				case "cheap-ckpt-first":
-					less = func(a, b dag.Task) bool {
-						if a.Checkpoint != b.Checkpoint {
-							return a.Checkpoint < b.Checkpoint
+					less = func(g *dag.Graph, a, b int) bool {
+						if ta, tb := g.Task(a), g.Task(b); ta.Checkpoint != tb.Checkpoint {
+							return ta.Checkpoint < tb.Checkpoint
 						}
-						return a.ID < b.ID
+						return a < b
 					}
 				}
 				want, err := readyListOrderSorted(g, less)

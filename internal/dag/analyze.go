@@ -105,14 +105,19 @@ func GNP(n int, p float64, ws WeightSpec, r *rng.Stream) (*Graph, error) {
 	if err := ws.validate(); err != nil {
 		return nil, err
 	}
-	g := sized(n, int(p*float64(n)*float64(n-1)/2), n*labelLen("T", n))
+	g, err := sized(n, int(p*float64(n)*float64(n-1)/2), n*labelLen("T", n))
+	if err != nil {
+		return nil, err
+	}
 	for i := 0; i < n; i++ {
 		g.add(ws.sample(r, "T"), i+1)
 	}
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
 			if r.Float64() < p {
-				g.link(i, j)
+				if err := g.tryLink(i, j); err != nil {
+					return nil, err
+				}
 			}
 		}
 	}
@@ -130,7 +135,10 @@ func IntreeFromChains(branches, depth int, ws WeightSpec, r *rng.Stream) (*Graph
 		return nil, err
 	}
 	tasks := branches*depth + 1
-	g := sized(tasks, branches*depth, tasks*labelLen("c", branches, depth)) // ≥ len("root")
+	g, err := sized(tasks, branches*depth, tasks*labelLen("c", branches, depth)) // ≥ len("root")
+	if err != nil {
+		return nil, err
+	}
 	for b := 0; b < branches; b++ {
 		for d := 0; d < depth; d++ {
 			id := g.add(ws.sample(r, "c"), b+1, d+1)

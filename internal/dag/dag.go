@@ -11,6 +11,7 @@ package dag
 import (
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"strconv"
 	"unsafe"
@@ -38,7 +39,10 @@ type Task struct {
 // graph is a handful of heap objects the garbage collector never scans.
 // Task fields are stored as a struct of arrays; names sit back to back
 // in one byte buffer, the name of task id ending at nameEnd[id]; each
-// direction of adjacency is one arena of task IDs (see adjacency). The
+// direction of adjacency is one arena of task IDs (see adjacency). Name
+// ends and adjacency runs are int32, so a graph holds at most
+// math.MaxInt32 tasks, arena slots per direction and name bytes; the
+// constructors refuse anything larger with an error (see checkSize). The
 // generators, the JSON reader and Clone size every array once.
 //
 // Successors and Predecessors return views into an arena: O(1), no copy,
@@ -50,7 +54,7 @@ type Task struct {
 type Graph struct {
 	weight, ckpt, rec []float64
 	names             []byte
-	nameEnd           []int
+	nameEnd           []int32
 	succ, pred        adjacency
 	edges             int
 }
@@ -68,30 +72,44 @@ type adjacency struct {
 	runs  []run
 }
 
-type run struct{ off, n int }
+// run is one list's place in the arena. Its fields are int32, half the
+// size of ints; checkSize keeps every arena within their range.
+type run struct{ off, n int32 }
 
 // list returns v's list as a read-only, capacity-clipped view.
 func (a *adjacency) list(v int) []int {
 	r := a.runs[v]
-	return a.arena[r.off : r.off+r.n : r.off+r.n]
+	off, end := int(r.off), int(r.off)+int(r.n)
+	return a.arena[off:end:end]
+}
+
+// growth returns how many slots a push to v's list appends to the
+// arena: none while its room has space, else the new room.
+func (a *adjacency) growth(v int) int {
+	r := a.runs[v]
+	n := int(r.n)
+	switch {
+	case n&(n-1) != 0: // n is not 0 or a power of two: the room has space
+		return 0
+	case int(r.off)+n == len(a.arena): // the run ends the arena: double its room in place
+		return max(n, 1)
+	default: // move it to the end with room for 2n
+		return max(2*n, 1)
+	}
 }
 
 // push appends u to v's list.
 func (a *adjacency) push(v, u int) {
 	r := &a.runs[v]
-	if r.n&(r.n-1) == 0 { // n is 0 or a power of two: the room is full
+	if grow := a.growth(v); grow > 0 {
 		end := len(a.arena)
-		if r.off+r.n == end { // the run ends the arena: double its room in place
-			grow := max(r.n, 1)
-			a.arena = slices.Grow(a.arena, grow)[:end+grow]
-		} else { // move it to the end with room for 2n
-			grow := max(2*r.n, 1)
-			a.arena = slices.Grow(a.arena, grow)[:end+grow]
-			copy(a.arena[end:], a.arena[r.off:r.off+r.n])
-			r.off = end
+		a.arena = slices.Grow(a.arena, grow)[:end+grow]
+		if int(r.off)+int(r.n) != end { // moved: copy the list to its new room
+			copy(a.arena[end:], a.list(v))
+			r.off = int32(end)
 		}
 	}
-	a.arena[r.off+r.n] = u
+	a.arena[int(r.off)+int(r.n)] = u
 	r.n++
 }
 
@@ -102,19 +120,42 @@ var ErrCycle = errors.New("dag: graph contains a cycle")
 // New returns an empty graph.
 func New() *Graph { return &Graph{} }
 
+// maxSize is the largest task count, arena length and name-buffer
+// length a Graph holds: the bound of its int32 runs and name ends.
+const maxSize = math.MaxInt32
+
+// checkSize returns an error when a graph of the given task count, arena
+// length (per direction) and name bytes would pass maxSize. It takes
+// int64 lengths so that no sum a caller forms wraps first, on any GOARCH.
+func checkSize(tasks, slots, nameBytes int64) error {
+	if tasks > maxSize || slots > maxSize || nameBytes > maxSize {
+		return fmt.Errorf("dag: graph of %d tasks, %d adjacency slots and %d name bytes passes the limit of %d for each",
+			tasks, slots, nameBytes, maxSize)
+	}
+	return nil
+}
+
 // sized returns an empty graph whose arrays have room for tasks tasks,
 // edges edges and nameBytes bytes of names, so a constructor that knows
-// its size allocates each array once.
-func sized(tasks, edges, nameBytes int) *Graph {
+// its size allocates each array once. It refuses sizes that could pass
+// maxSize. A list of k entries fills fewer than 4k arena slots over all
+// its pushes (its room is the next power of two, and each move leaves
+// rooms of half, a quarter, … of it behind), so with edges the exact
+// count, 4·edges bounds each arena however the links interleave. A
+// generator that can only estimate its edges links through tryLink.
+func sized(tasks, edges, nameBytes int) (*Graph, error) {
+	if err := checkSize(int64(tasks), 4*int64(edges), int64(nameBytes)); err != nil {
+		return nil, err
+	}
 	return &Graph{
 		weight:  make([]float64, 0, tasks),
 		ckpt:    make([]float64, 0, tasks),
 		rec:     make([]float64, 0, tasks),
 		names:   make([]byte, 0, nameBytes),
-		nameEnd: make([]int, 0, tasks),
+		nameEnd: make([]int32, 0, tasks),
 		succ:    adjacency{arena: make([]int, 0, edges), runs: make([]run, 0, tasks)},
 		pred:    adjacency{arena: make([]int, 0, edges), runs: make([]run, 0, tasks)},
-	}
+	}, nil
 }
 
 // labelLen is the length of the name add writes for prefix and nums;
@@ -133,17 +174,21 @@ func labelLen(prefix string, nums ...int) int {
 }
 
 // AddTask appends a task and returns its ID. A task without a name is
-// named T<ID+1>.
+// named T<ID+1>. It refuses a task that would take the graph past
+// math.MaxInt32 tasks or name bytes.
 func (g *Graph) AddTask(t Task) (int, error) {
 	if t.Weight < 0 || t.Checkpoint < 0 || t.Recovery < 0 {
 		return 0, fmt.Errorf("dag: task %q has negative weight/checkpoint/recovery (%v, %v, %v)",
 			t.Name, t.Weight, t.Checkpoint, t.Recovery)
 	}
+	var nums []int
 	if t.Name == "" {
-		t.Name = "T"
-		return g.add(t, g.Len()+1), nil
+		t.Name, nums = "T", []int{g.Len() + 1}
 	}
-	return g.add(t), nil
+	if err := checkSize(int64(g.Len())+1, 0, int64(len(g.names))+int64(labelLen(t.Name, nums...))); err != nil {
+		return 0, err
+	}
+	return g.add(t, nums...), nil
 }
 
 // add appends t unchecked and returns its ID. The task's name is t.Name
@@ -158,7 +203,7 @@ func (g *Graph) add(t Task, nums ...int) int {
 		}
 		g.names = strconv.AppendInt(g.names, int64(x), 10)
 	}
-	g.nameEnd = append(g.nameEnd, len(g.names))
+	g.nameEnd = append(g.nameEnd, int32(len(g.names)))
 	g.weight = append(g.weight, t.Weight)
 	g.ckpt = append(g.ckpt, t.Checkpoint)
 	g.rec = append(g.rec, t.Recovery)
@@ -178,8 +223,9 @@ func (g *Graph) MustAddTask(t Task) int {
 }
 
 // AddEdge adds the dependence from → to (from must complete before to).
-// Duplicate edges are rejected. Cycles are detected lazily by Validate and
-// by the traversal functions.
+// Duplicate edges, and an edge that would grow an adjacency arena past
+// math.MaxInt32 slots, are rejected. Cycles are detected lazily by
+// Validate and by the traversal functions.
 func (g *Graph) AddEdge(from, to int) error {
 	if err := g.checkID(from); err != nil {
 		return err
@@ -193,12 +239,23 @@ func (g *Graph) AddEdge(from, to int) error {
 	if slices.Contains(g.succ.list(from), to) {
 		return fmt.Errorf("dag: duplicate edge %d → %d", from, to)
 	}
+	return g.tryLink(from, to)
+}
+
+// tryLink is link that refuses an edge growing either arena past
+// maxSize, for callers whose edge count sized could not bound: AddEdge
+// and the generators that draw their edges at random.
+func (g *Graph) tryLink(from, to int) error {
+	slots := max(len(g.succ.arena)+g.succ.growth(from), len(g.pred.arena)+g.pred.growth(to))
+	if err := checkSize(int64(g.Len()), int64(slots), int64(len(g.names))); err != nil {
+		return err
+	}
 	g.link(from, to)
 	return nil
 }
 
 // link adds the edge from → to unchecked, for generators whose edges
-// are distinct by construction.
+// are distinct by construction and whose exact count sized checked.
 func (g *Graph) link(from, to int) {
 	g.succ.push(from, to)
 	g.pred.push(to, from)
@@ -231,10 +288,19 @@ func (g *Graph) Task(id int) Task {
 	return Task{ID: id, Name: g.name(id), Weight: g.weight[id], Checkpoint: g.ckpt[id], Recovery: g.rec[id]}
 }
 
+// Weight returns task id's weight w_i: Task(id).Weight without the name.
+func (g *Graph) Weight(id int) float64 { return g.weight[id] }
+
+// Checkpoint returns task id's checkpoint cost C_i.
+func (g *Graph) Checkpoint(id int) float64 { return g.ckpt[id] }
+
+// Recovery returns task id's recovery cost R_i.
+func (g *Graph) Recovery(id int) float64 { return g.rec[id] }
+
 func (g *Graph) name(id int) string {
 	start := 0
 	if id > 0 {
-		start = g.nameEnd[id-1]
+		start = int(g.nameEnd[id-1])
 	}
 	b := g.names[start:g.nameEnd[id]]
 	return unsafe.String(unsafe.SliceData(b), len(b))
@@ -289,7 +355,7 @@ func (g *Graph) TopologicalOrder() ([]int, error) {
 	n := g.Len()
 	indeg := make([]int, n)
 	for i, r := range g.pred.runs {
-		indeg[i] = r.n
+		indeg[i] = int(r.n)
 	}
 	// Ascending IDs already form a min-heap.
 	ready := make([]int, 0, n)
@@ -408,7 +474,7 @@ func (g *Graph) EachTopologicalOrder(limit int, fn func(order []int) bool) {
 	}
 	indeg := make([]int, n)
 	for i, r := range g.pred.runs {
-		indeg[i] = r.n
+		indeg[i] = int(r.n)
 	}
 	cur := make([]int, 0, n)
 	used := make([]bool, n)

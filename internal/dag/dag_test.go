@@ -5,8 +5,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"runtime"
 	"slices"
+	"strconv"
 	"sync"
 	"testing"
 
@@ -611,3 +613,69 @@ func (g *Graph) SetCosts(checkpoint, recovery float64) {
 // IsIndependent reports whether the graph has no edges (the instance class
 // of Proposition 2).
 func (g *Graph) IsIndependent() bool { return g.edges == 0 }
+
+// TestGraphBytesPerTask pins Chain's heap bytes per task on a 10⁵-task
+// chain: three cost columns, the names and their int32 ends, two int32
+// runs and two arena slots per task. The figure is a budget: a rise is
+// a regression, and a drop should re-pin the lower figure.
+func TestGraphBytesPerTask(t *testing.T) {
+	const n, runs, want = 100000, 4, 67
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		if _, err := Chain(n, DefaultWeights(), rng.New(uint64(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if got := math.Round(float64(after.TotalAlloc-before.TotalAlloc) / (runs * n)); got != want {
+		t.Errorf("Chain: %v bytes/task, budget %v", got, want)
+	}
+}
+
+// TestSizeLimit pins the int32 bound on synthetic lengths, allocating
+// nothing near it: checkSize accepts maxSize of each and refuses one
+// more, sized refuses an edge count whose arenas could pass it, and
+// Chain refuses a length whose names would.
+func TestSizeLimit(t *testing.T) {
+	if err := checkSize(maxSize, maxSize, maxSize); err != nil {
+		t.Errorf("checkSize at the limit: %v", err)
+	}
+	for _, c := range [][3]int64{{maxSize + 1, 0, 0}, {0, maxSize + 1, 0}, {0, 0, maxSize + 1}} {
+		if err := checkSize(c[0], c[1], c[2]); err == nil {
+			t.Errorf("checkSize%v accepted", c)
+		}
+	}
+	if _, err := sized(1, maxSize/4+1, 0); err == nil {
+		t.Error("sized accepted arenas that could pass the limit")
+	}
+	if strconv.IntSize == 64 {
+		if _, err := Chain(1<<28, DefaultWeights(), rng.New(1)); err == nil {
+			t.Error("Chain accepted 2²⁸ tasks, whose names pass the limit")
+		}
+	}
+}
+
+// TestArenaGrowth pins growth, the count AddEdge checks against the
+// limit, to what each push appends, over graphs whose lists move.
+func TestArenaGrowth(t *testing.T) {
+	r := rng.New(12)
+	g := New()
+	for i := 0; i < 60; i++ {
+		g.MustAddTask(Task{Weight: 1})
+	}
+	for e := 0; e < 600; e++ {
+		from := int(r.Uint64() % 59)
+		to := from + 1 + int(r.Uint64()%uint64(59-from))
+		if slices.Contains(g.Successors(from), to) {
+			continue
+		}
+		wantSucc := len(g.succ.arena) + g.succ.growth(from)
+		wantPred := len(g.pred.arena) + g.pred.growth(to)
+		g.MustAddEdge(from, to)
+		if len(g.succ.arena) != wantSucc || len(g.pred.arena) != wantPred {
+			t.Fatalf("edge %d → %d: arenas %d, %d slots, growth predicted %d, %d",
+				from, to, len(g.succ.arena), len(g.pred.arena), wantSucc, wantPred)
+		}
+	}
+}

@@ -65,7 +65,10 @@ func Chain(n int, ws WeightSpec, r *rng.Stream) (*Graph, error) {
 	if err := ws.validate(); err != nil {
 		return nil, err
 	}
-	g := sized(n, n-1, n*labelLen("T", n))
+	g, err := sized(n, n-1, n*labelLen("T", n))
+	if err != nil {
+		return nil, err
+	}
 	for i := 0; i < n; i++ {
 		g.add(ws.sample(r, "T"), i+1)
 		if i > 0 {
@@ -84,7 +87,10 @@ func Independent(n int, ws WeightSpec, r *rng.Stream) (*Graph, error) {
 	if err := ws.validate(); err != nil {
 		return nil, err
 	}
-	g := sized(n, 0, n*labelLen("T", n))
+	g, err := sized(n, 0, n*labelLen("T", n))
+	if err != nil {
+		return nil, err
+	}
 	for i := 0; i < n; i++ {
 		g.add(ws.sample(r, "T"), i+1)
 	}
@@ -99,7 +105,10 @@ func IndependentWithWeights(weights []float64, checkpoint, recovery float64) (*G
 		return nil, fmt.Errorf("dag: empty weight list")
 	}
 	n := len(weights)
-	g := sized(n, 0, n*labelLen("T", n))
+	g, err := sized(n, 0, n*labelLen("T", n))
+	if err != nil {
+		return nil, err
+	}
 	for _, w := range weights {
 		if _, err := g.AddTask(Task{Weight: w, Checkpoint: checkpoint, Recovery: recovery}); err != nil {
 			return nil, err
@@ -118,7 +127,10 @@ func ForkJoin(width, depth int, ws WeightSpec, r *rng.Stream) (*Graph, error) {
 		return nil, err
 	}
 	tasks := width*depth + 2
-	g := sized(tasks, width*(depth+1), tasks*labelLen("b", width, depth)) // ≥ len("fork")
+	g, err := sized(tasks, width*(depth+1), tasks*labelLen("b", width, depth)) // ≥ len("fork")
+	if err != nil {
+		return nil, err
+	}
 	src := g.add(ws.sample(r, "fork"))
 	lasts := make([]int, 0, width)
 	for b := 0; b < width; b++ {
@@ -155,7 +167,10 @@ func Layered(layers, width int, density float64, ws WeightSpec, r *rng.Stream) (
 	// draws about density·width predecessors, and at least one.
 	tasks := layers * width
 	edges := int(float64((layers-1)*width) * max(density*float64(width), 1))
-	g := sized(tasks, edges, tasks*labelLen("L", layers, width))
+	g, err := sized(tasks, edges, tasks*labelLen("L", layers, width))
+	if err != nil {
+		return nil, err
+	}
 	for l := 0; l < layers; l++ {
 		for k := 0; k < width; k++ {
 			id := g.add(ws.sample(r, "L"), l+1, k+1)
@@ -166,12 +181,16 @@ func Layered(layers, width int, density float64, ws WeightSpec, r *rng.Stream) (
 				linked := false
 				for p := first; p < first+width; p++ {
 					if r.Float64() < density {
-						g.link(p, id)
+						if err := g.tryLink(p, id); err != nil {
+							return nil, err
+						}
 						linked = true
 					}
 				}
 				if !linked {
-					g.link(first+r.IntN(width), id)
+					if err := g.tryLink(first+r.IntN(width), id); err != nil {
+						return nil, err
+					}
 				}
 			}
 		}
@@ -193,7 +212,10 @@ func MontageLike(tiles int, ws WeightSpec, r *rng.Stream) (*Graph, error) {
 	// Tasks 0..tiles−1 project, tiles..2·tiles−2 diff neighbouring
 	// projections, and four tail tasks follow.
 	tasks := 2*tiles + 3
-	g := sized(tasks, 3*tiles, tasks*max(labelLen("mProject", tiles), len("mConcatFit")))
+	g, err := sized(tasks, 3*tiles, tasks*max(labelLen("mProject", tiles), len("mConcatFit")))
+	if err != nil {
+		return nil, err
+	}
 	for i := 0; i < tiles; i++ {
 		g.add(ws.sample(r, "mProject"), i+1)
 	}

@@ -47,7 +47,10 @@ func (g *Graph) UnmarshalJSON(data []byte) error {
 	for _, ft := range ff.Tasks {
 		nameBytes += max(len(ft.Name), defaultLen)
 	}
-	fresh := sized(len(ff.Tasks), len(ff.Edges), nameBytes)
+	fresh, err := sized(len(ff.Tasks), len(ff.Edges), nameBytes)
+	if err != nil {
+		return err
+	}
 	for _, ft := range ff.Tasks {
 		if _, err := fresh.AddTask(Task{
 			Name: ft.Name, Weight: ft.Weight, Checkpoint: ft.Checkpoint, Recovery: ft.Recovery,

@@ -76,7 +76,7 @@ func NewDAGWorkload(g *dag.Graph, plan core.Plan, cm core.CostModel) (*Workload,
 		segs:            segs,
 	}
 	for i, id := range plan.Order {
-		w.Weights[i] = g.Task(id).Weight
+		w.Weights[i] = g.Weight(id)
 	}
 	w.fp = w.fingerprint()
 	return w, nil

@@ -63,9 +63,11 @@ type SegmentKernel struct {
 	prefix []float64 // prefix[i] = Σ_{k<i} weights[k], len n+1
 	ckpt   []float64
 
-	endFrac   []float64 // e^{t(j)} scaled: frac ∈ [1,2); t(j) = λ·(prefix[j+1] + C_j)
-	endExp    []int32
-	startFrac []float64 // e^{−u(x)} scaled; u(x) = λ·prefix[x]
+	endFrac []float64 // e^{t(j)} scaled: frac ∈ [1,2); t(j) = λ·(prefix[j+1] + C_j)
+	endExp  []int32
+	// e^{−u(x)} scaled; u(x) = λ·prefix[x]. startFrac has one spare
+	// slot past the n positions, for SpendStarts' best[n].
+	startFrac []float64
 	startExp  []int32
 
 	amp    []float64 // amp[x] = e^{λ·rec(x)}·(1/λ + D); see recInf
@@ -112,7 +114,8 @@ func NewSegmentKernel(m Model, weights, ckpt []float64, r0 float64, recAfter []f
 // table capacity of previous builds — the portfolio solvers run one
 // per-order DP per linearization strategy and reinitialize one kernel
 // across them instead of allocating ~10 tables per order. A reused
-// kernel is indistinguishable from a fresh NewSegmentKernel build.
+// kernel is indistinguishable from a fresh NewSegmentKernel build,
+// including one whose start tables SpendStarts handed to a row solver.
 func (k *SegmentKernel) Reinit(m Model, weights, ckpt []float64, r0 float64, recAfter []float64) error {
 	if err := m.Validate(); err != nil {
 		return err
@@ -129,7 +132,7 @@ func (k *SegmentKernel) Reinit(m Model, weights, ckpt []float64, r0 float64, rec
 	k.ckpt = ckpt
 	k.endFrac = grow(k.endFrac, n)
 	k.endExp = grow(k.endExp, n)
-	k.startFrac = grow(k.startFrac, n)
+	k.startFrac = grow(k.startFrac, n+1)
 	k.startExp = grow(k.startExp, n)
 	k.amp = grow(k.amp, n)
 	k.recInf = grow(k.recInf, n)
@@ -164,7 +167,7 @@ func (k *SegmentKernel) Reinit(m Model, weights, ckpt []float64, r0 float64, rec
 		k.anyRecInf = k.anyRecInf || k.recInf[i]
 	}
 	numeric.ExpScaled(k.endFrac, k.endExp)
-	numeric.ExpScaled(k.startFrac, k.startExp)
+	numeric.ExpScaled(k.startFrac[:n], k.startExp)
 	scale := 1/m.Lambda + m.Downtime
 	for i, lr := range k.amp {
 		if k.recInf[i] {
@@ -206,6 +209,32 @@ func (k *SegmentKernel) PrepareBound() {
 		}
 		k.sufMin[j] = int32(best)
 	}
+}
+
+// SpendStarts hands a right-to-left row solver the kernel's start
+// tables as its own row arrays, so that the solve allocates no n-sized
+// arrays: best has n+1 entries and aliases the scaled start fractions
+// (best[n] = 0, in the spare slot), next has n and aliases the start
+// exponents.
+//
+// Only a call whose start is x reads startFrac[x] and startExp[x]
+// (Segment, RowValues and Bound with start x); Work, SegmentWithCost
+// and the end tables read neither. A solver that visits rows
+// x = n−1, …, 0 in turn, makes every call with start x before it moves
+// to row x−1, and never calls with a start above the current row, may
+// therefore write best[x] and next[x] right after its last call for
+// row x: every start entry is read before it is overwritten, and the
+// tails best[j+1], j ≥ x, it reads are rows already solved.
+//
+// Once a row is written the kernel's start-dependent calls are valid
+// only for rows not yet written, and CertifyQuadrangle is invalid: a
+// kernel whose starts were spent must be rebuilt with Reinit before any
+// other use. Work, SegmentWithCost and Len stay valid, which is all a
+// placement's re-accumulation reads.
+func (k *SegmentKernel) SpendStarts() (best []float64, next []int32) {
+	n := k.Len()
+	k.startFrac[n] = 0
+	return k.startFrac[:n+1], k.startExp[:n]
 }
 
 // grow returns s resized to n, reusing capacity when possible; grown

@@ -14,9 +14,16 @@
 package fsx
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 )
+
+// tempPrefix begins the name of every temp file AtomicWriteFile makes.
+// The rest of the name is random, so concurrent writers of one path
+// never share a temp file.
+const tempPrefix = ".tmp-"
 
 // AtomicWriteFile durably writes data to path: temp file in path's
 // directory, write, fsync, rename, directory fsync. After it returns nil,
@@ -24,7 +31,7 @@ import (
 // new content at path — never a mix, never a truncation.
 func AtomicWriteFile(path string, data []byte) error {
 	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".tmp-*")
+	tmp, err := os.CreateTemp(dir, tempPrefix+"*")
 	if err != nil {
 		return err
 	}
@@ -47,6 +54,30 @@ func AtomicWriteFile(path string, data []byte) error {
 		return err
 	}
 	return SyncDir(dir)
+}
+
+// RemoveTemps removes from dir the temp files that AtomicWriteFile
+// leaves behind when its process is killed mid-write. A temp file of a
+// live writer would go too, failing that writer's rename, so only a
+// caller that knows no other process writes into dir may call it. A
+// missing dir holds nothing to remove.
+func RemoveTemps(dir string) error {
+	entries, err := os.ReadDir(dir)
+	if errors.Is(err, os.ErrNotExist) {
+		return nil
+	}
+	if err != nil {
+		return err
+	}
+	for _, e := range entries {
+		if !e.Type().IsRegular() || !strings.HasPrefix(e.Name(), tempPrefix) {
+			continue
+		}
+		if err := os.Remove(filepath.Join(dir, e.Name())); err != nil && !errors.Is(err, os.ErrNotExist) {
+			return err
+		}
+	}
+	return nil
 }
 
 // SyncDir fsyncs a directory, making recent renames/creates/removes in it

@@ -72,3 +72,31 @@ func TestSyncDir(t *testing.T) {
 		t.Fatal("SyncDir on a missing directory succeeded")
 	}
 }
+
+// TestRemoveTemps: the temp files of killed writers go, every other
+// file stays, and a missing directory is not an error.
+func TestRemoveTemps(t *testing.T) {
+	dir := t.TempDir()
+	for _, name := range []string{".tmp-123", ".tmp-abc", "block-000001.json", "campaign.json"} {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte("x"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := fsx.RemoveTemps(dir); err != nil {
+		t.Fatal(err)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var left []string
+	for _, e := range entries {
+		left = append(left, e.Name())
+	}
+	if strings.Join(left, ",") != "block-000001.json,campaign.json" {
+		t.Errorf("left %v, want the two result files", left)
+	}
+	if err := fsx.RemoveTemps(filepath.Join(dir, "missing")); err != nil {
+		t.Errorf("missing dir: %v", err)
+	}
+}

@@ -578,10 +578,20 @@ func MergeShards(parts []*ShardResult) (CampaignResult, error) {
 //
 // Shards run back to back, and each spreads its blocks over the
 // worker pool, so at most Workers blocks run at once.
+//
+// With SpillDir set the invocation owns the whole campaign directory,
+// so before it writes it removes the temp files a killed invocation
+// left there (fsx.RemoveTemps). CampaignPlansShard leaves them: another
+// shard's process may be writing one.
 func CampaignPlansSharded(plans [][]core.Segment, factory ProcessFactory, so ShardOptions) (CampaignResult, error) {
 	fp, err := so.resolve(plans)
 	if err != nil {
 		return CampaignResult{}, err
+	}
+	if so.SpillDir != "" {
+		if err := fsx.RemoveTemps(so.SpillDir); err != nil {
+			return CampaignResult{}, err
+		}
 	}
 	parts := make([]*ShardResult, fp.Shards)
 	for s := range parts {
@@ -639,10 +649,15 @@ func ReadCampaignManifest(dir string) (CampaignFingerprint, error) {
 
 // LoadCampaignDir loads every finished shard result present in dir,
 // verifying each against the manifest. Missing shards are not an error
-// here — MergeShards reports exactly which are absent.
+// here — MergeShards reports exactly which are absent. A merge reads a
+// directory whose shards have all stopped writing, so it also removes
+// the temp files killed writers left there (fsx.RemoveTemps).
 func LoadCampaignDir(dir string) ([]*ShardResult, error) {
 	fp, err := ReadCampaignManifest(dir)
 	if err != nil {
+		return nil, err
+	}
+	if err := fsx.RemoveTemps(dir); err != nil {
 		return nil, err
 	}
 	var parts []*ShardResult
