@@ -24,15 +24,16 @@
 //
 //	chkptexec -workflow wf.json -dir /tmp/ckpts -crash-events 40
 //	chkptexec -workflow wf.json -dir /tmp/ckpts            # resumes
-//	chkptexec -workflow wf.json -dir /tmp/ckpts -faults -retries 4
+//	chkptexec -workflow wf.json -dir /tmp/ckpts -faults -retry-policy fixed:4
 //
-// Degraded-store resilience — any of -retry-policy, -replan-threshold,
-// -quota, -secondary-dir or -tenants switches the persisted run onto
-// the adaptive executor (health-tracked retries with backoff, online
-// suffix replanning under cost drift, failover, per-tenant quotas) and
-// prints a resilience summary. -tenants N runs N concurrent persisted
-// runs (<run-id>-t0 .. -t<N-1>) against one shared store stack; crash
-// flags then apply to tenant 0 only:
+// Degraded-store resilience — every persisted run journals each save's
+// outcome, charges the store's latency and retry backoff to its virtual
+// clock, and walks a degradation ladder when saves give up (failover to
+// -secondary-dir, then persistence off), and prints a resilience
+// summary. -retry-policy, -replan-threshold (online suffix replanning
+// under cost drift), -quota and -sync-every tune it. -tenants N runs N
+// concurrent persisted runs (<run-id>-t0 .. -t<N-1>) against one shared
+// store stack; crash flags then apply to tenant 0 only:
 //
 //	chkptexec -workflow wf.json -dir /tmp/ckpts -faults -fault-latency 2 \
 //	    -retry-policy exp:0.5 -replan-threshold 1.3
@@ -69,8 +70,8 @@
 // DAGs the per-order placement DP under the chosen cost model.
 //
 // Every persisted mode maps its flags onto one exec.RunSpec: the store
-// flags become its StoreLayout, the resilience flags its adaptive
-// knobs, the crash flags its kill points. -contend runs
+// flags become its StoreLayout, the resilience flags its retry policy
+// and ladder knobs, the crash flags its kill points. -contend runs
 // exec.FencingDrill over that spec.
 package main
 
@@ -108,7 +109,6 @@ type config struct {
 
 	dir         string
 	runID       string
-	retries     int
 	crashEvents int
 	crashSaves  int
 	faults      bool
@@ -150,13 +150,6 @@ func (c config) networked() bool {
 		c.partition != "" || c.replicas > 1 || c.writeQuorum != 0
 }
 
-// adaptive reports whether any resilience flag asks for the adaptive
-// executor.
-func (c config) adaptive() bool {
-	return c.retryPolicy != "" || c.replanThreshold > 1 || c.quota != "" ||
-		c.secondaryDir != "" || c.tenants > 1 || c.syncEvery > 0
-}
-
 // maintenance reports whether the invocation is a store-maintenance
 // pass (-sync / -scrub) rather than an execution — no workflow needed.
 func (c config) maintenance() bool {
@@ -174,16 +167,15 @@ func main() {
 	flag.StringVar(&cfg.costmodel, "costmodel", "last-task", "DAG cost model: last-task | live-set")
 	flag.StringVar(&cfg.dir, "dir", "", "checkpoint store directory: switches to a persisted single run that resumes across invocations")
 	flag.StringVar(&cfg.runID, "run-id", "run", "run name inside the store")
-	flag.IntVar(&cfg.retries, "retries", 0, "store save/load retries (useful with -faults)")
 	flag.IntVar(&cfg.crashEvents, "crash-events", 0, "kill the run once the journal holds this many events (demo crash point)")
 	flag.IntVar(&cfg.crashSaves, "crash-saves", 0, "kill the run after this many checkpoint saves")
 	flag.BoolVar(&cfg.faults, "faults", false, "wrap the store in the deterministic fault injector")
-	flag.Uint64Var(&cfg.faultSeed, "fault-seed", 42, "fault injector seed; a re-invocation redraws the same faults, so change the seed or raise -retries to get past one")
-	flag.StringVar(&cfg.retryPolicy, "retry-policy", "", "adaptive save retry policy: none | fixed:<n> | exp[:base[:factor[:cap[:max]]]] (enables the adaptive executor)")
-	flag.Float64Var(&cfg.replanThreshold, "replan-threshold", 0, "hysteresis ratio of effective vs planned checkpoint cost that triggers online replanning (> 1 enables; adaptive)")
-	flag.StringVar(&cfg.quota, "quota", "", "per-tenant retained-checkpoint quota, e.g. ckpts:4, bytes:8192 or ckpts:4,bytes:8192 (adaptive; per-process accounting)")
-	flag.IntVar(&cfg.tenants, "tenants", 1, "run this many concurrent tenants (<run-id>-t<i>) against one shared store stack (adaptive)")
-	flag.StringVar(&cfg.secondaryDir, "secondary-dir", "", "failover checkpoint store directory (adaptive)")
+	flag.Uint64Var(&cfg.faultSeed, "fault-seed", 42, "fault injector seed; a re-invocation redraws the same faults, so change the seed or raise the -retry-policy budget to get past one")
+	flag.StringVar(&cfg.retryPolicy, "retry-policy", "", "store save/load retry policy: none | fixed:<n> | exp[:base[:factor[:cap[:max]]]] (persisted run)")
+	flag.Float64Var(&cfg.replanThreshold, "replan-threshold", 0, "hysteresis ratio of effective vs planned checkpoint cost that triggers online replanning (> 1 enables; persisted run)")
+	flag.StringVar(&cfg.quota, "quota", "", "per-tenant retained-checkpoint quota, e.g. ckpts:4, bytes:8192 or ckpts:4,bytes:8192 (persisted run; per-process accounting)")
+	flag.IntVar(&cfg.tenants, "tenants", 1, "run this many concurrent tenants (<run-id>-t<i>) against one shared store stack (persisted run)")
+	flag.StringVar(&cfg.secondaryDir, "secondary-dir", "", "failover checkpoint store directory (persisted run)")
 	flag.Float64Var(&cfg.faultLatency, "fault-latency", 0, "mean injected store latency per operation (with -faults)")
 	flag.StringVar(&cfg.tracePath, "trace", "", "drive failures from a recorded FTA-style CSV log instead of a seeded law (persisted run only)")
 	flag.BoolVar(&cfg.planFromTelemetry, "plan-from-telemetry", false, "probe the store before planning and re-solve the placement with the effective checkpoint cost (requires -dir)")
@@ -201,7 +193,7 @@ func main() {
 	flag.BoolVar(&cfg.contend, "contend", false, "two-executor fencing drill: run an uncontended reference, kill executor a, let b take over, prove the woken zombie is fenced and the survivor journal is bit-identical (requires -lease)")
 	flag.BoolVar(&cfg.syncMode, "sync", false, "maintenance: run one anti-entropy pass converging every replica of -run-id, then exit (requires -dir and -replicas >= 2; no -workflow needed)")
 	flag.BoolVar(&cfg.scrub, "scrub", false, "maintenance: walk every (run, seq) key, repair CRC-corrupt replicas from a clean quorum, fail loudly when none exists (requires -dir and -replicas >= 2; no -workflow needed)")
-	flag.IntVar(&cfg.syncEvery, "sync-every", 0, "run an anti-entropy pass after every k-th committed segment and at completion (adaptive; with -replicas >= 2)")
+	flag.IntVar(&cfg.syncEvery, "sync-every", 0, "run an anti-entropy pass after every k-th committed segment and at completion (persisted run; with -replicas >= 2)")
 	flag.Parse()
 	if cfg.wfPath == "" && !cfg.maintenance() {
 		flag.Usage()
@@ -235,8 +227,9 @@ func run(cfg config, out io.Writer) error {
 	}
 	if cfg.dir == "" {
 		switch {
-		case cfg.adaptive():
-			return fmt.Errorf("resilience flags (-retry-policy, -replan-threshold, -quota, -tenants, -secondary-dir) require a persisted run: set -dir")
+		case cfg.retryPolicy != "" || cfg.replanThreshold != 0 || cfg.quota != "" ||
+			cfg.secondaryDir != "" || cfg.tenants > 1 || cfg.syncEvery != 0:
+			return fmt.Errorf("resilience flags (-retry-policy, -replan-threshold, -quota, -tenants, -secondary-dir, -sync-every) require a persisted run: set -dir")
 		case cfg.networked():
 			return fmt.Errorf("network flags (-net-latency, -net-jitter, -net-loss, -partition, -replicas, -write-quorum) require a persisted run: set -dir")
 		case cfg.tracePath != "":
@@ -351,8 +344,8 @@ func (c config) runSpec(metered bool) (exec.RunSpec, error) {
 		return exec.RunSpec{}, err
 	}
 	spec := exec.RunSpec{
-		RunID: c.runID, Seed: c.seed, Salt: 1, Store: layout, SaveRetries: c.retries,
-		Adaptive: c.adaptive(), RetryPolicy: pol, ReplanRatio: c.replanThreshold, SyncEvery: c.syncEvery,
+		RunID: c.runID, Seed: c.seed, Salt: 1, Store: layout,
+		RetryPolicy: pol, ReplanRatio: c.replanThreshold, SyncEvery: c.syncEvery,
 		CrashAfterEvents: c.crashEvents, CrashAfterSaves: c.crashSaves,
 	}
 	return spec, nil
@@ -522,9 +515,9 @@ func parsePartitions(spec string) ([]netsim.Window, error) {
 	return wins, nil
 }
 
-// reportResult prints one invocation's outcome; prefix labels the
-// tenant in multi-tenant mode.
-func reportResult(out io.Writer, prefix string, cfg config, planned float64, res *exec.Result, err error) error {
+// reportResult prints one invocation's outcome and its store path's
+// summary; prefix labels the tenant in multi-tenant mode.
+func reportResult(out io.Writer, prefix string, spec exec.RunSpec, planned float64, res *exec.Result, err error) error {
 	if res != nil && res.Resumed {
 		fmt.Fprintf(out, "%sresumed from checkpoint %d (%d journal events restored)\n",
 			prefix, res.ResumeSeq, res.RestoredEvents)
@@ -534,7 +527,7 @@ func reportResult(out io.Writer, prefix string, cfg config, planned float64, res
 	}
 	if errors.Is(err, exec.ErrCrashed) {
 		fmt.Fprintf(out, "%scrashed as requested: %v\n", prefix, err)
-		fmt.Fprintf(out, "%sstate persists in %s — re-run without the crash flag to resume\n", prefix, cfg.dir)
+		fmt.Fprintf(out, "%sstate persists in %s — re-run without the crash flag to resume\n", prefix, spec.Store.Dir)
 		return nil
 	}
 	if err != nil {
@@ -543,17 +536,13 @@ func reportResult(out io.Writer, prefix string, cfg config, planned float64, res
 	fmt.Fprintf(out, "%scompleted: makespan %.4f (planned %.4f), %d failures, %d checkpoints, %d saves this invocation\n",
 		prefix, res.Makespan, planned, res.Failures, res.Checkpoints, res.Saves)
 	fmt.Fprintf(out, "%sjournal: %d events, hash %016x\n", prefix, len(res.Journal), res.Journal.Hash())
-	return nil
-}
-
-// reportResilience prints the adaptive executor's summary line.
-func reportResilience(out io.Writer, prefix string, spec exec.RunSpec, res *exec.Result) {
 	fmt.Fprintf(out, "%sresilience: policy %s, replans %d, save give-ups %d, level %s, store overhead %.4f, max rewind exposure %.4f\n",
 		prefix, spec.RetryPolicy.Name(), res.Replans, res.GiveUps, res.Level, res.StoreOverhead, res.MaxRewind)
 	if res.Syncs > 0 {
 		fmt.Fprintf(out, "%santi-entropy: %d passes, %d replica copies, %d unconverged\n",
 			prefix, res.Syncs, res.SyncCopied, res.SyncFailures)
 	}
+	return nil
 }
 
 // runPersisted executes once against a crash-durable file store,
@@ -574,13 +563,7 @@ func runPersisted(plan exec.Plan, spec exec.RunSpec, planned float64, cfg config
 		// trace cannot justify. Refuse to pass that off as a replay.
 		return fmt.Errorf("trace %s exhausted mid-run: the execution outlived the recorded log — provide a longer trace or lower the workload", cfg.tracePath)
 	}
-	if rerr := reportResult(out, "", cfg, planned, res, err); rerr != nil || err != nil {
-		return rerr
-	}
-	if spec.Adaptive {
-		reportResilience(out, "", spec, res)
-	}
-	return nil
+	return reportResult(out, "", spec, planned, res, err)
 }
 
 // runTenants executes cfg.tenants concurrent persisted runs, one per
@@ -595,11 +578,8 @@ func runTenants(plan exec.Plan, spec exec.RunSpec, planned float64, cfg config, 
 	results, errs := spec.ExecuteTenants(plan, st, cfg.tenants)
 	for i := 0; i < cfg.tenants; i++ {
 		prefix := fmt.Sprintf("tenant %d: ", i)
-		if err := reportResult(out, prefix, cfg, planned, results[i], errs[i]); err != nil {
+		if err := reportResult(out, prefix, spec, planned, results[i], errs[i]); err != nil {
 			return fmt.Errorf("tenant %d: %w", i, err)
-		}
-		if spec.Adaptive && errs[i] == nil {
-			reportResilience(out, prefix, spec, results[i])
 		}
 	}
 	return nil

@@ -11,6 +11,7 @@ import (
 	"strconv"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"repro/internal/rng"
 )
@@ -616,10 +617,15 @@ func (g *Graph) IsIndependent() bool { return g.edges == 0 }
 
 // TestGraphBytesPerTask pins Chain's heap bytes per task on a 10⁵-task
 // chain: three cost columns, the names and their int32 ends, two int32
-// runs and two arena slots per task. The figure is a budget: a rise is
-// a regression, and a drop should re-pin the lower figure.
+// runs and two arena slots per task. The budget is computed from the
+// slot types, so a 32-bit build checks the same layout with 4-byte
+// arena slots (59 B there, 67 on 64-bit). A rise is a regression, and a
+// drop should re-pin the lower figure.
 func TestGraphBytesPerTask(t *testing.T) {
-	const n, runs, want = 100000, 4, 67
+	const n, runs = 100000, 4
+	var g Graph
+	want := float64(3*unsafe.Sizeof(g.weight[0]) + uintptr(labelLen("T", n)) + unsafe.Sizeof(g.nameEnd[0]) +
+		2*(unsafe.Sizeof(g.succ.runs[0])+unsafe.Sizeof(g.succ.arena[0])))
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for i := 0; i < runs; i++ {

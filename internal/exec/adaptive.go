@@ -1,8 +1,9 @@
 // Degraded-store resilience and the save path: the retry loop every
 // commit runs under a RetryPolicy (commit in exec.go → persist → save),
-// the outcome accounting adaptive mode adds — StoreHealth, online
+// the outcome accounting that follows it — StoreHealth, online
 // replanning with hysteresis, the degradation ladder (healthy →
 // degraded → failover → down) — and restoring that state on resume.
+// Every run with a store takes this path; AdaptiveOptions only tunes it.
 //
 // Determinism under adaptivity is the load-bearing design: every
 // decision is a pure function of state that round-trips through the
@@ -32,11 +33,12 @@ import (
 	"repro/internal/store"
 )
 
-// AdaptiveOptions enables the degraded-store resilience layer. The
-// zero value of each field picks a sane default; the executor runs
-// adaptively whenever Options.Adaptive is non-nil (which requires a
-// configured Store). Fixed constants cover what is not configurable:
-// the drift reference cost is the original plan's mean checkpoint cost,
+// AdaptiveOptions tunes the degraded-store resilience layer every run
+// with a Store goes through. The zero value of each field picks a sane
+// default, and a nil Options.Adaptive is the zero value: NoRetry, no
+// replanning, persistence off after 4 consecutive give-ups, and no
+// secondary, probing or sync. Fixed constants cover what is not
+// configurable: the drift reference cost is the original plan's mean checkpoint cost,
 // the store-health EWMA weight is 0.25 over a 16-attempt failure
 // window, and failover to Secondary fires after 2 consecutive commit
 // give-ups.
@@ -70,7 +72,7 @@ type AdaptiveOptions struct {
 	// probe re-admits the active store at LevelDegraded, which is how
 	// a minority-side executor rides out a partition window and
 	// resumes committing once the network heals. Zero keeps the
-	// legacy one-way ladder: down stays down for the rest of the run.
+	// one-way ladder: down stays down for the rest of the run.
 	ProbeEvery int
 	// SyncEvery, when positive, runs an anti-entropy pass over the
 	// active store after every SyncEvery-th committed segment (by
@@ -135,14 +137,11 @@ func (ex *executor) save(seq uint64, payload []byte) (saveOutcome, error) {
 	var out saveOutcome
 	defer func() { ex.pending = 0 }()
 	for attempt := 1; ; attempt++ {
-		if ex.ad != nil {
-			// Expose the overhead accrued so far through the bound
-			// clock: this attempt's network delivery happens at t +
-			// overhead, so backing off long enough walks the commit
-			// past a partition window's end. Without Adaptive every
-			// attempt happens at t.
-			ex.pending = out.overhead
-		}
+		// Expose the overhead accrued so far through the bound clock:
+		// this attempt's network delivery happens at t + overhead, so
+		// backing off long enough walks the commit past a partition
+		// window's end.
+		ex.pending = out.overhead
 		lat, _, err := ex.meter.Measure(func() error { return ex.store.Save(run, seq, payload) })
 		out.overhead += lat
 		out.attempts = attempt
@@ -159,7 +158,7 @@ func (ex *executor) save(seq uint64, payload []byte) (saveOutcome, error) {
 			out.code = saveCodePermanent
 			return out, nil
 		}
-		delay, retry := ex.retry.Backoff(attempt)
+		delay, retry := ex.ad.Retry.Backoff(attempt)
 		if !retry {
 			out.code = saveCodeExhausted
 			return out, nil
@@ -193,10 +192,10 @@ func (ex *executor) noteExposure() {
 
 // persist is everything that happens to a checkpoint payload after it
 // is encoded: skip (persistence off), or the save under the retry
-// policy followed by outcome accounting. The adaptive resume path calls
-// it with the restored payload to re-observe the same outcomes. Either
-// way the payload encodes the journal as it stands on entry, and a
-// successful save makes it the base of the next payload's chain.
+// policy followed by outcome accounting. The resume path calls it with
+// the restored payload to re-observe the same outcomes. Either way the
+// payload encodes the journal as it stands on entry, and a successful
+// save makes it the base of the next payload's chain.
 func (ex *executor) persist(seq uint64, payload []byte) error {
 	encoded := uint64(len(ex.j))
 	if ex.level == LevelDown {
@@ -224,21 +223,6 @@ func (ex *executor) persist(seq uint64, payload []byte) error {
 	out, err := ex.save(seq, payload)
 	if err != nil {
 		return err
-	}
-	if ex.ad == nil {
-		// The store is off the modeled timeline: nothing is journaled
-		// or charged (E18 compares such runs against a store-less
-		// reference journal), and a save that gives up ends the
-		// invocation.
-		if !out.ok {
-			cause := ErrSaveExhausted
-			if out.code == saveCodePermanent {
-				cause = ErrSavePermanent
-			}
-			return fmt.Errorf("exec: saving checkpoint %d: %w: %w", seq, cause, out.err)
-		}
-		ex.base, ex.baseLen = seq, encoded
-		return ex.countSave()
 	}
 	ex.t += out.overhead
 	ex.met.StoreOverhead += out.overhead
@@ -309,7 +293,7 @@ func (ex *executor) escalate(permanent bool) error {
 // re-solved suffix at the frontier when the effective checkpoint cost
 // has drifted out of the band since the plan was last (re)solved.
 func (ex *executor) maybeReplan(s int) error {
-	ad := ex.ad
+	ad := &ex.ad
 	if ad.Replanner == nil || ad.ReplanRatio <= 1 || ex.baseCost <= 0 {
 		return nil
 	}
@@ -365,10 +349,10 @@ func (ex *executor) spliceAt(cut, from int, segs []core.Segment) error {
 	return nil
 }
 
-// restoreAdaptive finishes an adaptive resume once the adaptive record
-// is assigned back, from the resolved journal (which records every
-// ladder move and replan up to the encode point): it re-selects the
-// active store and rebuilds the live segment layout with at most one
+// restoreAdaptive finishes a resume once the adaptive record is
+// assigned back, from the resolved journal (which records every ladder
+// move and replan up to the encode point): it re-selects the active
+// store and rebuilds the live segment layout with at most one
 // Replan call. Replan is pure in (from, overhead), and the journal's
 // last EvReplan re-solved every segment from its cut lastReplanAt1 on,
 // which is at or before seq, the segment the resume runs next. So

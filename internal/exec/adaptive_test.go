@@ -50,46 +50,6 @@ func TestClassifyStoreError(t *testing.T) {
 	}
 }
 
-// TestLegacyCommitErrorWrapping pins the classified wrapping of the
-// legacy (non-adaptive) save path: exhausted transient retries wrap
-// ErrSaveExhausted, permanent errors wrap ErrSavePermanent without
-// burning retries, and the underlying store sentinel stays reachable
-// through errors.Is in both cases.
-func TestLegacyCommitErrorWrapping(t *testing.T) {
-	w := chainWorkload(t)
-	src := func() Source { return NewKeyedSource(failure.Exponential{Lambda: 0.08}, 5, 1) }
-	cases := []struct {
-		name    string
-		store   store.Store
-		wrapper error
-		under   error
-	}{
-		{
-			"transient exhausted",
-			store.NewFaultStore(store.NewMemStore(), store.FaultPlan{Seed: 1, WriteFail: 1}),
-			ErrSaveExhausted,
-			store.ErrInjectedWrite,
-		},
-		{
-			"permanent quota",
-			store.NewQuotaStore(store.NewQuotaLedger(store.Quota{MaxBytes: 8}, nil), store.NewMemStore()),
-			ErrSavePermanent,
-			store.ErrQuota,
-		},
-	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			_, err := Execute(w, src(), Options{Downtime: 1, Store: c.store, SaveRetries: 2})
-			if !errors.Is(err, c.wrapper) {
-				t.Fatalf("err = %v, want wrapped %v", err, c.wrapper)
-			}
-			if !errors.Is(err, c.under) {
-				t.Fatalf("err = %v lost the underlying %v", err, c.under)
-			}
-		})
-	}
-}
-
 // TestRetryPolicies pins each policy's full decision sequence.
 func TestRetryPolicies(t *testing.T) {
 	type step struct {
@@ -282,33 +242,25 @@ func TestOrderReplannerAllocs(t *testing.T) {
 	}
 }
 
-// legacyEvents filters a journal down to the event kinds the
-// non-adaptive executor emits.
-func legacyEvents(j Journal) Journal {
-	var out Journal
-	for _, e := range j {
-		switch e.Kind {
-		case EvHealth, EvReplan, EvSaveResult, EvDegrade:
-		default:
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
 // TestAdaptiveCleanStoreMatchesLegacy pins that on a healthy store the
-// adaptive layer is pure observation: no overhead, no replans, no
-// ladder moves, and the execution trajectory (the legacy event
-// subsequence) is byte-identical to the non-adaptive run's.
+// tuned ladder is pure observation: a run with a retry policy, a
+// replanner and a hysteresis band journals exactly what the
+// default-options store run journals, and its compute events and
+// metrics equal the store-less run's, with no overhead, no replans
+// and no ladder moves.
 func TestAdaptiveCleanStoreMatchesLegacy(t *testing.T) {
 	cp, _ := chainProblem(t)
 	w := chainWorkload(t)
 	src := func() Source { return NewKeyedSource(failure.Exponential{Lambda: 0.08}, 5, 1) }
-	legacy, err := Execute(w, src(), Options{Downtime: 1, Store: store.Checked(store.NewMemStore())})
+	bare, err := Execute(w, src(), Options{Downtime: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	adaptive, err := Execute(w, src(), Options{
+	plain, err := Execute(w, src(), Options{Downtime: 1, Store: store.Checked(store.NewMemStore())})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tuned, err := Execute(w, src(), Options{
 		Downtime: 1, Store: store.Checked(store.NewMemStore()),
 		Adaptive: &AdaptiveOptions{
 			Retry:       ExpBackoff{Base: 0.5, Cap: 4},
@@ -319,20 +271,23 @@ func TestAdaptiveCleanStoreMatchesLegacy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !legacyEvents(adaptive.Journal).Equal(legacy.Journal) {
-		t.Fatal("adaptive run's execution trajectory differs on a healthy store")
+	if !tuned.Journal.Equal(plain.Journal) {
+		t.Fatal("tuned run's journal differs from the default-options run's on a healthy store")
 	}
-	if adaptive.StoreOverhead != 0 || adaptive.Replans != 0 || adaptive.GiveUps != 0 ||
-		adaptive.Level != LevelHealthy {
-		t.Fatalf("healthy store perturbed adaptivity: %+v", *adaptive)
+	if !tuned.Journal.Compute().Equal(bare.Journal) {
+		t.Fatal("tuned run's compute events differ from the store-less run's")
 	}
-	if adaptive.Makespan != legacy.Makespan {
-		t.Fatalf("makespan drifted: %v vs %v", adaptive.Makespan, legacy.Makespan)
+	if tuned.Metrics != bare.Metrics {
+		t.Fatalf("metrics drifted: %+v vs %+v", tuned.Metrics, bare.Metrics)
 	}
-	if adaptive.Journal.Count(EvHealth) != w.Segments() ||
-		adaptive.Journal.Count(EvSaveResult) != w.Segments() {
+	if tuned.StoreOverhead != 0 || tuned.Replans != 0 || tuned.GiveUps != 0 ||
+		tuned.Level != LevelHealthy {
+		t.Fatalf("healthy store perturbed adaptivity: %+v", *tuned)
+	}
+	if tuned.Journal.Count(EvHealth) != w.Segments() ||
+		tuned.Journal.Count(EvSaveResult) != w.Segments() {
 		t.Fatalf("expected one health + save-result event per commit: %d/%d",
-			adaptive.Journal.Count(EvHealth), adaptive.Journal.Count(EvSaveResult))
+			tuned.Journal.Count(EvHealth), tuned.Journal.Count(EvSaveResult))
 	}
 }
 

@@ -43,65 +43,84 @@ func crashScenarios(t *testing.T) []crashScenario {
 }
 
 // runToCompletion drives the executor through a sequence of injected
-// kill points: each invocation crashes at its kill point (or dies on an
-// exhausted-retries store error, which the harness treats the same
-// way), and the next invocation resumes from whatever the store holds.
-// After the kill list is exhausted, a final clean invocation completes
-// the run. It returns the final result and the number of invocations
-// that actually crashed.
-func runToCompletion(t *testing.T, sc crashScenario, st store.Store, kills []int, retries int) (*Result, int) {
+// kill points: each invocation is a new process on a fresh stack from
+// open over the same backends, crashes at its kill point, and the next
+// resumes from whatever the store holds. After the kill list is
+// exhausted, a final clean invocation completes the run. It returns the
+// final result and the number of invocations that actually crashed.
+func runToCompletion(t *testing.T, sc crashScenario, open func() store.Store, retry RetryPolicy, kills []int) (*Result, int) {
 	t.Helper()
 	crashes := 0
 	for _, kill := range kills {
-		_, err := Execute(sc.w, sc.src(), Options{
-			RunID: "acceptance", Store: st, Downtime: 1,
-			SaveRetries: retries, CrashAfterEvents: kill,
-		})
+		_, err := runOnce(sc, open(), retry, kill)
 		switch {
 		case err == nil:
 			// The kill point landed past the end of the run; nothing to
 			// resume, later kill points would also miss.
 			return nil, crashes
-		case errors.Is(err, ErrCrashed) || errors.Is(err, store.ErrInjected):
+		case errors.Is(err, ErrCrashed):
 			crashes++
 		default:
 			t.Fatalf("kill@%d: unexpected error: %v", kill, err)
 		}
 	}
-	res, err := Execute(sc.w, sc.src(), Options{
-		RunID: "acceptance", Store: st, Downtime: 1, SaveRetries: retries,
-	})
+	res, err := runOnce(sc, open(), retry, 0)
 	if err != nil {
 		t.Fatalf("final resume: %v", err)
 	}
 	return res, crashes
 }
 
+// runOnce is one invocation of sc on st under retry, killed after kill
+// journal events when positive.
+func runOnce(sc crashScenario, st store.Store, retry RetryPolicy, kill int) (*Result, error) {
+	return Execute(sc.w, sc.src(), Options{
+		RunID: "acceptance", Store: st, Downtime: 1, CrashAfterEvents: kill,
+		Adaptive: &AdaptiveOptions{Retry: retry},
+	})
+}
+
+// newFileStore is a file store in a fresh test directory.
+func newFileStore(t *testing.T) *store.FileStore {
+	t.Helper()
+	fs, err := store.NewFileStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fs
+}
+
 // TestCrashResumeBitIdenticalJournals is the acceptance property of the
 // whole runtime: for chain and DAG plans under both cost models, an
 // execution killed at several distinct injected points and resumed each
 // time from the durable file store finishes with a journal
-// byte-identical to the uninterrupted run's, and identical metrics.
+// byte-identical to the uninterrupted stored run's, and identical
+// metrics. The store charges nothing, so the compute events and metrics
+// also equal the store-less run's.
 func TestCrashResumeBitIdenticalJournals(t *testing.T) {
 	for _, sc := range crashScenarios(t) {
 		t.Run(sc.name, func(t *testing.T) {
-			ref, err := Execute(sc.w, sc.src(), Options{Downtime: 1})
+			bare, err := Execute(sc.w, sc.src(), Options{Downtime: 1})
 			if err != nil {
 				t.Fatal(err)
+			}
+			ref, err := runOnce(sc, store.Checked(newFileStore(t)), nil, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !ref.Journal.Compute().Equal(bare.Journal) || ref.Metrics != bare.Metrics {
+				t.Fatal("stored run's compute events or metrics differ from the store-less run's")
 			}
 			n := len(ref.Journal)
 			if n < 10 {
 				t.Fatalf("reference journal too short (%d events) to place 3 kill points", n)
 			}
 			// Three strictly increasing kill points inside the run, plus
-			// one killing between the final checkpoint event and
+			// one killing between the final checkpoint's save and
 			// completion.
 			kills := []int{n / 5, 2 * n / 5, 7 * n / 10, n - 1}
-			fs, err := store.NewFileStore(t.TempDir())
-			if err != nil {
-				t.Fatal(err)
-			}
-			res, crashes := runToCompletion(t, sc, store.Checked(fs), kills, 0)
+			fs := newFileStore(t)
+			res, crashes := runToCompletion(t, sc, func() store.Store { return store.Checked(fs) }, nil, kills)
 			if res == nil {
 				t.Fatal("kill points missed the run entirely")
 			}
@@ -125,17 +144,14 @@ func TestCrashResumeBitIdenticalJournals(t *testing.T) {
 // TestCrashResumeUnderFaultInjection repeats the acceptance property
 // with a hostile store: injected clean write failures, torn writes
 // (detected by the codec on resume), silent loss of old checkpoints and
-// transient read failures. Retries absorb what they can; resume falls
-// back past what they cannot; the final journal must still be
-// byte-identical to the undisturbed reference.
+// transient read failures. Retries absorb what they can, the ladder
+// degrades past what they cannot, and resume falls back past lost or
+// torn checkpoints; the final journal must still be byte-identical to
+// the uninterrupted run's on a fresh store of the same layout.
 func TestCrashResumeUnderFaultInjection(t *testing.T) {
+	retry := FixedRetry{Attempts: 4}
 	for _, sc := range crashScenarios(t) {
 		t.Run(sc.name, func(t *testing.T) {
-			ref, err := Execute(sc.w, sc.src(), Options{Downtime: 1})
-			if err != nil {
-				t.Fatal(err)
-			}
-			n := len(ref.Journal)
 			for _, plan := range []store.FaultPlan{
 				{Seed: 1, WriteFail: 0.3},
 				{Seed: 2, TornWrite: 0.4},
@@ -143,13 +159,17 @@ func TestCrashResumeUnderFaultInjection(t *testing.T) {
 				{Seed: 4, ReadFail: 0.3},
 				{Seed: 5, WriteFail: 0.15, TornWrite: 0.15, LoseOld: 0.4, ReadFail: 0.15, MeanLatency: 2},
 			} {
-				fs, err := store.NewFileStore(t.TempDir())
+				// open is a new process's stack over fs.
+				open := func(fs *store.FileStore) func() store.Store {
+					return func() store.Store { return store.Checked(store.NewFaultStore(fs, plan)) }
+				}
+				ref, err := runOnce(sc, open(newFileStore(t))(), retry, 0)
 				if err != nil {
 					t.Fatal(err)
 				}
-				faulty := store.NewFaultStore(fs, plan)
+				n := len(ref.Journal)
 				kills := []int{n / 6, n / 3, n / 2, 4 * n / 5}
-				res, crashes := runToCompletion(t, sc, store.Checked(faulty), kills, 4)
+				res, crashes := runToCompletion(t, sc, open(newFileStore(t)), retry, kills)
 				if res == nil {
 					t.Fatalf("plan %+v: kill points missed the run", plan)
 				}
@@ -295,8 +315,8 @@ func adaptiveDrills(t *testing.T) []adaptiveDrill {
 // scenario, a run killed at EVERY possible journal length and resumed
 // once finishes with a journal byte-identical to the uninterrupted
 // run's — retries, backoff, replans, quota rejections, failover and
-// persistence-off included. In adaptive mode store trouble degrades
-// rather than errors out, so a single clean resume always completes.
+// persistence-off included. Store trouble degrades rather than errors
+// out, so a single clean resume always completes.
 func TestAdaptiveCrashResumeEveryEventPoint(t *testing.T) {
 	for _, d := range adaptiveDrills(t) {
 		t.Run(d.name, func(t *testing.T) {
@@ -335,25 +355,33 @@ func TestAdaptiveCrashResumeEveryEventPoint(t *testing.T) {
 }
 
 // TestCrashAfterSavesKillPoint covers the save-count kill point: the
-// crash lands immediately after a successful save, the resume picks up
-// exactly there.
+// crash lands immediately after a successful save, and the resume picks
+// up exactly there. A resume's re-save of the restored payload counts
+// as a save, so a resumed invocation crashes after two: the re-save and
+// the next segment's.
 func TestCrashAfterSavesKillPoint(t *testing.T) {
 	w := chainWorkload(t)
 	src := func() Source { return NewKeyedSource(failure.Exponential{Lambda: 0.08}, 55, 1) }
-	ref, err := Execute(w, src(), Options{Downtime: 1})
+	ref, err := Execute(w, src(), Options{Store: store.Checked(store.NewMemStore()), Downtime: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := store.Checked(store.NewMemStore())
-	// Crash after every single save: each invocation advances exactly one
-	// segment past its resume point.
+	mem := store.NewMemStore()
+	// Each invocation advances exactly one segment past its resume point.
 	for i := 0; i < w.Segments()-1; i++ {
-		_, err := Execute(w, src(), Options{Store: st, Downtime: 1, CrashAfterSaves: 1})
+		saves := 2
+		if i == 0 {
+			saves = 1
+		}
+		res, err := Execute(w, src(), Options{Store: store.Checked(mem), Downtime: 1, CrashAfterSaves: saves})
 		if !errors.Is(err, ErrCrashed) {
 			t.Fatalf("crash %d: %v, want ErrCrashed", i, err)
 		}
+		if res.Saves != saves {
+			t.Fatalf("crash %d: %d saves, want %d", i, res.Saves, saves)
+		}
 	}
-	res, err := Execute(w, src(), Options{Store: st, Downtime: 1})
+	res, err := Execute(w, src(), Options{Store: store.Checked(mem), Downtime: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -384,20 +412,25 @@ func (c *loadCounter) Load(run string, seq uint64) ([]byte, error) {
 
 // TestLegacyResumeLoadsTornCheckpointOnce pins the classified load
 // loop: a torn frame decodes as ErrCorrupt, which no retry can fix, so
-// a resume with SaveRetries > 0 reads the newest (torn) checkpoint
+// a resume under a retry policy reads the newest (torn) checkpoint
 // exactly once before falling back to the one below it, and still
-// finishes on the uninterrupted journal.
+// finishes on the uninterrupted journal of a fresh store.
 func TestLegacyResumeLoadsTornCheckpointOnce(t *testing.T) {
 	w := chainWorkload(t)
 	src := func() Source { return NewKeyedSource(failure.Exponential{Lambda: 0.08}, 55, 1) }
-	ref, err := Execute(w, src(), Options{Downtime: 1})
+	opts := func(st store.Store, saves int) Options {
+		return Options{
+			RunID: "torn", Store: store.Checked(st), Downtime: 1, CrashAfterSaves: saves,
+			Adaptive: &AdaptiveOptions{Retry: FixedRetry{Attempts: 2}},
+		}
+	}
+	ref, err := Execute(w, src(), opts(store.NewMemStore(), 0))
 	if err != nil {
 		t.Fatal(err)
 	}
 	mem := store.NewMemStore()
 	counter := &loadCounter{Store: mem, loads: map[uint64]int{}}
-	opts := Options{RunID: "torn", Store: store.Checked(counter), Downtime: 1, SaveRetries: 2, CrashAfterSaves: 3}
-	if _, err := Execute(w, src(), opts); !errors.Is(err, ErrCrashed) {
+	if _, err := Execute(w, src(), opts(counter, 3)); !errors.Is(err, ErrCrashed) {
 		t.Fatalf("first invocation: %v, want ErrCrashed", err)
 	}
 	newest, ok, err := store.Latest(mem, "torn")
@@ -412,8 +445,7 @@ func TestLegacyResumeLoadsTornCheckpointOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	clear(counter.loads)
-	opts.CrashAfterSaves = 0
-	res, err := Execute(w, src(), opts)
+	res, err := Execute(w, src(), opts(counter, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -488,12 +520,12 @@ func rewrite(t *testing.T, mem *store.MemStore, run string, seq uint64, edit fun
 // checkpoint chain. Every checkpoint chained through the link is then
 // unresumable, so the resume must fall back to the newest checkpoint
 // below it (or start fresh when the root is gone) and still finish on
-// the uninterrupted journal and metrics.
+// the journal and metrics of the uninterrupted run on a fresh store.
 func TestResumeFallsBackPastBrokenChain(t *testing.T) {
 	const run, persisted, link = "chain", 8, 4
 	w := segmentChain(t, 12)
 	src := func() Source { return NewKeyedSource(failure.Exponential{Lambda: 0.05}, 9, 1) }
-	ref, err := Execute(w, src(), Options{Downtime: 1})
+	ref, err := Execute(w, src(), Options{RunID: run, Store: store.Checked(store.NewMemStore()), Downtime: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -540,7 +572,7 @@ func TestResumeFallsBackPastBrokenChain(t *testing.T) {
 				t.Fatalf("first invocation: %v, want ErrCrashed", err)
 			}
 			tc.damage(t, mem)
-			opts.CrashAfterSaves = 0
+			opts.Store, opts.CrashAfterSaves = store.Checked(mem), 0
 			res, err := Execute(w, src(), opts)
 			if err != nil {
 				t.Fatal(err)
@@ -690,109 +722,23 @@ func TestReadmitAfterFailoverResume(t *testing.T) {
 	}
 }
 
-// TestLegacyResumeOfDownLevelPayload resumes, without Adaptive, a
-// checkpoint an adaptive run persisted at LevelDown through a ride-out
-// probe. A legacy resume ignores the adaptive record: it completes on
-// the legacy chaining rule (the next payload extends the restored one)
-// instead of acting on a ladder it has no options for.
-func TestLegacyResumeOfDownLevelPayload(t *testing.T) {
-	const run = "mixed"
-	w := segmentChain(t, 30)
-	src := func() Source { return NewKeyedSource(failure.Exponential{Lambda: 0.05}, 3, 1) }
-	adaptive := func(mem *store.MemStore, kill int) Options {
-		return Options{
-			RunID: run, Downtime: 1, CrashAfterEvents: kill,
-			Store:    store.Checked(store.NewFaultStore(mem, store.FaultPlan{Seed: 2, WriteFail: 0.6})),
-			Adaptive: &AdaptiveOptions{Retry: NoRetry{}, DownAfter: 2, ProbeEvery: 2},
-		}
-	}
-	ref, err := Execute(w, src(), adaptive(store.NewMemStore(), 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Kill right after the first successful probe: its payload, encoded
-	// at LevelDown, is then the newest checkpoint.
-	kill, down := 0, false
-	for i, e := range ref.Journal {
-		if e.Kind == EvDegrade {
-			down = DegradeLevel(e.Arg) == LevelDown
-		}
-		if down && e.Kind == EvSaveResult && int(e.Arg)&7 == saveCodeOK {
-			kill = i + 1
-			break
-		}
-	}
-	if kill == 0 {
-		t.Fatal("reference run never persisted a checkpoint at LevelDown")
-	}
-	mem := store.NewMemStore()
-	if _, err := Execute(w, src(), adaptive(mem, kill)); !errors.Is(err, ErrCrashed) {
-		t.Fatalf("killed invocation: %v, want ErrCrashed", err)
-	}
-	seqs, err := mem.List(run)
-	if err != nil {
-		t.Fatal(err)
-	}
-	last := seqs[len(seqs)-1]
-	data, err := store.Checked(mem).Load(run, last)
-	if err != nil {
-		t.Fatal(err)
-	}
-	restored, err := decodeState(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if restored.level != LevelDown || restored.sinceDown == 0 {
-		t.Fatalf("newest checkpoint %d at level %v, sinceDown %d; want a LevelDown probe", last, restored.level, restored.sinceDown)
-	}
-	legacy := Options{RunID: run, Store: store.Checked(mem), Downtime: 1}
-	res, err := Execute(w, src(), legacy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Resumed || res.ResumeSeq != last || res.Journal.Count(EvComplete) != 1 {
-		t.Fatalf("resumed=%v from %d, %d completions; want a completed resume from %d",
-			res.Resumed, res.ResumeSeq, res.Journal.Count(EvComplete), last)
-	}
-	if res.Level != LevelHealthy || res.GiveUps != 0 || res.Replans != 0 {
-		t.Fatalf("legacy resume reports adaptive state: level %v, give-ups %d, replans %d", res.Level, res.GiveUps, res.Replans)
-	}
-	data, err = store.Checked(mem).Load(run, last+1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	next, err := decodeState(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if next.base != last || next.baseLen != uint64(res.RestoredEvents) {
-		t.Fatalf("checkpoint %d extends %d at %d events, want %d at %d", last+1, next.base, next.baseLen, last, res.RestoredEvents)
-	}
-}
-
 // TestLongRunKillResumeLinearStorage is kill/resume identity at
 // production length: a 10k-segment chain, killed at eight event points
 // spread over the run and resumed after each, ends on the uninterrupted
-// journal and metrics — legacy, and adaptive under write faults,
-// injected latency, replans, a ladder that goes down and ride-out
-// probes, so that every durable field is non-zero in some payload. It
-// also asserts the storage bound: every retained payload is a fixed
-// header plus the journal delta since its base, so what the run leaves
-// in the store is linear in its journal, not quadratic.
+// journal and metrics, under write faults, injected latency, replans, a
+// ladder that goes down and ride-out probes, so that every durable
+// field is non-zero in some payload. It also asserts the storage bound:
+// every retained payload is a fixed header plus the journal delta since
+// its base, so what the run leaves in the store is linear in its
+// journal, not quadratic.
 func TestLongRunKillResumeLinearStorage(t *testing.T) {
 	const run, n = "long", 10_000
 	cp, w := segmentProblem(t, n), segmentChain(t, n)
 	src := func() Source { return NewKeyedSource(failure.Exponential{Lambda: 0.02}, 31, 1) }
-	for _, tc := range []struct {
-		name string
-		// opts builds one invocation's options over the run's store.
-		opts func(mem *store.MemStore) Options
-	}{
-		{"legacy", func(mem *store.MemStore) Options {
-			return Options{Store: store.Checked(mem)}
-		}},
-		{"adaptive", func(mem *store.MemStore) Options {
-			return Options{
+	t.Run("adaptive", func(t *testing.T) {
+		invoke := func(mem *store.MemStore, kill int) (*Result, error) {
+			return Execute(w, src(), Options{
+				RunID: run, Downtime: 1, CrashAfterEvents: kill,
 				Store: store.Checked(store.NewFaultStore(mem, store.FaultPlan{Seed: 8, WriteFail: 0.3, MeanLatency: 0.05})),
 				Adaptive: &AdaptiveOptions{
 					Retry:       ExpBackoff{Base: 0.5, MaxAttempts: 2},
@@ -802,100 +748,86 @@ func TestLongRunKillResumeLinearStorage(t *testing.T) {
 					DownAfter:   2,
 					ProbeEvery:  3,
 				},
+			})
+		}
+		ref, err := invoke(store.NewMemStore(), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mem := store.NewMemStore()
+		for i := 1; i <= 8; i++ {
+			kill := len(ref.Journal) * i / 9
+			if _, err := invoke(mem, kill); !errors.Is(err, ErrCrashed) {
+				t.Fatalf("kill %d@%d: %v, want ErrCrashed", i, kill, err)
 			}
-		}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			invoke := func(mem *store.MemStore, kill int) (*Result, error) {
-				o := tc.opts(mem)
-				o.RunID, o.Downtime, o.CrashAfterEvents = run, 1, kill
-				return Execute(w, src(), o)
-			}
-			ref, err := invoke(store.NewMemStore(), 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			mem := store.NewMemStore()
-			for i := 1; i <= 8; i++ {
-				kill := len(ref.Journal) * i / 9
-				if _, err := invoke(mem, kill); !errors.Is(err, ErrCrashed) {
-					t.Fatalf("kill %d@%d: %v, want ErrCrashed", i, kill, err)
-				}
-			}
-			res, err := invoke(mem, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !res.Resumed {
-				t.Fatal("final invocation did not resume")
-			}
-			if !res.Journal.Equal(ref.Journal) {
-				t.Fatalf("resumed journal differs from reference (%d vs %d events)", len(res.Journal), len(ref.Journal))
-			}
-			if res.Metrics != ref.Metrics {
-				t.Fatalf("metrics differ: %+v vs %+v", res.Metrics, ref.Metrics)
-			}
-			if res.Replans != ref.Replans || res.GiveUps != ref.GiveUps || res.Level != ref.Level ||
-				res.MaxRewind != ref.MaxRewind || res.OverheadEstimate != ref.OverheadEstimate {
-				t.Fatalf("adaptive results differ: replans %d/%d, give-ups %d/%d, level %v/%v, max rewind %v/%v, overhead %v/%v",
-					res.Replans, ref.Replans, res.GiveUps, ref.GiveUps, res.Level, ref.Level,
-					res.MaxRewind, ref.MaxRewind, res.OverheadEstimate, ref.OverheadEstimate)
-			}
+		}
+		res, err := invoke(mem, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Resumed {
+			t.Fatal("final invocation did not resume")
+		}
+		if !res.Journal.Equal(ref.Journal) {
+			t.Fatalf("resumed journal differs from reference (%d vs %d events)", len(res.Journal), len(ref.Journal))
+		}
+		if res.Metrics != ref.Metrics {
+			t.Fatalf("metrics differ: %+v vs %+v", res.Metrics, ref.Metrics)
+		}
+		if res.Replans != ref.Replans || res.GiveUps != ref.GiveUps || res.Level != ref.Level ||
+			res.MaxRewind != ref.MaxRewind || res.OverheadEstimate != ref.OverheadEstimate {
+			t.Fatalf("adaptive results differ: replans %d/%d, give-ups %d/%d, level %v/%v, max rewind %v/%v, overhead %v/%v",
+				res.Replans, ref.Replans, res.GiveUps, ref.GiveUps, res.Level, ref.Level,
+				res.MaxRewind, ref.MaxRewind, res.OverheadEstimate, ref.OverheadEstimate)
+		}
 
-			probe := store.NewMemStore()
-			if err := store.Checked(probe).Save(run, 1, nil); err != nil {
-				t.Fatal(err)
-			}
-			empty, err := probe.Load(run, 1)
+		probe := store.NewMemStore()
+		if err := store.Checked(probe).Save(run, 1, nil); err != nil {
+			t.Fatal(err)
+		}
+		empty, err := probe.Load(run, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seqs, err := mem.List(run)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(seqs) != ref.Saves {
+			t.Fatalf("store holds %d checkpoints, want the %d the uninterrupted run saved", len(seqs), ref.Saves)
+		}
+		stored := 0
+		var words [stateSlots]uint64 // each slot's OR over the payloads
+		for _, seq := range seqs {
+			frame, err := mem.Load(run, seq)
 			if err != nil {
 				t.Fatal(err)
 			}
-			seqs, err := mem.List(run)
+			stored += len(frame)
+			payload, err := store.Checked(mem).Load(run, seq)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(seqs) != ref.Saves {
-				t.Fatalf("store holds %d checkpoints, want the %d the uninterrupted run saved", len(seqs), ref.Saves)
+			if _, err := decodeState(payload); err != nil {
+				t.Fatal(err)
 			}
-			stored := 0
-			var words [stateSlots]uint64 // each slot's OR over the payloads
-			for _, seq := range seqs {
-				frame, err := mem.Load(run, seq)
-				if err != nil {
-					t.Fatal(err)
-				}
-				stored += len(frame)
-				payload, err := store.Checked(mem).Load(run, seq)
-				if err != nil {
-					t.Fatal(err)
-				}
-				st, err := decodeState(payload)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for i := range words {
-					words[i] |= getU64(payload[4+8*i:])
-				}
-				if tc.name == "legacy" && st.adaptiveRecord != (adaptiveRecord{}) {
-					t.Fatalf("legacy checkpoint %d carries adaptive state %+v", seq, st.adaptiveRecord)
-				}
+			for i := range words {
+				words[i] |= getU64(payload[4+8*i:])
 			}
-			if tc.name == "adaptive" {
-				for i, v := range words {
-					if v == 0 {
-						t.Errorf("slot %d is zero in every payload", i)
-					}
-				}
+		}
+		for i, v := range words {
+			if v == 0 {
+				t.Errorf("slot %d is zero in every payload", i)
 			}
-			// Per checkpoint: the state header, the delta's event count and
-			// the store frame; per journal event: its encoding, once.
-			bound := len(seqs)*(stateHeaderSize+8+len(empty)) + eventSize*len(res.Journal)
-			if stored > bound {
-				t.Fatalf("store holds %d bytes for %d checkpoints and %d events, above the linear bound %d",
-					stored, len(seqs), len(res.Journal), bound)
-			}
-		})
-	}
+		}
+		// Per checkpoint: the state header, the delta's event count and
+		// the store frame; per journal event: its encoding, once.
+		bound := len(seqs)*(stateHeaderSize+8+len(empty)) + eventSize*len(res.Journal)
+		if stored > bound {
+			t.Fatalf("store holds %d bytes for %d checkpoints and %d events, above the linear bound %d",
+				stored, len(seqs), len(res.Journal), bound)
+		}
+	})
 }
 
 // TestReadmittedSecondaryNeverFailsOverAgain pins the ladder after a

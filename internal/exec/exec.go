@@ -58,10 +58,10 @@ type Metrics struct {
 	RecoveryTime float64
 	// Useful is work plus checkpoint time that stuck.
 	Useful float64
-	// StoreOverhead is virtual time burned on the store side channel in
-	// adaptive mode — injected save latency plus retry backoff delays. It
-	// is included in Makespan but kept out of the sim.RunStats-aligned
-	// fields above (always 0 outside adaptive mode).
+	// StoreOverhead is virtual time burned on the store side channel —
+	// measured save latency plus retry backoff delays. It is included in
+	// Makespan but kept out of the sim.RunStats-aligned fields above
+	// (always 0 for a store-less run).
 	StoreOverhead float64
 }
 
@@ -81,19 +81,19 @@ type Result struct {
 	Resumed        bool
 	ResumeSeq      uint64
 	RestoredEvents int
-	// Replans counts online replans applied over the run's lifetime
-	// (adaptive mode), GiveUps the commits whose save was abandoned,
-	// Level the final degradation-ladder position, and MaxRewind the
-	// worst crash-rewind exposure (virtual time between a moment of
-	// execution and the last PERSISTED checkpoint) the run ever carried.
+	// Replans counts online replans applied over the run's lifetime,
+	// GiveUps the commits whose save was abandoned, Level the final
+	// degradation-ladder position, and MaxRewind the worst crash-rewind
+	// exposure (virtual time between a moment of execution and the last
+	// PERSISTED checkpoint) the run ever carried.
 	Replans   int
 	GiveUps   int
 	Level     DegradeLevel
 	MaxRewind float64
 	// OverheadEstimate is the store-health EWMA estimate of
-	// per-checkpoint overhead at run end (adaptive mode) — the
-	// realized-telemetry figure a planner can feed back into a
-	// latency-aware re-solve (see ProbeStore and ChainReplanner).
+	// per-checkpoint overhead at run end — the realized-telemetry figure
+	// a planner can feed back into a latency-aware re-solve (see
+	// ProbeStore and ChainReplanner).
 	OverheadEstimate float64
 	// Epoch is the fencing epoch this invocation held, when the store
 	// stack carries a lease layer (0 otherwise). A resumed run reports
@@ -120,13 +120,6 @@ type Options struct {
 	// MaxFailures bounds failures tolerated per invocation (0 means the
 	// default of 10 million).
 	MaxFailures int
-	// SaveRetries is how many times a transient store Save or Load
-	// failure is retried before giving up (0 means none) when Adaptive
-	// is nil: the retry policy is then FixedRetry{SaveRetries}. Retries
-	// matter under store.FaultStore: transient injected faults succeed
-	// on retry; permanent errors (corrupt or missing checkpoint, quota)
-	// are never retried.
-	SaveRetries int
 	// CrashAfterEvents, when positive, aborts with ErrCrashed as soon as
 	// the journal holds that many events — a deterministic kill point
 	// anywhere in the execution, including between a checkpoint event
@@ -135,14 +128,12 @@ type Options struct {
 	// CrashAfterSaves, when positive, aborts with ErrCrashed right after
 	// this invocation's n-th successful store save.
 	CrashAfterSaves int
-	// Adaptive, when non-nil, enables the degraded-store resilience
-	// layer (health-tracked retries with backoff, online replanning,
-	// failover and persistence-off — see AdaptiveOptions). Requires a
-	// Store. SaveRetries is ignored in adaptive mode; Adaptive.Retry
-	// governs retries instead. When nil, the store stays off the
-	// modeled timeline: save outcomes are not journaled, store latency
-	// is not charged, and a save that gives up ends the invocation with
-	// ErrSaveExhausted or ErrSavePermanent.
+	// Adaptive tunes how a run with a Store treats it (retry policy,
+	// online replanning, failover, probing, sync — see AdaptiveOptions);
+	// nil means the zero AdaptiveOptions. Every run with a Store journals
+	// each save's outcome, charges its measured latency and backoff to
+	// the virtual clock, and moves down the degradation ladder when a
+	// save gives up. Setting it requires a Store.
 	Adaptive *AdaptiveOptions
 }
 
@@ -169,7 +160,7 @@ type executor struct {
 
 	// The durable state: what every checkpoint carries.
 	coreRecord
-	adaptiveRecord // zero / unused when ad is nil
+	adaptiveRecord
 
 	j       Journal
 	attempt float64 // elapsed time of the in-flight attempt
@@ -187,13 +178,14 @@ type executor struct {
 
 	store store.Store // active store (primary, or secondary after failover)
 	meter store.Meter // the run's latency meter on store (use)
-	retry RetryPolicy // Adaptive.Retry, or FixedRetry{SaveRetries}
 	// onSecondary reports that saves go to ad.Secondary: set by the
 	// failover, and on a resume whose journal records one. A ride-out
 	// probe re-admits the secondary without clearing it.
 	onSecondary bool
 
-	ad       *AdaptiveOptions
+	// ad is Options.Adaptive, or its zero value, with Retry NoRetry
+	// when unset.
+	ad       AdaptiveOptions
 	baseCost float64 // the drift reference: the plan's mean checkpoint cost
 
 	// Anti-entropy pass counters (SyncEvery > 0); never journaled.
@@ -231,31 +223,29 @@ func Execute(w *Workload, src Source, opts Options) (*Result, error) {
 		opts:   opts,
 		fp:     w.Fingerprint() ^ (src.Fingerprint() * 0x9e3779b97f4a7c15),
 		budget: opts.maxFailures(),
-		retry:  FixedRetry{Attempts: opts.SaveRetries},
 
 		coreRecord: coreRecord{jhash: fnvOffset64},
 		segs:       w.segs,
 	}
 	if opts.Adaptive != nil {
 		if opts.Store == nil {
-			return nil, errors.New("exec: adaptive mode requires a store")
+			return nil, errors.New("exec: adaptive options require a store")
 		}
-		ex.ad = opts.Adaptive
-		ex.retry = opts.Adaptive.Retry
-		if ex.retry == nil {
-			ex.retry = NoRetry{}
-		}
-		ex.baseCost = w.meanCheckpointCost()
+		ex.ad = *opts.Adaptive
+	}
+	if ex.ad.Retry == nil {
+		ex.ad.Retry = NoRetry{}
 	}
 	if opts.Store != nil {
+		ex.baseCost = w.meanCheckpointCost()
 		// Bind the run's virtual clock into every time-dependent store
 		// layer (RemoteStore partition evaluation). The closure reads
 		// the live executor clock plus any in-flight save overhead, so
 		// delivery times track the commit's own retries.
 		clock := func() float64 { return ex.t + ex.pending }
 		store.BindClock(opts.Store, opts.runID(), clock)
-		if opts.Adaptive != nil && opts.Adaptive.Secondary != nil {
-			store.BindClock(opts.Adaptive.Secondary, opts.runID(), clock)
+		if ex.ad.Secondary != nil {
+			store.BindClock(ex.ad.Secondary, opts.runID(), clock)
 		}
 		ex.use(opts.Store)
 	}
@@ -292,22 +282,16 @@ func Execute(w *Workload, src Source, opts Options) (*Result, error) {
 		res.Resumed = true
 		res.ResumeSeq = st.seq
 		res.RestoredEvents = len(st.journal)
-		if ex.ad == nil {
-			// A legacy resume ignores the adaptive record and chains its
-			// next payload onto the restored one.
-			ex.base, ex.baseLen = st.seq, uint64(len(st.journal))
-		} else {
-			// An adaptive resume starts from the restored payload's own
-			// base: its re-save below advances it exactly as the
-			// uninterrupted run's save of that payload did.
-			ex.adaptiveRecord = st.adaptiveRecord
-			if err := ex.restoreAdaptive(st); err != nil {
-				return res, err
-			}
+		// The resume starts from the restored payload's own base: its
+		// re-save below advances it exactly as the uninterrupted run's
+		// save of that payload did.
+		ex.adaptiveRecord = st.adaptiveRecord
+		if err := ex.restoreAdaptive(st); err != nil {
+			return res, err
 		}
 	}
 	err = func() error {
-		if st != nil && ex.ad != nil {
+		if st != nil {
 			// Re-save the restored payload through the normal post-encode
 			// path. The save outcomes of commit k happen AFTER payload k is
 			// encoded, so they are not inside it; re-saving against the
@@ -328,7 +312,7 @@ func Execute(w *Workload, src Source, opts Options) (*Result, error) {
 			// Anti-entropy at the executor's idle point between commits,
 			// keyed to the absolute segment index so the cadence is
 			// resume-invariant.
-			if ex.ad != nil && ex.ad.SyncEvery > 0 && (s+1)%ex.ad.SyncEvery == 0 {
+			if ex.ad.SyncEvery > 0 && (s+1)%ex.ad.SyncEvery == 0 {
 				ex.syncPass()
 			}
 		}
@@ -337,13 +321,13 @@ func Execute(w *Workload, src Source, opts Options) (*Result, error) {
 		}
 		// One final pass after completion so the run ends with every
 		// replica it can reach converged.
-		if ex.ad != nil && ex.ad.SyncEvery > 0 {
+		if ex.ad.SyncEvery > 0 {
 			ex.syncPass()
 		}
 		return nil
 	}()
 	ex.met.Makespan = ex.t
-	if ex.ad != nil {
+	if ex.store != nil {
 		ex.noteExposure()
 	}
 	res.Metrics = ex.met
@@ -354,9 +338,7 @@ func Execute(w *Workload, src Source, opts Options) (*Result, error) {
 	res.GiveUps = ex.giveups
 	res.Level = ex.level
 	res.MaxRewind = ex.maxRewind
-	if ex.ad != nil {
-		res.OverheadEstimate = ex.health.OverheadEstimate()
-	}
+	res.OverheadEstimate = ex.health.OverheadEstimate()
 	res.Syncs = ex.syncs
 	res.SyncCopied = ex.syncCopied
 	res.SyncFailures = ex.syncFailures
@@ -494,20 +476,18 @@ func (ex *executor) runSegment(s int) error {
 // already appended by runSegment, BEFORE the state is encoded here, so
 // the event is always inside the persisted journal prefix: a resume
 // from seq k replays from a journal that already records checkpoint k.
-// In adaptive mode the commit first journals health and may replan, so
-// both are part of the persisted prefix too.
+// The commit first journals health and may replan, so both are part of
+// the persisted prefix too.
 func (ex *executor) commit(s int) error {
 	if ex.store == nil {
 		return nil
 	}
-	if ex.ad != nil {
-		est := ex.baseCost + ex.currentOverheadEstimate()
-		if err := ex.event(Event{Kind: EvHealth, Time: ex.t, Arg: int32(ex.level), Seq: math.Float64bits(est)}); err != nil {
-			return err
-		}
-		if err := ex.maybeReplan(s); err != nil {
-			return err
-		}
+	est := ex.baseCost + ex.currentOverheadEstimate()
+	if err := ex.event(Event{Kind: EvHealth, Time: ex.t, Arg: int32(ex.level), Seq: math.Float64bits(est)}); err != nil {
+		return err
+	}
+	if err := ex.maybeReplan(s); err != nil {
+		return err
 	}
 	seq := uint64(s) + 1
 	st := ex.snapshot(seq)
@@ -536,7 +516,7 @@ func (ex *executor) listOnce(st store.Store) ([]uint64, error) {
 }
 
 // listResume merges the primary's checkpoint listing with the
-// secondary's (adaptive mode with a failover store), newest first,
+// secondary's (when a failover store is configured), newest first,
 // preferring the secondary on equal sequence numbers — the secondary
 // only ever holds post-failover saves, which are the later writes.
 func (ex *executor) listResume() ([]resumeCandidate, error) {
@@ -545,7 +525,7 @@ func (ex *executor) listResume() ([]resumeCandidate, error) {
 		return nil, fmt.Errorf("exec: listing checkpoints: %w", err)
 	}
 	var sec []uint64
-	if ex.ad != nil && ex.ad.Secondary != nil {
+	if ex.ad.Secondary != nil {
 		if sec, err = ex.listOnce(ex.ad.Secondary); err != nil {
 			return nil, fmt.Errorf("exec: listing secondary checkpoints: %w", err)
 		}
@@ -591,7 +571,7 @@ func (ex *executor) retryOffTimeline(op func() error) error {
 		if err == nil || ClassifyStoreError(err) != ClassTransient || errors.Is(err, store.ErrLeaseHeld) {
 			return err
 		}
-		if _, retry := ex.retry.Backoff(attempt); !retry {
+		if _, retry := ex.ad.Retry.Backoff(attempt); !retry {
 			return err
 		}
 	}
@@ -602,7 +582,7 @@ func (ex *executor) retryOffTimeline(op func() error) error {
 // failures (after retries), lost entries and broken chains to older
 // checkpoints, consulting the secondary store too when one is
 // configured. It returns the decoded state, with its full journal,
-// together with the raw payload (the adaptive resume re-saves it) or nil
+// together with the raw payload (the resume re-saves it) or nil
 // with no error when the run has no usable checkpoint (fresh start). A
 // fingerprint mismatch is a loud error: the store holds a different
 // workload's state and silently restarting would mask it.

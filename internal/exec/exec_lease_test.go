@@ -118,7 +118,7 @@ func TestExecuteRetriesLeaseAcquisition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Execute(w, src(), Options{Store: leased(), Downtime: 1, SaveRetries: 3})
+	res, err := Execute(w, src(), Options{Store: leased(), Downtime: 1, Adaptive: &AdaptiveOptions{Retry: FixedRetry{Attempts: 3}}})
 	if err != nil {
 		t.Fatalf("run with retries: %v", err)
 	}

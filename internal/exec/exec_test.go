@@ -200,26 +200,36 @@ func TestKeyedSourceDrawAllocs(t *testing.T) {
 	}
 }
 
-// TestStoreDoesNotPerturbExecution pins that attaching a store changes
-// nothing about the trajectory: journals with and without persistence
-// are byte-identical.
+// TestStoreDoesNotPerturbExecution pins that on a store that charges
+// no latency the store path is pure observation: with default options,
+// the compute events and the metrics equal the store-less run's, every
+// commit journals one health and one save-result event, and nothing
+// replans, gives up or moves down the ladder. TestAdaptiveCleanStore-
+// MatchesLegacy covers the same with tuned options.
 func TestStoreDoesNotPerturbExecution(t *testing.T) {
 	w := chainWorkload(t)
-	bare, err := Execute(w, NewKeyedSource(failure.Exponential{Lambda: 0.08}, 5, 1), Options{Downtime: 1})
+	src := func() Source { return NewKeyedSource(failure.Exponential{Lambda: 0.08}, 5, 1) }
+	bare, err := Execute(w, src(), Options{Downtime: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	stored, err := Execute(w, NewKeyedSource(failure.Exponential{Lambda: 0.08}, 5, 1), Options{
-		Downtime: 1, Store: store.Checked(store.NewMemStore()),
-	})
+	stored, err := Execute(w, src(), Options{Downtime: 1, Store: store.Checked(store.NewMemStore())})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bare.Journal.Equal(stored.Journal) {
-		t.Fatal("journal differs with a store attached")
+	if !stored.Journal.Compute().Equal(bare.Journal) {
+		t.Fatal("compute events differ with a store attached")
 	}
-	if stored.Saves != w.Segments() {
-		t.Fatalf("saves = %d, want %d", stored.Saves, w.Segments())
+	if stored.Metrics != bare.Metrics {
+		t.Fatalf("metrics differ with a store attached: %+v vs %+v", stored.Metrics, bare.Metrics)
+	}
+	if stored.Saves != w.Segments() || stored.Journal.Count(EvHealth) != w.Segments() ||
+		stored.Journal.Count(EvSaveResult) != w.Segments() {
+		t.Fatalf("saves %d, health %d, save results %d: want one of each per commit (%d)",
+			stored.Saves, stored.Journal.Count(EvHealth), stored.Journal.Count(EvSaveResult), w.Segments())
+	}
+	if stored.Replans != 0 || stored.GiveUps != 0 || stored.Level != LevelHealthy {
+		t.Fatalf("healthy store perturbed the ladder: %+v", *stored)
 	}
 }
 

@@ -32,7 +32,7 @@ const (
 	// EvComplete closes the journal; Time is the final makespan.
 	EvComplete
 	// EvHealth records the store-health estimate at a commit, BEFORE the
-	// state is encoded (adaptive mode only): Arg is the degradation
+	// state is encoded (runs with a store only): Arg is the degradation
 	// level, Seq holds Float64bits of the effective checkpoint-cost
 	// estimate C_eff the replan decision is about to use.
 	EvHealth
@@ -200,6 +200,22 @@ func (j Journal) Count(kind EventKind) int {
 		}
 	}
 	return n
+}
+
+// Compute is the journal's compute trajectory: every event except the
+// store path's (health, replan, save result, ladder move). On a store
+// that charges no latency or backoff it equals the journal of the same
+// run without a store.
+func (j Journal) Compute() Journal {
+	var out Journal
+	for _, e := range j {
+		switch e.Kind {
+		case EvHealth, EvReplan, EvSaveResult, EvDegrade:
+		default:
+			out = append(out, e)
+		}
+	}
+	return out
 }
 
 // putU32 writes v little-endian into b[:4].

@@ -192,7 +192,7 @@ func TestPartitionEveryEventPointKillResume(t *testing.T) {
 // TestRideOutProbeReadmits pins the ladder's new path back up: a store
 // down for a partition window is re-admitted by the first successful
 // probe after the heal, and the journal records both ladder moves.
-// With ProbeEvery = 0 the legacy one-way ladder stays down for good.
+// With ProbeEvery = 0 the one-way ladder stays down for good.
 func TestRideOutProbeReadmits(t *testing.T) {
 	w := partitionWorkload(t)
 	src := func() Source { return NewKeyedSource(failure.Exponential{Lambda: 0.08}, 101, 1) }
@@ -248,16 +248,16 @@ func TestRideOutProbeReadmits(t *testing.T) {
 		t.Fatalf("journal records %d downs and %d re-admissions, want both > 0", downs, readmits)
 	}
 
-	legacy := run(0)
-	if legacy.Level != LevelDown {
-		t.Fatalf("final level without probing = %v, want %v (one-way ladder)", legacy.Level, LevelDown)
+	oneWay := run(0)
+	if oneWay.Level != LevelDown {
+		t.Fatalf("final level without probing = %v, want %v (one-way ladder)", oneWay.Level, LevelDown)
 	}
-	if _, readmits := ladderMoves(legacy); readmits != 0 {
-		t.Fatalf("legacy ladder re-admitted the store %d times with probing off", readmits)
+	if _, readmits := ladderMoves(oneWay); readmits != 0 {
+		t.Fatalf("one-way ladder re-admitted the store %d times with probing off", readmits)
 	}
-	if legacy.Saves >= probed.Saves {
-		t.Fatalf("legacy ladder saved %d checkpoints, probing saved %d — probing should persist more",
-			legacy.Saves, probed.Saves)
+	if oneWay.Saves >= probed.Saves {
+		t.Fatalf("one-way ladder saved %d checkpoints, probing saved %d — probing should persist more",
+			oneWay.Saves, probed.Saves)
 	}
 }
 

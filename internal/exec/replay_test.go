@@ -90,7 +90,7 @@ func TestResumeReplansOnce(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			spec := tc.spec
-			spec.RunID, spec.Seed, spec.Salt, spec.Adaptive = "replay", 31, 1, true
+			spec.RunID, spec.Seed, spec.Salt = "replay", 31, 1
 			plan := tc.plan(t)
 			ref, err := spec.Run(plan)
 			if err != nil {

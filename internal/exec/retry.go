@@ -73,14 +73,6 @@ func ClassifyStoreError(err error) ErrorClass {
 	}
 }
 
-// ErrSaveExhausted wraps a transient store error that survived every
-// allowed retry.
-var ErrSaveExhausted = errors.New("exec: save retries exhausted")
-
-// ErrSavePermanent wraps a permanent store error encountered while
-// saving — retrying was not attempted because it cannot help.
-var ErrSavePermanent = errors.New("exec: permanent store error")
-
 // RetryPolicy decides, after each failed store attempt, whether to try
 // again and how much virtual time to back off first. Policies must be
 // deterministic (no jitter, no wall clock): backoff delays are folded
@@ -104,9 +96,7 @@ func (NoRetry) Name() string { return "none" }
 // Backoff never retries.
 func (NoRetry) Backoff(int) (float64, bool) { return 0, false }
 
-// FixedRetry retries up to Attempts times with no backoff. Without
-// Options.Adaptive the executor runs FixedRetry{SaveRetries} for both
-// checkpoint saves and resume loads.
+// FixedRetry retries up to Attempts times with no backoff.
 type FixedRetry struct {
 	// Attempts is the number of RETRIES after the first failure.
 	Attempts int

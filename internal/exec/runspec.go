@@ -34,13 +34,9 @@ type RunSpec struct {
 	// Store declares the store layout; nil runs store-less, the
 	// reference the crash drills compare against.
 	Store *StoreLayout
-	// SaveRetries is the FixedRetry budget of a non-adaptive run.
-	SaveRetries int
-	// Adaptive runs the adaptive executor (AdaptiveOptions) with the
-	// knobs below; it needs a Store.
-	Adaptive bool
-	// RetryPolicy is the adaptive save retry policy (nil: NoRetry);
-	// ParseRetryPolicy reads its -retry-policy spelling.
+	// RetryPolicy is the save and load retry policy (nil: NoRetry);
+	// ParseRetryPolicy reads its -retry-policy spelling. It and the
+	// knobs below tune the store path, so each needs a Store.
 	RetryPolicy RetryPolicy
 	// ReplanRatio attaches the plan's Replanner when above 1 (see
 	// AdaptiveOptions.ReplanRatio); Cooldown, DownAfter, ProbeEvery and
@@ -71,8 +67,8 @@ type StoreLayout struct {
 	Lease   *store.LeaseConfig
 	// Quota is the per-tenant budget of the ledger Open creates.
 	Quota *store.Quota
-	// Secondary adds the adaptive executor's failover store: in memory,
-	// or a file store at SecondaryDir when that is set.
+	// Secondary adds the executor's failover store: in memory, or a
+	// file store at SecondaryDir when that is set.
 	Secondary    bool
 	SecondaryDir string
 }
@@ -120,15 +116,24 @@ func (l *StoreLayout) spec(backends []store.Store, ledger *store.QuotaLedger) st
 	return store.Spec{Backends: backends, Faults: l.Faults, Net: l.Net, Timeout: l.Timeout, W: l.W, Lease: l.Lease, Quota: ledger}
 }
 
-// Validate rejects a spec no run can honour, with a *SpecError: the
-// adaptive executor without a store, and every layout store.Spec
-// rejects (out-of-range rates, malformed partition windows, W over one
-// replica, LoseOld under a quota).
+// Validate rejects a spec no run can honour, with a *SpecError: a
+// store-less spec that sets a knob of the store path, and every layout
+// store.Spec rejects (out-of-range rates, malformed partition windows,
+// W over one replica, LoseOld under a quota).
 func (s RunSpec) Validate() error {
 	l := s.Store
 	if l == nil {
-		if s.Adaptive {
-			return &SpecError{"Adaptive", errors.New("the adaptive executor needs a store")}
+		for _, k := range []struct {
+			field string
+			set   bool
+		}{
+			{"RetryPolicy", s.RetryPolicy != nil}, {"ReplanRatio", s.ReplanRatio != 0},
+			{"Cooldown", s.Cooldown != 0}, {"DownAfter", s.DownAfter != 0},
+			{"ProbeEvery", s.ProbeEvery != 0}, {"SyncEvery", s.SyncEvery != 0},
+		} {
+			if k.set {
+				return &SpecError{k.field, errors.New("tunes the store path, but the spec declares no store")}
+			}
 		}
 		return nil
 	}
@@ -207,22 +212,18 @@ func (s RunSpec) Execute(plan Plan, st *Stack) (*Result, error) {
 		return nil, err
 	}
 	opts := Options{
-		RunID: s.RunID, Downtime: plan.Model.Downtime, SaveRetries: s.SaveRetries,
+		RunID: s.RunID, Downtime: plan.Model.Downtime,
 		CrashAfterEvents: s.CrashAfterEvents, CrashAfterSaves: s.CrashAfterSaves,
 	}
 	if st != nil {
 		opts.Store = st.Store
-	}
-	if s.Adaptive {
 		opts.Adaptive = &AdaptiveOptions{
 			Retry: s.RetryPolicy, ReplanRatio: s.ReplanRatio, Cooldown: s.Cooldown,
 			DownAfter: s.DownAfter, ProbeEvery: s.ProbeEvery, SyncEvery: s.SyncEvery,
+			Secondary: st.Secondary,
 		}
 		if s.ReplanRatio > 1 {
 			opts.Adaptive.Replanner = plan.Replanner
-		}
-		if st != nil {
-			opts.Adaptive.Secondary = st.Secondary
 		}
 	}
 	src := plan.Source

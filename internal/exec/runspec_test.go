@@ -32,10 +32,15 @@ func TestRunSpecValidate(t *testing.T) {
 		"quota with LoseOld": {RunSpec{Store: &StoreLayout{
 			Quota: &store.Quota{MaxCheckpoints: 2}, Faults: &store.FaultPlan{LoseOld: 0.2},
 		}}, "Store"},
-		"negative latency":        {RunSpec{Store: &StoreLayout{Net: &netsim.Config{Latency: -1}}}, "Store"},
-		"negative replicas":       {RunSpec{Store: &StoreLayout{Replicas: -2}}, "Store.Replicas"},
-		"adaptive without store":  {RunSpec{Adaptive: true}, "Adaptive"},
-		"adaptive knobs no store": {RunSpec{Adaptive: true, ReplanRatio: 1.5, SyncEvery: 2}, "Adaptive"},
+		"negative latency":          {RunSpec{Store: &StoreLayout{Net: &netsim.Config{Latency: -1}}}, "Store"},
+		"negative replicas":         {RunSpec{Store: &StoreLayout{Replicas: -2}}, "Store.Replicas"},
+		"retry policy, no store":    {RunSpec{RetryPolicy: ExpBackoff{Base: 0.5}}, "RetryPolicy"},
+		"no-retry policy, no store": {RunSpec{RetryPolicy: NoRetry{}}, "RetryPolicy"},
+		"replan ratio, no store":    {RunSpec{ReplanRatio: 1.5}, "ReplanRatio"},
+		"cooldown, no store":        {RunSpec{Cooldown: 2}, "Cooldown"},
+		"down after, no store":      {RunSpec{DownAfter: 3}, "DownAfter"},
+		"probe every, no store":     {RunSpec{ProbeEvery: 2}, "ProbeEvery"},
+		"sync every, no store":      {RunSpec{SyncEvery: 2}, "SyncEvery"},
 	} {
 		var se *SpecError
 		if err := tc.spec.Validate(); !errors.As(err, &se) || se.Field != tc.field {
@@ -49,10 +54,9 @@ func TestRunSpecValidate(t *testing.T) {
 		}
 	}
 	for name, spec := range map[string]RunSpec{
-		"store-less":           {},
-		"store-less knobs off": {ReplanRatio: 1.5, RetryPolicy: ExpBackoff{Base: 0.5}},
-		"quota without loss":   {Store: &StoreLayout{Quota: &store.Quota{MaxCheckpoints: 2}, Faults: &store.FaultPlan{WriteFail: 0.1}}},
-		"replicated quorum":    {Store: &StoreLayout{Replicas: 3, W: 3, Net: &netsim.Config{Latency: 0.1}}, Adaptive: true, RetryPolicy: ExpBackoff{Base: 0.5, Factor: 2, Cap: 4, MaxAttempts: 3}},
+		"store-less":         {},
+		"quota without loss": {Store: &StoreLayout{Quota: &store.Quota{MaxCheckpoints: 2}, Faults: &store.FaultPlan{WriteFail: 0.1}}},
+		"replicated quorum":  {Store: &StoreLayout{Replicas: 3, W: 3, Net: &netsim.Config{Latency: 0.1}}, RetryPolicy: ExpBackoff{Base: 0.5, Factor: 2, Cap: 4, MaxAttempts: 3}},
 	} {
 		if err := spec.Validate(); err != nil {
 			t.Errorf("%s: Validate = %v, want nil", name, err)
@@ -77,7 +81,7 @@ func TestRunSpecRestart(t *testing.T) {
 			Replicas: 3, Net: &netsim.Config{Seed: 5, Latency: 0.1, Jitter: 0.2, Loss: 0.05},
 			Faults: &store.FaultPlan{Seed: 9, WriteFail: 0.2, MeanLatency: 0.5},
 		},
-		Adaptive: true, RetryPolicy: ExpBackoff{Base: 0.25, Factor: 2, Cap: 1, MaxAttempts: 4}, ReplanRatio: 1.3,
+		RetryPolicy: ExpBackoff{Base: 0.25, Factor: 2, Cap: 1, MaxAttempts: 4}, ReplanRatio: 1.3,
 	}
 	ref, err := spec.Run(plan)
 	if err != nil {
@@ -131,5 +135,37 @@ func TestRunSpecRestart(t *testing.T) {
 	}
 	if _, err := a.Execute(plan, aStack); !errors.Is(err, store.ErrFenced) {
 		t.Fatalf("zombie a on its stale stack: %v, want store.ErrFenced", err)
+	}
+}
+
+// TestRetryPolicyAloneIsHonoured pins that a spec's RetryPolicy governs
+// its saves with no other resilience field set: a 3-replica store with
+// write faults on every replica under ExpBackoff{MaxAttempts: 12}
+// completes, and its journal records saves that needed retries.
+func TestRetryPolicyAloneIsHonoured(t *testing.T) {
+	cp, w := segmentProblem(t, 64), segmentChain(t, 64)
+	spec := RunSpec{
+		RunID: "retried", Seed: 3, Salt: 1,
+		Store:       &StoreLayout{Replicas: 3, Faults: &store.FaultPlan{Seed: 5, WriteFail: 0.2}},
+		RetryPolicy: ExpBackoff{MaxAttempts: 12},
+	}
+	res, err := spec.Run(Plan{Workload: w, Model: cp.Model})
+	if err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	if res.Journal.Count(EvComplete) != 1 {
+		t.Fatal("run did not complete")
+	}
+	retried := 0
+	for _, e := range res.Journal {
+		if e.Kind == EvSaveResult && e.Arg>>3 > 1 {
+			retried++
+		}
+	}
+	if retried == 0 {
+		t.Fatalf("no save needed a retry in %d save results", res.Journal.Count(EvSaveResult))
+	}
+	if res.GiveUps != 0 || res.Saves != w.Segments() {
+		t.Fatalf("%d give-ups, %d saves: want every one of %d commits saved", res.GiveUps, res.Saves, w.Segments())
 	}
 }

@@ -22,10 +22,8 @@ type coreRecord struct {
 	jhash         uint64
 }
 
-// adaptiveRecord is the adaptive-mode state a checkpoint carries:
-// store health, ladder position, hysteresis anchors and exposure
-// accounting. A legacy run persists it as zeros and never reads it
-// back.
+// adaptiveRecord is the store-path state a checkpoint carries: store
+// health, ladder position, hysteresis anchors and exposure accounting.
 type adaptiveRecord struct {
 	health        StoreHealth
 	level         DegradeLevel

@@ -104,7 +104,7 @@ func (w *Workload) Planned(m expectation.Model) float64 {
 }
 
 // meanCheckpointCost is the plan's mean per-segment checkpoint cost:
-// the adaptive executor's reference C for drift ratios, taken from the
+// the executor's reference C for drift ratios, taken from the
 // original plan so later splices never move it.
 func (w *Workload) meanCheckpointCost() float64 {
 	var sum float64

@@ -1,6 +1,8 @@
 package expt
 
 import (
+	"math"
+	"slices"
 	"time"
 
 	"repro/internal/core"
@@ -134,17 +136,29 @@ func planE7(cfg Config) (*Plan, error) {
 				allEqual = allEqual && outs[j].Value.(bool)
 			}
 		}
-		times, err := timeDense(cps)
+		reps, err := timeDense(cps)
 		if err != nil {
 			return err
 		}
 		quadraticish := true
-		for row, best := range times {
+		ratios := make([]float64, len(reps))
+		for row := range cps {
+			best := reps[0][row]
+			for _, rep := range reps {
+				best = min(best, rep[row])
+			}
 			tables[t].Rows[row].Cells[1] = result.Dur(best)
 			if row == 0 {
 				continue
 			}
-			rv := float64(best) / float64(times[row-1])
+			// The doubling ratio is the median of the per-rep ratios:
+			// each rep times the two sizes back to back, so a load burst
+			// skews the ratio of one rep, not the verdict.
+			for k, rep := range reps {
+				ratios[k] = float64(rep[row]) / float64(rep[row-1])
+			}
+			slices.Sort(ratios)
+			rv := ratios[len(ratios)/2]
 			tables[t].Rows[row].Cells[2] = result.FixedUnit(rv, 2, "").AsVolatile()
 			// O(n²) doubling ratio is 4; allow a generous band since
 			// small sizes are cache/startup dominated.
@@ -161,33 +175,32 @@ func planE7(cfg Config) (*Plan, error) {
 	return p, nil
 }
 
-// timeDense times SolveChainDPDense on each problem as the best of 5
-// batches. Each batch repeats the solve until it spans at least 10 ms,
-// and a solve's time is batch time / count, so every size is timed
-// over batches of about the same length: a single quick-mode solve
-// (0.2–3 ms) is short enough to dodge a loaded host's scheduler in
-// some batches and not in others, which skews a doubling ratio. The
+// timeDense times SolveChainDPDense on each problem in 5 reps, one
+// batch per problem per rep; out[rep][i] is problem i's fastest solve
+// in its batch of rep. Each batch repeats the solve at least 16 times
+// and for at least 10 ms. A loaded host's scheduler only ever lengthens
+// a solve, so a batch's fastest solve is one it left alone; the solve
+// count keeps that likely for the largest size too, whose solves each
+// span a few scheduler slices where a small size's fit in one. The
 // sizes are interleaved batch by batch, after every job is done, so
-// each ratio compares sizes timed under the same host load rather than
-// against the experiment's own concurrent jobs.
-func timeDense(cps []*core.ChainProblem) ([]time.Duration, error) {
-	const reps, minBatch = 5, 10 * time.Millisecond
-	best := make([]time.Duration, len(cps))
-	for rep := 0; rep < reps; rep++ {
+// each rep times adjacent sizes back to back under the same host load
+// rather than against the experiment's own concurrent jobs.
+func timeDense(cps []*core.ChainProblem) ([][]time.Duration, error) {
+	const reps, minSolves, minBatch = 5, 16, 10 * time.Millisecond
+	out := make([][]time.Duration, reps)
+	for rep := range out {
+		out[rep] = make([]time.Duration, len(cps))
 		for i, cp := range cps {
-			count, start := 0, time.Now()
-			var el time.Duration
-			for el < minBatch {
+			best, start := time.Duration(math.MaxInt64), time.Now()
+			for k := 0; k < minSolves || time.Since(start) < minBatch; k++ {
+				t0 := time.Now()
 				if _, err := core.SolveChainDPDense(cp); err != nil {
 					return nil, err
 				}
-				count++
-				el = time.Since(start)
+				best = min(best, time.Since(t0))
 			}
-			if per := el / time.Duration(count); rep == 0 || per < best[i] {
-				best[i] = per
-			}
+			out[rep][i] = best
 		}
 	}
-	return best, nil
+	return out, nil
 }

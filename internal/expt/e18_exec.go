@@ -1,9 +1,11 @@
 package expt
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"os"
+	"path/filepath"
 
 	"repro/internal/core"
 	"repro/internal/dag"
@@ -158,19 +160,21 @@ func planE18(cfg Config) (*Plan, error) {
 
 	// Crash/resume acceptance: kill the executor at injected fault
 	// points, resume from the persisted store, and demand the final
-	// journal be byte-identical to an uninterrupted run's.
+	// journal be byte-identical to an uninterrupted stored run's. The
+	// store charges no latency or backoff here, so the compute events
+	// and metrics must also equal the store-less run's.
 	crash := p.AddTable(&result.Table{
 		ID:    "E18",
 		Title: "crash/resume drills: executions killed at injected points, resumed from the store",
 		Columns: []string{
-			"plan", "store", "kill_points", "crashes", "journal_events", "journal_identical", "metrics_identical",
+			"plan", "store", "kill_points", "crashes", "journal_events", "journal_identical", "metrics_identical", "compute_identical",
 		},
 	})
 	type crashOut struct{ identical bool }
 	type drill struct {
 		plan, storeTag string
 		workload       func() (*exec.Workload, error)
-		spec           exec.RunSpec // Store.Dir is set to a fresh temp dir when file
+		spec           exec.RunSpec // Store.Dir is set under a fresh temp dir when file
 		file           bool
 	}
 	chainDP := func() (*exec.Workload, error) { return exec.NewChainWorkload(cp, strategies[0].ck) } // dp
@@ -182,7 +186,10 @@ func planE18(cfg Config) (*Plan, error) {
 		return exec.NewDAGWorkload(gd, sol.Plan(), core.LiveSetCosts{R0: 0.5})
 	}
 	drillSpec := func(salt uint64, faults *store.FaultPlan) exec.RunSpec {
-		return exec.RunSpec{RunID: "drill", Seed: 1234, Salt: salt, SaveRetries: 4, Store: &exec.StoreLayout{Faults: faults}}
+		return exec.RunSpec{
+			RunID: "drill", Seed: 1234, Salt: salt, Store: &exec.StoreLayout{Faults: faults},
+			RetryPolicy: exec.FixedRetry{Attempts: 4},
+		}
 	}
 	drills := []drill{
 		{plan: "chain/dp", storeTag: "file+crc", workload: chainDP, spec: drillSpec(1, nil), file: true},
@@ -203,23 +210,30 @@ func planE18(cfg Config) (*Plan, error) {
 				return RowOut{}, err
 			}
 			plan := exec.Plan{Workload: w, Model: m}
-			ref, err := exec.RunSpec{Seed: d.spec.Seed, Salt: d.spec.Salt}.Run(plan)
+			bare, err := exec.RunSpec{Seed: d.spec.Seed, Salt: d.spec.Salt}.Run(plan)
 			if err != nil {
 				return RowOut{}, err
 			}
+			// The uninterrupted reference and the killed run each get a
+			// store of their own.
+			refSpec, spec := d.spec, d.spec
 			if d.file {
 				dir, err := os.MkdirTemp("", "e18-store-*")
 				if err != nil {
 					return RowOut{}, err
 				}
 				defer os.RemoveAll(dir)
-				layout := *d.spec.Store
-				layout.Dir, d.spec.Store = dir, &layout
+				refLayout, layout := *d.spec.Store, *d.spec.Store
+				refLayout.Dir, layout.Dir = filepath.Join(dir, "ref"), filepath.Join(dir, "run")
+				refSpec.Store, spec.Store = &refLayout, &layout
 			}
-			// One stack serves every invocation: its fault injector's
-			// attempt counters carry over, so a save that exhausted its
-			// retries is redrawn by the next invocation.
-			_, st, err := d.spec.Boot()
+			ref, err := refSpec.Run(plan)
+			if err != nil {
+				return RowOut{}, err
+			}
+			// Every invocation is a new process: a fresh stack over the
+			// drill's backends.
+			b, err := spec.Open()
 			if err != nil {
 				return RowOut{}, err
 			}
@@ -227,19 +241,20 @@ func planE18(cfg Config) (*Plan, error) {
 			kills := []int{ne / 5, 2 * ne / 5, 3 * ne / 5, 4 * ne / 5}
 			crashes := 0
 			for _, kill := range kills {
-				killed := d.spec
+				killed := spec
 				killed.CrashAfterEvents = kill
-				if _, err := killed.Execute(plan, st); err == nil {
-					return RowOut{}, fmt.Errorf("E18: kill point %d did not crash", kill)
+				if _, err := killed.RunOn(plan, b); !errors.Is(err, exec.ErrCrashed) {
+					return RowOut{}, fmt.Errorf("E18: %s kill point %d: want ErrCrashed, got %v", d.storeTag, kill, err)
 				}
 				crashes++
 			}
-			res, err := d.spec.Execute(plan, st)
+			res, err := spec.RunOn(plan, b)
 			if err != nil {
 				return RowOut{}, err
 			}
 			identical := res.Journal.Equal(ref.Journal)
 			metricsOK := res.Metrics == ref.Metrics
+			compute := res.Journal.Compute().Equal(bare.Journal) && res.Metrics == bare.Metrics
 			return RowOut{
 				Cells: []result.Cell{
 					result.Str(d.plan),
@@ -249,8 +264,9 @@ func planE18(cfg Config) (*Plan, error) {
 					result.Int(len(res.Journal)),
 					result.Bool(identical),
 					result.Bool(metricsOK),
+					result.Bool(compute),
 				},
-				Value: crashOut{identical: identical && metricsOK},
+				Value: crashOut{identical: identical && metricsOK && compute},
 			}, nil
 		})
 	}
@@ -266,7 +282,7 @@ func planE18(cfg Config) (*Plan, error) {
 			}
 		}
 		tables[chain].AddNote("acceptance: every realized makespan within its 99%% campaign CI of the planned expectation: %s", yn(allCI))
-		tables[crash].AddNote("acceptance: every killed-and-resumed execution reproduced the uninterrupted journal and metrics bit-for-bit: %s", yn(allIdent))
+		tables[crash].AddNote("acceptance: every killed-and-resumed execution reproduced the uninterrupted stored run's journal and metrics bit-for-bit, and its compute events and metrics equal the store-less run's: %s", yn(allIdent))
 		return nil
 	}
 	return p, nil

@@ -92,7 +92,6 @@ func planE19(cfg Config) (*Plan, error) {
 						ReadFail:    0.05,
 						MeanLatency: mult * meanC,
 					}},
-					Adaptive:    true,
 					RetryPolicy: exec.ExpBackoff{Base: 0.25 * meanC, Cap: meanC, MaxAttempts: 4},
 					Cooldown:    2,
 				}
@@ -152,7 +151,7 @@ func planE19(cfg Config) (*Plan, error) {
 	drill := func(faults store.FaultPlan, retry exec.RetryPolicy, replan bool) exec.RunSpec {
 		spec := exec.RunSpec{
 			RunID: "e19", Seed: 501, Store: &exec.StoreLayout{Faults: &faults},
-			Adaptive: true, RetryPolicy: retry, DownAfter: 3,
+			RetryPolicy: retry, DownAfter: 3,
 		}
 		if replan {
 			spec.ReplanRatio = 1.4
@@ -246,7 +245,7 @@ func planE19(cfg Config) (*Plan, error) {
 				Faults: &store.FaultPlan{Seed: 35, MeanLatency: 1.5, WriteFail: 0.15},
 				Quota:  &store.Quota{MaxCheckpoints: 3},
 			},
-			Adaptive: true, RetryPolicy: exec.ExpBackoff{Base: 0.5, Cap: 2, MaxAttempts: 3},
+			RetryPolicy: exec.ExpBackoff{Base: 0.5, Cap: 2, MaxAttempts: 3},
 			ReplanRatio: 1.4, DownAfter: 3,
 		}
 		// Solo references: each tenant alone on a private stack. Quota

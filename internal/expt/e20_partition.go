@@ -73,8 +73,8 @@ func e20Plan(cp *core.ChainProblem) (exec.Plan, error) {
 func e20Spec(netCfg netsim.Config, quorum bool, srcSeed uint64) exec.RunSpec {
 	spec := exec.RunSpec{
 		RunID: "e20", Seed: srcSeed, Salt: 1,
-		Store:    &exec.StoreLayout{Net: &netCfg, Timeout: e20Timeout},
-		Adaptive: true, RetryPolicy: exec.ExpBackoff{Base: 0.25, Cap: 0.5, MaxAttempts: 4},
+		Store:       &exec.StoreLayout{Net: &netCfg, Timeout: e20Timeout},
+		RetryPolicy: exec.ExpBackoff{Base: 0.25, Cap: 0.5, MaxAttempts: 4},
 		ReplanRatio: 1.4, DownAfter: 2, ProbeEvery: 2,
 	}
 	if quorum {

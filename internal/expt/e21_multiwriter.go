@@ -26,8 +26,8 @@ func init() {
 func e21Spec(netCfg netsim.Config, srcSeed uint64) exec.RunSpec {
 	return exec.RunSpec{
 		RunID: "e21", Seed: srcSeed, Salt: 1,
-		Store:    &exec.StoreLayout{Replicas: 3, Net: &netCfg, Timeout: e20Timeout},
-		Adaptive: true, RetryPolicy: exec.ExpBackoff{Base: 0.25, Cap: 0.5, MaxAttempts: 4},
+		Store:       &exec.StoreLayout{Replicas: 3, Net: &netCfg, Timeout: e20Timeout},
+		RetryPolicy: exec.ExpBackoff{Base: 0.25, Cap: 0.5, MaxAttempts: 4},
 	}
 }
 

@@ -84,6 +84,15 @@ func (f CampaignFingerprint) String() string {
 		f.Seed, f.Runs, f.BlockSize, f.Shards, f.Candidates, f.Round, f.Workload)
 }
 
+// check rejects a fingerprint no campaign resolves to (see resolve);
+// fingerprints read from disk divide, index and size by these fields.
+func (f CampaignFingerprint) check() error {
+	if f.Runs <= 0 || f.BlockSize <= 0 || f.Candidates <= 0 || f.Shards <= 0 || f.Shards > f.numBlocks() {
+		return fmt.Errorf("sim: invalid campaign fingerprint %s", f)
+	}
+	return nil
+}
+
 // numBlocks returns the block count of the campaign.
 func (f CampaignFingerprint) numBlocks() int {
 	return (f.Runs + f.BlockSize - 1) / f.BlockSize
@@ -498,10 +507,8 @@ func MergeShards(parts []*ShardResult) (CampaignResult, error) {
 		return CampaignResult{}, fmt.Errorf("sim: no shard results to merge")
 	}
 	fp := parts[0].Fingerprint
-	// Fingerprints arrive from disk: the block size divides and the
-	// candidate count indexes below.
-	if fp.BlockSize <= 0 || fp.Candidates <= 0 {
-		return CampaignResult{}, fmt.Errorf("sim: invalid campaign fingerprint %s", fp)
+	if err := fp.check(); err != nil {
+		return CampaignResult{}, err
 	}
 	seen := make(map[int]bool, len(parts))
 	for _, p := range parts {
@@ -517,25 +524,21 @@ func MergeShards(parts []*ShardResult) (CampaignResult, error) {
 		seen[p.Shard] = true
 	}
 	if len(parts) != fp.Shards {
-		missing := make([]string, 0)
-		for s := 0; s < fp.Shards; s++ {
+		// The shard count comes from disk: name the first few missing.
+		var missing []string
+		for s := 0; s < fp.Shards && len(missing) < 8; s++ {
 			if !seen[s] {
 				missing = append(missing, fmt.Sprint(s))
 			}
+		}
+		if len(parts)+len(missing) < fp.Shards {
+			missing = append(missing, "…")
 		}
 		return CampaignResult{}, fmt.Errorf("sim: merge has %d of %d shards (missing %s)", len(parts), fp.Shards, strings.Join(missing, ", "))
 	}
 	ordered := append([]*ShardResult(nil), parts...)
 	sort.Slice(ordered, func(a, b int) bool { return ordered[a].Shard < ordered[b].Shard })
 
-	out := CampaignResult{
-		Results: make([]MCResult, fp.Candidates),
-		Delta:   make([]stats.Summary, fp.Candidates),
-		Digests: make([]*stats.TDigest, fp.Candidates),
-	}
-	for i := range out.Digests {
-		out.Digests[i] = stats.NewTDigest(stats.DefaultTDigestCompression)
-	}
 	nextBlock := 0
 	for _, p := range ordered {
 		lo, hi := fp.blockRange(p.Shard)
@@ -547,10 +550,6 @@ func MergeShards(parts []*ShardResult) (CampaignResult, error) {
 			if err := fp.checkBlock(blk, nextBlock); err != nil {
 				return CampaignResult{}, fmt.Errorf("sim: shard %d: %w", p.Shard, err)
 			}
-			for c := range out.Results {
-				out.Results[c].merge(blk.Results[c])
-				out.Delta[c].Merge(blk.Delta[c])
-			}
 			runs += blk.Runs
 			nextBlock++
 		}
@@ -560,12 +559,31 @@ func MergeShards(parts []*ShardResult) (CampaignResult, error) {
 		if err := fp.checkDigests(p.Digests, runs); err != nil {
 			return CampaignResult{}, fmt.Errorf("sim: shard %d: %w", p.Shard, err)
 		}
-		for c := range out.Digests {
-			out.Digests[c].Merge(p.Digests[c])
-		}
 	}
 	if nextBlock != fp.numBlocks() {
 		return CampaignResult{}, fmt.Errorf("sim: merge covered %d of %d blocks", nextBlock, fp.numBlocks())
+	}
+
+	// Every block now holds fp.Candidates results, so the count sizes
+	// nothing the shards do not already carry.
+	out := CampaignResult{
+		Results: make([]MCResult, fp.Candidates),
+		Delta:   make([]stats.Summary, fp.Candidates),
+		Digests: make([]*stats.TDigest, fp.Candidates),
+	}
+	for i := range out.Digests {
+		out.Digests[i] = stats.NewTDigest(stats.DefaultTDigestCompression)
+	}
+	for _, p := range ordered {
+		for _, blk := range p.Blocks {
+			for c := range out.Results {
+				out.Results[c].merge(blk.Results[c])
+				out.Delta[c].Merge(blk.Delta[c])
+			}
+		}
+		for c := range out.Digests {
+			out.Digests[c].Merge(p.Digests[c])
+		}
 	}
 	out.Runs = out.Results[0].Runs
 	return out, nil
@@ -644,6 +662,9 @@ func ReadCampaignManifest(dir string) (CampaignFingerprint, error) {
 	if err := json.Unmarshal(data, &m); err != nil {
 		return CampaignFingerprint{}, fmt.Errorf("sim: corrupt campaign manifest in %s: %w", dir, err)
 	}
+	if err := m.Fingerprint.check(); err != nil {
+		return CampaignFingerprint{}, fmt.Errorf("sim: corrupt campaign manifest in %s: %w", dir, err)
+	}
 	return m.Fingerprint, nil
 }
 
@@ -660,12 +681,20 @@ func LoadCampaignDir(dir string) ([]*ShardResult, error) {
 	if err := fsx.RemoveTemps(dir); err != nil {
 		return nil, err
 	}
+	// Walk the directory's entries, not the manifest's shard count:
+	// that count comes from disk, and the entries bound the work.
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, err
+	}
 	var parts []*ShardResult
-	for s := 0; s < fp.Shards; s++ {
-		data, err := os.ReadFile(shardResultPath(dir, s))
-		if errors.Is(err, os.ErrNotExist) {
+	for _, e := range entries {
+		var s int
+		if _, err := fmt.Sscanf(e.Name(), "shard-%d.json", &s); err != nil || s < 0 || s >= fp.Shards ||
+			shardResultPath(dir, s) != filepath.Join(dir, e.Name()) {
 			continue
 		}
+		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
 		if err != nil {
 			return nil, err
 		}

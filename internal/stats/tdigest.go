@@ -279,14 +279,21 @@ func (t *TDigest) MarshalJSON() ([]byte, error) {
 	return json.Marshal(doc)
 }
 
+// maxDecodedCompression is the largest compression UnmarshalJSON
+// accepts: about 80× the pipeline's, a 1 MB buffer.
+const maxDecodedCompression = 1 << 14
+
 // UnmarshalJSON restores a digest serialized by MarshalJSON.
 func (t *TDigest) UnmarshalJSON(data []byte) error {
 	var doc tdigestJSON
 	if err := json.Unmarshal(data, &doc); err != nil {
 		return err
 	}
-	if !(doc.Compression >= 10) {
-		return fmt.Errorf("stats: t-digest compression %v out of range", doc.Compression)
+	// The compression sizes the buffer (4δ slots per column), so a
+	// decoded one is bounded: bytes from disk must not pick the size of
+	// an allocation.
+	if !(doc.Compression >= 10 && doc.Compression <= maxDecodedCompression) {
+		return fmt.Errorf("stats: t-digest compression %v out of range [10, %d]", doc.Compression, maxDecodedCompression)
 	}
 	if len(doc.Means) != len(doc.Weights) {
 		return fmt.Errorf("stats: t-digest has %d means but %d weights", len(doc.Means), len(doc.Weights))

@@ -257,7 +257,7 @@ type ResilienceReport struct {
 }
 
 // ExecutePlanResilient runs a chain checkpoint plan ONCE on the
-// adaptive executor against a deterministically degraded in-memory
+// executor against a deterministically degraded in-memory
 // store: every operation pays Exp-distributed virtual latency with the
 // given mean, saves fail with probability writeFail, and the executor
 // responds with capped exponential-backoff retries plus online suffix
@@ -280,8 +280,8 @@ func ExecutePlanResilient(g *Graph, m Model, checkpointAfter []bool, meanLatency
 	meanC /= float64(len(cp.Ckpt))
 	res, err := exec.RunSpec{
 		RunID: "resilient", Seed: seed, Salt: 1,
-		Store:    &exec.StoreLayout{Faults: &store.FaultPlan{Seed: seed, WriteFail: writeFail, MeanLatency: meanLatency}},
-		Adaptive: true, RetryPolicy: exec.ExpBackoff{Base: 0.25 * meanC, Cap: meanC, MaxAttempts: 4}, ReplanRatio: 1.25,
+		Store:       &exec.StoreLayout{Faults: &store.FaultPlan{Seed: seed, WriteFail: writeFail, MeanLatency: meanLatency}},
+		RetryPolicy: exec.ExpBackoff{Base: 0.25 * meanC, Cap: meanC, MaxAttempts: 4}, ReplanRatio: 1.25,
 	}.Run(exec.Plan{Workload: w, Model: m, Replanner: exec.ChainReplanner{CP: cp}})
 	if err != nil {
 		return ResilienceReport{}, err
