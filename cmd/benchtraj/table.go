@@ -213,6 +213,26 @@ func table() []row {
 			return nil
 		})
 	})
+	// One candidate's sampling schedule: MonteCarlo's keyed blocks on
+	// one and two workers (Options.Workers, not GOMAXPROCS) over a
+	// 20-task chain, and the one-candidate block campaign with digests
+	// that the comparator rows' first plan costs on its own.
+	for _, workers := range []int{1, 2} {
+		add("sim", fmt.Sprintf("mc/runs=%d,workers=%d", mcRuns, workers), mcRuns, func(b *testing.B) {
+			cp, w := execChain(b, 20)
+			opts := sim.Options{Workers: workers}
+			factory := sim.ExponentialFactory(cp.Model.Lambda)
+			loop(b, func() error {
+				_, err := sim.MonteCarloPlan(cp, w.CheckpointAfter, factory, opts, mcRuns, rng.New(9))
+				return err
+			})
+		})
+	}
+	add("sim", "campaign_block/cands=1", crnProcs, func(b *testing.B) {
+		plans, factory := comparator(b)
+		so := sim.ShardOptions{Options: copts, Seed: 9, Runs: crnRuns, Shards: 1}
+		loop(b, func() error { _, err := sim.CampaignPlansSharded(plans[:1], factory, so); return err })
+	})
 	// Sharded campaigns: the same comparison through the
 	// block-deterministic sharded pipeline. Results are bit-identical
 	// across shard counts, so these rows price the per-block setup and
@@ -675,10 +695,12 @@ func campaignLoop(b *testing.B, proc resettableProcess) {
 	loop(b, func() error { proc.Reset(); _, err := sim.Run(segs, proc, opts); return err })
 }
 
-// The comparator campaigns' platform size and replication budget.
+// The comparator campaigns' platform size and replication budget, and
+// the mc rows' run count.
 const (
 	crnProcs = 1000
 	crnRuns  = 200
+	mcRuns   = 50000
 )
 
 // comparator returns E14's two comparator plans and a Weibull platform

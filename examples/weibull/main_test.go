@@ -13,8 +13,8 @@ func Example_main() {
 	// weibull max-saved-work placement: 16 checkpoints
 	//
 	// simulated mean makespan under the true Weibull failures (40k runs):
-	//   exponential-fit DP:  69.576 h
-	//   weibull-aware:       70.713 h  (1.63% vs exponential fit)
+	//   exponential-fit DP:  69.545 h
+	//   weibull-aware:       70.692 h  (1.65% vs exponential fit)
 	//
 	// no closed form exists for Weibull (the paper's third extension): these are
 	// heuristics judged by simulation, exactly as Section 6 prescribes.

@@ -63,7 +63,9 @@ type Process interface {
 // variates the corresponding constructor would, so a Monte-Carlo
 // campaign that resets one process per run is sample-for-sample
 // identical to one constructing a fresh process per run — while
-// allocating nothing in its steady state (see sim.MonteCarlo).
+// allocating nothing in its steady state. sim's replication loop
+// builds one process per block and resets it for every later run of
+// the block, whether it runs the process directly or records its trace.
 type Resettable interface {
 	Reset()
 }

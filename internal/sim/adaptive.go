@@ -132,13 +132,10 @@ func CampaignPlansAdaptive(plans [][]core.Segment, factory ProcessFactory, so Sh
 	out := AdaptiveResult{
 		Results:          make([]MCResult, cands),
 		Delta:            make([]stats.Summary, cands),
-		Digests:          make([]*stats.TDigest, cands),
+		Digests:          newDigests(cands),
 		RunsPerCandidate: make([]int, cands),
 		Decision:         make([]string, cands),
 		Widths:           make([]float64, cands),
-	}
-	for i := range out.Digests {
-		out.Digests[i] = stats.NewTDigest(stats.DefaultTDigestCompression)
 	}
 	out.Decision[0] = DecisionBaseline
 

@@ -18,8 +18,6 @@ package sim
 // paired-difference summaries.
 
 import (
-	"fmt"
-
 	"repro/internal/core"
 	"repro/internal/rng"
 	"repro/internal/stats"
@@ -40,30 +38,49 @@ type CampaignResult struct {
 	Delta []stats.Summary
 	// Runs is the number of completed replications.
 	Runs int
-	// Digests holds per-candidate makespan t-digests when the campaign
-	// ran through the sharded pipeline (CampaignPlansSharded /
-	// MergeShards); nil from CampaignPlans. Digest quantiles are
-	// pinned in quantile space — not bitwise — across shard counts; see
-	// stats.TDigest.
+	// Digests holds per-candidate makespan t-digests from
+	// CampaignPlansSharded and MergeShards; nil from CampaignPlans.
+	// Digest quantiles are pinned in quantile space — not bitwise —
+	// across shard counts; see stats.TDigest.
 	Digests []*stats.TDigest
+}
+
+// newCampaignResult returns an empty aggregate over cands candidates.
+func newCampaignResult(cands int) CampaignResult {
+	return CampaignResult{Results: make([]MCResult, cands), Delta: make([]stats.Summary, cands)}
+}
+
+// foldBlock merges one block's partial aggregate into r. Every entry
+// point folds blocks in global block order, which is what makes results
+// bit-identical for any shard and worker count.
+func (r *CampaignResult) foldBlock(blk BlockAggregate) {
+	for c := range r.Results {
+		r.Results[c].merge(blk.Results[c])
+		r.Delta[c].Merge(blk.Delta[c])
+	}
+	r.Runs += blk.Runs
 }
 
 // CampaignPlans runs a CRN comparator campaign over static plans: each
 // replication records one failure trace from factory and replays it
-// across every plan's segments. It runs the block pipeline's CRN loop
-// over one split of the seed stream, replications in order, so results
-// depend on the seed alone — never on opts.Workers or the host's core
-// count.
+// across every plan's segments (a lone plan runs the process directly).
+// It is the one-shard campaign seeded from one split of seed: runShard
+// spreads its keyed blocks over opts.Workers goroutines and they fold in
+// block order, so results depend on the seed alone — never on
+// opts.Workers or the host's core count. It fills no digests.
 func CampaignPlans(plans [][]core.Segment, factory ProcessFactory, opts Options, runs int, seed *rng.Stream) (CampaignResult, error) {
-	if len(plans) == 0 {
-		return CampaignResult{}, fmt.Errorf("sim: campaign needs at least one candidate plan")
-	}
-	if runs <= 0 {
-		return CampaignResult{}, fmt.Errorf("sim: run count must be positive, got %d", runs)
-	}
-	agg, err := replicate(plans, factory, opts, seed.Split(), runs, nil)
+	so := ShardOptions{Options: opts, Seed: seed.Split().Uint64(), Runs: runs, Shards: 1}
+	fp, err := so.resolve(plans)
 	if err != nil {
 		return CampaignResult{}, err
 	}
-	return CampaignResult{Results: agg.Results, Delta: agg.Delta, Runs: runs}, nil
+	shard, err := runShard(plans, factory, so, fp, 0, false)
+	if err != nil {
+		return CampaignResult{}, err
+	}
+	out := newCampaignResult(fp.Candidates)
+	for _, blk := range shard.Blocks {
+		out.foldBlock(blk)
+	}
+	return out, nil
 }

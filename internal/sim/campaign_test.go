@@ -55,12 +55,15 @@ func TestCampaignIdenticalCandidates(t *testing.T) {
 }
 
 // TestCampaignMatchesManualReplay pins the campaign's exact semantics:
-// with one worker it must be draw-for-draw identical to hand-rolling the
-// public RecordedTrace machinery — factory once, reset per replication,
-// every candidate replayed through a cursor in order.
+// it must be draw-for-draw identical to hand-rolling the public
+// RecordedTrace machinery over the block schedule — the campaign seed
+// drawn from one split of the caller's stream, 32-run blocks keyed by
+// (seed, round 0, block), and per block the factory once, a reset per
+// replication and every candidate replayed through a cursor in order,
+// the block summaries folded in block order.
 func TestCampaignMatchesManualReplay(t *testing.T) {
 	plans := campaignPlans()
-	const runs = 800
+	const runs, block = 800, 32
 	weib, err := failure.NewWeibull(0.7, 30)
 	if err != nil {
 		t.Fatal(err)
@@ -68,24 +71,29 @@ func TestCampaignMatchesManualReplay(t *testing.T) {
 	factory := SuperposedFactory(weib, 4, failure.RejuvenateFailedOnly)
 	opts := Options{Downtime: 0.5, Workers: 1}
 
-	// Manual replay, mirroring campaign's single-worker loop (including
-	// the initial seed.Split the worker partition performs).
-	var manual [2][]float64
-	r := rng.New(21).Split()
-	src := factory(r)
-	trace := failure.NewRecordedTrace(src)
-	cursor := trace.Cursor()
-	for rep := 0; rep < runs; rep++ {
-		if rep > 0 {
-			trace.Reset()
+	var manual [2]stats.Summary
+	seed := rng.New(21).Split().Uint64()
+	for b := 0; b*block < runs; b++ {
+		r := rng.New(seed).Keyed(0).Keyed(uint64(b))
+		src := factory(r)
+		trace := failure.NewRecordedTrace(src)
+		cursor := trace.Cursor()
+		var blk [2]stats.Summary
+		for rep := 0; rep < block; rep++ {
+			if rep > 0 {
+				trace.Reset()
+			}
+			for cand := range plans {
+				cursor.Reset()
+				rs, err := Run(plans[cand], cursor, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				blk[cand].Add(rs.Makespan)
+			}
 		}
 		for cand := range plans {
-			cursor.Reset()
-			rs, err := Run(plans[cand], cursor, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			manual[cand] = append(manual[cand], rs.Makespan)
+			manual[cand].Merge(blk[cand])
 		}
 	}
 
@@ -94,10 +102,8 @@ func TestCampaignMatchesManualReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	for cand := range plans {
-		var want stats.Summary
-		want.AddAll(manual[cand])
-		if got := res.Results[cand].Makespan.Mean(); got != want.Mean() {
-			t.Errorf("candidate %d: campaign mean %v, manual replay %v", cand, got, want.Mean())
+		if got := res.Results[cand].Makespan; !sameSummary(got, manual[cand]) {
+			t.Errorf("candidate %d: campaign mean %v, manual replay %v", cand, got.Mean(), manual[cand].Mean())
 		}
 	}
 }
@@ -113,8 +119,8 @@ func TestCampaignMarginalsMatchIndependentKS(t *testing.T) {
 	factory := ExponentialFactory(0.05)
 	opts := Options{Downtime: 0.5, Workers: 1}
 
-	// CRN marginals via the replay machinery (draw-identical to
-	// CampaignPlans, per TestCampaignMatchesManualReplay).
+	// CRN marginals via the replay machinery (draw-identical to one
+	// CampaignPlans block, per TestCampaignMatchesManualReplay).
 	var crn [2][]float64
 	r := rng.New(31).Split()
 	src := factory(r)

@@ -8,7 +8,7 @@ package sim
 //
 //	rng.New(seed).Keyed(round).Keyed(b)
 //
-// and runs sim's one CRN replication loop (replicate) over its
+// and runs sim's one replication loop (replicate) over its
 // replications. A shard owns a contiguous range of blocks; merging
 // folds the per-block partial aggregates in global block order.
 // Because the fold units and the fold order are fixed, the merged means
@@ -190,8 +190,14 @@ func (so ShardOptions) Fingerprint(plans [][]core.Segment) (CampaignFingerprint,
 	return so.resolve(plans)
 }
 
+// scheduleVersion numbers the block sampling schedule, so campaign
+// files written under another one are refused. Version 2 runs a lone
+// candidate on its process, not through a recorded trace.
+const scheduleVersion = 2
+
 // workloadHash digests everything that shapes simulated trajectories:
-// the candidate segment structure, the downtime and the failure budget.
+// the schedule version, the candidate segment structure, the downtime
+// and the failure budget.
 func workloadHash(plans [][]core.Segment, opts Options) string {
 	h := fnv.New64a()
 	var buf [8]byte
@@ -199,6 +205,7 @@ func workloadHash(plans [][]core.Segment, opts Options) string {
 		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
 		h.Write(buf[:])
 	}
+	put(scheduleVersion)
 	put(opts.Downtime)
 	binary.LittleEndian.PutUint64(buf[:], uint64(opts.maxFailures()))
 	h.Write(buf[:])
@@ -236,33 +243,13 @@ type ShardResult struct {
 // oversubscription audit uses it to measure peak block concurrency.
 var testHookBlock func(enter bool)
 
-// runBlock executes one block of the CRN loop on the block's own
-// stream.
-func runBlock(plans [][]core.Segment, factory ProcessFactory, opts Options, fp CampaignFingerprint, block int) (BlockAggregate, []*stats.TDigest, error) {
-	if testHookBlock != nil {
-		testHookBlock(true)
-		defer testHookBlock(false)
-	}
-	digests := make([]*stats.TDigest, len(plans))
-	for i := range digests {
-		digests[i] = stats.NewTDigest(stats.DefaultTDigestCompression)
-	}
-	stream := rng.New(fp.Seed).Keyed(fp.Round).Keyed(uint64(block))
-	agg, err := replicate(plans, factory, opts, stream, fp.blockRuns(block), digests)
-	if err != nil {
-		return BlockAggregate{}, nil, err
-	}
-	agg.Block = block
-	return agg, digests, nil
-}
-
-// replicate is sim's one CRN replication loop: runs replications, each
-// recording one failure trace from factory over stream and replaying it
-// through every plan, the candidates in order so trace extension — and
-// hence the stream draw order — is deterministic. One recorded trace is
-// reused across replications (allocation-free in steady state) when the
-// process is Resettable. When digests is non-nil each candidate's
-// makespans are added to its digest.
+// replicate is sim's one replication loop: runs replications, each on
+// a fresh process from factory over stream, reset when it is
+// Resettable (allocation-free in steady state) and built anew
+// otherwise. CRN pairing needs two candidates, so a lone candidate runs
+// the process directly; several replay one recorded failure trace in
+// candidate order, so the stream draw order is deterministic. When
+// digests is non-nil each candidate's makespans are added to its digest.
 func replicate(plans [][]core.Segment, factory ProcessFactory, opts Options, stream *rng.Stream, runs int, digests []*stats.TDigest) (BlockAggregate, error) {
 	cands := len(plans)
 	agg := BlockAggregate{
@@ -271,24 +258,28 @@ func replicate(plans [][]core.Segment, factory ProcessFactory, opts Options, str
 		Delta:   make([]stats.Summary, cands),
 	}
 	makespans := make([]float64, cands)
-	src := factory(stream)
-	_, resettable := src.(failure.Resettable)
-	trace := failure.NewRecordedTrace(src)
-	cursor := trace.Cursor()
+	var src, proc failure.Process
+	var trace *failure.RecordedTrace
+	var cursor *failure.TraceCursor
 	for rep := 0; rep < runs; rep++ {
-		if rep > 0 {
-			if resettable {
-				trace.Reset()
-			} else {
-				// Processes that must differ structurally per
-				// replication: one factory call each, as MonteCarlo does.
-				trace = failure.NewRecordedTrace(factory(stream))
+		if res, ok := src.(failure.Resettable); ok && trace != nil {
+			trace.Reset()
+		} else if ok {
+			res.Reset()
+		} else {
+			src = factory(stream)
+			proc = src
+			if cands > 1 {
+				trace = failure.NewRecordedTrace(src)
 				cursor = trace.Cursor()
+				proc = cursor
 			}
 		}
 		for cand := 0; cand < cands; cand++ {
-			cursor.Reset()
-			rs, err := Run(plans[cand], cursor, opts)
+			if cursor != nil {
+				cursor.Reset()
+			}
+			rs, err := Run(plans[cand], proc, opts)
 			if err != nil {
 				return BlockAggregate{}, err
 			}
@@ -305,27 +296,20 @@ func replicate(plans [][]core.Segment, factory ProcessFactory, opts Options, str
 	return agg, nil
 }
 
-// foldBlockDigests folds per-block digests into the shard accumulators
-// in block order (blocks arrive pre-sorted by the callers).
-func foldBlockDigests(acc, block []*stats.TDigest) []*stats.TDigest {
-	if acc == nil {
-		acc = make([]*stats.TDigest, len(block))
-		for i := range acc {
-			acc[i] = stats.NewTDigest(stats.DefaultTDigestCompression)
-		}
+// newDigests returns n empty makespan digests.
+func newDigests(n int) []*stats.TDigest {
+	d := make([]*stats.TDigest, n)
+	for i := range d {
+		d[i] = stats.NewTDigest(stats.DefaultTDigestCompression)
 	}
-	for i := range acc {
-		acc[i].Merge(block[i])
-	}
-	return acc
+	return d
 }
 
 // CampaignPlansShard runs the blocks owned by one shard of a sharded
 // CRN campaign and returns that shard's partial result. Shards are
 // independent: separate processes may each run one (sharing only the
 // ShardOptions) and merge the results with MergeShards. The shard's
-// blocks spread over the worker pool; their results land in a slice
-// indexed by block, so the fold order is independent of scheduling.
+// blocks spread over the worker pool (runShard).
 //
 // With SpillDir set the shard is resumable: an existing result file for
 // the same fingerprint is returned as-is, finished block files are
@@ -348,23 +332,9 @@ func CampaignPlansShard(plans [][]core.Segment, factory ProcessFactory, so Shard
 			return prior, err
 		}
 	}
-	lo, hi := fp.blockRange(shard)
-	n := hi - lo
-	out := &ShardResult{Fingerprint: fp, Shard: shard, Blocks: make([]BlockAggregate, n)}
-	digests := make([][]*stats.TDigest, n)
-	err = par.Each(so.Workers, n, func(_, i int) error {
-		var err error
-		out.Blocks[i], digests[i], err = shardBlock(plans, factory, so, fp, lo+i)
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	for _, dig := range digests {
-		out.Digests = foldBlockDigests(out.Digests, dig)
-	}
-	if so.SpillDir == "" {
-		return out, nil
+	out, err := runShard(plans, factory, so, fp, shard, true)
+	if err != nil || so.SpillDir == "" {
+		return out, err
 	}
 	data, err := json.Marshal(out)
 	if err != nil {
@@ -372,6 +342,33 @@ func CampaignPlansShard(plans [][]core.Segment, factory ProcessFactory, so Shard
 	}
 	if err := fsx.AtomicWriteFile(shardResultPath(so.SpillDir, shard), data); err != nil {
 		return nil, err
+	}
+	return out, nil
+}
+
+// runShard runs the blocks of shard over the worker pool. Their results
+// land in a slice indexed by block, so the fold order is independent of
+// scheduling; with digests set the blocks' makespan digests are folded
+// in block order too.
+func runShard(plans [][]core.Segment, factory ProcessFactory, so ShardOptions, fp CampaignFingerprint, shard int, digests bool) (*ShardResult, error) {
+	lo, hi := fp.blockRange(shard)
+	out := &ShardResult{Fingerprint: fp, Shard: shard, Blocks: make([]BlockAggregate, hi-lo)}
+	blockDigests := make([][]*stats.TDigest, hi-lo)
+	err := par.Each(so.Workers, hi-lo, func(_, i int) error {
+		var err error
+		out.Blocks[i], blockDigests[i], err = shardBlock(plans, factory, so, fp, lo+i, digests)
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	if digests {
+		out.Digests = newDigests(len(plans))
+	}
+	for _, dig := range blockDigests {
+		for c, d := range dig {
+			out.Digests[c].Merge(d)
+		}
 	}
 	return out, nil
 }
@@ -417,33 +414,49 @@ type blockFile struct {
 	Digests     []*stats.TDigest    `json:"digests"`
 }
 
-// shardBlock returns the result of block b. With a spill directory it
-// loads the block's file when an earlier invocation finished the
-// block, and otherwise runs the block and writes its file. Either way
-// the digests come back in their stored form: MarshalJSON compresses a
-// digest in place, so a block folded now and the same block loaded on
-// resume fold the same bits.
-func shardBlock(plans [][]core.Segment, factory ProcessFactory, so ShardOptions, fp CampaignFingerprint, b int) (BlockAggregate, []*stats.TDigest, error) {
-	if so.SpillDir == "" {
-		return runBlock(plans, factory, so.Options, fp, b)
+// shardBlock runs block b of the replication loop on the block's own
+// stream, sketching each candidate's makespans when digests is set.
+// With a spill directory it loads the block's file when an earlier
+// invocation finished the block, and otherwise runs the block and
+// writes its file, digests always included. Either way the digests come
+// back in their stored form: MarshalJSON compresses a digest in place,
+// so a block folded now and the same block loaded on resume fold the
+// same bits.
+func shardBlock(plans [][]core.Segment, factory ProcessFactory, so ShardOptions, fp CampaignFingerprint, b int, digests bool) (BlockAggregate, []*stats.TDigest, error) {
+	path := ""
+	if so.SpillDir != "" {
+		path = blockPath(so.SpillDir, b)
+		data, err := os.ReadFile(path)
+		if err == nil {
+			return decodeBlock(path, data, fp, b)
+		}
+		if !errors.Is(err, os.ErrNotExist) {
+			return BlockAggregate{}, nil, err
+		}
+		digests = true
 	}
-	path := blockPath(so.SpillDir, b)
-	data, err := os.ReadFile(path)
-	if err == nil {
-		return decodeBlock(path, data, fp, b)
+	if testHookBlock != nil {
+		testHookBlock(true)
+		defer testHookBlock(false)
 	}
-	if !errors.Is(err, os.ErrNotExist) {
-		return BlockAggregate{}, nil, err
+	var dig []*stats.TDigest
+	if digests {
+		dig = newDigests(len(plans))
 	}
-	agg, digests, err := runBlock(plans, factory, so.Options, fp, b)
+	stream := rng.New(fp.Seed).Keyed(fp.Round).Keyed(uint64(b))
+	agg, err := replicate(plans, factory, so.Options, stream, fp.blockRuns(b), dig)
 	if err != nil {
 		return BlockAggregate{}, nil, err
 	}
-	data, err = json.Marshal(blockFile{Fingerprint: fp, Aggregate: agg, Digests: digests})
+	agg.Block = b
+	if path == "" {
+		return agg, dig, nil
+	}
+	data, err := json.Marshal(blockFile{Fingerprint: fp, Aggregate: agg, Digests: dig})
 	if err != nil {
 		return BlockAggregate{}, nil, err
 	}
-	return agg, digests, fsx.AtomicWriteFile(path, data)
+	return agg, dig, fsx.AtomicWriteFile(path, data)
 }
 
 // decodeBlock parses the block file at path and checks that it holds
@@ -566,33 +579,23 @@ func MergeShards(parts []*ShardResult) (CampaignResult, error) {
 
 	// Every block now holds fp.Candidates results, so the count sizes
 	// nothing the shards do not already carry.
-	out := CampaignResult{
-		Results: make([]MCResult, fp.Candidates),
-		Delta:   make([]stats.Summary, fp.Candidates),
-		Digests: make([]*stats.TDigest, fp.Candidates),
-	}
-	for i := range out.Digests {
-		out.Digests[i] = stats.NewTDigest(stats.DefaultTDigestCompression)
-	}
+	out := newCampaignResult(fp.Candidates)
+	out.Digests = newDigests(fp.Candidates)
 	for _, p := range ordered {
 		for _, blk := range p.Blocks {
-			for c := range out.Results {
-				out.Results[c].merge(blk.Results[c])
-				out.Delta[c].Merge(blk.Delta[c])
-			}
+			out.foldBlock(blk)
 		}
 		for c := range out.Digests {
 			out.Digests[c].Merge(p.Digests[c])
 		}
 	}
-	out.Runs = out.Results[0].Runs
 	return out, nil
 }
 
 // CampaignPlansSharded runs every shard in this process and merges. It
-// is the drop-in sharded equivalent of CampaignPlans: same CRN loop,
-// but over per-block streams, so results are independent of Shards as
-// well as Workers, and carry per-candidate makespan digests.
+// is CampaignPlans with an explicit campaign seed, shard count and
+// block size: the same blocks, so results are independent of Shards as
+// well as Workers, plus per-candidate makespan digests.
 //
 // Shards run back to back, and each spreads its blocks over the
 // worker pool, so at most Workers blocks run at once.

@@ -50,12 +50,12 @@ type Options struct {
 	// MaxFailures bounds the failures tolerated in one run (0 means the
 	// default of 10 million).
 	MaxFailures int
-	// Workers is the goroutine count the sharded block pipeline
-	// (CampaignPlansShard, CampaignPlansSharded, CampaignPlansAdaptive)
-	// spreads blocks over; ≤ 0 means runtime.GOMAXPROCS(0). Blocks own
-	// their streams, so it bounds wall-clock time and concurrency only:
-	// no worker count enters any result. MonteCarlo and CampaignPlans
-	// run one stream in run order and do not read it.
+	// Workers is the goroutine count every Monte-Carlo entry point
+	// (MonteCarlo, MonteCarloPlan, CampaignPlans and the sharded
+	// campaigns) spreads its blocks over; ≤ 0 means
+	// runtime.GOMAXPROCS(0). Blocks own their streams, so it bounds
+	// wall-clock time and concurrency only: no worker count enters any
+	// result.
 	Workers int
 }
 
@@ -208,37 +208,17 @@ func (m *MCResult) merge(other MCResult) {
 	m.Runs += other.Runs
 }
 
-// MonteCarlo simulates the segments runs times and aggregates. The runs
-// draw, in order, from one split of the seed stream, so results depend
-// on the seed alone — never on opts.Workers or the host's core count.
-//
-// The per-run loop is allocation-free in its steady state: it builds
-// one process from the factory and, when the process implements
-// failure.Resettable (all built-in processes do), re-initializes it per
-// run instead of constructing a fresh one. A Reset draws exactly the
-// variates construction would, so campaigns are sample-for-sample
-// identical either way; Run itself works in value-typed RunStats and
-// the caller-owned segments slice, allocating nothing.
+// MonteCarlo simulates the segments runs times and aggregates: it is
+// CampaignPlans over the one candidate, which runs the process directly
+// (no trace is recorded). Its keyed blocks spread over opts.Workers
+// goroutines and fold in block order, so results depend on the seed
+// alone — never on opts.Workers or the host's core count.
 func MonteCarlo(segments []core.Segment, factory ProcessFactory, opts Options, runs int, seed *rng.Stream) (MCResult, error) {
-	if runs <= 0 {
-		return MCResult{}, fmt.Errorf("sim: run count must be positive, got %d", runs)
+	res, err := CampaignPlans([][]core.Segment{segments}, factory, opts, runs, seed)
+	if err != nil {
+		return MCResult{}, err
 	}
-	var out MCResult
-	var proc failure.Process
-	r := seed.Split()
-	for i := 0; i < runs; i++ {
-		if res, ok := proc.(failure.Resettable); ok {
-			res.Reset()
-		} else {
-			proc = factory(r)
-		}
-		rs, err := Run(segments, proc, opts)
-		if err != nil {
-			return MCResult{}, err
-		}
-		out.add(rs)
-	}
-	return out, nil
+	return res.Results[0], nil
 }
 
 // MonteCarloPlan evaluates a chain problem's checkpoint vector by
