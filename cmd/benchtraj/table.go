@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"path/filepath"
+	"strconv"
 	"testing"
 
 	"repro/internal/core"
@@ -246,6 +248,21 @@ func table() []row {
 			loop(b, func() error { _, err := sim.CampaignPlansSharded(plans, factory, so); return err })
 		})
 	}
+	// The four-shard campaign again with every block and shard result
+	// written to a spill directory: the price of resumability. Each op
+	// spills into a fresh directory, so nothing is loaded back.
+	add("sim", "campaign_spill/shards=4", crnProcs, func(b *testing.B) {
+		plans, factory := comparator(b)
+		root := b.TempDir()
+		so := sim.ShardOptions{Options: copts, Seed: 9, Runs: crnRuns, Shards: 4, BlockSize: 8}
+		op := 0
+		loop(b, func() error {
+			op++
+			so.SpillDir = filepath.Join(root, strconv.Itoa(op))
+			_, err := sim.CampaignPlansSharded(plans, factory, so)
+			return err
+		})
+	})
 	// Adaptive stopping vs fixed budget on the same pair: the on arm
 	// starts at a quarter of the budget and stops as soon as the paired
 	// delta's CI excludes zero.

@@ -9,7 +9,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/dag"
 	"repro/internal/rng"
-	"repro/internal/sim"
 )
 
 func writeChain(t *testing.T, n int) string {
@@ -162,8 +161,10 @@ func TestRunErrors(t *testing.T) {
 
 // TestCampaignShardsAcrossInvocations runs each shard in its own run()
 // call against a shared campaign directory — as separate machines would
-// — then merges with a -merge invocation, and checks the directory's
-// merged result matches an in-process single-invocation campaign.
+// — then merges with a -merge invocation. The campaign it prints,
+// quantile line included, must be byte for byte what a fresh -shards 3
+// run and a -shards 1 run print. The merge knows the candidates only by
+// index, so its labels are mapped back to the names first.
 func TestCampaignShardsAcrossInvocations(t *testing.T) {
 	path := writeChain(t, 5)
 	dir := t.TempDir()
@@ -172,32 +173,31 @@ func TestCampaignShardsAcrossInvocations(t *testing.T) {
 	for s := 0; s < 3; s++ {
 		c := cfg
 		c.shard = s
-		if err := run(c); err != nil {
-			t.Fatalf("shard %d invocation: %v", s, err)
-		}
+		runCaptured(t, c)
 	}
-	merge := config{resumeDir: dir, mergeOnly: true, shard: -1}
-	if err := run(merge); err != nil {
-		t.Fatalf("merge invocation: %v", err)
-	}
+	merged := runCaptured(t, config{resumeDir: dir, mergeOnly: true, shard: -1})
 
-	// The directory's shards must merge to the same bits a fresh
-	// non-spilled campaign over the same fingerprint produces.
-	parts, err := sim.LoadCampaignDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	merged, err := sim.MergeShards(parts)
-	if err != nil {
-		t.Fatal(err)
-	}
 	fresh := cfg
 	fresh.resumeDir = ""
-	if err := run(fresh); err != nil {
-		t.Fatalf("fresh full campaign: %v", err)
+	want := runCaptured(t, fresh)
+	one := fresh
+	one.shards = 1
+	if got := runCaptured(t, one); got != want {
+		t.Errorf("-shards 1 printed\n%s\n-shards 3 printed\n%s", got, want)
 	}
-	if merged.Runs != 256 {
-		t.Errorf("merged runs = %d, want 256", merged.Runs)
+	campaign := func(out string) string {
+		i := strings.Index(out, "\nCRN campaign:")
+		if i < 0 {
+			t.Fatalf("no campaign in output\n%s", out)
+		}
+		return out[i:]
+	}
+	labels := strings.NewReplacer("cand0     ", "dp        ", "cand1     ", "never     ", "Δ(cand1 − cand0)", "Δ(never − dp)")
+	if got := labels.Replace(campaign(merged)); got != campaign(want) {
+		t.Errorf("-merge printed\n%s\nfresh campaign printed\n%s", got, campaign(want))
+	}
+	if !strings.Contains(want, "p99") {
+		t.Errorf("campaign output has no quantile line:\n%s", want)
 	}
 }
 

@@ -82,7 +82,7 @@ type AdaptiveResult struct {
 	// — compare Ns via RunsPerCandidate.
 	Results []MCResult
 	Delta   []stats.Summary
-	Digests []*stats.TDigest
+	Digests []*stats.Histogram
 	// RunsPerCandidate is the replications each candidate consumed.
 	RunsPerCandidate []int
 	// Decision classifies each candidate: DecisionBaseline for index 0,

@@ -79,7 +79,7 @@ func TestAdaptiveStopping(t *testing.T) {
 		if int(res.Results[i].Makespan.N()) != r {
 			t.Errorf("candidate %d: summary N %d vs runs %d", i, res.Results[i].Makespan.N(), r)
 		}
-		if got := res.Digests[i].N(); got != float64(r) {
+		if got := res.Digests[i].N(); got != uint64(r) {
 			t.Errorf("candidate %d: digest N %v vs runs %d", i, got, r)
 		}
 	}

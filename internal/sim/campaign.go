@@ -38,11 +38,11 @@ type CampaignResult struct {
 	Delta []stats.Summary
 	// Runs is the number of completed replications.
 	Runs int
-	// Digests holds per-candidate makespan t-digests from
+	// Digests holds per-candidate makespan histograms from
 	// CampaignPlansSharded and MergeShards; nil from CampaignPlans.
-	// Digest quantiles are pinned in quantile space — not bitwise —
-	// across shard counts; see stats.TDigest.
-	Digests []*stats.TDigest
+	// They merge exactly, so they too are bit-identical across shard
+	// and worker counts; see stats.Histogram.
+	Digests []*stats.Histogram
 }
 
 // newCampaignResult returns an empty aggregate over cands candidates.

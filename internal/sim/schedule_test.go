@@ -110,51 +110,55 @@ func TestLoneCandidateRunsProcess(t *testing.T) {
 	}
 }
 
-// TestOldScheduleCampaignRefused: campaign files written under the
-// first schedule version, which replayed a lone candidate through a
-// recorded trace, carry another workload hash, so a resume refuses
-// them instead of mixing two sample streams. The literal is that
-// version's fingerprint of this one-plan campaign.
+// TestOldScheduleCampaignRefused: campaign files written under an
+// earlier schedule version carry another workload hash, so a resume
+// refuses them as foreign instead of mixing two sample streams or two
+// file formats. Version 1 replayed a lone candidate through a recorded
+// trace; version 2 stored t-digests, which the version-3 decoder cannot
+// read, so its files must be refused by fingerprint, not reported as
+// corrupt. The literals are those versions' fingerprints of this
+// one-plan campaign.
 func TestOldScheduleCampaignRefused(t *testing.T) {
 	plans := shardTestPlans()[:1]
 	so := ShardOptions{Options: Options{Downtime: 0.3}, Seed: 7, Runs: 256, Shards: 1}
-	old := CampaignFingerprint{Seed: 7, Runs: 256, BlockSize: 32, Shards: 1, Candidates: 1, Workload: "29a44452c160d67c"}
 	fp := mustFingerprint(t, so, plans)
-	if fp.Workload == old.Workload {
-		t.Fatalf("workload hash %s is unchanged from the first schedule version", fp.Workload)
-	}
-	if fp.Workload = old.Workload; fp != old {
-		t.Fatalf("fingerprint %s differs from %s beyond the workload hash", fp, old)
-	}
-
-	files := map[string]struct {
-		name string
-		doc  any
-	}{
-		"block": {"block-000000.json", blockFile{Fingerprint: old}},
-		"shard": {"shard-0000.json", ShardResult{Fingerprint: old}},
-	}
-	for kind, f := range files {
-		dir := t.TempDir()
-		data, err := json.Marshal(f.doc)
+	// A version-2 digest: the t-digest's serialized form.
+	const tdigest = `[{"compression":200,"count":32,"min":1,"max":2,"means":[1.5],"weights":[32]}]`
+	for version, workload := range map[int]string{1: "29a44452c160d67c", 2: "0fd7eb4f05c7225c"} {
+		old := CampaignFingerprint{Seed: 7, Runs: 256, BlockSize: 32, Shards: 1, Candidates: 1, Workload: workload}
+		if fp.Workload == old.Workload {
+			t.Fatalf("workload hash %s is unchanged from schedule version %d", fp.Workload, version)
+		}
+		cur := fp
+		if cur.Workload = old.Workload; cur != old {
+			t.Fatalf("fingerprint %s differs from version %d's %s beyond the workload hash", fp, version, old)
+		}
+		oldJSON, err := json.Marshal(old)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(filepath.Join(dir, f.name), data, 0o644); err != nil {
+		files := map[string]string{
+			"block-000000.json": `{"fingerprint":` + string(oldJSON) + `,"aggregate":{"block":0,"runs":32},"digests":` + tdigest + `}`,
+			"shard-0000.json":   `{"fingerprint":` + string(oldJSON) + `,"shard":0,"blocks":[],"digests":` + tdigest + `}`,
+		}
+		for name, doc := range files {
+			dir := t.TempDir()
+			if err := os.WriteFile(filepath.Join(dir, name), []byte(doc), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			so.SpillDir = dir
+			_, err = CampaignPlansShard(plans, ExponentialFactory(0.08), so, 0)
+			if err == nil || !strings.Contains(err.Error(), name) || !strings.Contains(err.Error(), "refusing to mix") {
+				t.Errorf("version %d %s: error %v, want a refusal naming it", version, name, err)
+			}
+		}
+
+		dir := t.TempDir()
+		if err := WriteCampaignManifest(dir, old); err != nil {
 			t.Fatal(err)
 		}
-		so.SpillDir = dir
-		_, err = CampaignPlansShard(plans, ExponentialFactory(0.08), so, 0)
-		if err == nil || !strings.Contains(err.Error(), f.name) || !strings.Contains(err.Error(), "refusing to mix") {
-			t.Errorf("%s file of the old schedule: error %v, want a refusal naming %s", kind, err, f.name)
+		if err := WriteCampaignManifest(dir, fp); err == nil {
+			t.Errorf("a manifest of schedule version %d was accepted", version)
 		}
-	}
-
-	dir := t.TempDir()
-	if err := WriteCampaignManifest(dir, old); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteCampaignManifest(dir, mustFingerprint(t, so, plans)); err == nil {
-		t.Error("a manifest of the old schedule was accepted")
 	}
 }

@@ -17,9 +17,8 @@ package sim
 // shards computed by separate processes and merged from their
 // serialized results (Summary.Merge is not floating-point associative,
 // so this property is exactly as strong as the fixed fold structure and
-// no stronger). T-digest sketches fold per shard and are pinned
-// *quantile-equivalent*, not bitwise, across shard counts; see
-// stats.TDigest.
+// no stronger). Makespan histograms merge exactly (stats.Histogram), so
+// they are bit-identical under any grouping.
 //
 // Resumability rides on the same block structure: with a spill
 // directory set, each finished block writes its aggregate and digests
@@ -152,8 +151,8 @@ func (so ShardOptions) resolve(plans [][]core.Segment) (CampaignFingerprint, err
 	if len(plans) == 0 {
 		return CampaignFingerprint{}, fmt.Errorf("sim: campaign needs at least one candidate plan")
 	}
-	if so.Downtime < 0 {
-		return CampaignFingerprint{}, fmt.Errorf("sim: negative downtime %v", so.Downtime)
+	if err := so.checkDowntime(); err != nil {
+		return CampaignFingerprint{}, err
 	}
 	bs := so.BlockSize
 	if bs < 0 {
@@ -190,10 +189,12 @@ func (so ShardOptions) Fingerprint(plans [][]core.Segment) (CampaignFingerprint,
 	return so.resolve(plans)
 }
 
-// scheduleVersion numbers the block sampling schedule, so campaign
-// files written under another one are refused. Version 2 runs a lone
-// candidate on its process, not through a recorded trace.
-const scheduleVersion = 2
+// scheduleVersion numbers the block sampling schedule and the block and
+// shard file format, so campaign files written under another one are
+// refused as foreign. Version 2 runs a lone candidate on its process,
+// not through a recorded trace; version 3 stores makespan histograms,
+// not t-digests.
+const scheduleVersion = 3
 
 // workloadHash digests everything that shapes simulated trajectories:
 // the schedule version, the candidate segment structure, the downtime
@@ -231,12 +232,12 @@ type BlockAggregate struct {
 
 // ShardResult is one shard's complete output: per-block partials (kept
 // separate so the merge can fold in global block order) plus
-// per-candidate makespan digests folded over the shard's blocks.
+// per-candidate makespan histograms over the shard's runs.
 type ShardResult struct {
 	Fingerprint CampaignFingerprint `json:"fingerprint"`
 	Shard       int                 `json:"shard"`
 	Blocks      []BlockAggregate    `json:"blocks"`
-	Digests     []*stats.TDigest    `json:"digests"`
+	Digests     []*stats.Histogram  `json:"digests"`
 }
 
 // testHookBlock, when non-nil, brackets every block execution. The
@@ -250,7 +251,7 @@ var testHookBlock func(enter bool)
 // the process directly; several replay one recorded failure trace in
 // candidate order, so the stream draw order is deterministic. When
 // digests is non-nil each candidate's makespans are added to its digest.
-func replicate(plans [][]core.Segment, factory ProcessFactory, opts Options, stream *rng.Stream, runs int, digests []*stats.TDigest) (BlockAggregate, error) {
+func replicate(plans [][]core.Segment, factory ProcessFactory, opts Options, stream *rng.Stream, runs int, digests []*stats.Histogram) (BlockAggregate, error) {
 	cands := len(plans)
 	agg := BlockAggregate{
 		Runs:    runs,
@@ -297,12 +298,20 @@ func replicate(plans [][]core.Segment, factory ProcessFactory, opts Options, str
 }
 
 // newDigests returns n empty makespan digests.
-func newDigests(n int) []*stats.TDigest {
-	d := make([]*stats.TDigest, n)
+func newDigests(n int) []*stats.Histogram {
+	d := make([]*stats.Histogram, n)
 	for i := range d {
-		d[i] = stats.NewTDigest(stats.DefaultTDigestCompression)
+		d[i] = new(stats.Histogram)
 	}
 	return d
+}
+
+// mergeDigests folds src into dst, candidate by candidate; a nil dst
+// takes nothing.
+func mergeDigests(dst, src []*stats.Histogram) {
+	for c, d := range dst {
+		d.Merge(src[c])
+	}
 }
 
 // CampaignPlansShard runs the blocks owned by one shard of a sharded
@@ -348,27 +357,31 @@ func CampaignPlansShard(plans [][]core.Segment, factory ProcessFactory, so Shard
 
 // runShard runs the blocks of shard over the worker pool. Their results
 // land in a slice indexed by block, so the fold order is independent of
-// scheduling; with digests set the blocks' makespan digests are folded
-// in block order too.
+// scheduling. With digests set each worker sketches the makespans of
+// the blocks it runs, and the workers' histograms merge at the end:
+// histogram merges are exact, so which worker ran which block does not
+// reach the result.
 func runShard(plans [][]core.Segment, factory ProcessFactory, so ShardOptions, fp CampaignFingerprint, shard int, digests bool) (*ShardResult, error) {
 	lo, hi := fp.blockRange(shard)
 	out := &ShardResult{Fingerprint: fp, Shard: shard, Blocks: make([]BlockAggregate, hi-lo)}
-	blockDigests := make([][]*stats.TDigest, hi-lo)
-	err := par.Each(so.Workers, hi-lo, func(_, i int) error {
+	workers := par.Workers(so.Workers, hi-lo)
+	perWorker := make([][]*stats.Histogram, workers)
+	if digests {
+		for w := range perWorker {
+			perWorker[w] = newDigests(len(plans))
+		}
+	}
+	err := par.Each(workers, hi-lo, func(w, i int) error {
 		var err error
-		out.Blocks[i], blockDigests[i], err = shardBlock(plans, factory, so, fp, lo+i, digests)
+		out.Blocks[i], err = shardBlock(plans, factory, so, fp, lo+i, perWorker[w])
 		return err
 	})
 	if err != nil {
 		return nil, err
 	}
-	if digests {
-		out.Digests = newDigests(len(plans))
-	}
-	for _, dig := range blockDigests {
-		for c, d := range dig {
-			out.Digests[c].Merge(d)
-		}
+	out.Digests = perWorker[0]
+	for _, dig := range perWorker[1:] {
+		mergeDigests(out.Digests, dig)
 	}
 	return out, nil
 }
@@ -395,11 +408,8 @@ func loadShardResult(dir string, fp CampaignFingerprint, shard int) (*ShardResul
 		return nil, err
 	}
 	var prior ShardResult
-	if err := json.Unmarshal(data, &prior); err != nil {
-		return nil, fmt.Errorf("sim: corrupt shard result %s: %w", path, err)
-	}
-	if prior.Fingerprint != fp {
-		return nil, fmt.Errorf("sim: shard result %s was produced by campaign\n  %s\nbut this invocation is\n  %s\nrefusing to mix them", path, prior.Fingerprint, fp)
+	if err := decodeFile("shard result", path, data, fp, &prior); err != nil {
+		return nil, err
 	}
 	if prior.Shard != shard {
 		return nil, fmt.Errorf("sim: shard result %s claims shard %d", path, prior.Shard)
@@ -407,67 +417,83 @@ func loadShardResult(dir string, fp CampaignFingerprint, shard int) (*ShardResul
 	return &prior, nil
 }
 
+// decodeFile unmarshals data, the campaign file at path, into v once
+// the fingerprint it records matches fp. The fingerprint is read first,
+// so a file of another schedule version, whose digests this one cannot
+// read, is refused as foreign rather than reported as corrupt.
+func decodeFile(kind, path string, data []byte, fp CampaignFingerprint, v any) error {
+	var head struct {
+		Fingerprint CampaignFingerprint `json:"fingerprint"`
+	}
+	if err := json.Unmarshal(data, &head); err != nil {
+		return fmt.Errorf("sim: corrupt %s %s: %w", kind, path, err)
+	}
+	if head.Fingerprint != fp {
+		return fmt.Errorf("sim: %s %s was produced by campaign\n  %s\nbut this invocation is\n  %s\nrefusing to mix them", kind, path, head.Fingerprint, fp)
+	}
+	if err := json.Unmarshal(data, v); err != nil {
+		return fmt.Errorf("sim: corrupt %s %s: %w", kind, path, err)
+	}
+	return nil
+}
+
 // blockFile is one finished block as a spill directory stores it.
 type blockFile struct {
 	Fingerprint CampaignFingerprint `json:"fingerprint"`
 	Aggregate   BlockAggregate      `json:"aggregate"`
-	Digests     []*stats.TDigest    `json:"digests"`
+	Digests     []*stats.Histogram  `json:"digests"`
 }
 
 // shardBlock runs block b of the replication loop on the block's own
-// stream, sketching each candidate's makespans when digests is set.
-// With a spill directory it loads the block's file when an earlier
-// invocation finished the block, and otherwise runs the block and
-// writes its file, digests always included. Either way the digests come
-// back in their stored form: MarshalJSON compresses a digest in place,
-// so a block folded now and the same block loaded on resume fold the
-// same bits.
-func shardBlock(plans [][]core.Segment, factory ProcessFactory, so ShardOptions, fp CampaignFingerprint, b int, digests bool) (BlockAggregate, []*stats.TDigest, error) {
-	path := ""
+// stream and adds each candidate's makespans to digests when it is
+// non-nil. With a spill directory it loads the block's file when an
+// earlier invocation finished the block, and otherwise runs the block
+// and writes its file, the block's own histograms always included.
+// Histogram merges are exact, so a block merged from its file adds the
+// same bits as the block run now.
+func shardBlock(plans [][]core.Segment, factory ProcessFactory, so ShardOptions, fp CampaignFingerprint, b int, digests []*stats.Histogram) (BlockAggregate, error) {
+	path, dig := "", digests
 	if so.SpillDir != "" {
 		path = blockPath(so.SpillDir, b)
-		data, err := os.ReadFile(path)
-		if err == nil {
-			return decodeBlock(path, data, fp, b)
+		switch data, err := os.ReadFile(path); {
+		case err == nil:
+			agg, stored, err := decodeBlock(path, data, fp, b)
+			if err == nil {
+				mergeDigests(digests, stored)
+			}
+			return agg, err
+		case !errors.Is(err, os.ErrNotExist):
+			return BlockAggregate{}, err
 		}
-		if !errors.Is(err, os.ErrNotExist) {
-			return BlockAggregate{}, nil, err
-		}
-		digests = true
+		dig = newDigests(len(plans))
 	}
 	if testHookBlock != nil {
 		testHookBlock(true)
 		defer testHookBlock(false)
 	}
-	var dig []*stats.TDigest
-	if digests {
-		dig = newDigests(len(plans))
-	}
 	stream := rng.New(fp.Seed).Keyed(fp.Round).Keyed(uint64(b))
 	agg, err := replicate(plans, factory, so.Options, stream, fp.blockRuns(b), dig)
 	if err != nil {
-		return BlockAggregate{}, nil, err
+		return BlockAggregate{}, err
 	}
 	agg.Block = b
 	if path == "" {
-		return agg, dig, nil
+		return agg, nil
 	}
 	data, err := json.Marshal(blockFile{Fingerprint: fp, Aggregate: agg, Digests: dig})
 	if err != nil {
-		return BlockAggregate{}, nil, err
+		return BlockAggregate{}, err
 	}
-	return agg, dig, fsx.AtomicWriteFile(path, data)
+	mergeDigests(digests, dig)
+	return agg, fsx.AtomicWriteFile(path, data)
 }
 
 // decodeBlock parses the block file at path and checks that it holds
 // block b of campaign fp.
-func decodeBlock(path string, data []byte, fp CampaignFingerprint, b int) (BlockAggregate, []*stats.TDigest, error) {
+func decodeBlock(path string, data []byte, fp CampaignFingerprint, b int) (BlockAggregate, []*stats.Histogram, error) {
 	var f blockFile
-	if err := json.Unmarshal(data, &f); err != nil {
-		return BlockAggregate{}, nil, fmt.Errorf("sim: corrupt block file %s: %w", path, err)
-	}
-	if f.Fingerprint != fp {
-		return BlockAggregate{}, nil, fmt.Errorf("sim: block file %s was produced by campaign\n  %s\nbut this invocation is\n  %s\nrefusing to mix them", path, f.Fingerprint, fp)
+	if err := decodeFile("block file", path, data, fp, &f); err != nil {
+		return BlockAggregate{}, nil, err
 	}
 	if err := fp.checkBlock(f.Aggregate, b); err != nil {
 		return BlockAggregate{}, nil, fmt.Errorf("sim: block file %s: %w", path, err)
@@ -495,7 +521,7 @@ func (f CampaignFingerprint) checkBlock(blk BlockAggregate, b int) error {
 
 // checkDigests verifies that digests hold one sketch per candidate,
 // each over exactly runs makespans.
-func (f CampaignFingerprint) checkDigests(digests []*stats.TDigest, runs int) error {
+func (f CampaignFingerprint) checkDigests(digests []*stats.Histogram, runs int) error {
 	if len(digests) != f.Candidates {
 		return fmt.Errorf("%d digests, fingerprint says %d candidates", len(digests), f.Candidates)
 	}
@@ -503,7 +529,7 @@ func (f CampaignFingerprint) checkDigests(digests []*stats.TDigest, runs int) er
 		if d == nil {
 			return fmt.Errorf("digest of candidate %d is missing", c)
 		}
-		if d.N() != float64(runs) {
+		if d.N() != uint64(runs) {
 			return fmt.Errorf("digest of candidate %d covers %v runs, expected %d", c, d.N(), runs)
 		}
 	}
@@ -513,8 +539,8 @@ func (f CampaignFingerprint) checkDigests(digests []*stats.TDigest, runs int) er
 // MergeShards folds shard results into the campaign aggregate. Every
 // shard must carry the same fingerprint, each shard index exactly once,
 // and together they must cover every block — anything else is a loud
-// error. Means and deltas fold in global block order (bit-identical for
-// any shard count); digests fold in shard order (quantile-equivalent).
+// error. Means and deltas fold in global block order and histograms
+// merge exactly, so the result is bit-identical for any shard count.
 func MergeShards(parts []*ShardResult) (CampaignResult, error) {
 	if len(parts) == 0 {
 		return CampaignResult{}, fmt.Errorf("sim: no shard results to merge")
@@ -585,9 +611,7 @@ func MergeShards(parts []*ShardResult) (CampaignResult, error) {
 		for _, blk := range p.Blocks {
 			out.foldBlock(blk)
 		}
-		for c := range out.Digests {
-			out.Digests[c].Merge(p.Digests[c])
-		}
+		mergeDigests(out.Digests, p.Digests)
 	}
 	return out, nil
 }
@@ -697,18 +721,13 @@ func LoadCampaignDir(dir string) ([]*ShardResult, error) {
 			shardResultPath(dir, s) != filepath.Join(dir, e.Name()) {
 			continue
 		}
-		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		sr, err := loadShardResult(dir, fp, s)
 		if err != nil {
 			return nil, err
 		}
-		var sr ShardResult
-		if err := json.Unmarshal(data, &sr); err != nil {
-			return nil, fmt.Errorf("sim: corrupt shard result for shard %d in %s: %w", s, dir, err)
+		if sr != nil {
+			parts = append(parts, sr)
 		}
-		if sr.Fingerprint != fp {
-			return nil, fmt.Errorf("sim: shard %d in %s was produced by campaign\n  %s\nbut the manifest says\n  %s", s, dir, sr.Fingerprint, fp)
-		}
-		parts = append(parts, &sr)
 	}
 	return parts, nil
 }

@@ -33,18 +33,45 @@ func FuzzDecodeBlock(f *testing.F) {
 	if err := WriteCampaignManifest(so.SpillDir, fp); err != nil {
 		f.Fatal(err)
 	}
+	// Histograms the decoder must refuse, each over a block's 4 runs
+	// (bucket 1047552 holds 1, bucket 1048576 holds 2): buckets out of
+	// order, repeated, empty or at +Inf's, counts that overflow or miss
+	// n, and extremes outside the occupied buckets.
+	badDigests := []string{
+		`{"n":4,"min":1,"max":2,"bucket":[1048576,1047552],"count":[2,2]}`,
+		`{"n":4,"min":1,"max":1,"bucket":[1047552,1047552],"count":[2,2]}`,
+		`{"n":4,"min":1,"max":2,"bucket":[1047552,1048576],"count":[4,0]}`,
+		`{"n":4,"min":1,"max":1,"bucket":[1047552,2096128],"count":[2,2]}`,
+		`{"n":4,"min":1,"max":2,"bucket":[1047552,1048576],"count":[18446744073709551615,5]}`,
+		`{"n":4,"min":1,"max":2,"bucket":[1047552,1048576],"count":[2,3]}`,
+		`{"n":4,"min":0.5,"max":2,"bucket":[1047552,1048576],"count":[2,2]}`,
+		`{"n":4,"min":1,"max":3,"bucket":[1047552,1048576],"count":[2,2]}`,
+	}
 	for _, path := range []string{blockPath(so.SpillDir, 0), shardResultPath(so.SpillDir, 0), filepath.Join(so.SpillDir, campaignManifestName)} {
 		data, err := os.ReadFile(path)
 		if err != nil {
 			f.Fatal(err)
 		}
 		f.Add(data)
+		var doc map[string]json.RawMessage
+		if err := json.Unmarshal(data, &doc); err != nil {
+			f.Fatal(err)
+		}
+		if doc["digests"] == nil {
+			continue
+		}
+		for _, bad := range badDigests {
+			doc["digests"] = json.RawMessage("[" + bad + "," + bad + "," + bad + "]")
+			seed, err := json.Marshal(doc)
+			if err != nil {
+				f.Fatal(err)
+			}
+			f.Add(seed)
+		}
 	}
 	for _, s := range []string{
 		`{"fingerprint":{"block_size":0,"candidates":1,"shards":1}}`,
 		`{"fingerprint":{},"aggregate":{},"digests":[null]}`,
-		`{"digests":[{"compression":1e12,"count":0,"means":[],"weights":[]}]}`,
-		`{"compression":1e12,"count":0,"means":[],"weights":[]}`,
 		// Counts a manifest may claim that would size a loop or an
 		// allocation if the decoders trusted them.
 		`{"fingerprint":{"runs":64,"block_size":1,"shards":60,"candidates":3}}`,
@@ -66,7 +93,7 @@ func FuzzDecodeBlock(f *testing.F) {
 			acc := newDigests(len(digests))
 			for c, d := range acc {
 				d.Merge(digests[c])
-				if d.N() != float64(agg.Runs) {
+				if d.N() != uint64(agg.Runs) {
 					t.Fatalf("accepted digest folds to %v runs, want %d", d.N(), agg.Runs)
 				}
 				d.Quantile(0.5)

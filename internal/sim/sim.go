@@ -14,6 +14,7 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"repro/internal/core"
 	"repro/internal/failure"
@@ -59,6 +60,15 @@ type Options struct {
 	Workers int
 }
 
+// checkDowntime rejects a downtime no run can serve: negative, NaN or
+// infinite.
+func (o Options) checkDowntime() error {
+	if !(o.Downtime >= 0) || math.IsInf(o.Downtime, 1) {
+		return fmt.Errorf("sim: downtime must be finite and non-negative, got %v", o.Downtime)
+	}
+	return nil
+}
+
 func (o Options) maxFailures() int {
 	if o.MaxFailures <= 0 {
 		return 10_000_000
@@ -73,8 +83,8 @@ func (o Options) maxFailures() int {
 // segment's Recovery length (during which failures can occur), and the
 // attempt restarts from the segment's beginning.
 func Run(segments []core.Segment, proc failure.Process, opts Options) (RunStats, error) {
-	if opts.Downtime < 0 {
-		return RunStats{}, fmt.Errorf("sim: negative downtime %v", opts.Downtime)
+	if err := opts.checkDowntime(); err != nil {
+		return RunStats{}, err
 	}
 	var rs RunStats
 	budget := opts.maxFailures()

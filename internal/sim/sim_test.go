@@ -3,6 +3,7 @@ package sim
 import (
 	"errors"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -102,6 +103,41 @@ func TestRunBudgetExhaustion(t *testing.T) {
 func TestRunRejectsNegativeDowntime(t *testing.T) {
 	if _, err := Run(nil, failure.NewExponentialProcess(1, rng.New(1)), Options{Downtime: -1}); err == nil {
 		t.Error("negative downtime should fail")
+	}
+}
+
+// TestEntryPointsRejectNonFiniteDowntime: a NaN or infinite downtime is
+// an error at every Monte-Carlo entry point, before any block runs; it
+// never reaches a summary as NaN or a histogram as a panic.
+func TestEntryPointsRejectNonFiniteDowntime(t *testing.T) {
+	plans := [][]core.Segment{{{Work: 4, Checkpoint: 1, Recovery: 1}}, {{Work: 2, Checkpoint: 1, Recovery: 1}, {Work: 2, Checkpoint: 1, Recovery: 1}}}
+	factory := ExponentialFactory(0.1)
+	for _, d := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1} {
+		opts := Options{Downtime: d, Workers: 2}
+		so := ShardOptions{Options: opts, Seed: 1, Runs: 256, Shards: 2}
+		entries := map[string]func() error{
+			"MonteCarlo": func() error {
+				_, err := MonteCarlo(plans[0], factory, opts, 256, rng.New(1))
+				return err
+			},
+			"CampaignPlans": func() error {
+				_, err := CampaignPlans(plans, factory, opts, 256, rng.New(1))
+				return err
+			},
+			"CampaignPlansSharded": func() error {
+				_, err := CampaignPlansSharded(plans, factory, so)
+				return err
+			},
+			"CampaignPlansAdaptive": func() error {
+				_, err := CampaignPlansAdaptive(plans, factory, so, AdaptiveOptions{TargetWidth: 0.1, MaxRuns: 256})
+				return err
+			},
+		}
+		for name, run := range entries {
+			if err := run(); err == nil || !strings.Contains(err.Error(), "downtime") {
+				t.Errorf("%s with downtime %v: error %v, want a downtime error", name, d, err)
+			}
+		}
 	}
 }
 

@@ -1,7 +1,7 @@
 // Package stats provides the summary statistics used by the Monte-Carlo
 // experiments: streaming moments (Welford), normal-approximation
-// confidence intervals, the mergeable t-digest quantile sketch,
-// Kolmogorov–Smirnov tests and convexity probes.
+// confidence intervals, an exactly mergeable log-histogram quantile
+// sketch, Kolmogorov–Smirnov tests and convexity probes.
 package stats
 
 import (

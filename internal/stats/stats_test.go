@@ -231,7 +231,7 @@ func TestSummaryJSONRoundTrip(t *testing.T) {
 
 // Quantile returns the exact q-quantile (0 ≤ q ≤ 1) of xs using linear
 // interpolation between order statistics; xs is not modified. It is
-// the sort-based oracle the t-digest tests measure rank error against.
+// the sort-based reference for exact quantiles.
 func Quantile(xs []float64, q float64) float64 {
 	if len(xs) == 0 {
 		return math.NaN()
